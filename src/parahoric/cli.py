@@ -120,6 +120,20 @@ def load_spec(source: str) -> dict:
     return data
 
 
+def _is_int(x) -> bool:
+    """JSON integers only: ``bool`` is an ``int`` subclass but not a count."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _node_key(k) -> str:
+    try:
+        return str(int(k))
+    except (TypeError, ValueError) as exc:
+        raise InputError(
+            f"field 'lambda_valuations': key {k!r} is not a node index"
+        ) from exc
+
+
 def normalize_spec(raw: dict) -> dict:
     spec = dict(DEFAULT_SPEC)
     unknown = set(raw) - set(DEFAULT_SPEC)
@@ -134,7 +148,7 @@ def normalize_spec(raw: dict) -> dict:
         )
     if spec["automorphism"] is not None:
         if not isinstance(spec["automorphism"], (list, tuple)) or not all(
-            isinstance(i, int) for i in spec["automorphism"]
+            _is_int(i) for i in spec["automorphism"]
         ):
             raise InputError("field 'automorphism': must be a list of node indices")
         spec["automorphism"] = list(spec["automorphism"])
@@ -142,7 +156,7 @@ def normalize_spec(raw: dict) -> dict:
     if not isinstance(lam, dict):
         raise InputError("field 'lambda_valuations': must be an object")
     spec["lambda_valuations"] = {
-        str(int(k)): frac_str(parse_frac(v, "lambda_valuations")) for k, v in lam.items()
+        _node_key(k): frac_str(parse_frac(v, "lambda_valuations")) for k, v in lam.items()
     }
     point = spec["point"]
     if not isinstance(point, dict) or not ({"name", "coords"} & set(point)):
@@ -156,12 +170,12 @@ def normalize_spec(raw: dict) -> dict:
         norm = {"name": name}
         if name == "rho_over_m":
             m = point.get("m")
-            if not isinstance(m, int) or m <= 0:
+            if not _is_int(m) or m <= 0:
                 raise InputError("field 'point': rho_over_m needs a positive integer m")
             norm["m"] = m
         spec["point"] = norm
     spec["r"] = frac_str(parse_frac(spec["r"], "r"))
-    if spec["M"] is not None and (not isinstance(spec["M"], int) or spec["M"] <= 0):
+    if spec["M"] is not None and (not _is_int(spec["M"]) or spec["M"] <= 0):
         raise InputError("field 'M': must be a positive integer")
     if spec["automorphism"] is None:
         try:
@@ -247,16 +261,13 @@ def _match_component(block_cartan) -> str:
 
     n = len(block_cartan)
     for letter in "ABCDEFG":
-        try:
-            template = cartan_matrix_component(letter, n)
-        except KeyError:
-            continue
         ranks_ok = {
             "A": n >= 1, "B": n >= 2, "C": n >= 2, "D": n >= 3,
             "E": n in (6, 7, 8), "F": n == 4, "G": n == 2,
         }[letter]
         if not ranks_ok:
             continue
+        template = cartan_matrix_component(letter, n)
         for perm in itertools.permutations(range(n)):
             if all(
                 template[perm[i]][perm[j]] == block_cartan[i][j]

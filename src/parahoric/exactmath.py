@@ -9,6 +9,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import floor, gcd, lcm
+from operator import mul
 
 Vec = tuple[Fraction, ...]
 IntVec = tuple[int, ...]
@@ -34,15 +35,12 @@ def identity_matrix(n: int) -> IntMatrix:
 
 
 def mat_mul(a, b):
-    n, m, k = len(a), len(b[0]), len(b)
-    return tuple(
-        tuple(sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m))
-        for i in range(n)
-    )
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
 
 
 def mat_vec(a, v):
-    return tuple(sum(a[i][j] * v[j] for j in range(len(v))) for i in range(len(a)))
+    return tuple(sum(map(mul, row, v)) for row in a)
 
 
 def transpose(a):

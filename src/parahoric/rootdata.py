@@ -22,7 +22,6 @@ from .exactmath import (
     IntMatrix,
     IntVec,
     identity_matrix,
-    mat_mul,
     mat_vec,
 )
 
@@ -279,38 +278,46 @@ def build_datum(descriptor: str, isogeny: str = "adjoint") -> RootDatum:
     return datum
 
 
-def simple_reflection_matrices(datum: RootDatum) -> tuple[IntMatrix, ...]:
-    """Matrices of the simple reflections acting on X (column vectors)."""
-    n = datum.rank
-    out = []
-    for alpha, acheck in zip(datum.simple_roots, datum.simple_coroots):
-        m = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        for i in range(n):
-            for j in range(n):
-                m[i][j] -= alpha[i] * acheck[j]
-        out.append(tuple(tuple(row) for row in m))
-    return tuple(out)
-
-
 @lru_cache(maxsize=None)
 def weyl_elements(datum: RootDatum, cap: int = WEYL_CAP_DEFAULT) -> tuple[IntMatrix, ...]:
-    """All Weyl group elements as matrices on X, by breadth-first closure."""
-    gens = simple_reflection_matrices(datum)
-    start = identity_matrix(datum.rank)
+    """All Weyl group elements as matrices on X, by breadth-first closure.
+
+    The order of W is known in closed form, so a group larger than ``cap`` is
+    refused before any element is built.  A simple reflection acts on the left
+    as the rank-one update s_i w = w - alpha_i (acheck_i^T w).
+    """
+    order = classical_weyl_order(datum.descriptor)
+    if order > cap:
+        raise WeylCapExceeded(
+            f"Weyl group of {datum.descriptor} has order {order}, above the cap "
+            f"{cap}; raise it with --cap"
+        )
+
+    def support(vec):
+        return [(i, c) for i, c in enumerate(vec) if c]
+
+    gens = [
+        (support(alpha), support(acheck))
+        for alpha, acheck in zip(datum.simple_roots, datum.simple_coroots)
+    ]
+    n = datum.rank
+    start = identity_matrix(n)
     found = {start}
     frontier = [start]
     while frontier:
         nxt = []
         for w in frontier:
-            for g in gens:
-                prod = mat_mul(g, w)
+            for alpha, acheck in gens:
+                row = [0] * n
+                for k, c in acheck:
+                    row = [x + c * y for x, y in zip(row, w[k])]
+                prod = list(w)
+                for i, c in alpha:
+                    prod[i] = tuple(x - c * y for x, y in zip(w[i], row))
+                prod = tuple(prod)
                 if prod not in found:
                     found.add(prod)
                     nxt.append(prod)
-                    if len(found) > cap:
-                        raise WeylCapExceeded(
-                            f"Weyl group larger than cap {cap} for {datum.descriptor}"
-                        )
         frontier = nxt
     return tuple(sorted(found))
 
@@ -340,21 +347,20 @@ class DiagramAutomorphism:
         return all(p == i for i, p in enumerate(self.permutation))
 
 
-def _permutation_order(perm) -> int:
-    order = 1
-    n = len(perm)
-    seen = [False] * n
-    for i in range(n):
-        if seen[i]:
-            continue
+def cycle_lengths(perm) -> list[int]:
+    """Cycle lengths of a permutation of range(len(perm))."""
+    seen = [False] * len(perm)
+    lengths = []
+    for i in range(len(perm)):
         length = 0
         j = i
         while not seen[j]:
             seen[j] = True
             j = perm[j]
             length += 1
-        order = lcm(order, length)
-    return order
+        if length:
+            lengths.append(length)
+    return lengths
 
 
 def build_automorphism(datum: RootDatum, node_permutation) -> DiagramAutomorphism:
@@ -375,7 +381,7 @@ def build_automorphism(datum: RootDatum, node_permutation) -> DiagramAutomorphis
     image = {mat_vec(matrix, r) for r in datum.roots}
     if image != set(datum.roots):
         raise RootDatumError("automorphism does not permute the roots")
-    return DiagramAutomorphism(perm, matrix, _permutation_order(perm))
+    return DiagramAutomorphism(perm, matrix, lcm(*cycle_lengths(perm)))
 
 
 def identity_automorphism(datum: RootDatum) -> DiagramAutomorphism:

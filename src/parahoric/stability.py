@@ -24,14 +24,22 @@ from .exactmath import (
     IntMatrix,
     cyclotomic_multiplicities,
     cyclotomic_polynomial,
+    det_bareiss,
     identity_matrix,
     kernel_basis,
     mat_mul,
     mat_vec,
+    matrix_order,
     matrix_rank,
 )
 from .mpquotient import first_jump, mp_quotient
-from .rootdata import DiagramAutomorphism, RootDatum, pairing, weyl_elements
+from .rootdata import (
+    DiagramAutomorphism,
+    RootDatum,
+    cycle_lengths,
+    pairing,
+    weyl_elements,
+)
 
 
 class StabilityError(RuntimeError):
@@ -40,14 +48,6 @@ class StabilityError(RuntimeError):
 
 def is_semisimple(datum: RootDatum) -> bool:
     return matrix_rank([list(map(Fraction, r)) for r in datum.roots]) == datum.rank
-
-
-def _coset_order_and_spectrum(a: IntMatrix):
-    mult = cyclotomic_multiplicities(a)
-    order = 1
-    for k in mult:
-        order = lcm(order, k)
-    return order, mult
 
 
 def acts_freely_on_roots(a: IntMatrix, datum: RootDatum, order: int) -> bool:
@@ -105,14 +105,25 @@ def elliptic_zregular_orders(
 ) -> dict:
     """Map from attained order m to a witness matrix w*twist that is elliptic
     (no invariant vectors) and Z-regular (free on the roots); the smallest
-    witness in lexicographic order is kept per order."""
+    witness in lexicographic order is kept per order.
+
+    Ellipticity is det(I - a) != 0.  The datum is semisimple, so its roots
+    span and a is determined by the permutation it induces on them: the order
+    of a is the lcm of the root cycle lengths, and a is Z-regular when every
+    cycle has that length, which is the predicate of ``acts_freely_on_roots``.
+    """
+    eye = identity_matrix(datum.rank)
+    index = datum.root_index
     witnesses: dict[int, IntMatrix] = {}
     for w in weyl_elements(datum, cap):
         a = mat_mul(w, twist.matrix)
-        order, mult = _coset_order_and_spectrum(a)
-        if mult.get(1, 0):
+        if det_bareiss(
+            tuple(tuple(e - x for e, x in zip(er, ar)) for er, ar in zip(eye, a))
+        ) == 0:
             continue  # eigenvalue 1: not elliptic
-        if not acts_freely_on_roots(a, datum, order):
+        lengths = cycle_lengths([index[mat_vec(a, r)] for r in datum.roots])
+        order = lcm(*lengths)
+        if any(length != order for length in lengths):
             continue
         if order not in witnesses or a < witnesses[order]:
             witnesses[order] = a
@@ -126,7 +137,7 @@ def zregularity_criteria_agree(
     on the whole coset; disagreement raises with a diagnostic."""
     for w in weyl_elements(datum, cap):
         a = mat_mul(w, twist.matrix)
-        order, _ = _coset_order_and_spectrum(a)
+        order = matrix_order(a)
         free = acts_freely_on_roots(a, datum, order)
         eigen = regular_by_eigenvector(a, datum, order)
         if free != eigen:

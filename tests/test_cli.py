@@ -150,3 +150,36 @@ def test_golden_reports(entry, capsys):
     code, out, _ = run_cli(["scan", "--spec", f"catalog:{entry}"], capsys)
     assert code == 0
     assert normalize(out) == normalize(golden.read_text())
+
+
+def test_weyl_cap_fails_before_enumerating(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(
+        json.dumps({"dynkin": "E7", "point": {"name": "rho_over_m", "m": 18}})
+    )
+    code, _, err = run_cli(["stability", "--spec", str(spec)], capsys)
+    assert code == 2
+    assert "2903040" in err and "1000000" in err and "--cap" in err
+
+
+def test_quotient_3d4_lists_g2(capsys):
+    code, out, _ = run_cli(["quotient", "--spec", "catalog:3D4"], capsys)
+    assert code == 0
+    assert "G2" in json.loads(out)["quotient"]["type"]["components"]
+
+
+@pytest.mark.parametrize(
+    "fields,field",
+    [
+        ({"M": True}, "M"),
+        ({"point": {"name": "rho_over_m", "m": True}}, "point"),
+        ({"automorphism": [True, False]}, "automorphism"),
+        ({"lambda_valuations": {"a": "0"}}, "lambda_valuations"),
+    ],
+)
+def test_spec_validation_names_field(tmp_path, capsys, fields, field):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"dynkin": "A2", **fields}))
+    code, _, err = run_cli(["scan", "--spec", str(spec)], capsys)
+    assert code == 1
+    assert f"input error: field {field!r}" in err

@@ -5,6 +5,7 @@ import pytest
 from parahoric.exactmath import mat_vec, matrix_order
 from parahoric.rootdata import (
     RootDatumError,
+    WeylCapExceeded,
     build_automorphism,
     build_datum,
     classical_root_count,
@@ -73,6 +74,15 @@ def test_simply_connected_convention():
 def test_weyl_sizes(descriptor, order):
     d = build_datum(descriptor)
     assert len(weyl_elements(d)) == order == classical_weyl_order(descriptor)
+
+
+def test_weyl_cap_checked_before_enumerating():
+    # |W(E7)| = 2903040 is known in closed form; enumerating it would take minutes
+    with pytest.raises(WeylCapExceeded, match="order 2903040, above the cap 1000000"):
+        weyl_elements(build_datum("E7"))
+    with pytest.raises(WeylCapExceeded, match="order 6, above the cap 5"):
+        weyl_elements(build_datum("A2"), cap=5)
+    assert len(weyl_elements(build_datum("A2"), cap=6)) == 6
 
 
 def test_weyl_preserves_roots_and_pairing():

@@ -1,15 +1,20 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
+from parahoric.catalog import CATALOG
 from parahoric.echelonnage import apartment_point, origin, twisted
+from parahoric.exactmath import cyclotomic_multiplicities, identity_matrix, mat_mul
 from parahoric.rootdata import (
     build_automorphism,
     build_datum,
     identity_automorphism,
+    weyl_elements,
 )
 from parahoric.stability import (
     StabilityError,
+    acts_freely_on_roots,
     elliptic_zregular_orders,
     is_semisimple,
     stable_verdict,
@@ -133,3 +138,65 @@ def test_stable_verdict_2a2():
 
 def test_semisimple_guard():
     assert is_semisimple(build_datum("B2"))
+
+
+# ---------------------------------------------------------------------------
+# brute-force oracles: the plain matrix-product Weyl closure and the
+# charpoly-per-element coset scan that the fast paths replace
+
+
+def reference_weyl_elements(datum):
+    n = datum.rank
+    gens = [
+        tuple(
+            tuple((1 if i == j else 0) - alpha[i] * acheck[j] for j in range(n))
+            for i in range(n)
+        )
+        for alpha, acheck in zip(datum.simple_roots, datum.simple_coroots)
+    ]
+    found = {identity_matrix(n)}
+    frontier = list(found)
+    while frontier:
+        nxt = []
+        for w in frontier:
+            for g in gens:
+                prod = mat_mul(g, w)
+                if prod not in found:
+                    found.add(prod)
+                    nxt.append(prod)
+        frontier = nxt
+    return tuple(sorted(found))
+
+
+def reference_zregular_orders(datum, twist):
+    witnesses = {}
+    for w in reference_weyl_elements(datum):
+        a = mat_mul(w, twist.matrix)
+        mult = cyclotomic_multiplicities(a)
+        if mult.get(1, 0):
+            continue
+        order = lcm(*mult)
+        if not acts_freely_on_roots(a, datum, order):
+            continue
+        if order not in witnesses or a < witnesses[order]:
+            witnesses[order] = a
+    return witnesses
+
+
+ORACLE_COSETS = [
+    (info["dynkin"], info["automorphism"]) for _, info in sorted(CATALOG.items())
+] + [("A4", None), ("B4", None), ("C4", None), ("F4", None)]
+
+
+@pytest.mark.parametrize("desc,perm", ORACLE_COSETS)
+def test_orders_match_charpoly_oracle(desc, perm):
+    d = build_datum(desc)
+    auto = identity_automorphism(d) if perm is None else build_automorphism(d, perm)
+    assert elliptic_zregular_orders(d, auto) == reference_zregular_orders(d, auto)
+
+
+@pytest.mark.parametrize("desc", ["A4", "B4", "D4", "G2"])
+def test_weyl_elements_match_matrix_product_closure(desc):
+    for isogeny in ("adjoint", "simply_connected"):
+        d = build_datum(desc, isogeny)
+        assert weyl_elements(d) == reference_weyl_elements(d)
