@@ -3,6 +3,8 @@ restricted root systems with their valuation sets, reductive-quotient root
 data, graded Lie algebra decompositions, highest-weight bookkeeping, and
 stable-vector verdicts."""
 
+__version__ = "0.1.0"
+
 from .catalog import catalog_datum, catalog_ids, catalog_spec, named_point
 from .chevalley import (
     ChevalleyAlgebra,
@@ -22,16 +24,9 @@ from .echelonnage import (
     point_from_simple_coroots,
     point_order,
     restrict,
-    restricted_coroot,
     twisted,
 )
-from .exactmath import (
-    ValuationSet,
-    cyclotomic_multiplicities,
-    matrix_order,
-    vset_member,
-    vset_min_above,
-)
+from .exactmath import ValuationSet, cyclotomic_multiplicities, matrix_order
 from .mpquotient import (
     MPQuotientReport,
     ReductiveQuotientDatum,
@@ -54,7 +49,7 @@ from .stability import (
     stable_verdict,
     zregularity_criteria_agree,
 )
-from .vinberg import GradedDecomposition, crosscheck, fixed_datum_roots, grading
+from .vinberg import GradedDecomposition, crosscheck, grading
 from .weylmod import (
     decompose,
     phi_xr,
@@ -62,8 +57,6 @@ from .weylmod import (
     split_span_check,
     weyl_character,
 )
-
-__version__ = "0.1.0"
 
 __all__ = [
     "ApartmentPoint",
@@ -91,7 +84,6 @@ __all__ = [
     "elliptic_zregular_orders",
     "exp_ad",
     "first_jump",
-    "fixed_datum_roots",
     "grading",
     "jump_values",
     "matrix_order",
@@ -106,14 +98,11 @@ __all__ = [
     "point_order",
     "quotient_datum",
     "restrict",
-    "restricted_coroot",
     "split_span_check",
     "stable_verdict",
     "structure_constants",
     "torus_jump_dim",
     "twisted",
-    "vset_member",
-    "vset_min_above",
     "weyl_character",
     "weyl_elements",
     "zregularity_criteria_agree",

@@ -20,7 +20,7 @@ from .echelonnage import (
     in_base_alcove,
     twisted,
 )
-from .exactmath import solve_linear
+from .exactmath import pair, solve_linear
 from .rootdata import build_automorphism, build_datum
 
 CATALOG = {
@@ -91,10 +91,7 @@ def alcove_vertices(td: TwistedDatum) -> tuple[ApartmentPoint, ...]:
         raise EchelonnageError("fixed subspace is trivial")
     equations = []
     for w in walls:
-        row = [
-            sum(Fraction(k) * Fraction(b[i]) for i, k in enumerate(w.key))
-            for b in basis
-        ]
+        row = [pair(w.key, b) for b in basis]
         equations.append((row, w.lo))
         equations.append((row, w.hi))
     vertices = set()

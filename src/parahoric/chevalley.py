@@ -16,26 +16,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .exactmath import mat_vec
-from .rootdata import DiagramAutomorphism, RootDatum, pairing
+from .exactmath import mat_vec, pair, vec_add, vec_scale, vec_sub
+from .rootdata import DiagramAutomorphism, RootDatum
 
 MAX_NILPOTENCY = 10
 
 
 class ChevalleyError(RuntimeError):
     pass
-
-
-def _neg(v):
-    return tuple(-x for x in v)
-
-
-def _add(u, v):
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def _sub(u, v):
-    return tuple(a - b for a, b in zip(u, v))
 
 
 class ChevalleyAlgebra:
@@ -74,7 +62,7 @@ class ChevalleyAlgebra:
         got = self._norm_cache.get(chi)
         if got is None:
             got = Fraction(
-                sum(pairing(chi, cr) ** 2 for cr in self.datum.coroots)
+                sum(pair(chi, cr) ** 2 for cr in self.datum.coroots)
             )
             self._norm_cache[chi] = got
         return got
@@ -82,10 +70,10 @@ class ChevalleyAlgebra:
     def _string_length(self, alpha, beta) -> int:
         """max i with beta - i*alpha a root."""
         p = 0
-        cur = _sub(beta, alpha)
+        cur = vec_sub(beta, alpha)
         while cur in self.rootset:
             p += 1
-            cur = _sub(cur, alpha)
+            cur = vec_sub(cur, alpha)
         return p
 
     def _nval(self, u, v) -> int:
@@ -93,7 +81,7 @@ class ChevalleyAlgebra:
         got = memo.get((u, v))
         if got is not None:
             return got
-        c = _add(u, v)
+        c = vec_add(u, v)
         if c not in self.rootset:
             val = 0
         else:
@@ -103,16 +91,16 @@ class ChevalleyAlgebra:
             if upos and vpos:
                 val = self._npos[(u, v)]
             elif not upos and not vpos:
-                val = -self._nval(_neg(u), _neg(v))
+                val = -self._nval(vec_scale(-1, u), vec_scale(-1, v))
             elif not upos:
                 val = -self._nval(v, u)
             else:
                 if datum.is_positive(c):
                     ratio = self._norm(c) / self._norm(u)
-                    val = -ratio * self._nval(_neg(v), c)
+                    val = -ratio * self._nval(vec_scale(-1, v), c)
                 else:
                     ratio = self._norm(c) / self._norm(v)
-                    val = ratio * self._nval(_neg(c), u)
+                    val = ratio * self._nval(vec_scale(-1, c), u)
                 if Fraction(val).denominator != 1:
                     raise ChevalleyError("non-integral structure constant")
                 val = int(val)
@@ -133,32 +121,32 @@ class ChevalleyAlgebra:
         for gamma in by_stage:
             summands = [
                 a for a in self.positive_order
-                if _sub(gamma, a) in pos_set and order[a] <= order[_sub(gamma, a)]
+                if vec_sub(gamma, a) in pos_set and order[a] <= order[vec_sub(gamma, a)]
             ]
             if not summands:
                 raise ChevalleyError("positive root with no decomposition")
             eps = min(summands, key=lambda a: order[a])
-            eta = _sub(gamma, eps)
+            eta = vec_sub(gamma, eps)
             self.extraspecial[gamma] = (eps, eta)
             p = self._string_length(eps, eta)
             self._npos[(eps, eta)] = p + 1
             self._npos[(eta, eps)] = -(p + 1)
-            denom = self._nval(gamma, _neg(eps))
+            denom = self._nval(gamma, vec_scale(-1, eps))
             if denom == 0:
                 raise ChevalleyError("vanishing denominator in sign propagation")
             for alpha in summands:
-                beta = _sub(gamma, alpha)
+                beta = vec_sub(gamma, alpha)
                 if alpha == eps:
                     continue
                 t1 = 0
-                if _sub(alpha, eps) in self.rootset:
-                    t1 = self._nval(_neg(eps), alpha) * self._nval(
-                        _sub(alpha, eps), beta
+                if vec_sub(alpha, eps) in self.rootset:
+                    t1 = self._nval(vec_scale(-1, eps), alpha) * self._nval(
+                        vec_sub(alpha, eps), beta
                     )
                 t3 = 0
-                if _sub(beta, eps) in self.rootset:
-                    t3 = self._nval(beta, _neg(eps)) * self._nval(
-                        _sub(beta, eps), alpha
+                if vec_sub(beta, eps) in self.rootset:
+                    t3 = self._nval(beta, vec_scale(-1, eps)) * self._nval(
+                        vec_sub(beta, eps), alpha
                     )
                 num = -(t1 + t3)
                 if num % denom != 0:
@@ -185,7 +173,7 @@ class ChevalleyAlgebra:
         self.table = table
         for alpha in datum.roots:
             for beta in datum.roots:
-                if _add(alpha, beta) in self.rootset:
+                if vec_add(alpha, beta) in self.rootset:
                     if abs(self._nval(alpha, beta)) not in (1, 2, 3):
                         raise ChevalleyError("structure constant out of range")
 
@@ -194,13 +182,13 @@ class ChevalleyAlgebra:
         if a[0] == "h" and b[0] == "h":
             return {}
         if a[0] == "h":
-            coeff = pairing(b[1], datum.simple_coroots[a[1]])
+            coeff = pair(b[1], datum.simple_coroots[a[1]])
             return {b: coeff} if coeff else {}
         if b[0] == "h":
-            coeff = -pairing(a[1], datum.simple_coroots[b[1]])
+            coeff = -pair(a[1], datum.simple_coroots[b[1]])
             return {a: coeff} if coeff else {}
         alpha, beta = a[1], b[1]
-        total = _add(alpha, beta)
+        total = vec_add(alpha, beta)
         if all(x == 0 for x in total):
             cocoeff = datum.cocoeffs[datum.root_index[alpha]]
             return {("h", i): c for i, c in enumerate(cocoeff) if c}
@@ -211,7 +199,7 @@ class ChevalleyAlgebra:
     # -- element operations -------------------------------------------------
 
     def structure_constant(self, alpha, beta) -> int:
-        if _add(alpha, beta) not in self.rootset:
+        if vec_add(alpha, beta) not in self.rootset:
             return 0
         return self._nval(alpha, beta)
 
@@ -232,11 +220,6 @@ class ChevalleyAlgebra:
 
     def x(self, root) -> dict:
         return {("x", root): Fraction(1)}
-
-    def cartan_element(self, coefficients) -> dict:
-        return {
-            ("h", i): Fraction(c) for i, c in enumerate(coefficients) if c
-        }
 
     def to_vector(self, elt: dict) -> tuple:
         return tuple(Fraction(elt.get(l, 0)) for l in self.labels)
@@ -320,7 +303,7 @@ class PinnedAutomorphism:
         for idx in datum.simple_indices:
             alpha = datum.roots[idx]
             signs[alpha] = 1
-            signs[_neg(alpha)] = 1
+            signs[vec_scale(-1, alpha)] = 1
         for gamma in sorted(
             alg.positive_order, key=lambda r: (datum.height(r), alg.order_index[r])
         ):
@@ -333,14 +316,13 @@ class PinnedAutomorphism:
             if ratio * n_here != img or ratio not in (1, -1):
                 raise ChevalleyError("pinned automorphism does not close")
             signs[gamma] = signs[eps] * signs[eta] * ratio
-            n_neg = alg.structure_constant(_neg(eps), _neg(eta))
-            img_neg = alg.structure_constant(
-                _neg(self._image_root(eps)), _neg(self._image_root(eta))
-            )
+            neps, neta = vec_scale(-1, eps), vec_scale(-1, eta)
+            n_neg = alg.structure_constant(neps, neta)
+            img_neg = alg.structure_constant(self._image_root(neps), self._image_root(neta))
             ratio_neg = img_neg // n_neg
             if ratio_neg * n_neg != img_neg or ratio_neg not in (1, -1):
                 raise ChevalleyError("pinned automorphism does not close")
-            signs[_neg(gamma)] = signs[_neg(eps)] * signs[_neg(eta)] * ratio_neg
+            signs[vec_scale(-1, gamma)] = signs[neps] * signs[neta] * ratio_neg
         self.signs = signs
 
     def apply(self, elt: dict) -> dict:

@@ -15,6 +15,7 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
+from . import __version__
 from . import selftest as selftest_mod
 from .catalog import CATALOG, catalog_ids, catalog_spec, named_point
 from .echelonnage import (
@@ -26,8 +27,9 @@ from .echelonnage import (
     point_order,
     twisted,
 )
-from .exactmath import ExactMathError
+from .exactmath import ExactMathError, pair
 from .mpquotient import (
+    QuotientError,
     ReductiveQuotientDatum,
     algebra_dimension,
     first_jump,
@@ -47,7 +49,6 @@ from .vinberg import GradingError, crosscheck
 from .weylmod import WeylModuleError, decompose, split_span_check
 
 SCHEMA_VERSION = 1
-PACKAGE_VERSION = "0.1.0"
 
 
 class InputError(ValueError):
@@ -282,11 +283,7 @@ def identify_quotient(h: ReductiveQuotientDatum) -> dict:
     simples = h.simple_roots
     coroots = h.simple_coroots
     n = len(simples)
-    cartan = [
-        [int(sum(Fraction(a) * Fraction(b) for a, b in zip(simples[j], coroots[i])))
-         for j in range(n)]
-        for i in range(n)
-    ]
+    cartan = [[int(pair(simples[j], coroots[i])) for j in range(n)] for i in range(n)]
     components = []
     for block in _component_blocks(cartan):
         sub = [[cartan[i][j] for j in block] for i in block]
@@ -396,7 +393,7 @@ def build_report(command: str, spec: dict, td, x, sections: dict, started: float
     shifted = companion_shift(td, x)
     return {
         "schema": SCHEMA_VERSION,
-        "package": f"parahoric {PACKAGE_VERSION}",
+        "package": f"parahoric {__version__}",
         "command": command,
         "spec": spec,
         "derived": {
@@ -430,7 +427,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--m", type=int, default=None, help="override m for rho_over_m points")
     p.add_argument("--M", type=int, default=None, help="override the grading modulus")
     p.add_argument("--cap", type=int, default=None, help="Weyl enumeration cap")
-    p.add_argument("--jobs", type=int, default=1, help="worker threads for batch runs")
     p.add_argument("--seed", type=int, default=0, help="seed for sampled span checks")
 
 
@@ -450,7 +446,6 @@ def make_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         _add_common(p)
     p = sub.add_parser("selftest", help="run the built-in property suite")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p = sub.add_parser("catalog", help="list or export built-in specs")
     p.add_argument("--id", default=None, help="catalog entry to export")
@@ -502,7 +497,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "selftest":
-            ok = selftest_mod.run(jobs=args.jobs, seed=args.seed)
+            ok = selftest_mod.run(seed=args.seed)
             return 0 if ok else 2
         if args.command == "catalog":
             if args.id is None:
@@ -528,7 +523,9 @@ def main(argv=None) -> int:
     except (RootDatumError, EchelonnageError, ExactMathError, GradingError) as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return 1
-    except (WeylModuleError, StabilityError, WeylCapExceeded, PropertyViolation) as exc:
+    except (
+        QuotientError, WeylModuleError, StabilityError, WeylCapExceeded, PropertyViolation
+    ) as exc:
         sys.stderr.write(f"property violation: {exc}\n")
         return 2
 

@@ -1,6 +1,7 @@
 """Restricted root systems of twisted root data, their valuation sets,
-apartment points, point order, alcove reduction, and the companion shift
-that absorbs nonzero lambda-valuations into a point displacement.
+apartment points, the depth table of a point, alcove reduction, and the
+companion shift that absorbs nonzero lambda-valuations into a point
+displacement.
 
 A twisted datum is a root datum together with a diagram automorphism and a
 lambda-valuation (a nonpositive rational in (1/e)Z) for each positive
@@ -11,67 +12,63 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import floor, gcd, lcm
 
 from .exactmath import (
     ValuationSet,
     Vec,
+    invert_matrix,
     kernel_basis,
     mat_vec,
-    solve_linear,
+    pair,
+    reflection_orbit,
+    vec_add,
+    vec_scale,
+    vec_sub,
 )
-from .rootdata import DiagramAutomorphism, RootDatum, identity_automorphism
+from .rootdata import (
+    DiagramAutomorphism,
+    RootDatum,
+    identity_automorphism,
+    twist_spectrum,
+)
 
 ALCOVE_ITERATION_CAP = 100_000
+# Depth tables kept for reuse: the calls about one point come together, so a
+# few recent points suffice, and a sweep over many points stays small.
+DEPTH_TABLE_CACHE = 32
 
 
 class EchelonnageError(ValueError):
     pass
 
 
-def _vec_add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def _vec_sub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def _vec_scale(c, a):
-    return tuple(c * x for x in a)
-
-
-def _frac_vec(v) -> Vec:
-    return tuple(Fraction(x) for x in v)
-
-
-def pair(chi, mu) -> Fraction:
-    return sum((Fraction(a) * Fraction(b) for a, b in zip(chi, mu)), Fraction(0))
-
-
 @dataclass(frozen=True)
 class RestrictedRoot:
-    """One restricted root: the orbit average of its fiber of absolute roots."""
+    """One restricted root: the orbit average of its fiber of absolute roots,
+    with its coroot (the fiber coroot sum, doubled in the multipliable case so
+    that it pairs to 2 with the key)."""
 
     key: Vec
+    coroot: tuple[int, ...]
     fiber: tuple
     orbit_size: int
     cls: str  # plain | multipliable | divisible
     jump_set: ValuationSet
     positive: bool
 
-    def negate_key(self) -> Vec:
-        return tuple(-x for x in self.key)
-
 
 @dataclass(frozen=True)
 class _Scaffold:
     keys: tuple[Vec, ...]
+    coroots: tuple[tuple[int, ...], ...]
     fibers: tuple[tuple, ...]
     orbit_sizes: tuple[int, ...]
     classes: tuple[str, ...]
     positives: tuple[bool, ...]
     positive_mult_keys: tuple[Vec, ...]
+    # indices into positive_mult_keys, one tuple per restricted Weyl orbit
+    lambda_orbits: tuple[tuple[int, ...], ...]
 
 
 @lru_cache(maxsize=None)
@@ -116,16 +113,33 @@ def _scaffold(base: RootDatum, twist: DiagramAutomorphism) -> _Scaffold:
         else:
             classes.append("plain")
         positives.append(base.is_positive(keyed[key][0]))
+    coroots = []
+    for key, cls in zip(keys, classes):
+        coroot = (0,) * base.rank
+        for alpha in keyed[key]:
+            coroot = vec_add(coroot, base.coroot_of(alpha))
+        if cls == "multipliable":
+            coroot = vec_scale(2, coroot)
+        if pair(key, coroot) != 2:
+            raise EchelonnageError("restricted coroot does not pair to 2")
+        coroots.append(coroot)
     pos_mult = tuple(
         k for k, c, p in zip(keys, classes, positives) if c == "multipliable" and p
     )
+    reflections = tuple(zip(keys, coroots))
+    lambda_orbits = set()
+    for key in pos_mult:
+        orbit = reflection_orbit(key, reflections)
+        lambda_orbits.add(tuple(i for i, b in enumerate(pos_mult) if b in orbit))
     return _Scaffold(
         keys=tuple(keys),
+        coroots=tuple(coroots),
         fibers=tuple(keyed[k] for k in keys),
         orbit_sizes=tuple(len(keyed[k]) for k in keys),
         classes=tuple(classes),
         positives=tuple(positives),
         positive_mult_keys=pos_mult,
+        lambda_orbits=tuple(sorted(lambda_orbits)),
     )
 
 
@@ -140,10 +154,6 @@ class TwistedDatum:
         return all(v == 0 for v in self.lambda_valuations)
 
 
-def positive_multipliable_keys(base: RootDatum, twist: DiagramAutomorphism):
-    return _scaffold(base, twist).positive_mult_keys
-
-
 def twisted(
     base: RootDatum,
     twist: DiagramAutomorphism | None = None,
@@ -153,7 +163,9 @@ def twisted(
 
     ``lambda_valuations`` maps the index of a positive multipliable restricted
     root (in sorted key order) to a nonpositive rational in (1/e)Z; missing
-    entries default to zero.
+    entries default to zero.  Roots in one restricted Weyl orbit must share
+    their valuation; otherwise the valuation sets are not Weyl-invariant and
+    the quotient root systems are not reflection closed.
     """
     if twist is None:
         twist = identity_automorphism(base)
@@ -183,6 +195,12 @@ def twisted(
             raise EchelonnageError(
                 f"lambda valuation {val} is not in (1/{e})Z"
             )
+    for orbit in scaff.lambda_orbits:
+        if len({values[i] for i in orbit}) > 1:
+            raise EchelonnageError(
+                f"lambda valuations at indices {list(orbit)} differ, but those "
+                "roots lie in one restricted Weyl orbit"
+            )
     return TwistedDatum(base, twist, tuple(values))
 
 
@@ -208,8 +226,13 @@ def restrict(td: TwistedDatum) -> tuple[RestrictedRoot, ...]:
     """
     scaff = _scaffold(td.base, td.twist)
     out = []
-    for key, fiber, e, cls, positive in zip(
-        scaff.keys, scaff.fibers, scaff.orbit_sizes, scaff.classes, scaff.positives
+    for key, coroot, fiber, e, cls, positive in zip(
+        scaff.keys,
+        scaff.coroots,
+        scaff.fibers,
+        scaff.orbit_sizes,
+        scaff.classes,
+        scaff.positives,
     ):
         if cls == "plain":
             jumps = ValuationSet.lattice(Fraction(1, e))
@@ -226,6 +249,7 @@ def restrict(td: TwistedDatum) -> tuple[RestrictedRoot, ...]:
         out.append(
             RestrictedRoot(
                 key=key,
+                coroot=coroot,
                 fiber=fiber,
                 orbit_size=e,
                 cls=cls,
@@ -238,23 +262,6 @@ def restrict(td: TwistedDatum) -> tuple[RestrictedRoot, ...]:
 
 def restricted_by_key(td: TwistedDatum) -> dict:
     return {rr.key: rr for rr in restrict(td)}
-
-
-def restricted_coroot(td: TwistedDatum, rr: RestrictedRoot) -> Vec:
-    """Coroot of a restricted root: the fiber coroot sum, doubled in the
-    multipliable case so that the pairing with the key is 2."""
-    n = td.base.rank
-    acc = [Fraction(0)] * n
-    for alpha in rr.fiber:
-        cr = td.base.coroot_of(alpha)
-        for i in range(n):
-            acc[i] += cr[i]
-    if rr.cls == "multipliable":
-        acc = [2 * x for x in acc]
-    out = tuple(acc)
-    if pair(rr.key, out) != 2:
-        raise EchelonnageError("restricted coroot does not pair to 2")
-    return out
 
 
 def simple_restricted_keys(td: TwistedDatum) -> tuple[Vec, ...]:
@@ -277,7 +284,7 @@ class ApartmentPoint:
 
 
 def apartment_point(td: TwistedDatum, coords) -> ApartmentPoint:
-    v = _frac_vec(coords)
+    v = tuple(Fraction(c) for c in coords)
     if len(v) != td.base.rank:
         raise EchelonnageError("apartment point has the wrong dimension")
     if tuple(mat_vec(td.twist.matrix, v)) != v:
@@ -299,7 +306,7 @@ def point_from_simple_coroots(td: TwistedDatum, coefficients) -> ApartmentPoint:
         )
     acc = tuple(Fraction(0) for _ in range(td.base.rank))
     for c, key in zip(coeffs, simples):
-        acc = _vec_add(acc, _vec_scale(c, restricted_coroot(td, by_key[key])))
+        acc = vec_add(acc, vec_scale(c, by_key[key].coroot))
     return apartment_point(td, acc)
 
 
@@ -318,15 +325,81 @@ def evaluate(key: Vec, point: ApartmentPoint) -> Fraction:
     return pair(key, point.coords)
 
 
+def torus_jump_dim(td: TwistedDatum, r) -> int:
+    """Dimension of the torus part at depth r: the multiplicity of the twist
+    eigenvalue of angle -r, which depends only on the denominator of r mod 1."""
+    return twist_spectrum(td.twist).get((Fraction(r) % 1).denominator, 0)
+
+
+# ---------------------------------------------------------------------------
+# depth table
+
+
+@dataclass(frozen=True)
+class DepthTable:
+    """The filtration quotients at a point, binned by depth.
+
+    N = ``order`` is the point order.  Depth k/N carries one line for each
+    restricted root a with k/N - a(x - x0) in the valuation set of a
+    (``roots[k]``, in key order; empty residues are left out) and a torus
+    part of dimension ``torus_jump_dim``.  Every valuation step divides 1, so
+    the root part repeats mod 1, and a depth off the (1/N)Z grid has none.
+    """
+
+    td: TwistedDatum
+    order: int
+    roots: dict[int, tuple[RestrictedRoot, ...]]
+
+    def at(self, r) -> tuple[tuple[RestrictedRoot, ...], int]:
+        """The roots and the torus dimension of the quotient at depth r."""
+        k = Fraction(r) * self.order
+        roots = self.roots.get(k.numerator % self.order, ()) if k.denominator == 1 else ()
+        return roots, torus_jump_dim(self.td, r)
+
+    def dim(self, r) -> int:
+        """Dimension of the quotient at depth r."""
+        roots, torus = self.at(r)
+        return len(roots) + torus
+
+    def jumps(self) -> tuple[Fraction, ...]:
+        """All depths in [0, 1) with a nonzero quotient: the root residues and
+        the angles j/d, gcd(j, d) = 1, of the twist eigenvalues of order d."""
+        depths = {Fraction(k, self.order) for k in self.roots}
+        for d in twist_spectrum(self.td.twist):
+            depths.update(Fraction(j, d) for j in range(d) if gcd(j, d) == 1)
+        return tuple(sorted(depths))
+
+
+@lru_cache(maxsize=DEPTH_TABLE_CACHE)
+def depth_table(td: TwistedDatum, x: ApartmentPoint) -> DepthTable:
+    """Bin every affine root at x by its depth, once per (datum, point).
+
+    N is the lcm of the denominators of every affine-root value a(x - x0) + o
+    (o an offset of the valuation set of a) and of every valuation step, so
+    each progression a(x - x0) + o + step*Z is a residue class of N*step in
+    (1/N)Z.  A root lands in 1/step residues per offset, whatever N is.
+    """
+    roots = restrict(td)
+    values = [evaluate(rr.key, x) for rr in roots]
+    n = 1
+    for rr, val in zip(roots, values):
+        js = rr.jump_set
+        n = lcm(n, js.step.denominator, *((val + off).denominator for off in js.offsets))
+    bins: dict[int, list[RestrictedRoot]] = {}
+    for rr, val in zip(roots, values):
+        step = rr.jump_set.step * n
+        if step.denominator != 1 or n % step.numerator:
+            raise EchelonnageError("valuation step does not divide 1")
+        for off in rr.jump_set.offsets:
+            start = ((val + off) * n).numerator % step.numerator
+            for k in range(start, n, step.numerator):
+                bins.setdefault(k, []).append(rr)
+    return DepthTable(td, n, {k: tuple(v) for k, v in bins.items()})
+
+
 def point_order(td: TwistedDatum, x: ApartmentPoint) -> int:
     """Least m with every affine-root value at x in (1/m)Z."""
-    m = 1
-    for rr in restrict(td):
-        val = evaluate(rr.key, x)
-        for off in rr.jump_set.offsets:
-            m = lcm(m, (val + off).denominator)
-        m = lcm(m, rr.jump_set.step.denominator)
-    return m
+    return depth_table(td, x).order
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +423,7 @@ def _walls(td: TwistedDatum) -> tuple[_Wall, ...]:
         raise EchelonnageError("restricted root system is empty")
     direction = tuple(Fraction(0) for _ in range(td.base.rank))
     for rr in positives:
-        direction = _vec_add(direction, restricted_coroot(td, rr))
+        direction = vec_add(direction, rr.coroot)
     delta = None
     heights = {}
     for rr in positives:
@@ -368,7 +441,7 @@ def _walls(td: TwistedDatum) -> tuple[_Wall, ...]:
         walls.append(
             _Wall(
                 key=rr.key,
-                coroot=restricted_coroot(td, rr),
+                coroot=rr.coroot,
                 lo=rr.jump_set.max_below(ref_val),
                 hi=rr.jump_set.min_above(ref_val),
             )
@@ -382,24 +455,47 @@ def in_base_alcove(td: TwistedDatum, x: ApartmentPoint) -> bool:
     )
 
 
+@lru_cache(maxsize=None)
+def _translations(td: TwistedDatum) -> tuple[tuple[Vec, Vec], ...]:
+    """Pairs (w, t): t = step(a) * acheck for each simple restricted root a,
+    a translation in the affine Weyl group (the product of the reflections in
+    the parallel walls a = l and a = l + step), and w the dual functional,
+    so that a fixed point v equals the sum of pair(w, v) * t."""
+    by_key = restricted_by_key(td)
+    simples = [by_key[k] for k in simple_restricted_keys(td)]
+    shifts = [vec_scale(rr.jump_set.step, rr.coroot) for rr in simples]
+    inverse = invert_matrix([[pair(a.key, t) for t in shifts] for a in simples])
+    duals = [
+        tuple(pair(row, column) for column in zip(*(a.key for a in simples)))
+        for row in inverse
+    ]
+    return tuple(zip(duals, shifts))
+
+
 def alcove_reduce(td: TwistedDatum, x: ApartmentPoint) -> ApartmentPoint:
     """The unique representative of the affine-Weyl orbit of x in the closed
-    base alcove, found by folding across violated walls."""
-    walls = _walls(td)
+    base alcove: translate by the lattice part with an exact floor, then fold
+    across violated walls."""
     v = x.coords
+    for w, t in _translations(td):
+        v = vec_sub(v, vec_scale(floor(pair(w, v)), t))
+    walls = _walls(td)
     for _ in range(ALCOVE_ITERATION_CAP):
         moved = False
         for w in walls:
             t = pair(w.key, v)
             if t < w.lo:
-                v = _vec_sub(v, _vec_scale(t - w.lo, w.coroot))
+                v = vec_sub(v, vec_scale(t - w.lo, w.coroot))
                 moved = True
             elif t > w.hi:
-                v = _vec_sub(v, _vec_scale(t - w.hi, w.coroot))
+                v = vec_sub(v, vec_scale(t - w.hi, w.coroot))
                 moved = True
         if not moved:
             return ApartmentPoint(v)
-    raise EchelonnageError("alcove reduction did not terminate")
+    raise EchelonnageError(
+        f"field 'point': alcove reduction did not terminate within "
+        f"{ALCOVE_ITERATION_CAP} passes"
+    )
 
 
 def affine_reflect(td: TwistedDatum, x: ApartmentPoint, rr: RestrictedRoot, level) -> ApartmentPoint:
@@ -409,8 +505,7 @@ def affine_reflect(td: TwistedDatum, x: ApartmentPoint, rr: RestrictedRoot, leve
     if not rr.jump_set.member(level):
         raise EchelonnageError("level is not an affine-root level for this root")
     t = evaluate(rr.key, x) + level
-    coroot = restricted_coroot(td, rr)
-    return ApartmentPoint(_vec_sub(x.coords, _vec_scale(t, coroot)))
+    return ApartmentPoint(vec_sub(x.coords, vec_scale(t, rr.coroot)))
 
 
 # ---------------------------------------------------------------------------
@@ -435,15 +530,5 @@ def companion_shift(td: TwistedDatum, x: ApartmentPoint):
         lam = td.lambda_valuations[idx]
         if lam == 0:
             continue
-        coroot = restricted_coroot(td, by_key[key])
-        shift = _vec_add(shift, _vec_scale(lam / 4, coroot))
-    return td_tame, ApartmentPoint(_vec_sub(x.coords, shift))
-
-
-def express_in_simple_coroots(td: TwistedDatum, x: ApartmentPoint):
-    """Coordinates of x in the restricted simple coroot basis, or None."""
-    by_key = restricted_by_key(td)
-    simples = simple_restricted_keys(td)
-    cols = [restricted_coroot(td, by_key[k]) for k in simples]
-    rows = [[cols[j][i] for j in range(len(cols))] for i in range(td.base.rank)]
-    return solve_linear(rows, list(x.coords))
+        shift = vec_add(shift, vec_scale(lam / 4, by_key[key].coroot))
+    return td_tame, ApartmentPoint(vec_sub(x.coords, shift))

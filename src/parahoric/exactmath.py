@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import floor, gcd, lcm
-from operator import mul
+from operator import add, mul, sub
 
 Vec = tuple[Fraction, ...]
 IntVec = tuple[int, ...]
@@ -23,11 +23,45 @@ class ExactMathError(ValueError):
 
 
 # ---------------------------------------------------------------------------
+# vectors and the pairing of characters with cocharacters
+#
+# The pairing is the coordinate dot product.  Integer inputs give integer
+# results; a Fraction anywhere gives a Fraction.
+
+
+def vec_add(u, v):
+    return tuple(map(add, u, v))
+
+
+def vec_sub(u, v):
+    return tuple(map(sub, u, v))
+
+
+def vec_scale(c, v):
+    return tuple(c * x for x in v)
+
+
+def pair(chi, mu):
+    return sum(map(mul, chi, mu))
+
+
+def reflection_orbit(vec, reflections) -> set:
+    """Orbit of ``vec`` under the group generated by the reflections
+    v -> v - <v, acheck> a, one per pair (a, acheck)."""
+    orbit = {vec}
+    frontier = [vec]
+    while frontier:
+        cur = frontier.pop()
+        for a, acheck in reflections:
+            img = vec_sub(cur, vec_scale(pair(cur, acheck), a))
+            if img not in orbit:
+                orbit.add(img)
+                frontier.append(img)
+    return orbit
+
+
+# ---------------------------------------------------------------------------
 # integer matrices
-
-
-def freeze_matrix(rows) -> IntMatrix:
-    return tuple(tuple(int(x) for x in row) for row in rows)
 
 
 def identity_matrix(n: int) -> IntMatrix:
@@ -440,15 +474,3 @@ class ValuationSet:
 
     def __contains__(self, q) -> bool:
         return self.member(q)
-
-    def describe(self) -> str:
-        offs = ", ".join(str(o) for o in self.offsets)
-        return f"{{{offs}}} + {self.step}*Z"
-
-
-def vset_member(s: ValuationSet, q) -> bool:
-    return s.member(q)
-
-
-def vset_min_above(s: ValuationSet, t) -> Fraction:
-    return s.min_above(t)

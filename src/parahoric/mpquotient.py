@@ -3,23 +3,22 @@ filtration quotients attached to an apartment point.
 
 The quotient at depth r is modeled by its torus dimension (an eigenvalue
 multiplicity of the twist on the cocharacter lattice) plus one line for each
-restricted root a with r - a(x - x0) in the valuation set of a.
+restricted root a with r - a(x - x0) in the valuation set of a.  Every query
+here reads the depth table of the point (``echelonnage.depth_table``).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 from .echelonnage import (
     ApartmentPoint,
-    RestrictedRoot,
     TwistedDatum,
-    evaluate,
-    restrict,
-    restricted_coroot,
+    depth_table,
+    torus_jump_dim,  # noqa: F401  (part of this module's API)
 )
-from .exactmath import Vec, cyclotomic_multiplicities
+from .exactmath import Vec, pair, vec_scale, vec_sub
 
 
 class QuotientError(RuntimeError):
@@ -45,9 +44,7 @@ class ReductiveQuotientDatum:
         pos = set(self.positive_roots)
         simple = []
         for a in sorted(pos):
-            if not any(
-                tuple(x - y for x, y in zip(a, b)) in pos for b in pos if b != a
-            ):
+            if not any(vec_sub(a, b) in pos for b in pos if b != a):
                 simple.append(a)
         return tuple(simple)
 
@@ -68,107 +65,53 @@ class MPQuotientReport:
     total_dim: int
 
 
-@lru_cache(maxsize=None)
-def _fixed_rank(td: TwistedDatum) -> int:
-    mult = cyclotomic_multiplicities(td.twist.matrix)
-    return mult.get(1, 0)
-
-
-@lru_cache(maxsize=None)
-def _twist_eigen_multiplicities(td: TwistedDatum) -> dict:
-    """Cyclotomic eigenvalue multiplicities of the twist on the cocharacter
-    lattice (the same permutation matrix in our coordinate conventions)."""
-    return cyclotomic_multiplicities(td.twist.matrix)
-
-
-def torus_jump_dim(td: TwistedDatum, r, M: int | None = None) -> int:
-    """Dimension of the torus part at depth r: the multiplicity of the twist
-    eigenvalue of angle -r, which depends only on the denominator of r mod 1."""
-    r = Fraction(r)
-    if M is not None and (r * M).denominator != 1:
-        raise QuotientError("depth r is not a multiple of 1/M")
-    k = (r % 1).denominator
-    return _twist_eigen_multiplicities(td).get(k, 0)
-
-
 def quotient_datum(td: TwistedDatum, x: ApartmentPoint) -> ReductiveQuotientDatum:
-    """Roots of the reductive quotient: a with a(x - x0) in the jump set."""
-    picked: list[RestrictedRoot] = []
-    for rr in restrict(td):
-        if rr.jump_set.member(evaluate(rr.key, x)):
-            picked.append(rr)
-    keys = {rr.key for rr in picked}
-    for rr in picked:
-        if tuple(2 * k for k in rr.key) in keys:
+    """Roots of the reductive quotient: the depth-0 roots, those a with
+    a(x - x0) in the jump set.  Its rank is the depth-0 torus dimension."""
+    picked, rank = depth_table(td, x).at(0)
+    # The checks run on the keys times the twist order, which are integer
+    # vectors: a key is an average over a twist orbit.
+    e = td.twist.order
+    scaled = [(tuple((e * c).numerator for c in rr.key), rr.coroot) for rr in picked]
+    keys = {k for k, _ in scaled}
+    for k, _ in scaled:
+        if vec_scale(2, k) in keys:
             raise QuotientError("quotient root system is not reduced")
-    for rr in picked:
-        coroot = restricted_coroot(td, rr)
-        for other in picked:
-            n = evaluate(other.key, ApartmentPoint(coroot))
-            reflected = tuple(o - n * k for o, k in zip(other.key, rr.key))
-            if reflected not in keys:
+    for k, coroot in scaled:
+        for other in keys:
+            if vec_sub(other, vec_scale(pair(other, coroot) // e, k)) not in keys:
                 raise QuotientError("quotient root system is not reflection closed")
-    picked.sort(key=lambda rr: rr.key)
     return ReductiveQuotientDatum(
-        rank=_fixed_rank(td),
+        rank=rank,
         roots=tuple(rr.key for rr in picked),
-        coroots=tuple(restricted_coroot(td, rr) for rr in picked),
+        coroots=tuple(rr.coroot for rr in picked),
         positives=tuple(rr.positive for rr in picked),
     )
 
 
 def mp_quotient(td: TwistedDatum, x: ApartmentPoint, r) -> MPQuotientReport:
     r = Fraction(r)
-    part = []
-    for rr in restrict(td):
-        if rr.jump_set.member(r - evaluate(rr.key, x)):
-            part.append(rr.key)
-    part.sort()
-    torus = torus_jump_dim(td, r)
+    roots, torus = depth_table(td, x).at(r)
+    part = tuple(rr.key for rr in roots)
     return MPQuotientReport(
-        r=r, torus_dim=torus, root_part=tuple(part), total_dim=torus + len(part)
+        r=r, torus_dim=torus, root_part=part, total_dim=torus + len(part)
     )
 
 
 def first_jump(td: TwistedDatum, x: ApartmentPoint) -> Fraction:
-    """Least positive depth with a nonzero quotient."""
-    candidates = []
-    for rr in restrict(td):
-        val = evaluate(rr.key, x)
-        candidates.append(val + rr.jump_set.min_above(-val))
-    for k in _twist_eigen_multiplicities(td):
-        candidates.append(Fraction(1, k))
-    if not candidates:
-        raise QuotientError("datum has no roots and no torus jumps")
-    best = min(candidates)
-    assert best > 0
-    return best
+    """Least positive depth with a nonzero quotient.  Depth 0 always carries
+    the fixed torus and the quotients repeat mod 1, so the answer is at most 1."""
+    return next((r for r in depth_table(td, x).jumps() if r > 0), Fraction(1))
 
 
 def jump_values(td: TwistedDatum, x: ApartmentPoint) -> tuple[Fraction, ...]:
     """All depths in [0, 1) with a nonzero quotient."""
-    values = set()
-    for rr in restrict(td):
-        val = evaluate(rr.key, x)
-        js = rr.jump_set
-        for off in js.offsets:
-            start = (val + off) % js.step
-            cur = start
-            while cur < 1:
-                values.add(cur)
-                cur += js.step
-    for k in _twist_eigen_multiplicities(td):
-        if k == 1:
-            values.add(Fraction(0))
-        else:
-            for j in range(1, k):
-                if Fraction(j, k).denominator == k:
-                    values.add(Fraction(j, k))
-    return tuple(sorted(values))
+    return depth_table(td, x).jumps()
 
 
 def dimension_sum_over_period(td: TwistedDatum, x: ApartmentPoint) -> int:
-    return sum(mp_quotient(td, x, r).total_dim for r in jump_values(td, x))
+    table = depth_table(td, x)
+    return sum(map(table.dim, table.jumps()))
 
 
 def algebra_dimension(td: TwistedDatum) -> int:

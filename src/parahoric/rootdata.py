@@ -21,8 +21,10 @@ from math import lcm
 from .exactmath import (
     IntMatrix,
     IntVec,
+    cyclotomic_multiplicities,
     identity_matrix,
     mat_vec,
+    pair,
 )
 
 WEYL_CAP_DEFAULT = 1_000_000
@@ -220,10 +222,6 @@ class RootDatum:
         return tuple(acc)
 
 
-def pairing(chi, mu) -> int:
-    return sum(a * b for a, b in zip(chi, mu))
-
-
 def build_datum(descriptor: str, isogeny: str = "adjoint") -> RootDatum:
     """Construct the root datum of the given type with the chosen isogeny."""
     if isogeny not in ISOGENIES:
@@ -246,8 +244,8 @@ def build_datum(descriptor: str, isogeny: str = "adjoint") -> RootDatum:
     while frontier:
         root, coroot, coeff, cocoeff = frontier.pop()
         for i, (alpha, acheck, unit, counit) in enumerate(simples):
-            p = pairing(root, acheck)
-            q = pairing(alpha, coroot)
+            p = pair(root, acheck)
+            q = pair(alpha, coroot)
             new_root = tuple(a - p * b for a, b in zip(root, alpha))
             new_coroot = tuple(a - q * b for a, b in zip(coroot, acheck))
             new_coeff = tuple(a - p * b for a, b in zip(coeff, unit))
@@ -273,7 +271,7 @@ def build_datum(descriptor: str, isogeny: str = "adjoint") -> RootDatum:
             f"generated {len(datum.roots)} roots for {descriptor}, expected {expected}"
         )
     for r, cr in zip(datum.roots, datum.coroots):
-        if pairing(r, cr) != 2:
+        if pair(r, cr) != 2:
             raise RootDatumError("root/coroot pairing is not 2")
     return datum
 
@@ -386,3 +384,12 @@ def build_automorphism(datum: RootDatum, node_permutation) -> DiagramAutomorphis
 
 def identity_automorphism(datum: RootDatum) -> DiagramAutomorphism:
     return build_automorphism(datum, tuple(range(datum.rank)))
+
+
+@lru_cache(maxsize=None)
+def twist_spectrum(twist: DiagramAutomorphism) -> dict[int, int]:
+    """Cyclotomic multiplicities {k: m_k} of the twist on the cocharacter
+    lattice: every primitive k-th root of unity is an eigenvalue of
+    multiplicity m_k (the same permutation matrix acts on X and on the
+    cocharacters)."""
+    return cyclotomic_multiplicities(twist.matrix)

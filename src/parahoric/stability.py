@@ -31,13 +31,13 @@ from .exactmath import (
     mat_vec,
     matrix_order,
     matrix_rank,
+    pair,
 )
 from .mpquotient import first_jump, mp_quotient
 from .rootdata import (
     DiagramAutomorphism,
     RootDatum,
     cycle_lengths,
-    pairing,
     weyl_elements,
 )
 
@@ -94,7 +94,7 @@ def regular_by_eigenvector(a: IntMatrix, datum: RootDatum, order: int) -> bool:
     if not kernel:
         return False
     for acheck in datum.coroots:
-        if all(pairing(v, acheck) == 0 for v in kernel):
+        if all(pair(v, acheck) == 0 for v in kernel):
             return False
     return True
 

@@ -16,9 +16,10 @@ from fractions import Fraction
 from math import gcd
 
 from .chevalley import ChevalleyAlgebra, PinnedAutomorphism, orbit_sign, pinned_automorphism, structure_constants
-from .echelonnage import ApartmentPoint, TwistedDatum, point_order
-from .mpquotient import mp_quotient, quotient_datum
-from .rootdata import pairing
+from .echelonnage import ApartmentPoint, TwistedDatum, depth_table, point_order
+from .exactmath import pair
+from .mpquotient import quotient_datum
+from .rootdata import twist_spectrum
 
 
 class GradingError(ValueError):
@@ -69,7 +70,7 @@ def grading(
     if m <= 0:
         raise GradingError("modulus must be positive")
     for root in datum.roots:
-        w = pairing(root, lam)
+        w = pair(root, lam)
         if Fraction(w).denominator != 1:
             raise GradingError("cocharacter does not pair integrally with the roots")
     dims = [0] * m
@@ -77,7 +78,7 @@ def grading(
     negative_orbits = []
     for orbit in _twist_orbits(alg, pinned):
         k = len(orbit)
-        c = sum(int(pairing(root, lam)) for root in orbit)
+        c = sum(int(pair(root, lam)) for root in orbit)
         eps = orbit_sign(alg, pinned, orbit[0])
         shift = 0
         if eps == -1:
@@ -101,7 +102,7 @@ def grading(
             zero_roots.add(key)
         if eps == -1:
             negative_orbits.append(orbit[0])
-    eigen = _twist_eigen_for_algebra(alg, pinned)
+    eigen = twist_spectrum(pinned.twist)
     for d in range(m):
         k_d = m // gcd(d, m)
         dims[d] += eigen.get(k_d, 0)
@@ -114,16 +115,6 @@ def grading(
         zero_degree_roots=frozenset(zero_roots),
         negative_sign_orbits=tuple(sorted(negative_orbits)),
     )
-
-
-def _twist_eigen_for_algebra(alg: ChevalleyAlgebra, pinned: PinnedAutomorphism):
-    from .exactmath import cyclotomic_multiplicities
-
-    return cyclotomic_multiplicities(pinned.twist.matrix)
-
-
-def fixed_datum_roots(gd: GradedDecomposition) -> frozenset:
-    return gd.zero_degree_roots
 
 
 @dataclass(frozen=True)
@@ -162,7 +153,8 @@ def crosscheck(td: TwistedDatum, x: ApartmentPoint, modulus: int) -> CrosscheckR
     pinned = pinned_automorphism(alg, td.twist)
     lam = tuple(m * c for c in x.coords)
     gd = grading(alg, pinned, lam, m)
-    quotient = [mp_quotient(td, x, Fraction(d, m)).total_dim for d in range(m)]
+    table = depth_table(td, x)
+    quotient = [table.dim(Fraction(d, m)) for d in range(m)]
     first_mismatch = None
     for d in range(m):
         if gd.dims[(m - d) % m] != quotient[d]:

@@ -12,13 +12,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .chevalley import exp_ad, structure_constants
-from .echelonnage import (
-    ApartmentPoint,
-    TwistedDatum,
-    evaluate,
-    restrict,
+from .echelonnage import ApartmentPoint, TwistedDatum, depth_table, restrict
+from .exactmath import (
+    RowEchelon,
+    Vec,
+    pair,
+    reflection_orbit,
+    solve_linear,
+    vec_add,
+    vec_scale,
+    vec_sub,
 )
-from .exactmath import RowEchelon, Vec, solve_linear
 from .mpquotient import (
     MPQuotientReport,
     ReductiveQuotientDatum,
@@ -31,28 +35,13 @@ class WeylModuleError(RuntimeError):
     pass
 
 
-def _vadd(u, v):
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def _vsub(u, v):
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def _pair(chi, mu) -> Fraction:
-    return sum((Fraction(a) * Fraction(b) for a, b in zip(chi, mu)), Fraction(0))
-
-
 # ---------------------------------------------------------------------------
 # root-set filters
 
 
 def phi_xr(td: TwistedDatum, x: ApartmentPoint, r) -> frozenset:
     """Restricted roots a with r - a(x - x0) in the jump set of a."""
-    r = Fraction(r)
-    return frozenset(
-        rr.key for rr in restrict(td) if rr.jump_set.member(r - evaluate(rr.key, x))
-    )
+    return frozenset(rr.key for rr in depth_table(td, x).at(r)[0])
 
 
 def phi_xr_max(
@@ -72,7 +61,7 @@ def phi_xr_max(
         positives = h.positive_roots
     out = set()
     for a in support:
-        if not any(_vadd(a, b) in support for b in positives):
+        if not any(vec_add(a, b) in support for b in positives):
             out.add(a)
     return frozenset(out)
 
@@ -96,40 +85,31 @@ def dominant_rep(h: ReductiveQuotientDatum, mu: Vec) -> Vec:
     while moved:
         moved = False
         for a, ac in simples:
-            val = _pair(cur, ac)
+            val = pair(cur, ac)
             if val < 0:
-                cur = _vsub(cur, tuple(val * c for c in a))
+                cur = vec_sub(cur, vec_scale(val, a))
                 moved = True
     return cur
 
 
 def is_dominant_integral(h: ReductiveQuotientDatum, mu: Vec) -> bool:
     for _, ac in _simple_data(h):
-        val = _pair(mu, ac)
+        val = pair(mu, ac)
         if val < 0 or val.denominator != 1:
             return False
     return True
 
 
 def weyl_orbit(h: ReductiveQuotientDatum, mu: Vec) -> frozenset:
-    simples = _simple_data(h)
-    seen = {tuple(Fraction(c) for c in mu)}
-    frontier = list(seen)
-    while frontier:
-        cur = frontier.pop()
-        for a, ac in simples:
-            val = _pair(cur, ac)
-            img = _vsub(cur, tuple(val * c for c in a))
-            if img not in seen:
-                seen.add(img)
-                frontier.append(img)
-    return frozenset(seen)
+    return frozenset(
+        reflection_orbit(tuple(Fraction(c) for c in mu), _simple_data(h))
+    )
 
 
 def dominance_ge(h: ReductiveQuotientDatum, nu: Vec, mu: Vec) -> bool:
     """nu >= mu when nu - mu is a nonnegative rational combination of the
     simple roots of h; weights outside the root span are incomparable."""
-    diff = _vsub(nu, mu)
+    diff = vec_sub(nu, mu)
     simples = h.simple_roots
     if not simples:
         return all(x == 0 for x in diff)
@@ -153,7 +133,7 @@ def dominance_ge(h: ReductiveQuotientDatum, nu: Vec, mu: Vec) -> bool:
 def _norm_form(h: ReductiveQuotientDatum):
     def b(chi, psi) -> Fraction:
         return sum(
-            (_pair(chi, ac) * _pair(psi, ac) for ac in h.coroots), Fraction(0)
+            (pair(chi, ac) * pair(psi, ac) for ac in h.coroots), Fraction(0)
         )
 
     return b
@@ -167,7 +147,7 @@ def weyl_dimension(h: ReductiveQuotientDatum, lam: Vec) -> int:
     dim = Fraction(1)
     for a in h.positive_roots:
         ac = h.coroot_of(a)
-        dim *= _pair(_vadd(lam, rho), ac) / _pair(rho, ac)
+        dim *= pair(vec_add(lam, rho), ac) / pair(rho, ac)
     if dim.denominator != 1 or dim <= 0:
         raise WeylModuleError("Weyl dimension formula gave a non-positive integer")
     return int(dim)
@@ -187,12 +167,12 @@ def weyl_character(h: ReductiveQuotientDatum, lam) -> tuple[dict, int]:
         sum((Fraction(a[i], 2) for a in h.positive_roots), Fraction(0))
         for i in range(len(lam))
     )
-    lam_norm = b(_vadd(lam, rho), _vadd(lam, rho))
+    lam_norm = b(vec_add(lam, rho), vec_add(lam, rho))
 
     simples = h.simple_roots
     anti = _antidominant(h, lam)
     rows = [[Fraction(s[i]) for s in simples] for i in range(len(lam))]
-    level_coords = solve_linear(rows, list(_vsub(lam, anti)))
+    level_coords = solve_linear(rows, list(vec_sub(lam, anti)))
     if level_coords is None:
         raise WeylModuleError("antidominant representative is not below lambda")
     depth = sum(level_coords)
@@ -205,7 +185,7 @@ def weyl_character(h: ReductiveQuotientDatum, lam) -> tuple[dict, int]:
         cur = set()
         for mu in by_level[level - 1]:
             for a in simples:
-                cur.add(_vsub(mu, a))
+                cur.add(vec_sub(mu, a))
         by_level[level] = cur
 
     mult: dict[Vec, int] = {lam: 1}
@@ -214,7 +194,7 @@ def weyl_character(h: ReductiveQuotientDatum, lam) -> tuple[dict, int]:
         for mu in sorted(by_level[level]):
             if not is_dominant_integral(h, mu):
                 continue
-            mu_rho = _vadd(mu, rho)
+            mu_rho = vec_add(mu, rho)
             denom = lam_norm - b(mu_rho, mu_rho)
             if denom <= 0:
                 continue
@@ -222,8 +202,8 @@ def weyl_character(h: ReductiveQuotientDatum, lam) -> tuple[dict, int]:
             for a in h.positive_roots:
                 k = 1
                 while True:
-                    nu = _vadd(mu, tuple(k * c for c in a))
-                    nu_rho = _vadd(nu, rho)
+                    nu = vec_add(mu, vec_scale(k, a))
+                    nu_rho = vec_add(nu, rho)
                     if b(nu_rho, nu_rho) > lam_norm:
                         break
                     m_nu = mult.get(dominant_rep(h, nu), 0)
@@ -257,9 +237,9 @@ def _antidominant(h: ReductiveQuotientDatum, mu: Vec) -> Vec:
     while moved:
         moved = False
         for a, ac in simples:
-            val = _pair(cur, ac)
+            val = pair(cur, ac)
             if val > 0:
-                cur = _vsub(cur, tuple(val * c for c in a))
+                cur = vec_sub(cur, vec_scale(val, a))
                 moved = True
     return cur
 

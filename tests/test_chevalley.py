@@ -132,10 +132,10 @@ def test_weyl_triple_normalizes_cartan():
             for beta in d.roots:
                 img = act(alg.x(beta))
                 (label, coeff), = img.items()
-                from parahoric.rootdata import pairing
+                from parahoric.exactmath import pair
 
                 reflected = tuple(
-                    b - pairing(beta, acheck) * a for a, b in zip(alpha, beta)
+                    b - pair(beta, acheck) * a for a, b in zip(alpha, beta)
                 )
                 assert label == ("x", reflected)
                 assert coeff in (1, -1)

@@ -183,3 +183,38 @@ def test_spec_validation_names_field(tmp_path, capsys, fields, field):
     code, _, err = run_cli(["scan", "--spec", str(spec)], capsys)
     assert code == 1
     assert f"input error: field {field!r}" in err
+
+
+def test_lambda_off_weyl_orbit_is_an_input_error(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    base = {"dynkin": "A4", "automorphism": [3, 2, 1, 0]}
+    spec.write_text(json.dumps({**base, "lambda_valuations": {"0": "-1/2", "1": "-1"}}))
+    for command in ("quotient", "decompose"):
+        code, _, err = run_cli([command, "--spec", str(spec)], capsys)
+        assert code == 1
+        assert "input error: field 'lambda_valuations'" in err
+        assert "Traceback" not in err
+    spec.write_text(json.dumps({**base, "lambda_valuations": {"0": "-1/2", "1": "-1/2"}}))
+    code, _, _ = run_cli(["quotient", "--spec", str(spec)], capsys)
+    assert code == 0
+
+
+def test_quotient_error_is_a_property_violation(monkeypatch, capsys):
+    import parahoric.cli as cli
+    from parahoric.mpquotient import QuotientError
+
+    def broken(td, x):
+        raise QuotientError("quotient root system is not reflection closed")
+
+    monkeypatch.setattr(cli, "quotient_datum", broken)
+    code, _, err = run_cli(["quotient", "--spec", "catalog:A2"], capsys)
+    assert code == 2
+    assert "property violation: quotient root system" in err
+
+
+def test_huge_point_coordinates(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"dynkin": "A2", "point": {"coords": ["1e400", "0"]}}))
+    code, out, _ = run_cli(["stability", "--spec", str(spec)], capsys)
+    assert code == 0
+    assert json.loads(out)["stability"]["reduced_point"] == ["0", "0"]

@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from parahoric.catalog import catalog_datum
 from parahoric.echelonnage import (
     EchelonnageError,
+    _walls,
     affine_reflect,
     alcove_reduce,
     apartment_point,
@@ -16,11 +18,10 @@ from parahoric.echelonnage import (
     point_order,
     restrict,
     restricted_by_key,
-    restricted_coroot,
     simple_restricted_keys,
     twisted,
 )
-from parahoric.exactmath import ValuationSet
+from parahoric.exactmath import ValuationSet, pair, vec_add, vec_scale, vec_sub
 from parahoric.rootdata import build_automorphism, build_datum
 
 F = Fraction
@@ -93,6 +94,14 @@ def test_lambda_validation():
     assert not td.is_tame
 
 
+def test_lambda_constant_on_weyl_orbits():
+    d = build_datum("A4")
+    auto = build_automorphism(d, (3, 2, 1, 0))
+    with pytest.raises(EchelonnageError, match="Weyl orbit"):
+        twisted(d, auto, {0: F(-1, 2), 1: F(-1)})
+    assert not twisted(d, auto, {0: F(-1, 2), 1: F(-1, 2)}).is_tame
+
+
 def test_wild_jump_sets():
     td = td_2a2({0: F(-1, 2)})
     for rr in restrict(td):
@@ -119,7 +128,7 @@ def test_doubling_disjointness():
 def test_restricted_coroots_pair_to_two():
     for td in (td_2a2(), td_2a3(), twisted(build_datum("G2"))):
         for rr in restrict(td):
-            assert evaluate(rr.key, apartment_point(td, restricted_coroot(td, rr))) == 2
+            assert evaluate(rr.key, apartment_point(td, rr.coroot)) == 2
 
 
 def test_point_order_examples():
@@ -164,7 +173,7 @@ def test_alcove_reduce_translation_invariance():
     x = rho_check_point(td, 3)
     by_key = restricted_by_key(td)
     some = next(rr for rr in by_key.values() if rr.positive)
-    coroot = restricted_coroot(td, some)
+    coroot = some.coroot
     translated = apartment_point(
         td, tuple(a + b for a, b in zip(x.coords, coroot))
     )
@@ -185,7 +194,7 @@ def test_companion_shift_2a2_displacement():
     assert td_tame.is_tame
     by_key = restricted_by_key(td)
     mult = next(rr for rr in by_key.values() if rr.cls == "multipliable" and rr.positive)
-    coroot = restricted_coroot(td, mult)
+    coroot = mult.coroot
     expected = tuple(F(1, 8) * c for c in coroot)
     assert xq.coords == expected
 
@@ -196,7 +205,7 @@ def test_companion_shift_membership_equivalence(lam):
     rng = random.Random(int(lam * 2))
     by_key = restricted_by_key(td)
     mult = next(rr for rr in by_key.values() if rr.cls == "multipliable" and rr.positive)
-    coroot = restricted_coroot(td, mult)
+    coroot = mult.coroot
     for _ in range(50):
         t = F(rng.randint(-8, 8), rng.choice((1, 2, 4, 8)))
         x = apartment_point(td, tuple(t * c for c in coroot))
@@ -219,3 +228,38 @@ def test_point_from_simple_coroots():
     mult = by_key[simples[0]]
     assert mult.cls == "multipliable"
     assert evaluate(mult.key, x) == F(1, 4)
+
+
+def fold_only(td, x):
+    """Alcove reduction by folding across violated walls alone."""
+    v = x.coords
+    moved = True
+    while moved:
+        moved = False
+        for w in _walls(td):
+            t = pair(w.key, v)
+            level = w.lo if t < w.lo else w.hi if t > w.hi else t
+            if level != t:
+                v = vec_sub(v, vec_scale(t - level, w.coroot))
+                moved = True
+    return apartment_point(td, v)
+
+
+@pytest.mark.parametrize("cid", ["A2", "B2", "2A2", "2A3"])
+def test_alcove_reduce_huge_translation(cid):
+    td = catalog_datum(cid)
+    rng = random.Random(cid)
+    positives = [rr for rr in restrict(td) if rr.positive]
+    count = len(simple_restricted_keys(td))
+    for _ in range(5):
+        coeffs = [F(rng.randint(-40, 40), rng.randint(1, 4)) for _ in range(count)]
+        x = point_from_simple_coroots(td, coeffs)
+        reduced = alcove_reduce(td, x)
+        assert reduced == fold_only(td, x)
+        # step(a) * acheck is the product of the reflections in two adjacent
+        # walls of a, so the sum below lies in the affine Weyl group
+        shift = (0,) * td.base.rank
+        for rr in positives:
+            n = rng.choice((-1, 1)) * 10**400 + rng.randint(-9, 9)
+            shift = vec_add(shift, vec_scale(n * rr.jump_set.step, rr.coroot))
+        assert alcove_reduce(td, apartment_point(td, vec_add(x.coords, shift))) == reduced

@@ -19,8 +19,6 @@ from parahoric.exactmath import (
     matrix_order,
     matrix_rank,
     solve_linear,
-    vset_member,
-    vset_min_above,
 )
 
 F = Fraction
@@ -98,14 +96,14 @@ def test_row_echelon_rank():
 
 def test_vset_examples():
     z = ValuationSet.lattice(1)
-    assert vset_member(z, 3)
+    assert z.member(3)
     half_shift = ValuationSet.lattice(1, F(1, 2))
-    assert not vset_member(half_shift, 1)
+    assert not half_shift.member(1)
     half = ValuationSet.lattice(F(1, 2))
-    assert vset_member(half, F(-5, 2))
-    assert vset_min_above(z, 0) == 1
-    assert vset_min_above(half_shift, 0) == F(1, 2)
-    assert vset_min_above(half_shift, F(3, 2)) == F(5, 2)
+    assert half.member(F(-5, 2))
+    assert z.min_above(0) == 1
+    assert half_shift.min_above(0) == F(1, 2)
+    assert half_shift.min_above(F(3, 2)) == F(5, 2)
 
 
 def test_vset_canonical_form():

@@ -1,14 +1,26 @@
 import random
 from fractions import Fraction
+from math import lcm
 
+import pytest
+
+from parahoric.catalog import CATALOG, catalog_datum, catalog_ids
 from parahoric.echelonnage import (
+    TwistedDatum,
     apartment_point,
     companion_shift,
+    depth_table,
+    evaluate,
     origin,
+    point_from_simple_coroots,
+    point_order,
     restrict,
+    simple_restricted_keys,
     twisted,
 )
+from parahoric.exactmath import cyclotomic_multiplicities
 from parahoric.mpquotient import (
+    QuotientError,
     algebra_dimension,
     dimension_sum_over_period,
     first_jump,
@@ -18,6 +30,7 @@ from parahoric.mpquotient import (
     torus_jump_dim,
 )
 from parahoric.rootdata import build_automorphism, build_datum
+from parahoric.weylmod import phi_xr
 
 F = Fraction
 
@@ -127,9 +140,7 @@ def test_sum_rule_over_one_period():
         for _ in range(10):
             t = F(rng.randint(-12, 12), rng.randint(1, 12))
             rr = next(r for r in restrict(td) if r.positive)
-            from parahoric.echelonnage import restricted_coroot
-
-            coroot = restricted_coroot(td, rr)
+            coroot = rr.coroot
             x = apartment_point(td, tuple(t * c for c in coroot))
             assert dimension_sum_over_period(td, x) == dim
 
@@ -151,3 +162,132 @@ def test_companion_invariance_of_quotients():
         assert (
             mp_quotient(td, x, r).root_part == mp_quotient(td_tame, xq, r).root_part
         )
+
+
+# ---------------------------------------------------------------------------
+# Per-root rescans: the implementations that the depth table replaced, kept
+# as oracles.  Each scans every restricted root with Fraction arithmetic.
+
+
+def oracle_torus_dim(td, r):
+    return cyclotomic_multiplicities(td.twist.matrix).get((F(r) % 1).denominator, 0)
+
+
+def oracle_point_order(td, x):
+    m = 1
+    for rr in restrict(td):
+        val = evaluate(rr.key, x)
+        for off in rr.jump_set.offsets:
+            m = lcm(m, (val + off).denominator)
+        m = lcm(m, rr.jump_set.step.denominator)
+    return m
+
+
+def oracle_quotient_roots(td, x):
+    return tuple(
+        sorted(rr.key for rr in restrict(td) if rr.jump_set.member(evaluate(rr.key, x)))
+    )
+
+
+def oracle_mp_quotient(td, x, r):
+    r = F(r)
+    part = tuple(
+        sorted(
+            rr.key for rr in restrict(td) if rr.jump_set.member(r - evaluate(rr.key, x))
+        )
+    )
+    torus = oracle_torus_dim(td, r)
+    return r, torus, part, torus + len(part)
+
+
+def oracle_first_jump(td, x):
+    candidates = []
+    for rr in restrict(td):
+        val = evaluate(rr.key, x)
+        candidates.append(val + rr.jump_set.min_above(-val))
+    for k in cyclotomic_multiplicities(td.twist.matrix):
+        candidates.append(F(1, k))
+    return min(candidates)
+
+
+def oracle_jump_values(td, x):
+    values = set()
+    for rr in restrict(td):
+        val = evaluate(rr.key, x)
+        js = rr.jump_set
+        for off in js.offsets:
+            cur = (val + off) % js.step
+            while cur < 1:
+                values.add(cur)
+                cur += js.step
+    for k in cyclotomic_multiplicities(td.twist.matrix):
+        if k == 1:
+            values.add(F(0))
+        else:
+            for j in range(1, k):
+                if F(j, k).denominator == k:
+                    values.add(F(j, k))
+    return tuple(sorted(values))
+
+
+def td_2a4(lam):
+    d = build_datum("A4")
+    return twisted(d, build_automorphism(d, (3, 2, 1, 0)), lam)
+
+
+WILD = {
+    "2A2w": (lambda: td_2a2({0: F(-1, 2)}), 6),
+    "2A4w": (lambda: td_2a4({0: F(-1, 2), 1: F(-1, 2)}), 10),
+}
+
+
+def oracle_points(name, td):
+    m = CATALOG[name]["rho_m"] if name in CATALOG else WILD[name][1]
+    points = [origin(td), rho_point(td, m)]
+    rng = random.Random(name)
+    count = len(simple_restricted_keys(td))
+    for _ in range(5):
+        coeffs = [F(rng.randint(-12, 12), rng.randint(1, 6)) for _ in range(count)]
+        points.append(point_from_simple_coroots(td, coeffs))
+    return points
+
+
+@pytest.mark.parametrize("name", catalog_ids() + tuple(WILD))
+def test_depth_table_matches_rescan(name):
+    td = catalog_datum(name) if name in CATALOG else WILD[name][0]()
+    for x in oracle_points(name, td):
+        n = point_order(td, x)
+        assert n == oracle_point_order(td, x)
+        assert jump_values(td, x) == oracle_jump_values(td, x)
+        assert first_jump(td, x) == oracle_first_jump(td, x)
+        assert quotient_datum(td, x).roots == oracle_quotient_roots(td, x)
+        depths = [F(k, n) for k in range(-n, 2 * n)] + [F(1, 2 * n)]
+        for r in depths:
+            rep = mp_quotient(td, x, r)
+            expected = oracle_mp_quotient(td, x, r)
+            assert (rep.r, rep.torus_dim, rep.root_part, rep.total_dim) == expected
+            assert phi_xr(td, x, r) == frozenset(expected[2])
+        assert dimension_sum_over_period(td, x) == sum(
+            oracle_mp_quotient(td, x, r)[3] for r in oracle_jump_values(td, x)
+        )
+
+
+def test_depth_table_stores_only_occupied_residues():
+    td = twisted(build_datum("A2"))
+    x = rho_point(td, 10**5)
+    table = depth_table(td, x)
+    assert table.order == oracle_point_order(td, x) == 10**5
+    assert len(table.roots) <= len(restrict(td)) and all(table.roots.values())
+    assert jump_values(td, x) == oracle_jump_values(td, x)
+    assert first_jump(td, x) == oracle_first_jump(td, x)
+    for r in jump_values(td, x):
+        rep = mp_quotient(td, x, r)
+        assert (rep.r, rep.torus_dim, rep.root_part, rep.total_dim) == oracle_mp_quotient(td, x, r)
+
+
+def test_quotient_closure_check_fires():
+    # unequal valuations on one Weyl orbit, which twisted() rejects
+    tame = td_2a4(None)
+    td = TwistedDatum(tame.base, tame.twist, (F(-1, 2), F(-1)))
+    with pytest.raises(QuotientError, match="reflection closed"):
+        quotient_datum(td, origin(td))

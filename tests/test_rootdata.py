@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from parahoric.exactmath import mat_vec, matrix_order
+from parahoric.exactmath import mat_vec, matrix_order, pair
 from parahoric.rootdata import (
     RootDatumError,
     WeylCapExceeded,
@@ -12,7 +12,6 @@ from parahoric.rootdata import (
     classical_weyl_order,
     dual_action,
     identity_automorphism,
-    pairing,
     weyl_elements,
 )
 
@@ -21,7 +20,7 @@ def test_a1_adjoint():
     d = build_datum("A1")
     assert set(d.roots) == {(1,), (-1,)}
     alpha = d.simple_roots[0]
-    assert pairing(alpha, d.coroot_of(alpha)) == 2
+    assert pair(alpha, d.coroot_of(alpha)) == 2
 
 
 def test_a2_cartan_pairings():
@@ -29,8 +28,8 @@ def test_a2_cartan_pairings():
     assert len(d.roots) == 6
     a1, a2 = d.simple_roots
     c1, c2 = d.simple_coroots
-    assert pairing(a1, c1) == 2 and pairing(a2, c2) == 2
-    assert pairing(a1, c2) == -1 and pairing(a2, c1) == -1
+    assert pair(a1, c1) == 2 and pair(a2, c2) == 2
+    assert pair(a1, c2) == -1 and pair(a2, c1) == -1
 
 
 def test_g2_long_short():
@@ -38,8 +37,8 @@ def test_g2_long_short():
     assert len(d.roots) == 12
     a1, a2 = d.simple_roots
     c1, c2 = d.simple_coroots
-    pair = {pairing(a1, c2), pairing(a2, c1)}
-    assert pair == {-1, -3}
+    off_diagonal = {pair(a1, c2), pair(a2, c1)}
+    assert off_diagonal == {-1, -3}
 
 
 @pytest.mark.parametrize(
@@ -57,7 +56,7 @@ def test_root_counts_and_invariants(descriptor):
         assert all(c >= 0 for c in coeff) or all(c <= 0 for c in coeff)
     for alpha, acheck in zip(d.simple_roots, d.simple_coroots):
         for r in d.roots:
-            refl = tuple(a - pairing(r, acheck) * b for a, b in zip(r, alpha))
+            refl = tuple(a - pair(r, acheck) * b for a, b in zip(r, alpha))
             assert refl in rootset
 
 
@@ -65,7 +64,7 @@ def test_simply_connected_convention():
     d = build_datum("A2", "simply_connected")
     assert set(d.simple_coroots) == {(1, 0), (0, 1)}
     for r, cr in zip(d.roots, d.coroots):
-        assert pairing(r, cr) == 2
+        assert pair(r, cr) == 2
 
 
 @pytest.mark.parametrize(
@@ -97,7 +96,7 @@ def test_weyl_preserves_roots_and_pairing():
         wd = dual_action(w)
         chi = tuple(rng.randint(-4, 4) for _ in range(d.rank))
         mu = tuple(rng.randint(-4, 4) for _ in range(d.rank))
-        assert pairing(mat_vec(w, chi), mat_vec(wd, mu)) == pairing(chi, mu)
+        assert pair(mat_vec(w, chi), mat_vec(wd, mu)) == pair(chi, mu)
 
 
 def test_weyl_orbits_partition_roots():

@@ -6,7 +6,7 @@ import pytest
 from parahoric.chevalley import pinned_automorphism, structure_constants
 from parahoric.echelonnage import apartment_point, origin, twisted
 from parahoric.rootdata import build_automorphism, build_datum, identity_automorphism
-from parahoric.vinberg import GradingError, crosscheck, fixed_datum_roots, grading
+from parahoric.vinberg import GradingError, crosscheck, grading
 
 F = Fraction
 
@@ -37,7 +37,7 @@ def test_grading_2a2_pinned_swap():
     gd = grading(alg, pinned, (0, 0), 2)
     assert gd.dims == (3, 5)
     assert len(gd.negative_sign_orbits) == 2
-    fixed = fixed_datum_roots(gd)
+    fixed = gd.zero_degree_roots
     assert len(fixed) == 2
 
 
@@ -74,7 +74,7 @@ def test_fixed_roots_split_a2_rho3():
     pinned = pinned_automorphism(alg, td.twist)
     x = rho_point(td, 3)
     gd = grading(alg, pinned, tuple(3 * c for c in x.coords), 3)
-    assert fixed_datum_roots(gd) == frozenset()
+    assert gd.zero_degree_roots == frozenset()
     assert gd.dims == (2, 3, 3)
 
 
@@ -150,7 +150,7 @@ def test_degree_zero_is_subalgebra():
     # For M = 2 the degree-zero piece is the rational fixed space of the
     # order-2 operator theta; verify it is closed under the bracket.
     from parahoric.exactmath import RowEchelon, kernel_basis
-    from parahoric.rootdata import pairing
+    from parahoric.exactmath import pair
 
     cases = [
         ("A2", (1, 0), (0, 0)),
@@ -167,7 +167,7 @@ def test_degree_zero_is_subalgebra():
             out = {}
             for label, coeff in moved.items():
                 if label[0] == "x":
-                    w = int(pairing(label[1], lam))
+                    w = int(pair(label[1], lam))
                     coeff = coeff * (-1) ** (w % 2)
                 if coeff:
                     out[label] = coeff

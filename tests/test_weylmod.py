@@ -117,11 +117,11 @@ def test_weyl_character_invariant_under_weyl():
     theta = max(h.positive_roots, key=lambda r: sum(r))
     char, dim = weyl_character(h, theta)
     assert dim == 14
-    from parahoric.weylmod import _pair, _vsub
+    from parahoric.exactmath import pair, vec_scale, vec_sub
 
     for a, ac in zip(h.simple_roots, h.simple_coroots):
         for mu, m in char.items():
-            refl = _vsub(mu, tuple(_pair(mu, ac) * c for c in a))
+            refl = vec_sub(mu, vec_scale(pair(mu, ac), a))
             assert char.get(refl) == m
 
 
