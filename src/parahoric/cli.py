@@ -27,7 +27,7 @@ from .echelonnage import (
     point_order,
     twisted,
 )
-from .exactmath import ExactMathError, pair
+from .exactmath import ExactMathError
 from .mpquotient import (
     QuotientError,
     ReductiveQuotientDatum,
@@ -45,7 +45,7 @@ from .rootdata import (
     cartan_matrix_component,
 )
 from .stability import StabilityError, stable_verdict
-from .vinberg import GradingError, crosscheck
+from .vinberg import GradingError, ModulusCapExceeded, crosscheck
 from .weylmod import WeylModuleError, decompose, split_span_check
 
 SCHEMA_VERSION = 1
@@ -163,6 +163,8 @@ def normalize_spec(raw: dict) -> dict:
     if not isinstance(point, dict) or not ({"name", "coords"} & set(point)):
         raise InputError("field 'point': need a name or explicit coords")
     if "coords" in point:
+        if not isinstance(point["coords"], list):
+            raise InputError("field 'point': coords must be a list of rationals")
         spec["point"] = {"coords": [frac_str(parse_frac(c, "point")) for c in point["coords"]]}
     else:
         name = point.get("name")
@@ -280,10 +282,8 @@ def _match_component(block_cartan) -> str:
 
 
 def identify_quotient(h: ReductiveQuotientDatum) -> dict:
-    simples = h.simple_roots
-    coroots = h.simple_coroots
-    n = len(simples)
-    cartan = [[int(pair(simples[j], coroots[i])) for j in range(n)] for i in range(n)]
+    cartan = h.cartan
+    n = len(cartan)
     components = []
     for block in _component_blocks(cartan):
         sub = [[cartan[i][j] for j in block] for i in block]
@@ -524,7 +524,8 @@ def main(argv=None) -> int:
         sys.stderr.write(f"input error: {exc}\n")
         return 1
     except (
-        QuotientError, WeylModuleError, StabilityError, WeylCapExceeded, PropertyViolation
+        QuotientError, WeylModuleError, StabilityError, WeylCapExceeded,
+        ModulusCapExceeded, PropertyViolation,
     ) as exc:
         sys.stderr.write(f"property violation: {exc}\n")
         return 2

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import floor, gcd, lcm
 
 from .exactmath import (
@@ -29,6 +29,7 @@ from .exactmath import (
 from .rootdata import (
     DiagramAutomorphism,
     RootDatum,
+    field_hash,
     identity_automorphism,
     twist_spectrum,
 )
@@ -148,6 +149,13 @@ class TwistedDatum:
     base: RootDatum
     twist: DiagramAutomorphism
     lambda_valuations: tuple[Fraction, ...]
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return field_hash(self)
 
     @property
     def is_tame(self) -> bool:

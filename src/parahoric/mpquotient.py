@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
+from operator import mul
 
 from .echelonnage import (
     ApartmentPoint,
@@ -18,7 +20,7 @@ from .echelonnage import (
     depth_table,
     torus_jump_dim,  # noqa: F401  (part of this module's API)
 )
-from .exactmath import Vec, pair, vec_scale, vec_sub
+from .exactmath import IntMatrix, Vec, invert_matrix, pair, vec_scale, vec_sub
 
 
 class QuotientError(RuntimeError):
@@ -55,6 +57,76 @@ class ReductiveQuotientDatum:
 
     def coroot_of(self, key: Vec) -> Vec:
         return self.coroots[self.roots.index(key)]
+
+    @cached_property
+    def cartan(self) -> IntMatrix:
+        """C[i][j] = <alpha_j, acheck_i> over the simple roots (the package
+        convention of ``rootdata``)."""
+        rows = []
+        for ac in self.simple_coroots:
+            row = tuple(pair(a, ac) for a in self.simple_roots)
+            if any(c.denominator != 1 for c in row):
+                raise QuotientError("quotient Cartan matrix is not integral")
+            rows.append(tuple(int(c) for c in row))
+        return tuple(rows)
+
+    @cached_property
+    def _coordinate_data(self):
+        """C^-1 as integers over one denominator, and the simple roots as
+        integers over another: the coordinate map is integer arithmetic."""
+        inverse = invert_matrix(self.cartan) if self.cartan else ()
+        den_inv = lcm(*(c.denominator for row in inverse for c in row))
+        inv_num = tuple(tuple((c * den_inv).numerator for c in row) for row in inverse)
+        den_a = lcm(*(c.denominator for a in self.simple_roots for c in a))
+        simple_num = tuple(tuple((c * den_a).numerator for c in a) for a in self.simple_roots)
+        return den_inv, inv_num, den_a, simple_num
+
+    def simple_coordinates(self, v: Vec) -> tuple[Vec, Vec]:
+        """(residual, c) with v = residual + sum c_i alpha_i and the residual
+        pairing to zero with every simple coroot: c = C^-1 (<v, acheck_j>)_j."""
+        den_inv, inv_num, den_a, simple_num = self._coordinate_data
+        q = lcm(*(x.denominator for x in v))
+        num = [x.numerator * (q // x.denominator) for x in v]  # v = num / q
+        p = [pair(num, ac) for ac in self.simple_coroots]
+        c = [pair(row, p) for row in inv_num]  # c = c / (den_inv q)
+        residual = [x * den_inv * den_a for x in num]
+        for ci, a in zip(c, simple_num):
+            if ci:
+                residual = [x - ci * y for x, y in zip(residual, a)]
+        den = den_inv * q
+        return (
+            tuple(Fraction(x, den * den_a) for x in residual),
+            tuple(Fraction(x, den) for x in c),
+        )
+
+    @cached_property
+    def positive_coordinates(self) -> tuple[tuple[int, ...], ...]:
+        """The positive roots, in order, as integer simple-root coordinates."""
+        out = []
+        for a in self.positive_roots:
+            residual, c = self.simple_coordinates(a)
+            if any(residual) or any(x.denominator != 1 or x < 0 for x in c):
+                raise QuotientError(
+                    f"positive root {a} is not a nonnegative integer "
+                    "combination of the simple roots"
+                )
+            out.append(tuple(int(x) for x in c))
+        return tuple(out)
+
+    @cached_property
+    def half_norms(self) -> tuple[int, ...]:
+        """d_j = (alpha_j, alpha_j)/2 for the Weyl-invariant form
+        (chi, psi) = sum over the roots a of <chi, acheck><psi, acheck>: the
+        sum over the positive a of <alpha_j, acheck>^2, an integer."""
+        _, _, den_a, simple_num = self._coordinate_data
+        pos = [c for c, p in zip(self.coroots, self.positives) if p]
+        out = []
+        for a in simple_num:
+            d, rem = divmod(sum(pair(a, c) ** 2 for c in pos), den_a**2)
+            if rem:
+                raise QuotientError("simple root pairs non-integrally with a coroot")
+            out.append(d)
+        return tuple(out)
 
 
 @dataclass(frozen=True)

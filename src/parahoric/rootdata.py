@@ -13,7 +13,7 @@ Coordinate conventions, used throughout the package:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import lcm
@@ -157,6 +157,12 @@ def classical_weyl_order(descriptor: str) -> int:
     return out
 
 
+def field_hash(obj) -> int:
+    """The hash a frozen dataclass would compute, for the ones that cache it:
+    their fields are long tuples, and every ``lru_cache`` lookup hashes them."""
+    return hash(tuple(getattr(obj, f.name) for f in fields(obj)))
+
+
 @dataclass(frozen=True)
 class RootDatum:
     """Roots and coroots as integer vectors in perfect pairing.
@@ -173,6 +179,13 @@ class RootDatum:
     coroots: tuple[IntVec, ...]
     coeffs: tuple[IntVec, ...]
     cocoeffs: tuple[IntVec, ...]
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return field_hash(self)
 
     @property
     def rank(self) -> int:

@@ -46,6 +46,7 @@ class StabilityError(RuntimeError):
     pass
 
 
+@lru_cache(maxsize=None)
 def is_semisimple(datum: RootDatum) -> bool:
     return matrix_rank([list(map(Fraction, r)) for r in datum.roots]) == datum.rank
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .chevalley import ChevalleyAlgebra, PinnedAutomorphism, orbit_sign, pinned_automorphism, structure_constants
 from .echelonnage import ApartmentPoint, TwistedDatum, depth_table, point_order
@@ -22,8 +22,25 @@ from .mpquotient import quotient_datum
 from .rootdata import twist_spectrum
 
 
+# The grading allocates one bin per degree and the crosscheck reads one
+# quotient per degree: both are O(M) in the modulus M.
+MODULUS_CAP = 100_000
+
+
 class GradingError(ValueError):
     pass
+
+
+class ModulusCapExceeded(RuntimeError):
+    pass
+
+
+def _check_modulus(m: int, why: str = "") -> None:
+    if m > MODULUS_CAP:
+        raise ModulusCapExceeded(
+            f"grading modulus M = {m} is above the cap {MODULUS_CAP} "
+            f"(vinberg.MODULUS_CAP){why}"
+        )
 
 
 @dataclass(frozen=True)
@@ -69,6 +86,7 @@ def grading(
     m = int(modulus)
     if m <= 0:
         raise GradingError("modulus must be positive")
+    _check_modulus(m)
     for root in datum.roots:
         w = pair(root, lam)
         if Fraction(w).denominator != 1:
@@ -149,6 +167,12 @@ def crosscheck(td: TwistedDatum, x: ApartmentPoint, modulus: int) -> CrosscheckR
             f"modulus {m} must be a common multiple of the twist order {e} "
             f"and the point order {order}"
         )
+    base = lcm(order, e)
+    _check_modulus(
+        m,
+        f"; M is {'the lcm' if m == base else f'a multiple of the lcm {base}'} "
+        f"of the point order {order} and the twist order {e}",
+    )
     alg = structure_constants(td.base)
     pinned = pinned_automorphism(alg, td.twist)
     lam = tuple(m * c for c in x.coords)

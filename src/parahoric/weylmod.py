@@ -10,19 +10,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import add, ge, mul, sub
 
 from .chevalley import exp_ad, structure_constants
 from .echelonnage import ApartmentPoint, TwistedDatum, depth_table, restrict
-from .exactmath import (
-    RowEchelon,
-    Vec,
-    pair,
-    reflection_orbit,
-    solve_linear,
-    vec_add,
-    vec_scale,
-    vec_sub,
-)
+from .exactmath import RowEchelon, Vec, pair
 from .mpquotient import (
     MPQuotientReport,
     ReductiveQuotientDatum,
@@ -59,11 +52,15 @@ def phi_xr_max(
     support = phi_xr(td, x, r)
     if positives is None:
         positives = h.positive_roots
-    out = set()
-    for a in support:
-        if not any(vec_add(a, b) in support for b in positives):
-            out.add(a)
-    return frozenset(out)
+    # integer vectors over one denominator
+    den = lcm(*(c.denominator for v in (*support, *positives) for c in v))
+    scaled = {tuple(c.numerator * (den // c.denominator) for c in a): a for a in support}
+    shifts = [tuple(c.numerator * (den // c.denominator) for c in b) for b in positives]
+    return frozenset(
+        a
+        for s, a in scaled.items()
+        if not any(tuple(map(add, s, t)) in scaled for t in shifts)
+    )
 
 
 def ambient_positive_keys(td: TwistedDatum) -> tuple[Vec, ...]:
@@ -71,83 +68,84 @@ def ambient_positive_keys(td: TwistedDatum) -> tuple[Vec, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Weyl group of the quotient and dominance
-
-
-def _simple_data(h: ReductiveQuotientDatum):
-    return tuple(zip(h.simple_roots, h.simple_coroots))
-
-
-def dominant_rep(h: ReductiveQuotientDatum, mu: Vec) -> Vec:
-    simples = _simple_data(h)
-    cur = tuple(Fraction(c) for c in mu)
-    moved = True
-    while moved:
-        moved = False
-        for a, ac in simples:
-            val = pair(cur, ac)
-            if val < 0:
-                cur = vec_sub(cur, vec_scale(val, a))
-                moved = True
-    return cur
+# dominance
+#
+# A weight v has simple-root coordinates (residual, c): v = residual +
+# sum c_i alpha_i with the residual pairing to zero with the simple coroots
+# (``ReductiveQuotientDatum.simple_coordinates``).
 
 
 def is_dominant_integral(h: ReductiveQuotientDatum, mu: Vec) -> bool:
-    for _, ac in _simple_data(h):
+    for ac in h.simple_coroots:
         val = pair(mu, ac)
         if val < 0 or val.denominator != 1:
             return False
     return True
 
 
-def weyl_orbit(h: ReductiveQuotientDatum, mu: Vec) -> frozenset:
-    return frozenset(
-        reflection_orbit(tuple(Fraction(c) for c in mu), _simple_data(h))
-    )
+def _dominates(upper, lower) -> bool:
+    """Dominance on simple-root coordinates: equal residuals and
+    coordinatewise c(upper) >= c(lower)."""
+    return upper[0] == lower[0] and all(map(ge, upper[1], lower[1]))
 
 
 def dominance_ge(h: ReductiveQuotientDatum, nu: Vec, mu: Vec) -> bool:
     """nu >= mu when nu - mu is a nonnegative rational combination of the
     simple roots of h; weights outside the root span are incomparable."""
-    diff = vec_sub(nu, mu)
-    simples = h.simple_roots
-    if not simples:
-        return all(x == 0 for x in diff)
-    rows = [[Fraction(s[i]) for s in simples] for i in range(len(diff))]
-    sol = solve_linear(rows, list(diff))
-    if sol is None:
-        return False
-    recon = tuple(
-        sum((c * Fraction(s[i]) for c, s in zip(sol, simples)), Fraction(0))
-        for i in range(len(diff))
-    )
-    if recon != tuple(Fraction(x) for x in diff):
-        return False
-    return all(c >= 0 for c in sol)
+    return _dominates(h.simple_coordinates(nu), h.simple_coordinates(mu))
 
 
 # ---------------------------------------------------------------------------
 # characters
+#
+# A weight of the module of highest weight lam is mu = lam - sum n_i alpha_i,
+# held as the integer vector n together with its Dynkin labels
+# <mu, acheck_j> = <lam, acheck_j> - (C n)_j.  The invariant form is
+# (chi, psi) = sum over the roots a of <chi, acheck><psi, acheck>; against a
+# simple root it is (chi, alpha_j) = d_j <chi, acheck_j> with the integer
+# d_j = (alpha_j, alpha_j)/2 (``ReductiveQuotientDatum.half_norms``).  So
+# every quantity of Freudenthal's recursion is an integer:
+#   (mu, a) = sum_j k_j d_j <mu, acheck_j>   for a = sum k_j alpha_j,
+#   |lam + rho|^2 - |mu + rho|^2
+#       = sum_i n_i d_i (<lam, acheck_i> + <mu, acheck_i> + 2).
 
 
-def _norm_form(h: ReductiveQuotientDatum):
-    def b(chi, psi) -> Fraction:
-        return sum(
-            (pair(chi, ac) * pair(psi, ac) for ac in h.coroots), Fraction(0)
-        )
+def _reflect(n: tuple, labels: tuple, j: int, drops) -> tuple[tuple, tuple]:
+    """s_j mu = mu - <mu, acheck_j> alpha_j on (n, labels)."""
+    t = labels[j]
+    return (
+        n[:j] + (n[j] + t,) + n[j + 1:],
+        tuple(x - t * c for x, c in zip(labels, drops[j])),
+    )
 
-    return b
+
+def _orbit(n: tuple, labels: tuple, drops) -> dict:
+    """The Weyl orbit of a dominant weight, n -> labels: every other member
+    is reached by lowering reflections (those with a positive label)."""
+    orbit = {n: labels}
+    frontier = [n]
+    while frontier:
+        cur = frontier.pop()
+        lab = orbit[cur]
+        for j, t in enumerate(lab):
+            if t > 0:
+                nxt, nlab = _reflect(cur, lab, j, drops)
+                if nxt not in orbit:
+                    orbit[nxt] = nlab
+                    frontier.append(nxt)
+    return orbit
 
 
 def weyl_dimension(h: ReductiveQuotientDatum, lam: Vec) -> int:
-    rho = tuple(
-        sum((Fraction(a[i], 2) for a in h.positive_roots), Fraction(0))
-        for i in range(len(lam))
-    )
-    dim = Fraction(1)
-    for a in h.positive_roots:
-        ac = h.coroot_of(a)
-        dim *= pair(vec_add(lam, rho), ac) / pair(rho, ac)
+    """prod over positive a of <lam + rho, acheck> / <rho, acheck>, which is
+    (lam + rho, a) / (rho, a) with <rho, acheck_j> = 1."""
+    shifted = [pair(lam, ac) + 1 for ac in h.simple_coroots]
+    num = den = 1
+    for k in h.positive_coordinates:
+        dk = tuple(map(mul, k, h.half_norms))
+        num *= sum(map(mul, dk, shifted))
+        den *= sum(dk)
+    dim = Fraction(num) / den
     if dim.denominator != 1 or dim <= 0:
         raise WeylModuleError("Weyl dimension formula gave a non-positive integer")
     return int(dim)
@@ -156,71 +154,79 @@ def weyl_dimension(h: ReductiveQuotientDatum, lam: Vec) -> int:
 def weyl_character(h: ReductiveQuotientDatum, lam) -> tuple[dict, int]:
     """Weight multiplicities and dimension of the highest-weight module of a
     dominant integral weight, by Freudenthal's recursion on dominant weights
-    and Weyl-orbit expansion."""
+    level by level (level = sum n) and Weyl-orbit expansion, in integer
+    simple-root coordinates."""
     lam = tuple(Fraction(c) for c in lam)
     if not is_dominant_integral(h, lam):
         raise WeylModuleError(f"weight {lam} is not dominant integral")
     if not h.roots:
         return {lam: 1}, 1
-    b = _norm_form(h)
-    rho = tuple(
-        sum((Fraction(a[i], 2) for a in h.positive_roots), Fraction(0))
-        for i in range(len(lam))
-    )
-    lam_norm = b(vec_add(lam, rho), vec_add(lam, rho))
+    top = tuple(int(pair(lam, ac)) for ac in h.simple_coroots)
+    rank = len(top)
+    drops = tuple(zip(*h.cartan))  # drops[i]: the Dynkin labels of alpha_i
+    d = h.half_norms
+    positives = []  # (k, (k_j d_j)_j, (a, a)) per positive root a
+    for k in h.positive_coordinates:
+        dk = tuple(map(mul, k, d))
+        norm = sum(map(mul, dk, (pair(row, k) for row in h.cartan)))
+        positives.append((k, dk, norm))
 
-    simples = h.simple_roots
-    anti = _antidominant(h, lam)
-    rows = [[Fraction(s[i]) for s in simples] for i in range(len(lam))]
-    level_coords = solve_linear(rows, list(vec_sub(lam, anti)))
-    if level_coords is None:
-        raise WeylModuleError("antidominant representative is not below lambda")
-    depth = sum(level_coords)
-    if depth.denominator != 1:
-        raise WeylModuleError("non-integral lowering depth")
-    max_level = int(depth)
+    # depth bound: lam - w0 lam, from the antidominant walk
+    n, labels = (0,) * rank, top
+    while any(t > 0 for t in labels):
+        j = next(j for j, t in enumerate(labels) if t > 0)
+        n, labels = _reflect(n, labels, j, drops)
+    depth = sum(n)
 
-    by_level: dict[int, set] = {0: {lam}}
-    for level in range(1, max_level + 1):
-        cur = set()
-        for mu in by_level[level - 1]:
-            for a in simples:
-                cur.add(vec_sub(mu, a))
-        by_level[level] = cur
+    mult: dict[tuple, int] = {}  # every weight found so far
+    by_level: list[list] = [[] for _ in range(depth + 1)]
 
-    mult: dict[Vec, int] = {lam: 1}
-    dominant_mult: dict[Vec, int] = {lam: 1}
-    for level in range(1, max_level + 1):
-        for mu in sorted(by_level[level]):
-            if not is_dominant_integral(h, mu):
-                continue
-            mu_rho = vec_add(mu, rho)
-            denom = lam_norm - b(mu_rho, mu_rho)
+    def record(n, labels, m):
+        for w, lab in _orbit(n, labels, drops).items():
+            mult[w] = m
+            by_level[sum(w)].append((w, lab))
+
+    record((0,) * rank, top, 1)
+    for level in range(1, depth + 1):
+        # every weight below lam is some weight one level up minus a simple root
+        dominant = {}
+        for w, lab in by_level[level - 1]:
+            for i in range(rank):
+                new = tuple(map(sub, lab, drops[i]))
+                if min(new) >= 0:
+                    dominant[w[:i] + (w[i] + 1,) + w[i + 1:]] = new
+        for n, labels in dominant.items():
+            denom = sum(
+                ni * di * (t + s + 2) for ni, di, t, s in zip(n, d, top, labels)
+            )
             if denom <= 0:
                 continue
-            acc = Fraction(0)
-            for a in h.positive_roots:
-                k = 1
-                while True:
-                    nu = vec_add(mu, vec_scale(k, a))
-                    nu_rho = vec_add(nu, rho)
-                    if b(nu_rho, nu_rho) > lam_norm:
-                        break
-                    m_nu = mult.get(dominant_rep(h, nu), 0)
-                    if m_nu:
-                        acc += m_nu * b(nu, a)
-                    k += 1
-            val = 2 * acc / denom
-            if val.denominator != 1:
+            acc = 0
+            for k, dk, norm in positives:
+                base = sum(map(mul, dk, labels))
+                step = 1
+                w = tuple(map(sub, n, k))
+                # the weights on mu + N a form an unbroken string
+                while m := mult.get(w):
+                    acc += m * (base + step * norm)
+                    step += 1
+                    w = tuple(map(sub, w, k))
+            val, rem = divmod(2 * acc, denom)
+            if rem:
                 raise WeylModuleError("Freudenthal recursion gave a non-integer")
             if val:
-                mult[mu] = int(val)
-                dominant_mult[mu] = int(val)
+                record(n, labels, val)
 
+    den = lcm(*(c.denominator for v in (lam, *h.simple_roots) for c in v))
+    lam_num = tuple((c * den).numerator for c in lam)
+    simple_num = [tuple((c * den).numerator for c in a) for a in h.simple_roots]
     weights: dict[Vec, int] = {}
-    for mu, m in dominant_mult.items():
-        for nu in weyl_orbit(h, mu):
-            weights[nu] = weights.get(nu, 0) + m
+    for n, m in mult.items():
+        v = lam_num
+        for ni, a in zip(n, simple_num):
+            if ni:
+                v = tuple(x - ni * y for x, y in zip(v, a))
+        weights[tuple(Fraction(x, den) for x in v)] = m
     dim = sum(weights.values())
     expected = weyl_dimension(h, lam)
     if dim != expected:
@@ -228,20 +234,6 @@ def weyl_character(h: ReductiveQuotientDatum, lam) -> tuple[dict, int]:
             f"character dimension {dim} disagrees with the Weyl formula {expected}"
         )
     return weights, dim
-
-
-def _antidominant(h: ReductiveQuotientDatum, mu: Vec) -> Vec:
-    simples = _simple_data(h)
-    cur = mu
-    moved = True
-    while moved:
-        moved = False
-        for a, ac in simples:
-            val = pair(cur, ac)
-            if val > 0:
-                cur = vec_sub(cur, vec_scale(val, a))
-                moved = True
-    return cur
 
 
 # ---------------------------------------------------------------------------
@@ -280,6 +272,8 @@ def decompose(td: TwistedDatum, x: ApartmentPoint, r) -> Decomposition:
         a for a in maximal if not is_dominant_integral(h, a)
     )
 
+    # subtraction only ever shrinks the support
+    coords = {w: h.simple_coordinates(w) for w in weights}
     items = []
     total = 0
     while weights:
@@ -288,7 +282,7 @@ def decompose(td: TwistedDatum, x: ApartmentPoint, r) -> Decomposition:
             mu
             for mu in support
             if not any(
-                nu != mu and dominance_ge(h, nu, mu) for nu in support
+                nu != mu and _dominates(coords[nu], coords[mu]) for nu in support
             )
         ]
         mu = max(tops)

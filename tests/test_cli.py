@@ -218,3 +218,28 @@ def test_huge_point_coordinates(tmp_path, capsys):
     code, out, _ = run_cli(["stability", "--spec", str(spec)], capsys)
     assert code == 0
     assert json.loads(out)["stability"]["reduced_point"] == ["0", "0"]
+
+
+@pytest.mark.parametrize("coords", [5, "1/2", {"0": "1"}, None])
+def test_non_list_point_coords_is_an_input_error(tmp_path, capsys, coords):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"dynkin": "A2", "point": {"coords": coords}}))
+    code, _, err = run_cli(["decompose", "--spec", str(spec)], capsys)
+    assert code == 1
+    assert "input error: field 'point'" in err
+    assert "Traceback" not in err
+
+
+def test_grade_modulus_cap_fails_before_allocating(tmp_path, capsys):
+    from parahoric.vinberg import MODULUS_CAP
+
+    spec = tmp_path / "spec.json"
+    spec.write_text(
+        json.dumps({"dynkin": "A2", "point": {"name": "rho_over_m", "m": 10**9}})
+    )
+    code, out, err = run_cli(["grade", "--spec", str(spec)], capsys)
+    assert code == 2
+    assert out == ""
+    assert "M = 1000000000" in err and f"cap {MODULUS_CAP}" in err
+    assert "lcm of the point order 1000000000 and the twist order 1" in err
+    assert "Traceback" not in err

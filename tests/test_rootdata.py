@@ -161,3 +161,20 @@ def test_unknown_type_rejected():
         build_datum("A9")
     with pytest.raises(RootDatumError):
         build_datum("A2", "weird")
+
+
+def test_datum_hash_is_stable_and_agrees_with_equality():
+    from dataclasses import replace
+
+    from parahoric.echelonnage import twisted
+    from parahoric.rootdata import field_hash
+
+    d = build_datum("E8")
+    copy = replace(d)
+    assert copy == d and copy is not d
+    assert hash(copy) == hash(d) == hash(d) == field_hash(d)
+    td = twisted(d)
+    assert twisted(copy) == td and hash(twisted(copy)) == hash(td) == hash(td)
+    assert hash(td) == field_hash(td)
+    other = build_datum("E7")
+    assert other != d and twisted(other) != td

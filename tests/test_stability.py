@@ -200,3 +200,10 @@ def test_weyl_elements_match_matrix_product_closure(desc):
     for isogeny in ("adjoint", "simply_connected"):
         d = build_datum(desc, isogeny)
         assert weyl_elements(d) == reference_weyl_elements(d)
+
+
+def test_semisimple_check_is_cached_per_datum():
+    is_semisimple.cache_clear()
+    d = build_datum("B3")
+    assert is_semisimple(d) and is_semisimple(build_datum("B3"))
+    assert is_semisimple.cache_info().hits == 1

@@ -196,3 +196,16 @@ def test_degree_zero_is_subalgebra():
                 ev = {l: c for l, c in zip(alg.labels, v) if c}
                 w = alg.to_vector(alg.bracket(eu, ev))
                 assert not span.add(w)
+
+
+def test_grading_modulus_cap():
+    from parahoric.vinberg import MODULUS_CAP, ModulusCapExceeded
+
+    d = build_datum("A2")
+    alg = structure_constants(d)
+    pinned = pinned_automorphism(alg, identity_automorphism(d))
+    with pytest.raises(ModulusCapExceeded, match=f"M = {MODULUS_CAP + 1} is above the cap"):
+        grading(alg, pinned, (0, 0), MODULUS_CAP + 1)
+    td = twisted(d)
+    with pytest.raises(ModulusCapExceeded, match="a multiple of the lcm 1"):
+        crosscheck(td, origin(td), MODULUS_CAP + 1)

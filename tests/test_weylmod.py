@@ -3,19 +3,32 @@ from fractions import Fraction
 
 import pytest
 
+from parahoric.catalog import CATALOG, catalog_datum, catalog_ids
 from parahoric.echelonnage import (
     apartment_point,
     origin,
+    point_from_simple_coroots,
     restrict,
+    simple_restricted_keys,
     twisted,
 )
-from parahoric.mpquotient import mp_quotient, quotient_datum
+from parahoric.exactmath import (
+    pair,
+    reflection_orbit,
+    solve_linear,
+    vec_add,
+    vec_scale,
+    vec_sub,
+)
+from parahoric.mpquotient import first_jump, mp_quotient, quotient_datum
 from parahoric.rootdata import build_automorphism, build_datum
 from parahoric.weylmod import (
+    Decomposition,
     WeylModuleError,
     ambient_positive_keys,
     decompose,
     dominance_ge,
+    is_dominant_integral,
     phi_xr,
     phi_xr_max,
     split_span_check,
@@ -257,3 +270,234 @@ def test_split_span_check_rejects_integral_r():
     td = twisted(a2)
     with pytest.raises(WeylModuleError):
         split_span_check(a2, origin(td), 1)
+
+
+# ---------------------------------------------------------------------------
+# The Fraction kernel that the integer simple-root kernel replaced, kept as
+# test-local oracles: Freudenthal's recursion on ambient Fraction vectors with
+# the norm form summed over all coroots, dominant and antidominant
+# representatives by simple reflections, Weyl orbits by reflection closure,
+# the Weyl dimension formula on ambient coroots, and dominance by a rational
+# solve.
+
+
+def oracle_simple_data(h):
+    return tuple(zip(h.simple_roots, h.simple_coroots))
+
+
+def oracle_dominant_rep(h, mu):
+    cur = tuple(F(c) for c in mu)
+    moved = True
+    while moved:
+        moved = False
+        for a, ac in oracle_simple_data(h):
+            val = pair(cur, ac)
+            if val < 0:
+                cur = vec_sub(cur, vec_scale(val, a))
+                moved = True
+    return cur
+
+
+def oracle_antidominant(h, mu):
+    cur = mu
+    moved = True
+    while moved:
+        moved = False
+        for a, ac in oracle_simple_data(h):
+            val = pair(cur, ac)
+            if val > 0:
+                cur = vec_sub(cur, vec_scale(val, a))
+                moved = True
+    return cur
+
+
+def oracle_norm_form(h):
+    def b(chi, psi):
+        return sum((pair(chi, ac) * pair(psi, ac) for ac in h.coroots), F(0))
+
+    return b
+
+
+def oracle_weyl_orbit(h, mu):
+    return frozenset(reflection_orbit(tuple(F(c) for c in mu), oracle_simple_data(h)))
+
+
+def oracle_dominance_ge(h, nu, mu):
+    diff = vec_sub(nu, mu)
+    simples = h.simple_roots
+    if not simples:
+        return all(x == 0 for x in diff)
+    rows = [[F(s[i]) for s in simples] for i in range(len(diff))]
+    sol = solve_linear(rows, list(diff))
+    if sol is None:
+        return False
+    recon = tuple(
+        sum((c * F(s[i]) for c, s in zip(sol, simples)), F(0)) for i in range(len(diff))
+    )
+    if recon != tuple(F(x) for x in diff):
+        return False
+    return all(c >= 0 for c in sol)
+
+
+def oracle_weyl_dimension(h, lam):
+    rho = tuple(
+        sum((F(a[i], 2) for a in h.positive_roots), F(0)) for i in range(len(lam))
+    )
+    dim = F(1)
+    for a in h.positive_roots:
+        ac = h.coroot_of(a)
+        dim *= pair(vec_add(lam, rho), ac) / pair(rho, ac)
+    assert dim.denominator == 1 and dim > 0
+    return int(dim)
+
+
+def oracle_weyl_character(h, lam):
+    lam = tuple(F(c) for c in lam)
+    if not is_dominant_integral(h, lam):
+        raise WeylModuleError(f"weight {lam} is not dominant integral")
+    if not h.roots:
+        return {lam: 1}, 1
+    b = oracle_norm_form(h)
+    rho = tuple(
+        sum((F(a[i], 2) for a in h.positive_roots), F(0)) for i in range(len(lam))
+    )
+    lam_norm = b(vec_add(lam, rho), vec_add(lam, rho))
+    simples = h.simple_roots
+    anti = oracle_antidominant(h, lam)
+    rows = [[F(s[i]) for s in simples] for i in range(len(lam))]
+    level_coords = solve_linear(rows, list(vec_sub(lam, anti)))
+    depth = sum(level_coords)
+    assert depth.denominator == 1
+    max_level = int(depth)
+
+    by_level = {0: {lam}}
+    for level in range(1, max_level + 1):
+        by_level[level] = {vec_sub(mu, a) for mu in by_level[level - 1] for a in simples}
+
+    mult = {lam: 1}
+    for level in range(1, max_level + 1):
+        for mu in sorted(by_level[level]):
+            if not is_dominant_integral(h, mu):
+                continue
+            mu_rho = vec_add(mu, rho)
+            denom = lam_norm - b(mu_rho, mu_rho)
+            if denom <= 0:
+                continue
+            acc = F(0)
+            for a in h.positive_roots:
+                k = 1
+                while True:
+                    nu = vec_add(mu, vec_scale(k, a))
+                    nu_rho = vec_add(nu, rho)
+                    if b(nu_rho, nu_rho) > lam_norm:
+                        break
+                    m_nu = mult.get(oracle_dominant_rep(h, nu), 0)
+                    if m_nu:
+                        acc += m_nu * b(nu, a)
+                    k += 1
+            val = 2 * acc / denom
+            assert val.denominator == 1
+            if val:
+                mult[mu] = int(val)
+
+    weights = {}
+    for mu, m in mult.items():
+        for nu in oracle_weyl_orbit(h, mu):
+            weights[nu] = weights.get(nu, 0) + m
+    dim = sum(weights.values())
+    assert dim == oracle_weyl_dimension(h, lam)
+    return weights, dim
+
+
+def oracle_decompose(td, x, r):
+    """The decomposition by character subtraction on the oracles; also
+    returns the oracle dominance on every ordered pair of the initial support
+    and the characters subtracted."""
+    r = F(r)
+    h = quotient_datum(td, x)
+    report = mp_quotient(td, x, r)
+    weights = {}
+    for key in report.root_part:
+        weights[key] = weights.get(key, 0) + 1
+    if report.torus_dim:
+        zero = tuple(F(0) for _ in range(td.base.rank))
+        weights[zero] = weights.get(zero, 0) + report.torus_dim
+    ge = {(nu, mu): oracle_dominance_ge(h, nu, mu) for nu in weights for mu in weights}
+    maximal = phi_xr_max(td, x, r, h)
+    ambient = phi_xr_max(td, x, r, h, positives=ambient_positive_keys(td))
+    items = []
+    chars = {}
+    total = 0
+    while weights:
+        support = sorted(weights)
+        tops = [
+            mu
+            for mu in support
+            if not any(nu != mu and ge[nu, mu] for nu in support)
+        ]
+        mu = max(tops)
+        count = weights[mu]
+        char, dim = chars[mu] = oracle_weyl_character(h, mu)
+        for nu, m in char.items():
+            new = weights.get(nu, 0) - count * m
+            assert new >= 0
+            if new:
+                weights[nu] = new
+            else:
+                weights.pop(nu, None)
+        items.append((mu, count))
+        total += count * dim
+    dec = Decomposition(
+        items=tuple(items),
+        total_dim=total,
+        quotient=report,
+        maximal_set=maximal,
+        nondominant_maximal=frozenset(a for a in maximal if not is_dominant_integral(h, a)),
+        ambient_reading_differs=maximal != ambient,
+    )
+    return dec, ge, chars
+
+
+def oracle_datum(name):
+    if name in CATALOG:
+        return catalog_datum(name), CATALOG[name]["rho_m"]
+    d = build_datum(ORACLE_EXTRA[name][0])
+    perm, lam, m = ORACLE_EXTRA[name][1:]
+    return twisted(d, perm and build_automorphism(d, perm), lam), m
+
+
+# name -> (Dynkin type, node permutation, lambda valuations, Coxeter number)
+ORACLE_EXTRA = {
+    "A4": ("A4", None, None, 5),
+    "B3": ("B3", None, None, 6),
+    "B4": ("B4", None, None, 8),
+    "2A4": ("A4", (3, 2, 1, 0), None, 10),
+    "2A2w": ("A2", (1, 0), {0: F(-1, 2)}, 6),
+    "2A4w": ("A4", (3, 2, 1, 0), {0: F(-1, 2), 1: F(-1, 2)}, 10),
+}
+
+
+@pytest.mark.parametrize("name", catalog_ids() + tuple(ORACLE_EXTRA))
+def test_integer_kernel_matches_fraction_oracle(name):
+    td, m = oracle_datum(name)
+    rng = random.Random(name)
+    count = len(simple_restricted_keys(td))
+    points = [origin(td), rho_point(td, m)] + [
+        point_from_simple_coroots(
+            td, [F(rng.randint(-12, 12), rng.randint(1, 6)) for _ in range(count)]
+        )
+        for _ in range(5)
+    ]
+    subtracted = 0
+    for x in points:
+        h = quotient_datum(td, x)
+        for r in (first_jump(td, x), F(1, 2)):
+            expected, ge, chars = oracle_decompose(td, x, r)
+            assert decompose(td, x, r) == expected
+            for (nu, mu), answer in ge.items():
+                assert dominance_ge(h, nu, mu) == answer
+            for mu, char in chars.items():
+                assert weyl_character(h, mu) == char
+                assert weyl_dimension(h, mu) == char[1]
+                subtracted += 1
+    assert subtracted
