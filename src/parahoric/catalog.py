@@ -1,26 +1,22 @@
 """Built-in catalog of data and named apartment points.
 
 Named points: ``origin`` (the base valuation point), ``barycenter`` (the
-average of the vertices of the closed base alcove), and ``rho_over_m`` (the
-displacement rho_check/m, with a per-entry default m equal to the relevant
-twisted Coxeter number)."""
+average of the vertices of the closed base alcove, which
+``echelonnage.alcove_vertices`` solves from its facets), and ``rho_over_m``
+(the displacement rho_check/m, with a per-entry default m equal to the
+relevant twisted Coxeter number)."""
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
-from functools import lru_cache
 
 from .echelonnage import (
     ApartmentPoint,
     EchelonnageError,
     TwistedDatum,
-    _walls,
+    alcove_vertices,
     apartment_point,
-    fixed_space_basis,
-    in_base_alcove,
     twisted,
 )
-from .exactmath import pair, solve_linear
 from .rootdata import build_automorphism, build_datum
 
 CATALOG = {
@@ -79,44 +75,6 @@ def catalog_spec(entry_id: str, point: str = "origin", r: str = "0") -> dict:
     }
 
 
-@lru_cache(maxsize=None)
-def alcove_vertices(td: TwistedDatum) -> tuple[ApartmentPoint, ...]:
-    """Vertices of the closed base alcove, by solving every maximal system of
-    wall equalities inside the twist-fixed subspace and keeping the solutions
-    that satisfy all wall constraints."""
-    walls = _walls(td)
-    basis = fixed_space_basis(td)
-    dim = len(basis)
-    if dim == 0:
-        raise EchelonnageError("fixed subspace is trivial")
-    equations = []
-    for w in walls:
-        row = [pair(w.key, b) for b in basis]
-        equations.append((row, w.lo))
-        equations.append((row, w.hi))
-    vertices = set()
-    for subset in itertools.combinations(range(len(equations)), dim):
-        rows = [equations[i][0] for i in subset]
-        rhs = [equations[i][1] for i in subset]
-        from .exactmath import matrix_rank
-
-        if matrix_rank(rows) < dim:
-            continue
-        sol = solve_linear(rows, rhs)
-        if sol is None:
-            continue
-        coords = tuple(
-            sum((sol[j] * Fraction(basis[j][i]) for j in range(dim)), Fraction(0))
-            for i in range(td.base.rank)
-        )
-        pt = ApartmentPoint(coords)
-        if in_base_alcove(td, pt):
-            vertices.add(coords)
-    if not vertices:
-        raise EchelonnageError("alcove vertex enumeration found nothing")
-    return tuple(ApartmentPoint(v) for v in sorted(vertices))
-
-
 def named_point(td: TwistedDatum, name: str, m: int | None = None) -> ApartmentPoint:
     if name == "origin":
         return apartment_point(td, tuple(Fraction(0) for _ in range(td.base.rank)))
@@ -127,11 +85,6 @@ def named_point(td: TwistedDatum, name: str, m: int | None = None) -> ApartmentP
             td, tuple(Fraction(c) / m for c in td.base.rho_check)
         )
     if name == "barycenter":
-        vertices = alcove_vertices(td)
-        n = len(vertices)
-        coords = tuple(
-            sum((Fraction(v.coords[i]) for v in vertices), Fraction(0)) / n
-            for i in range(td.base.rank)
-        )
-        return apartment_point(td, coords)
+        vertices = [v.coords for v in alcove_vertices(td)]
+        return apartment_point(td, [sum(c) / len(vertices) for c in zip(*vertices)])
     raise EchelonnageError(f"unknown named point {name!r}")

@@ -38,6 +38,7 @@ from .mpquotient import (
     quotient_datum,
 )
 from .rootdata import (
+    WEYL_CAP_DEFAULT,
     RootDatumError,
     WeylCapExceeded,
     build_automorphism,
@@ -374,8 +375,8 @@ def section_decompose(
     }
 
 
-def section_stability(td: TwistedDatum, x: ApartmentPoint, cap: int | None = None) -> dict:
-    verdict = stable_verdict(td, x, cap or 1_000_000)
+def section_stability(td: TwistedDatum, x: ApartmentPoint, cap: int) -> dict:
+    verdict = stable_verdict(td, x, cap)
     return {
         "m": verdict.m,
         "conjugacy_ok": verdict.conjugacy_ok,
@@ -426,7 +427,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=None, help="write the report here instead of stdout")
     p.add_argument("--m", type=int, default=None, help="override m for rho_over_m points")
     p.add_argument("--M", type=int, default=None, help="override the grading modulus")
-    p.add_argument("--cap", type=int, default=None, help="Weyl enumeration cap")
+    p.add_argument("--cap", type=int, default=WEYL_CAP_DEFAULT, help="Weyl enumeration cap")
     p.add_argument("--seed", type=int, default=0, help="seed for sampled span checks")
 
 
@@ -457,14 +458,16 @@ def make_parser() -> argparse.ArgumentParser:
 
 def _run_subcommand(args) -> int:
     started = time.time()
+    if args.cap <= 0:
+        raise InputError("field 'cap': must be a positive integer")
     raw = load_spec(args.spec)
+    if args.M is not None:
+        raw = {**raw, "M": args.M}
     spec = normalize_spec(raw)
     if args.m is not None:
         if spec["point"].get("name") != "rho_over_m":
             raise InputError("field 'point': --m only applies to rho_over_m points")
         spec["point"]["m"] = args.m
-    if args.M is not None:
-        spec["M"] = args.M
     td, x = realize(spec)
     modulus = default_modulus(td, x, spec)
     sections: dict = {}

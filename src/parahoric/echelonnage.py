@@ -1,7 +1,8 @@
 """Restricted root systems of twisted root data, their valuation sets,
-apartment points, the depth table of a point, alcove reduction, and the
-companion shift that absorbs nonzero lambda-valuations into a point
-displacement.
+apartment points, the depth table of a point, the base alcove (its facets,
+i.e. the simple affine roots, its vertices and the reduction of a point into
+it), and the companion shift that absorbs nonzero lambda-valuations into a
+point displacement.
 
 A twisted datum is a root datum together with a diagram automorphism and a
 lambda-valuation (a nonpositive rational in (1/e)Z) for each positive
@@ -12,16 +13,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import combinations
 from math import floor, gcd, lcm
 
 from .exactmath import (
     ValuationSet,
     Vec,
     invert_matrix,
-    kernel_basis,
     mat_vec,
     pair,
     reflection_orbit,
+    rref,
     vec_add,
     vec_scale,
     vec_sub,
@@ -318,17 +320,6 @@ def point_from_simple_coroots(td: TwistedDatum, coefficients) -> ApartmentPoint:
     return apartment_point(td, acc)
 
 
-def fixed_space_basis(td: TwistedDatum) -> tuple[Vec, ...]:
-    """Rational basis of the twist-fixed subspace of the cocharacter space."""
-    n = td.base.rank
-    p = td.twist.matrix
-    rows = [
-        [Fraction(p[i][j] - (1 if i == j else 0)) for j in range(n)]
-        for i in range(n)
-    ]
-    return tuple(kernel_basis(rows))
-
-
 def evaluate(key: Vec, point: ApartmentPoint) -> Fraction:
     return pair(key, point.coords)
 
@@ -411,56 +402,98 @@ def point_order(td: TwistedDatum, x: ApartmentPoint) -> int:
 
 
 # ---------------------------------------------------------------------------
-# alcove reduction
+# the base alcove
 
 
 @dataclass(frozen=True)
-class _Wall:
+class _Facet:
+    """One facet of the base alcove, held one-sided: key(x) >= level inside.
+    The key is a restricted root, negated for an upper wall, and the coroot
+    is its coroot."""
+
     key: Vec
     coroot: Vec
-    lo: Fraction
-    hi: Fraction
+    level: Fraction
+
+
+def _one_hyperplane_between(positives, here, there) -> bool:
+    """Whether exactly one root hyperplane lies strictly between two points
+    that lie on none, given the values of the positive roots at each point.
+    A hyperplane is (key, level) over the non-divisible key, so that
+    a(x) = l and 2a(x) = 2l count as one."""
+    seen = set()
+    for rr, u, v in zip(positives, here, there):
+        lo, hi = sorted((u, v))
+        level = rr.jump_set.min_above(lo)
+        while level < hi:
+            scale = 2 if rr.cls == "divisible" else 1
+            seen.add((tuple(c / scale for c in rr.key), level / scale))
+            if len(seen) > 1:
+                return False
+            level = rr.jump_set.min_above(level)
+    return len(seen) == 1
 
 
 @lru_cache(maxsize=None)
-def _walls(td: TwistedDatum) -> tuple[_Wall, ...]:
-    """For each positive restricted root, the pair of hyperplane levels that
-    bound the alcove of the reference point."""
+def _walls(td: TwistedDatum) -> tuple[_Facet, ...]:
+    """The facets of the base alcove, i.e. its simple affine roots: rank + c
+    of them for a restricted root system with c irreducible components.
+
+    The base alcove holds the reference point p, a positive multiple of the
+    sum of the positive coroots small enough that every positive root lies
+    strictly between 0 and its least positive level at p.  Each positive
+    root a offers two candidates, its levels just below and just above a(p).
+    A candidate H is a facet iff H is the only hyperplane strictly between
+    p and the reflection of p across H: the reflection in any other wall has
+    length above one in the affine Weyl group.
+    """
     positives = [rr for rr in restrict(td) if rr.positive]
     if not positives:
         raise EchelonnageError("restricted root system is empty")
-    direction = tuple(Fraction(0) for _ in range(td.base.rank))
+    direction = (0,) * td.base.rank
     for rr in positives:
         direction = vec_add(direction, rr.coroot)
-    delta = None
-    heights = {}
-    for rr in positives:
-        h = pair(rr.key, direction)
-        if h <= 0:
-            raise EchelonnageError("reference direction is not regular")
-        heights[rr.key] = h
-        bound = rr.jump_set.min_above(0) / h
-        if delta is None or bound < delta:
-            delta = bound
-    ref_scale = delta / 2
-    walls = []
-    for rr in positives:
-        ref_val = ref_scale * heights[rr.key]
-        walls.append(
-            _Wall(
-                key=rr.key,
-                coroot=rr.coroot,
-                lo=rr.jump_set.max_below(ref_val),
-                hi=rr.jump_set.min_above(ref_val),
-            )
-        )
-    return tuple(walls)
+    heights = [pair(rr.key, direction) for rr in positives]
+    if min(heights) <= 0:
+        raise EchelonnageError("reference direction is not regular")
+    scale = min(rr.jump_set.min_above(0) / h for rr, h in zip(positives, heights)) / 2
+    values = [scale * h for h in heights]
+    facets = []
+    for rr, value in zip(positives, values):
+        for sign, level in ((1, rr.jump_set.max_below(value)), (-1, rr.jump_set.min_above(value))):
+            # b(image) = b(p) - (a(p) - level) <b, acheck>; the twist keeps
+            # the pairing and fixes acheck, so any root of b's fiber gives it
+            t = value - level
+            image = [v - t * pair(b.fiber[0], rr.coroot) for b, v in zip(positives, values)]
+            if _one_hyperplane_between(positives, values, image):
+                facets.append(
+                    _Facet(vec_scale(sign, rr.key), vec_scale(sign, rr.coroot), sign * level)
+                )
+    return tuple(facets)
 
 
 def in_base_alcove(td: TwistedDatum, x: ApartmentPoint) -> bool:
-    return all(
-        w.lo <= pair(w.key, x.coords) <= w.hi for w in _walls(td)
-    )
+    return all(pair(f.key, x.coords) >= f.level for f in _walls(td))
+
+
+@lru_cache(maxsize=None)
+def alcove_vertices(td: TwistedDatum) -> tuple[ApartmentPoint, ...]:
+    """Vertices of the closed base alcove, in sorted order.
+
+    In the coordinates of the restricted simple coroots, which span the
+    twist-fixed subspace, each vertex solves rank of the facet equations
+    key(x) = level.  A set of rank facets is independent iff it leaves out
+    exactly one facet of each irreducible component, and then its solution
+    is a vertex.
+    """
+    by_key = restricted_by_key(td)
+    basis = [by_key[k].coroot for k in simple_restricted_keys(td)]
+    vertices = set()
+    for subset in combinations(_walls(td), len(basis)):
+        red, pivots = rref([[pair(f.key, b) for b in basis] + [f.level] for f in subset])
+        if pivots == list(range(len(basis))):
+            vertices.add(point_from_simple_coroots(td, [row[-1] for row in red]).coords)
+    return tuple(ApartmentPoint(v) for v in sorted(vertices))
 
 
 @lru_cache(maxsize=None)
@@ -482,21 +515,18 @@ def _translations(td: TwistedDatum) -> tuple[tuple[Vec, Vec], ...]:
 
 def alcove_reduce(td: TwistedDatum, x: ApartmentPoint) -> ApartmentPoint:
     """The unique representative of the affine-Weyl orbit of x in the closed
-    base alcove: translate by the lattice part with an exact floor, then fold
-    across violated walls."""
+    base alcove: translate by the lattice part with an exact floor, then
+    reflect across violated facets."""
     v = x.coords
     for w, t in _translations(td):
         v = vec_sub(v, vec_scale(floor(pair(w, v)), t))
-    walls = _walls(td)
+    facets = _walls(td)
     for _ in range(ALCOVE_ITERATION_CAP):
         moved = False
-        for w in walls:
-            t = pair(w.key, v)
-            if t < w.lo:
-                v = vec_sub(v, vec_scale(t - w.lo, w.coroot))
-                moved = True
-            elif t > w.hi:
-                v = vec_sub(v, vec_scale(t - w.hi, w.coroot))
+        for f in facets:
+            t = pair(f.key, v) - f.level
+            if t < 0:
+                v = vec_sub(v, vec_scale(t, f.coroot))
                 moved = True
         if not moved:
             return ApartmentPoint(v)

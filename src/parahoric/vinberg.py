@@ -72,6 +72,17 @@ def _twist_orbits(alg: ChevalleyAlgebra, pinned: PinnedAutomorphism):
     return orbits
 
 
+def _degrees(k: int, target: int, m: int) -> list[int]:
+    """The degrees d in [0, M) with k*d = target mod M, in increasing order:
+    g = gcd(k, M) of them, M/g apart, if g divides the target, else none."""
+    g = gcd(k, m)
+    if target % g:
+        return []
+    step = m // g
+    first = target // g * pow(k // g, -1, step) % step
+    return [first + j * step for j in range(g)]
+
+
 def grading(
     alg: ChevalleyAlgebra,
     pinned: PinnedAutomorphism,
@@ -105,7 +116,7 @@ def grading(
                     "orbit with sign -1 requires an even modulus"
                 )
             shift = m // 2
-        hits = [d for d in range(m) if (k * d - c - shift) % m == 0]
+        hits = _degrees(k, c + shift, m)
         if len(hits) != k:
             raise GradingError(
                 "orbit does not distribute over the expected degrees; "

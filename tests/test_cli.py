@@ -1,4 +1,6 @@
 import json
+import random
+import re
 from pathlib import Path
 
 import pytest
@@ -243,3 +245,91 @@ def test_grade_modulus_cap_fails_before_allocating(tmp_path, capsys):
     assert "M = 1000000000" in err and f"cap {MODULUS_CAP}" in err
     assert "lcm of the point order 1000000000 and the twist order 1" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "flags,field",
+    [(["--M", "0"], "M"), (["--M", "-3"], "M"), (["--cap", "0"], "cap"), (["--cap", "-1"], "cap")],
+)
+@pytest.mark.parametrize("command", ["grade", "stability"])
+def test_flag_overrides_name_their_field(capsys, command, flags, field):
+    code, out, err = run_cli([command, "--spec", "catalog:A2"] + flags, capsys)
+    assert code == 1
+    assert out == ""
+    assert f"input error: field {field!r}" in err
+
+
+def test_stability_at_f4_barycenter(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"dynkin": "F4", "point": {"name": "barycenter"}}))
+    code, out, _ = run_cli(["stability", "--spec", str(spec)], capsys)
+    assert code == 0
+    assert json.loads(out)["stability"]["verdict"] in (True, False)
+
+
+FUZZ_BASES = (
+    {"dynkin": "A1", "point": {"name": "rho_over_m", "m": 2}},
+    {"dynkin": "A2", "point": {"coords": ["1/3", "1/3"]}, "r": "1/3"},
+    {"dynkin": "A2", "automorphism": [1, 0], "lambda_valuations": {"0": "-1/2"}},
+)
+FUZZ_JUNK = (
+    None, True, False, 0, -1, 2, 10**30, 1.5, "", "A2", "x/y", "1/0", "0/5", "-7/2",
+    "1e400", "-1e400", "3/99999999999999999999", [], [0], [1, 0], [0, 1, 2], {}, {"0": "1"},
+)
+FUZZ_FLAG_VALUES = ("0", "-1", "-3", "1", "2", "6", "12", str(10**40), "abc", "1.5")
+
+
+def _fuzz_spec(rng: random.Random, field: str | None) -> dict:
+    spec = json.loads(json.dumps(rng.choice(FUZZ_BASES)))
+    junk = rng.choice(FUZZ_JUNK)
+    if field == "point":
+        spec["point"] = rng.choice([
+            junk,
+            {"name": junk},
+            {"name": "rho_over_m", "m": junk},
+            {"coords": junk},
+            {"coords": [junk] * rng.randint(0, 3)},
+        ])
+    elif field == "lambda_valuations":
+        key = rng.choice(["0", "1", "-1", "a", "", "1.5", "99"])
+        spec["lambda_valuations"] = rng.choice([junk, {key: junk}, {key: "-1/2"}])
+    elif field == "automorphism":
+        spec["automorphism"] = rng.choice([junk, [junk] * rng.randint(0, 3)])
+    elif field == "unknown":
+        spec[rng.choice(["bogus", "", "Dynkin"])] = junk
+    elif field is not None:
+        spec[field] = junk
+    return spec
+
+
+def test_spec_fuzzer_keeps_the_exit_contract(tmp_path, capsys):
+    """Seeded mutations of every spec field and of --m/--M/--cap: every run
+    exits 0, 1 or 2 without a traceback, every exit 1 names a field, and a
+    nonpositive --M or --cap is an input error."""
+    rng = random.Random(2024)
+    fields = ("dynkin", "isogeny", "automorphism", "lambda_valuations", "point", "r", "M", "unknown", None)
+    path = tmp_path / "spec.json"
+    codes = set()
+    for i in range(270):
+        field = fields[i % len(fields)]
+        path.write_text(json.dumps(_fuzz_spec(rng, field)))
+        argv = [rng.choice(["scan", "quotient", "grade", "decompose"]), "--spec", str(path)]
+        flags = {f: rng.choice(FUZZ_FLAG_VALUES) for f in ("--m", "--M", "--cap")
+                 if rng.random() < (0.6 if field is None else 0.25)}
+        for flag, value in flags.items():
+            argv += [flag, value]
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects a non-integer flag value
+            code = exc.code
+        err = capsys.readouterr().err
+        context = (argv, path.read_text(), err)
+        assert code in (0, 1, 2), context
+        assert "Traceback" not in err
+        if code == 1:
+            assert re.search(r"input error: field '[^']*'", err), context
+        ints = {f: int(v) for f, v in flags.items() if v.lstrip("-").isdigit()}
+        if len(ints) == len(flags) and min(ints.get("--M", 1), ints.get("--cap", 1)) <= 0:
+            assert code == 1, context
+        codes.add(code)
+    assert codes == {0, 1, 2}

@@ -1,14 +1,19 @@
+import itertools
 import random
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from math import floor
 
 import pytest
 
-from parahoric.catalog import catalog_datum
+from parahoric.catalog import catalog_datum, catalog_ids, named_point
 from parahoric.echelonnage import (
     EchelonnageError,
-    _walls,
+    _translations,
     affine_reflect,
     alcove_reduce,
+    alcove_vertices,
     apartment_point,
     companion_shift,
     evaluate,
@@ -21,7 +26,18 @@ from parahoric.echelonnage import (
     simple_restricted_keys,
     twisted,
 )
-from parahoric.exactmath import ValuationSet, pair, vec_add, vec_scale, vec_sub
+from parahoric.echelonnage import _walls as facets
+from parahoric.exactmath import (
+    ExactMathError,
+    ValuationSet,
+    invert_matrix,
+    kernel_basis,
+    mat_vec,
+    pair,
+    vec_add,
+    vec_scale,
+    vec_sub,
+)
 from parahoric.rootdata import build_automorphism, build_datum
 
 F = Fraction
@@ -230,6 +246,91 @@ def test_point_from_simple_coroots():
     assert evaluate(mult.key, x) == F(1, 4)
 
 
+# ---------------------------------------------------------------------------
+# oracles: the base alcove from all 2|positive roots| walls, two-sided
+
+
+@dataclass(frozen=True)
+class _Wall:
+    key: tuple
+    coroot: tuple
+    lo: Fraction
+    hi: Fraction
+
+
+@lru_cache(maxsize=None)
+def _walls(td):
+    """For each positive restricted root, the pair of hyperplane levels that
+    bound the alcove of the reference point."""
+    positives = [rr for rr in restrict(td) if rr.positive]
+    direction = tuple(F(0) for _ in range(td.base.rank))
+    for rr in positives:
+        direction = vec_add(direction, rr.coroot)
+    delta = None
+    heights = {}
+    for rr in positives:
+        h = pair(rr.key, direction)
+        assert h > 0
+        heights[rr.key] = h
+        bound = rr.jump_set.min_above(0) / h
+        if delta is None or bound < delta:
+            delta = bound
+    ref_scale = delta / 2
+    return tuple(
+        _Wall(
+            key=rr.key,
+            coroot=rr.coroot,
+            lo=rr.jump_set.max_below(ref_scale * heights[rr.key]),
+            hi=rr.jump_set.min_above(ref_scale * heights[rr.key]),
+        )
+        for rr in positives
+    )
+
+
+def in_base_alcove_oracle(td, x):
+    return all(w.lo <= pair(w.key, x.coords) <= w.hi for w in _walls(td))
+
+
+def fixed_space_basis(td):
+    """Rational basis of the twist-fixed subspace of the cocharacter space."""
+    n = td.base.rank
+    p = td.twist.matrix
+    return tuple(kernel_basis([[F(p[i][j] - (i == j)) for j in range(n)] for i in range(n)]))
+
+
+def alcove_vertices_oracle(td):
+    """Solve every maximal system of wall equalities inside the twist-fixed
+    subspace and keep the solutions that satisfy all wall constraints.  A
+    system holding both levels of one wall is singular, so each nonsingular
+    system is a nonsingular set of walls with one level chosen for each."""
+    basis = fixed_space_basis(td)
+    dim = len(basis)
+    walls = _walls(td)
+    rows = [[pair(w.key, b) for b in basis] for w in walls]
+    vertices = set()
+    for subset in itertools.combinations(range(len(walls)), dim):
+        try:
+            inverse = invert_matrix([rows[i] for i in subset])
+        except ExactMathError:
+            continue
+        for levels in itertools.product(*((walls[i].lo, walls[i].hi) for i in subset)):
+            sol = mat_vec(inverse, levels)
+            if all(w.lo <= pair(row, sol) <= w.hi for w, row in zip(walls, rows)):
+                vertices.add(tuple(
+                    sum((sol[j] * F(basis[j][i]) for j in range(dim)), F(0))
+                    for i in range(td.base.rank)
+                ))
+    return tuple(sorted(vertices))
+
+
+def alcove_reduce_oracle(td, x):
+    """Translate by the exact lattice floor, then fold across all walls."""
+    v = x.coords
+    for w, t in _translations(td):
+        v = vec_sub(v, vec_scale(floor(pair(w, v)), t))
+    return fold_only(td, apartment_point(td, v))
+
+
 def fold_only(td, x):
     """Alcove reduction by folding across violated walls alone."""
     v = x.coords
@@ -263,3 +364,59 @@ def test_alcove_reduce_huge_translation(cid):
             n = rng.choice((-1, 1)) * 10**400 + rng.randint(-9, 9)
             shift = vec_add(shift, vec_scale(n * rr.jump_set.step, rr.coroot))
         assert alcove_reduce(td, apartment_point(td, vec_add(x.coords, shift))) == reduced
+
+
+def _alcove_data():
+    """(datum, number of irreducible components of its restricted roots)."""
+    for cid in catalog_ids():
+        yield cid, (catalog_datum(cid), 1)
+    for d, c in (("A4", 1), ("B3", 1), ("C2", 1), ("D3", 1), ("A2+A2", 2), ("A1+A1+A1", 3), ("B2+G2", 2)):
+        yield d, (twisted(build_datum(d)), c)
+    for d in ("A2", "A3", "B3", "C3", "G2"):
+        yield f"sc{d}", (twisted(build_datum(d, "simply_connected")), 1)
+    for lam in (F(-1, 2), F(-1), F(-3, 2)):
+        yield f"2A2 lambda={lam}", (td_2a2({0: lam}), 1)
+    a4 = build_datum("A4")
+    flip = build_automorphism(a4, (3, 2, 1, 0))
+    yield "2A4", (twisted(a4, flip), 1)
+    yield "2A4 lambda=-1/2", (twisted(a4, flip, {0: F(-1, 2), 1: F(-1, 2)}), 1)
+
+
+ALCOVE_DATA = dict(_alcove_data())
+
+
+@pytest.mark.parametrize("name", list(ALCOVE_DATA))
+def test_base_alcove_matches_all_walls_oracle(name):
+    td, components = ALCOVE_DATA[name]
+    rank = len(simple_restricted_keys(td))
+    assert len(facets(td)) == rank + components
+    assert tuple(v.coords for v in alcove_vertices(td)) == alcove_vertices_oracle(td)
+    rng = random.Random(name)
+    for _ in range(40):
+        x = point_from_simple_coroots(td, [F(rng.randint(-40, 40), rng.randint(1, 6)) for _ in range(rank)])
+        reduced = alcove_reduce(td, x)
+        assert reduced == alcove_reduce_oracle(td, x)
+        assert in_base_alcove(td, reduced) and in_base_alcove_oracle(td, reduced)
+        assert in_base_alcove(td, x) == in_base_alcove_oracle(td, x)
+    # a 10**400-scale translation in the affine Weyl group, as in
+    # test_alcove_reduce_huge_translation
+    shift = (0,) * td.base.rank
+    for rr in restrict(td):
+        if rr.positive:
+            n = rng.choice((-1, 1)) * 10**400 + rng.randint(-9, 9)
+            shift = vec_add(shift, vec_scale(n * rr.jump_set.step, rr.coroot))
+    far = apartment_point(td, vec_add(x.coords, shift))
+    assert alcove_reduce(td, far) == alcove_reduce_oracle(td, far) == reduced
+
+
+@pytest.mark.parametrize("dynkin,auto", [
+    ("F4", None), ("B6", None), ("E6", None), ("E7", None), ("E8", None),
+    ("E6", (5, 1, 4, 3, 2, 0)),
+])
+def test_barycenter_reach(dynkin, auto):
+    datum = build_datum(dynkin)
+    td = twisted(datum, None if auto is None else build_automorphism(datum, auto))
+    assert len(alcove_vertices(td)) == len(simple_restricted_keys(td)) + 1
+    x = named_point(td, "barycenter")
+    assert in_base_alcove(td, x)
+    assert alcove_reduce(td, x) == x

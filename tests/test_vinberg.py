@@ -1,12 +1,14 @@
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
+from parahoric.catalog import CATALOG, NAMED_POINTS, catalog_datum, catalog_ids, named_point
 from parahoric.chevalley import pinned_automorphism, structure_constants
-from parahoric.echelonnage import apartment_point, origin, twisted
+from parahoric.echelonnage import apartment_point, origin, point_order, twisted
+from parahoric.exactmath import pair
 from parahoric.rootdata import build_automorphism, build_datum, identity_automorphism
-from parahoric.vinberg import GradingError, crosscheck, grading
+from parahoric.vinberg import GradingError, _degrees, _twist_orbits, crosscheck, grading
 
 F = Fraction
 
@@ -209,3 +211,33 @@ def test_grading_modulus_cap():
     td = twisted(d)
     with pytest.raises(ModulusCapExceeded, match="a multiple of the lcm 1"):
         crosscheck(td, origin(td), MODULUS_CAP + 1)
+
+
+def scan_degrees(k, target, m):
+    """Oracle: every degree d in [0, M) with k*d = target mod M, by scanning."""
+    return [d for d in range(m) if (k * d - target) % m == 0]
+
+
+def test_orbit_degrees_closed_form_small():
+    for m in range(1, 25):
+        for k in range(1, 7):
+            for target in range(-2 * m, 2 * m):
+                assert _degrees(k, target, m) == scan_degrees(k, target, m)
+
+
+@pytest.mark.parametrize("cid", catalog_ids())
+def test_orbit_degrees_match_scan(cid):
+    td = catalog_datum(cid)
+    alg = structure_constants(td.base)
+    pinned = pinned_automorphism(alg, td.twist)
+    orbits = _twist_orbits(alg, pinned)
+    for name in NAMED_POINTS:
+        x = named_point(td, name, CATALOG[cid]["rho_m"])
+        base = lcm(point_order(td, x), td.twist.order)
+        for m in (base, 2 * base):
+            lam = tuple(m * c for c in x.coords)
+            for orbit in orbits:
+                c = sum(int(pair(root, lam)) for root in orbit)
+                for target in (c, c + m // 2):
+                    assert _degrees(len(orbit), target, m) == scan_degrees(len(orbit), target, m)
+            grading(alg, pinned, lam, m)
