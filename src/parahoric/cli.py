@@ -43,6 +43,7 @@ from .rootdata import (
     WeylCapExceeded,
     build_automorphism,
     build_datum,
+    cartan_matrix,
     cartan_matrix_component,
 )
 from .stability import StabilityError, stable_verdict
@@ -183,7 +184,7 @@ def normalize_spec(raw: dict) -> dict:
         raise InputError("field 'M': must be a positive integer")
     if spec["automorphism"] is None:
         try:
-            spec["automorphism"] = list(range(build_datum(spec["dynkin"]).rank))
+            spec["automorphism"] = list(range(len(cartan_matrix(spec["dynkin"]))))
         except RootDatumError as exc:
             raise InputError(f"field 'dynkin': {exc}") from exc
     return spec

@@ -360,6 +360,18 @@ class DepthTable:
         roots, torus = self.at(r)
         return len(roots) + torus
 
+    def column(self, m: int) -> tuple[int, ...]:
+        """Dimensions of the quotients at the depths d/m, 0 <= d < m, for a
+        multiple m of the point order: d/m is on the grid iff m/N divides d,
+        and the torus part depends on the reduced denominator m/gcd(d, m)."""
+        step = m // self.order
+        spectrum = twist_spectrum(self.td.twist)
+        return tuple(
+            (0 if d % step else len(self.roots.get(d // step, ())))
+            + spectrum.get(m // gcd(d, m), 0)
+            for d in range(m)
+        )
+
     def jumps(self) -> tuple[Fraction, ...]:
         """All depths in [0, 1) with a nonzero quotient: the root residues and
         the angles j/d, gcd(j, d) = 1, of the twist eigenvalues of order d."""

@@ -21,7 +21,6 @@ from math import lcm
 from .exactmath import (
     IntMatrix,
     IntVec,
-    cyclotomic_multiplicities,
     identity_matrix,
     mat_vec,
     pair,
@@ -403,6 +402,9 @@ def identity_automorphism(datum: RootDatum) -> DiagramAutomorphism:
 def twist_spectrum(twist: DiagramAutomorphism) -> dict[int, int]:
     """Cyclotomic multiplicities {k: m_k} of the twist on the cocharacter
     lattice: every primitive k-th root of unity is an eigenvalue of
-    multiplicity m_k (the same permutation matrix acts on X and on the
-    cocharacters)."""
-    return cyclotomic_multiplicities(twist.matrix)
+    multiplicity m_k.  The twist is a permutation matrix, and a j-cycle has
+    characteristic polynomial x^j - 1, the product of Phi_k over k | j."""
+    cycles = cycle_lengths(twist.permutation)
+    return {
+        k: m for k in range(1, max(cycles) + 1) if (m := sum(j % k == 0 for j in cycles))
+    }

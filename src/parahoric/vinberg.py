@@ -4,10 +4,16 @@ independent crosscheck against the filtration-quotient dimensions.
 
 The grading is computed orbit by orbit: a twist orbit O of size k on the
 roots, with weight sum c_O against the defining cocharacter and sign eps_O
-(the sign of gamma-hat^k on any root vector of O), contributes one dimension
-to every degree d with k*d = c_O + (M/2)*[eps_O = -1] mod M.  The Cartan
-contributes the eigenvalue multiplicities of the twist on the cocharacter
-lattice.
+(the sign of the k-th power of the pinned lift on the root vectors of O),
+contributes one dimension to every degree d with
+k*d = c_O + (M/2)*[eps_O = -1] mod M.  The Cartan contributes the eigenvalue
+multiplicities of the twist on the cocharacter lattice.  No Lie algebra is
+built: with tau = sigma^k, the least power of sigma fixing the roots of O,
+eps_O = -1 exactly when a root alpha of O is beta + tau(beta) for a root
+beta that tau moves, i.e. when O restricts to a divisible restricted root
+(the A2-type orbits of an A_{2n} factor flipped by tau; Steinberg, Lectures
+on Chevalley Groups, 1967).  The orbits and their restriction classes are
+read from the twisted-datum scaffold of ``echelonnage``.
 """
 from __future__ import annotations
 
@@ -15,11 +21,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .chevalley import ChevalleyAlgebra, PinnedAutomorphism, orbit_sign, pinned_automorphism, structure_constants
-from .echelonnage import ApartmentPoint, TwistedDatum, depth_table, point_order
+from .echelonnage import ApartmentPoint, TwistedDatum, _scaffold, depth_table, point_order
 from .exactmath import pair
 from .mpquotient import quotient_datum
-from .rootdata import twist_spectrum
+from .rootdata import DiagramAutomorphism, RootDatum, twist_spectrum
 
 
 # The grading allocates one bin per degree and the crosscheck reads one
@@ -55,23 +60,6 @@ class GradedDecomposition:
         return sum(self.dims)
 
 
-def _twist_orbits(alg: ChevalleyAlgebra, pinned: PinnedAutomorphism):
-    datum = alg.datum
-    seen = set()
-    orbits = []
-    for r in datum.roots:
-        if r in seen:
-            continue
-        orbit = [r]
-        cur = pinned._image_root(r)
-        while cur != r:
-            orbit.append(cur)
-            cur = pinned._image_root(cur)
-        seen |= set(orbit)
-        orbits.append(tuple(orbit))
-    return orbits
-
-
 def _degrees(k: int, target: int, m: int) -> list[int]:
     """The degrees d in [0, M) with k*d = target mod M, in increasing order:
     g = gcd(k, M) of them, M/g apart, if g divides the target, else none."""
@@ -84,39 +72,35 @@ def _degrees(k: int, target: int, m: int) -> list[int]:
 
 
 def grading(
-    alg: ChevalleyAlgebra,
-    pinned: PinnedAutomorphism,
+    datum: RootDatum,
+    twist: DiagramAutomorphism,
     lam,
     modulus: int,
 ) -> GradedDecomposition:
-    """Graded dimensions for the order-M operator built from the pinned
-    automorphism and the cocharacter lam (which must pair integrally with
+    """Graded dimensions for the order-M operator built from the pinned lift
+    of the twist and the cocharacter lam (which must pair integrally with
     every root)."""
     lam = tuple(Fraction(c) for c in lam)
-    datum = alg.datum
     m = int(modulus)
     if m <= 0:
         raise GradingError("modulus must be positive")
     _check_modulus(m)
-    for root in datum.roots:
-        w = pair(root, lam)
-        if Fraction(w).denominator != 1:
-            raise GradingError("cocharacter does not pair integrally with the roots")
+    weight = {root: pair(root, lam) for root in datum.roots}
+    if any(Fraction(w).denominator != 1 for w in weight.values()):
+        raise GradingError("cocharacter does not pair integrally with the roots")
     dims = [0] * m
     zero_roots = set()
     negative_orbits = []
-    for orbit in _twist_orbits(alg, pinned):
+    scaff = _scaffold(datum, twist)
+    for key, orbit, cls in zip(scaff.keys, scaff.fibers, scaff.classes):
         k = len(orbit)
-        c = sum(int(pair(root, lam)) for root in orbit)
-        eps = orbit_sign(alg, pinned, orbit[0])
-        shift = 0
-        if eps == -1:
+        c = sum(int(weight[root]) for root in orbit)
+        if cls == "divisible":
             if m % 2 != 0:
-                raise GradingError(
-                    "orbit with sign -1 requires an even modulus"
-                )
-            shift = m // 2
-        hits = _degrees(k, c + shift, m)
+                raise GradingError("orbit with sign -1 requires an even modulus")
+            c += m // 2
+            negative_orbits.append(orbit[0])
+        hits = _degrees(k, c, m)
         if len(hits) != k:
             raise GradingError(
                 "orbit does not distribute over the expected degrees; "
@@ -125,16 +109,10 @@ def grading(
         for d in hits:
             dims[d] += 1
         if 0 in hits:
-            key = tuple(
-                Fraction(sum(v[i] for v in orbit), k) for i in range(datum.rank)
-            )
             zero_roots.add(key)
-        if eps == -1:
-            negative_orbits.append(orbit[0])
-    eigen = twist_spectrum(pinned.twist)
+    eigen = twist_spectrum(twist)
     for d in range(m):
-        k_d = m // gcd(d, m)
-        dims[d] += eigen.get(k_d, 0)
+        dims[d] += eigen.get(m // gcd(d, m), 0)
     total = len(datum.roots) + datum.rank
     if sum(dims) != total:
         raise GradingError("graded dimensions do not sum to the algebra dimension")
@@ -184,17 +162,10 @@ def crosscheck(td: TwistedDatum, x: ApartmentPoint, modulus: int) -> CrosscheckR
         f"; M is {'the lcm' if m == base else f'a multiple of the lcm {base}'} "
         f"of the point order {order} and the twist order {e}",
     )
-    alg = structure_constants(td.base)
-    pinned = pinned_automorphism(alg, td.twist)
     lam = tuple(m * c for c in x.coords)
-    gd = grading(alg, pinned, lam, m)
-    table = depth_table(td, x)
-    quotient = [table.dim(Fraction(d, m)) for d in range(m)]
-    first_mismatch = None
-    for d in range(m):
-        if gd.dims[(m - d) % m] != quotient[d]:
-            first_mismatch = d
-            break
+    gd = grading(td.base, td.twist, lam, m)
+    quotient = depth_table(td, x).column(m)
+    first_mismatch = next((d for d in range(m) if gd.dims[-d % m] != quotient[d]), None)
     h = quotient_datum(td, x)
     roots_match = frozenset(h.roots) == gd.zero_degree_roots
     ok = first_mismatch is None and roots_match
@@ -202,7 +173,7 @@ def crosscheck(td: TwistedDatum, x: ApartmentPoint, modulus: int) -> CrosscheckR
         ok=ok,
         modulus=m,
         dims=gd.dims,
-        quotient_dims=tuple(quotient),
+        quotient_dims=quotient,
         first_mismatch=first_mismatch,
         roots_match=roots_match,
         negative_sign_orbits=gd.negative_sign_orbits,

@@ -333,3 +333,26 @@ def test_spec_fuzzer_keeps_the_exit_contract(tmp_path, capsys):
             assert code == 1, context
         codes.add(code)
     assert codes == {0, 1, 2}
+
+
+def test_scan_builds_the_datum_once(tmp_path, capsys, monkeypatch):
+    # normalize_spec reads the rank off the Cartan matrix; only realize builds
+    import sys
+
+    from parahoric import rootdata
+
+    original = rootdata.build_datum
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("parahoric") and getattr(mod, "build_datum", None) is original:
+            monkeypatch.setattr(mod, "build_datum", counting)
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"dynkin": "B3"}))
+    code, _, _ = run_cli(["scan", "--spec", str(spec)], capsys)
+    assert code == 0
+    assert calls == [("B3", "adjoint")]

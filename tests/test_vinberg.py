@@ -1,14 +1,34 @@
+import json
+import random
 from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
 
+from parahoric import chevalley, weylmod
 from parahoric.catalog import CATALOG, NAMED_POINTS, catalog_datum, catalog_ids, named_point
-from parahoric.chevalley import pinned_automorphism, structure_constants
-from parahoric.echelonnage import apartment_point, origin, point_order, twisted
-from parahoric.exactmath import pair
-from parahoric.rootdata import build_automorphism, build_datum, identity_automorphism
-from parahoric.vinberg import GradingError, _degrees, _twist_orbits, crosscheck, grading
+from parahoric.chevalley import orbit_sign, pinned_automorphism, structure_constants
+from parahoric.cli import main
+from parahoric.echelonnage import (
+    _scaffold,
+    apartment_point,
+    depth_table,
+    origin,
+    point_from_simple_coroots,
+    point_order,
+    simple_restricted_keys,
+    twisted,
+)
+from parahoric.exactmath import cyclotomic_multiplicities, mat_vec, pair
+from parahoric.rootdata import (
+    build_automorphism,
+    build_datum,
+    identity_automorphism,
+    twist_spectrum,
+)
+from parahoric.vinberg import GradingError, _degrees, crosscheck, grading
+
+from lift_oracle import lift_grading
 
 F = Fraction
 
@@ -24,19 +44,15 @@ def rho_point(td, m):
 
 def test_grading_a1_rho_mod_2():
     d = build_datum("A1")
-    alg = structure_constants(d)
-    pinned = pinned_automorphism(alg, identity_automorphism(d))
     lam = d.rho_check
-    gd = grading(alg, pinned, lam, 2)
+    gd = grading(d, identity_automorphism(d), lam, 2)
     assert gd.dims == (1, 2)
     assert gd.zero_degree_roots == frozenset()
 
 
 def test_grading_2a2_pinned_swap():
     d = build_datum("A2")
-    alg = structure_constants(d)
-    pinned = pinned_automorphism(alg, build_automorphism(d, (1, 0)))
-    gd = grading(alg, pinned, (0, 0), 2)
+    gd = grading(d, build_automorphism(d, (1, 0)), (0, 0), 2)
     assert gd.dims == (3, 5)
     assert len(gd.negative_sign_orbits) == 2
     fixed = gd.zero_degree_roots
@@ -45,37 +61,30 @@ def test_grading_2a2_pinned_swap():
 
 def test_grading_trivial_modulus():
     d = build_datum("B2")
-    alg = structure_constants(d)
-    pinned = pinned_automorphism(alg, identity_automorphism(d))
-    gd = grading(alg, pinned, (0, 0), 1)
+    gd = grading(d, identity_automorphism(d), (0, 0), 1)
     assert gd.dims == (len(d.roots) + d.rank,)
 
 
 def test_grading_rejects_odd_modulus_with_sign():
     d = build_datum("A2")
-    alg = structure_constants(d)
-    pinned = pinned_automorphism(alg, build_automorphism(d, (1, 0)))
     with pytest.raises(GradingError):
-        grading(alg, pinned, (0, 0), 3)
+        grading(d, build_automorphism(d, (1, 0)), (0, 0), 3)
 
 
 def test_grading_conservation_and_galois_symmetry():
     d = build_datum("A2")
-    alg = structure_constants(d)
-    pinned = pinned_automorphism(alg, identity_automorphism(d))
+    auto = identity_automorphism(d)
     lam = tuple(2 * c for c in d.rho_check)
     for m in (2, 3, 4, 6):
-        gd = grading(alg, pinned, tuple(m * c / 2 for c in lam), m) if m % 2 == 0 else None
-    gd = grading(alg, pinned, tuple(6 * c for c in rho_point(twisted(d), 3).coords), 6)
+        gd = grading(d, auto, tuple(m * c / 2 for c in lam), m) if m % 2 == 0 else None
+    gd = grading(d, auto, tuple(6 * c for c in rho_point(twisted(d), 3).coords), 6)
     assert gd.total == 8
 
 
 def test_fixed_roots_split_a2_rho3():
     td = twisted(build_datum("A2"))
-    alg = structure_constants(td.base)
-    pinned = pinned_automorphism(alg, td.twist)
     x = rho_point(td, 3)
-    gd = grading(alg, pinned, tuple(3 * c for c in x.coords), 3)
+    gd = grading(td.base, td.twist, tuple(3 * c for c in x.coords), 3)
     assert gd.zero_degree_roots == frozenset()
     assert gd.dims == (2, 3, 3)
 
@@ -119,17 +128,15 @@ def test_crosscheck_rejects_wild_and_bad_modulus():
 
 
 def test_sign_convention_independence():
+    # the lift-based grading under permuted root orders equals the closed form
     d = build_datum("A2")
     auto = build_automorphism(d, (1, 0))
-    baseline = None
+    baseline = grading(d, auto, (0, 0), 2)
     for seed in (None, 1, 2):
         alg = structure_constants(d, seed)
         pinned = pinned_automorphism(alg, auto)
-        gd = grading(alg, pinned, (0, 0), 2)
-        if baseline is None:
-            baseline = gd
-        else:
-            assert gd == baseline
+        gd = lift_grading(alg, pinned, (0, 0), 2)
+        assert gd == baseline
 
 
 def test_cartan_contribution_galois_symmetry():
@@ -161,8 +168,9 @@ def test_degree_zero_is_subalgebra():
     ]
     for desc, perm, lam in cases:
         d = build_datum(desc)
+        auto = build_automorphism(d, perm)
         alg = structure_constants(d)
-        pinned = pinned_automorphism(alg, build_automorphism(d, perm))
+        pinned = pinned_automorphism(alg, auto)
 
         def theta(elt):
             moved = pinned.apply(elt)
@@ -187,7 +195,7 @@ def test_degree_zero_is_subalgebra():
             [cols[j][i] - (1 if i == j else 0) for j in range(n)] for i in range(n)
         ]
         fixed = kernel_basis(rows)
-        gd = grading(alg, pinned, tuple(F(c) for c in lam), 2)
+        gd = grading(d, auto, tuple(F(c) for c in lam), 2)
         assert len(fixed) == gd.dims[0]
         span = RowEchelon()
         for v in fixed:
@@ -204,10 +212,8 @@ def test_grading_modulus_cap():
     from parahoric.vinberg import MODULUS_CAP, ModulusCapExceeded
 
     d = build_datum("A2")
-    alg = structure_constants(d)
-    pinned = pinned_automorphism(alg, identity_automorphism(d))
     with pytest.raises(ModulusCapExceeded, match=f"M = {MODULUS_CAP + 1} is above the cap"):
-        grading(alg, pinned, (0, 0), MODULUS_CAP + 1)
+        grading(d, identity_automorphism(d), (0, 0), MODULUS_CAP + 1)
     td = twisted(d)
     with pytest.raises(ModulusCapExceeded, match="a multiple of the lcm 1"):
         crosscheck(td, origin(td), MODULUS_CAP + 1)
@@ -228,9 +234,7 @@ def test_orbit_degrees_closed_form_small():
 @pytest.mark.parametrize("cid", catalog_ids())
 def test_orbit_degrees_match_scan(cid):
     td = catalog_datum(cid)
-    alg = structure_constants(td.base)
-    pinned = pinned_automorphism(alg, td.twist)
-    orbits = _twist_orbits(alg, pinned)
+    orbits = _scaffold(td.base, td.twist).fibers
     for name in NAMED_POINTS:
         x = named_point(td, name, CATALOG[cid]["rho_m"])
         base = lcm(point_order(td, x), td.twist.order)
@@ -240,4 +244,148 @@ def test_orbit_degrees_match_scan(cid):
                 c = sum(int(pair(root, lam)) for root in orbit)
                 for target in (c, c + m // 2):
                     assert _degrees(len(orbit), target, m) == scan_degrees(len(orbit), target, m)
-            grading(alg, pinned, lam, m)
+            grading(td.base, td.twist, lam, m)
+
+
+# ---------------------------------------------------------------------------
+# oracles for the closed-form orbit signs, the integer-residue quotient column
+# and the cycle-length twist spectrum
+
+def reversal(n):
+    return tuple(range(n - 1, -1, -1))
+
+
+# twists that permute the components: in the first two, sigma^k flips each A2
+# factor on the roots of a size-k orbit; in the last, sigma^2 is the identity
+# (descriptor, node permutation, expected count of sign -1 orbits)
+COMPOSITE_TWISTS = (
+    ("A2+A2", (2, 3, 1, 0), 2),
+    ("A2+A2+A2", (2, 3, 4, 5, 1, 0), 2),
+    ("A2+A2", (3, 2, 1, 0), 0),
+)
+
+# (descriptor, node permutation or None, expected count of sign -1 orbits)
+SIGN_TWISTS = tuple(
+    (CATALOG[cid]["dynkin"], CATALOG[cid]["automorphism"], 2 if cid == "2A2" else 0)
+    for cid in catalog_ids()
+) + (
+    ("A4", reversal(4), 4),
+    ("A6", reversal(6), 6),
+    ("A8", reversal(8), 8),
+    ("D5", (0, 1, 2, 4, 3), 0),
+    ("E6", (5, 1, 4, 3, 2, 0), 0),
+) + COMPOSITE_TWISTS
+
+
+def orbit_of(auto, root):
+    orbit = [root]
+    while (nxt := mat_vec(auto.matrix, orbit[-1])) != root:
+        orbit.append(nxt)
+    return orbit
+
+
+def seeded_points(td, count, seed=0, max_den=4):
+    rng = random.Random(seed)
+    n = len(simple_restricted_keys(td))
+    points = []
+    for _ in range(count):
+        den = rng.randint(1, max_den)
+        coeffs = [F(rng.randint(-2 * max_den, 2 * max_den), den) for _ in range(n)]
+        points.append(point_from_simple_coroots(td, coeffs))
+    return points
+
+
+@pytest.mark.parametrize("desc, perm, count", SIGN_TWISTS)
+def test_closed_form_sign_matches_orbit_sign(desc, perm, count):
+    d = build_datum(desc)
+    auto = identity_automorphism(d) if perm is None else build_automorphism(d, perm)
+    negative = grading(d, auto, (0,) * d.rank, 2 * auto.order).negative_sign_orbits
+    assert len(negative) == count
+    negative_roots = {r for root in negative for r in orbit_of(auto, root)}
+    for seed in (None, 7, 11):
+        alg = structure_constants(d, seed)
+        pinned = pinned_automorphism(alg, auto)
+        for root in d.roots:
+            expected = -1 if root in negative_roots else 1
+            assert orbit_sign(alg, pinned, root) == expected, (desc, seed, root)
+
+
+def assert_grading_matches_lift(td, points):
+    alg = structure_constants(td.base)
+    pinned = pinned_automorphism(alg, td.twist)
+    for x in points + seeded_points(td, 5):
+        base = lcm(point_order(td, x), td.twist.order)
+        for m in (base, 2 * base):
+            lam = tuple(m * c for c in x.coords)
+            assert grading(td.base, td.twist, lam, m) == lift_grading(alg, pinned, lam, m)
+
+
+@pytest.mark.parametrize("cid", catalog_ids())
+def test_closed_form_grading_matches_lift(cid):
+    td = catalog_datum(cid)
+    assert_grading_matches_lift(
+        td, [named_point(td, name, CATALOG[cid]["rho_m"]) for name in NAMED_POINTS]
+    )
+
+
+@pytest.mark.parametrize("desc, perm, count", COMPOSITE_TWISTS)
+def test_closed_form_grading_matches_lift_composite(desc, perm, count):
+    d = build_datum(desc)
+    td = twisted(d, build_automorphism(d, perm))
+    assert_grading_matches_lift(td, [named_point(td, name, 4) for name in NAMED_POINTS])
+    for x in (origin(td), named_point(td, "barycenter")):
+        res = crosscheck(td, x, 2 * lcm(point_order(td, x), td.twist.order))
+        assert res.ok
+        assert len(res.negative_sign_orbits) == count
+
+
+@pytest.mark.parametrize("cid", catalog_ids())
+def test_crosscheck_quotient_column_matches_depth_table(cid):
+    td = catalog_datum(cid)
+    points = [origin(td), named_point(td, "rho_over_m", CATALOG[cid]["rho_m"])]
+    for x in points + seeded_points(td, 5, seed=1):
+        table = depth_table(td, x)
+        base = lcm(point_order(td, x), td.twist.order)
+        for m in (base, 2 * base):
+            res = crosscheck(td, x, m)
+            assert res.quotient_dims == tuple(table.dim(F(d, m)) for d in range(m))
+
+
+def test_twist_spectrum_matches_charpoly():
+    cases = [
+        (CATALOG[cid]["dynkin"], CATALOG[cid]["automorphism"], "adjoint") for cid in catalog_ids()
+    ]
+    cases += [(f"A{n}", reversal(n), "adjoint") for n in range(4, 9)]
+    cases += [("D5", (0, 1, 2, 4, 3), "adjoint"), ("E6", (5, 1, 4, 3, 2, 0), "adjoint")]
+    cases += [
+        ("A3", (2, 1, 0), "simply_connected"),
+        ("D4", (2, 1, 3, 0), "simply_connected"),
+        ("D4", (0, 1, 3, 2), "simply_connected"),
+    ]
+    for desc, perm, isogeny in cases:
+        d = build_datum(desc, isogeny)
+        auto = identity_automorphism(d) if perm is None else build_automorphism(d, perm)
+        assert twist_spectrum(auto) == cyclotomic_multiplicities(auto.matrix), (desc, perm)
+
+
+@pytest.mark.parametrize(
+    "spec, negative",
+    [
+        ({"dynkin": "E8", "point": {"name": "rho_over_m", "m": 30}}, 0),
+        ({"dynkin": "A4", "automorphism": [3, 2, 1, 0]}, 4),
+    ],
+)
+def test_grade_builds_no_lie_algebra(spec, negative, tmp_path, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("grade built the Lie algebra")
+
+    for mod in (chevalley, weylmod):
+        monkeypatch.setattr(mod, "structure_constants", refuse)
+    monkeypatch.setattr(chevalley, "pinned_automorphism", refuse)
+    monkeypatch.setattr(chevalley.ChevalleyAlgebra, "__init__", refuse)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert main(["grade", "--spec", str(path)]) == 0
+    grading_section = json.loads(capsys.readouterr().out)["grading"]
+    assert grading_section["crosscheck"]
+    assert grading_section["negative_sign_orbit_count"] == negative
