@@ -16,7 +16,6 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from . import selftest as selftest_mod
 from .catalog import CATALOG, catalog_ids, catalog_spec, named_point
 from .echelonnage import (
     ApartmentPoint,
@@ -501,7 +500,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "selftest":
-            ok = selftest_mod.run(seed=args.seed)
+            from . import selftest
+
+            ok = selftest.run(seed=args.seed)
             return 0 if ok else 2
         if args.command == "catalog":
             if args.id is None:

@@ -59,6 +59,7 @@ class RestrictedRoot:
     cls: str  # plain | multipliable | divisible
     jump_set: ValuationSet
     positive: bool
+    index: int  # position in ``restrict(td)``, i.e. in key order
 
 
 @dataclass(frozen=True)
@@ -236,14 +237,14 @@ def restrict(td: TwistedDatum) -> tuple[RestrictedRoot, ...]:
     """
     scaff = _scaffold(td.base, td.twist)
     out = []
-    for key, coroot, fiber, e, cls, positive in zip(
+    for index, (key, coroot, fiber, e, cls, positive) in enumerate(zip(
         scaff.keys,
         scaff.coroots,
         scaff.fibers,
         scaff.orbit_sizes,
         scaff.classes,
         scaff.positives,
-    ):
+    )):
         if cls == "plain":
             jumps = ValuationSet.lattice(Fraction(1, e))
         elif cls == "multipliable":
@@ -265,6 +266,7 @@ def restrict(td: TwistedDatum) -> tuple[RestrictedRoot, ...]:
                 cls=cls,
                 jump_set=jumps,
                 positive=positive,
+                index=index,
             )
         )
     return tuple(out)

@@ -5,19 +5,25 @@ The quotient at depth r is modeled by its torus dimension (an eigenvalue
 multiplicity of the twist on the cocharacter lattice) plus one line for each
 restricted root a with r - a(x - x0) in the valuation set of a.  Every query
 here reads the depth table of the point (``echelonnage.depth_table``).
+
+The reductive quotient depends on the point only through its depth-0 root
+set, so ``quotient_datum`` returns one shared datum per (datum, root set):
+its checks, its integer coordinate data and the characters ``weylmod``
+memoizes on it are computed once for every point with that root set.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import lcm
-from operator import mul
 
 from .echelonnage import (
+    DEPTH_TABLE_CACHE,
     ApartmentPoint,
     TwistedDatum,
     depth_table,
+    restrict,
     torus_jump_dim,  # noqa: F401  (part of this module's API)
 )
 from .exactmath import IntMatrix, Vec, invert_matrix, pair, vec_scale, vec_sub
@@ -81,18 +87,33 @@ class ReductiveQuotientDatum:
         simple_num = tuple(tuple((c * den_a).numerator for c in a) for a in self.simple_roots)
         return den_inv, inv_num, den_a, simple_num
 
-    def simple_coordinates(self, v: Vec) -> tuple[Vec, Vec]:
-        """(residual, c) with v = residual + sum c_i alpha_i and the residual
-        pairing to zero with every simple coroot: c = C^-1 (<v, acheck_j>)_j."""
+    @property
+    def coordinate_denominator(self) -> int:
+        """The denominator of C^-1: ``scaled_coordinates`` of num gives c
+        times this denominator times q for the weight num / q."""
+        return self._coordinate_data[0]
+
+    def scaled_coordinates(self, num) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """``simple_coordinates`` of the weight num / q, for an integer
+        vector num and any q, in integers: the residual times
+        den_inv den_a q and c times den_inv q."""
         den_inv, inv_num, den_a, simple_num = self._coordinate_data
-        q = lcm(*(x.denominator for x in v))
-        num = [x.numerator * (q // x.denominator) for x in v]  # v = num / q
         p = [pair(num, ac) for ac in self.simple_coroots]
-        c = [pair(row, p) for row in inv_num]  # c = c / (den_inv q)
+        c = tuple(pair(row, p) for row in inv_num)
         residual = [x * den_inv * den_a for x in num]
         for ci, a in zip(c, simple_num):
             if ci:
                 residual = [x - ci * y for x, y in zip(residual, a)]
+        return tuple(residual), c
+
+    def simple_coordinates(self, v: Vec) -> tuple[Vec, Vec]:
+        """(residual, c) with v = residual + sum c_i alpha_i and the residual
+        pairing to zero with every simple coroot: c = C^-1 (<v, acheck_j>)_j."""
+        den_inv, _, den_a, _ = self._coordinate_data
+        q = lcm(*(x.denominator for x in v))
+        residual, c = self.scaled_coordinates(
+            [x.numerator * (q // x.denominator) for x in v]
+        )
         den = den_inv * q
         return (
             tuple(Fraction(x, den * den_a) for x in residual),
@@ -128,6 +149,12 @@ class ReductiveQuotientDatum:
             out.append(d)
         return tuple(out)
 
+    @cached_property
+    def characters(self) -> dict:
+        """Characters of this quotient by top Dynkin labels, filled by
+        ``weylmod``; every point sharing the datum shares them."""
+        return {}
+
 
 @dataclass(frozen=True)
 class MPQuotientReport:
@@ -139,8 +166,18 @@ class MPQuotientReport:
 
 def quotient_datum(td: TwistedDatum, x: ApartmentPoint) -> ReductiveQuotientDatum:
     """Roots of the reductive quotient: the depth-0 roots, those a with
-    a(x - x0) in the jump set.  Its rank is the depth-0 torus dimension."""
+    a(x - x0) in the jump set.  Its rank is the depth-0 torus dimension.
+    Points with the same depth-0 roots get the same datum object."""
     picked, rank = depth_table(td, x).at(0)
+    return _shared_quotient(td, tuple(rr.index for rr in picked), rank)
+
+
+@lru_cache(maxsize=DEPTH_TABLE_CACHE)
+def _shared_quotient(td: TwistedDatum, indices: tuple[int, ...], rank: int) -> ReductiveQuotientDatum:
+    """The quotient datum on the restricted roots at the given indices, built
+    and checked once per root set (a failed check is raised, not cached)."""
+    roots = restrict(td)
+    picked = [roots[i] for i in indices]
     # The checks run on the keys times the twist order, which are integer
     # vectors: a key is an average over a twist orbit.
     e = td.twist.order

@@ -15,10 +15,13 @@ from functools import lru_cache
 from math import lcm
 
 from .echelonnage import (
+    DEPTH_TABLE_CACHE,
     ApartmentPoint,
     TwistedDatum,
     alcove_reduce,
     apartment_point,
+    point_order,
+    restrict,
 )
 from .exactmath import (
     IntMatrix,
@@ -35,6 +38,7 @@ from .exactmath import (
 )
 from .mpquotient import first_jump, mp_quotient
 from .rootdata import (
+    WEYL_CAP_DEFAULT,
     DiagramAutomorphism,
     RootDatum,
     cycle_lengths,
@@ -102,7 +106,7 @@ def regular_by_eigenvector(a: IntMatrix, datum: RootDatum, order: int) -> bool:
 
 @lru_cache(maxsize=None)
 def elliptic_zregular_orders(
-    datum: RootDatum, twist: DiagramAutomorphism, cap: int = 1_000_000
+    datum: RootDatum, twist: DiagramAutomorphism, cap: int = WEYL_CAP_DEFAULT
 ) -> dict:
     """Map from attained order m to a witness matrix w*twist that is elliptic
     (no invariant vectors) and Z-regular (free on the roots); the smallest
@@ -132,7 +136,7 @@ def elliptic_zregular_orders(
 
 
 def zregularity_criteria_agree(
-    datum: RootDatum, twist: DiagramAutomorphism, cap: int = 1_000_000
+    datum: RootDatum, twist: DiagramAutomorphism, cap: int = WEYL_CAP_DEFAULT
 ) -> bool:
     """Cross-validate the free-action and eigenvector readings of regularity
     on the whole coset; disagreement raises with a diagnostic."""
@@ -162,23 +166,32 @@ class StabilityVerdict:
     first_jump: Fraction
 
 
+@lru_cache(maxsize=DEPTH_TABLE_CACHE)
+def _reduced_reference(td: TwistedDatum, m: int) -> ApartmentPoint:
+    """The distinguished barycenter x0 + rho_check/m, reduced into the base
+    alcove."""
+    return alcove_reduce(
+        td, apartment_point(td, tuple(Fraction(c) / m for c in td.base.rho_check))
+    )
+
+
+@lru_cache(maxsize=None)
+def _restricted_rank(td: TwistedDatum) -> int:
+    return matrix_rank([list(map(Fraction, rr.key)) for rr in restrict(td)])
+
+
 def stable_verdict(
-    td: TwistedDatum, x: ApartmentPoint, cap: int = 1_000_000
+    td: TwistedDatum, x: ApartmentPoint, cap: int = WEYL_CAP_DEFAULT
 ) -> StabilityVerdict:
     """Stable-vector criterion at the first jump of x."""
-    from .echelonnage import point_order
-
     if not is_semisimple(td.base):
         raise StabilityError(
             "stability verdicts need a semisimple datum; central directions "
             "make ellipticity vacuous"
         )
     m = point_order(td, x)
-    reference = apartment_point(
-        td, tuple(Fraction(c) / m for c in td.base.rho_check)
-    )
     reduced_x = alcove_reduce(td, x)
-    reduced_ref = alcove_reduce(td, reference)
+    reduced_ref = _reduced_reference(td, m)
     conjugacy_ok = reduced_x == reduced_ref
     jump = first_jump(td, x)
     depth_ok = jump == Fraction(1, m)
@@ -189,13 +202,8 @@ def stable_verdict(
         report = mp_quotient(td, x, jump)
         if report.total_dim <= 0:
             raise StabilityError("verdict true but the first quotient is zero")
-        from .echelonnage import restrict
-
-        full_rank = matrix_rank(
-            [list(map(Fraction, rr.key)) for rr in restrict(td)]
-        )
         part_rank = matrix_rank([list(map(Fraction, k)) for k in report.root_part])
-        if part_rank != full_rank:
+        if part_rank != _restricted_rank(td):
             raise StabilityError(
                 "verdict true but the first quotient weights do not span"
             )

@@ -85,16 +85,22 @@ def grading(
     if m <= 0:
         raise GradingError("modulus must be positive")
     _check_modulus(m)
-    weight = {root: pair(root, lam) for root in datum.roots}
-    if any(Fraction(w).denominator != 1 for w in weight.values()):
-        raise GradingError("cocharacter does not pair integrally with the roots")
+    # lam = lam_num / den: one integer pairing per root
+    den = lcm(*(c.denominator for c in lam))
+    lam_num = tuple(c.numerator * (den // c.denominator) for c in lam)
+    weight = {}
+    for root in datum.roots:
+        w, rem = divmod(pair(root, lam_num), den)
+        if rem:
+            raise GradingError("cocharacter does not pair integrally with the roots")
+        weight[root] = w
     dims = [0] * m
     zero_roots = set()
     negative_orbits = []
     scaff = _scaffold(datum, twist)
     for key, orbit, cls in zip(scaff.keys, scaff.fibers, scaff.classes):
         k = len(orbit)
-        c = sum(int(weight[root]) for root in orbit)
+        c = sum(weight[root] for root in orbit)
         if cls == "divisible":
             if m % 2 != 0:
                 raise GradingError("orbit with sign -1 requires an even modulus")

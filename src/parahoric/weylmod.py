@@ -2,8 +2,12 @@
 via Freudenthal's recursion, decomposition of a filtration quotient by
 repeated character subtraction, and a sampled span oracle for the split case.
 
-Weights live in the same rational coordinate space as the restricted roots;
-multiplicities are exact integers throughout.
+The public functions take and return weights in the rational coordinate
+space of the restricted roots.  Inside, a character is an integer map from
+n to the multiplicity of lam - sum n_i alpha_i, memoized on the shared
+quotient datum by the Dynkin labels of lam, and ``decompose`` subtracts
+characters on integer weight keys (residual class, scaled simple-root
+coordinates).  Multiplicities are exact integers throughout.
 """
 from __future__ import annotations
 
@@ -83,16 +87,12 @@ def is_dominant_integral(h: ReductiveQuotientDatum, mu: Vec) -> bool:
     return True
 
 
-def _dominates(upper, lower) -> bool:
-    """Dominance on simple-root coordinates: equal residuals and
-    coordinatewise c(upper) >= c(lower)."""
-    return upper[0] == lower[0] and all(map(ge, upper[1], lower[1]))
-
-
 def dominance_ge(h: ReductiveQuotientDatum, nu: Vec, mu: Vec) -> bool:
     """nu >= mu when nu - mu is a nonnegative rational combination of the
-    simple roots of h; weights outside the root span are incomparable."""
-    return _dominates(h.simple_coordinates(nu), h.simple_coordinates(mu))
+    simple roots of h (equal residuals and c(nu) >= c(mu) coordinatewise);
+    weights outside the root span are incomparable."""
+    (upper, c_nu), (lower, c_mu) = h.simple_coordinates(nu), h.simple_coordinates(mu)
+    return upper == lower and all(map(ge, c_nu, c_mu))
 
 
 # ---------------------------------------------------------------------------
@@ -136,10 +136,11 @@ def _orbit(n: tuple, labels: tuple, drops) -> dict:
     return orbit
 
 
-def weyl_dimension(h: ReductiveQuotientDatum, lam: Vec) -> int:
+def _dimension(h: ReductiveQuotientDatum, labels) -> int:
     """prod over positive a of <lam + rho, acheck> / <rho, acheck>, which is
-    (lam + rho, a) / (rho, a) with <rho, acheck_j> = 1."""
-    shifted = [pair(lam, ac) + 1 for ac in h.simple_coroots]
+    (lam + rho, a) / (rho, a) with <rho, acheck_j> = 1, from the Dynkin
+    labels of lam."""
+    shifted = [t + 1 for t in labels]
     num = den = 1
     for k in h.positive_coordinates:
         dk = tuple(map(mul, k, h.half_norms))
@@ -151,17 +152,15 @@ def weyl_dimension(h: ReductiveQuotientDatum, lam: Vec) -> int:
     return int(dim)
 
 
-def weyl_character(h: ReductiveQuotientDatum, lam) -> tuple[dict, int]:
-    """Weight multiplicities and dimension of the highest-weight module of a
-    dominant integral weight, by Freudenthal's recursion on dominant weights
-    level by level (level = sum n) and Weyl-orbit expansion, in integer
-    simple-root coordinates."""
-    lam = tuple(Fraction(c) for c in lam)
-    if not is_dominant_integral(h, lam):
-        raise WeylModuleError(f"weight {lam} is not dominant integral")
-    if not h.roots:
-        return {lam: 1}, 1
-    top = tuple(int(pair(lam, ac)) for ac in h.simple_coroots)
+def weyl_dimension(h: ReductiveQuotientDatum, lam: Vec) -> int:
+    return _dimension(h, [pair(lam, ac) for ac in h.simple_coroots])
+
+
+def _freudenthal(h: ReductiveQuotientDatum, top: tuple[int, ...]) -> dict:
+    """n -> multiplicity of lam - sum n_i alpha_i in the module of highest
+    weight lam with Dynkin labels ``top``, by Freudenthal's recursion on
+    dominant weights level by level (level = sum n) and Weyl-orbit
+    expansion."""
     rank = len(top)
     drops = tuple(zip(*h.cartan))  # drops[i]: the Dynkin labels of alpha_i
     d = h.half_norms
@@ -216,7 +215,33 @@ def weyl_character(h: ReductiveQuotientDatum, lam) -> tuple[dict, int]:
                 raise WeylModuleError("Freudenthal recursion gave a non-integer")
             if val:
                 record(n, labels, val)
+    return mult
 
+
+def _character(h: ReductiveQuotientDatum, top: tuple[int, ...]) -> tuple[dict, int]:
+    """The integer character (n -> multiplicity) and the dimension of the
+    module with dominant Dynkin labels ``top``, memoized on h and checked
+    against the Weyl dimension formula when first computed."""
+    hit = h.characters.get(top)
+    if hit is None:
+        mult = _freudenthal(h, top)
+        dim = sum(mult.values())
+        expected = _dimension(h, top)
+        if dim != expected:
+            raise WeylModuleError(
+                f"character dimension {dim} disagrees with the Weyl formula {expected}"
+            )
+        hit = h.characters[top] = mult, dim
+    return hit
+
+
+def weyl_character(h: ReductiveQuotientDatum, lam) -> tuple[dict, int]:
+    """Weight multiplicities and dimension of the highest-weight module of a
+    dominant integral weight."""
+    lam = tuple(Fraction(c) for c in lam)
+    if not is_dominant_integral(h, lam):
+        raise WeylModuleError(f"weight {lam} is not dominant integral")
+    mult, dim = _character(h, tuple(int(pair(lam, ac)) for ac in h.simple_coroots))
     den = lcm(*(c.denominator for v in (lam, *h.simple_roots) for c in v))
     lam_num = tuple((c * den).numerator for c in lam)
     simple_num = [tuple((c * den).numerator for c in a) for a in h.simple_roots]
@@ -227,12 +252,6 @@ def weyl_character(h: ReductiveQuotientDatum, lam) -> tuple[dict, int]:
             if ni:
                 v = tuple(x - ni * y for x, y in zip(v, a))
         weights[tuple(Fraction(x, den) for x in v)] = m
-    dim = sum(weights.values())
-    expected = weyl_dimension(h, lam)
-    if dim != expected:
-        raise WeylModuleError(
-            f"character dimension {dim} disagrees with the Weyl formula {expected}"
-        )
     return weights, dim
 
 
@@ -266,44 +285,68 @@ def decompose(td: TwistedDatum, x: ApartmentPoint, r) -> Decomposition:
         zero = tuple(Fraction(0) for _ in range(td.base.rank))
         weights[zero] = weights.get(zero, 0) + report.torus_dim
 
+    # Integer weight keys: (residual class, D c) with c the simple-root
+    # coordinates over the common denominator D, so lam - sum n_i alpha_i
+    # has the key (class of lam, D c(lam) - D n) and the Dynkin labels of
+    # lam are C (D c) / D.  Scaling by q keeps the order of the weights.
+    q = lcm(*(t.denominator for w in weights for t in w))
+    scale = h.coordinate_denominator * q
+    classes: dict = {}
+    key_of = {}
+    for num, w in sorted(
+        ((tuple(t.numerator * (q // t.denominator) for t in w), w) for w in weights),
+        reverse=True,
+    ):
+        residual, c = h.scaled_coordinates(num)
+        key_of[w] = (classes.setdefault(residual, len(classes)), c)
+    order = list(key_of.items())  # descending in the weight vectors
+    left = {key: weights[w] for w, key in order}  # multiplicity still to account for
+
+    def dominant_labels(c) -> tuple | None:
+        """The Dynkin labels C c / D, or None unless nonnegative integers."""
+        top = []
+        for row in h.cartan:
+            t, rem = divmod(pair(row, c), scale)
+            if rem or t < 0:
+                return None
+            top.append(t)
+        return tuple(top)
+
     maximal = phi_xr_max(td, x, r, h)
     ambient = phi_xr_max(td, x, r, h, positives=ambient_positive_keys(td))
-    nondominant = frozenset(
-        a for a in maximal if not is_dominant_integral(h, a)
-    )
+    nondominant = frozenset(a for a in maximal if dominant_labels(key_of[a][1]) is None)
 
-    # subtraction only ever shrinks the support
-    coords = {w: h.simple_coordinates(w) for w in weights}
     items = []
     total = 0
-    while weights:
-        support = sorted(weights)
-        tops = [
-            mu
-            for mu in support
+    while left:
+        # subtraction only ever shrinks the support: the first weight no
+        # other one dominates is the largest maximal weight
+        order = [(mu, key) for mu, key in order if key in left]
+        for mu, key in order:
+            cls, c = key
             if not any(
-                nu != mu and _dominates(coords[nu], coords[mu]) for nu in support
-            )
-        ]
-        mu = max(tops)
-        if not is_dominant_integral(h, mu):
-            raise WeylModuleError(
-                f"maximal support weight {mu} is not dominant integral"
-            )
-        count = weights[mu]
+                other != key and other[0] == cls and all(map(ge, other[1], c))
+                for other in left
+            ):
+                break
+        top = dominant_labels(c)
+        if top is None:
+            raise WeylModuleError(f"maximal support weight {mu} is not dominant integral")
+        count = left[key]
         if count <= 0:
             raise WeylModuleError("nonpositive multiplicity at a maximal weight")
-        char, dim = weyl_character(h, mu)
-        for nu, m in char.items():
-            new = weights.get(nu, 0) - count * m
+        char, dim = _character(h, top)
+        for n, m in char.items():
+            nu = (cls, tuple(ci - scale * ni for ci, ni in zip(c, n)))
+            new = left.get(nu, 0) - count * m
             if new < 0:
                 raise WeylModuleError(
                     "character subtraction produced a negative multiplicity"
                 )
             if new:
-                weights[nu] = new
-            elif nu in weights:
-                del weights[nu]
+                left[nu] = new
+            elif nu in left:
+                del left[nu]
         items.append((mu, count))
         total += count * dim
     return Decomposition(

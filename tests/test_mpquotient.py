@@ -289,5 +289,16 @@ def test_quotient_closure_check_fires():
     # unequal valuations on one Weyl orbit, which twisted() rejects
     tame = td_2a4(None)
     td = TwistedDatum(tame.base, tame.twist, (F(-1, 2), F(-1)))
-    with pytest.raises(QuotientError, match="reflection closed"):
-        quotient_datum(td, origin(td))
+    for _ in range(2):  # a failed check is not cached
+        with pytest.raises(QuotientError, match="reflection closed"):
+            quotient_datum(td, origin(td))
+
+
+def test_points_with_equal_depth0_roots_share_the_quotient():
+    td = twisted(build_datum("A2"))
+    at_origin = quotient_datum(td, origin(td))
+    translated = point_from_simple_coroots(td, (1, -2))  # every root is integral
+    assert quotient_datum(td, translated) is at_origin
+    torus = quotient_datum(td, rho_point(td, 3))
+    assert torus is not at_origin and not torus.roots
+    assert quotient_datum(td, rho_point(td, 3)) is torus

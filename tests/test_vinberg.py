@@ -71,6 +71,12 @@ def test_grading_rejects_odd_modulus_with_sign():
         grading(d, build_automorphism(d, (1, 0)), (0, 0), 3)
 
 
+def test_grading_rejects_non_integral_cocharacter():
+    d = build_datum("A2")
+    with pytest.raises(GradingError, match="pair integrally"):
+        grading(d, identity_automorphism(d), (F(1, 2), 0), 2)
+
+
 def test_grading_conservation_and_galois_symmetry():
     d = build_datum("A2")
     auto = identity_automorphism(d)

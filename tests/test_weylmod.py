@@ -8,6 +8,7 @@ from parahoric.echelonnage import (
     apartment_point,
     origin,
     point_from_simple_coroots,
+    point_order,
     restrict,
     simple_restricted_keys,
     twisted,
@@ -20,8 +21,15 @@ from parahoric.exactmath import (
     vec_scale,
     vec_sub,
 )
-from parahoric.mpquotient import first_jump, mp_quotient, quotient_datum
+from parahoric.mpquotient import (
+    ReductiveQuotientDatum,
+    first_jump,
+    mp_quotient,
+    quotient_datum,
+)
 from parahoric.rootdata import build_automorphism, build_datum
+from parahoric.stability import stable_verdict
+from parahoric.vinberg import crosscheck
 from parahoric.weylmod import (
     Decomposition,
     WeylModuleError,
@@ -501,3 +509,43 @@ def test_integer_kernel_matches_fraction_oracle(name):
                 assert weyl_dimension(h, mu) == char[1]
                 subtracted += 1
     assert subtracted
+
+
+def test_memoized_character_equals_a_fresh_one():
+    td = twisted(build_datum("B3"))
+    for x in (origin(td), point_from_simple_coroots(td, (0, 0, F(1, 3)))):
+        h = quotient_datum(td, x)
+        dec = decompose(td, x, first_jump(td, x))
+        assert h.characters  # decompose filled the memo of the shared datum
+        fresh = ReductiveQuotientDatum(h.rank, h.roots, h.coroots, h.positives)
+        for mu, _ in dec.items:
+            cached = len(h.characters)
+            assert weyl_character(h, mu) == weyl_character(fresh, mu)
+            assert len(h.characters) == cached  # served from the memo
+        assert fresh.characters.keys() <= h.characters.keys()
+
+
+def test_sweep_builds_one_quotient_per_root_set(monkeypatch):
+    # decompose, crosscheck and the verdict at 60 points share one datum per
+    # depth-0 root set instead of building one per call
+    from parahoric import mpquotient
+
+    original = mpquotient.ReductiveQuotientDatum
+    builds = []
+
+    def counting(*args, **kwargs):
+        builds.append(kwargs["roots"])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(mpquotient, "ReductiveQuotientDatum", counting)
+    mpquotient._shared_quotient.cache_clear()
+    td = twisted(build_datum("B3"))
+    rng = random.Random("B3 sweep")
+    root_sets = set()
+    for _ in range(60):
+        x = point_from_simple_coroots(td, [F(rng.randint(-12, 12), 4) for _ in range(3)])
+        decompose(td, x, first_jump(td, x))
+        assert crosscheck(td, x, point_order(td, x))
+        stable_verdict(td, x)
+        root_sets.add(frozenset(quotient_datum(td, x).roots))
+    assert builds and len(builds) <= len(root_sets) < 60
