@@ -7,6 +7,16 @@ point displacement.
 A twisted datum is a root datum together with a diagram automorphism and a
 lambda-valuation (a nonpositive rational in (1/e)Z) for each positive
 multipliable restricted root; zero valuations model the tame situation.
+
+The per-point geometry runs on integers.  An apartment point keeps its
+``Fraction`` coordinates and caches them as numerators over their least
+common denominator D (``ApartmentPoint.scaled``).  A restricted root is the
+orbit average of its fiber, so its value at x is the integer orbit sum
+paired with the numerators, over e D; the depth table puts every value and
+valuation offset over one denominator and reads the point order and the
+residues off integer ``gcd`` and ``//``.  The base alcove is held as integer
+facet rows and translations over one denominator per datum, so alcove
+reduction is an integer floor division and integer folds.
 """
 from __future__ import annotations
 
@@ -14,7 +24,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations
-from math import floor, gcd, lcm
+from math import gcd, lcm
+from operator import mul
 
 from .exactmath import (
     ValuationSet,
@@ -294,32 +305,61 @@ class ApartmentPoint:
 
     coords: Vec
 
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return field_hash(self)
+
+    @cached_property
+    def scaled(self) -> tuple[int, tuple[int, ...]]:
+        """(D, numerators): the coordinates as integers over D, the least
+        common denominator of the coordinates."""
+        den = lcm(*(c.denominator for c in self.coords))
+        return den, tuple(c.numerator * (den // c.denominator) for c in self.coords)
+
+
+def _fixed_point(td: TwistedDatum, den: int, nums) -> ApartmentPoint:
+    """The point nums / den, after checking it on the integer numerators."""
+    nums = tuple(nums)
+    if len(nums) != td.base.rank:
+        raise EchelonnageError("apartment point has the wrong dimension")
+    if mat_vec(td.twist.matrix, nums) != nums:
+        raise EchelonnageError("apartment point is not fixed by the twist")
+    return ApartmentPoint(tuple(Fraction(c, den) for c in nums))
+
 
 def apartment_point(td: TwistedDatum, coords) -> ApartmentPoint:
-    v = tuple(Fraction(c) for c in coords)
-    if len(v) != td.base.rank:
-        raise EchelonnageError("apartment point has the wrong dimension")
-    if tuple(mat_vec(td.twist.matrix, v)) != v:
-        raise EchelonnageError("apartment point is not fixed by the twist")
-    return ApartmentPoint(v)
+    v = [Fraction(c) for c in coords]
+    den = lcm(*(c.denominator for c in v))
+    return _fixed_point(td, den, (c.numerator * (den // c.denominator) for c in v))
 
 
 def origin(td: TwistedDatum) -> ApartmentPoint:
     return ApartmentPoint(tuple(Fraction(0) for _ in range(td.base.rank)))
 
 
-def point_from_simple_coroots(td: TwistedDatum, coefficients) -> ApartmentPoint:
+@lru_cache(maxsize=None)
+def _simple_coroots(td: TwistedDatum) -> tuple[tuple[int, ...], ...]:
     by_key = restricted_by_key(td)
-    simples = simple_restricted_keys(td)
+    return tuple(by_key[key].coroot for key in simple_restricted_keys(td))
+
+
+def point_from_simple_coroots(td: TwistedDatum, coefficients) -> ApartmentPoint:
+    """The sum of the coefficients times the restricted simple coroots, added
+    as integer coroot multiples over the coefficients' common denominator."""
+    coroots = _simple_coroots(td)
     coeffs = [Fraction(c) for c in coefficients]
-    if len(coeffs) != len(simples):
+    if len(coeffs) != len(coroots):
         raise EchelonnageError(
-            f"expected {len(simples)} coordinates (one per restricted simple coroot)"
+            f"expected {len(coroots)} coordinates (one per restricted simple coroot)"
         )
-    acc = tuple(Fraction(0) for _ in range(td.base.rank))
-    for c, key in zip(coeffs, simples):
-        acc = vec_add(acc, vec_scale(c, by_key[key].coroot))
-    return apartment_point(td, acc)
+    den = lcm(*(c.denominator for c in coeffs))
+    acc = (0,) * td.base.rank
+    for c, coroot in zip(coeffs, coroots):
+        acc = vec_add(acc, vec_scale(c.numerator * (den // c.denominator), coroot))
+    return _fixed_point(td, den, acc)
 
 
 def evaluate(key: Vec, point: ApartmentPoint) -> Fraction:
@@ -377,10 +417,42 @@ class DepthTable:
     def jumps(self) -> tuple[Fraction, ...]:
         """All depths in [0, 1) with a nonzero quotient: the root residues and
         the angles j/d, gcd(j, d) = 1, of the twist eigenvalues of order d."""
+        return self._jumps
+
+    @cached_property
+    def _jumps(self) -> tuple[Fraction, ...]:
         depths = {Fraction(k, self.order) for k in self.roots}
         for d in twist_spectrum(self.td.twist):
             depths.update(Fraction(j, d) for j in range(d) if gcd(j, d) == 1)
         return tuple(sorted(depths))
+
+
+@lru_cache(maxsize=None)
+def _affine_rows(td: TwistedDatum):
+    """The affine-root data of ``depth_table`` over one denominator q, the lcm
+    of the orbit sizes and of every valuation offset and step denominator:
+    (q, q / lcm of the periods, rows).  A row is (restricted root, integer
+    orbit sum = key * e, q / e, offsets * q, period = 1 / step)."""
+    roots = restrict(td)
+    for rr in roots:
+        if rr.jump_set.step.numerator != 1:
+            raise EchelonnageError("valuation step does not divide 1")
+    q = lcm(
+        *(rr.orbit_size for rr in roots),
+        *(o.denominator for rr in roots for o in rr.jump_set.offsets),
+        *(rr.jump_set.step.denominator for rr in roots),
+    )
+    rows = tuple(
+        (
+            rr,
+            tuple(map(sum, zip(*rr.fiber))),
+            q // rr.orbit_size,
+            tuple((o * q).numerator for o in rr.jump_set.offsets),
+            rr.jump_set.step.denominator,
+        )
+        for rr in roots
+    )
+    return q, q // lcm(*(row[4] for row in rows)), rows
 
 
 @lru_cache(maxsize=DEPTH_TABLE_CACHE)
@@ -391,21 +463,26 @@ def depth_table(td: TwistedDatum, x: ApartmentPoint) -> DepthTable:
     (o an offset of the valuation set of a) and of every valuation step, so
     each progression a(x - x0) + o + step*Z is a residue class of N*step in
     (1/N)Z.  A root lands in 1/step residues per offset, whatever N is.
+
+    With x = nums / D, every value and step times T = q D is an integer u
+    (a(x - x0) = <orbit sum, nums> / (e D)), so N = T / gcd(T, the u) and the
+    residue of a progression is u / gcd mod N*step.
     """
-    roots = restrict(td)
-    values = [evaluate(rr.key, x) for rr in roots]
-    n = 1
-    for rr, val in zip(roots, values):
-        js = rr.jump_set
-        n = lcm(n, js.step.denominator, *((val + off).denominator for off in js.offsets))
+    q, unit, rows = _affine_rows(td)
+    den, nums = x.scaled
+    values = []
+    g = den * unit  # gcd(T, every step times T)
+    for _, orbit_sum, weight, offsets, _ in rows:
+        value = weight * sum(map(mul, orbit_sum, nums))
+        us = [value + o * den for o in offsets]
+        g = gcd(g, *us)
+        values.append(us)
+    n = q * den // g
     bins: dict[int, list[RestrictedRoot]] = {}
-    for rr, val in zip(roots, values):
-        step = rr.jump_set.step * n
-        if step.denominator != 1 or n % step.numerator:
-            raise EchelonnageError("valuation step does not divide 1")
-        for off in rr.jump_set.offsets:
-            start = ((val + off) * n).numerator % step.numerator
-            for k in range(start, n, step.numerator):
+    for (rr, _, _, _, period), us in zip(rows, values):
+        step = n // period
+        for u in us:
+            for k in range(u // g % step, n, step):
                 bins.setdefault(k, []).append(rr)
     return DepthTable(td, n, {k: tuple(v) for k, v in bins.items()})
 
@@ -487,7 +564,8 @@ def _walls(td: TwistedDatum) -> tuple[_Facet, ...]:
 
 
 def in_base_alcove(td: TwistedDatum, x: ApartmentPoint) -> bool:
-    return all(pair(f.key, x.coords) >= f.level for f in _walls(td))
+    den, nums = x.scaled
+    return all(_excess(f, nums, den) >= 0 for f in _integer_alcove(td).facets)
 
 
 @lru_cache(maxsize=None)
@@ -527,23 +605,74 @@ def _translations(td: TwistedDatum) -> tuple[tuple[Vec, Vec], ...]:
     return tuple(zip(duals, shifts))
 
 
+@dataclass(frozen=True)
+class _IntegerAlcove:
+    """``_walls`` and ``_translations`` as integers.  ``facets`` holds
+    (key * q, level * q, coroot) per facet, with q the least common
+    denominator of the facet keys, the levels and the translations.
+    ``translations`` holds (w * p, p, t * q) per pair (w, t), with p the
+    least common denominator of w."""
+
+    q: int
+    facets: tuple[tuple[tuple[int, ...], int, tuple[int, ...]], ...]
+    translations: tuple[tuple[tuple[int, ...], int, tuple[int, ...]], ...]
+
+
+@lru_cache(maxsize=None)
+def _integer_alcove(td: TwistedDatum) -> _IntegerAlcove:
+    walls = _walls(td)
+    translations = _translations(td)
+    q = lcm(
+        *(c.denominator for f in walls for c in (*f.key, f.level)),
+        *(c.denominator for _, t in translations for c in t),
+    )
+    facets = tuple((_times(f.key, q), (f.level * q).numerator, f.coroot) for f in walls)
+    shifts = []
+    for w, t in translations:
+        p = lcm(*(c.denominator for c in w))
+        shifts.append((_times(w, p), p, _times(t, q)))
+    return _IntegerAlcove(q, facets, tuple(shifts))
+
+
+def _times(v: Vec, d: int) -> tuple[int, ...]:
+    """v * d for a rational vector that d clears of denominators."""
+    return tuple((c * d).numerator for c in v)
+
+
+def _excess(facet, nums, den: int) -> int:
+    """q den (key(x) - level) at x = nums / den: negative iff x is on the
+    wrong side of the facet."""
+    key, level, _ = facet
+    return pair(key, nums) - level * den
+
+
 def alcove_reduce(td: TwistedDatum, x: ApartmentPoint) -> ApartmentPoint:
     """The unique representative of the affine-Weyl orbit of x in the closed
     base alcove: translate by the lattice part with an exact floor, then
-    reflect across violated facets."""
-    v = x.coords
-    for w, t in _translations(td):
-        v = vec_sub(v, vec_scale(floor(pair(w, v)), t))
-    facets = _walls(td)
+    reflect across violated facets.  The point is held as integers over a
+    multiple of q, which every translation and fold keeps on the twist-fixed
+    subspace (there key(x) is the value of a root of its fiber)."""
+    table = _integer_alcove(td)
+    q = table.q
+    d, nums = x.scaled
+    den = lcm(d, q)
+    v = vec_scale(den // d, nums)
+    for w, p, t in table.translations:
+        k = pair(w, v) // (p * den)
+        if k:
+            v = vec_sub(v, vec_scale(k * (den // q), t))
     for _ in range(ALCOVE_ITERATION_CAP):
         moved = False
-        for f in facets:
-            t = pair(f.key, v) - f.level
+        for facet in table.facets:
+            t = _excess(facet, v, den)
             if t < 0:
-                v = vec_sub(v, vec_scale(t, f.coroot))
+                k, rem = divmod(t, q)
+                if rem:  # off the twist-fixed subspace: refine the denominator
+                    v, den, k = vec_scale(q, v), q * den, t
+                v = vec_sub(v, vec_scale(k, facet[2]))
                 moved = True
         if not moved:
-            return ApartmentPoint(v)
+            return ApartmentPoint(tuple(Fraction(c, den) for c in v))
     raise EchelonnageError(
         f"field 'point': alcove reduction did not terminate within "
         f"{ALCOVE_ITERATION_CAP} passes"

@@ -27,6 +27,7 @@ from .echelonnage import (
     torus_jump_dim,  # noqa: F401  (part of this module's API)
 )
 from .exactmath import IntMatrix, Vec, invert_matrix, pair, vec_scale, vec_sub
+from .rootdata import field_hash
 
 
 class QuotientError(RuntimeError):
@@ -42,6 +43,13 @@ class ReductiveQuotientDatum:
     roots: tuple[Vec, ...]
     coroots: tuple[Vec, ...]
     positives: tuple[bool, ...]
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return field_hash(self)
 
     @cached_property
     def positive_roots(self) -> tuple[Vec, ...]:

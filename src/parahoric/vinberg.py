@@ -168,7 +168,8 @@ def crosscheck(td: TwistedDatum, x: ApartmentPoint, modulus: int) -> CrosscheckR
         f"; M is {'the lcm' if m == base else f'a multiple of the lcm {base}'} "
         f"of the point order {order} and the twist order {e}",
     )
-    lam = tuple(m * c for c in x.coords)
+    den, nums = x.scaled
+    lam = tuple(Fraction(m * c, den) for c in nums)
     gd = grading(td.base, td.twist, lam, m)
     quotient = depth_table(td, x).column(m)
     first_mismatch = next((d for d in range(m) if gd.dims[-d % m] != quotient[d]), None)

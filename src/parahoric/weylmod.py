@@ -14,11 +14,18 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 from operator import add, ge, mul, sub
 
 from .chevalley import exp_ad, structure_constants
-from .echelonnage import ApartmentPoint, TwistedDatum, depth_table, restrict
+from .echelonnage import (
+    DEPTH_TABLE_CACHE,
+    ApartmentPoint,
+    TwistedDatum,
+    depth_table,
+    restrict,
+)
 from .exactmath import RowEchelon, Vec, pair
 from .mpquotient import (
     MPQuotientReport,
@@ -41,6 +48,53 @@ def phi_xr(td: TwistedDatum, x: ApartmentPoint, r) -> frozenset:
     return frozenset(rr.key for rr in depth_table(td, x).at(r)[0])
 
 
+# The maximality tests run on the keys times the twist order e, which are
+# integer vectors: a key is an average over a twist orbit.  A shift b with
+# b * e not integral never takes a key to a key, so it is dropped.
+
+
+def _integral(vectors, e: int) -> tuple[tuple[int, ...], ...]:
+    scaled = (tuple(c * e for c in v) for v in vectors)
+    return tuple(
+        tuple(c.numerator for c in v) for v in scaled if all(c.denominator == 1 for c in v)
+    )
+
+
+@lru_cache(maxsize=None)
+def _integer_keys(td: TwistedDatum) -> tuple[tuple[int, ...], ...]:
+    """Every restricted key times e, in the order of ``restrict(td)``: its
+    orbit sum times e / orbit size."""
+    e = td.twist.order
+    return tuple(
+        tuple(c * (e // rr.orbit_size) for c in map(sum, zip(*rr.fiber)))
+        for rr in restrict(td)
+    )
+
+
+@lru_cache(maxsize=None)
+def _ambient_shifts(td: TwistedDatum) -> tuple[tuple[int, ...], ...]:
+    return _integral(ambient_positive_keys(td), td.twist.order)
+
+
+@lru_cache(maxsize=DEPTH_TABLE_CACHE)
+def _quotient_shifts(td: TwistedDatum, h: ReductiveQuotientDatum) -> tuple[tuple[int, ...], ...]:
+    return _integral(h.positive_roots, td.twist.order)
+
+
+def _support(td: TwistedDatum, x: ApartmentPoint, r) -> dict:
+    """phi_xr as integer vectors (keys times e) -> keys."""
+    keys = _integer_keys(td)
+    return {keys[rr.index]: rr.key for rr in depth_table(td, x).at(r)[0]}
+
+
+def _maximal(support: dict, shifts) -> frozenset:
+    return frozenset(
+        a
+        for s, a in support.items()
+        if not any(tuple(map(add, s, t)) in support for t in shifts)
+    )
+
+
 def phi_xr_max(
     td: TwistedDatum,
     x: ApartmentPoint,
@@ -53,18 +107,11 @@ def phi_xr_max(
     ``positives`` defaults to the positive roots of the quotient datum h; pass
     the ambient positive restricted roots to test the other reading.
     """
-    support = phi_xr(td, x, r)
     if positives is None:
-        positives = h.positive_roots
-    # integer vectors over one denominator
-    den = lcm(*(c.denominator for v in (*support, *positives) for c in v))
-    scaled = {tuple(c.numerator * (den // c.denominator) for c in a): a for a in support}
-    shifts = [tuple(c.numerator * (den // c.denominator) for c in b) for b in positives]
-    return frozenset(
-        a
-        for s, a in scaled.items()
-        if not any(tuple(map(add, s, t)) in scaled for t in shifts)
-    )
+        shifts = _quotient_shifts(td, h)
+    else:
+        shifts = _integral(positives, td.twist.order)
+    return _maximal(_support(td, x, r), shifts)
 
 
 def ambient_positive_keys(td: TwistedDatum) -> tuple[Vec, ...]:
@@ -312,8 +359,9 @@ def decompose(td: TwistedDatum, x: ApartmentPoint, r) -> Decomposition:
             top.append(t)
         return tuple(top)
 
-    maximal = phi_xr_max(td, x, r, h)
-    ambient = phi_xr_max(td, x, r, h, positives=ambient_positive_keys(td))
+    support = _support(td, x, r)
+    maximal = _maximal(support, _quotient_shifts(td, h))
+    ambient = _maximal(support, _ambient_shifts(td))
     nondominant = frozenset(a for a in maximal if dominant_labels(key_of[a][1]) is None)
 
     items = []
