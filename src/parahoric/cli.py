@@ -353,13 +353,11 @@ def section_grade(td: TwistedDatum, x: ApartmentPoint, modulus: int) -> dict:
     }
 
 
-def section_decompose(
-    td: TwistedDatum, x: ApartmentPoint, r: Fraction, seed: int
-) -> dict:
+def section_decompose(td: TwistedDatum, x: ApartmentPoint, r: Fraction) -> dict:
     dec = decompose(td, x, r)
     span = None
     if td.twist.is_identity and td.is_tame and Fraction(r).denominator != 1:
-        span = split_span_check(td.base, x, r, seed=seed)
+        span = split_span_check(td.base, x, r)
     return {
         "r": frac_str(r),
         "items": [
@@ -428,7 +426,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--m", type=int, default=None, help="override m for rho_over_m points")
     p.add_argument("--M", type=int, default=None, help="override the grading modulus")
     p.add_argument("--cap", type=int, default=WEYL_CAP_DEFAULT, help="Weyl enumeration cap")
-    p.add_argument("--seed", type=int, default=0, help="seed for sampled span checks")
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -484,7 +481,7 @@ def _run_subcommand(args) -> int:
         ].get("crosscheck")
     elif args.command == "decompose":
         r = Fraction(spec["r"])
-        sections["decomposition"] = section_decompose(td, x, r, args.seed)
+        sections["decomposition"] = section_decompose(td, x, r)
         violated = not sections["decomposition"]["dimensions_match"] or (
             sections["decomposition"]["span_check"] is False
         )
@@ -511,6 +508,7 @@ def main(argv=None) -> int:
                 return 0
             if args.id not in CATALOG:
                 raise InputError(f"field 'id': unknown catalog id {args.id!r}")
+            parse_frac(args.r, "r")  # validated here, exported as written
             try:
                 spec = catalog_spec(args.id, args.point, args.r)
             except KeyError as exc:

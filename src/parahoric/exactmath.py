@@ -357,33 +357,6 @@ def invert_unimodular(a: IntMatrix) -> IntMatrix:
     return tuple(out)
 
 
-class RowEchelon:
-    """Incremental echelon basis for exact rank computations."""
-
-    def __init__(self) -> None:
-        self.rows: list[tuple[int, list[Fraction]]] = []
-
-    def add(self, vec) -> bool:
-        """Insert a vector; returns True when it enlarges the span."""
-        v = list(map(Fraction, vec))
-        for pivot, row in self.rows:
-            if v[pivot] != 0:
-                f = v[pivot]
-                v = [x - f * y for x, y in zip(v, row)]
-        for i, x in enumerate(v):
-            if x != 0:
-                inv = x
-                v = [y / inv for y in v]
-                self.rows.append((i, v))
-                self.rows.sort(key=lambda t: t[0])
-                return True
-        return False
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
-
 # ---------------------------------------------------------------------------
 # valuation sets
 

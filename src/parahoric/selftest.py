@@ -130,7 +130,7 @@ def check_span_oracle(seed: int = 0) -> None:
         td = catalog_datum(cid)
         x = named_point(td, "rho_over_m", CATALOG[cid]["rho_m"])
         r = first_jump(td, x)
-        if not split_span_check(td.base, x, r, seed=seed):
+        if not split_span_check(td.base, x, r):
             raise AssertionError(f"{cid}: span oracle failed")
 
 

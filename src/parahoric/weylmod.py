@@ -1,6 +1,7 @@
 """Highest-weight bookkeeping over the reductive quotient: exact characters
 via Freudenthal's recursion, decomposition of a filtration quotient by
-repeated character subtraction, and a sampled span oracle for the split case.
+repeated character subtraction, and an exact span check for the split case:
+a closure of the maximal roots under root steps of the quotient.
 
 The public functions take and return weights in the rational coordinate
 space of the restricted roots.  Inside, a character is an integer map from
@@ -11,22 +12,21 @@ coordinates).  Multiplicities are exact integers throughout.
 """
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 from operator import add, ge, mul, sub
 
-from .chevalley import exp_ad, structure_constants
 from .echelonnage import (
     DEPTH_TABLE_CACHE,
     ApartmentPoint,
     TwistedDatum,
     depth_table,
     restrict,
+    twisted,
 )
-from .exactmath import RowEchelon, Vec, pair
+from .exactmath import Vec, pair
 from .mpquotient import (
     MPQuotientReport,
     ReductiveQuotientDatum,
@@ -408,61 +408,33 @@ def decompose(td: TwistedDatum, x: ApartmentPoint, r) -> Decomposition:
 
 
 # ---------------------------------------------------------------------------
-# split span oracle
+# split span check
+#
+# Over Q, ad X_b maps X_c to +-(p + 1) X_{b + c}, which is nonzero whenever
+# b + c is a root (Chevalley basis), and the torus acts diagonally.  So the
+# H-module generated by the maximal-root vectors is spanned by the root
+# vectors reached from the maximal set by steps along the roots of H that
+# stay inside phi_xr.
 
 
-SPAN_PARAMETER_POOL = (
-    Fraction(1),
-    Fraction(-1),
-    Fraction(1, 2),
-    Fraction(2),
-    Fraction(-1, 2),
-    Fraction(3),
-    Fraction(1, 3),
-    Fraction(-2),
-)
-
-
-def split_span_check(datum, x: ApartmentPoint, r, samples: int = 80, seed: int = 0) -> bool:
-    """For a split datum and non-integral depth, check that products of at
-    most three root-group exponentials applied to the maximal-root vectors
-    span the whole depth-r root space.  Sampling is seeded and deterministic.
-    """
-    from .echelonnage import twisted
-
+def split_span_check(datum, x: ApartmentPoint, r) -> bool:
+    """For a split datum and non-integral depth, check that the maximal-root
+    vectors generate the whole depth-r root space under the reductive
+    quotient: an exact closure on integer root vectors."""
     r = Fraction(r)
     if r.denominator == 1:
-        raise WeylModuleError("span oracle needs a non-integral depth")
+        raise WeylModuleError("span check needs a non-integral depth")
     td = twisted(datum)
     h = quotient_datum(td, x)
-    support = phi_xr(td, x, r)
-    target = len(support)
-    if target == 0:
-        return True
-    maximal = phi_xr_max(td, x, r, h)
-    alg = structure_constants(datum)
-    as_root = lambda key: tuple(int(c) for c in key)
-    starters = [alg.x(as_root(key)) for key in sorted(maximal)]
-    h_roots = [as_root(key) for key in sorted(h.roots)]
-
-    echelon = RowEchelon()
-    for elt in starters:
-        echelon.add(alg.to_vector(elt))
-        if echelon.rank == target:
-            return True
-    if not h_roots:
-        return echelon.rank == target
-    rng = random.Random(seed)
-    for _ in range(samples):
-        ops = [
-            exp_ad(alg, rng.choice(h_roots), rng.choice(SPAN_PARAMETER_POOL))
-            for _ in range(rng.randint(1, 3))
-        ]
-        for elt in starters:
-            moved = elt
-            for op in ops:
-                moved = op.apply(moved)
-            echelon.add(alg.to_vector(moved))
-            if echelon.rank == target:
-                return True
-    return echelon.rank == target
+    support = _support(td, x, r)
+    maximal = _maximal(support, _quotient_shifts(td, h))
+    steps = _integral(h.roots, td.twist.order)
+    reached = [s for s, a in support.items() if a in maximal]
+    seen = set(reached)
+    for s in reached:  # grows while it is walked: a breadth-first closure
+        for t in steps:
+            nxt = tuple(map(add, s, t))
+            if nxt in support and nxt not in seen:
+                seen.add(nxt)
+                reached.append(nxt)
+    return len(seen) == len(support)

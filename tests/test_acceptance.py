@@ -35,7 +35,7 @@ from parahoric.stability import (
     zregularity_criteria_agree,
 )
 from parahoric.vinberg import crosscheck, grading
-from parahoric.weylmod import decompose, phi_xr, split_span_check
+from parahoric.weylmod import decompose, split_span_check
 
 from lift_oracle import lift_grading
 
@@ -123,11 +123,13 @@ def test_criterion_4_split_span_oracle():
             if not fractional:
                 continue
             r = rng.choice(fractional)
-            assert split_span_check(datum, x, r, seed=104 + done)
-            support = phi_xr(td, x, r)
+            assert split_span_check(datum, x, r)
             done += 1
             checked += 1
-    print(f"\nACCEPTANCE 4 PASS sampled orbits span the full root space on {checked} instances")
+    print(
+        "\nACCEPTANCE 4 PASS the root-step closure of the maximal set spans the full "
+        f"root space on {checked} instances"
+    )
 
 
 def test_criterion_5_companion_invariance():

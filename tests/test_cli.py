@@ -145,6 +145,23 @@ def test_catalog_export_and_use(tmp_path, capsys):
     assert data["quotient"]["rank"] == 2
 
 
+@pytest.mark.parametrize("r", ["abc", "1/0"])
+def test_catalog_export_rejects_a_bad_r(r, tmp_path, capsys):
+    target = tmp_path / "exported.json"
+    code, out, err = run_cli(["catalog", "--id", "A2", "--r", r, "--out", str(target)], capsys)
+    assert code == 1
+    assert out == ""
+    assert "input error: field 'r'" in err
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("flags, r", [([], "0"), (["--r", "2/4"], "2/4"), (["--r", "-3"], "-3")])
+def test_catalog_export_keeps_r_as_written(flags, r, capsys):
+    code, out, _ = run_cli(["catalog", "--id", "A2"] + flags, capsys)
+    assert code == 0
+    assert json.loads(out)["r"] == r
+
+
 @pytest.mark.parametrize("entry", ["A1", "A2", "B2", "C3", "D4", "G2", "2A2", "2A3", "2D4", "3D4"])
 def test_golden_reports(entry, capsys):
     golden = GOLDEN_DIR / f"{entry}_scan.json"

@@ -5,7 +5,6 @@ import pytest
 
 from parahoric.exactmath import (
     ExactMathError,
-    RowEchelon,
     ValuationSet,
     charpoly,
     cyclotomic_multiplicities,
@@ -20,6 +19,8 @@ from parahoric.exactmath import (
     matrix_rank,
     solve_linear,
 )
+
+from span_oracle import RowEchelon
 
 F = Fraction
 
