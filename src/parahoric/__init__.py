@@ -6,13 +6,6 @@ stable-vector verdicts."""
 __version__ = "0.1.0"
 
 from .catalog import catalog_datum, catalog_ids, catalog_spec, named_point
-from .chevalley import (
-    ChevalleyAlgebra,
-    exp_ad,
-    orbit_sign,
-    pinned_automorphism,
-    structure_constants,
-)
 from .echelonnage import (
     ApartmentPoint,
     RestrictedRoot,
@@ -107,3 +100,19 @@ __all__ = [
     "weyl_elements",
     "zregularity_criteria_agree",
 ]
+
+# The Chevalley-basis layer is an oracle that no subcommand calls, so its
+# names in __all__ are the only ones not bound above: they load it on first
+# access (PEP 562).
+
+
+def __getattr__(name):
+    if name in __all__:
+        from . import chevalley
+
+        return getattr(chevalley, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -12,11 +12,10 @@ output, which the grading code relies on.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .exactmath import mat_vec, pair, vec_add, vec_scale, vec_sub
+from .exactmath import frozen_record, mat_vec, pair, vec_add, vec_scale, vec_sub
 from .rootdata import DiagramAutomorphism, RootDatum
 
 MAX_NILPOTENCY = 10
@@ -236,7 +235,7 @@ def structure_constants(
 # exponentials of nilpotent adjoints
 
 
-@dataclass(frozen=True)
+@frozen_record
 class ExpAd:
     """The operator exp(t * ad X_alpha); exact because ad X_alpha is nilpotent."""
 

@@ -3,13 +3,14 @@ reports, and the built-in catalog.
 
 Spec files are JSON with every rational written as a string "p/q".  Reports
 are JSON with sorted keys; two runs on the same spec are byte-identical
-except for the timing field.  Exit codes: 0 success, 1 input error,
-2 property violation.
+except for the timing field.  Exit codes: 0 success, 1 input error (a usage
+error included), 2 property violation.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 from fractions import Fraction
@@ -428,8 +429,19 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--cap", type=int, default=WEYL_CAP_DEFAULT, help="Weyl enumeration cap")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are input errors: exit 1, naming the option's field (its
+    destination) or the unrecognized token.  Subparsers inherit the class."""
+
+    def error(self, message):
+        found = re.match(r"(?:argument |.*?: )([^\s:,/]+)", message)
+        name = found.group(1) if found else "command"
+        action = self._option_string_actions.get(name)
+        raise InputError(f"field {action.dest if action else name!r}: {message}")
+
+
 def make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="parahoric",
         description="exact filtration-quotient, grading, and stability reports",
     )
@@ -493,9 +505,8 @@ def _run_subcommand(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
     try:
+        args = make_parser().parse_args(argv)
         if args.command == "selftest":
             from . import selftest
 

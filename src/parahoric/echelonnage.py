@@ -20,7 +20,6 @@ reduction is an integer floor division and integer folds.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations
@@ -30,6 +29,7 @@ from operator import mul
 from .exactmath import (
     ValuationSet,
     Vec,
+    frozen_record,
     invert_matrix,
     mat_vec,
     pair,
@@ -57,7 +57,7 @@ class EchelonnageError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@frozen_record
 class RestrictedRoot:
     """One restricted root: the orbit average of its fiber of absolute roots,
     with its coroot (the fiber coroot sum, doubled in the multipliable case so
@@ -73,7 +73,7 @@ class RestrictedRoot:
     index: int  # position in ``restrict(td)``, i.e. in key order
 
 
-@dataclass(frozen=True)
+@frozen_record
 class _Scaffold:
     keys: tuple[Vec, ...]
     coroots: tuple[tuple[int, ...], ...]
@@ -158,7 +158,7 @@ def _scaffold(base: RootDatum, twist: DiagramAutomorphism) -> _Scaffold:
     )
 
 
-@dataclass(frozen=True)
+@frozen_record
 class TwistedDatum:
     base: RootDatum
     twist: DiagramAutomorphism
@@ -299,7 +299,7 @@ def simple_restricted_keys(td: TwistedDatum) -> tuple[Vec, ...]:
     return tuple(sorted(keys))
 
 
-@dataclass(frozen=True)
+@frozen_record
 class ApartmentPoint:
     """Displacement x - x0, a rational vector fixed by the twist."""
 
@@ -376,7 +376,7 @@ def torus_jump_dim(td: TwistedDatum, r) -> int:
 # depth table
 
 
-@dataclass(frozen=True)
+@frozen_record
 class DepthTable:
     """The filtration quotients at a point, binned by depth.
 
@@ -496,7 +496,7 @@ def point_order(td: TwistedDatum, x: ApartmentPoint) -> int:
 # the base alcove
 
 
-@dataclass(frozen=True)
+@frozen_record
 class _Facet:
     """One facet of the base alcove, held one-sided: key(x) >= level inside.
     The key is a restricted root, negated for an upper wall, and the coroot
@@ -605,7 +605,7 @@ def _translations(td: TwistedDatum) -> tuple[tuple[Vec, Vec], ...]:
     return tuple(zip(duals, shifts))
 
 
-@dataclass(frozen=True)
+@frozen_record
 class _IntegerAlcove:
     """``_walls`` and ``_translations`` as integers.  ``facets`` holds
     (key * q, level * q, coroot) per facet, with q the least common

@@ -5,11 +5,10 @@ Everything here is exact: integers and ``fractions.Fraction`` only, no floats.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import floor, gcd, lcm
-from operator import add, mul, sub
+from operator import add, attrgetter, mul, sub
 
 Vec = tuple[Fraction, ...]
 IntVec = tuple[int, ...]
@@ -20,6 +19,55 @@ DEFAULT_ORDER_BOUND = 10_000
 
 class ExactMathError(ValueError):
     """Bad input to an exact-arithmetic routine (e.g. infinite-order matrix)."""
+
+
+# ---------------------------------------------------------------------------
+# immutable records
+
+
+def frozen_record(cls):
+    """Make ``cls`` an immutable record of its annotated fields, as
+    ``@dataclass(frozen=True)`` without defaults would, but without compiling
+    generated code at import.  ``cls._fields`` names the fields in order; the
+    constructor takes them by position or keyword; equality and the hash (if
+    the class defines none) use the tuple of field values; the ``repr`` is the
+    dataclass one.  ``cached_property`` still works: it writes ``__dict__``."""
+    names = tuple(cls.__annotations__)
+    name_set = frozenset(names)
+    get = attrgetter(*names)
+    values = get if len(names) > 1 else lambda obj: (get(obj),)
+    wrong = f"{cls.__qualname__}() takes the fields {', '.join(names)}"
+
+    def __init__(self, *args, **kwargs):
+        if kwargs:
+            given = len(args) + len(kwargs)
+            kwargs.update(zip(names, args))
+            if given != len(names) or kwargs.keys() != name_set:
+                raise TypeError(wrong)
+            self.__dict__.update(kwargs)
+        elif len(args) == len(names):
+            self.__dict__.update(zip(names, args))
+        else:
+            raise TypeError(wrong)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return values(self) == values(other)
+        return NotImplemented
+
+    def __repr__(self):
+        inner = ", ".join(f"{n}={v!r}" for n, v in zip(names, values(self)))
+        return f"{self.__class__.__qualname__}({inner})"
+
+    def _frozen(self, name, *value):
+        raise AttributeError(f"{cls.__qualname__} is frozen: cannot change {name!r}")
+
+    cls._fields = names
+    cls.__init__, cls.__eq__, cls.__repr__ = __init__, __eq__, __repr__
+    cls.__setattr__ = cls.__delattr__ = _frozen
+    if "__hash__" not in cls.__dict__:
+        cls.__hash__ = lambda self: hash(values(self))
+    return cls
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +422,7 @@ def _divisors_desc(n: int) -> list[int]:
     return [d for d in range(n, 0, -1) if n % d == 0]
 
 
-@dataclass(frozen=True)
+@frozen_record
 class ValuationSet:
     """Finite union of arithmetic progressions, canonicalized so that every
     component shares one positive step and offsets are reduced mod the step.

@@ -13,7 +13,6 @@ memoizes on it are computed once for every point with that root set.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import lcm
@@ -26,7 +25,7 @@ from .echelonnage import (
     restrict,
     torus_jump_dim,  # noqa: F401  (part of this module's API)
 )
-from .exactmath import IntMatrix, Vec, invert_matrix, pair, vec_scale, vec_sub
+from .exactmath import IntMatrix, Vec, frozen_record, invert_matrix, pair, vec_scale, vec_sub
 from .rootdata import field_hash
 
 
@@ -34,7 +33,7 @@ class QuotientError(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
+@frozen_record
 class ReductiveQuotientDatum:
     """Root datum of the reductive quotient at a point: the restricted roots
     whose value at the point is an actual jump level."""
@@ -164,7 +163,7 @@ class ReductiveQuotientDatum:
         return {}
 
 
-@dataclass(frozen=True)
+@frozen_record
 class MPQuotientReport:
     r: Fraction
     torus_dim: int

@@ -13,7 +13,6 @@ Coordinate conventions, used throughout the package:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import lcm
@@ -21,6 +20,7 @@ from math import lcm
 from .exactmath import (
     IntMatrix,
     IntVec,
+    frozen_record,
     identity_matrix,
     mat_vec,
     pair,
@@ -157,12 +157,13 @@ def classical_weyl_order(descriptor: str) -> int:
 
 
 def field_hash(obj) -> int:
-    """The hash a frozen dataclass would compute, for the ones that cache it:
-    their fields are long tuples, and every ``lru_cache`` lookup hashes them."""
-    return hash(tuple(getattr(obj, f.name) for f in fields(obj)))
+    """The hash a ``frozen_record`` would compute, for the records that cache
+    it: their fields are long tuples, and every ``lru_cache`` lookup hashes
+    them."""
+    return hash(tuple(getattr(obj, name) for name in obj._fields))
 
 
-@dataclass(frozen=True)
+@frozen_record
 class RootDatum:
     """Roots and coroots as integer vectors in perfect pairing.
 
@@ -339,7 +340,7 @@ def dual_action(matrix: IntMatrix) -> IntMatrix:
     return transpose(invert_unimodular(matrix))
 
 
-@dataclass(frozen=True)
+@frozen_record
 class DiagramAutomorphism:
     """A Dynkin diagram symmetry as a lattice automorphism.
 

@@ -9,7 +9,6 @@ evaluations against the root hyperplanes) used as a cross-check.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
@@ -28,6 +27,7 @@ from .exactmath import (
     cyclotomic_multiplicities,
     cyclotomic_polynomial,
     det_bareiss,
+    frozen_record,
     identity_matrix,
     kernel_basis,
     mat_mul,
@@ -153,7 +153,7 @@ def zregularity_criteria_agree(
     return True
 
 
-@dataclass(frozen=True)
+@frozen_record
 class StabilityVerdict:
     m: int
     conjugacy_ok: bool

@@ -17,12 +17,11 @@ read from the twisted-datum scaffold of ``echelonnage``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
 from .echelonnage import ApartmentPoint, TwistedDatum, _scaffold, depth_table, point_order
-from .exactmath import pair
+from .exactmath import frozen_record, pair
 from .mpquotient import quotient_datum
 from .rootdata import DiagramAutomorphism, RootDatum, twist_spectrum
 
@@ -48,7 +47,7 @@ def _check_modulus(m: int, why: str = "") -> None:
         )
 
 
-@dataclass(frozen=True)
+@frozen_record
 class GradedDecomposition:
     modulus: int
     dims: tuple[int, ...]
@@ -130,7 +129,7 @@ def grading(
     )
 
 
-@dataclass(frozen=True)
+@frozen_record
 class CrosscheckResult:
     ok: bool
     modulus: int

@@ -12,7 +12,6 @@ coordinates).  Multiplicities are exact integers throughout.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
@@ -26,7 +25,7 @@ from .echelonnage import (
     restrict,
     twisted,
 )
-from .exactmath import Vec, pair
+from .exactmath import Vec, frozen_record, pair
 from .mpquotient import (
     MPQuotientReport,
     ReductiveQuotientDatum,
@@ -306,7 +305,7 @@ def weyl_character(h: ReductiveQuotientDatum, lam) -> tuple[dict, int]:
 # decomposition by character subtraction
 
 
-@dataclass(frozen=True)
+@frozen_record
 class Decomposition:
     items: tuple  # ((weight, multiplicity), ...)
     total_dim: int

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from parahoric.cli import main
+from parahoric.vinberg import MODULUS_CAP
 
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "goldens"
 
@@ -250,8 +251,6 @@ def test_non_list_point_coords_is_an_input_error(tmp_path, capsys, coords):
 
 
 def test_grade_modulus_cap_fails_before_allocating(tmp_path, capsys):
-    from parahoric.vinberg import MODULUS_CAP
-
     spec = tmp_path / "spec.json"
     spec.write_text(
         json.dumps({"dynkin": "A2", "point": {"name": "rho_over_m", "m": 10**9}})
@@ -274,6 +273,32 @@ def test_flag_overrides_name_their_field(capsys, command, flags, field):
     assert code == 1
     assert out == ""
     assert f"input error: field {field!r}" in err
+
+
+@pytest.mark.parametrize(
+    "argv,field",
+    [
+        (["decompose", "--spec", "catalog:A2", "--seed", "1"], "--seed"),
+        (["scan", "--spec", "catalog:A2", "--m", "abc"], "m"),
+        (["scan", "--spec", "catalog:A2", "--cap"], "cap"),
+        (["scan"], "spec"),
+        (["selftest", "--seed", "x"], "seed"),
+        (["bogus"], "command"),
+        ([], "command"),
+    ],
+)
+def test_usage_errors_are_input_errors(capsys, argv, field):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"input error: field {field!r}: ")
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["scan", "--help"])
+    assert exc.value.code == 0
+    assert "--spec" in capsys.readouterr().out
 
 
 def test_stability_at_f4_barycenter(tmp_path, capsys):
@@ -322,7 +347,8 @@ def _fuzz_spec(rng: random.Random, field: str | None) -> dict:
 def test_spec_fuzzer_keeps_the_exit_contract(tmp_path, capsys):
     """Seeded mutations of every spec field and of --m/--M/--cap: every run
     exits 0, 1 or 2 without a traceback, every exit 1 names a field, and a
-    nonpositive --M or --cap is an input error."""
+    nonpositive --M or --cap is an input error (so is a flag value argparse
+    rejects: usage errors exit 1 too)."""
     rng = random.Random(2024)
     fields = ("dynkin", "isogeny", "automorphism", "lambda_valuations", "point", "r", "M", "unknown", None)
     path = tmp_path / "spec.json"
@@ -335,10 +361,7 @@ def test_spec_fuzzer_keeps_the_exit_contract(tmp_path, capsys):
                  if rng.random() < (0.6 if field is None else 0.25)}
         for flag, value in flags.items():
             argv += [flag, value]
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse rejects a non-integer flag value
-            code = exc.code
+        code = main(argv)
         err = capsys.readouterr().err
         context = (argv, path.read_text(), err)
         assert code in (0, 1, 2), context
@@ -349,6 +372,11 @@ def test_spec_fuzzer_keeps_the_exit_contract(tmp_path, capsys):
         if len(ints) == len(flags) and min(ints.get("--M", 1), ints.get("--cap", 1)) <= 0:
             assert code == 1, context
         codes.add(code)
+    # a grading modulus above vinberg.MODULUS_CAP is a genuine violation
+    path.write_text(json.dumps(FUZZ_BASES[0]))
+    code = main(["grade", "--spec", str(path), "--m", str(MODULUS_CAP + 3)])
+    assert code == 2 and "property violation" in capsys.readouterr().err
+    codes.add(code)
     assert codes == {0, 1, 2}
 
 
