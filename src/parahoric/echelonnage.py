@@ -32,6 +32,7 @@ from .exactmath import (
     frozen_record,
     invert_matrix,
     mat_vec,
+    matrix_rank,
     pair,
     reflection_orbit,
     rref,
@@ -42,15 +43,16 @@ from .exactmath import (
 from .rootdata import (
     DiagramAutomorphism,
     RootDatum,
-    field_hash,
     identity_automorphism,
     twist_spectrum,
 )
 
 ALCOVE_ITERATION_CAP = 100_000
-# Depth tables kept for reuse: the calls about one point come together, so a
-# few recent points suffice, and a sweep over many points stays small.
+# Per-point results kept for reuse (``depth_table`` and the stability
+# reference point): the calls about one point come together, so a few recent
+# points suffice.  Per-datum tables live on the interned datum instead.
 DEPTH_TABLE_CACHE = 32
+_TWISTED: dict[tuple, TwistedDatum] = {}  # ``twisted`` interns its results
 
 
 class EchelonnageError(ValueError):
@@ -160,20 +162,196 @@ def _scaffold(base: RootDatum, twist: DiagramAutomorphism) -> _Scaffold:
 
 @frozen_record
 class TwistedDatum:
+    """A root datum with a diagram automorphism and lambda-valuations, interned
+    by ``twisted``: the per-datum tables below are computed once per datum."""
+
     base: RootDatum
     twist: DiagramAutomorphism
     lambda_valuations: tuple[Fraction, ...]
 
-    def __hash__(self) -> int:
-        return self._hash
-
-    @cached_property
-    def _hash(self) -> int:
-        return field_hash(self)
-
     @property
     def is_tame(self) -> bool:
         return all(v == 0 for v in self.lambda_valuations)
+
+    @cached_property
+    def restricted(self) -> tuple[RestrictedRoot, ...]:
+        """Restricted roots with their valuation sets.
+
+        plain a:        (1/e_a) Z
+        multipliable a: v(lambda)/2 + (1/e_a) Z
+        divisible 2a:   (1/e) Z minus (v(lambda) + (2/e) Z), e the orbit size
+                        of the multipliable root below; the difference is the
+                        single progression v(lambda) + 1/e + (2/e) Z.
+        """
+        scaff = _scaffold(self.base, self.twist)
+        out = []
+        for index, (key, coroot, fiber, e, cls, positive) in enumerate(zip(
+            scaff.keys, scaff.coroots, scaff.fibers,
+            scaff.orbit_sizes, scaff.classes, scaff.positives,
+        )):
+            if cls == "plain":
+                jumps = ValuationSet.lattice(Fraction(1, e))
+            elif cls == "multipliable":
+                lam = _lambda_for_key(self, key)
+                jumps = ValuationSet.from_components([(lam / 2, Fraction(1, e))])
+            else:
+                half = tuple(x / 2 for x in key)
+                e_mult = scaff.orbit_sizes[scaff.keys.index(half)]
+                lam = _lambda_for_key(self, half)
+                jumps = ValuationSet.from_components(
+                    [(lam + Fraction(1, e_mult), Fraction(2, e_mult))]
+                )
+            out.append(RestrictedRoot(key, coroot, fiber, e, cls, jumps, positive, index))
+        return tuple(out)
+
+    @cached_property
+    def by_key(self) -> dict:
+        return {rr.key: rr for rr in self.restricted}
+
+    @cached_property
+    def simple_keys(self) -> tuple[Vec, ...]:
+        """Restrictions of the simple roots, one per twist orbit of nodes."""
+        simple = set(self.base.simple_roots)
+        return tuple(rr.key for rr in self.restricted if not simple.isdisjoint(rr.fiber))
+
+    @cached_property
+    def simple_coroots(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(self.by_key[key].coroot for key in self.simple_keys)
+
+    @cached_property
+    def integer_keys(self) -> tuple[tuple[int, ...], ...]:
+        """Every restricted key times the twist order e, in the order of
+        ``restricted``: its orbit sum times e / orbit size."""
+        e = self.twist.order
+        return tuple(
+            tuple(c * (e // rr.orbit_size) for c in map(sum, zip(*rr.fiber)))
+            for rr in self.restricted
+        )
+
+    @cached_property
+    def restricted_rank(self) -> int:
+        return matrix_rank([rr.key for rr in self.restricted])
+
+    @cached_property
+    def quotients(self) -> dict:
+        """Reductive quotient data by depth-0 root set (the indices of its
+        roots in ``restricted``), filled by ``mpquotient``."""
+        return {}
+
+    @cached_property
+    def affine_rows(self):
+        """The affine-root data of ``depth_table`` over one denominator q,
+        the lcm of the orbit sizes and of every valuation offset and step
+        denominator: (q, q / lcm of the periods, rows).  A row is (restricted
+        root, integer orbit sum = key * e, q / e, offsets * q,
+        period = 1 / step)."""
+        roots = self.restricted
+        for rr in roots:
+            if rr.jump_set.step.numerator != 1:
+                raise EchelonnageError("valuation step does not divide 1")
+        q = lcm(
+            *(rr.orbit_size for rr in roots),
+            *(o.denominator for rr in roots for o in rr.jump_set.offsets),
+            *(rr.jump_set.step.denominator for rr in roots),
+        )
+        rows = tuple(
+            (
+                rr,
+                tuple(map(sum, zip(*rr.fiber))),
+                q // rr.orbit_size,
+                tuple((o * q).numerator for o in rr.jump_set.offsets),
+                rr.jump_set.step.denominator,
+            )
+            for rr in roots
+        )
+        return q, q // lcm(*(row[4] for row in rows)), rows
+
+    @cached_property
+    def walls(self) -> tuple[_Facet, ...]:
+        """The facets of the base alcove, i.e. its simple affine roots:
+        rank + c of them for a restricted root system with c irreducible
+        components.
+
+        The base alcove holds the reference point p, a positive multiple of
+        the sum of the positive coroots small enough that every positive root
+        lies strictly between 0 and its least positive level at p.  Each
+        positive root a offers two candidates, its levels just below and just
+        above a(p).  A candidate H is a facet iff H is the only hyperplane
+        strictly between p and the reflection of p across H: the reflection
+        in any other wall has length above one in the affine Weyl group.
+        """
+        positives = [rr for rr in self.restricted if rr.positive]
+        if not positives:
+            raise EchelonnageError("restricted root system is empty")
+        direction = (0,) * self.base.rank
+        for rr in positives:
+            direction = vec_add(direction, rr.coroot)
+        heights = [pair(rr.key, direction) for rr in positives]
+        if min(heights) <= 0:
+            raise EchelonnageError("reference direction is not regular")
+        scale = min(rr.jump_set.min_above(0) / h for rr, h in zip(positives, heights)) / 2
+        values = [scale * h for h in heights]
+        facets = []
+        for rr, value in zip(positives, values):
+            below, above = rr.jump_set.max_below(value), rr.jump_set.min_above(value)
+            for sign, level in ((1, below), (-1, above)):
+                # b(image) = b(p) - (a(p) - level) <b, acheck>; the twist keeps
+                # the pairing and fixes acheck, so any root of b's fiber gives it
+                t = value - level
+                image = [v - t * pair(b.fiber[0], rr.coroot) for b, v in zip(positives, values)]
+                if _one_hyperplane_between(positives, values, image):
+                    facets.append(
+                        _Facet(vec_scale(sign, rr.key), vec_scale(sign, rr.coroot), sign * level)
+                    )
+        return tuple(facets)
+
+    @cached_property
+    def alcove_vertices(self) -> tuple[ApartmentPoint, ...]:
+        """Vertices of the closed base alcove, in sorted order.
+
+        In the coordinates of the restricted simple coroots, which span the
+        twist-fixed subspace, each vertex solves rank of the facet equations
+        key(x) = level.  A set of rank facets is independent iff it leaves
+        out exactly one facet of each irreducible component, and then its
+        solution is a vertex.
+        """
+        basis = self.simple_coroots
+        vertices = set()
+        for subset in combinations(self.walls, len(basis)):
+            red, pivots = rref([[pair(f.key, b) for b in basis] + [f.level] for f in subset])
+            if pivots == list(range(len(basis))):
+                vertices.add(point_from_simple_coroots(self, [row[-1] for row in red]).coords)
+        return tuple(ApartmentPoint(v) for v in sorted(vertices))
+
+    @cached_property
+    def translations(self) -> tuple[tuple[Vec, Vec], ...]:
+        """Pairs (w, t): t = step(a) * acheck for each simple restricted root
+        a, a translation in the affine Weyl group (the product of the
+        reflections in the parallel walls a = l and a = l + step), and w the
+        dual functional, so that a fixed point v equals the sum of
+        pair(w, v) * t."""
+        simples = [self.by_key[k] for k in self.simple_keys]
+        shifts = [vec_scale(rr.jump_set.step, rr.coroot) for rr in simples]
+        inverse = invert_matrix([[pair(a.key, t) for t in shifts] for a in simples])
+        duals = [
+            tuple(pair(row, column) for column in zip(*(a.key for a in simples)))
+            for row in inverse
+        ]
+        return tuple(zip(duals, shifts))
+
+    @cached_property
+    def integer_alcove(self) -> _IntegerAlcove:
+        walls, translations = self.walls, self.translations
+        q = lcm(
+            *(c.denominator for f in walls for c in (*f.key, f.level)),
+            *(c.denominator for _, t in translations for c in t),
+        )
+        facets = tuple((_times(f.key, q), (f.level * q).numerator, f.coroot) for f in walls)
+        shifts = []
+        for w, t in translations:
+            p = lcm(*(c.denominator for c in w))
+            shifts.append((_times(w, p), p, _times(t, q)))
+        return _IntegerAlcove(q, facets, tuple(shifts))
 
 
 def twisted(
@@ -181,7 +359,8 @@ def twisted(
     twist: DiagramAutomorphism | None = None,
     lambda_valuations=None,
 ) -> TwistedDatum:
-    """Assemble a twisted datum, validating the lambda-valuations.
+    """Assemble a twisted datum, validating the lambda-valuations; one object
+    per (base, twist, valuations).
 
     ``lambda_valuations`` maps the index of a positive multipliable restricted
     root (in sorted key order) to a nonpositive rational in (1/e)Z; missing
@@ -223,7 +402,8 @@ def twisted(
                 f"lambda valuations at indices {list(orbit)} differ, but those "
                 "roots lie in one restricted Weyl orbit"
             )
-    return TwistedDatum(base, twist, tuple(values))
+    key = (base, twist, tuple(values))
+    return _TWISTED.setdefault(key, TwistedDatum(*key))
 
 
 def _lambda_for_key(td: TwistedDatum, key: Vec) -> Fraction:
@@ -236,67 +416,16 @@ def _lambda_for_key(td: TwistedDatum, key: Vec) -> Fraction:
     raise EchelonnageError("key is not a multipliable restricted root")
 
 
-@lru_cache(maxsize=None)
 def restrict(td: TwistedDatum) -> tuple[RestrictedRoot, ...]:
-    """Restricted roots with their valuation sets.
-
-    plain a:        (1/e_a) Z
-    multipliable a: v(lambda)/2 + (1/e_a) Z
-    divisible 2a:   (1/e) Z minus (v(lambda) + (2/e) Z), e the orbit size of
-                    the multipliable root below; the difference is the single
-                    progression v(lambda) + 1/e + (2/e) Z.
-    """
-    scaff = _scaffold(td.base, td.twist)
-    out = []
-    for index, (key, coroot, fiber, e, cls, positive) in enumerate(zip(
-        scaff.keys,
-        scaff.coroots,
-        scaff.fibers,
-        scaff.orbit_sizes,
-        scaff.classes,
-        scaff.positives,
-    )):
-        if cls == "plain":
-            jumps = ValuationSet.lattice(Fraction(1, e))
-        elif cls == "multipliable":
-            lam = _lambda_for_key(td, key)
-            jumps = ValuationSet.from_components([(lam / 2, Fraction(1, e))])
-        else:
-            half = tuple(x / 2 for x in key)
-            e_mult = scaff.orbit_sizes[scaff.keys.index(half)]
-            lam = _lambda_for_key(td, half)
-            jumps = ValuationSet.from_components(
-                [(lam + Fraction(1, e_mult), Fraction(2, e_mult))]
-            )
-        out.append(
-            RestrictedRoot(
-                key=key,
-                coroot=coroot,
-                fiber=fiber,
-                orbit_size=e,
-                cls=cls,
-                jump_set=jumps,
-                positive=positive,
-                index=index,
-            )
-        )
-    return tuple(out)
+    return td.restricted
 
 
 def restricted_by_key(td: TwistedDatum) -> dict:
-    return {rr.key: rr for rr in restrict(td)}
+    return td.by_key
 
 
 def simple_restricted_keys(td: TwistedDatum) -> tuple[Vec, ...]:
-    """Restrictions of the simple roots, one per twist orbit of nodes."""
-    scaff = _scaffold(td.base, td.twist)
-    keys = []
-    for idx in td.base.simple_indices:
-        root = td.base.roots[idx]
-        for key, fiber in zip(scaff.keys, scaff.fibers):
-            if root in fiber and key not in keys:
-                keys.append(key)
-    return tuple(sorted(keys))
+    return td.simple_keys
 
 
 @frozen_record
@@ -304,13 +433,6 @@ class ApartmentPoint:
     """Displacement x - x0, a rational vector fixed by the twist."""
 
     coords: Vec
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    @cached_property
-    def _hash(self) -> int:
-        return field_hash(self)
 
     @cached_property
     def scaled(self) -> tuple[int, tuple[int, ...]]:
@@ -340,16 +462,10 @@ def origin(td: TwistedDatum) -> ApartmentPoint:
     return ApartmentPoint(tuple(Fraction(0) for _ in range(td.base.rank)))
 
 
-@lru_cache(maxsize=None)
-def _simple_coroots(td: TwistedDatum) -> tuple[tuple[int, ...], ...]:
-    by_key = restricted_by_key(td)
-    return tuple(by_key[key].coroot for key in simple_restricted_keys(td))
-
-
 def point_from_simple_coroots(td: TwistedDatum, coefficients) -> ApartmentPoint:
     """The sum of the coefficients times the restricted simple coroots, added
     as integer coroot multiples over the coefficients' common denominator."""
-    coroots = _simple_coroots(td)
+    coroots = td.simple_coroots
     coeffs = [Fraction(c) for c in coefficients]
     if len(coeffs) != len(coroots):
         raise EchelonnageError(
@@ -427,34 +543,6 @@ class DepthTable:
         return tuple(sorted(depths))
 
 
-@lru_cache(maxsize=None)
-def _affine_rows(td: TwistedDatum):
-    """The affine-root data of ``depth_table`` over one denominator q, the lcm
-    of the orbit sizes and of every valuation offset and step denominator:
-    (q, q / lcm of the periods, rows).  A row is (restricted root, integer
-    orbit sum = key * e, q / e, offsets * q, period = 1 / step)."""
-    roots = restrict(td)
-    for rr in roots:
-        if rr.jump_set.step.numerator != 1:
-            raise EchelonnageError("valuation step does not divide 1")
-    q = lcm(
-        *(rr.orbit_size for rr in roots),
-        *(o.denominator for rr in roots for o in rr.jump_set.offsets),
-        *(rr.jump_set.step.denominator for rr in roots),
-    )
-    rows = tuple(
-        (
-            rr,
-            tuple(map(sum, zip(*rr.fiber))),
-            q // rr.orbit_size,
-            tuple((o * q).numerator for o in rr.jump_set.offsets),
-            rr.jump_set.step.denominator,
-        )
-        for rr in roots
-    )
-    return q, q // lcm(*(row[4] for row in rows)), rows
-
-
 @lru_cache(maxsize=DEPTH_TABLE_CACHE)
 def depth_table(td: TwistedDatum, x: ApartmentPoint) -> DepthTable:
     """Bin every affine root at x by its depth, once per (datum, point).
@@ -468,7 +556,7 @@ def depth_table(td: TwistedDatum, x: ApartmentPoint) -> DepthTable:
     (a(x - x0) = <orbit sum, nums> / (e D)), so N = T / gcd(T, the u) and the
     residue of a progression is u / gcd mod N*step.
     """
-    q, unit, rows = _affine_rows(td)
+    q, unit, rows = td.affine_rows
     den, nums = x.scaled
     values = []
     g = den * unit  # gcd(T, every step times T)
@@ -525,89 +613,18 @@ def _one_hyperplane_between(positives, here, there) -> bool:
     return len(seen) == 1
 
 
-@lru_cache(maxsize=None)
-def _walls(td: TwistedDatum) -> tuple[_Facet, ...]:
-    """The facets of the base alcove, i.e. its simple affine roots: rank + c
-    of them for a restricted root system with c irreducible components.
-
-    The base alcove holds the reference point p, a positive multiple of the
-    sum of the positive coroots small enough that every positive root lies
-    strictly between 0 and its least positive level at p.  Each positive
-    root a offers two candidates, its levels just below and just above a(p).
-    A candidate H is a facet iff H is the only hyperplane strictly between
-    p and the reflection of p across H: the reflection in any other wall has
-    length above one in the affine Weyl group.
-    """
-    positives = [rr for rr in restrict(td) if rr.positive]
-    if not positives:
-        raise EchelonnageError("restricted root system is empty")
-    direction = (0,) * td.base.rank
-    for rr in positives:
-        direction = vec_add(direction, rr.coroot)
-    heights = [pair(rr.key, direction) for rr in positives]
-    if min(heights) <= 0:
-        raise EchelonnageError("reference direction is not regular")
-    scale = min(rr.jump_set.min_above(0) / h for rr, h in zip(positives, heights)) / 2
-    values = [scale * h for h in heights]
-    facets = []
-    for rr, value in zip(positives, values):
-        for sign, level in ((1, rr.jump_set.max_below(value)), (-1, rr.jump_set.min_above(value))):
-            # b(image) = b(p) - (a(p) - level) <b, acheck>; the twist keeps
-            # the pairing and fixes acheck, so any root of b's fiber gives it
-            t = value - level
-            image = [v - t * pair(b.fiber[0], rr.coroot) for b, v in zip(positives, values)]
-            if _one_hyperplane_between(positives, values, image):
-                facets.append(
-                    _Facet(vec_scale(sign, rr.key), vec_scale(sign, rr.coroot), sign * level)
-                )
-    return tuple(facets)
-
-
 def in_base_alcove(td: TwistedDatum, x: ApartmentPoint) -> bool:
     den, nums = x.scaled
-    return all(_excess(f, nums, den) >= 0 for f in _integer_alcove(td).facets)
+    return all(_excess(f, nums, den) >= 0 for f in td.integer_alcove.facets)
 
 
-@lru_cache(maxsize=None)
 def alcove_vertices(td: TwistedDatum) -> tuple[ApartmentPoint, ...]:
-    """Vertices of the closed base alcove, in sorted order.
-
-    In the coordinates of the restricted simple coroots, which span the
-    twist-fixed subspace, each vertex solves rank of the facet equations
-    key(x) = level.  A set of rank facets is independent iff it leaves out
-    exactly one facet of each irreducible component, and then its solution
-    is a vertex.
-    """
-    by_key = restricted_by_key(td)
-    basis = [by_key[k].coroot for k in simple_restricted_keys(td)]
-    vertices = set()
-    for subset in combinations(_walls(td), len(basis)):
-        red, pivots = rref([[pair(f.key, b) for b in basis] + [f.level] for f in subset])
-        if pivots == list(range(len(basis))):
-            vertices.add(point_from_simple_coroots(td, [row[-1] for row in red]).coords)
-    return tuple(ApartmentPoint(v) for v in sorted(vertices))
-
-
-@lru_cache(maxsize=None)
-def _translations(td: TwistedDatum) -> tuple[tuple[Vec, Vec], ...]:
-    """Pairs (w, t): t = step(a) * acheck for each simple restricted root a,
-    a translation in the affine Weyl group (the product of the reflections in
-    the parallel walls a = l and a = l + step), and w the dual functional,
-    so that a fixed point v equals the sum of pair(w, v) * t."""
-    by_key = restricted_by_key(td)
-    simples = [by_key[k] for k in simple_restricted_keys(td)]
-    shifts = [vec_scale(rr.jump_set.step, rr.coroot) for rr in simples]
-    inverse = invert_matrix([[pair(a.key, t) for t in shifts] for a in simples])
-    duals = [
-        tuple(pair(row, column) for column in zip(*(a.key for a in simples)))
-        for row in inverse
-    ]
-    return tuple(zip(duals, shifts))
+    return td.alcove_vertices
 
 
 @frozen_record
 class _IntegerAlcove:
-    """``_walls`` and ``_translations`` as integers.  ``facets`` holds
+    """``TwistedDatum.walls`` and ``.translations`` as integers.  ``facets`` holds
     (key * q, level * q, coroot) per facet, with q the least common
     denominator of the facet keys, the levels and the translations.
     ``translations`` holds (w * p, p, t * q) per pair (w, t), with p the
@@ -616,22 +633,6 @@ class _IntegerAlcove:
     q: int
     facets: tuple[tuple[tuple[int, ...], int, tuple[int, ...]], ...]
     translations: tuple[tuple[tuple[int, ...], int, tuple[int, ...]], ...]
-
-
-@lru_cache(maxsize=None)
-def _integer_alcove(td: TwistedDatum) -> _IntegerAlcove:
-    walls = _walls(td)
-    translations = _translations(td)
-    q = lcm(
-        *(c.denominator for f in walls for c in (*f.key, f.level)),
-        *(c.denominator for _, t in translations for c in t),
-    )
-    facets = tuple((_times(f.key, q), (f.level * q).numerator, f.coroot) for f in walls)
-    shifts = []
-    for w, t in translations:
-        p = lcm(*(c.denominator for c in w))
-        shifts.append((_times(w, p), p, _times(t, q)))
-    return _IntegerAlcove(q, facets, tuple(shifts))
 
 
 def _times(v: Vec, d: int) -> tuple[int, ...]:
@@ -652,7 +653,7 @@ def alcove_reduce(td: TwistedDatum, x: ApartmentPoint) -> ApartmentPoint:
     reflect across violated facets.  The point is held as integers over a
     multiple of q, which every translation and fold keeps on the twist-fixed
     subspace (there key(x) is the value of a root of its fiber)."""
-    table = _integer_alcove(td)
+    table = td.integer_alcove
     q = table.q
     d, nums = x.scaled
     den = lcm(d, q)
@@ -701,10 +702,8 @@ def companion_shift(td: TwistedDatum, x: ApartmentPoint):
     v(lambda_b) * bcheck.  Membership of r - a(x - x0) in the valuation set
     of a is preserved for every restricted root a and rational r.
     """
-    td_tame = TwistedDatum(
-        td.base, td.twist, tuple(Fraction(0) for _ in td.lambda_valuations)
-    )
-    by_key = restricted_by_key(td)
+    td_tame = twisted(td.base, td.twist)
+    by_key = td.by_key
     shift = tuple(Fraction(0) for _ in range(td.base.rank))
     scaff = _scaffold(td.base, td.twist)
     for idx, key in enumerate(scaff.positive_mult_keys):

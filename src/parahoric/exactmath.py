@@ -29,9 +29,10 @@ def frozen_record(cls):
     """Make ``cls`` an immutable record of its annotated fields, as
     ``@dataclass(frozen=True)`` without defaults would, but without compiling
     generated code at import.  ``cls._fields`` names the fields in order; the
-    constructor takes them by position or keyword; equality and the hash (if
-    the class defines none) use the tuple of field values; the ``repr`` is the
-    dataclass one.  ``cached_property`` still works: it writes ``__dict__``."""
+    constructor takes them by position or keyword; equality and the hash use
+    the tuple of field values, and the hash is computed on first use and kept
+    in ``__dict__`` as ``_hash``; the ``repr`` is the dataclass one.
+    ``cached_property`` still works: it writes ``__dict__``."""
     names = tuple(cls.__annotations__)
     name_set = frozenset(names)
     get = attrgetter(*names)
@@ -59,14 +60,18 @@ def frozen_record(cls):
         inner = ", ".join(f"{n}={v!r}" for n, v in zip(names, values(self)))
         return f"{self.__class__.__qualname__}({inner})"
 
+    def __hash__(self):
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = self.__dict__["_hash"] = hash(values(self))
+        return h
+
     def _frozen(self, name, *value):
         raise AttributeError(f"{cls.__qualname__} is frozen: cannot change {name!r}")
 
     cls._fields = names
-    cls.__init__, cls.__eq__, cls.__repr__ = __init__, __eq__, __repr__
+    cls.__init__, cls.__eq__, cls.__hash__, cls.__repr__ = __init__, __eq__, __hash__, __repr__
     cls.__setattr__ = cls.__delattr__ = _frozen
-    if "__hash__" not in cls.__dict__:
-        cls.__hash__ = lambda self: hash(values(self))
     return cls
 
 

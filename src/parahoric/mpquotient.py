@@ -7,26 +7,24 @@ restricted root a with r - a(x - x0) in the valuation set of a.  Every query
 here reads the depth table of the point (``echelonnage.depth_table``).
 
 The reductive quotient depends on the point only through its depth-0 root
-set, so ``quotient_datum`` returns one shared datum per (datum, root set):
-its checks, its integer coordinate data and the characters ``weylmod``
-memoizes on it are computed once for every point with that root set.
+set, so ``quotient_datum`` returns one shared datum per (datum, root set),
+kept on the twisted datum (``TwistedDatum.quotients``): its checks, its
+integer coordinate data and the characters ``weylmod`` memoizes on it are
+computed once for every point with that root set.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from math import lcm
 
 from .echelonnage import (
-    DEPTH_TABLE_CACHE,
     ApartmentPoint,
     TwistedDatum,
     depth_table,
-    restrict,
     torus_jump_dim,  # noqa: F401  (part of this module's API)
 )
 from .exactmath import IntMatrix, Vec, frozen_record, invert_matrix, pair, vec_scale, vec_sub
-from .rootdata import field_hash
 
 
 class QuotientError(RuntimeError):
@@ -42,13 +40,6 @@ class ReductiveQuotientDatum:
     roots: tuple[Vec, ...]
     coroots: tuple[Vec, ...]
     positives: tuple[bool, ...]
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    @cached_property
-    def _hash(self) -> int:
-        return field_hash(self)
 
     @cached_property
     def positive_roots(self) -> tuple[Vec, ...]:
@@ -162,6 +153,12 @@ class ReductiveQuotientDatum:
         ``weylmod``; every point sharing the datum shares them."""
         return {}
 
+    @cached_property
+    def integer_positives(self) -> dict:
+        """The positive roots times e as integer vectors, by e, filled by
+        ``weylmod``."""
+        return {}
+
 
 @frozen_record
 class MPQuotientReport:
@@ -174,21 +171,15 @@ class MPQuotientReport:
 def quotient_datum(td: TwistedDatum, x: ApartmentPoint) -> ReductiveQuotientDatum:
     """Roots of the reductive quotient: the depth-0 roots, those a with
     a(x - x0) in the jump set.  Its rank is the depth-0 torus dimension.
-    Points with the same depth-0 roots get the same datum object."""
+    Points with the same depth-0 roots get the same datum object, built and
+    checked once per root set (a failed check is raised, not kept)."""
     picked, rank = depth_table(td, x).at(0)
-    return _shared_quotient(td, tuple(rr.index for rr in picked), rank)
-
-
-@lru_cache(maxsize=DEPTH_TABLE_CACHE)
-def _shared_quotient(td: TwistedDatum, indices: tuple[int, ...], rank: int) -> ReductiveQuotientDatum:
-    """The quotient datum on the restricted roots at the given indices, built
-    and checked once per root set (a failed check is raised, not cached)."""
-    roots = restrict(td)
-    picked = [roots[i] for i in indices]
-    # The checks run on the keys times the twist order, which are integer
-    # vectors: a key is an average over a twist orbit.
+    indices = tuple(rr.index for rr in picked)
+    if indices in td.quotients:
+        return td.quotients[indices]
+    # the checks run on the integer keys, the keys times the twist order e
     e = td.twist.order
-    scaled = [(tuple((e * c).numerator for c in rr.key), rr.coroot) for rr in picked]
+    scaled = [(td.integer_keys[rr.index], rr.coroot) for rr in picked]
     keys = {k for k, _ in scaled}
     for k, _ in scaled:
         if vec_scale(2, k) in keys:
@@ -197,12 +188,13 @@ def _shared_quotient(td: TwistedDatum, indices: tuple[int, ...], rank: int) -> R
         for other in keys:
             if vec_sub(other, vec_scale(pair(other, coroot) // e, k)) not in keys:
                 raise QuotientError("quotient root system is not reflection closed")
-    return ReductiveQuotientDatum(
+    h = td.quotients[indices] = ReductiveQuotientDatum(
         rank=rank,
         roots=tuple(rr.key for rr in picked),
         coroots=tuple(rr.coroot for rr in picked),
         positives=tuple(rr.positive for rr in picked),
     )
+    return h
 
 
 def mp_quotient(td: TwistedDatum, x: ApartmentPoint, r) -> MPQuotientReport:

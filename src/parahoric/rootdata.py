@@ -23,6 +23,7 @@ from .exactmath import (
     frozen_record,
     identity_matrix,
     mat_vec,
+    matrix_rank,
     pair,
 )
 
@@ -156,13 +157,6 @@ def classical_weyl_order(descriptor: str) -> int:
     return out
 
 
-def field_hash(obj) -> int:
-    """The hash a ``frozen_record`` would compute, for the records that cache
-    it: their fields are long tuples, and every ``lru_cache`` lookup hashes
-    them."""
-    return hash(tuple(getattr(obj, name) for name in obj._fields))
-
-
 @frozen_record
 class RootDatum:
     """Roots and coroots as integer vectors in perfect pairing.
@@ -179,13 +173,6 @@ class RootDatum:
     coroots: tuple[IntVec, ...]
     coeffs: tuple[IntVec, ...]
     cocoeffs: tuple[IntVec, ...]
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    @cached_property
-    def _hash(self) -> int:
-        return field_hash(self)
 
     @property
     def rank(self) -> int:
@@ -234,9 +221,22 @@ class RootDatum:
                 acc[i] += Fraction(cr[i], 2)
         return tuple(acc)
 
+    @cached_property
+    def is_semisimple(self) -> bool:
+        return matrix_rank(self.roots) == self.rank
+
+
+# The builders intern their records: one object per datum, so the tables
+# cached on it are computed once and lookups keyed on it hit by identity.
+_DATA: dict[tuple[str, str], RootDatum] = {}
+_AUTOMORPHISMS: dict[tuple[RootDatum, tuple[int, ...]], DiagramAutomorphism] = {}
+
 
 def build_datum(descriptor: str, isogeny: str = "adjoint") -> RootDatum:
-    """Construct the root datum of the given type with the chosen isogeny."""
+    """The root datum of the given type with the chosen isogeny, built once
+    per (descriptor, isogeny)."""
+    if (descriptor, isogeny) in _DATA:
+        return _DATA[descriptor, isogeny]
     if isogeny not in ISOGENIES:
         raise RootDatumError(f"unsupported isogeny {isogeny!r}")
     cartan = cartan_matrix(descriptor)
@@ -286,7 +286,7 @@ def build_datum(descriptor: str, isogeny: str = "adjoint") -> RootDatum:
     for r, cr in zip(datum.roots, datum.coroots):
         if pair(r, cr) != 2:
             raise RootDatumError("root/coroot pairing is not 2")
-    return datum
+    return _DATA.setdefault((descriptor, isogeny), datum)
 
 
 @lru_cache(maxsize=None)
@@ -357,6 +357,17 @@ class DiagramAutomorphism:
     def is_identity(self) -> bool:
         return all(p == i for i, p in enumerate(self.permutation))
 
+    @cached_property
+    def spectrum(self) -> dict[int, int]:
+        """Cyclotomic multiplicities {k: m_k} on the cocharacter lattice:
+        every primitive k-th root of unity is an eigenvalue of multiplicity
+        m_k.  The matrix is a permutation matrix, and a j-cycle has
+        characteristic polynomial x^j - 1, the product of Phi_k over k | j."""
+        cycles = cycle_lengths(self.permutation)
+        return {
+            k: m for k in range(1, max(cycles) + 1) if (m := sum(j % k == 0 for j in cycles))
+        }
+
 
 def cycle_lengths(perm) -> list[int]:
     """Cycle lengths of a permutation of range(len(perm))."""
@@ -375,8 +386,11 @@ def cycle_lengths(perm) -> list[int]:
 
 
 def build_automorphism(datum: RootDatum, node_permutation) -> DiagramAutomorphism:
-    """Validate a node permutation as a diagram symmetry and build its matrix."""
+    """Validate a node permutation as a diagram symmetry and build its matrix,
+    once per (datum, permutation)."""
     perm = tuple(int(p) for p in node_permutation)
+    if (datum, perm) in _AUTOMORPHISMS:
+        return _AUTOMORPHISMS[datum, perm]
     n = datum.rank
     if sorted(perm) != list(range(n)):
         raise RootDatumError("node permutation is not a permutation of the nodes")
@@ -392,20 +406,13 @@ def build_automorphism(datum: RootDatum, node_permutation) -> DiagramAutomorphis
     image = {mat_vec(matrix, r) for r in datum.roots}
     if image != set(datum.roots):
         raise RootDatumError("automorphism does not permute the roots")
-    return DiagramAutomorphism(perm, matrix, lcm(*cycle_lengths(perm)))
+    twist = DiagramAutomorphism(perm, matrix, lcm(*cycle_lengths(perm)))
+    return _AUTOMORPHISMS.setdefault((datum, perm), twist)
 
 
 def identity_automorphism(datum: RootDatum) -> DiagramAutomorphism:
     return build_automorphism(datum, tuple(range(datum.rank)))
 
 
-@lru_cache(maxsize=None)
 def twist_spectrum(twist: DiagramAutomorphism) -> dict[int, int]:
-    """Cyclotomic multiplicities {k: m_k} of the twist on the cocharacter
-    lattice: every primitive k-th root of unity is an eigenvalue of
-    multiplicity m_k.  The twist is a permutation matrix, and a j-cycle has
-    characteristic polynomial x^j - 1, the product of Phi_k over k | j."""
-    cycles = cycle_lengths(twist.permutation)
-    return {
-        k: m for k in range(1, max(cycles) + 1) if (m := sum(j % k == 0 for j in cycles))
-    }
+    return twist.spectrum

@@ -20,7 +20,6 @@ from .echelonnage import (
     alcove_reduce,
     apartment_point,
     point_order,
-    restrict,
 )
 from .exactmath import (
     IntMatrix,
@@ -50,9 +49,8 @@ class StabilityError(RuntimeError):
     pass
 
 
-@lru_cache(maxsize=None)
 def is_semisimple(datum: RootDatum) -> bool:
-    return matrix_rank([list(map(Fraction, r)) for r in datum.roots]) == datum.rank
+    return datum.is_semisimple
 
 
 def acts_freely_on_roots(a: IntMatrix, datum: RootDatum, order: int) -> bool:
@@ -175,11 +173,6 @@ def _reduced_reference(td: TwistedDatum, m: int) -> ApartmentPoint:
     )
 
 
-@lru_cache(maxsize=None)
-def _restricted_rank(td: TwistedDatum) -> int:
-    return matrix_rank([list(map(Fraction, rr.key)) for rr in restrict(td)])
-
-
 def stable_verdict(
     td: TwistedDatum, x: ApartmentPoint, cap: int = WEYL_CAP_DEFAULT
 ) -> StabilityVerdict:
@@ -203,7 +196,7 @@ def stable_verdict(
         if report.total_dim <= 0:
             raise StabilityError("verdict true but the first quotient is zero")
         part_rank = matrix_rank([list(map(Fraction, k)) for k in report.root_part])
-        if part_rank != _restricted_rank(td):
+        if part_rank != td.restricted_rank:
             raise StabilityError(
                 "verdict true but the first quotient weights do not span"
             )

@@ -13,12 +13,10 @@ coordinates).  Multiplicities are exact integers throughout.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import lcm
 from operator import add, ge, mul, sub
 
 from .echelonnage import (
-    DEPTH_TABLE_CACHE,
     ApartmentPoint,
     TwistedDatum,
     depth_table,
@@ -59,30 +57,17 @@ def _integral(vectors, e: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
-@lru_cache(maxsize=None)
-def _integer_keys(td: TwistedDatum) -> tuple[tuple[int, ...], ...]:
-    """Every restricted key times e, in the order of ``restrict(td)``: its
-    orbit sum times e / orbit size."""
-    e = td.twist.order
-    return tuple(
-        tuple(c * (e // rr.orbit_size) for c in map(sum, zip(*rr.fiber)))
-        for rr in restrict(td)
-    )
-
-
-@lru_cache(maxsize=None)
-def _ambient_shifts(td: TwistedDatum) -> tuple[tuple[int, ...], ...]:
-    return _integral(ambient_positive_keys(td), td.twist.order)
-
-
-@lru_cache(maxsize=DEPTH_TABLE_CACHE)
 def _quotient_shifts(td: TwistedDatum, h: ReductiveQuotientDatum) -> tuple[tuple[int, ...], ...]:
-    return _integral(h.positive_roots, td.twist.order)
+    """The positive roots of h times e, memoized on h."""
+    e = td.twist.order
+    if e not in h.integer_positives:
+        h.integer_positives[e] = _integral(h.positive_roots, e)
+    return h.integer_positives[e]
 
 
 def _support(td: TwistedDatum, x: ApartmentPoint, r) -> dict:
     """phi_xr as integer vectors (keys times e) -> keys."""
-    keys = _integer_keys(td)
+    keys = td.integer_keys
     return {keys[rr.index]: rr.key for rr in depth_table(td, x).at(r)[0]}
 
 
@@ -360,7 +345,7 @@ def decompose(td: TwistedDatum, x: ApartmentPoint, r) -> Decomposition:
 
     support = _support(td, x, r)
     maximal = _maximal(support, _quotient_shifts(td, h))
-    ambient = _maximal(support, _ambient_shifts(td))
+    ambient = _maximal(support, [k for k, rr in zip(td.integer_keys, td.restricted) if rr.positive])
     nondominant = frozenset(a for a in maximal if dominant_labels(key_of[a][1]) is None)
 
     items = []

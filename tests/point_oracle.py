@@ -13,8 +13,6 @@ from parahoric.echelonnage import (
     ALCOVE_ITERATION_CAP,
     ApartmentPoint,
     EchelonnageError,
-    _translations,
-    _walls,
     evaluate,
     restrict,
     restricted_by_key,
@@ -48,9 +46,9 @@ def alcove_reduce_oracle(td, x):
     """Translate by the exact lattice floor, then reflect across violated
     facets, in Fraction vectors."""
     v = x.coords
-    for w, t in _translations(td):
+    for w, t in td.translations:
         v = vec_sub(v, vec_scale(floor(pair(w, v)), t))
-    facets = _walls(td)
+    facets = td.walls
     for _ in range(ALCOVE_ITERATION_CAP):
         moved = False
         for f in facets:

@@ -10,7 +10,6 @@ import pytest
 from parahoric.catalog import catalog_datum, catalog_ids, named_point
 from parahoric.echelonnage import (
     EchelonnageError,
-    _translations,
     affine_reflect,
     alcove_reduce,
     alcove_vertices,
@@ -26,7 +25,6 @@ from parahoric.echelonnage import (
     simple_restricted_keys,
     twisted,
 )
-from parahoric.echelonnage import _walls as facets
 from parahoric.exactmath import (
     ExactMathError,
     ValuationSet,
@@ -326,7 +324,7 @@ def alcove_vertices_oracle(td):
 def alcove_reduce_oracle(td, x):
     """Translate by the exact lattice floor, then fold across all walls."""
     v = x.coords
-    for w, t in _translations(td):
+    for w, t in td.translations:
         v = vec_sub(v, vec_scale(floor(pair(w, v)), t))
     return fold_only(td, apartment_point(td, v))
 
@@ -389,7 +387,7 @@ ALCOVE_DATA = dict(_alcove_data())
 def test_base_alcove_matches_all_walls_oracle(name):
     td, components = ALCOVE_DATA[name]
     rank = len(simple_restricted_keys(td))
-    assert len(facets(td)) == rank + components
+    assert len(td.walls) == rank + components
     assert tuple(v.coords for v in alcove_vertices(td)) == alcove_vertices_oracle(td)
     rng = random.Random(name)
     for _ in range(40):

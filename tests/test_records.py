@@ -39,8 +39,8 @@ SAMPLES = {
     echelonnage.RestrictedRoot: lambda d, s, td, x: echelonnage.restrict(td)[-1],
     echelonnage._Scaffold: lambda d, s, td, x: echelonnage._scaffold(d, s),
     echelonnage.DepthTable: lambda d, s, td, x: echelonnage.depth_table(td, x),
-    echelonnage._Facet: lambda d, s, td, x: echelonnage._walls(td)[0],
-    echelonnage._IntegerAlcove: lambda d, s, td, x: echelonnage._integer_alcove(td),
+    echelonnage._Facet: lambda d, s, td, x: td.walls[0],
+    echelonnage._IntegerAlcove: lambda d, s, td, x: td.integer_alcove,
     ValuationSet: lambda d, s, td, x: echelonnage.restrict(td)[-1].jump_set,
     mpquotient.ReductiveQuotientDatum: lambda d, s, td, x: mpquotient.quotient_datum(td, x),
     mpquotient.MPQuotientReport: lambda d, s, td, x: mpquotient.mp_quotient(
@@ -98,8 +98,7 @@ def test_hash_is_the_dataclass_hash(pool):
                 hash(rec)
             continue
         assert hash(rec) == expected == hash(fields)
-        if "_hash" in vars(type(rec)):  # the class's own hash, cached on first use
-            assert vars(rec)["_hash"] == expected
+        assert vars(rec)["_hash"] == expected  # computed once, on first use
 
 
 def test_repr_is_the_dataclass_repr(pool):
