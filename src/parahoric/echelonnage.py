@@ -29,6 +29,7 @@ from operator import mul
 from .exactmath import (
     ValuationSet,
     Vec,
+    clear_denominators,
     frozen_record,
     invert_matrix,
     mat_vec,
@@ -230,7 +231,7 @@ class TwistedDatum:
 
     @cached_property
     def restricted_rank(self) -> int:
-        return matrix_rank([rr.key for rr in self.restricted])
+        return matrix_rank(self.integer_keys)
 
     @cached_property
     def quotients(self) -> dict:
@@ -342,15 +343,14 @@ class TwistedDatum:
     @cached_property
     def integer_alcove(self) -> _IntegerAlcove:
         walls, translations = self.walls, self.translations
-        q = lcm(
-            *(c.denominator for f in walls for c in (*f.key, f.level)),
-            *(c.denominator for _, t in translations for c in t),
+        q, rows = clear_denominators(
+            *((*f.key, f.level) for f in walls), *(t for _, t in translations)
         )
-        facets = tuple((_times(f.key, q), (f.level * q).numerator, f.coroot) for f in walls)
+        facets = tuple((row[:-1], row[-1], f.coroot) for row, f in zip(rows, walls))
         shifts = []
-        for w, t in translations:
-            p = lcm(*(c.denominator for c in w))
-            shifts.append((_times(w, p), p, _times(t, q)))
+        for (w, _), t in zip(translations, rows[len(walls):]):
+            p, (w_num,) = clear_denominators(w)
+            shifts.append((w_num, p, t))
         return _IntegerAlcove(q, facets, tuple(shifts))
 
 
@@ -438,8 +438,8 @@ class ApartmentPoint:
     def scaled(self) -> tuple[int, tuple[int, ...]]:
         """(D, numerators): the coordinates as integers over D, the least
         common denominator of the coordinates."""
-        den = lcm(*(c.denominator for c in self.coords))
-        return den, tuple(c.numerator * (den // c.denominator) for c in self.coords)
+        den, (nums,) = clear_denominators(self.coords)
+        return den, nums
 
 
 def _fixed_point(td: TwistedDatum, den: int, nums) -> ApartmentPoint:
@@ -453,9 +453,8 @@ def _fixed_point(td: TwistedDatum, den: int, nums) -> ApartmentPoint:
 
 
 def apartment_point(td: TwistedDatum, coords) -> ApartmentPoint:
-    v = [Fraction(c) for c in coords]
-    den = lcm(*(c.denominator for c in v))
-    return _fixed_point(td, den, (c.numerator * (den // c.denominator) for c in v))
+    den, (nums,) = clear_denominators([Fraction(c) for c in coords])
+    return _fixed_point(td, den, nums)
 
 
 def origin(td: TwistedDatum) -> ApartmentPoint:
@@ -466,15 +465,14 @@ def point_from_simple_coroots(td: TwistedDatum, coefficients) -> ApartmentPoint:
     """The sum of the coefficients times the restricted simple coroots, added
     as integer coroot multiples over the coefficients' common denominator."""
     coroots = td.simple_coroots
-    coeffs = [Fraction(c) for c in coefficients]
+    den, (coeffs,) = clear_denominators([Fraction(c) for c in coefficients])
     if len(coeffs) != len(coroots):
         raise EchelonnageError(
             f"expected {len(coroots)} coordinates (one per restricted simple coroot)"
         )
-    den = lcm(*(c.denominator for c in coeffs))
     acc = (0,) * td.base.rank
     for c, coroot in zip(coeffs, coroots):
-        acc = vec_add(acc, vec_scale(c.numerator * (den // c.denominator), coroot))
+        acc = vec_add(acc, vec_scale(c, coroot))
     return _fixed_point(td, den, acc)
 
 
@@ -633,11 +631,6 @@ class _IntegerAlcove:
     q: int
     facets: tuple[tuple[tuple[int, ...], int, tuple[int, ...]], ...]
     translations: tuple[tuple[tuple[int, ...], int, tuple[int, ...]], ...]
-
-
-def _times(v: Vec, d: int) -> tuple[int, ...]:
-    """v * d for a rational vector that d clears of denominators."""
-    return tuple((c * d).numerator for c in v)
 
 
 def _excess(facet, nums, den: int) -> int:

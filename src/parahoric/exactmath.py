@@ -98,6 +98,13 @@ def pair(chi, mu):
     return sum(map(mul, chi, mu))
 
 
+def clear_denominators(*vectors) -> tuple[int, tuple[IntVec, ...]]:
+    """(D, vectors times D) for rational vectors, D their least common
+    denominator: the same rationals as integers over one denominator."""
+    den = lcm(*(c.denominator for v in vectors for c in v))
+    return den, tuple(tuple(c.numerator * (den // c.denominator) for c in v) for v in vectors)
+
+
 def reflection_orbit(vec, reflections) -> set:
     """Orbit of ``vec`` under the group generated by the reflections
     v -> v - <v, acheck> a, one per pair (a, acheck)."""

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
 
 from .echelonnage import (
     ApartmentPoint,
@@ -24,7 +23,16 @@ from .echelonnage import (
     depth_table,
     torus_jump_dim,  # noqa: F401  (part of this module's API)
 )
-from .exactmath import IntMatrix, Vec, frozen_record, invert_matrix, pair, vec_scale, vec_sub
+from .exactmath import (
+    IntMatrix,
+    Vec,
+    clear_denominators,
+    frozen_record,
+    invert_matrix,
+    pair,
+    vec_scale,
+    vec_sub,
+)
 
 
 class QuotientError(RuntimeError):
@@ -34,33 +42,49 @@ class QuotientError(RuntimeError):
 @frozen_record
 class ReductiveQuotientDatum:
     """Root datum of the reductive quotient at a point: the restricted roots
-    whose value at the point is an actual jump level."""
+    whose value at the point is an actual jump level.  ``integer_roots``
+    holds the roots times the twist order e (``TwistedDatum.integer_keys``),
+    and the simple roots, the Cartan matrix, the coordinate map and the half
+    norms are integer arithmetic on them."""
 
     rank: int
     roots: tuple[Vec, ...]
     coroots: tuple[Vec, ...]
     positives: tuple[bool, ...]
+    integer_roots: tuple[tuple[int, ...], ...]
 
     @cached_property
     def positive_roots(self) -> tuple[Vec, ...]:
         return tuple(r for r, p in zip(self.roots, self.positives) if p)
 
     @cached_property
+    def _simple(self) -> tuple[int, ...]:
+        """Indices of the simple roots, in key order: the positive roots that
+        are not a positive root plus another."""
+        pos = {k: i for i, (k, p) in enumerate(zip(self.integer_roots, self.positives)) if p}
+        return tuple(
+            i for k, i in sorted(pos.items()) if not any(vec_sub(k, b) in pos for b in pos)
+        )
+
+    @cached_property
     def simple_roots(self) -> tuple[Vec, ...]:
-        pos = set(self.positive_roots)
-        simple = []
-        for a in sorted(pos):
-            if not any(vec_sub(a, b) in pos for b in pos if b != a):
-                simple.append(a)
-        return tuple(simple)
+        return tuple(self.roots[i] for i in self._simple)
 
     @cached_property
     def simple_coroots(self) -> tuple[Vec, ...]:
-        index = {r: i for i, r in enumerate(self.roots)}
-        return tuple(self.coroots[index[a]] for a in self.simple_roots)
+        return tuple(self.coroots[i] for i in self._simple)
+
+    @cached_property
+    def simple_integer_roots(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(self.integer_roots[i] for i in self._simple)
 
     def coroot_of(self, key: Vec) -> Vec:
         return self.coroots[self.roots.index(key)]
+
+    @cached_property
+    def _scale(self) -> int:
+        """e: a root pairs to 2 with its coroot, so to 2e as an integer root."""
+        return pair(self.integer_roots[0], self.coroots[0]) // 2 if self.roots else 1
 
     @cached_property
     def cartan(self) -> IntMatrix:
@@ -68,68 +92,55 @@ class ReductiveQuotientDatum:
         convention of ``rootdata``)."""
         rows = []
         for ac in self.simple_coroots:
-            row = tuple(pair(a, ac) for a in self.simple_roots)
-            if any(c.denominator != 1 for c in row):
+            row = [divmod(pair(a, ac), self._scale) for a in self.simple_integer_roots]
+            if any(rem for _, rem in row):
                 raise QuotientError("quotient Cartan matrix is not integral")
-            rows.append(tuple(int(c) for c in row))
+            rows.append(tuple(c for c, _ in row))
         return tuple(rows)
 
     @cached_property
     def _coordinate_data(self):
-        """C^-1 as integers over one denominator, and the simple roots as
-        integers over another: the coordinate map is integer arithmetic."""
-        inverse = invert_matrix(self.cartan) if self.cartan else ()
-        den_inv = lcm(*(c.denominator for row in inverse for c in row))
-        inv_num = tuple(tuple((c * den_inv).numerator for c in row) for row in inverse)
-        den_a = lcm(*(c.denominator for a in self.simple_roots for c in a))
-        simple_num = tuple(tuple((c * den_a).numerator for c in a) for a in self.simple_roots)
-        return den_inv, inv_num, den_a, simple_num
+        """C^-1 as integers over one denominator: the coordinate map is
+        integer arithmetic on the integer roots."""
+        return clear_denominators(*invert_matrix(self.cartan))
 
     @property
     def coordinate_denominator(self) -> int:
-        """The denominator of C^-1: ``scaled_coordinates`` of num gives c
-        times this denominator times q for the weight num / q."""
-        return self._coordinate_data[0]
+        """The denominator of C^-1 times e: ``scaled_coordinates`` of an
+        integer root-scale vector num gives c times this for the weight
+        num / e."""
+        return self._coordinate_data[0] * self._scale
 
     def scaled_coordinates(self, num) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """``simple_coordinates`` of the weight num / q, for an integer
-        vector num and any q, in integers: the residual times
-        den_inv den_a q and c times den_inv q."""
-        den_inv, inv_num, den_a, simple_num = self._coordinate_data
+        """The simple-root coordinates (residual, c) of the weight v = num / q,
+        for an integer vector num and any q: v = residual + sum c_i alpha_i
+        with the residual pairing to zero with every simple coroot, so
+        c = C^-1 (<v, acheck_j>)_j.  Returned in integers: the residual times
+        den_inv e q and c times den_inv q, den_inv the denominator of C^-1."""
+        den_inv, inverse = self._coordinate_data
         p = [pair(num, ac) for ac in self.simple_coroots]
-        c = tuple(pair(row, p) for row in inv_num)
-        residual = [x * den_inv * den_a for x in num]
-        for ci, a in zip(c, simple_num):
+        c = tuple(pair(row, p) for row in inverse)
+        residual = [x * den_inv * self._scale for x in num]
+        for ci, a in zip(c, self.simple_integer_roots):
             if ci:
                 residual = [x - ci * y for x, y in zip(residual, a)]
         return tuple(residual), c
 
-    def simple_coordinates(self, v: Vec) -> tuple[Vec, Vec]:
-        """(residual, c) with v = residual + sum c_i alpha_i and the residual
-        pairing to zero with every simple coroot: c = C^-1 (<v, acheck_j>)_j."""
-        den_inv, _, den_a, _ = self._coordinate_data
-        q = lcm(*(x.denominator for x in v))
-        residual, c = self.scaled_coordinates(
-            [x.numerator * (q // x.denominator) for x in v]
-        )
-        den = den_inv * q
-        return (
-            tuple(Fraction(x, den * den_a) for x in residual),
-            tuple(Fraction(x, den) for x in c),
-        )
-
     @cached_property
     def positive_coordinates(self) -> tuple[tuple[int, ...], ...]:
         """The positive roots, in order, as integer simple-root coordinates."""
+        scale = self.coordinate_denominator
         out = []
-        for a in self.positive_roots:
-            residual, c = self.simple_coordinates(a)
-            if any(residual) or any(x.denominator != 1 or x < 0 for x in c):
+        for a, k, p in zip(self.roots, self.integer_roots, self.positives):
+            if not p:
+                continue
+            residual, c = self.scaled_coordinates(k)
+            if any(residual) or any(x % scale or x < 0 for x in c):
                 raise QuotientError(
                     f"positive root {a} is not a nonnegative integer "
                     "combination of the simple roots"
                 )
-            out.append(tuple(int(x) for x in c))
+            out.append(tuple(x // scale for x in c))
         return tuple(out)
 
     @cached_property
@@ -137,11 +148,10 @@ class ReductiveQuotientDatum:
         """d_j = (alpha_j, alpha_j)/2 for the Weyl-invariant form
         (chi, psi) = sum over the roots a of <chi, acheck><psi, acheck>: the
         sum over the positive a of <alpha_j, acheck>^2, an integer."""
-        _, _, den_a, simple_num = self._coordinate_data
         pos = [c for c, p in zip(self.coroots, self.positives) if p]
         out = []
-        for a in simple_num:
-            d, rem = divmod(sum(pair(a, c) ** 2 for c in pos), den_a**2)
+        for a in self.simple_integer_roots:
+            d, rem = divmod(sum(pair(a, c) ** 2 for c in pos), self._scale**2)
             if rem:
                 raise QuotientError("simple root pairs non-integrally with a coroot")
             out.append(d)
@@ -151,12 +161,6 @@ class ReductiveQuotientDatum:
     def characters(self) -> dict:
         """Characters of this quotient by top Dynkin labels, filled by
         ``weylmod``; every point sharing the datum shares them."""
-        return {}
-
-    @cached_property
-    def integer_positives(self) -> dict:
-        """The positive roots times e as integer vectors, by e, filled by
-        ``weylmod``."""
         return {}
 
 
@@ -193,6 +197,7 @@ def quotient_datum(td: TwistedDatum, x: ApartmentPoint) -> ReductiveQuotientDatu
         roots=tuple(rr.key for rr in picked),
         coroots=tuple(rr.coroot for rr in picked),
         positives=tuple(rr.positive for rr in picked),
+        integer_roots=tuple(k for k, _ in scaled),
     )
     return h
 

@@ -19,6 +19,7 @@ from .echelonnage import (
     TwistedDatum,
     alcove_reduce,
     apartment_point,
+    depth_table,
     point_order,
 )
 from .exactmath import (
@@ -35,7 +36,7 @@ from .exactmath import (
     matrix_rank,
     pair,
 )
-from .mpquotient import first_jump, mp_quotient
+from .mpquotient import first_jump
 from .rootdata import (
     WEYL_CAP_DEFAULT,
     DiagramAutomorphism,
@@ -192,11 +193,10 @@ def stable_verdict(
     regular_ok = m in orders
     verdict = conjugacy_ok and depth_ok and regular_ok
     if verdict:
-        report = mp_quotient(td, x, jump)
-        if report.total_dim <= 0:
+        part, torus = depth_table(td, x).at(jump)
+        if len(part) + torus <= 0:
             raise StabilityError("verdict true but the first quotient is zero")
-        part_rank = matrix_rank([list(map(Fraction, k)) for k in report.root_part])
-        if part_rank != td.restricted_rank:
+        if matrix_rank([td.integer_keys[rr.index] for rr in part]) != td.restricted_rank:
             raise StabilityError(
                 "verdict true but the first quotient weights do not span"
             )

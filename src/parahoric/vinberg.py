@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .echelonnage import ApartmentPoint, TwistedDatum, _scaffold, depth_table, point_order
-from .exactmath import frozen_record, pair
+from .exactmath import clear_denominators, frozen_record, pair
 from .mpquotient import quotient_datum
 from .rootdata import DiagramAutomorphism, RootDatum, twist_spectrum
 
@@ -84,9 +84,7 @@ def grading(
     if m <= 0:
         raise GradingError("modulus must be positive")
     _check_modulus(m)
-    # lam = lam_num / den: one integer pairing per root
-    den = lcm(*(c.denominator for c in lam))
-    lam_num = tuple(c.numerator * (den // c.denominator) for c in lam)
+    den, (lam_num,) = clear_denominators(lam)  # one integer pairing per root
     weight = {}
     for root in datum.roots:
         w, rem = divmod(pair(root, lam_num), den)

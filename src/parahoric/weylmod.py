@@ -6,14 +6,15 @@ a closure of the maximal roots under root steps of the quotient.
 The public functions take and return weights in the rational coordinate
 space of the restricted roots.  Inside, a character is an integer map from
 n to the multiplicity of lam - sum n_i alpha_i, memoized on the shared
-quotient datum by the Dynkin labels of lam, and ``decompose`` subtracts
-characters on integer weight keys (residual class, scaled simple-root
-coordinates).  Multiplicities are exact integers throughout.
+quotient datum by the Dynkin labels of lam.  ``decompose`` and the span
+check hold weights on one integer scale, the integer keys (key times the
+twist order) of the depth table, from maximality through ordering and
+character subtraction; ``Fraction`` weights appear only in what they
+return.  Multiplicities are exact integers throughout.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from operator import add, ge, mul, sub
 
 from .echelonnage import (
@@ -23,7 +24,7 @@ from .echelonnage import (
     restrict,
     twisted,
 )
-from .exactmath import Vec, frozen_record, pair
+from .exactmath import Vec, clear_denominators, frozen_record, pair
 from .mpquotient import (
     MPQuotientReport,
     ReductiveQuotientDatum,
@@ -45,37 +46,27 @@ def phi_xr(td: TwistedDatum, x: ApartmentPoint, r) -> frozenset:
     return frozenset(rr.key for rr in depth_table(td, x).at(r)[0])
 
 
-# The maximality tests run on the keys times the twist order e, which are
-# integer vectors: a key is an average over a twist orbit.  A shift b with
-# b * e not integral never takes a key to a key, so it is dropped.
-
-
-def _integral(vectors, e: int) -> tuple[tuple[int, ...], ...]:
-    scaled = (tuple(c * e for c in v) for v in vectors)
-    return tuple(
-        tuple(c.numerator for c in v) for v in scaled if all(c.denominator == 1 for c in v)
-    )
-
-
-def _quotient_shifts(td: TwistedDatum, h: ReductiveQuotientDatum) -> tuple[tuple[int, ...], ...]:
-    """The positive roots of h times e, memoized on h."""
-    e = td.twist.order
-    if e not in h.integer_positives:
-        h.integer_positives[e] = _integral(h.positive_roots, e)
-    return h.integer_positives[e]
+# The maximality tests run on the integer keys, the keys times the twist
+# order e (``TwistedDatum.integer_keys``; the quotient datum holds its roots
+# the same way, ``integer_roots``): a key is the average of a twist orbit
+# whose size divides e, so key * e is an integer vector.
 
 
 def _support(td: TwistedDatum, x: ApartmentPoint, r) -> dict:
-    """phi_xr as integer vectors (keys times e) -> keys."""
+    """phi_xr as integer keys -> keys."""
     keys = td.integer_keys
     return {keys[rr.index]: rr.key for rr in depth_table(td, x).at(r)[0]}
 
 
-def _maximal(support: dict, shifts) -> frozenset:
+def _positive_steps(h: ReductiveQuotientDatum) -> list:
+    """The positive roots of h as integer keys."""
+    return [k for k, p in zip(h.integer_roots, h.positives) if p]
+
+
+def _maximal(support, shifts) -> frozenset:
+    """The integer keys s of the support with s + t outside it for every shift t."""
     return frozenset(
-        a
-        for s, a in support.items()
-        if not any(tuple(map(add, s, t)) in support for t in shifts)
+        s for s in support if not any(tuple(map(add, s, t)) in support for t in shifts)
     )
 
 
@@ -92,10 +83,11 @@ def phi_xr_max(
     the ambient positive restricted roots to test the other reading.
     """
     if positives is None:
-        shifts = _quotient_shifts(td, h)
+        shifts = _positive_steps(h)
     else:
-        shifts = _integral(positives, td.twist.order)
-    return _maximal(_support(td, x, r), shifts)
+        shifts = [td.integer_keys[td.by_key[b].index] for b in positives]
+    support = _support(td, x, r)
+    return frozenset(support[s] for s in _maximal(support, shifts))
 
 
 def ambient_positive_keys(td: TwistedDatum) -> tuple[Vec, ...]:
@@ -106,8 +98,9 @@ def ambient_positive_keys(td: TwistedDatum) -> tuple[Vec, ...]:
 # dominance
 #
 # A weight v has simple-root coordinates (residual, c): v = residual +
-# sum c_i alpha_i with the residual pairing to zero with the simple coroots
-# (``ReductiveQuotientDatum.simple_coordinates``).
+# sum c_i alpha_i with the residual pairing to zero with the simple coroots,
+# read in integers off v times a common denominator
+# (``ReductiveQuotientDatum.scaled_coordinates``).
 
 
 def is_dominant_integral(h: ReductiveQuotientDatum, mu: Vec) -> bool:
@@ -122,7 +115,8 @@ def dominance_ge(h: ReductiveQuotientDatum, nu: Vec, mu: Vec) -> bool:
     """nu >= mu when nu - mu is a nonnegative rational combination of the
     simple roots of h (equal residuals and c(nu) >= c(mu) coordinatewise);
     weights outside the root span are incomparable."""
-    (upper, c_nu), (lower, c_mu) = h.simple_coordinates(nu), h.simple_coordinates(mu)
+    _, nums = clear_denominators(nu, mu)
+    (upper, c_nu), (lower, c_mu) = map(h.scaled_coordinates, nums)
     return upper == lower and all(map(ge, c_nu, c_mu))
 
 
@@ -273,9 +267,7 @@ def weyl_character(h: ReductiveQuotientDatum, lam) -> tuple[dict, int]:
     if not is_dominant_integral(h, lam):
         raise WeylModuleError(f"weight {lam} is not dominant integral")
     mult, dim = _character(h, tuple(int(pair(lam, ac)) for ac in h.simple_coroots))
-    den = lcm(*(c.denominator for v in (lam, *h.simple_roots) for c in v))
-    lam_num = tuple((c * den).numerator for c in lam)
-    simple_num = [tuple((c * den).numerator for c in a) for a in h.simple_roots]
+    den, (lam_num, *simple_num) = clear_denominators(lam, *h.simple_roots)
     weights: dict[Vec, int] = {}
     for n, m in mult.items():
         v = lam_num
@@ -309,29 +301,29 @@ def decompose(td: TwistedDatum, x: ApartmentPoint, r) -> Decomposition:
     r = Fraction(r)
     h = quotient_datum(td, x)
     report = mp_quotient(td, x, r)
-    weights: dict[Vec, int] = {}
-    for key in report.root_part:
-        weights[key] = weights.get(key, 0) + 1
-    if report.torus_dim:
-        zero = tuple(Fraction(0) for _ in range(td.base.rank))
-        weights[zero] = weights.get(zero, 0) + report.torus_dim
+    support = _support(td, x, r)
 
-    # Integer weight keys: (residual class, D c) with c the simple-root
-    # coordinates over the common denominator D, so lam - sum n_i alpha_i
-    # has the key (class of lam, D c(lam) - D n) and the Dynkin labels of
-    # lam are C (D c) / D.  Scaling by q keeps the order of the weights.
-    q = lcm(*(t.denominator for w in weights for t in w))
-    scale = h.coordinate_denominator * q
+    def weight(num) -> Vec:
+        """The weight of the integer key num: a key of the bin, or zero."""
+        return support.get(num) or tuple(Fraction(0) for _ in num)
+
+    # One line per root of the depth-r bin (a root lands in a bin at most
+    # once) and the torus at zero, all on the integer-key scale.  A weight
+    # gets the key (residual class, D c) with c its simple-root coordinates
+    # and D = h.coordinate_denominator, so lam - sum n_i alpha_i has the key
+    # (class of lam, D c(lam) - D n) and the Dynkin labels of lam are
+    # C (D c) / D.
+    weights = dict.fromkeys(support, 1)
+    if report.torus_dim:
+        weights[(0,) * td.base.rank] = report.torus_dim
+    scale = h.coordinate_denominator
     classes: dict = {}
     key_of = {}
-    for num, w in sorted(
-        ((tuple(t.numerator * (q // t.denominator) for t in w), w) for w in weights),
-        reverse=True,
-    ):
+    for num in sorted(weights, reverse=True):
         residual, c = h.scaled_coordinates(num)
-        key_of[w] = (classes.setdefault(residual, len(classes)), c)
-    order = list(key_of.items())  # descending in the weight vectors
-    left = {key: weights[w] for w, key in order}  # multiplicity still to account for
+        key_of[num] = (classes.setdefault(residual, len(classes)), c)
+    order = list(key_of.items())  # descending in the weights
+    left = {key: weights[num] for num, key in order}  # multiplicity still to account for
 
     def dominant_labels(c) -> tuple | None:
         """The Dynkin labels C c / D, or None unless nonnegative integers."""
@@ -343,18 +335,17 @@ def decompose(td: TwistedDatum, x: ApartmentPoint, r) -> Decomposition:
             top.append(t)
         return tuple(top)
 
-    support = _support(td, x, r)
-    maximal = _maximal(support, _quotient_shifts(td, h))
+    maximal = _maximal(support, _positive_steps(h))
     ambient = _maximal(support, [k for k, rr in zip(td.integer_keys, td.restricted) if rr.positive])
-    nondominant = frozenset(a for a in maximal if dominant_labels(key_of[a][1]) is None)
+    nondominant = [s for s in maximal if dominant_labels(key_of[s][1]) is None]
 
     items = []
     total = 0
     while left:
         # subtraction only ever shrinks the support: the first weight no
         # other one dominates is the largest maximal weight
-        order = [(mu, key) for mu, key in order if key in left]
-        for mu, key in order:
+        order = [(num, key) for num, key in order if key in left]
+        for num, key in order:
             cls, c = key
             if not any(
                 other != key and other[0] == cls and all(map(ge, other[1], c))
@@ -363,7 +354,9 @@ def decompose(td: TwistedDatum, x: ApartmentPoint, r) -> Decomposition:
                 break
         top = dominant_labels(c)
         if top is None:
-            raise WeylModuleError(f"maximal support weight {mu} is not dominant integral")
+            raise WeylModuleError(
+                f"maximal support weight {weight(num)} is not dominant integral"
+            )
         count = left[key]
         if count <= 0:
             raise WeylModuleError("nonpositive multiplicity at a maximal weight")
@@ -379,14 +372,14 @@ def decompose(td: TwistedDatum, x: ApartmentPoint, r) -> Decomposition:
                 left[nu] = new
             elif nu in left:
                 del left[nu]
-        items.append((mu, count))
+        items.append((weight(num), count))
         total += count * dim
     return Decomposition(
         items=tuple(items),
         total_dim=total,
         quotient=report,
-        maximal_set=maximal,
-        nondominant_maximal=nondominant,
+        maximal_set=frozenset(support[s] for s in maximal),
+        nondominant_maximal=frozenset(support[s] for s in nondominant),
         ambient_reading_differs=maximal != ambient,
     )
 
@@ -411,12 +404,10 @@ def split_span_check(datum, x: ApartmentPoint, r) -> bool:
     td = twisted(datum)
     h = quotient_datum(td, x)
     support = _support(td, x, r)
-    maximal = _maximal(support, _quotient_shifts(td, h))
-    steps = _integral(h.roots, td.twist.order)
-    reached = [s for s, a in support.items() if a in maximal]
+    reached = list(_maximal(support, _positive_steps(h)))
     seen = set(reached)
     for s in reached:  # grows while it is walked: a breadth-first closure
-        for t in steps:
+        for t in h.integer_roots:
             nxt = tuple(map(add, s, t))
             if nxt in support and nxt not in seen:
                 seen.add(nxt)

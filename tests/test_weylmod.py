@@ -417,6 +417,13 @@ def oracle_weyl_character(h, lam):
     return weights, dim
 
 
+def oracle_maximal(td, x, r, positives):
+    """Members a of phi_xr with a + b outside phi_xr for every b in
+    ``positives``, by Fraction sums."""
+    support = phi_xr(td, x, r)
+    return frozenset(a for a in support if not any(vec_add(a, b) in support for b in positives))
+
+
 def oracle_decompose(td, x, r):
     """The decomposition by character subtraction on the oracles; also
     returns the oracle dominance on every ordered pair of the initial support
@@ -431,8 +438,8 @@ def oracle_decompose(td, x, r):
         zero = tuple(F(0) for _ in range(td.base.rank))
         weights[zero] = weights.get(zero, 0) + report.torus_dim
     ge = {(nu, mu): oracle_dominance_ge(h, nu, mu) for nu in weights for mu in weights}
-    maximal = phi_xr_max(td, x, r, h)
-    ambient = phi_xr_max(td, x, r, h, positives=ambient_positive_keys(td))
+    maximal = oracle_maximal(td, x, r, h.positive_roots)
+    ambient = oracle_maximal(td, x, r, ambient_positive_keys(td))
     items = []
     chars = {}
     total = 0
@@ -502,6 +509,9 @@ def test_integer_kernel_matches_fraction_oracle(name):
         for r in (first_jump(td, x), F(1, 2)):
             expected, ge, chars = oracle_decompose(td, x, r)
             assert decompose(td, x, r) == expected
+            assert phi_xr_max(td, x, r, h) == expected.maximal_set
+            ambient = ambient_positive_keys(td)
+            assert phi_xr_max(td, x, r, h, ambient) == oracle_maximal(td, x, r, ambient)
             for (nu, mu), answer in ge.items():
                 assert dominance_ge(h, nu, mu) == answer
             for mu, char in chars.items():
@@ -511,13 +521,40 @@ def test_integer_kernel_matches_fraction_oracle(name):
     assert subtracted
 
 
+@pytest.mark.parametrize("name", ["B4", "2A4"])
+def test_decompose_hashes_fractions_only_for_its_results(name, monkeypatch):
+    # Inside decompose a weight is an integer key: once the quotient datum,
+    # the depth table and the characters exist, the only Fraction hashes are
+    # those of the returned weights entering the maximal sets.
+    td, m = oracle_datum(name)
+    rank = td.base.rank
+    real = Fraction.__hash__
+    calls = []
+
+    def counting(self):
+        calls.append(self)
+        return real(self)
+
+    seen = 0
+    for x in (rho_point(td, m), origin(td)):
+        for r in (first_jump(td, x), F(1, 2)):
+            decompose(td, x, r)
+            calls.clear()
+            monkeypatch.setattr(Fraction, "__hash__", counting)
+            dec = decompose(td, x, r)
+            monkeypatch.undo()
+            assert len(calls) <= rank * (len(dec.maximal_set) + len(dec.items)), (x, r)
+            seen += len(calls)
+    assert seen  # the wrapper was live
+
+
 def test_memoized_character_equals_a_fresh_one():
     td = twisted(build_datum("B3"))
     for x in (origin(td), point_from_simple_coroots(td, (0, 0, F(1, 3)))):
         h = quotient_datum(td, x)
         dec = decompose(td, x, first_jump(td, x))
         assert h.characters  # decompose filled the memo of the shared datum
-        fresh = ReductiveQuotientDatum(h.rank, h.roots, h.coroots, h.positives)
+        fresh = ReductiveQuotientDatum(h.rank, h.roots, h.coroots, h.positives, h.integer_roots)
         for mu, _ in dec.items:
             cached = len(h.characters)
             assert weyl_character(h, mu) == weyl_character(fresh, mu)
