@@ -443,7 +443,10 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=None, help="write the report here instead of stdout")
     p.add_argument("--m", type=int, default=None, help="override m for rho_over_m points")
     p.add_argument("--M", type=int, default=None, help="override the grading modulus")
-    p.add_argument("--cap", type=int, default=WEYL_CAP_DEFAULT, help="Weyl enumeration cap")
+    p.add_argument(
+        "--cap", type=int, default=WEYL_CAP_DEFAULT,
+        help="bound on |W|, the order of the Weyl group (default %(default)s)",
+    )
 
 
 class _Parser(argparse.ArgumentParser):

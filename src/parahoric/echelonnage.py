@@ -45,6 +45,7 @@ from .rootdata import (
     DiagramAutomorphism,
     RootDatum,
     identity_automorphism,
+    regular_orders,
     twist_spectrum,
 )
 
@@ -237,6 +238,18 @@ class TwistedDatum:
     def quotients(self) -> dict:
         """Reductive quotient data by depth-0 root set (the indices of its
         roots in ``restricted``), filled by ``mpquotient``."""
+        return {}
+
+    @cached_property
+    def regular_orders(self) -> dict[int, int]:
+        """Orders of the elliptic Z-regular elements of the twisted Weyl coset,
+        each with the centralizer order of one (``rootdata.regular_orders``)."""
+        return regular_orders(self.base, self.twist)
+
+    @cached_property
+    def regular_witnesses(self) -> dict:
+        """The least elliptic Z-regular element of each order asked for,
+        filled by ``stability``."""
         return {}
 
     @cached_property

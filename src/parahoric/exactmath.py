@@ -358,10 +358,28 @@ def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
 
 
 def matrix_rank(rows) -> int:
-    if not rows:
-        return 0
-    _, pivots = rref([list(r) for r in rows])
-    return len(pivots)
+    """Rank by fraction-free elimination, the Bareiss step of ``det_bareiss``
+    below each pivot: every entry stays an integer, a minor of the input.  A
+    rational row is first scaled to integers by its common denominator."""
+    m = []
+    for row in rows:
+        den = lcm(*(c.denominator for c in row))
+        m.append([c.numerator * (den // c.denominator) for c in row])
+    rank, prev = 0, 1
+    for c in range(len(m[0]) if m else 0):
+        pick = next((i for i in range(rank, len(m)) if m[i][c]), None)
+        if pick is None:
+            continue
+        m[rank], m[pick] = m[pick], m[rank]
+        pivot = m[rank]
+        for i in range(rank + 1, len(m)):
+            f = m[i][c]
+            m[i] = [(x * pivot[c] - f * y) // prev for x, y in zip(m[i], pivot)]
+        prev = pivot[c]
+        rank += 1
+        if rank == len(m):
+            break
+    return rank
 
 
 def kernel_basis(rows) -> list[Vec]:

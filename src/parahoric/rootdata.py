@@ -13,9 +13,10 @@ Coordinate conventions, used throughout the package:
 from __future__ import annotations
 
 import re
+from collections import Counter
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import lcm
+from math import gcd, lcm, prod
 
 from .exactmath import (
     IntMatrix,
@@ -225,6 +226,37 @@ class RootDatum:
     def is_semisimple(self) -> bool:
         return matrix_rank(self.roots) == self.rank
 
+    @cached_property
+    def factors(self) -> tuple[tuple[str, range, tuple[int, ...]], ...]:
+        """Each simple factor as (type letter, its nodes, the degrees of its
+        basic invariants).  A degree is one more than an exponent, and the
+        exponents are the dual partition of the numbers of positive roots of
+        each height (Kostant)."""
+        out, start = [], 0
+        for letter, rank in parse_descriptor(self.descriptor):
+            nodes = range(start, start + rank)
+            start += rank
+            heights = Counter(sum(c) for c in self.coeffs if any(c[i] > 0 for i in nodes))
+            counts = [heights[h] for h in range(1, max(heights) + 2)]
+            degrees = tuple(
+                h + 1 for h in range(1, len(counts)) for _ in range(counts[h - 1] - counts[h])
+            )
+            out.append((letter, nodes, degrees))
+        return tuple(out)
+
+    @cached_property
+    def simple_reflections(self) -> tuple:
+        """Each simple reflection s_i = 1 - alpha_i acheck_i^T on X as the
+        nonzero entries (index, value) of alpha_i and of acheck_i."""
+
+        def support(vec):
+            return tuple((i, c) for i, c in enumerate(vec) if c)
+
+        return tuple(
+            (support(alpha), support(acheck))
+            for alpha, acheck in zip(self.simple_roots, self.simple_coroots)
+        )
+
 
 # The builders intern their records: one object per datum, so the tables
 # cached on it are computed once and lookups keyed on it hit by identity.
@@ -289,48 +321,79 @@ def build_datum(descriptor: str, isogeny: str = "adjoint") -> RootDatum:
     return _DATA.setdefault((descriptor, isogeny), datum)
 
 
-@lru_cache(maxsize=None)
-def weyl_elements(datum: RootDatum, cap: int = WEYL_CAP_DEFAULT) -> tuple[IntMatrix, ...]:
-    """All Weyl group elements as matrices on X, by breadth-first closure.
-
-    The order of W is known in closed form, so a group larger than ``cap`` is
-    refused before any element is built.  A simple reflection acts on the left
-    as the rank-one update s_i w = w - alpha_i (acheck_i^T w).
-    """
+def check_weyl_cap(datum: RootDatum, cap: int) -> int:
+    """The order of W, known in closed form, so that a group larger than
+    ``cap`` is refused before any element is built."""
     order = classical_weyl_order(datum.descriptor)
     if order > cap:
         raise WeylCapExceeded(
             f"Weyl group of {datum.descriptor} has order {order}, above the cap "
             f"{cap}; raise it with --cap"
         )
+    return order
 
-    def support(vec):
-        return [(i, c) for i, c in enumerate(vec) if c]
 
-    gens = [
-        (support(alpha), support(acheck))
-        for alpha, acheck in zip(datum.simple_roots, datum.simple_coroots)
-    ]
-    n = datum.rank
-    start = identity_matrix(n)
+def reflect_left(w: IntMatrix, reflection) -> IntMatrix:
+    """s w = w - alpha (acheck^T w): a rank-one update of the rows of w."""
+    alpha, acheck = reflection
+    (k, c), *rest = acheck
+    row = [c * y for y in w[k]]
+    for k, c in rest:
+        row = [x + c * y for x, y in zip(row, w[k])]
+    out = list(w)
+    for i, c in alpha:
+        out[i] = tuple(x - c * y for x, y in zip(w[i], row))
+    return tuple(out)
+
+
+def reflect_right(w: IntMatrix, reflection) -> IntMatrix:
+    """w s = w - (w alpha) acheck^T: a rank-one update of the columns of w."""
+    alpha, acheck = reflection
+    out = []
+    for row in w:
+        u = 0
+        for i, c in alpha:
+            u += row[i] * c
+        if u:
+            row = list(row)
+            for k, c in acheck:
+                row[k] -= u * c
+            row = tuple(row)
+        out.append(row)
+    return tuple(out)
+
+
+def closure(start, moves):
+    """Breadth-first closure of ``start`` under the moves, yielded lazily:
+    ``start``, then each new image, one layer of the walk after another."""
     found = {start}
     frontier = [start]
+    yield start
     while frontier:
         nxt = []
-        for w in frontier:
-            for alpha, acheck in gens:
-                row = [0] * n
-                for k, c in acheck:
-                    row = [x + c * y for x, y in zip(row, w[k])]
-                prod = list(w)
-                for i, c in alpha:
-                    prod[i] = tuple(x - c * y for x, y in zip(w[i], row))
-                prod = tuple(prod)
-                if prod not in found:
-                    found.add(prod)
-                    nxt.append(prod)
+        for x in frontier:
+            for move in moves:
+                y = move(x)
+                if y not in found:
+                    found.add(y)
+                    nxt.append(y)
+                    yield y
         frontier = nxt
-    return tuple(sorted(found))
+
+
+def weyl_walk(datum: RootDatum):
+    """The Weyl group elements as matrices on X by length, lazily: the
+    closure of the identity under the simple reflections acting on the left."""
+    moves = [lambda w, s=s: reflect_left(w, s) for s in datum.simple_reflections]
+    return closure(identity_matrix(datum.rank), moves)
+
+
+@lru_cache(maxsize=None)
+def weyl_elements(datum: RootDatum, cap: int = WEYL_CAP_DEFAULT) -> tuple[IntMatrix, ...]:
+    """All Weyl group elements, sorted; a group larger than ``cap`` is
+    refused before any element is built."""
+    check_weyl_cap(datum, cap)
+    return tuple(sorted(weyl_walk(datum)))
 
 
 def dual_action(matrix: IntMatrix) -> IntMatrix:
@@ -416,3 +479,58 @@ def identity_automorphism(datum: RootDatum) -> DiagramAutomorphism:
 
 def twist_spectrum(twist: DiagramAutomorphism) -> dict[int, int]:
     return twist.spectrum
+
+
+def _factor_regular_orders(letter: str, degrees: tuple[int, ...], t: int) -> dict[int, int]:
+    """Springer's criterion on one simple factor with a diagram twist of
+    order t: m is an elliptic regular order iff t | m and, for some primitive
+    m-th root of unity z, the degrees d_i with eps_i z^d_i = 1 are as many as
+    those with eps_i z^(d_i - 2) = 1, at least one, and no eps_i z^(d_i - 1)
+    is 1.  The eps_i are the eigenvalues of the twist on the basic invariants
+    (Springer 1974, section 6), held as exponents k_i of exp(2 pi i k_i / t).
+    The map sends m to the product of the d_i with eps_i z^d_i = 1, the order
+    of the centralizer in W of a regular element of order m."""
+    ks = [0] * len(degrees)
+    if t == 3:  # triality of D4 (degrees 2, 4, 4, 6): both cube roots on degree 4
+        ks[1], ks[2] = 1, 2
+    elif t == 2 and letter == "D":  # -1 on one degree-n invariant of D_n
+        ks[degrees.index(len(degrees))] = 1
+    elif t == 2:  # the twist is -w0 on A_n and E6: (-1)^d
+        ks = [d % 2 for d in degrees]
+    out = {}
+    for m in range(t, t * degrees[-1] + 1, t):
+        for j in range(1, m + 1):
+            if gcd(j, m) > 1:
+                continue
+
+            def hits(shift):
+                return [d for d, k in zip(degrees, ks) if (k * (m // t) + j * (d - shift)) % m == 0]
+
+            fixed = hits(0)
+            if fixed and len(fixed) == len(hits(2)) and not hits(1):
+                out[m] = prod(fixed)
+                break
+    return out
+
+
+def regular_orders(datum: RootDatum, twist: DiagramAutomorphism) -> dict[int, int]:
+    """The orders of the elliptic Z-regular elements of the coset W*twist,
+    each mapped to the order of the centralizer in W of one of them (Springer,
+    Regular elements of finite reflection groups, 1974).  The twist permutes
+    the simple factors; a cycle of k factors whose return twist (the twist to
+    the k-th power on one factor F) has order t contributes k times the orders
+    of F with that twist, and the coset has the orders every cycle admits."""
+    factor_of = {node: f for f, (_, nodes, _) in enumerate(datum.factors) for node in nodes}
+    perm = twist.permutation
+    out, done = None, set()
+    for f, (letter, nodes, degrees) in enumerate(datum.factors):
+        if f in done:
+            continue
+        image, k = [perm[i] for i in nodes], 1
+        while factor_of[image[0]] != f:
+            done.add(factor_of[image[0]])
+            image, k = [perm[i] for i in image], k + 1
+        t = lcm(*cycle_lengths([i - nodes.start for i in image]))
+        orders = {k * m: c for m, c in _factor_regular_orders(letter, degrees, t).items()}
+        out = orders if out is None else {m: out[m] * c for m, c in orders.items() if m in out}
+    return out

@@ -3,6 +3,15 @@ verdict: a point passes when it reduces to the distinguished barycenter
 x0 + rho_check/m, its first jump is 1/m, and the twisted Weyl coset contains
 an elliptic Z-regular element of order m.
 
+No verdict walks the coset.  The orders come from the degrees of W and the
+twist's eigenvalues on the basic invariants by Springer's criterion
+(``rootdata.regular_orders``).  The regular elements of one order form one
+W-conjugacy class (Springer, Regular elements of finite reflection groups,
+1974), so the witness of an order, its lexicographically least element, is
+the least element of the class of any one of them: a seed found early in a
+walk through the coset by length, closed under conjugation by the simple
+reflections.  The seed and the size of its class are checked.
+
 Z-regularity is implemented as free action of the cyclic group on the roots,
 with an independent eigenvector criterion (rational kernels of cyclotomic
 evaluations against the root hyperplanes) used as a cross-check.
@@ -11,7 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 
 from .echelonnage import (
     DEPTH_TABLE_CACHE,
@@ -21,6 +30,7 @@ from .echelonnage import (
     apartment_point,
     depth_table,
     point_order,
+    twisted,
 )
 from .exactmath import (
     IntMatrix,
@@ -31,6 +41,7 @@ from .exactmath import (
     identity_matrix,
     kernel_basis,
     mat_mul,
+    mat_pow,
     mat_vec,
     matrix_order,
     matrix_rank,
@@ -41,8 +52,14 @@ from .rootdata import (
     WEYL_CAP_DEFAULT,
     DiagramAutomorphism,
     RootDatum,
+    check_weyl_cap,
+    classical_weyl_order,
+    closure,
     cycle_lengths,
+    reflect_left,
+    reflect_right,
     weyl_elements,
+    weyl_walk,
 )
 
 
@@ -103,35 +120,78 @@ def regular_by_eigenvector(a: IntMatrix, datum: RootDatum, order: int) -> bool:
     return True
 
 
+def _is_elliptic(a: IntMatrix) -> bool:
+    """No invariant vectors: det(I - a) != 0."""
+    return det_bareiss(
+        tuple(tuple(int(i == j) - x for j, x in enumerate(row)) for i, row in enumerate(a))
+    ) != 0
+
+
+def _regular_order(a: IntMatrix, datum: RootDatum) -> int:
+    """The order of a when a is elliptic and Z-regular, else 0.
+
+    The datum is semisimple, so its roots span and a is determined by the
+    permutation it induces on them: the order of a is the lcm of the root
+    cycle lengths, and a is Z-regular when every cycle has that length, which
+    is the predicate of ``acts_freely_on_roots``.
+    """
+    if not _is_elliptic(a):
+        return 0
+    index = datum.root_index
+    lengths = cycle_lengths([index[mat_vec(a, r)] for r in datum.roots])
+    order = lcm(*lengths)
+    return order if all(length == order for length in lengths) else 0
+
+
+def _seed(datum: RootDatum, twist: DiagramAutomorphism, m: int) -> IntMatrix:
+    """An elliptic Z-regular element of order m in the coset W*twist: the
+    power a^k of the first element a of the walk by length whose order M is a
+    multiple of m, with gcd(M, k) = M/m, and k = 1 modulo the twist order so
+    that a^k stays in the coset."""
+    t = twist.order
+    for w in weyl_walk(datum):
+        a = mat_mul(w, twist.matrix)
+        order = _regular_order(a, datum)
+        if order and order % m == 0:
+            for k in range(1, order + 1):
+                if (k - 1) % t == 0 and gcd(order, k) == order // m:
+                    return mat_pow(a, k)
+    raise StabilityError(f"the coset has no elliptic Z-regular element of order {m}")
+
+
+def regular_witness(td: TwistedDatum, m: int) -> IntMatrix:
+    """The lexicographically least elliptic Z-regular element of order m in
+    the coset W*twist, for m in ``td.regular_orders``: the least element of
+    the W-conjugacy class of a seed, closed under conjugation by the simple
+    reflections.  The class has |W| / (centralizer order) elements."""
+    if m in td.regular_witnesses:
+        return td.regular_witnesses[m]
+    datum = td.base
+    seed = _seed(datum, td.twist, m)
+    if not (_is_elliptic(seed) and acts_freely_on_roots(seed, datum, m)):
+        raise StabilityError(f"the seed of order {m} is not elliptic Z-regular")
+    moves = [lambda a, s=s: reflect_right(reflect_left(a, s), s) for s in datum.simple_reflections]
+    found = set(closure(seed, moves))
+    size = classical_weyl_order(datum.descriptor) // td.regular_orders[m]
+    if len(found) != size:
+        raise StabilityError(
+            f"the regular class of order {m} has {len(found)} elements, not |W| / "
+            f"{td.regular_orders[m]} = {size}"
+        )
+    witness = td.regular_witnesses[m] = min(found)
+    return witness
+
+
 @lru_cache(maxsize=None)
 def elliptic_zregular_orders(
     datum: RootDatum, twist: DiagramAutomorphism, cap: int = WEYL_CAP_DEFAULT
 ) -> dict:
-    """Map from attained order m to a witness matrix w*twist that is elliptic
-    (no invariant vectors) and Z-regular (free on the roots); the smallest
-    witness in lexicographic order is kept per order.
-
-    Ellipticity is det(I - a) != 0.  The datum is semisimple, so its roots
-    span and a is determined by the permutation it induces on them: the order
-    of a is the lcm of the root cycle lengths, and a is Z-regular when every
-    cycle has that length, which is the predicate of ``acts_freely_on_roots``.
-    """
-    eye = identity_matrix(datum.rank)
-    index = datum.root_index
-    witnesses: dict[int, IntMatrix] = {}
-    for w in weyl_elements(datum, cap):
-        a = mat_mul(w, twist.matrix)
-        if det_bareiss(
-            tuple(tuple(e - x for e, x in zip(er, ar)) for er, ar in zip(eye, a))
-        ) == 0:
-            continue  # eigenvalue 1: not elliptic
-        lengths = cycle_lengths([index[mat_vec(a, r)] for r in datum.roots])
-        order = lcm(*lengths)
-        if any(length != order for length in lengths):
-            continue
-        if order not in witnesses or a < witnesses[order]:
-            witnesses[order] = a
-    return witnesses
+    """Map from each attained order m to its witness, the lexicographically
+    least element w*twist of order m that is elliptic (no invariant vectors)
+    and Z-regular (free on the roots)."""
+    check_weyl_cap(datum, cap)
+    td = twisted(datum, twist)
+    return {m: regular_witness(td, m) for m in sorted(td.regular_orders)}
 
 
 def zregularity_criteria_agree(
@@ -189,8 +249,8 @@ def stable_verdict(
     conjugacy_ok = reduced_x == reduced_ref
     jump = first_jump(td, x)
     depth_ok = jump == Fraction(1, m)
-    orders = elliptic_zregular_orders(td.base, td.twist, cap)
-    regular_ok = m in orders
+    check_weyl_cap(td.base, cap)
+    regular_ok = m in td.regular_orders
     verdict = conjugacy_ok and depth_ok and regular_ok
     if verdict:
         part, torus = depth_table(td, x).at(jump)
@@ -206,7 +266,7 @@ def stable_verdict(
         depth_ok=depth_ok,
         regular_ok=regular_ok,
         verdict=verdict,
-        witness=orders.get(m),
+        witness=regular_witness(td, m) if regular_ok else None,
         reduced_point=reduced_x.coords,
         reduced_reference=reduced_ref.coords,
         first_jump=jump,

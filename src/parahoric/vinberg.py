@@ -79,12 +79,25 @@ def grading(
     """Graded dimensions for the order-M operator built from the pinned lift
     of the twist and the cocharacter lam (which must pair integrally with
     every root)."""
-    lam = tuple(Fraction(c) for c in lam)
     m = int(modulus)
+    den, (lam_num,) = clear_denominators(tuple(Fraction(c) for c in lam))
+    dims, zero, negative_orbits = _graded(datum, twist, den, lam_num, m)
+    keys = _scaffold(datum, twist).keys
+    return GradedDecomposition(
+        modulus=m,
+        dims=dims,
+        zero_degree_roots=frozenset(keys[i] for i in zero),
+        negative_sign_orbits=negative_orbits,
+    )
+
+
+def _graded(datum, twist, den: int, lam_num, m: int):
+    """The grading for the cocharacter lam_num / den: the graded dimensions,
+    the positions of the degree-zero orbits among the scaffold keys, and the
+    orbits with sign -1."""
     if m <= 0:
         raise GradingError("modulus must be positive")
     _check_modulus(m)
-    den, (lam_num,) = clear_denominators(lam)  # one integer pairing per root
     weight = {}
     for root in datum.roots:
         w, rem = divmod(pair(root, lam_num), den)
@@ -92,10 +105,10 @@ def grading(
             raise GradingError("cocharacter does not pair integrally with the roots")
         weight[root] = w
     dims = [0] * m
-    zero_roots = set()
+    zero = []
     negative_orbits = []
     scaff = _scaffold(datum, twist)
-    for key, orbit, cls in zip(scaff.keys, scaff.fibers, scaff.classes):
+    for index, (orbit, cls) in enumerate(zip(scaff.fibers, scaff.classes)):
         k = len(orbit)
         c = sum(weight[root] for root in orbit)
         if cls == "divisible":
@@ -112,19 +125,14 @@ def grading(
         for d in hits:
             dims[d] += 1
         if 0 in hits:
-            zero_roots.add(key)
+            zero.append(index)
     eigen = twist_spectrum(twist)
     for d in range(m):
         dims[d] += eigen.get(m // gcd(d, m), 0)
     total = len(datum.roots) + datum.rank
     if sum(dims) != total:
         raise GradingError("graded dimensions do not sum to the algebra dimension")
-    return GradedDecomposition(
-        modulus=m,
-        dims=tuple(dims),
-        zero_degree_roots=frozenset(zero_roots),
-        negative_sign_orbits=tuple(sorted(negative_orbits)),
-    )
+    return tuple(dims), zero, tuple(sorted(negative_orbits))
 
 
 @frozen_record
@@ -166,19 +174,18 @@ def crosscheck(td: TwistedDatum, x: ApartmentPoint, modulus: int) -> CrosscheckR
         f"of the point order {order} and the twist order {e}",
     )
     den, nums = x.scaled
-    lam = tuple(Fraction(m * c, den) for c in nums)
-    gd = grading(td.base, td.twist, lam, m)
+    dims, zero, negative_orbits = _graded(td.base, td.twist, den, [m * c for c in nums], m)
     quotient = depth_table(td, x).column(m)
-    first_mismatch = next((d for d in range(m) if gd.dims[-d % m] != quotient[d]), None)
+    first_mismatch = next((d for d in range(m) if dims[-d % m] != quotient[d]), None)
     h = quotient_datum(td, x)
-    roots_match = frozenset(h.roots) == gd.zero_degree_roots
+    roots_match = frozenset(h.integer_roots) == {td.integer_keys[i] for i in zero}
     ok = first_mismatch is None and roots_match
     return CrosscheckResult(
         ok=ok,
         modulus=m,
-        dims=gd.dims,
+        dims=dims,
         quotient_dims=quotient,
         first_mismatch=first_mismatch,
         roots_match=roots_match,
-        negative_sign_orbits=gd.negative_sign_orbits,
+        negative_sign_orbits=negative_orbits,
     )

@@ -17,6 +17,7 @@ from parahoric.exactmath import (
     mat_mul,
     matrix_order,
     matrix_rank,
+    rref,
     solve_linear,
 )
 
@@ -85,6 +86,24 @@ def test_rational_linear_algebra():
     sol = solve_linear([[F(1), F(1)], [F(1), F(-1)]], [F(3), F(1)])
     assert sol == (F(2), F(1))
     assert invert_unimodular(((1, 1), (0, 1))) == ((1, -1), (0, 1))
+
+
+def test_fraction_free_rank_matches_rref():
+    rng = random.Random(13)
+    for _ in range(400):
+        nrows, ncols = rng.randint(1, 7), rng.randint(1, 7)
+        if rng.random() < 0.5:  # rank-deficient: combinations of a few rows
+            basis = [[rng.randint(-5, 5) for _ in range(ncols)] for _ in range(rng.randint(0, 3))]
+            rows = [
+                [sum(rng.randint(-3, 3) * b[j] for b in basis) for j in range(ncols)]
+                for _ in range(nrows)
+            ]
+        else:
+            rows = [[rng.randint(-4, 4) for _ in range(ncols)] for _ in range(nrows)]
+        assert matrix_rank(rows) == len(rref(rows)[1])
+        halves = [[F(c, rng.randint(1, 4)) for c in row] for row in rows]
+        assert matrix_rank(halves) == len(rref(halves)[1])
+    assert matrix_rank([]) == 0
 
 
 def test_row_echelon_rank():

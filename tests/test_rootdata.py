@@ -13,6 +13,7 @@ from parahoric.rootdata import (
     dual_action,
     identity_automorphism,
     weyl_elements,
+    weyl_walk,
 )
 
 
@@ -73,6 +74,48 @@ def test_simply_connected_convention():
 def test_weyl_sizes(descriptor, order):
     d = build_datum(descriptor)
     assert len(weyl_elements(d)) == order == classical_weyl_order(descriptor)
+
+
+@pytest.mark.parametrize(
+    "descriptor,degrees",
+    [
+        ("A4", (2, 3, 4, 5)),
+        ("B5", (2, 4, 6, 8, 10)),
+        ("C3", (2, 4, 6)),
+        ("D4", (2, 4, 4, 6)),
+        ("D5", (2, 4, 5, 6, 8)),
+        ("D6", (2, 4, 6, 6, 8, 10)),
+        ("E6", (2, 5, 6, 8, 9, 12)),
+        ("E7", (2, 6, 8, 10, 12, 14, 18)),
+        ("E8", (2, 8, 12, 14, 18, 20, 24, 30)),
+        ("F4", (2, 6, 8, 12)),
+        ("G2", (2, 6)),
+    ],
+)
+def test_degrees_from_root_heights(descriptor, degrees):
+    for isogeny in ("adjoint", "simply_connected"):
+        ((letter, nodes, found),) = build_datum(descriptor, isogeny).factors
+        assert found == degrees and letter == descriptor[0] and len(nodes) == len(degrees)
+
+
+def test_degree_products_are_the_weyl_orders():
+    ranges = {"A": (1, 8), "B": (2, 8), "C": (2, 8), "D": (3, 8), "E": (6, 8), "F": (4, 4), "G": (2, 2)}
+    for letter, (lo, hi) in ranges.items():
+        for rank in range(lo, hi + 1):
+            descriptor = f"{letter}{rank}"
+            product = 1
+            for _, _, degrees in build_datum(descriptor).factors:
+                for d in degrees:
+                    product *= d
+            assert product == classical_weyl_order(descriptor)
+    factors = build_datum("A2+B3").factors
+    assert [(f[0], f[1], f[2]) for f in factors] == [("A", range(0, 2), (2, 3)), ("B", range(2, 5), (2, 4, 6))]
+
+
+def test_weyl_walk_is_by_length():
+    d = build_datum("B3")
+    lengths = [sum(1 for r in d.positive_roots if not d.is_positive(mat_vec(w, r))) for w in weyl_walk(d)]
+    assert lengths == sorted(lengths) and len(lengths) == classical_weyl_order("B3")
 
 
 def test_weyl_cap_checked_before_enumerating():

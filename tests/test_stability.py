@@ -1,8 +1,11 @@
+import re
 from fractions import Fraction
 from math import lcm
 
 import pytest
 
+from coset_oracle import scan_zregular_orders
+from parahoric import rootdata, stability
 from parahoric.catalog import CATALOG
 from parahoric.echelonnage import apartment_point, origin, twisted
 from parahoric.exactmath import cyclotomic_multiplicities, identity_matrix, mat_mul
@@ -10,6 +13,7 @@ from parahoric.rootdata import (
     build_automorphism,
     build_datum,
     identity_automorphism,
+    regular_orders,
     weyl_elements,
 )
 from parahoric.stability import (
@@ -17,6 +21,7 @@ from parahoric.stability import (
     acts_freely_on_roots,
     elliptic_zregular_orders,
     is_semisimple,
+    regular_witness,
     stable_verdict,
     zregularity_criteria_agree,
 )
@@ -213,3 +218,94 @@ def test_semisimple_check_is_cached_per_datum(monkeypatch):
     assert is_semisimple(d) and is_semisimple(build_datum("B3"))
     assert build_datum("B3") is d
     assert len(ranks) == 1  # computed once, then read off the datum
+
+
+# ---------------------------------------------------------------------------
+# Springer's criterion and the class-minimum witnesses against the coset scan
+
+
+def coset(desc, perm=None):
+    d = build_datum(desc)
+    return d, identity_automorphism(d) if perm is None else build_automorphism(d, perm)
+
+
+SCAN_COSETS = sorted(
+    {(info["dynkin"], info["automorphism"]) for info in CATALOG.values()}
+    | {(desc, None) for desc in "A1 A2 A3 A4 A5 B2 B3 B4 B5 C3 C4 D4 D5 F4 G2".split()}
+    | {
+        ("A3", (2, 1, 0)),
+        ("A4", (3, 2, 1, 0)),
+        ("A5", (4, 3, 2, 1, 0)),
+        ("D4", (0, 1, 3, 2)),
+        ("D5", (0, 1, 2, 4, 3)),
+        ("D4", (2, 1, 3, 0)),
+        ("A2+A2", (2, 3, 1, 0)),
+        ("A2+A2", (2, 3, 0, 1)),
+        ("A2+A2", None),
+    },
+    key=str,
+)
+
+
+@pytest.mark.parametrize("desc,perm", SCAN_COSETS)
+def test_orders_and_witnesses_match_the_coset_scan(desc, perm):
+    d, auto = coset(desc, perm)
+    assert elliptic_zregular_orders(d, auto) == scan_zregular_orders(d, auto)
+
+
+@pytest.mark.parametrize(
+    "desc,perm,orders",
+    [
+        # a cycle of k factors has k times the orders of its return twist
+        ("A2+A2", (2, 3, 1, 0), {4, 12}),  # 2 * {2, 6}
+        ("A2+A2", (2, 3, 0, 1), {6}),  # 2 * {3}
+        # the sets the full coset scan gave; the scans take 8-12 s each
+        ("B6", None, {2, 4, 6, 12}),
+        ("E6", None, {3, 6, 9, 12}),
+        ("E6", (5, 1, 4, 3, 2, 0), {2, 4, 6, 12, 18}),
+        # beyond any scan (|W| of 2.9 M and 697 M): the criterion alone
+        ("E7", None, {2, 6, 14, 18}),
+        ("E8", None, {2, 3, 4, 5, 6, 8, 10, 12, 15, 20, 24, 30}),
+    ],
+)
+def test_order_sets(desc, perm, orders):
+    assert set(regular_orders(*coset(desc, perm))) == orders
+
+
+def test_a_seed_that_is_not_regular_is_refused(monkeypatch):
+    td = twisted(*coset("B3"))
+    monkeypatch.delitem(vars(td), "regular_witnesses", raising=False)
+    monkeypatch.setattr(stability, "_seed", lambda datum, twist, m: identity_matrix(3))
+    with pytest.raises(StabilityError, match="seed of order 6 is not elliptic Z-regular"):
+        regular_witness(td, 6)
+
+
+def test_a_class_of_the_wrong_size_is_refused(monkeypatch):
+    # the regular class of order 8 in D5 has |W| / 8 = 1920 / 8 = 240 elements
+    td = twisted(*coset("D5"))
+    assert td.regular_orders == {8: 8}
+    monkeypatch.delitem(vars(td), "regular_witnesses", raising=False)
+    monkeypatch.setitem(vars(td), "regular_orders", {8: 4})
+    with pytest.raises(StabilityError, match=re.escape("240 elements, not |W| / 4 = 480")):
+        regular_witness(td, 8)
+
+
+@pytest.mark.parametrize(
+    "desc,perm,m",
+    [("F4", None, 12), ("D5", (0, 1, 2, 4, 3), 10), ("D4", (2, 1, 3, 0), 3)],
+)
+def test_stable_verdict_never_enumerates_w(desc, perm, m, monkeypatch):
+    d, auto = coset(desc, perm)
+    expected = scan_zregular_orders(d, auto)[m]
+    td = twisted(d, auto)
+    monkeypatch.delitem(vars(td), "regular_witnesses", raising=False)
+    elliptic_zregular_orders.cache_clear()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("weyl_elements called")
+
+    for module in (rootdata, stability):
+        monkeypatch.setattr(module, "weyl_elements", refuse, raising=False)
+    verdict = stable_verdict(td, rho_point(td, m))
+    assert verdict.verdict and verdict.m == m
+    assert verdict.witness == expected
