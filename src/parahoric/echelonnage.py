@@ -14,9 +14,10 @@ common denominator D (``ApartmentPoint.scaled``).  A restricted root is the
 orbit average of its fiber, so its value at x is the integer orbit sum
 paired with the numerators, over e D; the depth table puts every value and
 valuation offset over one denominator and reads the point order and the
-residues off integer ``gcd`` and ``//``.  The base alcove is held as integer
-facet rows and translations over one denominator per datum, so alcove
-reduction is an integer floor division and integer folds.
+residues off integer ``gcd`` and ``//``.  Every valuation set is one
+arithmetic progression, so the base alcove is found on those same integer
+rows: its facets and translations are held over their denominator q, and
+alcove reduction is an integer floor division and integer folds.
 """
 from __future__ import annotations
 
@@ -46,7 +47,6 @@ from .rootdata import (
     RootDatum,
     identity_automorphism,
     regular_orders,
-    twist_spectrum,
 )
 
 ALCOVE_ITERATION_CAP = 100_000
@@ -177,13 +177,17 @@ class TwistedDatum:
 
     @cached_property
     def restricted(self) -> tuple[RestrictedRoot, ...]:
-        """Restricted roots with their valuation sets.
+        """Restricted roots with their valuation sets, one arithmetic
+        progression each:
 
         plain a:        (1/e_a) Z
         multipliable a: v(lambda)/2 + (1/e_a) Z
         divisible 2a:   (1/e) Z minus (v(lambda) + (2/e) Z), e the orbit size
                         of the multipliable root below; the difference is the
                         single progression v(lambda) + 1/e + (2/e) Z.
+
+        Halved, the levels of 2a are v(lambda)/2 + 1/(2e) + (1/e) Z, disjoint
+        from those of a: no hyperplane of 2a is one of a.
         """
         scaff = _scaffold(self.base, self.twist)
         out = []
@@ -194,14 +198,12 @@ class TwistedDatum:
             if cls == "plain":
                 jumps = ValuationSet.lattice(Fraction(1, e))
             elif cls == "multipliable":
-                lam = _lambda_for_key(self, key)
-                jumps = ValuationSet.from_components([(lam / 2, Fraction(1, e))])
+                jumps = ValuationSet.lattice(Fraction(1, e), _lambda_for_key(self, key) / 2)
             else:
                 half = tuple(x / 2 for x in key)
                 e_mult = scaff.orbit_sizes[scaff.keys.index(half)]
-                lam = _lambda_for_key(self, half)
-                jumps = ValuationSet.from_components(
-                    [(lam + Fraction(1, e_mult), Fraction(2, e_mult))]
+                jumps = ValuationSet.lattice(
+                    Fraction(2, e_mult), _lambda_for_key(self, half) + Fraction(1, e_mult)
                 )
             out.append(RestrictedRoot(key, coroot, fiber, e, cls, jumps, positive, index))
         return tuple(out)
@@ -254,18 +256,18 @@ class TwistedDatum:
 
     @cached_property
     def affine_rows(self):
-        """The affine-root data of ``depth_table`` over one denominator q,
-        the lcm of the orbit sizes and of every valuation offset and step
-        denominator: (q, q / lcm of the periods, rows).  A row is (restricted
-        root, integer orbit sum = key * e, q / e, offsets * q,
-        period = 1 / step)."""
+        """The affine-root data of ``depth_table`` and the base alcove over
+        one denominator q, the lcm of the orbit sizes and of every valuation
+        offset and step denominator: (q, q / lcm of the periods, rows).  A
+        row is (restricted root, integer orbit sum = key * e, q / e,
+        offset * q, period = 1 / step)."""
         roots = self.restricted
         for rr in roots:
             if rr.jump_set.step.numerator != 1:
                 raise EchelonnageError("valuation step does not divide 1")
         q = lcm(
             *(rr.orbit_size for rr in roots),
-            *(o.denominator for rr in roots for o in rr.jump_set.offsets),
+            *(rr.jump_set.offset.denominator for rr in roots),
             *(rr.jump_set.step.denominator for rr in roots),
         )
         rows = tuple(
@@ -273,7 +275,7 @@ class TwistedDatum:
                 rr,
                 tuple(map(sum, zip(*rr.fiber))),
                 q // rr.orbit_size,
-                tuple((o * q).numerator for o in rr.jump_set.offsets),
+                (rr.jump_set.offset * q).numerator,
                 rr.jump_set.step.denominator,
             )
             for rr in roots
@@ -281,43 +283,67 @@ class TwistedDatum:
         return q, q // lcm(*(row[4] for row in rows)), rows
 
     @cached_property
-    def walls(self) -> tuple[_Facet, ...]:
-        """The facets of the base alcove, i.e. its simple affine roots:
-        rank + c of them for a restricted root system with c irreducible
-        components.
+    def integer_alcove(self) -> _IntegerAlcove:
+        """The base alcove on the rows of ``affine_rows``, over their q.
 
-        The base alcove holds the reference point p, a positive multiple of
-        the sum of the positive coroots small enough that every positive root
-        lies strictly between 0 and its least positive level at p.  Each
-        positive root a offers two candidates, its levels just below and just
-        above a(p).  A candidate H is a facet iff H is the only hyperplane
-        strictly between p and the reflection of p across H: the reflection
-        in any other wall has length above one in the affine Weyl group.
+        Its facets are its simple affine roots: rank + c of them for a
+        restricted root system with c irreducible components.  The alcove
+        holds p = (the sum of the positive coroots) / T.  With H_a = q a(T p)
+        and l_a the least positive level of a in units of 1/q, T exceeds
+        every H_a / l_a, so every positive root lies strictly between its
+        levels l_a - step and l_a at p, and in units of 1/(q T) every value
+        and level is an integer.  Each of those two levels is a facet iff its
+        hyperplane is the only one strictly between p and the reflection of
+        p across it: the reflection in any other wall has length above one
+        in the affine Weyl group.  The levels of a and of 2a are disjoint
+        (``restricted``), so the hyperplanes between two points are counted
+        root by root, each by floor division.
         """
-        positives = [rr for rr in self.restricted if rr.positive]
+        q, _, rows = self.affine_rows
+        positives = [row for row in rows if row[0].positive]
         if not positives:
             raise EchelonnageError("restricted root system is empty")
         direction = (0,) * self.base.rank
-        for rr in positives:
-            direction = vec_add(direction, rr.coroot)
-        heights = [pair(rr.key, direction) for rr in positives]
-        if min(heights) <= 0:
+        for row in positives:
+            direction = vec_add(direction, row[0].coroot)
+        # (root, key * q, H_a, step * q, l_a * q); the offset lies in
+        # [0, step), so l_a is the offset unless that is 0
+        table = [
+            (rr, vec_scale(weight, orbit_sum), weight * pair(orbit_sum, direction),
+             q // period, offset or q // period)
+            for rr, orbit_sum, weight, offset, period in positives
+        ]
+        if min(row[2] for row in table) <= 0:
             raise EchelonnageError("reference direction is not regular")
-        scale = min(rr.jump_set.min_above(0) / h for rr, h in zip(positives, heights)) / 2
-        values = [scale * h for h in heights]
+        big_t = 1 + max(h // least for _, _, h, _, least in table)
         facets = []
-        for rr, value in zip(positives, values):
-            below, above = rr.jump_set.max_below(value), rr.jump_set.min_above(value)
-            for sign, level in ((1, below), (-1, above)):
+        for rr, key, h, step, least in table:
+            for sign, level in ((1, least - step), (-1, least)):
                 # b(image) = b(p) - (a(p) - level) <b, acheck>; the twist keeps
                 # the pairing and fixes acheck, so any root of b's fiber gives it
-                t = value - level
-                image = [v - t * pair(b.fiber[0], rr.coroot) for b, v in zip(positives, values)]
-                if _one_hyperplane_between(positives, values, image):
-                    facets.append(
-                        _Facet(vec_scale(sign, rr.key), vec_scale(sign, rr.coroot), sign * level)
-                    )
-        return tuple(facets)
+                t = h - big_t * level
+                crossed = 0
+                for b, _, hb, step_b, least_b in table:
+                    lo, hi = sorted((hb, hb - t * pair(b.fiber[0], rr.coroot)))
+                    start, period_b = big_t * least_b, big_t * step_b
+                    crossed += (hi - start) // period_b - (lo - start) // period_b
+                    if crossed > 1:
+                        break
+                else:  # the wall itself is the only hyperplane crossed
+                    facets.append((vec_scale(sign, key), sign * level, vec_scale(sign, rr.coroot)))
+        simple = set(self.simple_keys)
+        simples = [row for row in rows if row[0].key in simple]
+        inverse = invert_matrix(
+            [[pair(a.fiber[0], b.coroot) for b, *_ in simples] for a, *_ in simples]
+        )
+        translations = []
+        for (rr, *_, period), coefficients in zip(simples, inverse):
+            w = tuple(
+                period * pair(coefficients, column) for column in zip(*(b.key for b, *_ in simples))
+            )
+            p, (w_num,) = clear_denominators(w)
+            translations.append((w_num, p, vec_scale(q // period, rr.coroot)))
+        return _IntegerAlcove(q, tuple(facets), tuple(translations))
 
     @cached_property
     def alcove_vertices(self) -> tuple[ApartmentPoint, ...]:
@@ -325,46 +351,17 @@ class TwistedDatum:
 
         In the coordinates of the restricted simple coroots, which span the
         twist-fixed subspace, each vertex solves rank of the facet equations
-        key(x) = level.  A set of rank facets is independent iff it leaves
-        out exactly one facet of each irreducible component, and then its
-        solution is a vertex.
+        key(x) = level, read over q off ``integer_alcove``.  A set of rank
+        facets is independent iff it leaves out exactly one facet of each
+        irreducible component, and then its solution is a vertex.
         """
         basis = self.simple_coroots
         vertices = set()
-        for subset in combinations(self.walls, len(basis)):
-            red, pivots = rref([[pair(f.key, b) for b in basis] + [f.level] for f in subset])
+        for subset in combinations(self.integer_alcove.facets, len(basis)):
+            red, pivots = rref([[pair(key, b) for b in basis] + [level] for key, level, _ in subset])
             if pivots == list(range(len(basis))):
                 vertices.add(point_from_simple_coroots(self, [row[-1] for row in red]).coords)
         return tuple(ApartmentPoint(v) for v in sorted(vertices))
-
-    @cached_property
-    def translations(self) -> tuple[tuple[Vec, Vec], ...]:
-        """Pairs (w, t): t = step(a) * acheck for each simple restricted root
-        a, a translation in the affine Weyl group (the product of the
-        reflections in the parallel walls a = l and a = l + step), and w the
-        dual functional, so that a fixed point v equals the sum of
-        pair(w, v) * t."""
-        simples = [self.by_key[k] for k in self.simple_keys]
-        shifts = [vec_scale(rr.jump_set.step, rr.coroot) for rr in simples]
-        inverse = invert_matrix([[pair(a.key, t) for t in shifts] for a in simples])
-        duals = [
-            tuple(pair(row, column) for column in zip(*(a.key for a in simples)))
-            for row in inverse
-        ]
-        return tuple(zip(duals, shifts))
-
-    @cached_property
-    def integer_alcove(self) -> _IntegerAlcove:
-        walls, translations = self.walls, self.translations
-        q, rows = clear_denominators(
-            *((*f.key, f.level) for f in walls), *(t for _, t in translations)
-        )
-        facets = tuple((row[:-1], row[-1], f.coroot) for row, f in zip(rows, walls))
-        shifts = []
-        for (w, _), t in zip(translations, rows[len(walls):]):
-            p, (w_num,) = clear_denominators(w)
-            shifts.append((w_num, p, t))
-        return _IntegerAlcove(q, facets, tuple(shifts))
 
 
 def twisted(
@@ -496,7 +493,7 @@ def evaluate(key: Vec, point: ApartmentPoint) -> Fraction:
 def torus_jump_dim(td: TwistedDatum, r) -> int:
     """Dimension of the torus part at depth r: the multiplicity of the twist
     eigenvalue of angle -r, which depends only on the denominator of r mod 1."""
-    return twist_spectrum(td.twist).get((Fraction(r) % 1).denominator, 0)
+    return td.twist.spectrum.get((Fraction(r) % 1).denominator, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -534,7 +531,7 @@ class DepthTable:
         multiple m of the point order: d/m is on the grid iff m/N divides d,
         and the torus part depends on the reduced denominator m/gcd(d, m)."""
         step = m // self.order
-        spectrum = twist_spectrum(self.td.twist)
+        spectrum = self.td.twist.spectrum
         return tuple(
             (0 if d % step else len(self.roots.get(d // step, ())))
             + spectrum.get(m // gcd(d, m), 0)
@@ -549,7 +546,7 @@ class DepthTable:
     @cached_property
     def _jumps(self) -> tuple[Fraction, ...]:
         depths = {Fraction(k, self.order) for k in self.roots}
-        for d in twist_spectrum(self.td.twist):
+        for d in self.td.twist.spectrum:
             depths.update(Fraction(j, d) for j in range(d) if gcd(j, d) == 1)
         return tuple(sorted(depths))
 
@@ -559,9 +556,9 @@ def depth_table(td: TwistedDatum, x: ApartmentPoint) -> DepthTable:
     """Bin every affine root at x by its depth, once per (datum, point).
 
     N is the lcm of the denominators of every affine-root value a(x - x0) + o
-    (o an offset of the valuation set of a) and of every valuation step, so
+    (o the offset of the valuation set of a) and of every valuation step, so
     each progression a(x - x0) + o + step*Z is a residue class of N*step in
-    (1/N)Z.  A root lands in 1/step residues per offset, whatever N is.
+    (1/N)Z.  A root lands in 1/step residues, whatever N is.
 
     With x = nums / D, every value and step times T = q D is an integer u
     (a(x - x0) = <orbit sum, nums> / (e D)), so N = T / gcd(T, the u) and the
@@ -571,18 +568,16 @@ def depth_table(td: TwistedDatum, x: ApartmentPoint) -> DepthTable:
     den, nums = x.scaled
     values = []
     g = den * unit  # gcd(T, every step times T)
-    for _, orbit_sum, weight, offsets, _ in rows:
-        value = weight * sum(map(mul, orbit_sum, nums))
-        us = [value + o * den for o in offsets]
-        g = gcd(g, *us)
-        values.append(us)
+    for _, orbit_sum, weight, offset, _ in rows:
+        u = weight * sum(map(mul, orbit_sum, nums)) + offset * den
+        g = gcd(g, u)
+        values.append(u)
     n = q * den // g
     bins: dict[int, list[RestrictedRoot]] = {}
-    for (rr, _, _, _, period), us in zip(rows, values):
+    for (rr, _, _, _, period), u in zip(rows, values):
         step = n // period
-        for u in us:
-            for k in range(u // g % step, n, step):
-                bins.setdefault(k, []).append(rr)
+        for k in range(u // g % step, n, step):
+            bins.setdefault(k, []).append(rr)
     return DepthTable(td, n, {k: tuple(v) for k, v in bins.items()})
 
 
@@ -593,35 +588,6 @@ def point_order(td: TwistedDatum, x: ApartmentPoint) -> int:
 
 # ---------------------------------------------------------------------------
 # the base alcove
-
-
-@frozen_record
-class _Facet:
-    """One facet of the base alcove, held one-sided: key(x) >= level inside.
-    The key is a restricted root, negated for an upper wall, and the coroot
-    is its coroot."""
-
-    key: Vec
-    coroot: Vec
-    level: Fraction
-
-
-def _one_hyperplane_between(positives, here, there) -> bool:
-    """Whether exactly one root hyperplane lies strictly between two points
-    that lie on none, given the values of the positive roots at each point.
-    A hyperplane is (key, level) over the non-divisible key, so that
-    a(x) = l and 2a(x) = 2l count as one."""
-    seen = set()
-    for rr, u, v in zip(positives, here, there):
-        lo, hi = sorted((u, v))
-        level = rr.jump_set.min_above(lo)
-        while level < hi:
-            scale = 2 if rr.cls == "divisible" else 1
-            seen.add((tuple(c / scale for c in rr.key), level / scale))
-            if len(seen) > 1:
-                return False
-            level = rr.jump_set.min_above(level)
-    return len(seen) == 1
 
 
 def in_base_alcove(td: TwistedDatum, x: ApartmentPoint) -> bool:
@@ -635,11 +601,15 @@ def alcove_vertices(td: TwistedDatum) -> tuple[ApartmentPoint, ...]:
 
 @frozen_record
 class _IntegerAlcove:
-    """``TwistedDatum.walls`` and ``.translations`` as integers.  ``facets`` holds
-    (key * q, level * q, coroot) per facet, with q the least common
-    denominator of the facet keys, the levels and the translations.
-    ``translations`` holds (w * p, p, t * q) per pair (w, t), with p the
-    least common denominator of w."""
+    """The base alcove over the q of ``TwistedDatum.affine_rows``, one
+    facet per simple affine root.  ``facets`` holds (key * q, level * q,
+    coroot) per facet, held one-sided: key(x) >= level inside, the key a
+    restricted root, negated for an upper wall, with its coroot.
+    ``translations`` holds (w * p, p, t * q) per simple restricted root a:
+    t = step(a) * acheck, a translation in the affine Weyl group (the product
+    of the reflections in the parallel walls a = l and a = l + step), and w
+    the dual functional, so that a fixed point v equals the sum of
+    pair(w, v) * t; p is the least common denominator of w."""
 
     q: int
     facets: tuple[tuple[tuple[int, ...], int, tuple[int, ...]], ...]

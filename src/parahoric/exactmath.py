@@ -1,5 +1,5 @@
 """Exact rational linear algebra, cyclotomic multiplicity counting, and
-valuation sets (finite unions of arithmetic progressions of rationals).
+valuation sets (arithmetic progressions of rationals).
 
 Everything here is exact: integers and ``fractions.Fraction`` only, no floats.
 """
@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import floor, gcd, lcm
+from math import lcm
 from operator import add, attrgetter, mul, sub
 
 Vec = tuple[Fraction, ...]
@@ -439,89 +439,32 @@ def invert_unimodular(a: IntMatrix) -> IntMatrix:
 # valuation sets
 
 
-def _fraction_lcm(values) -> Fraction:
-    num = 1
-    den = 0
-    for v in values:
-        num = lcm(num, v.numerator)
-        den = gcd(den, v.denominator)
-    return Fraction(num, den)
-
-
-def _divisors_desc(n: int) -> list[int]:
-    return [d for d in range(n, 0, -1) if n % d == 0]
-
-
 @frozen_record
 class ValuationSet:
-    """Finite union of arithmetic progressions, canonicalized so that every
-    component shares one positive step and offsets are reduced mod the step.
-    """
+    """The arithmetic progression offset + step * Z of rationals, with a
+    positive step and the offset reduced mod the step, so that equal sets
+    are equal records."""
 
     step: Fraction
-    offsets: tuple[Fraction, ...]
-
-    @staticmethod
-    def from_components(components) -> "ValuationSet":
-        comps = [(Fraction(o), Fraction(s)) for o, s in components]
-        if not comps:
-            raise ExactMathError("valuation set needs at least one progression")
-        for _, s in comps:
-            if s <= 0:
-                raise ExactMathError("progression step must be positive")
-        big = _fraction_lcm([s for _, s in comps])
-        offs = set()
-        for o, s in comps:
-            reps = int(big / s)
-            for j in range(reps):
-                offs.add((o + j * s) % big)
-        offsets = sorted(offs)
-        for t in _divisors_desc(len(offsets)):
-            if t == 1:
-                break
-            small = big / t
-            reduced = sorted({o % small for o in offsets})
-            if len(reduced) * t != len(offsets):
-                continue
-            regen = {(o + j * small) % big for o in reduced for j in range(t)}
-            if regen == set(offsets):
-                big = small
-                offsets = reduced
-                break
-        return ValuationSet(big, tuple(offsets))
+    offset: Fraction
 
     @staticmethod
     def lattice(step, offset=0) -> "ValuationSet":
-        return ValuationSet.from_components([(offset, step)])
+        step = Fraction(step)
+        if step <= 0:
+            raise ExactMathError("progression step must be positive")
+        return ValuationSet(step, Fraction(offset) % step)
 
     def member(self, q) -> bool:
-        return (Fraction(q) % self.step) in self.offsets
+        return (q - self.offset) % self.step == 0
 
     def min_above(self, t) -> Fraction:
-        t = Fraction(t)
-        best = None
-        for o in self.offsets:
-            k = floor((t - o) / self.step) + 1
-            cand = o + k * self.step
-            if best is None or cand < best:
-                best = cand
-        assert best is not None and best > t
-        return best
+        """The least element above t."""
+        return t + self.step - (t - self.offset) % self.step
 
     def max_below(self, t) -> Fraction:
-        t = Fraction(t)
-        best = None
-        for o in self.offsets:
-            k = -floor((o - t) / self.step) - 1
-            cand = o + k * self.step
-            if best is None or cand > best:
-                best = cand
-        assert best is not None and best < t
-        return best
-
-    def shift(self, c) -> "ValuationSet":
-        c = Fraction(c)
-        return ValuationSet(self.step, tuple(sorted((o + c) % self.step for o in self.offsets)))
+        """The greatest element below t."""
+        return t - self.step + (self.offset - t) % self.step
 
     def __contains__(self, q) -> bool:
         return self.member(q)

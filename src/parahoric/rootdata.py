@@ -477,10 +477,6 @@ def identity_automorphism(datum: RootDatum) -> DiagramAutomorphism:
     return build_automorphism(datum, tuple(range(datum.rank)))
 
 
-def twist_spectrum(twist: DiagramAutomorphism) -> dict[int, int]:
-    return twist.spectrum
-
-
 def _factor_regular_orders(letter: str, degrees: tuple[int, ...], t: int) -> dict[int, int]:
     """Springer's criterion on one simple factor with a diagram twist of
     order t: m is an elliptic regular order iff t | m and, for some primitive

@@ -67,10 +67,6 @@ class StabilityError(RuntimeError):
     pass
 
 
-def is_semisimple(datum: RootDatum) -> bool:
-    return datum.is_semisimple
-
-
 def acts_freely_on_roots(a: IntMatrix, datum: RootDatum, order: int) -> bool:
     """Every orbit of the cyclic group generated by a on the roots has full
     size equal to the order of a."""
@@ -238,7 +234,7 @@ def stable_verdict(
     td: TwistedDatum, x: ApartmentPoint, cap: int = WEYL_CAP_DEFAULT
 ) -> StabilityVerdict:
     """Stable-vector criterion at the first jump of x."""
-    if not is_semisimple(td.base):
+    if not td.base.is_semisimple:
         raise StabilityError(
             "stability verdicts need a semisimple datum; central directions "
             "make ellipticity vacuous"

@@ -23,7 +23,7 @@ from math import gcd, lcm
 from .echelonnage import ApartmentPoint, TwistedDatum, _scaffold, depth_table, point_order
 from .exactmath import clear_denominators, frozen_record, pair
 from .mpquotient import quotient_datum
-from .rootdata import DiagramAutomorphism, RootDatum, twist_spectrum
+from .rootdata import DiagramAutomorphism, RootDatum
 
 
 # The grading allocates one bin per degree and the crosscheck reads one
@@ -126,7 +126,7 @@ def _graded(datum, twist, den: int, lam_num, m: int):
             dims[d] += 1
         if 0 in hits:
             zero.append(index)
-    eigen = twist_spectrum(twist)
+    eigen = twist.spectrum
     for d in range(m):
         dims[d] += eigen.get(m // gcd(d, m), 0)
     total = len(datum.roots) + datum.rank

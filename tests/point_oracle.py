@@ -1,10 +1,11 @@
 """The apartment-point geometry in ``Fraction`` vectors: the depth table by
-one rational pairing per restricted root, alcove reduction by rational
-reflections, and points built from rational coroot multiples.
+one rational pairing per restricted root, the base-alcove facets by a
+rational search, alcove reduction by rational reflections, and points built
+from rational coroot multiples.
 
 Kept as an oracle for the integer forms in ``echelonnage``, which must give
-the same point order, the same bins (root order included) and the same
-reduced points.
+the same point order, the same bins (root order included), the same facets
+and the same reduced points.
 """
 from fractions import Fraction
 from math import floor, lcm
@@ -29,32 +30,95 @@ def depth_table_oracle(td, x):
     n = 1
     for rr, val in zip(roots, values):
         js = rr.jump_set
-        n = lcm(n, js.step.denominator, *((val + off).denominator for off in js.offsets))
+        n = lcm(n, js.step.denominator, (val + js.offset).denominator)
     bins = {}
     for rr, val in zip(roots, values):
         step = rr.jump_set.step * n
         if step.denominator != 1 or n % step.numerator:
             raise EchelonnageError("valuation step does not divide 1")
-        for off in rr.jump_set.offsets:
-            start = ((val + off) * n).numerator % step.numerator
-            for k in range(start, n, step.numerator):
-                bins.setdefault(k, []).append(rr)
+        start = ((val + rr.jump_set.offset) * n).numerator % step.numerator
+        for k in range(start, n, step.numerator):
+            bins.setdefault(k, []).append(rr)
     return n, {k: tuple(v) for k, v in bins.items()}
+
+
+def walls_oracle(td):
+    """The facets of the base alcove as a set of (key, level), key(x) >= level
+    inside, found in Fractions.
+
+    The reference point p is half the largest multiple of the sum of the
+    positive coroots that puts every positive root strictly between 0 and
+    its least positive level.  Each positive root offers its levels just
+    below and just above a(p); a candidate is a facet iff its hyperplane is
+    the only one strictly between p and the reflection of p across it.
+    """
+    positives = [rr for rr in restrict(td) if rr.positive]
+    direction = (0,) * td.base.rank
+    for rr in positives:
+        direction = vec_add(direction, rr.coroot)
+    heights = [pair(rr.key, direction) for rr in positives]
+    assert min(heights) > 0
+    scale = min(rr.jump_set.min_above(0) / h for rr, h in zip(positives, heights)) / 2
+    values = [scale * h for h in heights]
+    facets = set()
+    for rr, value in zip(positives, values):
+        below, above = rr.jump_set.max_below(value), rr.jump_set.min_above(value)
+        for sign, level in ((1, below), (-1, above)):
+            t = value - level
+            image = [v - t * pair(b.fiber[0], rr.coroot) for b, v in zip(positives, values)]
+            if _one_hyperplane_between(positives, values, image):
+                facets.add((vec_scale(sign, rr.key), sign * level))
+    return facets
+
+
+def _one_hyperplane_between(positives, here, there):
+    """Whether exactly one root hyperplane lies strictly between two points
+    that lie on none, given the values of the positive roots at each point.
+    A hyperplane is (key, level) over the non-divisible key, so that
+    a(x) = l and 2a(x) = 2l count as one."""
+    seen = set()
+    for rr, u, v in zip(positives, here, there):
+        lo, hi = sorted((u, v))
+        level = rr.jump_set.min_above(lo)
+        while level < hi:
+            scale = 2 if rr.cls == "divisible" else 1
+            seen.add((tuple(c / scale for c in rr.key), level / scale))
+            if len(seen) > 1:
+                return False
+            level = rr.jump_set.min_above(level)
+    return len(seen) == 1
+
+
+def rational_alcove(td):
+    """``td.integer_alcove`` in Fractions: (facets, translations), a facet
+    (key, level, coroot) with key(x) >= level inside and a translation the
+    pair (w, t) of ``alcove_reduce``."""
+    table = td.integer_alcove
+    q = table.q
+    facets = tuple(
+        (tuple(Fraction(c, q) for c in key), Fraction(level, q), coroot)
+        for key, level, coroot in table.facets
+    )
+    translations = tuple(
+        (tuple(Fraction(c, p) for c in w), tuple(Fraction(c, q) for c in t))
+        for w, p, t in table.translations
+    )
+    return facets, translations
 
 
 def alcove_reduce_oracle(td, x):
     """Translate by the exact lattice floor, then reflect across violated
     facets, in Fraction vectors."""
+    facets, translations = rational_alcove(td)
     v = x.coords
-    for w, t in td.translations:
+    for w, t in translations:
         v = vec_sub(v, vec_scale(floor(pair(w, v)), t))
-    facets = td.walls
     for _ in range(ALCOVE_ITERATION_CAP):
         moved = False
-        for f in facets:
-            t = pair(f.key, v) - f.level
+        for key, level, coroot in facets:
+            t = pair(key, v) - level
             if t < 0:
-                v = vec_sub(v, vec_scale(t, f.coroot))
+                v = vec_sub(v, vec_scale(t, coroot))
                 moved = True
         if not moved:
             return ApartmentPoint(v)

@@ -3,7 +3,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import floor
+from math import floor, lcm
 
 import pytest
 
@@ -37,6 +37,8 @@ from parahoric.exactmath import (
     vec_sub,
 )
 from parahoric.rootdata import build_automorphism, build_datum
+
+from point_oracle import rational_alcove, walls_oracle
 
 F = Fraction
 
@@ -177,7 +179,7 @@ def test_alcove_reduce_idempotent_and_invariant():
             x = base_pt
             for _ in range(rng.randint(1, 6)):
                 rr = rng.choice(positives)
-                level = rng.choice(rr.jump_set.offsets) + rng.randint(-2, 2) * rr.jump_set.step
+                level = rr.jump_set.offset + rng.randint(-2, 2) * rr.jump_set.step
                 x = affine_reflect(td, x, rr, level)
             assert alcove_reduce(td, x) == reduced
 
@@ -324,7 +326,7 @@ def alcove_vertices_oracle(td):
 def alcove_reduce_oracle(td, x):
     """Translate by the exact lattice floor, then fold across all walls."""
     v = x.coords
-    for w, t in td.translations:
+    for w, t in rational_alcove(td)[1]:
         v = vec_sub(v, vec_scale(floor(pair(w, v)), t))
     return fold_only(td, apartment_point(td, v))
 
@@ -383,11 +385,50 @@ def _alcove_data():
 ALCOVE_DATA = dict(_alcove_data())
 
 
+def _stated_progression(td, rr):
+    """The valuation set of ``rr`` as ``TwistedDatum.restricted`` states it."""
+    mult = [b.key for b in restrict(td) if b.cls == "multipliable" and b.positive]
+
+    def lam(key):
+        return td.lambda_valuations[mult.index(key if key in mult else vec_scale(-1, key))]
+
+    if rr.cls == "plain":
+        return ValuationSet.lattice(F(1, rr.orbit_size))
+    if rr.cls == "multipliable":
+        return ValuationSet.lattice(F(1, rr.orbit_size), lam(rr.key) / 2)
+    half = restricted_by_key(td)[tuple(c / 2 for c in rr.key)]
+    return ValuationSet.lattice(F(2, half.orbit_size), lam(half.key) + F(1, half.orbit_size))
+
+
+@pytest.mark.parametrize("name", list(ALCOVE_DATA))
+def test_each_valuation_set_is_one_stated_progression(name):
+    """One progression per root, and for a multipliable a the a-levels miss
+    the halved 2a-levels: the base-alcove search counts the hyperplanes of a
+    and of 2a separately."""
+    td, _ = ALCOVE_DATA[name]
+    by_key = restricted_by_key(td)
+    for rr in restrict(td):
+        assert rr.jump_set == _stated_progression(td, rr)
+        if rr.cls != "multipliable":
+            continue
+        js = rr.jump_set
+        double = by_key[tuple(2 * c for c in rr.key)].jump_set
+        step = double.step / 2
+        # both progressions repeat with the lcm of their steps
+        period = F(
+            lcm(js.step.numerator * step.denominator, step.numerator * js.step.denominator),
+            js.step.denominator * step.denominator,
+        )
+        halved = [double.offset / 2 + k * step for k in range(int(period / step))]
+        assert halved and not any(js.member(h) for h in halved), (rr.key, js, double)
+
+
 @pytest.mark.parametrize("name", list(ALCOVE_DATA))
 def test_base_alcove_matches_all_walls_oracle(name):
     td, components = ALCOVE_DATA[name]
     rank = len(simple_restricted_keys(td))
-    assert len(td.walls) == rank + components
+    assert len(td.integer_alcove.facets) == rank + components
+    assert {(key, level) for key, level, _ in rational_alcove(td)[0]} == walls_oracle(td)
     assert tuple(v.coords for v in alcove_vertices(td)) == alcove_vertices_oracle(td)
     rng = random.Random(name)
     for _ in range(40):
@@ -414,6 +455,7 @@ def test_base_alcove_matches_all_walls_oracle(name):
 def test_barycenter_reach(dynkin, auto):
     datum = build_datum(dynkin)
     td = twisted(datum, None if auto is None else build_automorphism(datum, auto))
+    assert {(key, level) for key, level, _ in rational_alcove(td)[0]} == walls_oracle(td)
     assert len(alcove_vertices(td)) == len(simple_restricted_keys(td)) + 1
     x = named_point(td, "barycenter")
     assert in_base_alcove(td, x)

@@ -127,30 +127,34 @@ def test_vset_examples():
 
 
 def test_vset_canonical_form():
-    merged = ValuationSet.from_components([(0, 1), (F(1, 2), 1)])
-    assert merged == ValuationSet.lattice(F(1, 2))
-    odd = ValuationSet.from_components([(F(1, 2), 1)])
-    assert odd.step == 1 and odd.offsets == (F(1, 2),)
-    mixed = ValuationSet.from_components([(0, 1), (F(1, 3), 1)])
-    assert mixed.step == 1 and mixed.offsets == (0, F(1, 3))
+    odd = ValuationSet.lattice(1, F(1, 2))
+    assert odd.step == 1 and odd.offset == F(1, 2)
+    assert ValuationSet.lattice(1, F(-3, 2)) == odd
+    assert ValuationSet.lattice(F(1, 2), F(-1, 4)) == ValuationSet.lattice(F(1, 2), F(1, 4))
+    with pytest.raises(ExactMathError):
+        ValuationSet.lattice(0)
+    with pytest.raises(ExactMathError):
+        ValuationSet.lattice(F(-1, 2))
 
 
 def test_vset_min_above_is_tight():
     rng = random.Random(3)
-    s = ValuationSet.from_components([(F(1, 6), F(1, 2)), (F(1, 4), F(3, 4))])
-    for _ in range(200):
-        t = F(rng.randint(-40, 40), rng.randint(1, 9))
-        nxt = s.min_above(t)
-        assert nxt > t and s.member(nxt)
-        step = s.step / 24
-        probe = t + step
-        while probe < nxt:
-            assert not s.member(probe)
-            probe += step
+    progressions = ((1, 0), (F(1, 2), F(1, 6)), (F(3, 4), F(1, 4)), (F(2, 3), F(-5, 3)), (F(1, 6), F(1, 12)))
+    for step, offset in progressions:
+        s = ValuationSet.lattice(step, offset)
+        for _ in range(200):
+            t = F(rng.randint(-40, 40), rng.randint(1, 9))
+            nxt, prev = s.min_above(t), s.max_below(t)
+            assert nxt > t and s.member(nxt)
+            assert prev < t and s.member(prev)
+            probe_step = s.step / 24
+            probe = prev + probe_step
+            while probe < nxt:
+                assert not s.member(probe) or probe == t
+                probe += probe_step
 
 
-def test_vset_shift_and_symmetry():
-    s = ValuationSet.from_components([(F(1, 4), F(1, 2))])
-    shifted = s.shift(F(1, 4))
-    assert shifted == ValuationSet.lattice(F(1, 2))
+def test_vset_max_below_symmetry():
+    s = ValuationSet.lattice(F(1, 2), F(1, 4))
     assert s.max_below(F(1, 4)) == F(-1, 4)
+    assert s.min_above(F(-1, 4)) == F(1, 4)

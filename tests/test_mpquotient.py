@@ -177,9 +177,7 @@ def oracle_point_order(td, x):
     m = 1
     for rr in restrict(td):
         val = evaluate(rr.key, x)
-        for off in rr.jump_set.offsets:
-            m = lcm(m, (val + off).denominator)
-        m = lcm(m, rr.jump_set.step.denominator)
+        m = lcm(m, (val + rr.jump_set.offset).denominator, rr.jump_set.step.denominator)
     return m
 
 
@@ -215,11 +213,10 @@ def oracle_jump_values(td, x):
     for rr in restrict(td):
         val = evaluate(rr.key, x)
         js = rr.jump_set
-        for off in js.offsets:
-            cur = (val + off) % js.step
-            while cur < 1:
-                values.add(cur)
-                cur += js.step
+        cur = (val + js.offset) % js.step
+        while cur < 1:
+            values.add(cur)
+            cur += js.step
     for k in cyclotomic_multiplicities(td.twist.matrix):
         if k == 1:
             values.add(F(0))

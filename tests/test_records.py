@@ -39,7 +39,6 @@ SAMPLES = {
     echelonnage.RestrictedRoot: lambda d, s, td, x: echelonnage.restrict(td)[-1],
     echelonnage._Scaffold: lambda d, s, td, x: echelonnage._scaffold(d, s),
     echelonnage.DepthTable: lambda d, s, td, x: echelonnage.depth_table(td, x),
-    echelonnage._Facet: lambda d, s, td, x: td.walls[0],
     echelonnage._IntegerAlcove: lambda d, s, td, x: td.integer_alcove,
     ValuationSet: lambda d, s, td, x: echelonnage.restrict(td)[-1].jump_set,
     mpquotient.ReductiveQuotientDatum: lambda d, s, td, x: mpquotient.quotient_datum(td, x),
@@ -74,8 +73,8 @@ def pool():
     return out
 
 
-def test_there_are_seventeen_records_with_their_annotated_fields():
-    assert len(SAMPLES) == 17
+def test_there_are_sixteen_records_with_their_annotated_fields():
+    assert len(SAMPLES) == 16
     for cls in SAMPLES:
         assert cls._fields == tuple(cls.__annotations__)
 

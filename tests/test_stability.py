@@ -20,7 +20,6 @@ from parahoric.stability import (
     StabilityError,
     acts_freely_on_roots,
     elliptic_zregular_orders,
-    is_semisimple,
     regular_witness,
     stable_verdict,
     zregularity_criteria_agree,
@@ -142,7 +141,7 @@ def test_stable_verdict_2a2():
 
 
 def test_semisimple_guard():
-    assert is_semisimple(build_datum("B2"))
+    assert build_datum("B2").is_semisimple
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +214,7 @@ def test_semisimple_check_is_cached_per_datum(monkeypatch):
     monkeypatch.setattr(rootdata, "matrix_rank", lambda rows: ranks.append(rows) or original(rows))
     d = build_datum("B3")
     vars(d).pop("is_semisimple", None)  # forget an earlier answer on the interned datum
-    assert is_semisimple(d) and is_semisimple(build_datum("B3"))
+    assert d.is_semisimple and build_datum("B3").is_semisimple
     assert build_datum("B3") is d
     assert len(ranks) == 1  # computed once, then read off the datum
 
