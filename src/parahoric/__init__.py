@@ -5,6 +5,8 @@ stable-vector verdicts."""
 
 __version__ = "0.1.0"
 
+from importlib import import_module as _import_module
+
 from .catalog import catalog_datum, catalog_ids, catalog_spec, named_point
 from .echelonnage import (
     ApartmentPoint,
@@ -36,21 +38,6 @@ from .rootdata import (
     build_datum,
     weyl_elements,
 )
-from .stability import (
-    StabilityVerdict,
-    elliptic_zregular_orders,
-    stable_verdict,
-    zregularity_criteria_agree,
-)
-from .vinberg import GradedDecomposition, crosscheck, grading
-from .weylmod import (
-    decompose,
-    phi_xr,
-    phi_xr_max,
-    split_span_check,
-    weyl_character,
-)
-
 __all__ = [
     "ApartmentPoint",
     "ChevalleyAlgebra",
@@ -101,17 +88,30 @@ __all__ = [
     "zregularity_criteria_agree",
 ]
 
-# The Chevalley-basis layer is an oracle that no subcommand calls, so its
-# names in __all__ are the only ones not bound above: they load it on first
-# access (PEP 562).
+# The layers that only some subcommands run load on first access to one of
+# their names (PEP 562): the Chevalley-basis oracle, which no subcommand
+# calls, and the stability, grading and Weyl-module layers, which one
+# subcommand each calls.  A resolved name is bound here, so later accesses
+# are plain attribute reads.
+_LAZY = {
+    name: module
+    for module, names in (
+        ("chevalley", ("ChevalleyAlgebra", "exp_ad", "orbit_sign", "pinned_automorphism",
+                       "structure_constants")),
+        ("stability", ("StabilityVerdict", "elliptic_zregular_orders", "stable_verdict",
+                       "zregularity_criteria_agree")),
+        ("vinberg", ("GradedDecomposition", "crosscheck", "grading")),
+        ("weylmod", ("decompose", "phi_xr", "phi_xr_max", "split_span_check", "weyl_character")),
+    )
+    for name in names
+}
 
 
 def __getattr__(name):
-    if name in __all__:
-        from . import chevalley
-
-        return getattr(chevalley, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(_import_module(f"{__name__}.{_LAZY[name]}"), name)
+    return value
 
 
 def __dir__():

@@ -15,13 +15,13 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 
-from .exactmath import frozen_record, mat_vec, pair, vec_add, vec_scale, vec_sub
+from .exactmath import PropertyViolation, frozen_record, mat_vec, pair, vec_add, vec_scale, vec_sub
 from .rootdata import DiagramAutomorphism, RootDatum
 
 MAX_NILPOTENCY = 10
 
 
-class ChevalleyError(RuntimeError):
+class ChevalleyError(PropertyViolation):
     pass
 
 

@@ -27,9 +27,8 @@ from .echelonnage import (
     point_order,
     twisted,
 )
-from .exactmath import ExactMathError
+from .exactmath import InputError, PropertyViolation
 from .mpquotient import (
-    QuotientError,
     ReductiveQuotientDatum,
     algebra_dimension,
     first_jump,
@@ -40,25 +39,17 @@ from .mpquotient import (
 from .rootdata import (
     WEYL_CAP_DEFAULT,
     RootDatumError,
-    WeylCapExceeded,
     build_automorphism,
     build_datum,
     cartan_matrix,
     cartan_matrix_component,
 )
-from .stability import StabilityError, stable_verdict
-from .vinberg import GradingError, ModulusCapExceeded, crosscheck
-from .weylmod import WeylModuleError, decompose, split_span_check
+
+# The grading, Weyl-module and stability layers are imported by the section
+# that uses each, so a subcommand loads only its own.  Every package error is
+# an ``InputError`` (exit 1) or a ``PropertyViolation`` (exit 2).
 
 SCHEMA_VERSION = 1
-
-
-class InputError(ValueError):
-    pass
-
-
-class PropertyViolation(RuntimeError):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -358,6 +349,8 @@ def section_grade(td: TwistedDatum, x: ApartmentPoint, modulus: int) -> dict:
             "applicable": False,
             "reason": "nonzero lambda valuations; apply the companion shift first",
         }
+    from .vinberg import crosscheck
+
     res = crosscheck(td, x, modulus)
     return {
         "applicable": True,
@@ -372,6 +365,8 @@ def section_grade(td: TwistedDatum, x: ApartmentPoint, modulus: int) -> dict:
 
 
 def section_decompose(td: TwistedDatum, x: ApartmentPoint, r: Fraction) -> dict:
+    from .weylmod import decompose, split_span_check
+
     dec = decompose(td, x, r)
     span = None
     if td.twist.is_identity and td.is_tame and Fraction(r).denominator != 1:
@@ -392,6 +387,8 @@ def section_decompose(td: TwistedDatum, x: ApartmentPoint, r: Fraction) -> dict:
 
 
 def section_stability(td: TwistedDatum, x: ApartmentPoint, cap: int) -> dict:
+    from .stability import stable_verdict
+
     verdict = stable_verdict(td, x, cap)
     return {
         "m": verdict.m,
@@ -438,17 +435,6 @@ def emit(report: dict, out: str | None) -> None:
 # entry point
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--spec", required=True, help="spec file path or catalog:<id>[:<point>]")
-    p.add_argument("--out", default=None, help="write the report here instead of stdout")
-    p.add_argument("--m", type=int, default=None, help="override m for rho_over_m points")
-    p.add_argument("--M", type=int, default=None, help="override the grading modulus")
-    p.add_argument(
-        "--cap", type=int, default=WEYL_CAP_DEFAULT,
-        help="bound on |W|, the order of the Weyl group (default %(default)s)",
-    )
-
-
 class _Parser(argparse.ArgumentParser):
     """Usage errors are input errors: exit 1, naming the option's field (its
     destination) or the unrecognized token.  Subparsers inherit the class."""
@@ -465,6 +451,15 @@ def make_parser() -> argparse.ArgumentParser:
         prog="parahoric",
         description="exact filtration-quotient, grading, and stability reports",
     )
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--spec", required=True, help="spec file path or catalog:<id>[:<point>]")
+    common.add_argument("--out", default=None, help="write the report here instead of stdout")
+    common.add_argument("--m", type=int, default=None, help="override m for rho_over_m points")
+    common.add_argument("--M", type=int, default=None, help="override the grading modulus")
+    common.add_argument(
+        "--cap", type=int, default=WEYL_CAP_DEFAULT,
+        help="bound on |W|, the order of the Weyl group (default %(default)s)",
+    )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text in (
         ("quotient", "reductive-quotient root datum at the point"),
@@ -473,8 +468,7 @@ def make_parser() -> argparse.ArgumentParser:
         ("decompose", "highest-weight decomposition at depth r"),
         ("stability", "stable-vector verdict at the first jump"),
     ):
-        p = sub.add_parser(name, help=help_text)
-        _add_common(p)
+        sub.add_parser(name, help=help_text, parents=[common])
     p = sub.add_parser("selftest", help="run the built-in property suite")
     p.add_argument("--seed", type=int, default=0)
     p = sub.add_parser("catalog", help="list or export built-in specs")
@@ -554,13 +548,7 @@ def main(argv=None) -> int:
     except InputError as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return 1
-    except (RootDatumError, EchelonnageError, ExactMathError, GradingError) as exc:
-        sys.stderr.write(f"input error: {exc}\n")
-        return 1
-    except (
-        QuotientError, WeylModuleError, StabilityError, WeylCapExceeded,
-        ModulusCapExceeded, PropertyViolation,
-    ) as exc:
+    except PropertyViolation as exc:
         sys.stderr.write(f"property violation: {exc}\n")
         return 2
 

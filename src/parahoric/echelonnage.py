@@ -28,8 +28,10 @@ from math import gcd, lcm
 from operator import mul
 
 from .exactmath import (
+    InputError,
     ValuationSet,
     Vec,
+    as_ratio,
     clear_denominators,
     frozen_record,
     invert_matrix,
@@ -57,7 +59,7 @@ DEPTH_TABLE_CACHE = 32
 _TWISTED: dict[tuple, TwistedDatum] = {}  # ``twisted`` interns its results
 
 
-class EchelonnageError(ValueError):
+class EchelonnageError(InputError):
     pass
 
 
@@ -80,6 +82,8 @@ class RestrictedRoot:
 @frozen_record
 class _Scaffold:
     keys: tuple[Vec, ...]
+    # the keys times the twist order e: each orbit sum times e / orbit size
+    integer_keys: tuple[tuple[int, ...], ...]
     coroots: tuple[tuple[int, ...], ...]
     fibers: tuple[tuple, ...]
     orbit_sizes: tuple[int, ...]
@@ -92,7 +96,14 @@ class _Scaffold:
 
 @lru_cache(maxsize=None)
 def _scaffold(base: RootDatum, twist: DiagramAutomorphism) -> _Scaffold:
-    orbits = []
+    """The restricted roots of (base, twist), one per twist orbit of roots,
+    found on integer keys: the key of an orbit, its average, is held as the
+    orbit sum times e / orbit size, e the twist order.  The integer keys sort
+    as the keys do, a key k is multipliable iff 2k is a key and divisible iff
+    k/2 is, and a coroot pairs to 2 with k iff to 2e with its integer key.
+    The ``Fraction`` keys are built once, at the end."""
+    e = twist.order
+    keyed: dict[tuple[int, ...], tuple] = {}
     seen = set()
     for r in base.roots:
         if r in seen:
@@ -102,62 +113,54 @@ def _scaffold(base: RootDatum, twist: DiagramAutomorphism) -> _Scaffold:
         while cur != r:
             orbit.append(cur)
             cur = mat_vec(twist.matrix, cur)
-        seen |= set(orbit)
-        orbits.append(tuple(orbit))
-
-    keyed: dict[Vec, tuple] = {}
-    for orbit in orbits:
-        n = len(orbit)
-        key = tuple(
-            Fraction(sum(r[i] for r in orbit), n) for i in range(base.rank)
-        )
+        seen.update(orbit)
+        weight = e // len(orbit)
+        key = tuple(weight * sum(c) for c in zip(*orbit))
         if key in keyed:
             raise EchelonnageError(
                 "two distinct twist orbits share a restriction; "
                 "this configuration is not supported"
             )
-        keyed[key] = orbit
+        keyed[key] = tuple(orbit)
 
-    keys = sorted(keyed)
-    keyset = set(keys)
+    integer_keys = sorted(keyed)
     classes = []
-    positives = []
-    for key in keys:
-        double = tuple(2 * x for x in key)
-        half = tuple(x / 2 for x in key)
-        if double in keyset:
-            classes.append("multipliable")
-        elif half in keyset:
-            classes.append("divisible")
-        else:
-            classes.append("plain")
-        positives.append(base.is_positive(keyed[key][0]))
     coroots = []
-    for key, cls in zip(keys, classes):
+    for key in integer_keys:
+        if tuple(2 * c for c in key) in keyed:
+            cls = "multipliable"
+        elif not any(c % 2 for c in key) and tuple(c // 2 for c in key) in keyed:
+            cls = "divisible"
+        else:
+            cls = "plain"
         coroot = (0,) * base.rank
         for alpha in keyed[key]:
             coroot = vec_add(coroot, base.coroot_of(alpha))
         if cls == "multipliable":
             coroot = vec_scale(2, coroot)
-        if pair(key, coroot) != 2:
+        if pair(key, coroot) != 2 * e:
             raise EchelonnageError("restricted coroot does not pair to 2")
+        classes.append(cls)
         coroots.append(coroot)
-    pos_mult = tuple(
-        k for k, c, p in zip(keys, classes, positives) if c == "multipliable" and p
-    )
-    reflections = tuple(zip(keys, coroots))
+    fibers = tuple(keyed[k] for k in integer_keys)
+    positives = tuple(base.is_positive(fiber[0]) for fiber in fibers)
+    pos_mult = [i for i, (c, p) in enumerate(zip(classes, positives)) if c == "multipliable" and p]
+    reflections = [(k, c) for k, c, p in zip(integer_keys, coroots, positives) if p]
     lambda_orbits = set()
-    for key in pos_mult:
-        orbit = reflection_orbit(key, reflections)
-        lambda_orbits.add(tuple(i for i, b in enumerate(pos_mult) if b in orbit))
+    for i in pos_mult:
+        orbit = reflection_orbit(integer_keys[i], reflections, e)
+        lambda_orbits.add(tuple(j for j, b in enumerate(pos_mult) if integer_keys[b] in orbit))
+    fraction = {c: Fraction(c, e) for c in {c for k in integer_keys for c in k}}
+    keys = tuple(tuple(fraction[c] for c in k) for k in integer_keys)
     return _Scaffold(
-        keys=tuple(keys),
+        keys=keys,
+        integer_keys=tuple(integer_keys),
         coroots=tuple(coroots),
-        fibers=tuple(keyed[k] for k in keys),
-        orbit_sizes=tuple(len(keyed[k]) for k in keys),
+        fibers=fibers,
+        orbit_sizes=tuple(map(len, fibers)),
         classes=tuple(classes),
-        positives=tuple(positives),
-        positive_mult_keys=pos_mult,
+        positives=positives,
+        positive_mult_keys=tuple(keys[i] for i in pos_mult),
         lambda_orbits=tuple(sorted(lambda_orbits)),
     )
 
@@ -226,11 +229,7 @@ class TwistedDatum:
     def integer_keys(self) -> tuple[tuple[int, ...], ...]:
         """Every restricted key times the twist order e, in the order of
         ``restricted``: its orbit sum times e / orbit size."""
-        e = self.twist.order
-        return tuple(
-            tuple(c * (e // rr.orbit_size) for c in map(sum, zip(*rr.fiber)))
-            for rr in self.restricted
-        )
+        return _scaffold(self.base, self.twist).integer_keys
 
     @cached_property
     def restricted_rank(self) -> int:
@@ -492,8 +491,9 @@ def evaluate(key: Vec, point: ApartmentPoint) -> Fraction:
 
 def torus_jump_dim(td: TwistedDatum, r) -> int:
     """Dimension of the torus part at depth r: the multiplicity of the twist
-    eigenvalue of angle -r, which depends only on the denominator of r mod 1."""
-    return td.twist.spectrum.get((Fraction(r) % 1).denominator, 0)
+    eigenvalue of angle -r, which depends only on the denominator of r mod 1,
+    that of r."""
+    return td.twist.spectrum.get(as_ratio(r)[1], 0)
 
 
 # ---------------------------------------------------------------------------
@@ -517,8 +517,9 @@ class DepthTable:
 
     def at(self, r) -> tuple[tuple[RestrictedRoot, ...], int]:
         """The roots and the torus dimension of the quotient at depth r."""
-        k = Fraction(r) * self.order
-        roots = self.roots.get(k.numerator % self.order, ()) if k.denominator == 1 else ()
+        num, den = as_ratio(r)
+        n = self.order
+        roots = self.roots.get(num * (n // den) % n, ()) if n % den == 0 else ()
         return roots, torus_jump_dim(self.td, r)
 
     def dim(self, r) -> int:

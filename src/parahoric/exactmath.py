@@ -17,7 +17,16 @@ IntMatrix = tuple[IntVec, ...]
 DEFAULT_ORDER_BOUND = 10_000
 
 
-class ExactMathError(ValueError):
+class InputError(ValueError):
+    """The base of every error that an input causes: the CLI exits 1."""
+
+
+class PropertyViolation(RuntimeError):
+    """The base of every error that a failed property check raises: the CLI
+    exits 2."""
+
+
+class ExactMathError(InputError):
     """Bad input to an exact-arithmetic routine (e.g. infinite-order matrix)."""
 
 
@@ -98,6 +107,15 @@ def pair(chi, mu):
     return sum(map(mul, chi, mu))
 
 
+def as_ratio(r) -> tuple[int, int]:
+    """(numerator, denominator) of the rational r in lowest terms, read off
+    an ``int`` or a ``Fraction`` as it is; anything else goes through
+    ``Fraction(r)``."""
+    if not isinstance(r, (int, Fraction)):
+        r = Fraction(r)
+    return r.numerator, r.denominator
+
+
 def clear_denominators(*vectors) -> tuple[int, tuple[IntVec, ...]]:
     """(D, vectors times D) for rational vectors, D their least common
     denominator: the same rationals as integers over one denominator."""
@@ -105,15 +123,18 @@ def clear_denominators(*vectors) -> tuple[int, tuple[IntVec, ...]]:
     return den, tuple(tuple(c.numerator * (den // c.denominator) for c in v) for v in vectors)
 
 
-def reflection_orbit(vec, reflections) -> set:
+def reflection_orbit(vec, reflections, scale=1) -> set:
     """Orbit of ``vec`` under the group generated by the reflections
-    v -> v - <v, acheck> a, one per pair (a, acheck)."""
+    v -> v - (<v, acheck> / scale) a, one per pair (a, acheck).  A scale
+    above 1 is for integer vectors that stand for rational ones times the
+    scale, such as integer keys: every pairing is then a multiple of it."""
     orbit = {vec}
     frontier = [vec]
     while frontier:
         cur = frontier.pop()
         for a, acheck in reflections:
-            img = vec_sub(cur, vec_scale(pair(cur, acheck), a))
+            c = pair(cur, acheck)
+            img = vec_sub(cur, vec_scale(c // scale if scale != 1 else c, a))
             if img not in orbit:
                 orbit.add(img)
                 frontier.append(img)

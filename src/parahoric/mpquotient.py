@@ -25,6 +25,7 @@ from .echelonnage import (
 )
 from .exactmath import (
     IntMatrix,
+    PropertyViolation,
     Vec,
     clear_denominators,
     frozen_record,
@@ -35,7 +36,7 @@ from .exactmath import (
 )
 
 
-class QuotientError(RuntimeError):
+class QuotientError(PropertyViolation):
     pass
 
 
@@ -203,7 +204,8 @@ def quotient_datum(td: TwistedDatum, x: ApartmentPoint) -> ReductiveQuotientDatu
 
 
 def mp_quotient(td: TwistedDatum, x: ApartmentPoint, r) -> MPQuotientReport:
-    r = Fraction(r)
+    if not isinstance(r, Fraction):
+        r = Fraction(r)
     roots, torus = depth_table(td, x).at(r)
     part = tuple(rr.key for rr in roots)
     return MPQuotientReport(

@@ -21,6 +21,8 @@ from math import gcd, lcm, prod
 from .exactmath import (
     IntMatrix,
     IntVec,
+    InputError,
+    PropertyViolation,
     frozen_record,
     identity_matrix,
     mat_vec,
@@ -45,11 +47,11 @@ _RANK_RANGE = {
 ISOGENIES = ("adjoint", "simply_connected")
 
 
-class RootDatumError(ValueError):
+class RootDatumError(InputError):
     pass
 
 
-class WeylCapExceeded(RuntimeError):
+class WeylCapExceeded(PropertyViolation):
     pass
 
 
@@ -214,13 +216,9 @@ class RootDatum:
 
     @cached_property
     def rho_check(self) -> tuple[Fraction, ...]:
-        n = self.rank
-        acc = [Fraction(0)] * n
-        for r in self.positive_roots:
-            cr = self.coroot_of(r)
-            for i in range(n):
-                acc[i] += Fraction(cr[i], 2)
-        return tuple(acc)
+        """Half the sum of the positive coroots, summed in integers."""
+        total = map(sum, zip(*map(self.coroot_of, self.positive_roots)))
+        return tuple(Fraction(c, 2) for c in total)
 
     @cached_property
     def is_semisimple(self) -> bool:
@@ -288,17 +286,21 @@ def build_datum(descriptor: str, isogeny: str = "adjoint") -> RootDatum:
     frontier = list(simples)
     while frontier:
         root, coroot, coeff, cocoeff = frontier.pop()
-        for i, (alpha, acheck, unit, counit) in enumerate(simples):
+        for alpha, acheck, unit, counit in simples:
             p = pair(root, acheck)
-            q = pair(alpha, coroot)
+            if not p:  # the reflection fixes the root (and then q = 0 too)
+                continue
             new_root = tuple(a - p * b for a, b in zip(root, alpha))
-            new_coroot = tuple(a - q * b for a, b in zip(coroot, acheck))
-            new_coeff = tuple(a - p * b for a, b in zip(coeff, unit))
-            new_cocoeff = tuple(a - q * b for a, b in zip(cocoeff, counit))
-            if new_root not in seen:
-                entry = (new_root, new_coroot, new_coeff, new_cocoeff)
-                seen[new_root] = entry
-                frontier.append(entry)
+            if new_root in seen:
+                continue
+            q = pair(alpha, coroot)
+            entry = seen[new_root] = (
+                new_root,
+                tuple(a - q * b for a, b in zip(coroot, acheck)),
+                tuple(a - p * b for a, b in zip(coeff, unit)),
+                tuple(a - q * b for a, b in zip(cocoeff, counit)),
+            )
+            frontier.append(entry)
 
     entries = sorted(seen.values(), key=lambda e: (sum(e[2]), e[2]))
     datum = RootDatum(

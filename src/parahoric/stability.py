@@ -34,6 +34,7 @@ from .echelonnage import (
 )
 from .exactmath import (
     IntMatrix,
+    PropertyViolation,
     cyclotomic_multiplicities,
     cyclotomic_polynomial,
     det_bareiss,
@@ -63,7 +64,7 @@ from .rootdata import (
 )
 
 
-class StabilityError(RuntimeError):
+class StabilityError(PropertyViolation):
     pass
 
 

@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .echelonnage import ApartmentPoint, TwistedDatum, _scaffold, depth_table, point_order
-from .exactmath import clear_denominators, frozen_record, pair
+from .exactmath import InputError, PropertyViolation, clear_denominators, frozen_record, pair
 from .mpquotient import quotient_datum
 from .rootdata import DiagramAutomorphism, RootDatum
 
@@ -31,11 +31,11 @@ from .rootdata import DiagramAutomorphism, RootDatum
 MODULUS_CAP = 100_000
 
 
-class GradingError(ValueError):
+class GradingError(InputError):
     pass
 
 
-class ModulusCapExceeded(RuntimeError):
+class ModulusCapExceeded(PropertyViolation):
     pass
 
 

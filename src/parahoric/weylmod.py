@@ -24,7 +24,7 @@ from .echelonnage import (
     restrict,
     twisted,
 )
-from .exactmath import Vec, clear_denominators, frozen_record, pair
+from .exactmath import PropertyViolation, Vec, clear_denominators, frozen_record, pair
 from .mpquotient import (
     MPQuotientReport,
     ReductiveQuotientDatum,
@@ -33,7 +33,7 @@ from .mpquotient import (
 )
 
 
-class WeylModuleError(RuntimeError):
+class WeylModuleError(PropertyViolation):
     pass
 
 

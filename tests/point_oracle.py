@@ -1,11 +1,13 @@
-"""The apartment-point geometry in ``Fraction`` vectors: the depth table by
-one rational pairing per restricted root, the base-alcove facets by a
-rational search, alcove reduction by rational reflections, and points built
-from rational coroot multiples.
+"""The twisted-datum scaffold and the apartment-point geometry in
+``Fraction`` vectors: the restricted roots keyed, sorted and classified on
+rational orbit averages, the depth table by one rational pairing per
+restricted root, the base-alcove facets by a rational search, alcove
+reduction by rational reflections, and points built from rational coroot
+multiples.
 
 Kept as an oracle for the integer forms in ``echelonnage``, which must give
-the same point order, the same bins (root order included), the same facets
-and the same reduced points.
+the same scaffold, the same point order, the same bins (root order
+included), the same facets and the same reduced points.
 """
 from fractions import Fraction
 from math import floor, lcm
@@ -14,12 +16,83 @@ from parahoric.echelonnage import (
     ALCOVE_ITERATION_CAP,
     ApartmentPoint,
     EchelonnageError,
+    _Scaffold,
     evaluate,
     restrict,
     restricted_by_key,
     simple_restricted_keys,
 )
-from parahoric.exactmath import mat_vec, pair, vec_add, vec_scale, vec_sub
+from parahoric.exactmath import (
+    mat_vec,
+    pair,
+    reflection_orbit,
+    vec_add,
+    vec_scale,
+    vec_sub,
+)
+
+
+def scaffold_oracle(base, twist):
+    """``echelonnage._scaffold`` on ``Fraction`` keys: each key is the orbit
+    average itself, and the sort, the class tests and the coroot checks run
+    on those rational tuples."""
+    orbits = []
+    seen = set()
+    for r in base.roots:
+        if r in seen:
+            continue
+        orbit = [r]
+        cur = mat_vec(twist.matrix, r)
+        while cur != r:
+            orbit.append(cur)
+            cur = mat_vec(twist.matrix, cur)
+        seen |= set(orbit)
+        orbits.append(tuple(orbit))
+    keyed = {}
+    for orbit in orbits:
+        key = tuple(Fraction(sum(r[i] for r in orbit), len(orbit)) for i in range(base.rank))
+        if key in keyed:
+            raise EchelonnageError("two distinct twist orbits share a restriction")
+        keyed[key] = orbit
+    keys = sorted(keyed)
+    classes = []
+    coroots = []
+    for key in keys:
+        if tuple(2 * x for x in key) in keyed:
+            classes.append("multipliable")
+        elif tuple(x / 2 for x in key) in keyed:
+            classes.append("divisible")
+        else:
+            classes.append("plain")
+        coroot = (0,) * base.rank
+        for alpha in keyed[key]:
+            coroot = vec_add(coroot, base.coroot_of(alpha))
+        if classes[-1] == "multipliable":
+            coroot = vec_scale(2, coroot)
+        if pair(key, coroot) != 2:
+            raise EchelonnageError("restricted coroot does not pair to 2")
+        coroots.append(coroot)
+    positives = [base.is_positive(keyed[key][0]) for key in keys]
+    pos_mult = tuple(
+        k for k, c, p in zip(keys, classes, positives) if c == "multipliable" and p
+    )
+    reflections = tuple(zip(keys, coroots))
+    lambda_orbits = set()
+    for key in pos_mult:
+        orbit = reflection_orbit(key, reflections)
+        lambda_orbits.add(tuple(i for i, b in enumerate(pos_mult) if b in orbit))
+    e = twist.order
+    return _Scaffold(
+        keys=tuple(keys),
+        integer_keys=tuple(tuple(int(c * e) for c in key) for key in keys),
+        coroots=tuple(coroots),
+        fibers=tuple(keyed[k] for k in keys),
+        orbit_sizes=tuple(len(keyed[k]) for k in keys),
+        classes=tuple(classes),
+        positives=tuple(positives),
+        positive_mult_keys=pos_mult,
+        lambda_orbits=tuple(sorted(lambda_orbits)),
+    )
 
 
 def depth_table_oracle(td, x):

@@ -10,6 +10,7 @@ import pytest
 from parahoric.catalog import catalog_datum, catalog_ids, named_point
 from parahoric.echelonnage import (
     EchelonnageError,
+    _scaffold,
     affine_reflect,
     alcove_reduce,
     alcove_vertices,
@@ -38,7 +39,7 @@ from parahoric.exactmath import (
 )
 from parahoric.rootdata import build_automorphism, build_datum
 
-from point_oracle import rational_alcove, walls_oracle
+from point_oracle import rational_alcove, scaffold_oracle, walls_oracle
 
 F = Fraction
 
@@ -460,3 +461,39 @@ def test_barycenter_reach(dynkin, auto):
     x = named_point(td, "barycenter")
     assert in_base_alcove(td, x)
     assert alcove_reduce(td, x) == x
+
+
+def _scaffold_cosets():
+    """(base, twist) for the integer scaffold against its oracle: every
+    catalog entry, then (isogeny, type, node permutation or None)."""
+    for cid in catalog_ids():
+        td = catalog_datum(cid)
+        yield pytest.param(td.base, td.twist, id=cid)
+    flips = [("adjoint", f"A{n}", tuple(range(n - 1, -1, -1))) for n in range(2, 9)]
+    for isogeny, d, perm in (
+        *flips,
+        ("adjoint", "D5", (0, 1, 2, 4, 3)),
+        ("adjoint", "E6", (5, 1, 4, 3, 2, 0)),
+        ("adjoint", "D4", (2, 1, 3, 0)),
+        *(("adjoint", d, None) for d in ("B6", "F4", "E6", "E7", "E8")),
+        ("adjoint", "A2+A2", (2, 3, 0, 1)),
+        ("adjoint", "A2+A2", (2, 3, 1, 0)),
+        ("adjoint", "A2+A2", (1, 0, 3, 2)),
+        ("simply_connected", "A3", None),
+        ("simply_connected", "A3", (2, 1, 0)),
+        ("simply_connected", "D4", None),
+        ("simply_connected", "D4", (2, 1, 3, 0)),
+    ):
+        base = build_datum(d, isogeny)
+        twist = build_automorphism(base, perm or range(base.rank))
+        yield pytest.param(base, twist, id=f"{isogeny} {d} {perm}")
+
+
+@pytest.mark.parametrize("base,twist", _scaffold_cosets())
+def test_integer_scaffold_matches_the_fraction_oracle(base, twist):
+    scaffold, oracle = _scaffold(base, twist), scaffold_oracle(base, twist)
+    for field in scaffold._fields:
+        assert getattr(scaffold, field) == getattr(oracle, field), field
+    td = twisted(base, twist)
+    assert td.integer_keys == scaffold.integer_keys
+    assert [rr.key for rr in td.restricted] == list(oracle.keys)

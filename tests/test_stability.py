@@ -7,7 +7,7 @@ import pytest
 from coset_oracle import scan_zregular_orders
 from parahoric import rootdata, stability
 from parahoric.catalog import CATALOG
-from parahoric.echelonnage import apartment_point, origin, twisted
+from parahoric.echelonnage import apartment_point, twisted
 from parahoric.exactmath import cyclotomic_multiplicities, identity_matrix, mat_mul
 from parahoric.rootdata import (
     build_automorphism,
