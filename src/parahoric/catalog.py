@@ -77,13 +77,11 @@ def catalog_spec(entry_id: str, point: str = "origin", r: str = "0") -> dict:
 
 def named_point(td: TwistedDatum, name: str, m: int | None = None) -> ApartmentPoint:
     if name == "origin":
-        return apartment_point(td, tuple(Fraction(0) for _ in range(td.base.rank)))
+        return apartment_point(td, (0,) * td.base.rank)
     if name == "rho_over_m":
         if m is None or m <= 0:
             raise EchelonnageError("rho_over_m needs a positive integer m")
-        return apartment_point(
-            td, tuple(Fraction(c) / m for c in td.base.rho_check)
-        )
+        return apartment_point(td, [Fraction(c, m) for c in td.base.rho_check])
     if name == "barycenter":
         vertices = [v.coords for v in alcove_vertices(td)]
         return apartment_point(td, [sum(c) / len(vertices) for c in zip(*vertices)])

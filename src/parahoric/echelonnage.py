@@ -8,16 +8,17 @@ A twisted datum is a root datum together with a diagram automorphism and a
 lambda-valuation (a nonpositive rational in (1/e)Z) for each positive
 multipliable restricted root; zero valuations model the tame situation.
 
-The per-point geometry runs on integers.  An apartment point keeps its
-``Fraction`` coordinates and caches them as numerators over their least
-common denominator D (``ApartmentPoint.scaled``).  A restricted root is the
-orbit average of its fiber, so its value at x is the integer orbit sum
-paired with the numerators, over e D; the depth table puts every value and
-valuation offset over one denominator and reads the point order and the
-residues off integer ``gcd`` and ``//``.  Every valuation set is one
-arithmetic progression, so the base alcove is found on those same integer
-rows: its facets and translations are held over their denominator q, and
-alcove reduction is an integer floor division and integer folds.
+The per-point geometry runs on integers.  An apartment point is its
+numerators over their least common denominator D (``ApartmentPoint.den``
+and ``.nums``); its ``Fraction`` coordinates are a view for the reports.  A
+restricted root is the orbit average of its fiber, so its value at x is the
+integer orbit sum paired with the numerators, over e D; the depth table
+puts every value and valuation offset over one denominator and reads the
+point order and the residues off integer ``gcd`` and ``//``.  Every
+valuation set is one arithmetic progression, so the base alcove is found on
+those same integer rows: its facets and translations are held over their
+denominator q, and alcove reduction is an integer floor division and
+integer folds.
 """
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations
 from math import gcd, lcm
-from operator import mul
+from operator import attrgetter, mul
 
 from .exactmath import (
     InputError,
@@ -34,7 +35,7 @@ from .exactmath import (
     as_ratio,
     clear_denominators,
     frozen_record,
-    invert_matrix,
+    integer_inverse,
     mat_vec,
     matrix_rank,
     pair,
@@ -332,16 +333,19 @@ class TwistedDatum:
                     facets.append((vec_scale(sign, key), sign * level, vec_scale(sign, rr.coroot)))
         simple = set(self.simple_keys)
         simples = [row for row in rows if row[0].key in simple]
-        inverse = invert_matrix(
+        # w = period * (row of C^-1) . keys = w_num / (den e) on the integer keys
+        den, inverse = integer_inverse(
             [[pair(a.fiber[0], b.coroot) for b, *_ in simples] for a, *_ in simples]
         )
+        den *= self.twist.order
+        columns = list(zip(*(self.integer_keys[b.index] for b, *_ in simples)))
         translations = []
         for (rr, *_, period), coefficients in zip(simples, inverse):
-            w = tuple(
-                period * pair(coefficients, column) for column in zip(*(b.key for b, *_ in simples))
+            w = [period * pair(coefficients, column) for column in columns]
+            g = gcd(den, *w)
+            translations.append(
+                (tuple(c // g for c in w), den // g, vec_scale(q // period, rr.coroot))
             )
-            p, (w_num,) = clear_denominators(w)
-            translations.append((w_num, p, vec_scale(q // period, rr.coroot)))
         return _IntegerAlcove(q, tuple(facets), tuple(translations))
 
     @cached_property
@@ -359,8 +363,8 @@ class TwistedDatum:
         for subset in combinations(self.integer_alcove.facets, len(basis)):
             red, pivots = rref([[pair(key, b) for b in basis] + [level] for key, level, _ in subset])
             if pivots == list(range(len(basis))):
-                vertices.add(point_from_simple_coroots(self, [row[-1] for row in red]).coords)
-        return tuple(ApartmentPoint(v) for v in sorted(vertices))
+                vertices.add(point_from_simple_coroots(self, [row[-1] for row in red]))
+        return tuple(sorted(vertices, key=attrgetter("coords")))
 
 
 def twisted(
@@ -439,16 +443,33 @@ def simple_restricted_keys(td: TwistedDatum) -> tuple[Vec, ...]:
 
 @frozen_record
 class ApartmentPoint:
-    """Displacement x - x0, a rational vector fixed by the twist."""
+    """Displacement x - x0, a rational vector fixed by the twist, as integer
+    numerators over their least common denominator D > 0: equal points are
+    equal records, hashed on integers; ``coords`` is the ``Fraction`` view."""
 
-    coords: Vec
+    den: int
+    nums: tuple[int, ...]
+
+    def __post_init__(self):
+        """Lowest terms with D > 0, so that equal points are equal records."""
+        if self.den <= 0:
+            raise EchelonnageError("apartment point denominator must be positive")
+        g = gcd(self.den, *self.nums)
+        self.__dict__.update(den=self.den // g, nums=tuple(c // g for c in self.nums))
+
+    @staticmethod
+    def from_coords(coords) -> "ApartmentPoint":
+        """The point with these rational coordinates, unchecked."""
+        den, (nums,) = clear_denominators(coords)
+        return ApartmentPoint(den, nums)
+
+    @property
+    def scaled(self) -> tuple[int, tuple[int, ...]]:
+        return self.den, self.nums
 
     @cached_property
-    def scaled(self) -> tuple[int, tuple[int, ...]]:
-        """(D, numerators): the coordinates as integers over D, the least
-        common denominator of the coordinates."""
-        den, (nums,) = clear_denominators(self.coords)
-        return den, nums
+    def coords(self) -> Vec:
+        return tuple(Fraction(c, self.den) for c in self.nums)
 
 
 def _fixed_point(td: TwistedDatum, den: int, nums) -> ApartmentPoint:
@@ -458,23 +479,23 @@ def _fixed_point(td: TwistedDatum, den: int, nums) -> ApartmentPoint:
         raise EchelonnageError("apartment point has the wrong dimension")
     if mat_vec(td.twist.matrix, nums) != nums:
         raise EchelonnageError("apartment point is not fixed by the twist")
-    return ApartmentPoint(tuple(Fraction(c, den) for c in nums))
+    return ApartmentPoint(den, nums)
 
 
 def apartment_point(td: TwistedDatum, coords) -> ApartmentPoint:
-    den, (nums,) = clear_denominators([Fraction(c) for c in coords])
+    den, (nums,) = clear_denominators(coords)
     return _fixed_point(td, den, nums)
 
 
 def origin(td: TwistedDatum) -> ApartmentPoint:
-    return ApartmentPoint(tuple(Fraction(0) for _ in range(td.base.rank)))
+    return ApartmentPoint(1, (0,) * td.base.rank)
 
 
 def point_from_simple_coroots(td: TwistedDatum, coefficients) -> ApartmentPoint:
     """The sum of the coefficients times the restricted simple coroots, added
     as integer coroot multiples over the coefficients' common denominator."""
     coroots = td.simple_coroots
-    den, (coeffs,) = clear_denominators([Fraction(c) for c in coefficients])
+    den, (coeffs,) = clear_denominators(coefficients)
     if len(coeffs) != len(coroots):
         raise EchelonnageError(
             f"expected {len(coroots)} coordinates (one per restricted simple coroot)"
@@ -546,10 +567,12 @@ class DepthTable:
 
     @cached_property
     def _jumps(self) -> tuple[Fraction, ...]:
-        depths = {Fraction(k, self.order) for k in self.roots}
-        for d in self.td.twist.spectrum:
-            depths.update(Fraction(j, d) for j in range(d) if gcd(j, d) == 1)
-        return tuple(sorted(depths))
+        spectrum = self.td.twist.spectrum
+        unit = lcm(self.order, *spectrum)  # the depths as integers over unit
+        depths = {k * (unit // self.order) for k in self.roots}
+        for d in spectrum:
+            depths.update(j * (unit // d) for j in range(d) if gcd(j, d) == 1)
+        return tuple(Fraction(u, unit) for u in sorted(depths))
 
 
 @lru_cache(maxsize=DEPTH_TABLE_CACHE)
@@ -650,7 +673,7 @@ def alcove_reduce(td: TwistedDatum, x: ApartmentPoint) -> ApartmentPoint:
                 v = vec_sub(v, vec_scale(k, facet[2]))
                 moved = True
         if not moved:
-            return ApartmentPoint(tuple(Fraction(c, den) for c in v))
+            return ApartmentPoint(den, v)
     raise EchelonnageError(
         f"field 'point': alcove reduction did not terminate within "
         f"{ALCOVE_ITERATION_CAP} passes"
@@ -664,7 +687,7 @@ def affine_reflect(td: TwistedDatum, x: ApartmentPoint, rr: RestrictedRoot, leve
     if not rr.jump_set.member(level):
         raise EchelonnageError("level is not an affine-root level for this root")
     t = evaluate(rr.key, x) + level
-    return ApartmentPoint(vec_sub(x.coords, vec_scale(t, rr.coroot)))
+    return ApartmentPoint.from_coords(vec_sub(x.coords, vec_scale(t, rr.coroot)))
 
 
 # ---------------------------------------------------------------------------
@@ -679,13 +702,10 @@ def companion_shift(td: TwistedDatum, x: ApartmentPoint):
     v(lambda_b) * bcheck.  Membership of r - a(x - x0) in the valuation set
     of a is preserved for every restricted root a and rational r.
     """
-    td_tame = twisted(td.base, td.twist)
-    by_key = td.by_key
-    shift = tuple(Fraction(0) for _ in range(td.base.rank))
-    scaff = _scaffold(td.base, td.twist)
-    for idx, key in enumerate(scaff.positive_mult_keys):
-        lam = td.lambda_valuations[idx]
-        if lam == 0:
-            continue
-        shift = vec_add(shift, vec_scale(lam / 4, by_key[key].coroot))
-    return td_tame, ApartmentPoint(vec_sub(x.coords, shift))
+    den, v = x.scaled
+    for lam, key in zip(td.lambda_valuations, _scaffold(td.base, td.twist).positive_mult_keys):
+        if lam:  # v / den - c bcheck for c = lam / 4, over den times c.denominator
+            c, coroot = lam / 4, td.by_key[key].coroot
+            v = vec_sub(vec_scale(c.denominator, v), vec_scale(c.numerator * den, coroot))
+            den *= c.denominator
+    return twisted(td.base, td.twist), ApartmentPoint(den, v)

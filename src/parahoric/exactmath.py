@@ -1,5 +1,6 @@
-"""Exact rational linear algebra, cyclotomic multiplicity counting, and
-valuation sets (arithmetic progressions of rationals).
+"""Exact rational linear algebra (fraction-free Bareiss elimination for the
+rank, the inverse and the echelon form), cyclotomic multiplicity counting,
+and valuation sets (arithmetic progressions of rationals).
 
 Everything here is exact: integers and ``fractions.Fraction`` only, no floats.
 """
@@ -7,7 +8,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 from operator import add, attrgetter, mul, sub
 
 Vec = tuple[Fraction, ...]
@@ -41,12 +42,14 @@ def frozen_record(cls):
     constructor takes them by position or keyword; equality and the hash use
     the tuple of field values, and the hash is computed on first use and kept
     in ``__dict__`` as ``_hash``; the ``repr`` is the dataclass one.
-    ``cached_property`` still works: it writes ``__dict__``."""
+    ``cached_property`` still works: it writes ``__dict__``.  The class's
+    ``__post_init__``, if any, runs after the fields are set and may rewrite them there."""
     names = tuple(cls.__annotations__)
     name_set = frozenset(names)
     get = attrgetter(*names)
     values = get if len(names) > 1 else lambda obj: (get(obj),)
     wrong = f"{cls.__qualname__}() takes the fields {', '.join(names)}"
+    post_init = cls.__dict__.get("__post_init__")
 
     def __init__(self, *args, **kwargs):
         if kwargs:
@@ -59,6 +62,8 @@ def frozen_record(cls):
             self.__dict__.update(zip(names, args))
         else:
             raise TypeError(wrong)
+        if post_init is not None:
+            post_init(self)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -118,7 +123,9 @@ def as_ratio(r) -> tuple[int, int]:
 
 def clear_denominators(*vectors) -> tuple[int, tuple[IntVec, ...]]:
     """(D, vectors times D) for rational vectors, D their least common
-    denominator: the same rationals as integers over one denominator."""
+    denominator: the same rationals as integers over one denominator.  An
+    entry that is not an ``int`` or a ``Fraction`` is read by ``Fraction``."""
+    vectors = [[c if isinstance(c, int | Fraction) else Fraction(c) for c in v] for v in vectors]
     den = lcm(*(c.denominator for v in vectors for c in v))
     return den, tuple(tuple(c.numerator * (den // c.denominator) for c in v) for v in vectors)
 
@@ -171,6 +178,32 @@ def mat_pow(a, k: int):
         base = mat_mul(base, base)
         k >>= 1
     return result
+
+
+def _bareiss(m: list[list[int]], jordan: bool = False):
+    """Fraction-free (Bareiss) elimination of the integer rows m in place, each
+    entry a minor of the input: a pivot clears its column below it (and above
+    it when ``jordan``); a column without one is skipped.  Returns the rank
+    and the last pivot."""
+    rank, prev = 0, 1
+    for c in range(len(m[0]) if m else 0):
+        pick = next((i for i in range(rank, len(m)) if m[i][c]), None)
+        if pick is None:
+            continue
+        m[rank], m[pick] = m[pick], m[rank]
+        # below the pivot the columns left of c are zero already
+        lo = 0 if jordan else c
+        p, pivot = m[rank][c], m[rank][lo:]
+        for i in range(0 if jordan else rank + 1, len(m)):
+            if i != rank:
+                row = m[i]
+                f = row[c]
+                row[lo:] = [(x * p - f * y) // prev for x, y in zip(row[lo:], pivot)]
+        prev = p
+        rank += 1
+        if rank == len(m):
+            break
+    return rank, prev
 
 
 def det_bareiss(a: IntMatrix) -> int:
@@ -349,58 +382,24 @@ def matrix_order(a: IntMatrix, order_bound: int = DEFAULT_ORDER_BOUND) -> int:
 # rational linear algebra
 
 
-def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form (in place on a copy); returns (rows, pivot cols)."""
-    m = [list(map(Fraction, row)) for row in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if m else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pick = None
-        for i in range(r, nrows):
-            if m[i][c] != 0:
-                pick = i
-                break
-        if pick is None:
-            continue
-        m[r], m[pick] = m[pick], m[r]
-        inv = m[r][c]
-        m[r] = [x / inv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return m, pivots
+def _integer_rows(rows) -> list[list[int]]:
+    """Each rational row times the least common denominator of its entries."""
+    return [list(clear_denominators(row)[1][0]) for row in rows]
+
+
+def rref(rows) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form and pivot columns of rational rows: after the
+    fraction-free Gauss-Jordan elimination every pivot is the last one, d, so
+    the form is the integer rows over d."""
+    m = _integer_rows(rows)
+    rank, d = _bareiss(m, jordan=True)
+    pivots = [next(j for j, x in enumerate(row) if x) for row in m[:rank]]
+    return [[Fraction(x, d) for x in row] for row in m], pivots
 
 
 def matrix_rank(rows) -> int:
-    """Rank by fraction-free elimination, the Bareiss step of ``det_bareiss``
-    below each pivot: every entry stays an integer, a minor of the input.  A
-    rational row is first scaled to integers by its common denominator."""
-    m = []
-    for row in rows:
-        den = lcm(*(c.denominator for c in row))
-        m.append([c.numerator * (den // c.denominator) for c in row])
-    rank, prev = 0, 1
-    for c in range(len(m[0]) if m else 0):
-        pick = next((i for i in range(rank, len(m)) if m[i][c]), None)
-        if pick is None:
-            continue
-        m[rank], m[pick] = m[pick], m[rank]
-        pivot = m[rank]
-        for i in range(rank + 1, len(m)):
-            f = m[i][c]
-            m[i] = [(x * pivot[c] - f * y) // prev for x, y in zip(m[i], pivot)]
-        prev = pivot[c]
-        rank += 1
-        if rank == len(m):
-            break
-    return rank
+    """Rank by fraction-free elimination of the rows scaled to integers."""
+    return _bareiss(_integer_rows(rows))[0]
 
 
 def kernel_basis(rows) -> list[Vec]:
@@ -420,40 +419,24 @@ def kernel_basis(rows) -> list[Vec]:
     return basis
 
 
-def solve_linear(rows, rhs) -> Vec | None:
-    """One rational solution of rows @ x = rhs, or None if inconsistent."""
-    if not rows:
-        return None
-    ncols = len(rows[0])
-    aug = [list(map(Fraction, r)) + [Fraction(b)] for r, b in zip(rows, rhs)]
-    red, pivots = rref(aug)
-    if ncols in pivots:
-        return None
-    x = [Fraction(0)] * ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = red[r][ncols]
-    return tuple(x)
-
-
-def invert_matrix(a) -> tuple[Vec, ...]:
+def integer_inverse(a: IntMatrix) -> tuple[int, IntMatrix]:
+    """(D, D a^-1), D > 0 the least common denominator of the inverse: the
+    elimination of [a | I] leaves d I on the left and d a^-1 on the right, or
+    a zero on the left diagonal where a is singular."""
     n = len(a)
-    aug = [list(map(Fraction, row)) + [Fraction(1 if i == j else 0) for j in range(n)]
-           for i, row in enumerate(a)]
-    red, pivots = rref(aug)
-    if pivots != list(range(n)):
+    m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
+    _, d = _bareiss(m, jordan=True)
+    if not all(m[i][i] for i in range(n)):
         raise ExactMathError("matrix is singular")
-    return tuple(tuple(red[i][n:]) for i in range(n))
+    g = gcd(d, *(x for row in m for x in row[n:])) * (1 if d > 0 else -1)
+    return d // g, tuple(tuple(x // g for x in row[n:]) for row in m)
 
 
 def invert_unimodular(a: IntMatrix) -> IntMatrix:
-    inv = invert_matrix(a)
-    out = []
-    for row in inv:
-        for x in row:
-            if x.denominator != 1:
-                raise ExactMathError("matrix inverse is not integral")
-        out.append(tuple(x.numerator for x in row))
-    return tuple(out)
+    den, inverse = integer_inverse(a)
+    if den != 1:
+        raise ExactMathError("matrix inverse is not integral")
+    return inverse
 
 
 # ---------------------------------------------------------------------------

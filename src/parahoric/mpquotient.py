@@ -9,8 +9,9 @@ here reads the depth table of the point (``echelonnage.depth_table``).
 The reductive quotient depends on the point only through its depth-0 root
 set, so ``quotient_datum`` returns one shared datum per (datum, root set),
 kept on the twisted datum (``TwistedDatum.quotients``): its checks, its
-integer coordinate data and the characters ``weylmod`` memoizes on it are
-computed once for every point with that root set.
+integer coordinate data (C^-1 over one denominator, from the fraction-free
+``exactmath.integer_inverse``) and the characters ``weylmod`` memoizes on it
+are computed once for every point with that root set.
 """
 from __future__ import annotations
 
@@ -27,9 +28,8 @@ from .exactmath import (
     IntMatrix,
     PropertyViolation,
     Vec,
-    clear_denominators,
     frozen_record,
-    invert_matrix,
+    integer_inverse,
     pair,
     vec_scale,
     vec_sub,
@@ -103,7 +103,7 @@ class ReductiveQuotientDatum:
     def _coordinate_data(self):
         """C^-1 as integers over one denominator: the coordinate map is
         integer arithmetic on the integer roots."""
-        return clear_denominators(*invert_matrix(self.cartan))
+        return integer_inverse(self.cartan)
 
     @property
     def coordinate_denominator(self) -> int:
@@ -216,7 +216,7 @@ def mp_quotient(td: TwistedDatum, x: ApartmentPoint, r) -> MPQuotientReport:
 def first_jump(td: TwistedDatum, x: ApartmentPoint) -> Fraction:
     """Least positive depth with a nonzero quotient.  Depth 0 always carries
     the fixed torus and the quotients repeat mod 1, so the answer is at most 1."""
-    return next((r for r in depth_table(td, x).jumps() if r > 0), Fraction(1))
+    return next((r for r in depth_table(td, x).jumps() if r), None) or Fraction(1)
 
 
 def jump_values(td: TwistedDatum, x: ApartmentPoint) -> tuple[Fraction, ...]:

@@ -226,9 +226,7 @@ class StabilityVerdict:
 def _reduced_reference(td: TwistedDatum, m: int) -> ApartmentPoint:
     """The distinguished barycenter x0 + rho_check/m, reduced into the base
     alcove."""
-    return alcove_reduce(
-        td, apartment_point(td, tuple(Fraction(c) / m for c in td.base.rho_check))
-    )
+    return alcove_reduce(td, apartment_point(td, [Fraction(c, m) for c in td.base.rho_check]))
 
 
 def stable_verdict(
@@ -245,9 +243,10 @@ def stable_verdict(
     reduced_ref = _reduced_reference(td, m)
     conjugacy_ok = reduced_x == reduced_ref
     jump = first_jump(td, x)
-    depth_ok = jump == Fraction(1, m)
-    check_weyl_cap(td.base, cap)
+    depth_ok = jump.numerator == 1 and jump.denominator == m
     regular_ok = m in td.regular_orders
+    if regular_ok:  # only a regular order builds a witness
+        check_weyl_cap(td.base, cap)
     verdict = conjugacy_ok and depth_ok and regular_ok
     if verdict:
         part, torus = depth_table(td, x).at(jump)

@@ -17,7 +17,6 @@ read from the twisted-datum scaffold of ``echelonnage``.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 
 from .echelonnage import ApartmentPoint, TwistedDatum, _scaffold, depth_table, point_order
@@ -80,7 +79,7 @@ def grading(
     of the twist and the cocharacter lam (which must pair integrally with
     every root)."""
     m = int(modulus)
-    den, (lam_num,) = clear_denominators(tuple(Fraction(c) for c in lam))
+    den, (lam_num,) = clear_denominators(lam)
     dims, zero, negative_orbits = _graded(datum, twist, den, lam_num, m)
     keys = _scaffold(datum, twist).keys
     return GradedDecomposition(
@@ -94,28 +93,26 @@ def grading(
 def _graded(datum, twist, den: int, lam_num, m: int):
     """The grading for the cocharacter lam_num / den: the graded dimensions,
     the positions of the degree-zero orbits among the scaffold keys, and the
-    orbits with sign -1."""
+    orbits with sign -1.  Integrality is checked on the simple roots, which
+    span the roots over Z, and an orbit O's weight is one pairing of its
+    integer key: its orbit sum is key * |O| / e (``_scaffold``)."""
     if m <= 0:
         raise GradingError("modulus must be positive")
     _check_modulus(m)
-    weight = {}
-    for root in datum.roots:
-        w, rem = divmod(pair(root, lam_num), den)
-        if rem:
-            raise GradingError("cocharacter does not pair integrally with the roots")
-        weight[root] = w
+    if any(pair(a, lam_num) % den for a in datum.simple_roots):
+        raise GradingError("cocharacter does not pair integrally with the roots")
+    scale = twist.order * den
     dims = [0] * m
     zero = []
     negative_orbits = []
     scaff = _scaffold(datum, twist)
-    for index, (orbit, cls) in enumerate(zip(scaff.fibers, scaff.classes)):
-        k = len(orbit)
-        c = sum(weight[root] for root in orbit)
+    for index, (key, k, cls) in enumerate(zip(scaff.integer_keys, scaff.orbit_sizes, scaff.classes)):
+        c = pair(key, lam_num) * k // scale
         if cls == "divisible":
             if m % 2 != 0:
                 raise GradingError("orbit with sign -1 requires an even modulus")
             c += m // 2
-            negative_orbits.append(orbit[0])
+            negative_orbits.append(scaff.fibers[index][0])
         hits = _degrees(k, c, m)
         if len(hits) != k:
             raise GradingError(

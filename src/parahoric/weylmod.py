@@ -171,10 +171,10 @@ def _dimension(h: ReductiveQuotientDatum, labels) -> int:
         dk = tuple(map(mul, k, h.half_norms))
         num *= sum(map(mul, dk, shifted))
         den *= sum(dk)
-    dim = Fraction(num) / den
-    if dim.denominator != 1 or dim <= 0:
+    dim, rem = divmod(num, den)
+    if rem or dim <= 0:
         raise WeylModuleError("Weyl dimension formula gave a non-positive integer")
-    return int(dim)
+    return dim
 
 
 def weyl_dimension(h: ReductiveQuotientDatum, lam: Vec) -> int:
@@ -298,7 +298,7 @@ class Decomposition:
 def decompose(td: TwistedDatum, x: ApartmentPoint, r) -> Decomposition:
     """Decompose the depth-r quotient into highest-weight pieces for the
     reductive quotient by exact character subtraction."""
-    r = Fraction(r)
+    r = r if isinstance(r, Fraction) else Fraction(r)
     h = quotient_datum(td, x)
     report = mp_quotient(td, x, r)
     support = _support(td, x, r)
@@ -309,19 +309,15 @@ def decompose(td: TwistedDatum, x: ApartmentPoint, r) -> Decomposition:
 
     # One line per root of the depth-r bin (a root lands in a bin at most
     # once) and the torus at zero, all on the integer-key scale.  A weight
-    # gets the key (residual class, D c) with c its simple-root coordinates
-    # and D = h.coordinate_denominator, so lam - sum n_i alpha_i has the key
-    # (class of lam, D c(lam) - D n) and the Dynkin labels of lam are
+    # gets the key (residual, D c) with c its simple-root coordinates and
+    # D = h.coordinate_denominator, so lam - sum n_i alpha_i has the key
+    # (residual of lam, D c(lam) - D n) and the Dynkin labels of lam are
     # C (D c) / D.
     weights = dict.fromkeys(support, 1)
     if report.torus_dim:
         weights[(0,) * td.base.rank] = report.torus_dim
     scale = h.coordinate_denominator
-    classes: dict = {}
-    key_of = {}
-    for num in sorted(weights, reverse=True):
-        residual, c = h.scaled_coordinates(num)
-        key_of[num] = (classes.setdefault(residual, len(classes)), c)
+    key_of = {num: h.scaled_coordinates(num) for num in sorted(weights, reverse=True)}
     order = list(key_of.items())  # descending in the weights
     left = {key: weights[num] for num, key in order}  # multiplicity still to account for
 
@@ -346,9 +342,9 @@ def decompose(td: TwistedDatum, x: ApartmentPoint, r) -> Decomposition:
         # other one dominates is the largest maximal weight
         order = [(num, key) for num, key in order if key in left]
         for num, key in order:
-            cls, c = key
+            residual, c = key
             if not any(
-                other != key and other[0] == cls and all(map(ge, other[1], c))
+                other != key and other[0] == residual and all(map(ge, other[1], c))
                 for other in left
             ):
                 break
@@ -362,7 +358,7 @@ def decompose(td: TwistedDatum, x: ApartmentPoint, r) -> Decomposition:
             raise WeylModuleError("nonpositive multiplicity at a maximal weight")
         char, dim = _character(h, top)
         for n, m in char.items():
-            nu = (cls, tuple(ci - scale * ni for ci, ni in zip(c, n)))
+            nu = (residual, tuple(ci - scale * ni for ci, ni in zip(c, n)))
             new = left.get(nu, 0) - count * m
             if new < 0:
                 raise WeylModuleError(

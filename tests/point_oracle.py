@@ -194,7 +194,7 @@ def alcove_reduce_oracle(td, x):
                 v = vec_sub(v, vec_scale(t, coroot))
                 moved = True
         if not moved:
-            return ApartmentPoint(v)
+            return ApartmentPoint.from_coords(v)
     raise EchelonnageError("alcove reduction did not terminate")
 
 
@@ -211,4 +211,4 @@ def point_from_simple_coroots_oracle(td, coefficients):
         acc = vec_add(acc, vec_scale(c, by_key[key].coroot))
     if mat_vec(td.twist.matrix, acc) != acc:
         raise EchelonnageError("apartment point is not fixed by the twist")
-    return ApartmentPoint(acc)
+    return ApartmentPoint.from_coords(acc)

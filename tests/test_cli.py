@@ -182,6 +182,19 @@ def test_weyl_cap_fails_before_enumerating(tmp_path, capsys):
     assert "2903040" in err and "1000000" in err and "--cap" in err
 
 
+@pytest.mark.parametrize("dynkin", ["E8", "D8"])
+def test_weyl_cap_is_checked_only_where_a_witness_is_built(dynkin, tmp_path, capsys):
+    # the origin has point order 1, which is not a regular order: no witness
+    # is built, so a Weyl group above the cap does not stop the verdict
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"dynkin": dynkin, "point": {"name": "origin"}}))
+    code, out, _ = run_cli(["stability", "--spec", str(spec)], capsys)
+    assert code == 0
+    verdict = json.loads(out)["stability"]
+    assert verdict["m"] == 1 and verdict["regular_ok"] is False
+    assert verdict["witness"] is None and verdict["verdict"] is False
+
+
 def test_quotient_3d4_lists_g2(capsys):
     code, out, _ = run_cli(["quotient", "--spec", "catalog:3D4"], capsys)
     assert code == 0

@@ -29,7 +29,6 @@ from parahoric.echelonnage import (
 from parahoric.exactmath import (
     ExactMathError,
     ValuationSet,
-    invert_matrix,
     kernel_basis,
     mat_vec,
     pair,
@@ -39,6 +38,7 @@ from parahoric.exactmath import (
 )
 from parahoric.rootdata import build_automorphism, build_datum
 
+from matrix_oracle import invert_matrix
 from point_oracle import rational_alcove, scaffold_oracle, walls_oracle
 
 F = Fraction

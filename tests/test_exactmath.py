@@ -7,21 +7,32 @@ from parahoric.exactmath import (
     ExactMathError,
     ValuationSet,
     charpoly,
+    clear_denominators,
     cyclotomic_multiplicities,
     cyclotomic_polynomial,
     det_bareiss,
     euler_phi,
     identity_matrix,
+    integer_inverse,
     invert_unimodular,
     kernel_basis,
     mat_mul,
     matrix_order,
     matrix_rank,
     rref,
-    solve_linear,
+)
+from parahoric.mpquotient import quotient_datum
+from parahoric.rootdata import (
+    build_automorphism,
+    build_datum,
+    cartan_matrix,
+    dual_action,
 )
 
+from matrix_oracle import invert_matrix, solve_linear
+from matrix_oracle import rref as rref_oracle
 from span_oracle import RowEchelon
+from warm_points import warm_sweep
 
 F = Fraction
 
@@ -88,6 +99,12 @@ def test_rational_linear_algebra():
     assert invert_unimodular(((1, 1), (0, 1))) == ((1, -1), (0, 1))
 
 
+def test_clear_denominators_reads_any_rational():
+    # ints and Fractions as they are, anything else through Fraction
+    assert clear_denominators((1, F(1, 2)), ("2/3", 0.25)) == (12, ((12, 6), (8, 3)))
+    assert clear_denominators(()) == (1, ((),))
+
+
 def test_fraction_free_rank_matches_rref():
     rng = random.Random(13)
     for _ in range(400):
@@ -100,9 +117,10 @@ def test_fraction_free_rank_matches_rref():
             ]
         else:
             rows = [[rng.randint(-4, 4) for _ in range(ncols)] for _ in range(nrows)]
-        assert matrix_rank(rows) == len(rref(rows)[1])
+        assert matrix_rank(rows) == len(rref_oracle(rows)[1])
         halves = [[F(c, rng.randint(1, 4)) for c in row] for row in rows]
-        assert matrix_rank(halves) == len(rref(halves)[1])
+        assert matrix_rank(halves) == len(rref_oracle(halves)[1])
+        assert rref(rows) == rref_oracle(rows) and rref(halves) == rref_oracle(halves)
     assert matrix_rank([]) == 0
 
 
@@ -158,3 +176,67 @@ def test_vset_max_below_symmetry():
     s = ValuationSet.lattice(F(1, 2), F(1, 4))
     assert s.max_below(F(1, 4)) == F(-1, 4)
     assert s.min_above(F(-1, 4)) == F(1, 4)
+
+
+# ---------------------------------------------------------------------------
+# the fraction-free inverse and characteristic polynomial against the
+# Fraction oracles
+
+
+SPLIT_TYPES = (
+    [f"A{n}" for n in range(1, 9)] + [f"B{n}" for n in range(2, 9)]
+    + [f"C{n}" for n in range(2, 9)] + [f"D{n}" for n in range(3, 9)]
+    + ["E6", "E7", "E8", "F4", "G2", "A2+A2", "A1+B3"]
+)
+
+
+def test_integer_inverse_matches_fraction_oracle():
+    matrices = [cartan_matrix(desc) for desc in SPLIT_TYPES]
+    matrices += sorted({quotient_datum(td, x).cartan for td, x in warm_sweep(0)})
+    assert len(matrices) > len(SPLIT_TYPES) + 20
+    for c in matrices:
+        den, inverse = integer_inverse(c)
+        assert (den, inverse) == clear_denominators(*invert_matrix(c))
+        assert den > 0 and mat_mul(c, inverse) == tuple(
+            tuple(den * x for x in row) for row in identity_matrix(len(c))
+        )
+    rng = random.Random(16)
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        a = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        try:
+            expected = clear_denominators(*invert_matrix(a))
+        except ExactMathError:
+            assert det_bareiss(a) == 0
+            with pytest.raises(ExactMathError, match="singular"):
+                integer_inverse(a)
+        else:
+            assert integer_inverse(a) == expected
+    for singular in (((0,),), ((1, 2), (2, 4)), ((1, 0, 1), (0, 1, 1), (1, 1, 2))):
+        with pytest.raises(ExactMathError, match="singular"):
+            integer_inverse(singular)
+
+
+def _reflection(alpha, acheck):
+    n = len(alpha)
+    return tuple(tuple(int(i == j) - alpha[i] * acheck[j] for j in range(n)) for i in range(n))
+
+
+def test_dual_action_matches_fraction_oracle():
+    def oracle(w):
+        inverse = invert_matrix(w)
+        assert all(x.denominator == 1 for row in inverse for x in row)
+        return tuple(zip(*(tuple(map(int, row)) for row in inverse)))
+
+    for desc in SPLIT_TYPES:
+        for isogeny in ("adjoint", "simply_connected"):
+            d = build_datum(desc, isogeny)
+            reflections = [_reflection(a, c) for a, c in zip(d.simple_roots, d.simple_coroots)]
+            products = [mat_mul(a, b) for a, b in zip(reflections, reflections[1:])]
+            for w in reflections + products + [identity_matrix(d.rank)]:
+                assert dual_action(w) == oracle(w)
+    for desc, perm in (("A5", (4, 3, 2, 1, 0)), ("D4", (2, 1, 3, 0)), ("E6", (5, 1, 4, 3, 2, 0))):
+        twist = build_automorphism(build_datum(desc), perm).matrix
+        assert dual_action(twist) == oracle(twist)
+    with pytest.raises(ExactMathError, match="not integral"):
+        dual_action(((2, 0), (0, 1)))

@@ -10,6 +10,7 @@ import pytest
 from parahoric.catalog import CATALOG, catalog_datum, catalog_ids, named_point
 from parahoric.echelonnage import (
     ApartmentPoint,
+    EchelonnageError,
     alcove_reduce,
     apartment_point,
     depth_table,
@@ -112,7 +113,9 @@ def test_point_off_the_fixed_subspace_evaluates_like_pair(name):
     td = DATA[name][0]()
     rng = random.Random(name)
     for _ in range(10):
-        x = ApartmentPoint(tuple(F(rng.randint(-30, 30), rng.randint(1, 9)) for _ in range(td.base.rank)))
+        x = ApartmentPoint.from_coords(
+            [F(rng.randint(-30, 30), rng.randint(1, 9)) for _ in range(td.base.rank)]
+        )
         assert mat_vec(td.twist.matrix, x.coords) != x.coords
         table = depth_table(td, x)
         assert (table.order, table.roots) == depth_table_oracle(td, x)
@@ -127,10 +130,30 @@ def test_point_hash_is_cached_and_agrees_with_equality():
     x = point_from_simple_coroots(td, (F(1, 3), F(-2, 5)))
     same = apartment_point(td, x.coords)
     assert same is not x and same == x
-    assert hash(same) == hash(x) == hash((x.coords,))
+    assert hash(same) == hash(x) == hash((x.den, x.nums))
     assert x.__dict__["_hash"] == hash(x)  # computed once, then read back
     assert x.scaled == same.scaled == (15, tuple(int(c * 15) for c in x.coords))
-    zero = ApartmentPoint((0,) * td.base.rank)
+    zero = ApartmentPoint.from_coords((0,) * td.base.rank)
     assert zero == origin(td) and hash(zero) == hash(origin(td))
     assert zero.scaled == origin(td).scaled == (1, (0,) * td.base.rank)
     assert x != origin(td)
+    # the fields are in lowest terms: equality and hashing agree with coords
+    points = [x, same, zero, origin(td), point_from_simple_coroots(td, (F(2, 6), F(-4, 10))),
+              alcove_reduce(td, x), ApartmentPoint.from_coords(x.coords)]
+    for p in points:
+        for q in points:
+            assert (p == q) is (p.coords == q.coords)
+            assert p != q or hash(p) == hash(q)
+
+
+def test_point_constructor_takes_lowest_terms_and_rejects_a_nonpositive_denominator():
+    # (D, numerators) given by hand is reduced, so it is the record of its coords
+    x = ApartmentPoint(2, (2, 0))
+    assert x.scaled == (1, (1, 0)) and x == ApartmentPoint(1, (1, 0))
+    assert hash(x) == hash(ApartmentPoint(1, (1, 0))) == hash(ApartmentPoint(6, [6, 0]))
+    assert x.coords == (F(1), F(0)) and isinstance(x.nums, tuple)
+    assert ApartmentPoint(4, (2, -6)).scaled == (2, (1, -3))
+    assert ApartmentPoint(3, (0, 0)).scaled == (1, (0, 0))
+    for den in (0, -2):
+        with pytest.raises(EchelonnageError, match="denominator must be positive"):
+            ApartmentPoint(den, (1, 0))

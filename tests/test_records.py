@@ -153,5 +153,7 @@ def test_cached_properties_still_work():
     assert "root_index" not in vars(copy)
     assert copy.root_index == datum.root_index
     assert "root_index" in vars(copy)
-    point = echelonnage.ApartmentPoint(x.coords)
-    assert point.scaled == x.scaled and hash(point) == hash(x)
+    point = echelonnage.ApartmentPoint(*x.scaled)
+    assert "coords" not in vars(point)
+    assert point.coords == x.coords and hash(point) == hash(x)
+    assert "coords" in vars(point)

@@ -25,7 +25,7 @@ from parahoric.rootdata import (
     build_datum,
     identity_automorphism,
 )
-from parahoric.vinberg import GradingError, _degrees, crosscheck, grading
+from parahoric.vinberg import GradingError, _degrees, _graded, crosscheck, grading
 
 from lift_oracle import lift_grading
 
@@ -394,3 +394,88 @@ def test_grade_builds_no_lie_algebra(spec, negative, tmp_path, monkeypatch, caps
     grading_section = json.loads(capsys.readouterr().out)["grading"]
     assert grading_section["crosscheck"]
     assert grading_section["negative_sign_orbit_count"] == negative
+
+
+# ---------------------------------------------------------------------------
+# the per-orbit grading against the per-root loop it replaced
+
+
+def graded_per_root(datum, twist, den, lam_num, m):
+    """``vinberg._graded`` as one pairing and one weight per root: the orbit
+    weight is the sum of the weights of its roots."""
+    if m <= 0:
+        raise GradingError("modulus must be positive")
+    weight = {}
+    for root in datum.roots:
+        w, rem = divmod(pair(root, lam_num), den)
+        if rem:
+            raise GradingError("cocharacter does not pair integrally with the roots")
+        weight[root] = w
+    dims = [0] * m
+    zero = []
+    negative_orbits = []
+    scaff = _scaffold(datum, twist)
+    for index, (orbit, cls) in enumerate(zip(scaff.fibers, scaff.classes)):
+        k = len(orbit)
+        c = sum(weight[root] for root in orbit)
+        if cls == "divisible":
+            if m % 2 != 0:
+                raise GradingError("orbit with sign -1 requires an even modulus")
+            c += m // 2
+            negative_orbits.append(orbit[0])
+        hits = _degrees(k, c, m)
+        if len(hits) != k:
+            raise GradingError("orbit does not distribute over the expected degrees")
+        for d in hits:
+            dims[d] += 1
+        if 0 in hits:
+            zero.append(index)
+    for d in range(m):
+        dims[d] += twist.spectrum.get(m // gcd(d, m), 0)
+    assert sum(dims) == len(datum.roots) + datum.rank
+    return tuple(dims), zero, tuple(sorted(negative_orbits))
+
+
+SPLIT_TYPES = (
+    [f"A{n}" for n in range(1, 9)] + [f"B{n}" for n in range(2, 9)]
+    + [f"C{n}" for n in range(2, 9)] + [f"D{n}" for n in range(3, 9)]
+    + ["E6", "E7", "E8", "F4", "G2"]
+)
+TWISTED_TYPES = (
+    [(f"A{n}", reversal(n)) for n in range(2, 9)]
+    + [(f"D{n}", tuple(range(n - 2)) + (n - 1, n - 2)) for n in range(4, 9)]
+    + [("D4", (2, 1, 3, 0)), ("E6", (5, 1, 4, 3, 2, 0))]
+)
+GRADING_DATA = (
+    [f"catalog:{cid}" for cid in catalog_ids()]
+    + SPLIT_TYPES
+    + [f"{desc}:{','.join(map(str, perm))}" for desc, perm in TWISTED_TYPES]
+)
+
+
+def grading_datum(name):
+    if name.startswith("catalog:"):
+        return catalog_datum(name[len("catalog:"):])
+    desc, _, perm = name.partition(":")
+    d = build_datum(desc)
+    return twisted(d, build_automorphism(d, tuple(map(int, perm.split(",")))) if perm else None)
+
+
+@pytest.mark.parametrize("name", GRADING_DATA)
+def test_per_orbit_grading_matches_per_root_loop(name):
+    td = grading_datum(name)
+    datum, twist = td.base, td.twist
+    h = len(datum.roots) // datum.rank
+    points = [origin(td), named_point(td, "barycenter"), rho_point(td, h)]
+    points += seeded_points(td, 3, seed=name)
+    for x in points:
+        den, nums = x.scaled
+        base = lcm(point_order(td, x), twist.order)
+        for m in (base, 2 * base):
+            lam_num = [m * c for c in nums]
+            dims, zero, negative = _graded(datum, twist, den, lam_num, m)
+            assert (dims, zero, negative) == graded_per_root(datum, twist, den, lam_num, m)
+    # 2 / 4 on the first simple root: both readings refuse the cocharacter
+    for graded in (_graded, graded_per_root):
+        with pytest.raises(GradingError, match="does not pair integrally"):
+            graded(datum, twist, 4, datum.simple_coroots[0], 2 * twist.order)

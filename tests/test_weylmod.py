@@ -16,7 +16,6 @@ from parahoric.echelonnage import (
 from parahoric.exactmath import (
     pair,
     reflection_orbit,
-    solve_linear,
     vec_add,
     vec_scale,
     vec_sub,
@@ -43,6 +42,9 @@ from parahoric.weylmod import (
     weyl_character,
     weyl_dimension,
 )
+
+from matrix_oracle import solve_linear
+from warm_points import warm_sweep
 
 F = Fraction
 
@@ -586,3 +588,27 @@ def test_sweep_builds_one_quotient_per_root_set(monkeypatch):
         stable_verdict(td, x)
         root_sets.add(frozenset(quotient_datum(td, x).roots))
     assert builds and len(builds) == len(root_sets) < 60
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_warm_tables_decompose_like_a_fresh_quotient_datum(seed, monkeypatch):
+    # the shared quotient datum's tables (its characters, its coordinate
+    # data) are filled by earlier points; a fresh quotient datum must give
+    # the same answer
+    fields = ("items", "maximal_set", "nondominant_maximal", "ambient_reading_differs")
+    compared = 0
+    for td, x in warm_sweep(seed, 20):
+        for r in (first_jump(td, x), F(1, 2)):
+            decompose(td, x, r)
+            warm = decompose(td, x, r)
+            h = quotient_datum(td, x)
+            fresh = ReductiveQuotientDatum(**{f: getattr(h, f) for f in h._fields})
+            with monkeypatch.context() as m:
+                m.setitem(td.quotients, next(k for k, v in td.quotients.items() if v is h), fresh)
+                cold = decompose(td, x, r)
+                assert quotient_datum(td, x) is fresh
+            assert quotient_datum(td, x) is h
+            assert [getattr(cold, f) for f in fields] == [getattr(warm, f) for f in fields]
+            assert cold == warm
+            compared += 1
+    assert compared >= 16 * 20 * 2
