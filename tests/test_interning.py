@@ -112,3 +112,29 @@ def test_only_the_listed_functions_keep_a_module_level_cache():
         ), f"{path.name}: DEPTH_TABLE_CACHE read outside a cache bound"
     assert decorated <= CACHED, sorted(decorated - CACHED)
     assert bounded == BOUNDED
+
+
+def _unused_imports(path):
+    """Names that a module imports and never reads.  ``__future__`` imports
+    and a name whose own line carries ``# noqa: F401`` are exempt."""
+    source = path.read_text()
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    imports = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import) or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+    ]
+    for node in imports:
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            if name not in read and "# noqa: F401" not in lines[alias.lineno - 1]:
+                yield f"{path.parent.name}/{path.name}: {name}"
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    # the package's __init__ imports its names to re-export them
+    paths = [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
+    paths += sorted(Path(__file__).resolve().parent.glob("*.py"))
+    assert [name for path in paths for name in _unused_imports(path)] == []
