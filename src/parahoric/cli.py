@@ -100,13 +100,14 @@ def load_spec(source: str) -> dict:
             return catalog_spec(entry, point)
         except KeyError as exc:
             raise InputError(f"field 'point': {exc.args[0]}") from exc
-    path = Path(source)
-    if not path.exists():
-        raise InputError(f"field 'spec': no such file {source!r}")
     try:
-        data = json.loads(path.read_text())
+        data = json.loads(Path(source).read_text(encoding="utf-8"))
+    except FileNotFoundError:
+        raise InputError(f"field 'spec': no such file {source!r}") from None
     except json.JSONDecodeError as exc:
         raise InputError(f"field 'spec': not valid JSON ({exc})") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"field 'spec': cannot read {source!r} ({exc})") from exc
     if isinstance(data, dict) and "spec" in data and "schema" in data:
         data = data["spec"]  # accept a previously emitted report
     if not isinstance(data, dict):
@@ -425,10 +426,13 @@ def build_report(command: str, spec: dict, td, x, sections: dict, started: float
 
 def emit(report: dict, out: str | None) -> None:
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    if out:
-        Path(out).write_text(text)
-    else:
+    if not out:
         sys.stdout.write(text)
+        return
+    try:
+        Path(out).write_text(text)
+    except OSError as exc:
+        raise InputError(f"field 'out': cannot write {out!r} ({exc})") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -538,11 +542,7 @@ def main(argv=None) -> int:
                 spec = catalog_spec(args.id, args.point, args.r)
             except KeyError as exc:
                 raise InputError(f"field 'point': {exc.args[0]}") from exc
-            text = json.dumps(spec, indent=2, sort_keys=True) + "\n"
-            if args.out:
-                Path(args.out).write_text(text)
-            else:
-                sys.stdout.write(text)
+            emit(spec, args.out)
             return 0
         return _run_subcommand(args)
     except InputError as exc:

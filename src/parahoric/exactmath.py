@@ -1,22 +1,19 @@
 """Exact rational linear algebra (fraction-free Bareiss elimination for the
-rank, the inverse and the echelon form), cyclotomic multiplicity counting,
-and valuation sets (arithmetic progressions of rationals).
+rank, the inverse and the echelon form), the order and cyclotomic
+multiplicities of a finite-order integer matrix (read off its powers and
+their ranks), and valuation sets (arithmetic progressions of rationals).
 
 Everything here is exact: integers and ``fractions.Fraction`` only, no floats.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import add, attrgetter, mul, sub
 
 Vec = tuple[Fraction, ...]
 IntVec = tuple[int, ...]
 IntMatrix = tuple[IntVec, ...]
-
-DEFAULT_ORDER_BOUND = 10_000
-
 
 class InputError(ValueError):
     """The base of every error that an input causes: the CLI exits 1."""
@@ -170,13 +167,14 @@ def transpose(a):
 
 
 def mat_pow(a, k: int):
+    """a^k for k >= 0, by repeated squaring."""
     result = identity_matrix(len(a))
-    base = a
     while k:
         if k & 1:
-            result = mat_mul(result, base)
-        base = mat_mul(base, base)
+            result = mat_mul(result, a)
         k >>= 1
+        if k:
+            a = mat_mul(a, a)
     return result
 
 
@@ -229,153 +227,77 @@ def det_bareiss(a: IntMatrix) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def charpoly(a: IntMatrix) -> tuple[int, ...]:
-    """Monic characteristic polynomial det(t*I - a), coefficients low to high.
-
-    Evaluates the determinant at n+1 integer points with Bareiss elimination
-    and interpolates; all arithmetic is exact.
-    """
-    n = len(a)
-    points = list(range(n + 1))
-    values = []
-    for x in points:
-        shifted = tuple(
-            tuple((x if i == j else 0) - a[i][j] for j in range(n)) for i in range(n)
-        )
-        values.append(det_bareiss(shifted))
-    coeffs = [Fraction(0)] * (n + 1)
-    for j, y in zip(points, values):
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for k in points:
-            if k == j:
-                continue
-            basis = poly_mul(basis, [Fraction(-k), Fraction(1)])
-            denom *= j - k
-        scale = Fraction(y) / denom
-        for idx, c in enumerate(basis):
-            coeffs[idx] += scale * c
-    out = []
-    for c in coeffs:
-        if c.denominator != 1:
-            raise ExactMathError("characteristic polynomial interpolation failed")
-        out.append(c.numerator)
-    if out[-1] != 1:
-        raise ExactMathError("characteristic polynomial is not monic")
-    return tuple(out)
+def sub_identity(a: IntMatrix) -> IntMatrix:
+    """a - I."""
+    return tuple(tuple(x - (i == j) for j, x in enumerate(row)) for i, row in enumerate(a))
 
 
 # ---------------------------------------------------------------------------
-# polynomials (dense, low degree first)
+# finite-order spectra
+#
+# An integer matrix of finite order is diagonalisable over C with roots of
+# unity as eigenvalues, and the primitive k-th roots come together, phi(k) of
+# them per Galois orbit.  So everything is read off powers of the matrix and
+# ranks: no characteristic polynomial is formed.
 
 
-def poly_mul(p, q):
-    out = [0 * (p[0] + q[0])] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return out
+def _phi(k: int) -> int:
+    return sum(gcd(j, k) == 1 for j in range(1, k + 1))
 
 
-def poly_divmod_int(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
-    """Division of integer polynomials; quotient coefficients must stay integral
-    at every step (true whenever den is monic)."""
-    num = list(num)
-    q = [0] * max(1, len(num) - len(den) + 1)
-    while len(num) >= len(den) and any(num):
-        while num and num[-1] == 0:
-            num.pop()
-        if len(num) < len(den):
-            break
-        shift = len(num) - len(den)
-        lead = num[-1] // den[-1]
-        if lead * den[-1] != num[-1]:
-            return q, num
-        q[shift] = lead
-        for i, c in enumerate(den):
-            num[shift + i] -= lead * c
-    while len(num) > 1 and num[-1] == 0:
-        num.pop()
-    return q, num
+def _exponent_factors(n: int) -> list[int]:
+    """The primes of L = lcm{k : phi(k) <= n} with multiplicity, L the
+    exponent of every finite-order n x n integer matrix: for each prime p,
+    the largest p^e with phi(p^e) = p^(e-1) (p - 1) <= n."""
+    factors = []
+    for p in range(2, n + 2):
+        if all(p % q for q in range(2, p)):
+            e = 1
+            while p**e * (p - 1) <= n:
+                e += 1
+            factors += [p] * e
+    return factors
 
 
-def euler_phi(k: int) -> int:
-    result = k
-    d = 2
-    m = k
-    while d * d <= m:
-        if m % d == 0:
-            while m % d == 0:
-                m //= d
-            result -= result // d
-        d += 1
-    if m > 1:
-        result -= result // m
-    return result
-
-
-@lru_cache(maxsize=None)
-def cyclotomic_polynomial(k: int) -> tuple[int, ...]:
-    poly = [-1] + [0] * (k - 1) + [1]
-    for d in range(1, k):
-        if k % d == 0:
-            q, r = poly_divmod_int(poly, list(cyclotomic_polynomial(d)))
-            if any(r):
-                raise ExactMathError("cyclotomic recursion failed")
-            poly = q
-    return tuple(poly)
-
-
-def _cyclotomic_factorization(p: tuple[int, ...]) -> dict[int, int] | None:
-    """Factor a monic integer polynomial as a product of cyclotomics, or None."""
-    n = len(p) - 1
-    rem = list(p)
-    mult: dict[int, int] = {}
-    k = 1
-    while len(rem) > 1 and k <= 2 * n * n + 2:
-        if euler_phi(k) <= len(rem) - 1:
-            while len(rem) > 1:
-                q, r = poly_divmod_int(rem, list(cyclotomic_polynomial(k)))
-                if any(r):
-                    break
-                rem = q
-                mult[k] = mult.get(k, 0) + 1
-        k += 1
-    if len(rem) != 1 or rem[0] != 1:
-        return None
-    return mult
-
-
-def cyclotomic_multiplicities(
-    a: IntMatrix, order_bound: int = DEFAULT_ORDER_BOUND
-) -> dict[int, int]:
-    """Multiplicities m_k with charpoly(a) = prod_k Phi_k^{m_k}.
-
-    Rejects matrices that are not of finite multiplicative order (either the
-    spectrum is not cyclotomic, the order exceeds ``order_bound``, or a is not
-    semisimple, e.g. unipotent).
-    """
+def matrix_order(a: IntMatrix) -> int:
+    """The multiplicative order of the square integer matrix a.  An
+    eigenvalue of order k has phi(k) <= n, so a has finite order exactly when
+    a^L = I; the order is L with each prime divided out while the power
+    stays I.  L is reached one prime at a time, and a power whose trace
+    exceeds n (no sum of n roots of unity does) stops the climb early."""
     n = len(a)
-    mult = _cyclotomic_factorization(charpoly(a))
-    if mult is None:
-        raise ExactMathError("matrix has infinite order: non-cyclotomic spectrum")
-    order = 1
-    for k in mult:
-        order = lcm(order, k)
-    if order > order_bound:
-        raise ExactMathError(f"matrix order {order} exceeds bound {order_bound}")
-    if mat_pow(a, order) != identity_matrix(n):
-        raise ExactMathError("matrix has infinite order: not semisimple")
-    assert sum(m * euler_phi(k) for k, m in mult.items()) == n
-    return mult
-
-
-def matrix_order(a: IntMatrix, order_bound: int = DEFAULT_ORDER_BOUND) -> int:
-    mult = cyclotomic_multiplicities(a, order_bound)
-    order = 1
-    for k in mult:
-        order = lcm(order, k)
+    one = identity_matrix(n)
+    factors = _exponent_factors(n)
+    power = a
+    for p in factors:
+        power = mat_pow(power, p)
+        if abs(sum(power[i][i] for i in range(n))) > n:
+            break
+    if power != one:
+        raise ExactMathError("matrix has infinite order")
+    order = prod(factors)
+    for p in set(factors):
+        while order % p == 0 and mat_pow(a, order // p) == one:
+            order //= p
     return order
+
+
+def cyclotomic_multiplicities(a: IntMatrix) -> dict[int, int]:
+    """The multiplicity m_k of the primitive k-th roots of unity as
+    eigenvalues of the finite-order integer matrix a, for each k with
+    m_k > 0, ascending: its characteristic polynomial is prod_k Phi_k^{m_k}.
+    The fixed space of a^d has dimension sum_{k | d} m_k phi(k), so over the
+    divisors d of the order, ascending, m_d is what the smaller divisors
+    leave of it, divided by phi(d)."""
+    order = matrix_order(a)
+    mult: dict[int, int] = {}
+    for d in range(1, order + 1):
+        if order % d == 0:
+            fixed = len(a) - matrix_rank(sub_identity(mat_pow(a, d)))
+            fixed -= sum(m * _phi(k) for k, m in mult.items() if d % k == 0)
+            if fixed:
+                mult[d] = fixed // _phi(d)
+    return mult
 
 
 # ---------------------------------------------------------------------------
@@ -400,23 +322,6 @@ def rref(rows) -> tuple[list[list[Fraction]], list[int]]:
 def matrix_rank(rows) -> int:
     """Rank by fraction-free elimination of the rows scaled to integers."""
     return _bareiss(_integer_rows(rows))[0]
-
-
-def kernel_basis(rows) -> list[Vec]:
-    """Basis of the right kernel {v : rows @ v = 0} over the rationals."""
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    red, pivots = rref([list(r) for r in rows])
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][fc]
-        basis.append(tuple(v))
-    return basis
 
 
 def integer_inverse(a: IntMatrix) -> tuple[int, IntMatrix]:

@@ -13,8 +13,10 @@ walk through the coset by length, closed under conjugation by the simple
 reflections.  The seed and the size of its class are checked.
 
 Z-regularity is implemented as free action of the cyclic group on the roots,
-with an independent eigenvector criterion (rational kernels of cyclotomic
-evaluations against the root hyperplanes) used as a cross-check.
+with an independent eigenvector criterion used as a cross-check: the
+primitive eigenspaces of an element a of order N are the image of
+prod_p (a^(N/p) - I) over the primes p dividing N, tested against the root
+hyperplanes.
 """
 from __future__ import annotations
 
@@ -35,18 +37,16 @@ from .echelonnage import (
 from .exactmath import (
     IntMatrix,
     PropertyViolation,
-    cyclotomic_multiplicities,
-    cyclotomic_polynomial,
     det_bareiss,
     frozen_record,
     identity_matrix,
-    kernel_basis,
     mat_mul,
     mat_pow,
     mat_vec,
     matrix_order,
     matrix_rank,
-    pair,
+    sub_identity,
+    transpose,
 )
 from .mpquotient import first_jump
 from .rootdata import (
@@ -68,60 +68,45 @@ class StabilityError(PropertyViolation):
     pass
 
 
+def _root_cycles(a: IntMatrix, datum: RootDatum) -> list[int]:
+    """Cycle lengths of the permutation that a induces on the roots."""
+    index = datum.root_index
+    perm = [index.get(mat_vec(a, r)) for r in datum.roots]
+    if None in perm or len(set(perm)) < len(perm):
+        raise StabilityError("matrix does not permute the roots")
+    return cycle_lengths(perm)
+
+
 def acts_freely_on_roots(a: IntMatrix, datum: RootDatum, order: int) -> bool:
     """Every orbit of the cyclic group generated by a on the roots has full
     size equal to the order of a."""
-    rootset = set(datum.roots)
-    seen = set()
-    for r in datum.roots:
-        if r in seen:
-            continue
-        orbit = [r]
-        cur = tuple(mat_vec(a, r))
-        if cur not in rootset:
-            raise StabilityError("matrix does not permute the roots")
-        while cur != r:
-            orbit.append(cur)
-            cur = tuple(mat_vec(a, cur))
-        if len(orbit) != order:
-            return False
-        seen |= set(orbit)
-    return True
+    return all(length == order for length in _root_cycles(a, datum))
 
 
 def regular_by_eigenvector(a: IntMatrix, datum: RootDatum, order: int) -> bool:
-    """Eigenvector criterion: the spectrum contains a primitive eigenvalue of
-    full order whose eigenspace avoids every root hyperplane.  Over the
-    rationals this reads off the kernel of the cyclotomic evaluation: the
-    eigenspace lies in a root hyperplane exactly when the whole kernel does
-    (the hyperplane is rational and Galois permutes the eigenspaces)."""
-    mult = cyclotomic_multiplicities(a)
-    if mult.get(order, 0) == 0:
-        return False
+    """Eigenvector criterion, with ``order`` the order of a (only a^order = I
+    is checked: a multiple of the order has no primitive eigenvalue): some
+    primitive order-th root of unity is an eigenvalue of a whose eigenspace
+    avoids every root hyperplane.  The primitive eigenspaces together are the
+    image of P = prod_p (a^(order/p) - I) over the primes p dividing the
+    order: the factor of p kills the eigenvalues whose order divides order/p,
+    and every factor is invertible on the primitive ones.  Galois permutes
+    those eigenspaces and the hyperplane of a coroot is rational, so one
+    eigenspace lies in it exactly when the image of P does: P^T coroot = 0."""
     n = len(a)
-    phi = cyclotomic_polynomial(order)
-    acc = [[Fraction(0)] * n for _ in range(n)]
-    power = identity_matrix(n)
-    for coeff in phi:
-        if coeff:
-            for i in range(n):
-                for j in range(n):
-                    acc[i][j] += coeff * power[i][j]
-        power = mat_mul(power, a)
-    kernel = kernel_basis(acc)
-    if not kernel:
-        return False
-    for acheck in datum.coroots:
-        if all(pair(v, acheck) == 0 for v in kernel):
-            return False
-    return True
+    if mat_pow(a, order) != identity_matrix(n):
+        raise StabilityError(f"the matrix to the power {order} is not the identity")
+    image = identity_matrix(n)
+    for p in range(2, order + 1):
+        if order % p == 0 and all(p % q for q in range(2, p)):
+            image = mat_mul(image, sub_identity(mat_pow(a, order // p)))
+    columns = transpose(image)
+    return any(map(any, columns)) and all(any(mat_vec(columns, c)) for c in datum.coroots)
 
 
 def _is_elliptic(a: IntMatrix) -> bool:
-    """No invariant vectors: det(I - a) != 0."""
-    return det_bareiss(
-        tuple(tuple(int(i == j) - x for j, x in enumerate(row)) for i, row in enumerate(a))
-    ) != 0
+    """No invariant vectors: det(a - I) != 0."""
+    return det_bareiss(sub_identity(a)) != 0
 
 
 def _regular_order(a: IntMatrix, datum: RootDatum) -> int:
@@ -134,8 +119,7 @@ def _regular_order(a: IntMatrix, datum: RootDatum) -> int:
     """
     if not _is_elliptic(a):
         return 0
-    index = datum.root_index
-    lengths = cycle_lengths([index[mat_vec(a, r)] for r in datum.roots])
+    lengths = _root_cycles(a, datum)
     order = lcm(*lengths)
     return order if all(length == order for length in lengths) else 0
 

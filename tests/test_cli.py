@@ -393,6 +393,26 @@ def test_spec_fuzzer_keeps_the_exit_contract(tmp_path, capsys):
     assert codes == {0, 1, 2}
 
 
+UNREADABLE_SPEC_OR_UNWRITABLE_OUT = [
+    (["scan", "--spec", "{tmp}"], "spec"),
+    (["scan", "--spec", "{tmp}/latin1.json"], "spec"),
+    (["scan", "--spec", "catalog:A1", "--out", "{tmp}"], "out"),
+    (["scan", "--spec", "catalog:A1", "--out", "{tmp}/no/r.json"], "out"),
+    (["catalog", "--id", "A1", "--out", "{tmp}"], "out"),
+    (["catalog", "--id", "A1", "--out", "{tmp}/no/r.json"], "out"),
+]
+
+
+@pytest.mark.parametrize("argv,field", UNREADABLE_SPEC_OR_UNWRITABLE_OUT)
+def test_unreadable_spec_and_unwritable_out_keep_the_exit_contract(tmp_path, capsys, argv, field):
+    # a directory or a non-UTF-8 file as the spec, a directory or a path under
+    # a missing directory as the output: exit 1, naming the field
+    (tmp_path / "latin1.json").write_bytes('{"dynkin": "A\u00e9"}'.encode("latin-1"))
+    code, out, err = run_cli([a.replace("{tmp}", str(tmp_path)) for a in argv], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"input error: field {field!r}: "), err
+
+
 def test_scan_builds_the_datum_once(tmp_path, capsys, monkeypatch):
     # normalize_spec reads the rank off the Cartan matrix; only realize builds
     import sys

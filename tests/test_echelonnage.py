@@ -29,7 +29,6 @@ from parahoric.echelonnage import (
 from parahoric.exactmath import (
     ExactMathError,
     ValuationSet,
-    kernel_basis,
     mat_vec,
     pair,
     vec_add,
@@ -38,7 +37,7 @@ from parahoric.exactmath import (
 )
 from parahoric.rootdata import build_automorphism, build_datum
 
-from matrix_oracle import invert_matrix
+from matrix_oracle import invert_matrix, kernel_basis
 from point_oracle import rational_alcove, scaffold_oracle, walls_oracle
 
 F = Fraction

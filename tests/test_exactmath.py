@@ -1,21 +1,19 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
+from parahoric import exactmath
 from parahoric.exactmath import (
     ExactMathError,
     ValuationSet,
-    charpoly,
     clear_denominators,
     cyclotomic_multiplicities,
-    cyclotomic_polynomial,
     det_bareiss,
-    euler_phi,
     identity_matrix,
     integer_inverse,
     invert_unimodular,
-    kernel_basis,
     mat_mul,
     matrix_order,
     matrix_rank,
@@ -29,7 +27,15 @@ from parahoric.rootdata import (
     dual_action,
 )
 
-from matrix_oracle import invert_matrix, solve_linear
+from matrix_oracle import (
+    charpoly,
+    charpoly_multiplicities,
+    cyclotomic_polynomial,
+    euler_phi,
+    invert_matrix,
+    kernel_basis,
+    solve_linear,
+)
 from matrix_oracle import rref as rref_oracle
 from span_oracle import RowEchelon
 from warm_points import warm_sweep
@@ -62,11 +68,33 @@ def test_cyclotomic_multiplicities_examples():
     assert matrix_order(cyc3) == 3
 
 
-def test_cyclotomic_multiplicities_rejects_infinite_order():
-    with pytest.raises(ExactMathError):
-        cyclotomic_multiplicities(((1, 1), (0, 1)))
-    with pytest.raises(ExactMathError):
-        cyclotomic_multiplicities(((2, 0), (0, 1)))
+def test_cyclotomic_multiplicities_rejects_infinite_order(monkeypatch):
+    # unipotent, a non-unit eigenvalue, singular, and hyperbolic: one error
+    for a in (((1, 1), (0, 1)), ((2, 0), (0, 1)), ((0, 0), (0, 1)), ((2, 1), (1, 1))):
+        for spectrum in (cyclotomic_multiplicities, matrix_order):
+            with pytest.raises(ExactMathError, match="^matrix has infinite order$"):
+                spectrum(a)
+    # at rank 16 the exponent is 367,567,200: a unipotent climbs all the way
+    # with polynomial entries, a hyperbolic block stops at its first power
+    unipotent = tuple(tuple(int(j in (i, i + 1)) for j in range(16)) for i in range(16))
+    with pytest.raises(ExactMathError, match="infinite order"):
+        matrix_order(unipotent)
+    hyperbolic = tuple(
+        tuple((2, 1, 1, 1)[2 * i + j] if i < 2 and j < 2 else int(i == j) for j in range(16))
+        for i in range(16)
+    )
+    powers = []
+    original = exactmath.mat_pow
+
+    def counted(a, k):  # fails before the climb's entries grow large
+        powers.append(k)
+        assert len(powers) < 4, "the climb did not stop at a trace above the rank"
+        return original(a, k)
+
+    monkeypatch.setattr(exactmath, "mat_pow", counted)
+    with pytest.raises(ExactMathError, match="infinite order"):
+        matrix_order(hyperbolic)
+    assert powers == [2]
 
 
 def test_cyclotomic_multiplicities_random_signed_permutations():
@@ -85,6 +113,8 @@ def test_cyclotomic_multiplicities_random_signed_permutations():
             m = mat_mul(m, g)
         mult = cyclotomic_multiplicities(m)
         assert sum(cnt * euler_phi(k) for k, cnt in mult.items()) == n
+        assert mult == charpoly_multiplicities(m) and list(mult) == sorted(mult)
+        assert matrix_order(m) == lcm(*mult)
 
 
 def test_rational_linear_algebra():

@@ -15,14 +15,13 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "parahoric"
 
 # Per-point results (bounded by DEPTH_TABLE_CACHE), the scaffold that
 # ``vinberg.grading`` reads without a twisted datum, the Weyl group and coset
-# scans, the cyclotomic polynomials and the Chevalley-basis oracle.
+# scans and the Chevalley-basis oracle.
 CACHED = {
     "echelonnage.depth_table",
     "stability._reduced_reference",
     "echelonnage._scaffold",
     "rootdata.weyl_elements",
     "stability.elliptic_zregular_orders",
-    "exactmath.cyclotomic_polynomial",
     "chevalley.structure_constants",
     "chevalley.pinned_automorphism",
 }

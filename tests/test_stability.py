@@ -1,3 +1,4 @@
+import functools
 import re
 from fractions import Fraction
 from math import lcm
@@ -5,10 +6,11 @@ from math import lcm
 import pytest
 
 from coset_oracle import scan_zregular_orders
+from matrix_oracle import charpoly_multiplicities, kernel_regular
 from parahoric import rootdata, stability
 from parahoric.catalog import CATALOG
 from parahoric.echelonnage import apartment_point, twisted
-from parahoric.exactmath import cyclotomic_multiplicities, identity_matrix, mat_mul
+from parahoric.exactmath import cyclotomic_multiplicities, identity_matrix, mat_mul, matrix_order
 from parahoric.rootdata import (
     build_automorphism,
     build_datum,
@@ -20,6 +22,7 @@ from parahoric.stability import (
     StabilityError,
     acts_freely_on_roots,
     elliptic_zregular_orders,
+    regular_by_eigenvector,
     regular_witness,
     stable_verdict,
     zregularity_criteria_agree,
@@ -94,6 +97,28 @@ def test_criteria_agree_small_cosets():
         assert zregularity_criteria_agree(d, auto)
 
 
+def test_root_readings_reject_a_matrix_that_does_not_permute_the_roots():
+    # a root sent off the roots, and the roots sent onto half of them; the
+    # negatives are elliptic, so the order reading gets to the roots too
+    d = build_datum("A1+A1")
+    assert stability._regular_order(((0, 1), (-1, 0)), d) == 4
+    for a in (((2, 0), (0, 1)), ((1, 1), (0, 0))):
+        with pytest.raises(StabilityError, match="^matrix does not permute the roots$"):
+            acts_freely_on_roots(a, d, 2)
+        with pytest.raises(StabilityError, match="^matrix does not permute the roots$"):
+            stability._regular_order(tuple(tuple(-x for x in row) for row in a), d)
+
+
+def test_eigenvector_criterion_checks_the_order():
+    d = build_datum("A2")
+    rotation = ((0, -1), (1, -1))  # order 3 on the roots of A2
+    assert matrix_order(rotation) == 3
+    assert regular_by_eigenvector(rotation, d, 3)
+    assert not regular_by_eigenvector(rotation, d, 6)  # a multiple: no primitive 6th root
+    with pytest.raises(StabilityError, match="power 2 is not the identity"):
+        regular_by_eigenvector(rotation, d, 2)
+
+
 def test_stable_verdict_split_a1():
     td = twisted(build_datum("A1"))
     verdict = stable_verdict(td, rho_point(td, 2))
@@ -149,6 +174,11 @@ def test_semisimple_guard():
 # charpoly-per-element coset scan that the fast paths replace
 
 
+def coset(desc, perm=None):
+    d = build_datum(desc)
+    return d, identity_automorphism(d) if perm is None else build_automorphism(d, perm)
+
+
 def reference_weyl_elements(datum):
     n = datum.rank
     gens = [
@@ -172,15 +202,25 @@ def reference_weyl_elements(datum):
     return tuple(sorted(found))
 
 
-def reference_zregular_orders(datum, twist):
-    witnesses = {}
-    for w in reference_weyl_elements(datum):
-        a = mat_mul(w, twist.matrix)
-        mult = cyclotomic_multiplicities(a)
-        if mult.get(1, 0):
-            continue
+@functools.cache
+def reference_spectra(desc, perm):
+    """(a, its charpoly multiplicities, its order, the kernel eigenvector
+    verdict) for every element a of the coset, from the polynomial oracle."""
+    d, auto = coset(desc, perm)
+    out = []
+    for w in reference_weyl_elements(d):
+        a = mat_mul(w, auto.matrix)
+        mult = charpoly_multiplicities(a)
         order = lcm(*mult)
-        if not acts_freely_on_roots(a, datum, order):
+        out.append((a, mult, order, kernel_regular(a, d.coroots, order)))
+    return out
+
+
+def reference_zregular_orders(desc, perm):
+    d, _ = coset(desc, perm)
+    witnesses = {}
+    for a, mult, order, _ in reference_spectra(desc, perm):
+        if mult.get(1, 0) or not acts_freely_on_roots(a, d, order):
             continue
         if order not in witnesses or a < witnesses[order]:
             witnesses[order] = a
@@ -194,9 +234,21 @@ ORACLE_COSETS = [
 
 @pytest.mark.parametrize("desc,perm", ORACLE_COSETS)
 def test_orders_match_charpoly_oracle(desc, perm):
-    d = build_datum(desc)
-    auto = identity_automorphism(d) if perm is None else build_automorphism(d, perm)
-    assert elliptic_zregular_orders(d, auto) == reference_zregular_orders(d, auto)
+    d, auto = coset(desc, perm)
+    assert elliptic_zregular_orders(d, auto) == reference_zregular_orders(desc, perm)
+
+
+@pytest.mark.parametrize("desc,perm", ORACLE_COSETS)
+def test_spectra_match_charpoly_and_kernel_oracles(desc, perm):
+    # on every coset element: the multiplicities read off ranks of powers,
+    # the order, and the eigenvector criterion on the image of
+    # prod_p (a^(N/p) - I), against the factorised characteristic polynomial
+    # and the rational kernel of Phi_N(a)
+    d, _ = coset(desc, perm)
+    for a, mult, order, regular in reference_spectra(desc, perm):
+        assert cyclotomic_multiplicities(a) == mult, a
+        assert matrix_order(a) == order, a
+        assert regular_by_eigenvector(a, d, order) == regular, a
 
 
 @pytest.mark.parametrize("desc", ["A4", "B4", "D4", "G2"])
@@ -221,11 +273,6 @@ def test_semisimple_check_is_cached_per_datum(monkeypatch):
 
 # ---------------------------------------------------------------------------
 # Springer's criterion and the class-minimum witnesses against the coset scan
-
-
-def coset(desc, perm=None):
-    d = build_datum(desc)
-    return d, identity_automorphism(d) if perm is None else build_automorphism(d, perm)
 
 
 SCAN_COSETS = sorted(

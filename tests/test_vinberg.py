@@ -163,7 +163,7 @@ def test_cartan_contribution_galois_symmetry():
 def test_degree_zero_is_subalgebra():
     # For M = 2 the degree-zero piece is the rational fixed space of the
     # order-2 operator theta; verify it is closed under the bracket.
-    from parahoric.exactmath import kernel_basis
+    from matrix_oracle import kernel_basis
     from span_oracle import RowEchelon
     from parahoric.exactmath import pair
 
