@@ -21,7 +21,7 @@ from .echelonnage import (
     restrict,
     twisted,
 )
-from .exactmath import ValuationSet, cyclotomic_multiplicities, matrix_order
+from .exactmath import ValuationSet
 from .mpquotient import (
     MPQuotientReport,
     ReductiveQuotientDatum,
@@ -36,7 +36,6 @@ from .rootdata import (
     RootDatum,
     build_automorphism,
     build_datum,
-    weyl_elements,
 )
 __all__ = [
     "ApartmentPoint",
@@ -59,14 +58,11 @@ __all__ = [
     "catalog_spec",
     "companion_shift",
     "crosscheck",
-    "cyclotomic_multiplicities",
     "decompose",
-    "elliptic_zregular_orders",
     "exp_ad",
     "first_jump",
     "grading",
     "jump_values",
-    "matrix_order",
     "mp_quotient",
     "named_point",
     "orbit_sign",
@@ -84,8 +80,6 @@ __all__ = [
     "torus_jump_dim",
     "twisted",
     "weyl_character",
-    "weyl_elements",
-    "zregularity_criteria_agree",
 ]
 
 # The layers that only some subcommands run load on first access to one of
@@ -98,8 +92,7 @@ _LAZY = {
     for module, names in (
         ("chevalley", ("ChevalleyAlgebra", "exp_ad", "orbit_sign", "pinned_automorphism",
                        "structure_constants")),
-        ("stability", ("StabilityVerdict", "elliptic_zregular_orders", "stable_verdict",
-                       "zregularity_criteria_agree")),
+        ("stability", ("StabilityVerdict", "stable_verdict")),
         ("vinberg", ("GradedDecomposition", "crosscheck", "grading")),
         ("weylmod", ("decompose", "phi_xr", "phi_xr_max", "split_span_check", "weyl_character")),
     )

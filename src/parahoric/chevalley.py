@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from math import lcm, prod
 
 from .exactmath import PropertyViolation, frozen_record, mat_vec, pair, vec_add, vec_scale, vec_sub
-from .rootdata import DiagramAutomorphism, RootDatum
+from .rootdata import DiagramAutomorphism, RootDatum, cycles
 
 MAX_NILPOTENCY = 10
 
@@ -353,22 +354,24 @@ class PinnedAutomorphism:
                         "pinned automorphism does not preserve the bracket"
                     )
 
-    def _compute_order(self) -> int:
+    @cached_property
+    def orbit_signs(self) -> dict:
+        """Each root -> (k, s): k the size of its twist orbit, s the product of
+        the signs around it, so that the lift to the k-th power is s on X_root."""
         datum = self.algebra.datum
-        order = 0
-        current = {r: (r, 1) for r in datum.roots}
-        while True:
-            order += 1
-            current = {
-                r: (self._image_root(img), sign * self.signs[img])
-                for r, (img, sign) in current.items()
-            }
-            if order > 4 * max(1, self.twist.order):
-                raise ChevalleyError("automorphism order runaway")
-            if all(img == r and sign == 1 for r, (img, sign) in current.items()):
-                if order % self.twist.order != 0:
-                    raise ChevalleyError("automorphism order mismatch")
-                return order
+        index = datum.root_index
+        out = {}
+        for cycle in cycles([index[self._image_root(r)] for r in datum.roots]):
+            orbit = [datum.roots[i] for i in cycle]
+            out.update(dict.fromkeys(orbit, (len(orbit), prod(self.signs[r] for r in orbit))))
+        return out
+
+    def _compute_order(self) -> int:
+        """The lcm over the twist orbits of k, or 2k where the sign s is -1."""
+        order = lcm(*(k if s == 1 else 2 * k for k, s in self.orbit_signs.values()))
+        if order % self.twist.order != 0:
+            raise ChevalleyError("automorphism order mismatch")
+        return order
 
     @property
     def order(self) -> int:
@@ -384,10 +387,4 @@ def pinned_automorphism(
 
 def orbit_sign(alg: ChevalleyAlgebra, pinned: PinnedAutomorphism, root) -> int:
     """Sign of gamma-hat^k on X_root, k the twist-orbit size of the root."""
-    sign = 1
-    cur = root
-    while True:
-        sign *= pinned.signs[cur]
-        cur = pinned._image_root(cur)
-        if cur == root:
-            return sign
+    return pinned.orbit_signs[root][1]

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 import time
@@ -27,7 +28,7 @@ from .echelonnage import (
     point_order,
     twisted,
 )
-from .exactmath import InputError, PropertyViolation
+from .exactmath import InputError, PropertyViolation, closure
 from .mpquotient import (
     ReductiveQuotientDatum,
     algebra_dimension,
@@ -234,22 +235,10 @@ def default_modulus(td: TwistedDatum, x: ApartmentPoint, spec: dict) -> int:
 
 def _component_blocks(cartan) -> list[list[int]]:
     n = len(cartan)
-    seen = [False] * n
     blocks = []
     for i in range(n):
-        if seen[i]:
-            continue
-        block = [i]
-        seen[i] = True
-        frontier = [i]
-        while frontier:
-            a = frontier.pop()
-            for b in range(n):
-                if not seen[b] and cartan[a][b] != 0:
-                    seen[b] = True
-                    block.append(b)
-                    frontier.append(b)
-        blocks.append(sorted(block))
+        if not any(i in block for block in blocks):
+            blocks.append(sorted(closure([i], lambda a: (b for b in range(n) if cartan[a][b]))))
     return blocks
 
 
@@ -424,6 +413,23 @@ def build_report(command: str, spec: dict, td, x, sections: dict, started: float
     }
 
 
+def check_out(out: str | None) -> None:
+    """Refuse an ``--out`` that cannot be written before any work is done,
+    writing nothing: it must not be a directory, an existing file must be
+    writable, and otherwise its parent must be an existing, writable
+    directory.  ``emit`` still maps a failed write to the same field."""
+    if not out:
+        return
+    path = Path(out)
+    exists = path.exists()
+    if path.is_dir():
+        raise InputError(f"field 'out': cannot write {out!r} (it is a directory)")
+    if not (exists or path.parent.is_dir()):
+        raise InputError(f"field 'out': cannot write {out!r} (no such directory)")
+    if not os.access(path if exists else path.parent, os.W_OK):
+        raise InputError(f"field 'out': cannot write {out!r} (permission denied)")
+
+
 def emit(report: dict, out: str | None) -> None:
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if not out:
@@ -487,6 +493,7 @@ def _run_subcommand(args) -> int:
     started = time.time()
     if args.cap <= 0:
         raise InputError("field 'cap': must be a positive integer")
+    check_out(args.out)
     raw = load_spec(args.spec)
     if args.M is not None:
         raw = {**raw, "M": args.M}
@@ -537,6 +544,7 @@ def main(argv=None) -> int:
                 return 0
             if args.id not in CATALOG:
                 raise InputError(f"field 'id': unknown catalog id {args.id!r}")
+            check_out(args.out)
             parse_frac(args.r, "r")  # validated here, exported as written
             try:
                 spec = catalog_spec(args.id, args.point, args.r)

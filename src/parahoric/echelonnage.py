@@ -48,6 +48,7 @@ from .exactmath import (
 from .rootdata import (
     DiagramAutomorphism,
     RootDatum,
+    cycles,
     identity_automorphism,
     regular_orders,
 )
@@ -97,24 +98,18 @@ class _Scaffold:
 
 @lru_cache(maxsize=None)
 def _scaffold(base: RootDatum, twist: DiagramAutomorphism) -> _Scaffold:
-    """The restricted roots of (base, twist), one per twist orbit of roots,
-    found on integer keys: the key of an orbit, its average, is held as the
-    orbit sum times e / orbit size, e the twist order.  The integer keys sort
-    as the keys do, a key k is multipliable iff 2k is a key and divisible iff
-    k/2 is, and a coroot pairs to 2 with k iff to 2e with its integer key.
-    The ``Fraction`` keys are built once, at the end."""
+    """The restricted roots of (base, twist), one per twist orbit of roots (a
+    cycle of the permutation the twist induces on them), found on integer
+    keys: the key of an orbit, its average, is held as the orbit sum times
+    e / orbit size, e the twist order.  The integer keys sort as the keys do,
+    a key k is multipliable iff 2k is a key and divisible iff k/2 is, and a
+    coroot pairs to 2 with k iff to 2e with its integer key.  The
+    ``Fraction`` keys are built once, at the end."""
     e = twist.order
     keyed: dict[tuple[int, ...], tuple] = {}
-    seen = set()
-    for r in base.roots:
-        if r in seen:
-            continue
-        orbit = [r]
-        cur = mat_vec(twist.matrix, r)
-        while cur != r:
-            orbit.append(cur)
-            cur = mat_vec(twist.matrix, cur)
-        seen.update(orbit)
+    index = base.root_index
+    for cycle in cycles([index[mat_vec(twist.matrix, r)] for r in base.roots]):
+        orbit = tuple(base.roots[i] for i in cycle)
         weight = e // len(orbit)
         key = tuple(weight * sum(c) for c in zip(*orbit))
         if key in keyed:
@@ -122,7 +117,7 @@ def _scaffold(base: RootDatum, twist: DiagramAutomorphism) -> _Scaffold:
                 "two distinct twist orbits share a restriction; "
                 "this configuration is not supported"
             )
-        keyed[key] = tuple(orbit)
+        keyed[key] = orbit
 
     integer_keys = sorted(keyed)
     classes = []

@@ -1,7 +1,8 @@
 """Exact rational linear algebra (fraction-free Bareiss elimination for the
 rank, the inverse and the echelon form), the order and cyclotomic
 multiplicities of a finite-order integer matrix (read off its powers and
-their ranks), and valuation sets (arithmetic progressions of rationals).
+their ranks), valuation sets (arithmetic progressions of rationals), and
+``closure``, the one breadth-first orbit walk of the package.
 
 Everything here is exact: integers and ``fractions.Fraction`` only, no floats.
 """
@@ -127,22 +128,38 @@ def clear_denominators(*vectors) -> tuple[int, tuple[IntVec, ...]]:
     return den, tuple(tuple(c.numerator * (den // c.denominator) for c in v) for v in vectors)
 
 
+def closure(starts, step):
+    """The breadth-first closure of the starts under ``step``, which maps x to
+    an iterable of its images, yielded lazily and once each: the starts, then
+    each new image, one layer of the walk after another.  Every orbit the
+    package walks is one: Weyl orbits, conjugacy classes, root-step spans and
+    the connected components of a diagram."""
+    found = set()
+    fresh = starts
+    while True:
+        layer = []
+        for y in fresh:
+            if y not in found:
+                found.add(y)
+                layer.append(y)
+                yield y
+        if not layer:
+            return
+        fresh = (y for x in layer for y in step(x))
+
+
 def reflection_orbit(vec, reflections, scale=1) -> set:
     """Orbit of ``vec`` under the group generated by the reflections
     v -> v - (<v, acheck> / scale) a, one per pair (a, acheck).  A scale
     above 1 is for integer vectors that stand for rational ones times the
     scale, such as integer keys: every pairing is then a multiple of it."""
-    orbit = {vec}
-    frontier = [vec]
-    while frontier:
-        cur = frontier.pop()
+
+    def step(v):
         for a, acheck in reflections:
-            c = pair(cur, acheck)
-            img = vec_sub(cur, vec_scale(c // scale if scale != 1 else c, a))
-            if img not in orbit:
-                orbit.add(img)
-                frontier.append(img)
-    return orbit
+            c = pair(v, acheck)
+            yield vec_sub(v, vec_scale(c // scale if scale != 1 else c, a))
+
+    return set(closure([vec], step))
 
 
 # ---------------------------------------------------------------------------

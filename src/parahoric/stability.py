@@ -37,6 +37,7 @@ from .echelonnage import (
 from .exactmath import (
     IntMatrix,
     PropertyViolation,
+    closure,
     det_bareiss,
     frozen_record,
     identity_matrix,
@@ -54,9 +55,7 @@ from .rootdata import (
     DiagramAutomorphism,
     RootDatum,
     check_weyl_cap,
-    classical_weyl_order,
-    closure,
-    cycle_lengths,
+    cycles,
     reflect_left,
     reflect_right,
     weyl_elements,
@@ -74,7 +73,7 @@ def _root_cycles(a: IntMatrix, datum: RootDatum) -> list[int]:
     perm = [index.get(mat_vec(a, r)) for r in datum.roots]
     if None in perm or len(set(perm)) < len(perm):
         raise StabilityError("matrix does not permute the roots")
-    return cycle_lengths(perm)
+    return [len(c) for c in cycles(perm)]
 
 
 def acts_freely_on_roots(a: IntMatrix, datum: RootDatum, order: int) -> bool:
@@ -151,9 +150,9 @@ def regular_witness(td: TwistedDatum, m: int) -> IntMatrix:
     seed = _seed(datum, td.twist, m)
     if not (_is_elliptic(seed) and acts_freely_on_roots(seed, datum, m)):
         raise StabilityError(f"the seed of order {m} is not elliptic Z-regular")
-    moves = [lambda a, s=s: reflect_right(reflect_left(a, s), s) for s in datum.simple_reflections]
-    found = set(closure(seed, moves))
-    size = classical_weyl_order(datum.descriptor) // td.regular_orders[m]
+    simple = datum.simple_reflections
+    found = set(closure([seed], lambda a: [reflect_right(reflect_left(a, s), s) for s in simple]))
+    size = datum.weyl_order // td.regular_orders[m]
     if len(found) != size:
         raise StabilityError(
             f"the regular class of order {m} has {len(found)} elements, not |W| / "

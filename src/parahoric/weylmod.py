@@ -1,7 +1,8 @@
 """Highest-weight bookkeeping over the reductive quotient: exact characters
 via Freudenthal's recursion, decomposition of a filtration quotient by
 repeated character subtraction, and an exact span check for the split case:
-a closure of the maximal roots under root steps of the quotient.
+a closure of the maximal roots under root steps of the quotient.  Weyl
+orbits of weights and the span are walked by ``exactmath.closure``.
 
 The public functions take and return weights in the rational coordinate
 space of the restricted roots.  Inside, a character is an integer map from
@@ -24,7 +25,7 @@ from .echelonnage import (
     restrict,
     twisted,
 )
-from .exactmath import PropertyViolation, Vec, clear_denominators, frozen_record, pair
+from .exactmath import PropertyViolation, Vec, clear_denominators, closure, frozen_record, pair
 from .mpquotient import (
     MPQuotientReport,
     ReductiveQuotientDatum,
@@ -146,19 +147,14 @@ def _reflect(n: tuple, labels: tuple, j: int, drops) -> tuple[tuple, tuple]:
 
 def _orbit(n: tuple, labels: tuple, drops) -> dict:
     """The Weyl orbit of a dominant weight, n -> labels: every other member
-    is reached by lowering reflections (those with a positive label)."""
-    orbit = {n: labels}
-    frontier = [n]
-    while frontier:
-        cur = frontier.pop()
-        lab = orbit[cur]
-        for j, t in enumerate(lab):
-            if t > 0:
-                nxt, nlab = _reflect(cur, lab, j, drops)
-                if nxt not in orbit:
-                    orbit[nxt] = nlab
-                    frontier.append(nxt)
-    return orbit
+    is reached by lowering reflections (those with a positive label), and the
+    labels of a weight are fixed by its n."""
+
+    def lower(weight):
+        n, labels = weight
+        return (_reflect(n, labels, j, drops) for j, t in enumerate(labels) if t > 0)
+
+    return dict(closure([(n, labels)], lower))
 
 
 def _dimension(h: ReductiveQuotientDatum, labels) -> int:
@@ -195,26 +191,20 @@ def _freudenthal(h: ReductiveQuotientDatum, top: tuple[int, ...]) -> dict:
         norm = sum(map(mul, dk, (pair(row, k) for row in h.cartan)))
         positives.append((k, dk, norm))
 
-    # depth bound: lam - w0 lam, from the antidominant walk
-    n, labels = (0,) * rank, top
-    while any(t > 0 for t in labels):
-        j = next(j for j, t in enumerate(labels) if t > 0)
-        n, labels = _reflect(n, labels, j, drops)
-    depth = sum(n)
-
     mult: dict[tuple, int] = {}  # every weight found so far
-    by_level: list[list] = [[] for _ in range(depth + 1)]
+    by_level: dict[int, list] = {}
 
     def record(n, labels, m):
         for w, lab in _orbit(n, labels, drops).items():
             mult[w] = m
-            by_level[sum(w)].append((w, lab))
+            by_level.setdefault(sum(w), []).append((w, lab))
 
     record((0,) * rank, top, 1)
-    for level in range(1, depth + 1):
+    # the orbit of lam reaches the lowest weight w0 lam, at the deepest level
+    for level in range(1, max(by_level) + 1):
         # every weight below lam is some weight one level up minus a simple root
         dominant = {}
-        for w, lab in by_level[level - 1]:
+        for w, lab in by_level.get(level - 1, ()):
             for i in range(rank):
                 new = tuple(map(sub, lab, drops[i]))
                 if min(new) >= 0:
@@ -400,12 +390,8 @@ def split_span_check(datum, x: ApartmentPoint, r) -> bool:
     td = twisted(datum)
     h = quotient_datum(td, x)
     support = _support(td, x, r)
-    reached = list(_maximal(support, _positive_steps(h)))
-    seen = set(reached)
-    for s in reached:  # grows while it is walked: a breadth-first closure
-        for t in h.integer_roots:
-            nxt = tuple(map(add, s, t))
-            if nxt in support and nxt not in seen:
-                seen.add(nxt)
-                reached.append(nxt)
-    return len(seen) == len(support)
+
+    def step(s):
+        return (nxt for t in h.integer_roots if (nxt := tuple(map(add, s, t))) in support)
+
+    return len(set(closure(_maximal(support, _positive_steps(h)), step))) == len(support)

@@ -12,7 +12,7 @@ closed-form orders and class-minimum witnesses, witnesses included.
 from math import lcm
 
 from parahoric.exactmath import det_bareiss, identity_matrix, mat_mul, mat_vec
-from parahoric.rootdata import cycle_lengths, weyl_elements
+from parahoric.rootdata import cycles, weyl_elements
 
 
 def scan_zregular_orders(datum, twist):
@@ -25,7 +25,7 @@ def scan_zregular_orders(datum, twist):
             tuple(tuple(e - x for e, x in zip(er, ar)) for er, ar in zip(eye, a))
         ) == 0:
             continue  # eigenvalue 1: not elliptic
-        lengths = cycle_lengths([index[mat_vec(a, r)] for r in datum.roots])
+        lengths = [len(c) for c in cycles([index[mat_vec(a, r)] for r in datum.roots])]
         order = lcm(*lengths)
         if any(length != order for length in lengths):
             continue

@@ -2,12 +2,15 @@ import itertools
 import random
 from fractions import Fraction
 
+import pytest
+
 from parahoric.chevalley import (
     exp_ad,
     orbit_sign,
     pinned_automorphism,
     structure_constants,
 )
+from parahoric.exactmath import mat_vec
 from parahoric.rootdata import build_automorphism, build_datum, identity_automorphism
 
 F = Fraction
@@ -184,3 +187,42 @@ def test_orbit_signs_untwisted_positive():
     pinned = pinned_automorphism(alg, identity_automorphism(d))
     for root in d.roots:
         assert orbit_sign(alg, pinned, root) == 1
+
+
+def powered_order_and_signs(pinned, roots):
+    """The order of the lift by applying it to every root vector until all
+    return unsigned, and each root's orbit sign by walking its twist orbit:
+    the loops that the cycle decomposition of the roots replaced."""
+    def image(r):
+        return mat_vec(pinned.twist.matrix, r)
+
+    current, order = {r: (r, 1) for r in roots}, 0
+    while order == 0 or any(img != r or sign != 1 for r, (img, sign) in current.items()):
+        order += 1
+        assert order <= 4 * pinned.twist.order
+        current = {r: (image(img), sign * pinned.signs[img]) for r, (img, sign) in current.items()}
+    signs = {}
+    for root in roots:
+        sign, cur = pinned.signs[root], image(root)
+        while cur != root:
+            sign, cur = sign * pinned.signs[cur], image(cur)
+        signs[root] = sign
+    return order, signs
+
+
+@pytest.mark.parametrize("desc,perm", [
+    ("A2", (1, 0)),
+    ("A4", (3, 2, 1, 0)),
+    ("D4", (2, 1, 3, 0)),
+    ("E6", (5, 1, 4, 3, 2, 0)),
+    ("A2+A2", (2, 3, 1, 0)),
+    ("A2+A2", (1, 0, 3, 2)),
+    ("A3+A3", (3, 4, 5, 2, 1, 0)),
+])
+def test_pinned_order_and_orbit_signs_from_the_root_cycles(desc, perm):
+    d = build_datum(desc)
+    alg = structure_constants(d)
+    pinned = pinned_automorphism(alg, build_automorphism(d, perm))
+    order, signs = powered_order_and_signs(pinned, d.roots)
+    assert pinned.order == order
+    assert {r: orbit_sign(alg, pinned, r) for r in d.roots} == signs

@@ -5,7 +5,9 @@ from pathlib import Path
 
 import pytest
 
+from parahoric import cli
 from parahoric.cli import main
+from parahoric.exactmath import PropertyViolation
 from parahoric.vinberg import MODULUS_CAP
 
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "goldens"
@@ -400,17 +402,28 @@ UNREADABLE_SPEC_OR_UNWRITABLE_OUT = [
     (["scan", "--spec", "catalog:A1", "--out", "{tmp}/no/r.json"], "out"),
     (["catalog", "--id", "A1", "--out", "{tmp}"], "out"),
     (["catalog", "--id", "A1", "--out", "{tmp}/no/r.json"], "out"),
+    (["stability", "--spec", "catalog:A1", "--out", "{tmp}/spec.json/r.json"], "out"),
 ]
 
 
 @pytest.mark.parametrize("argv,field", UNREADABLE_SPEC_OR_UNWRITABLE_OUT)
-def test_unreadable_spec_and_unwritable_out_keep_the_exit_contract(tmp_path, capsys, argv, field):
+def test_unreadable_spec_and_unwritable_out_keep_the_exit_contract(
+    tmp_path, capsys, monkeypatch, argv, field
+):
     # a directory or a non-UTF-8 file as the spec, a directory or a path under
-    # a missing directory as the output: exit 1, naming the field
+    # a missing directory or under a file as the output: exit 1, naming the
+    # field, before the spec is realized and with nothing written
+    def realize(spec):
+        raise PropertyViolation("realize ran before the output was checked")
+
+    monkeypatch.setattr(cli, "realize", realize)
     (tmp_path / "latin1.json").write_bytes('{"dynkin": "A\u00e9"}'.encode("latin-1"))
+    (tmp_path / "spec.json").write_text("{}")
+    before = sorted(tmp_path.rglob("*"))
     code, out, err = run_cli([a.replace("{tmp}", str(tmp_path)) for a in argv], capsys)
     assert (code, out) == (1, "")
     assert err.startswith(f"input error: field {field!r}: "), err
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_scan_builds_the_datum_once(tmp_path, capsys, monkeypatch):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import count, islice
 from math import lcm
 
 import pytest
@@ -9,6 +10,7 @@ from parahoric.exactmath import (
     ExactMathError,
     ValuationSet,
     clear_denominators,
+    closure,
     cyclotomic_multiplicities,
     det_bareiss,
     identity_matrix,
@@ -17,6 +19,7 @@ from parahoric.exactmath import (
     mat_mul,
     matrix_order,
     matrix_rank,
+    reflection_orbit,
     rref,
 )
 from parahoric.mpquotient import quotient_datum
@@ -41,6 +44,43 @@ from span_oracle import RowEchelon
 from warm_points import warm_sweep
 
 F = Fraction
+
+
+def test_closure_yields_the_starts_first_and_each_element_once():
+    # the starts in order, a repeated start dropped; then the new images only
+    steps = {1: [2, 3], 4: [1, 5], 2: [1], 3: [6], 5: [], 6: [6]}
+    assert list(closure([4, 1, 4], steps.__getitem__)) == [4, 1, 5, 2, 3, 6]
+    assert list(closure([], steps.__getitem__)) == []
+    assert list(closure(iter([6]), steps.__getitem__)) == [6]
+
+
+def test_closure_walks_layer_by_layer():
+    # on a 6-cycle from 0 by +-1, distance 0, 1, 1, 2, 2, 3
+    walk = list(closure([0], lambda k: ((k + 1) % 6, (k - 1) % 6)))
+    assert walk == [0, 1, 5, 2, 4, 3]
+    # the layers of a binary tree, each in the order of the layer above
+    assert list(islice(closure([""], lambda w: (w + "0", w + "1")), 7)) == [
+        "", "0", "1", "00", "01", "10", "11",
+    ]
+
+
+def test_closure_is_lazy():
+    # an infinite walk, and a step with infinitely many images
+    assert next(closure([0], lambda k: (k + 1,))) == 0
+    assert list(islice(closure([0], lambda k: (k + 1,)), 4)) == [0, 1, 2, 3]
+    assert list(islice(closure([0], lambda k: count(k + 1)), 4)) == [0, 1, 2, 3]
+
+
+def test_reflection_orbit_on_rational_and_integer_keys():
+    # A2 with simple roots (1, 0), (0, 1) and Cartan rows as coroots: the
+    # orbit of the first fundamental weight has 3 members, on Fraction vectors
+    # and on the same vectors times 3, the roots too, with scale 3
+    reflections = [((1, 0), (2, -1)), ((0, 1), (-1, 2))]
+    omega = (Fraction(2, 3), Fraction(1, 3))
+    orbit = reflection_orbit(omega, reflections)
+    assert orbit == {omega, (Fraction(-1, 3), Fraction(1, 3)), (Fraction(-1, 3), Fraction(-2, 3))}
+    scaled = reflection_orbit((2, 1), [((3, 0), (2, -1)), ((0, 3), (-1, 2))], 3)
+    assert scaled == {tuple(int(3 * c) for c in v) for v in orbit}
 
 
 def test_det_and_charpoly():

@@ -1,4 +1,5 @@
 import random
+from math import factorial
 
 import pytest
 
@@ -9,12 +10,32 @@ from parahoric.rootdata import (
     build_automorphism,
     build_datum,
     classical_root_count,
-    classical_weyl_order,
+    cycles,
     dual_action,
     identity_automorphism,
+    parse_descriptor,
     weyl_elements,
     weyl_walk,
 )
+
+# |W| per simple type in closed form: the oracle for ``RootDatum.weyl_order``,
+# the product of the degrees
+WEYL_ORDERS = {
+    "A": lambda n: factorial(n + 1),
+    "B": lambda n: 2**n * factorial(n),
+    "C": lambda n: 2**n * factorial(n),
+    "D": lambda n: 2 ** (n - 1) * factorial(n),
+    "E": lambda n: {6: 51840, 7: 2903040, 8: 696729600}[n],
+    "F": lambda n: 1152,
+    "G": lambda n: 12,
+}
+
+
+def classical_weyl_order(descriptor: str) -> int:
+    out = 1
+    for letter, rank in parse_descriptor(descriptor):
+        out *= WEYL_ORDERS[letter](rank)
+    return out
 
 
 def test_a1_adjoint():
@@ -73,7 +94,7 @@ def test_simply_connected_convention():
 )
 def test_weyl_sizes(descriptor, order):
     d = build_datum(descriptor)
-    assert len(weyl_elements(d)) == order == classical_weyl_order(descriptor)
+    assert len(weyl_elements(d)) == order == classical_weyl_order(descriptor) == d.weyl_order
 
 
 @pytest.mark.parametrize(
@@ -107,7 +128,8 @@ def test_degree_products_are_the_weyl_orders():
             for _, _, degrees in build_datum(descriptor).factors:
                 for d in degrees:
                     product *= d
-            assert product == classical_weyl_order(descriptor)
+            assert product == classical_weyl_order(descriptor) == build_datum(descriptor).weyl_order
+    assert build_datum("A2+B3").weyl_order == classical_weyl_order("A2+B3") == 6 * 48
     factors = build_datum("A2+B3").factors
     assert [(f[0], f[1], f[2]) for f in factors] == [("A", range(0, 2), (2, 3)), ("B", range(2, 5), (2, 4, 6))]
 
@@ -188,6 +210,32 @@ def test_d4_triality_orbits():
         seen |= orbit
         sizes.append(len(orbit))
     assert sorted(sizes) == [1] * 6 + [3] * 6
+
+
+def test_cycles_in_walk_order_by_least_member():
+    assert cycles([]) == []
+    assert cycles([0]) == [(0,)]
+    # 0 -> 3 -> 1 -> 0, 2 fixed, 4 <-> 5
+    assert cycles([3, 0, 2, 1, 5, 4]) == [(0, 3, 1), (2,), (4, 5)]
+    rng = random.Random(5)
+    for _ in range(50):
+        perm = list(range(rng.randint(1, 12)))
+        rng.shuffle(perm)
+        found = cycles(perm)
+        assert sorted(i for c in found for i in c) == list(range(len(perm)))
+        assert [c[0] for c in found] == sorted(min(c) for c in found)
+        for c in found:
+            assert all(perm[a] == b for a, b in zip(c, c[1:] + c[:1]))
+
+
+def test_twist_orders_and_spectra_from_cycles():
+    d = build_datum("D4")
+    triality = build_automorphism(d, (2, 1, 3, 0))
+    assert cycles(triality.permutation) == [(0, 2, 3), (1,)]
+    assert triality.order == 3 and triality.spectrum == {1: 2, 3: 1}
+    a2a2 = build_automorphism(build_datum("A2+A2"), (2, 3, 1, 0))
+    assert cycles(a2a2.permutation) == [(0, 2, 1, 3)]
+    assert a2a2.order == 4 and a2a2.spectrum == {1: 1, 2: 1, 4: 1}
 
 
 def test_bad_automorphism_rejected():

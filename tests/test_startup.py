@@ -3,7 +3,8 @@ it pulls in), neither the Chevalley-basis oracle nor the self-test, which no
 report subcommand calls, and of the grading, Weyl-module and stability
 layers only the one its subcommand runs.  The lazily loaded layers' public
 names still resolve on first access to the package attribute, and their
-errors keep their exit codes."""
+errors keep their exit codes.  The whole-coset oracles are not package names:
+they are imported from their modules."""
 import importlib
 import json
 import os
@@ -94,3 +95,20 @@ def test_lazy_names_resolve():
     assert lazy <= set(parahoric.__all__) <= set(dir(parahoric))
     # a resolved name is bound in the package, so the hook runs once per name
     assert vars(parahoric)["crosscheck"] is direct_crosscheck
+
+
+COSET_ORACLES = {
+    "rootdata": ("weyl_elements",),
+    "stability": ("elliptic_zregular_orders", "zregularity_criteria_agree"),
+    "exactmath": ("cyclotomic_multiplicities", "matrix_order"),
+}
+
+
+@pytest.mark.parametrize("module,names", COSET_ORACLES.items())
+def test_coset_oracles_are_module_names_only(module, names):
+    mod = importlib.import_module(f"parahoric.{module}")
+    for name in names:
+        assert callable(getattr(mod, name)), name
+        assert name not in parahoric.__all__ and name not in parahoric._LAZY, name
+        with pytest.raises(AttributeError):
+            getattr(parahoric, name)
