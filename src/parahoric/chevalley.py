@@ -264,13 +264,6 @@ class ExpAd:
                     del acc[l]
         return acc
 
-    def matrix(self) -> tuple:
-        cols = [self.apply(self.algebra.basis_element(l)) for l in self.algebra.labels]
-        return tuple(
-            tuple(Fraction(col.get(l, 0)) for col in cols)
-            for l in self.algebra.labels
-        )
-
 
 def exp_ad(alg: ChevalleyAlgebra, root, t) -> ExpAd:
     if root not in alg.rootset:

@@ -24,6 +24,7 @@ from .echelonnage import (
     EchelonnageError,
     TwistedDatum,
     companion_shift,
+    depth_table,
     point_from_simple_coroots,
     point_order,
     twisted,
@@ -33,8 +34,6 @@ from .mpquotient import (
     ReductiveQuotientDatum,
     algebra_dimension,
     first_jump,
-    jump_values,
-    mp_quotient,
     quotient_datum,
 )
 from .rootdata import (
@@ -87,20 +86,27 @@ DEFAULT_SPEC = {
 }
 
 
+def catalog_entry(entry: str, point: str, r: str, field: str) -> dict:
+    """The spec of a catalog entry at a named point, for ``--spec
+    catalog:...`` and ``catalog --id`` alike: an unknown id is an input error
+    on ``field``, the option that gave it, and an unknown point on 'point'."""
+    if entry not in CATALOG:
+        raise InputError(
+            f"field {field!r}: unknown catalog id {entry!r} "
+            f"(have {', '.join(catalog_ids())})"
+        )
+    try:
+        return catalog_spec(entry, point, r)
+    except KeyError as exc:
+        raise InputError(f"field 'point': {exc.args[0]}") from exc
+
+
 def load_spec(source: str) -> dict:
     if source.startswith("catalog:"):
         parts = source.split(":")
-        entry = parts[1]
-        point = parts[2] if len(parts) > 2 else "origin"
-        if entry not in CATALOG:
-            raise InputError(
-                f"field 'spec': unknown catalog id {entry!r} "
-                f"(have {', '.join(catalog_ids())})"
-            )
-        try:
-            return catalog_spec(entry, point)
-        except KeyError as exc:
-            raise InputError(f"field 'point': {exc.args[0]}") from exc
+        if len(parts) > 3:
+            raise InputError(f"field 'spec': {source!r} is not catalog:<id>[:<point>]")
+        return catalog_entry(parts[1], parts[2] if len(parts) > 2 else "origin", "0", "spec")
     try:
         data = json.loads(Path(source).read_text(encoding="utf-8"))
     except FileNotFoundError:
@@ -183,7 +189,7 @@ def normalize_spec(raw: dict) -> dict:
     return spec
 
 
-def realize(spec: dict, m_override: int | None = None):
+def realize(spec: dict):
     """Build the twisted datum and apartment point described by a spec."""
     try:
         datum = build_datum(spec["dynkin"], spec["isogeny"])
@@ -204,10 +210,8 @@ def realize(spec: dict, m_override: int | None = None):
             x = point_from_simple_coroots(
                 td, [Fraction(c) for c in point["coords"]]
             )
-        elif point["name"] == "rho_over_m":
-            x = named_point(td, "rho_over_m", m_override or point["m"])
         else:
-            x = named_point(td, point["name"])
+            x = named_point(td, point["name"], point.get("m"))
     except EchelonnageError as exc:
         raise InputError(f"field 'point': {exc}") from exc
     return td, x
@@ -299,30 +303,24 @@ def identify_quotient(h: ReductiveQuotientDatum) -> dict:
 # report sections
 
 
-def section_quotient(td: TwistedDatum, x: ApartmentPoint) -> dict:
+def section_quotient(td: TwistedDatum, x: ApartmentPoint, spec: dict, args) -> tuple[dict, bool]:
     h = quotient_datum(td, x)
     return {
         "roots": [vec_strs(a) for a in h.roots],
         "type": identify_quotient(h),
         "root_count": len(h.roots),
         "rank": h.rank,
-    }
+    }, False
 
 
-def section_scan(td: TwistedDatum, x: ApartmentPoint) -> dict:
+def section_scan(td: TwistedDatum, x: ApartmentPoint, spec: dict, args) -> tuple[dict, bool]:
+    table = depth_table(td, x)
     jumps = []
-    total = 0
-    for r in jump_values(td, x):
-        rep = mp_quotient(td, x, r)
-        jumps.append(
-            {
-                "r": frac_str(r),
-                "torus_dim": rep.torus_dim,
-                "root_dim": len(rep.root_part),
-                "total_dim": rep.total_dim,
-            }
-        )
-        total += rep.total_dim
+    for r in table.jumps():
+        roots, torus = table.at(r)
+        dims = {"torus_dim": torus, "root_dim": len(roots), "total_dim": torus + len(roots)}
+        jumps.append({"r": frac_str(r), **dims})
+    total = sum(j["total_dim"] for j in jumps)
     expected = algebra_dimension(td)
     return {
         "jumps": jumps,
@@ -330,18 +328,18 @@ def section_scan(td: TwistedDatum, x: ApartmentPoint) -> dict:
         "expected": expected,
         "sum_rule_holds": total == expected,
         "first_jump": frac_str(first_jump(td, x)),
-    }
+    }, total != expected
 
 
-def section_grade(td: TwistedDatum, x: ApartmentPoint, modulus: int) -> dict:
+def section_grade(td: TwistedDatum, x: ApartmentPoint, spec: dict, args) -> tuple[dict, bool]:
     if not td.is_tame:
         return {
             "applicable": False,
             "reason": "nonzero lambda valuations; apply the companion shift first",
-        }
+        }, False
     from .vinberg import crosscheck
 
-    res = crosscheck(td, x, modulus)
+    res = crosscheck(td, x, default_modulus(td, x, spec))
     return {
         "applicable": True,
         "modulus": res.modulus,
@@ -351,15 +349,17 @@ def section_grade(td: TwistedDatum, x: ApartmentPoint, modulus: int) -> dict:
         "first_mismatch": res.first_mismatch,
         "degree_zero_matches_quotient": res.roots_match,
         "negative_sign_orbit_count": len(res.negative_sign_orbits),
-    }
+    }, not res.ok
 
 
-def section_decompose(td: TwistedDatum, x: ApartmentPoint, r: Fraction) -> dict:
+def section_decompose(td: TwistedDatum, x: ApartmentPoint, spec: dict, args) -> tuple[dict, bool]:
     from .weylmod import decompose, split_span_check
 
+    r = Fraction(spec["r"])
     dec = decompose(td, x, r)
+    match = dec.dimensions_match()
     span = None
-    if td.twist.is_identity and td.is_tame and Fraction(r).denominator != 1:
+    if td.twist.is_identity and td.is_tame and r.denominator != 1:
         span = split_span_check(td.base, x, r)
     return {
         "r": frac_str(r),
@@ -368,18 +368,18 @@ def section_decompose(td: TwistedDatum, x: ApartmentPoint, r: Fraction) -> dict:
         ],
         "total_dim": dec.total_dim,
         "quotient_dim": dec.quotient.total_dim,
-        "dimensions_match": dec.dimensions_match(),
+        "dimensions_match": match,
         "maximal_set": sorted(vec_strs(a) for a in dec.maximal_set),
         "nondominant_maximal": sorted(vec_strs(a) for a in dec.nondominant_maximal),
         "ambient_reading_differs": dec.ambient_reading_differs,
         "span_check": span,
-    }
+    }, not match or span is False
 
 
-def section_stability(td: TwistedDatum, x: ApartmentPoint, cap: int) -> dict:
+def section_stability(td: TwistedDatum, x: ApartmentPoint, spec: dict, args) -> tuple[dict, bool]:
     from .stability import stable_verdict
 
-    verdict = stable_verdict(td, x, cap)
+    verdict = stable_verdict(td, x, args.cap)
     return {
         "m": verdict.m,
         "conjugacy_ok": verdict.conjugacy_ok,
@@ -390,7 +390,19 @@ def section_stability(td: TwistedDatum, x: ApartmentPoint, cap: int) -> dict:
         "reduced_point": vec_strs(verdict.reduced_point),
         "reduced_reference": vec_strs(verdict.reduced_reference),
         "first_jump": frac_str(verdict.first_jump),
-    }
+    }, False
+
+
+# Each report subcommand: its name, help text, report key and section builder.
+# A builder takes (td, x, spec, args) and returns the section and whether it
+# records a property violation (exit 2).
+REPORTS = (
+    ("quotient", "reductive-quotient root datum at the point", "quotient", section_quotient),
+    ("scan", "all jump dimensions in [0,1) and the sum rule", "scan", section_scan),
+    ("grade", "graded dimensions and the quotient crosscheck", "grading", section_grade),
+    ("decompose", "highest-weight decomposition at depth r", "decomposition", section_decompose),
+    ("stability", "stable-vector verdict at the first jump", "stability", section_stability),
+)
 
 
 def build_report(command: str, spec: dict, td, x, sections: dict, started: float) -> dict:
@@ -471,25 +483,22 @@ def make_parser() -> argparse.ArgumentParser:
         help="bound on |W|, the order of the Weyl group (default %(default)s)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("quotient", "reductive-quotient root datum at the point"),
-        ("scan", "all jump dimensions in [0,1) and the sum rule"),
-        ("grade", "graded dimensions and the quotient crosscheck"),
-        ("decompose", "highest-weight decomposition at depth r"),
-        ("stability", "stable-vector verdict at the first jump"),
-    ):
-        sub.add_parser(name, help=help_text, parents=[common])
+    for name, help_text, key, section in REPORTS:
+        p = sub.add_parser(name, help=help_text, parents=[common])
+        p.set_defaults(run=run_report, key=key, section=section)
     p = sub.add_parser("selftest", help="run the built-in property suite")
     p.add_argument("--seed", type=int, default=0)
+    p.set_defaults(run=run_selftest)
     p = sub.add_parser("catalog", help="list or export built-in specs")
     p.add_argument("--id", default=None, help="catalog entry to export")
     p.add_argument("--point", default="origin")
     p.add_argument("--r", default="0")
     p.add_argument("--out", default=None)
+    p.set_defaults(run=run_catalog)
     return parser
 
 
-def _run_subcommand(args) -> int:
+def run_report(args) -> int:
     started = time.time()
     if args.cap <= 0:
         raise InputError("field 'cap': must be a positive integer")
@@ -503,56 +512,33 @@ def _run_subcommand(args) -> int:
             raise InputError("field 'point': --m only applies to rho_over_m points")
         spec["point"]["m"] = args.m
     td, x = realize(spec)
-    modulus = default_modulus(td, x, spec)
-    sections: dict = {}
-    violated = False
-    if args.command == "quotient":
-        sections["quotient"] = section_quotient(td, x)
-    elif args.command == "scan":
-        sections["scan"] = section_scan(td, x)
-        violated = not sections["scan"]["sum_rule_holds"]
-    elif args.command == "grade":
-        sections["grading"] = section_grade(td, x, modulus)
-        violated = sections["grading"].get("applicable") and not sections[
-            "grading"
-        ].get("crosscheck")
-    elif args.command == "decompose":
-        r = Fraction(spec["r"])
-        sections["decomposition"] = section_decompose(td, x, r)
-        violated = not sections["decomposition"]["dimensions_match"] or (
-            sections["decomposition"]["span_check"] is False
-        )
-    elif args.command == "stability":
-        sections["stability"] = section_stability(td, x, args.cap)
-    report = build_report(args.command, spec, td, x, sections, started)
-    emit(report, args.out)
+    default_modulus(td, x, spec)  # an M off the lcm is an input error for every report
+    section, violated = args.section(td, x, spec, args)
+    emit(build_report(args.command, spec, td, x, {args.key: section}, started), args.out)
     return 2 if violated else 0
+
+
+def run_selftest(args) -> int:
+    from . import selftest
+
+    return 0 if selftest.run(seed=args.seed) else 2
+
+
+def run_catalog(args) -> int:
+    if args.id is None:
+        for cid in catalog_ids():
+            sys.stdout.write(cid + "\n")
+        return 0
+    check_out(args.out)
+    parse_frac(args.r, "r")  # validated here, exported as written
+    emit(catalog_entry(args.id, args.point, args.r, "id"), args.out)
+    return 0
 
 
 def main(argv=None) -> int:
     try:
         args = make_parser().parse_args(argv)
-        if args.command == "selftest":
-            from . import selftest
-
-            ok = selftest.run(seed=args.seed)
-            return 0 if ok else 2
-        if args.command == "catalog":
-            if args.id is None:
-                for cid in catalog_ids():
-                    sys.stdout.write(cid + "\n")
-                return 0
-            if args.id not in CATALOG:
-                raise InputError(f"field 'id': unknown catalog id {args.id!r}")
-            check_out(args.out)
-            parse_frac(args.r, "r")  # validated here, exported as written
-            try:
-                spec = catalog_spec(args.id, args.point, args.r)
-            except KeyError as exc:
-                raise InputError(f"field 'point': {exc.args[0]}") from exc
-            emit(spec, args.out)
-            return 0
-        return _run_subcommand(args)
+        return args.run(args)
     except InputError as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return 1

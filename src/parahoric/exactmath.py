@@ -391,6 +391,3 @@ class ValuationSet:
     def max_below(self, t) -> Fraction:
         """The greatest element below t."""
         return t - self.step + (self.offset - t) % self.step
-
-    def __contains__(self, q) -> bool:
-        return self.member(q)

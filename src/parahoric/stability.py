@@ -24,12 +24,12 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
+from .catalog import named_point
 from .echelonnage import (
     DEPTH_TABLE_CACHE,
     ApartmentPoint,
     TwistedDatum,
     alcove_reduce,
-    apartment_point,
     depth_table,
     point_order,
     twisted,
@@ -162,13 +162,13 @@ def regular_witness(td: TwistedDatum, m: int) -> IntMatrix:
     return witness
 
 
-@lru_cache(maxsize=None)
 def elliptic_zregular_orders(
     datum: RootDatum, twist: DiagramAutomorphism, cap: int = WEYL_CAP_DEFAULT
 ) -> dict:
     """Map from each attained order m to its witness, the lexicographically
     least element w*twist of order m that is elliptic (no invariant vectors)
-    and Z-regular (free on the roots)."""
+    and Z-regular (free on the roots).  The witnesses are kept on the twisted
+    datum (``TwistedDatum.regular_witnesses``)."""
     check_weyl_cap(datum, cap)
     td = twisted(datum, twist)
     return {m: regular_witness(td, m) for m in sorted(td.regular_orders)}
@@ -209,7 +209,7 @@ class StabilityVerdict:
 def _reduced_reference(td: TwistedDatum, m: int) -> ApartmentPoint:
     """The distinguished barycenter x0 + rho_check/m, reduced into the base
     alcove."""
-    return alcove_reduce(td, apartment_point(td, [Fraction(c, m) for c in td.base.rho_check]))
+    return alcove_reduce(td, named_point(td, "rho_over_m", m))
 
 
 def stable_verdict(

@@ -13,13 +13,13 @@ eps_O = -1 exactly when a root alpha of O is beta + tau(beta) for a root
 beta that tau moves, i.e. when O restricts to a divisible restricted root
 (the A2-type orbits of an A_{2n} factor flipped by tau; Steinberg, Lectures
 on Chevalley Groups, 1967).  The orbits and their restriction classes are
-read from the twisted-datum scaffold of ``echelonnage``.
+read from the restricted roots of the twisted datum (``echelonnage``).
 """
 from __future__ import annotations
 
 from math import gcd, lcm
 
-from .echelonnage import ApartmentPoint, TwistedDatum, _scaffold, depth_table, point_order
+from .echelonnage import ApartmentPoint, TwistedDatum, depth_table, point_order, twisted
 from .exactmath import InputError, PropertyViolation, clear_denominators, frozen_record, pair
 from .mpquotient import quotient_datum
 from .rootdata import DiagramAutomorphism, RootDatum
@@ -80,22 +80,24 @@ def grading(
     every root)."""
     m = int(modulus)
     den, (lam_num,) = clear_denominators(lam)
-    dims, zero, negative_orbits = _graded(datum, twist, den, lam_num, m)
-    keys = _scaffold(datum, twist).keys
+    td = twisted(datum, twist)
+    dims, zero, negative_orbits = _graded(td, den, lam_num, m)
     return GradedDecomposition(
         modulus=m,
         dims=dims,
-        zero_degree_roots=frozenset(keys[i] for i in zero),
+        zero_degree_roots=frozenset(td.restricted[i].key for i in zero),
         negative_sign_orbits=negative_orbits,
     )
 
 
-def _graded(datum, twist, den: int, lam_num, m: int):
+def _graded(td: TwistedDatum, den: int, lam_num, m: int):
     """The grading for the cocharacter lam_num / den: the graded dimensions,
-    the positions of the degree-zero orbits among the scaffold keys, and the
-    orbits with sign -1.  Integrality is checked on the simple roots, which
-    span the roots over Z, and an orbit O's weight is one pairing of its
-    integer key: its orbit sum is key * |O| / e (``_scaffold``)."""
+    the positions of the degree-zero orbits among the restricted roots, and
+    the orbits with sign -1.  Integrality is checked on the simple roots,
+    which span the roots over Z, and an orbit O's weight is one pairing of
+    its integer key: its orbit sum is key * |O| / e
+    (``TwistedDatum.integer_keys``)."""
+    datum, twist = td.base, td.twist
     if m <= 0:
         raise GradingError("modulus must be positive")
     _check_modulus(m)
@@ -105,14 +107,14 @@ def _graded(datum, twist, den: int, lam_num, m: int):
     dims = [0] * m
     zero = []
     negative_orbits = []
-    scaff = _scaffold(datum, twist)
-    for index, (key, k, cls) in enumerate(zip(scaff.integer_keys, scaff.orbit_sizes, scaff.classes)):
+    for index, (key, rr) in enumerate(zip(td.integer_keys, td.restricted)):
+        k = rr.orbit_size
         c = pair(key, lam_num) * k // scale
-        if cls == "divisible":
+        if rr.cls == "divisible":
             if m % 2 != 0:
                 raise GradingError("orbit with sign -1 requires an even modulus")
             c += m // 2
-            negative_orbits.append(scaff.fibers[index][0])
+            negative_orbits.append(rr.fiber[0])
         hits = _degrees(k, c, m)
         if len(hits) != k:
             raise GradingError(
@@ -171,7 +173,7 @@ def crosscheck(td: TwistedDatum, x: ApartmentPoint, modulus: int) -> CrosscheckR
         f"of the point order {order} and the twist order {e}",
     )
     den, nums = x.scaled
-    dims, zero, negative_orbits = _graded(td.base, td.twist, den, [m * c for c in nums], m)
+    dims, zero, negative_orbits = _graded(td, den, [m * c for c in nums], m)
     quotient = depth_table(td, x).column(m)
     first_mismatch = next((d for d in range(m) if dims[-d % m] != quotient[d]), None)
     h = quotient_datum(td, x)

@@ -210,11 +210,10 @@ def _freudenthal(h: ReductiveQuotientDatum, top: tuple[int, ...]) -> dict:
                 if min(new) >= 0:
                     dominant[w[:i] + (w[i] + 1,) + w[i + 1:]] = new
         for n, labels in dominant.items():
+            # positive: n >= 0 is nonzero, every d_i > 0 and both labels dominant
             denom = sum(
                 ni * di * (t + s + 2) for ni, di, t, s in zip(n, d, top, labels)
             )
-            if denom <= 0:
-                continue
             acc = 0
             for k, dk, norm in positives:
                 base = sum(map(mul, dk, labels))

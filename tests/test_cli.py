@@ -1,6 +1,9 @@
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -128,6 +131,10 @@ def test_m_flag_overrides_rho_point(capsys):
     assert code == 1
     assert "point" in err
 
+    code, out, err = run_cli(["stability", "--spec", "catalog:A2:rho_over_m", "--m", "0"], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("input error: field 'point': ") and "Traceback" not in err
+
 
 def test_bad_modulus_rejected(tmp_path, capsys):
     spec = tmp_path / "spec.json"
@@ -210,14 +217,18 @@ def test_quotient_3d4_lists_g2(capsys):
         ({"point": {"name": "rho_over_m", "m": True}}, "point"),
         ({"automorphism": [True, False]}, "automorphism"),
         ({"lambda_valuations": {"a": "0"}}, "lambda_valuations"),
+        # normalize_spec reads the Cartan matrix only to build a default
+        # automorphism, so realize names this dynkin
+        ({"dynkin": "Q5", "automorphism": [0]}, "dynkin"),
     ],
 )
 def test_spec_validation_names_field(tmp_path, capsys, fields, field):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({"dynkin": "A2", **fields}))
-    code, _, err = run_cli(["scan", "--spec", str(spec)], capsys)
-    assert code == 1
+    code, out, err = run_cli(["scan", "--spec", str(spec)], capsys)
+    assert (code, out) == (1, "")
     assert f"input error: field {field!r}" in err
+    assert "Traceback" not in err
 
 
 def test_lambda_off_weyl_orbit_is_an_input_error(tmp_path, capsys):
@@ -403,6 +414,14 @@ UNREADABLE_SPEC_OR_UNWRITABLE_OUT = [
     (["catalog", "--id", "A1", "--out", "{tmp}"], "out"),
     (["catalog", "--id", "A1", "--out", "{tmp}/no/r.json"], "out"),
     (["stability", "--spec", "catalog:A1", "--out", "{tmp}/spec.json/r.json"], "out"),
+    (["scan", "--spec", "{tmp}/missing.json"], "spec"),
+    (["scan", "--spec", "{tmp}/invalid.json"], "spec"),
+    (["scan", "--spec", "{tmp}/array.json"], "spec"),
+    (["scan", "--spec", "catalog:Z9"], "spec"),
+    (["scan", "--spec", "catalog:A2:bogus"], "point"),
+    (["scan", "--spec", "catalog:A2:rho_over_m:extra"], "spec"),
+    (["catalog", "--id", "Z9"], "id"),
+    (["catalog", "--id", "A2", "--point", "bogus"], "point"),
 ]
 
 
@@ -410,26 +429,28 @@ UNREADABLE_SPEC_OR_UNWRITABLE_OUT = [
 def test_unreadable_spec_and_unwritable_out_keep_the_exit_contract(
     tmp_path, capsys, monkeypatch, argv, field
 ):
-    # a directory or a non-UTF-8 file as the spec, a directory or a path under
-    # a missing directory or under a file as the output: exit 1, naming the
-    # field, before the spec is realized and with nothing written
+    # a directory, a missing file, a non-UTF-8 file, invalid JSON or a JSON
+    # array as the spec, a bad catalog id, point or form, and a directory or a
+    # path under a missing directory or under a file as the output: exit 1,
+    # naming the field, before the spec is realized and with nothing written
     def realize(spec):
         raise PropertyViolation("realize ran before the output was checked")
 
     monkeypatch.setattr(cli, "realize", realize)
     (tmp_path / "latin1.json").write_bytes('{"dynkin": "A\u00e9"}'.encode("latin-1"))
     (tmp_path / "spec.json").write_text("{}")
+    (tmp_path / "invalid.json").write_text('{"dynkin": "A2",')
+    (tmp_path / "array.json").write_text('["A2"]')
     before = sorted(tmp_path.rglob("*"))
     code, out, err = run_cli([a.replace("{tmp}", str(tmp_path)) for a in argv], capsys)
     assert (code, out) == (1, "")
     assert err.startswith(f"input error: field {field!r}: "), err
+    assert "Traceback" not in err
     assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_scan_builds_the_datum_once(tmp_path, capsys, monkeypatch):
     # normalize_spec reads the rank off the Cartan matrix; only realize builds
-    import sys
-
     from parahoric import rootdata
 
     original = rootdata.build_datum
@@ -447,3 +468,78 @@ def test_scan_builds_the_datum_once(tmp_path, capsys, monkeypatch):
     code, _, _ = run_cli(["scan", "--spec", str(spec)], capsys)
     assert code == 0
     assert calls == [("B3", "adjoint")]
+
+
+# ---------------------------------------------------------------------------
+# the remaining exit paths of the contract
+
+
+def test_an_explicit_modulus_is_reported(capsys):
+    code, out, _ = run_cli(["grade", "--spec", "catalog:2A2", "--M", "4"], capsys)
+    assert code == 0
+    grading = json.loads(out)["grading"]
+    assert grading["modulus"] == 4 and grading["crosscheck"] is True
+
+
+def test_a_write_that_fails_after_the_check_names_out(tmp_path, capsys, monkeypatch):
+    def refuse(self, *args, **kwargs):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli.Path, "write_text", refuse)
+    for argv in (["scan", "--spec", "catalog:A1"], ["catalog", "--id", "A1"]):
+        code, out, err = run_cli(argv + ["--out", str(tmp_path / "r.json")], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("input error: field 'out': "), err
+        assert "disk full" in err and "Traceback" not in err
+
+
+def test_catalog_lists_the_ten_ids_sorted(capsys):
+    code, out, err = run_cli(["catalog"], capsys)
+    assert (code, err) == (0, "")
+    assert out == "2A2\n2A3\n2D4\n3D4\nA1\nA2\nB2\nC3\nD4\nG2\n"
+
+
+def _failed_crosscheck(td, x, modulus):
+    from parahoric.vinberg import CrosscheckResult
+
+    return CrosscheckResult(
+        ok=False, modulus=modulus, dims=(), quotient_dims=(), first_mismatch=0,
+        roots_match=True, negative_sign_orbits=(),
+    )
+
+
+@pytest.mark.parametrize(
+    "command,target,broken,key",
+    [
+        ("scan", "cli.algebra_dimension", lambda td: 0, "scan"),
+        ("grade", "vinberg.crosscheck", _failed_crosscheck, "grading"),
+        ("decompose", "weylmod.Decomposition.dimensions_match", lambda _: False, "decomposition"),
+        ("decompose", "weylmod.split_span_check", lambda *_: False, "decomposition"),
+    ],
+)
+def test_a_failed_property_check_exits_2_with_its_report(
+    tmp_path, capsys, monkeypatch, command, target, broken, key
+):
+    # the sum rule, the crosscheck, the decomposition dimensions and the span
+    # check each decide exit 2, and the report is still written
+    monkeypatch.setattr(f"parahoric.{target}", broken)
+    spec = tmp_path / "spec.json"
+    point = {"name": "rho_over_m", "m": 3}
+    spec.write_text(json.dumps({"dynkin": "A2", "point": point, "r": "1/3"}))
+    code, out, err = run_cli([command, "--spec", str(spec)], capsys)
+    assert (code, err) == (2, "")
+    assert key in json.loads(out)
+
+
+def test_the_module_runs_as_a_script():
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parent.parent)}
+    def run(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "parahoric.cli", *argv], env=env, capture_output=True, text=True
+        )
+
+    done = run("catalog")
+    assert (done.returncode, done.stdout.split(), done.stderr) == (0, sorted(cli.CATALOG), "")
+    done = run("scan", "--spec", "catalog:Z9")
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr.startswith("input error: field 'spec': ")

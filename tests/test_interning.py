@@ -13,15 +13,13 @@ from parahoric.rootdata import build_automorphism, build_datum
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "parahoric"
 
-# Per-point results (bounded by DEPTH_TABLE_CACHE), the scaffold that
-# ``vinberg.grading`` reads without a twisted datum, the Weyl group and coset
-# scans and the Chevalley-basis oracle.
+# Per-point results (bounded by DEPTH_TABLE_CACHE), the scaffold of a
+# (datum, twist) pair, the Weyl group and the Chevalley-basis oracle.
 CACHED = {
     "echelonnage.depth_table",
     "stability._reduced_reference",
     "echelonnage._scaffold",
     "rootdata.weyl_elements",
-    "stability.elliptic_zregular_orders",
     "chevalley.structure_constants",
     "chevalley.pinned_automorphism",
 }
@@ -109,8 +107,21 @@ def test_only_the_listed_functions_keep_a_module_level_cache():
         assert sum(isinstance(n.ctx, ast.Load) for n in reads) == sum(
             _names(fn.decorator_list, {"DEPTH_TABLE_CACHE"}) for fn in _functions(tree)
         ), f"{path.name}: DEPTH_TABLE_CACHE read outside a cache bound"
-    assert decorated <= CACHED, sorted(decorated - CACHED)
+    assert decorated == CACHED, sorted(decorated ^ CACHED)
     assert bounded == BOUNDED
+
+
+def test_no_module_imports_a_private_name_from_another():
+    # a name with one leading underscore belongs to its own module
+    private = [
+        f"{path.name}: {node.module}.{alias.name}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom) and node.level
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.startswith("__")
+    ]
+    assert private == []
 
 
 def _unused_imports(path):

@@ -345,7 +345,6 @@ def test_stable_verdict_never_enumerates_w(desc, perm, m, monkeypatch):
     expected = scan_zregular_orders(d, auto)[m]
     td = twisted(d, auto)
     monkeypatch.delitem(vars(td), "regular_witnesses", raising=False)
-    elliptic_zregular_orders.cache_clear()
 
     def refuse(*args, **kwargs):
         raise AssertionError("weyl_elements called")

@@ -473,9 +473,10 @@ def test_per_orbit_grading_matches_per_root_loop(name):
         base = lcm(point_order(td, x), twist.order)
         for m in (base, 2 * base):
             lam_num = [m * c for c in nums]
-            dims, zero, negative = _graded(datum, twist, den, lam_num, m)
+            dims, zero, negative = _graded(td, den, lam_num, m)
             assert (dims, zero, negative) == graded_per_root(datum, twist, den, lam_num, m)
     # 2 / 4 on the first simple root: both readings refuse the cocharacter
-    for graded in (_graded, graded_per_root):
-        with pytest.raises(GradingError, match="does not pair integrally"):
-            graded(datum, twist, 4, datum.simple_coroots[0], 2 * twist.order)
+    with pytest.raises(GradingError, match="does not pair integrally"):
+        _graded(td, 4, datum.simple_coroots[0], 2 * twist.order)
+    with pytest.raises(GradingError, match="does not pair integrally"):
+        graded_per_root(datum, twist, 4, datum.simple_coroots[0], 2 * twist.order)
