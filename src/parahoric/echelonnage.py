@@ -27,6 +27,7 @@ from functools import cached_property, lru_cache
 from itertools import combinations
 from math import gcd, lcm
 from operator import attrgetter, mul
+from weakref import WeakValueDictionary
 
 from .exactmath import (
     InputError,
@@ -232,6 +233,14 @@ class TwistedDatum:
         return matrix_rank(self.integer_keys)
 
     @cached_property
+    def depth_tables(self) -> WeakValueDictionary:
+        """The depth tables of this datum by binning key, filled by
+        ``depth_table``: points with the same binning share one table.  The
+        map is weak, so a table lives only while a point's cache entry or a
+        caller holds it."""
+        return WeakValueDictionary()
+
+    @cached_property
     def quotients(self) -> dict:
         """Reductive quotient data by depth-0 root set (the indices of its
         roots in ``restricted``), filled by ``mpquotient``."""
@@ -428,14 +437,6 @@ def restrict(td: TwistedDatum) -> tuple[RestrictedRoot, ...]:
     return td.restricted
 
 
-def restricted_by_key(td: TwistedDatum) -> dict:
-    return td.by_key
-
-
-def simple_restricted_keys(td: TwistedDatum) -> tuple[Vec, ...]:
-    return td.simple_keys
-
-
 @frozen_record
 class ApartmentPoint:
     """Displacement x - x0, a rational vector fixed by the twist, as integer
@@ -525,11 +526,42 @@ class DepthTable:
     (``roots[k]``, in key order; empty residues are left out) and a torus
     part of dimension ``torus_jump_dim``.  Every valuation step divides 1, so
     the root part repeats mod 1, and a depth off the (1/N)Z grid has none.
+
+    The table is interned per binning (``depth_table``), so what is read
+    off it alone is computed once for all the points that share it: its
+    jumps, and the results its readers keep with ``kept``.
     """
 
     td: TwistedDatum
     order: int
     roots: dict[int, tuple[RestrictedRoot, ...]]
+
+    @cached_property
+    def results(self) -> dict:
+        """The results kept by ``kept``, keyed by reader and depth."""
+        return {}
+
+    @cached_property
+    def unit(self) -> int:
+        """The common denominator of the jumps: the point order and the
+        orders of the twist eigenvalues."""
+        return lcm(self.order, *self.td.twist.spectrum)
+
+    def kept(self, name: str, r: Fraction, build):
+        """``build()``, the result of reader ``name`` at depth r, which must
+        be a function of this table and r alone.  It is kept for a depth in
+        [0, 1] over ``unit`` (every jump, and 1, the first jump of a point
+        with none in (0, 1)), so a table keeps at most unit + 1 results per
+        reader however many depths its points are asked about; any other
+        depth is built afresh.  The key holds integers, not a Fraction."""
+        num, den = r.numerator, r.denominator
+        if not (0 <= num <= den and self.unit % den == 0):
+            return build()
+        key = name, num, den
+        result = self.results.get(key)
+        if result is None:
+            result = self.results[key] = build()
+        return result
 
     def at(self, r) -> tuple[tuple[RestrictedRoot, ...], int]:
         """The roots and the torus dimension of the quotient at depth r."""
@@ -563,7 +595,7 @@ class DepthTable:
     @cached_property
     def _jumps(self) -> tuple[Fraction, ...]:
         spectrum = self.td.twist.spectrum
-        unit = lcm(self.order, *spectrum)  # the depths as integers over unit
+        unit = self.unit  # the depths as integers over unit
         depths = {k * (unit // self.order) for k in self.roots}
         for d in spectrum:
             depths.update(j * (unit // d) for j in range(d) if gcd(j, d) == 1)
@@ -572,7 +604,8 @@ class DepthTable:
 
 @lru_cache(maxsize=DEPTH_TABLE_CACHE)
 def depth_table(td: TwistedDatum, x: ApartmentPoint) -> DepthTable:
-    """Bin every affine root at x by its depth, once per (datum, point).
+    """Bin every affine root at x by its depth, once per (datum, point), and
+    once per binning: the table is interned in ``td.depth_tables``.
 
     N is the lcm of the denominators of every affine-root value a(x - x0) + o
     (o the offset of the valuation set of a) and of every valuation step, so
@@ -581,7 +614,8 @@ def depth_table(td: TwistedDatum, x: ApartmentPoint) -> DepthTable:
 
     With x = nums / D, every value and step times T = q D is an integer u
     (a(x - x0) = <orbit sum, nums> / (e D)), so N = T / gcd(T, the u) and the
-    residue of a progression is u / gcd mod N*step.
+    residue of a progression is u / gcd mod N*step.  N and the first residue
+    of each root fix the bins: they are the key of the table.
     """
     q, unit, rows = td.affine_rows
     den, nums = x.scaled
@@ -592,12 +626,15 @@ def depth_table(td: TwistedDatum, x: ApartmentPoint) -> DepthTable:
         g = gcd(g, u)
         values.append(u)
     n = q * den // g
-    bins: dict[int, list[RestrictedRoot]] = {}
-    for (rr, _, _, _, period), u in zip(rows, values):
-        step = n // period
-        for k in range(u // g % step, n, step):
-            bins.setdefault(k, []).append(rr)
-    return DepthTable(td, n, {k: tuple(v) for k, v in bins.items()})
+    key = (n, *(u // g % (n // row[4]) for row, u in zip(rows, values)))
+    table = td.depth_tables.get(key)
+    if table is None:
+        bins: dict[int, list[RestrictedRoot]] = {}
+        for (rr, *_, period), first in zip(rows, key[1:]):
+            for k in range(first, n, n // period):
+                bins.setdefault(k, []).append(rr)
+        table = td.depth_tables[key] = DepthTable(td, n, {k: tuple(v) for k, v in bins.items()})
+    return table
 
 
 def point_order(td: TwistedDatum, x: ApartmentPoint) -> int:
@@ -673,16 +710,6 @@ def alcove_reduce(td: TwistedDatum, x: ApartmentPoint) -> ApartmentPoint:
         f"field 'point': alcove reduction did not terminate within "
         f"{ALCOVE_ITERATION_CAP} passes"
     )
-
-
-def affine_reflect(td: TwistedDatum, x: ApartmentPoint, rr: RestrictedRoot, level) -> ApartmentPoint:
-    """Reflection of x across the hyperplane where the affine root
-    a(.) + level vanishes (level must lie in the jump set of a)."""
-    level = Fraction(level)
-    if not rr.jump_set.member(level):
-        raise EchelonnageError("level is not an affine-root level for this root")
-    t = evaluate(rr.key, x) + level
-    return ApartmentPoint.from_coords(vec_sub(x.coords, vec_scale(t, rr.coroot)))
 
 
 # ---------------------------------------------------------------------------

@@ -354,13 +354,6 @@ def integer_inverse(a: IntMatrix) -> tuple[int, IntMatrix]:
     return d // g, tuple(tuple(x // g for x in row[n:]) for row in m)
 
 
-def invert_unimodular(a: IntMatrix) -> IntMatrix:
-    den, inverse = integer_inverse(a)
-    if den != 1:
-        raise ExactMathError("matrix inverse is not integral")
-    return inverse
-
-
 # ---------------------------------------------------------------------------
 # valuation sets
 

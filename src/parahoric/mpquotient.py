@@ -4,14 +4,18 @@ filtration quotients attached to an apartment point.
 The quotient at depth r is modeled by its torus dimension (an eigenvalue
 multiplicity of the twist on the cocharacter lattice) plus one line for each
 restricted root a with r - a(x - x0) in the valuation set of a.  Every query
-here reads the depth table of the point (``echelonnage.depth_table``).
+here reads the depth table of the point (``echelonnage.depth_table``).  The
+quotients depend on the point only through that table, which points with
+the same binning share, so ``mp_quotient`` keeps its report for each depth
+on the table (``DepthTable.kept``) and builds it once per table.
 
 The reductive quotient depends on the point only through its depth-0 root
 set, so ``quotient_datum`` returns one shared datum per (datum, root set),
 kept on the twisted datum (``TwistedDatum.quotients``): its checks, its
 integer coordinate data (C^-1 over one denominator, from the fraction-free
 ``exactmath.integer_inverse``) and the characters ``weylmod`` memoizes on it
-are computed once for every point with that root set.
+are computed once for every point with that root set.  That map is the
+one owner of the quotient data: a depth table keeps none of its own.
 """
 from __future__ import annotations
 
@@ -204,13 +208,20 @@ def quotient_datum(td: TwistedDatum, x: ApartmentPoint) -> ReductiveQuotientDatu
 
 
 def mp_quotient(td: TwistedDatum, x: ApartmentPoint, r) -> MPQuotientReport:
+    """The quotient at depth r.  It is read off the depth table alone, so
+    the table keeps it: every point with the same binning gets one report."""
     if not isinstance(r, Fraction):
         r = Fraction(r)
-    roots, torus = depth_table(td, x).at(r)
-    part = tuple(rr.key for rr in roots)
-    return MPQuotientReport(
-        r=r, torus_dim=torus, root_part=part, total_dim=torus + len(part)
-    )
+    table = depth_table(td, x)
+
+    def build():
+        roots, torus = table.at(r)
+        part = tuple(rr.key for rr in roots)
+        return MPQuotientReport(
+            r=r, torus_dim=torus, root_part=part, total_dim=torus + len(part)
+        )
+
+    return table.kept("mp_quotient", r, build)
 
 
 def first_jump(td: TwistedDatum, x: ApartmentPoint) -> Fraction:

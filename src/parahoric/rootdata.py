@@ -359,13 +359,6 @@ def weyl_elements(datum: RootDatum, cap: int = WEYL_CAP_DEFAULT) -> tuple[IntMat
     return tuple(sorted(weyl_walk(datum)))
 
 
-def dual_action(matrix: IntMatrix) -> IntMatrix:
-    """Matrix of the contragredient action on the cocharacter lattice."""
-    from .exactmath import invert_unimodular
-
-    return transpose(invert_unimodular(matrix))
-
-
 @frozen_record
 class DiagramAutomorphism:
     """A Dynkin diagram symmetry as a lattice automorphism.

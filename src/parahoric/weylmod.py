@@ -22,7 +22,6 @@ from .echelonnage import (
     ApartmentPoint,
     TwistedDatum,
     depth_table,
-    restrict,
     twisted,
 )
 from .exactmath import PropertyViolation, Vec, clear_denominators, closure, frozen_record, pair
@@ -89,10 +88,6 @@ def phi_xr_max(
         shifts = [td.integer_keys[td.by_key[b].index] for b in positives]
     support = _support(td, x, r)
     return frozenset(support[s] for s in _maximal(support, shifts))
-
-
-def ambient_positive_keys(td: TwistedDatum) -> tuple[Vec, ...]:
-    return tuple(rr.key for rr in restrict(td) if rr.positive)
 
 
 # ---------------------------------------------------------------------------
@@ -286,8 +281,16 @@ class Decomposition:
 
 def decompose(td: TwistedDatum, x: ApartmentPoint, r) -> Decomposition:
     """Decompose the depth-r quotient into highest-weight pieces for the
-    reductive quotient by exact character subtraction."""
+    reductive quotient by exact character subtraction.
+
+    The decomposition reads only the depth table of x and the quotient
+    datum, itself fixed by that table, so it is kept on the table for every
+    point that shares it."""
     r = r if isinstance(r, Fraction) else Fraction(r)
+    return depth_table(td, x).kept("decompose", r, lambda: _decompose(td, x, r))
+
+
+def _decompose(td: TwistedDatum, x: ApartmentPoint, r: Fraction) -> Decomposition:
     h = quotient_datum(td, x)
     report = mp_quotient(td, x, r)
     support = _support(td, x, r)

@@ -10,7 +10,9 @@ same inverse as integers over the same least common denominator; and for the
 finite-order spectra read off matrix powers and ranks:
 ``cyclotomic_multiplicities`` and ``matrix_order`` must agree with the
 factorised characteristic polynomial, ``stability.regular_by_eigenvector``
-with the kernel of the cyclotomic evaluation.
+with the kernel of the cyclotomic evaluation.  The contragredient action of
+a lattice automorphism (the transposed integer inverse) is kept here too:
+the package itself never needs it.
 """
 from fractions import Fraction
 from functools import lru_cache
@@ -22,9 +24,11 @@ from parahoric.exactmath import (
     Vec,
     det_bareiss,
     identity_matrix,
+    integer_inverse,
     mat_mul,
     mat_pow,
     pair,
+    transpose,
 )
 
 
@@ -245,3 +249,16 @@ def kernel_regular(a: IntMatrix, coroots, order: int) -> bool:
         power = mat_mul(power, a)
     kernel = kernel_basis(acc)
     return bool(kernel) and all(any(pair(v, c) for v in kernel) for c in coroots)
+
+
+def invert_unimodular(a: IntMatrix) -> IntMatrix:
+    """The inverse of an integer matrix whose inverse is integral."""
+    den, inverse = integer_inverse(a)
+    if den != 1:
+        raise ExactMathError("matrix inverse is not integral")
+    return inverse
+
+
+def dual_action(matrix: IntMatrix) -> IntMatrix:
+    """Matrix of the contragredient action on the cocharacter lattice."""
+    return transpose(invert_unimodular(matrix))

@@ -5,6 +5,10 @@ restricted root, the base-alcove facets by a rational search, alcove
 reduction by rational reflections, and points built from rational coroot
 multiples.
 
+It also holds the rational affine reflection that the reduction tests use
+to walk a point through its affine-Weyl orbit; the package itself never
+reflects a point.
+
 Kept as an oracle for the integer forms in ``echelonnage``, which must give
 the same scaffold, the same point order, the same bins (root order
 included), the same facets and the same reduced points.
@@ -19,8 +23,6 @@ from parahoric.echelonnage import (
     _Scaffold,
     evaluate,
     restrict,
-    restricted_by_key,
-    simple_restricted_keys,
 )
 from parahoric.exactmath import (
     mat_vec,
@@ -198,9 +200,19 @@ def alcove_reduce_oracle(td, x):
     raise EchelonnageError("alcove reduction did not terminate")
 
 
+def affine_reflect(td, x, rr, level):
+    """Reflection of x across the hyperplane where the affine root
+    a(.) + level vanishes (level must lie in the jump set of a)."""
+    level = Fraction(level)
+    if not rr.jump_set.member(level):
+        raise EchelonnageError("level is not an affine-root level for this root")
+    t = evaluate(rr.key, x) + level
+    return ApartmentPoint.from_coords(vec_sub(x.coords, vec_scale(t, rr.coroot)))
+
+
 def point_from_simple_coroots_oracle(td, coefficients):
-    by_key = restricted_by_key(td)
-    simples = simple_restricted_keys(td)
+    by_key = td.by_key
+    simples = td.simple_keys
     coeffs = [Fraction(c) for c in coefficients]
     if len(coeffs) != len(simples):
         raise EchelonnageError(

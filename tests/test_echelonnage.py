@@ -11,7 +11,6 @@ from parahoric.catalog import catalog_datum, catalog_ids, named_point
 from parahoric.echelonnage import (
     EchelonnageError,
     _scaffold,
-    affine_reflect,
     alcove_reduce,
     alcove_vertices,
     apartment_point,
@@ -22,8 +21,6 @@ from parahoric.echelonnage import (
     point_from_simple_coroots,
     point_order,
     restrict,
-    restricted_by_key,
-    simple_restricted_keys,
     twisted,
 )
 from parahoric.exactmath import (
@@ -38,7 +35,7 @@ from parahoric.exactmath import (
 from parahoric.rootdata import build_automorphism, build_datum
 
 from matrix_oracle import invert_matrix, kernel_basis
-from point_oracle import rational_alcove, scaffold_oracle, walls_oracle
+from point_oracle import affine_reflect, rational_alcove, scaffold_oracle, walls_oracle
 
 F = Fraction
 
@@ -131,7 +128,7 @@ def test_doubling_disjointness():
     rng = random.Random(5)
     for lam in (0, F(-1, 2), F(-1), F(-3, 2)):
         td = td_2a2({0: lam} if lam else None)
-        by_key = restricted_by_key(td)
+        by_key = td.by_key
         mult = [rr for rr in by_key.values() if rr.cls == "multipliable"]
         for rr in mult:
             double = by_key[tuple(2 * x for x in rr.key)]
@@ -187,7 +184,7 @@ def test_alcove_reduce_idempotent_and_invariant():
 def test_alcove_reduce_translation_invariance():
     td = twisted(build_datum("A2"))
     x = rho_check_point(td, 3)
-    by_key = restricted_by_key(td)
+    by_key = td.by_key
     some = next(rr for rr in by_key.values() if rr.positive)
     coroot = some.coroot
     translated = apartment_point(
@@ -208,7 +205,7 @@ def test_companion_shift_2a2_displacement():
     td = td_2a2({0: F(-1, 2)})
     td_tame, xq = companion_shift(td, origin(td))
     assert td_tame.is_tame
-    by_key = restricted_by_key(td)
+    by_key = td.by_key
     mult = next(rr for rr in by_key.values() if rr.cls == "multipliable" and rr.positive)
     coroot = mult.coroot
     expected = tuple(F(1, 8) * c for c in coroot)
@@ -219,14 +216,14 @@ def test_companion_shift_2a2_displacement():
 def test_companion_shift_membership_equivalence(lam):
     td = td_2a2({0: lam})
     rng = random.Random(int(lam * 2))
-    by_key = restricted_by_key(td)
+    by_key = td.by_key
     mult = next(rr for rr in by_key.values() if rr.cls == "multipliable" and rr.positive)
     coroot = mult.coroot
     for _ in range(50):
         t = F(rng.randint(-8, 8), rng.choice((1, 2, 4, 8)))
         x = apartment_point(td, tuple(t * c for c in coroot))
         td_tame, xq = companion_shift(td, x)
-        tame_by_key = restricted_by_key(td_tame)
+        tame_by_key = td_tame.by_key
         key = rng.choice(list(by_key))
         r = F(rng.randint(-24, 24), rng.choice((1, 2, 3, 4, 6, 8)))
         lhs = by_key[key].jump_set.member(r - evaluate(key, x))
@@ -237,10 +234,10 @@ def test_companion_shift_membership_equivalence(lam):
 
 def test_point_from_simple_coroots():
     td = td_2a2()
-    simples = simple_restricted_keys(td)
+    simples = td.simple_keys
     assert len(simples) == 1
     x = point_from_simple_coroots(td, [F(1, 8)])
-    by_key = restricted_by_key(td)
+    by_key = td.by_key
     mult = by_key[simples[0]]
     assert mult.cls == "multipliable"
     assert evaluate(mult.key, x) == F(1, 4)
@@ -351,7 +348,7 @@ def test_alcove_reduce_huge_translation(cid):
     td = catalog_datum(cid)
     rng = random.Random(cid)
     positives = [rr for rr in restrict(td) if rr.positive]
-    count = len(simple_restricted_keys(td))
+    count = len(td.simple_keys)
     for _ in range(5):
         coeffs = [F(rng.randint(-40, 40), rng.randint(1, 4)) for _ in range(count)]
         x = point_from_simple_coroots(td, coeffs)
@@ -396,7 +393,7 @@ def _stated_progression(td, rr):
         return ValuationSet.lattice(F(1, rr.orbit_size))
     if rr.cls == "multipliable":
         return ValuationSet.lattice(F(1, rr.orbit_size), lam(rr.key) / 2)
-    half = restricted_by_key(td)[tuple(c / 2 for c in rr.key)]
+    half = td.by_key[tuple(c / 2 for c in rr.key)]
     return ValuationSet.lattice(F(2, half.orbit_size), lam(half.key) + F(1, half.orbit_size))
 
 
@@ -406,7 +403,7 @@ def test_each_valuation_set_is_one_stated_progression(name):
     the halved 2a-levels: the base-alcove search counts the hyperplanes of a
     and of 2a separately."""
     td, _ = ALCOVE_DATA[name]
-    by_key = restricted_by_key(td)
+    by_key = td.by_key
     for rr in restrict(td):
         assert rr.jump_set == _stated_progression(td, rr)
         if rr.cls != "multipliable":
@@ -426,7 +423,7 @@ def test_each_valuation_set_is_one_stated_progression(name):
 @pytest.mark.parametrize("name", list(ALCOVE_DATA))
 def test_base_alcove_matches_all_walls_oracle(name):
     td, components = ALCOVE_DATA[name]
-    rank = len(simple_restricted_keys(td))
+    rank = len(td.simple_keys)
     assert len(td.integer_alcove.facets) == rank + components
     assert {(key, level) for key, level, _ in rational_alcove(td)[0]} == walls_oracle(td)
     assert tuple(v.coords for v in alcove_vertices(td)) == alcove_vertices_oracle(td)
@@ -456,7 +453,7 @@ def test_barycenter_reach(dynkin, auto):
     datum = build_datum(dynkin)
     td = twisted(datum, None if auto is None else build_automorphism(datum, auto))
     assert {(key, level) for key, level, _ in rational_alcove(td)[0]} == walls_oracle(td)
-    assert len(alcove_vertices(td)) == len(simple_restricted_keys(td)) + 1
+    assert len(alcove_vertices(td)) == len(td.simple_keys) + 1
     x = named_point(td, "barycenter")
     assert in_base_alcove(td, x)
     assert alcove_reduce(td, x) == x

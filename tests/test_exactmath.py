@@ -15,7 +15,6 @@ from parahoric.exactmath import (
     det_bareiss,
     identity_matrix,
     integer_inverse,
-    invert_unimodular,
     mat_mul,
     matrix_order,
     matrix_rank,
@@ -27,15 +26,16 @@ from parahoric.rootdata import (
     build_automorphism,
     build_datum,
     cartan_matrix,
-    dual_action,
 )
 
 from matrix_oracle import (
     charpoly,
     charpoly_multiplicities,
     cyclotomic_polynomial,
+    dual_action,
     euler_phi,
     invert_matrix,
+    invert_unimodular,
     kernel_basis,
     solve_linear,
 )

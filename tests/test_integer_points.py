@@ -19,7 +19,6 @@ from parahoric.echelonnage import (
     origin,
     point_from_simple_coroots,
     restrict,
-    simple_restricted_keys,
     twisted,
 )
 from parahoric.exactmath import mat_vec, vec_add, vec_scale
@@ -57,7 +56,7 @@ def _coefficients(name, td):
     """40 seeded coefficient lists, then two over 1/1000000007 and two of
     size 10**400."""
     rng = random.Random(name)
-    count = len(simple_restricted_keys(td))
+    count = len(td.simple_keys)
     out = [[F(rng.randint(-40, 40), rng.randint(1, 12)) for _ in range(count)] for _ in range(40)]
     out += [[F(rng.randint(-BIG_PRIME, BIG_PRIME), BIG_PRIME) for _ in range(count)] for _ in range(2)]
     out += [[F(rng.choice((-1, 1)) * 10**400 + rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(count)]

@@ -2,14 +2,29 @@
 tables live on the interned objects, and only the listed functions keep a
 module-level cache."""
 import ast
+import gc
 import random
 from fractions import Fraction as F
 from pathlib import Path
+from weakref import WeakValueDictionary
 
-from parahoric import mpquotient
-from parahoric.echelonnage import companion_shift, origin, point_from_simple_coroots, twisted
-from parahoric.mpquotient import quotient_datum
+from parahoric import mpquotient, vinberg
+from parahoric.echelonnage import (
+    DEPTH_TABLE_CACHE,
+    apartment_point,
+    companion_shift,
+    depth_table,
+    origin,
+    point_from_simple_coroots,
+    point_order,
+    twisted,
+)
+from parahoric.exactmath import vec_add
+from parahoric.mpquotient import first_jump, jump_values, mp_quotient, quotient_datum
 from parahoric.rootdata import build_automorphism, build_datum
+from parahoric.vinberg import crosscheck
+from parahoric.weylmod import decompose
+from warm_points import warm_sweep
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "parahoric"
 
@@ -72,6 +87,119 @@ def test_a_sweep_over_many_root_sets_builds_each_quotient_once(monkeypatch):
     assert len(keys) > 32
     assert len(builds) == len(keys)
     assert all(a is b for a, b in zip(first, second))
+
+
+def _translate(td, x, shift):
+    """x plus an integer combination of the restricted simple coroots: every
+    root value moves by an integer, so the binning stays."""
+    return apartment_point(td, vec_add(x.coords, point_from_simple_coroots(td, shift).coords))
+
+
+def test_points_with_one_binning_share_one_table():
+    td = twisted(build_datum("A2"))
+    x = point_from_simple_coroots(td, (F(1, 3), F(1, 3)))
+    y = _translate(td, x, (1, -1))
+    assert y != x and depth_table(td, y) is depth_table(td, x)
+    assert depth_table(td, point_from_simple_coroots(td, (F(1, 2), F(1, 3)))) is not depth_table(td, x)
+    # over the whole seed-0 warm sweep (every catalog datum, the wild 2A2 and
+    # 2A4 and four more), equal bins are one object while the tables are held
+    tables = [depth_table(td, x) for td, x in warm_sweep(0)]
+    ids = {}
+    for t in tables:
+        ids.setdefault((t.td, t.order, tuple(sorted(t.roots.items()))), set()).add(id(t))
+    assert len(tables) == 960 and len(ids) == 284
+    assert all(len(same) == 1 for same in ids.values())
+
+
+def test_interned_bins_equal_a_fresh_binning(monkeypatch):
+    # at seeded points and their translates, on every datum of the warm
+    # sweep: the table served equals one binned with an empty intern map
+    rng = random.Random("interned bins")
+    compared = shared = 0
+    for td, x in warm_sweep(1, 12):
+        table = depth_table(td, x)
+        shift = [rng.randint(-3, 3) for _ in td.simple_keys]
+        moved = depth_table(td, _translate(td, x, shift))
+        shared += moved is table
+        for point, served in ((x, table), (_translate(td, x, shift), moved)):
+            with monkeypatch.context() as m:
+                m.setitem(vars(td), "depth_tables", WeakValueDictionary())
+                fresh = depth_table.__wrapped__(td, point)
+            assert fresh is not served
+            assert (fresh.order, fresh.roots) == (served.order, served.roots)
+            compared += 1
+    assert shared == compared // 2 == 16 * 12
+
+
+def _kept_results(td, x):
+    """Every reader that keeps a result on the depth table of x, once."""
+    return (
+        [mp_quotient(td, x, r) for r in jump_values(td, x)],
+        [decompose(td, x, r) for r in (first_jump(td, x), F(1, 2))],
+    )
+
+
+def test_kept_results_equal_ones_computed_after_they_are_cleared():
+    kinds = set()
+    for td, x in warm_sweep(0, 10):
+        table = depth_table(td, x)
+        first = _kept_results(td, x)
+        kept = dict(table.results)
+        assert kept  # the readers kept their results on the table
+        table.results.clear()
+        vars(table).pop("_jumps", None)
+        assert _kept_results(td, x) == first
+        # other points of the table may have kept more
+        assert table.results and table.results.items() <= kept.items()
+        kinds.update(name for name, *_ in table.results)
+    assert kinds == {"mp_quotient", "decompose"}
+
+
+def test_a_table_keeps_a_bounded_number_of_results():
+    # depths off the grid of the jumps, or outside [0, 1], are built afresh
+    # each time; the table keeps at most one result per reader and grid depth
+    rng = random.Random("kept results")
+    td = twisted(build_datum("B3"))
+    x = point_from_simple_coroots(td, (F(1, 4), F(1, 3), F(1, 6)))
+    table = depth_table(td, x)
+    table.results.clear()
+    depths = [*table.jumps(), *(F(rng.randint(-50, 50), rng.randint(1, 60)) for _ in range(400))]
+    reports = [mp_quotient(td, x, r) for r in depths]
+    for r in depths[:40]:
+        decompose(td, x, r)
+    grid = {(r.numerator, r.denominator) for r in depths if 0 <= r <= 1 and table.unit % r.denominator == 0}
+    assert table.results and {(num, den) for _, num, den in table.results} <= grid
+    assert len(table.results) <= 2 * (table.unit + 1) < len(depths)
+    assert reports == [mp_quotient(td, x, r) for r in depths]
+
+
+def test_crosscheck_grades_every_point_of_a_shared_table(monkeypatch):
+    # the grading is the independent check against the table: it is never
+    # kept, so each point is graded even where its table is shared
+    graded = []
+    real = vinberg._graded
+    monkeypatch.setattr(vinberg, "_graded", lambda *args: graded.append(args) or real(*args))
+    td = twisted(build_datum("B3"))
+    x = point_from_simple_coroots(td, (F(1, 4), F(1, 3), F(1, 6)))
+    points = [x] + [_translate(td, x, shift) for shift in ((1, 0, 0), (0, -2, 1), (3, 1, -1))]
+    assert len({id(depth_table(td, y)) for y in points}) == 1
+    for y in points:
+        assert crosscheck(td, y, point_order(td, y))
+    assert len(graded) == len(points)
+
+
+def test_the_intern_map_holds_no_more_tables_than_the_point_cache():
+    td = twisted(build_datum("B3"))
+    rng = random.Random("B3 intern map")
+    points = [
+        point_from_simple_coroots(td, [F(rng.randint(-12, 12), rng.randint(1, 9)) for _ in range(3)])
+        for _ in range(150)
+    ]
+    tables = [depth_table(td, x) for x in points]
+    assert len(td.depth_tables) >= len({id(t) for t in tables}) > DEPTH_TABLE_CACHE
+    del points, tables
+    gc.collect()
+    assert len(td.depth_tables) <= DEPTH_TABLE_CACHE
 
 
 def _functions(tree):

@@ -15,7 +15,6 @@ from parahoric.echelonnage import (
     point_from_simple_coroots,
     point_order,
     restrict,
-    simple_restricted_keys,
     twisted,
 )
 from parahoric.exactmath import cyclotomic_multiplicities
@@ -242,7 +241,7 @@ def oracle_points(name, td):
     m = CATALOG[name]["rho_m"] if name in CATALOG else WILD[name][1]
     points = [origin(td), rho_point(td, m)]
     rng = random.Random(name)
-    count = len(simple_restricted_keys(td))
+    count = len(td.simple_keys)
     for _ in range(5):
         coeffs = [F(rng.randint(-12, 12), rng.randint(1, 6)) for _ in range(count)]
         points.append(point_from_simple_coroots(td, coeffs))

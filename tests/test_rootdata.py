@@ -3,6 +3,7 @@ from math import factorial
 
 import pytest
 
+from matrix_oracle import dual_action
 from parahoric.exactmath import mat_vec, matrix_order, pair
 from parahoric.rootdata import (
     RootDatumError,
@@ -11,7 +12,6 @@ from parahoric.rootdata import (
     build_datum,
     classical_root_count,
     cycles,
-    dual_action,
     identity_automorphism,
     parse_descriptor,
     weyl_elements,

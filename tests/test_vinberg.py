@@ -16,7 +16,6 @@ from parahoric.echelonnage import (
     origin,
     point_from_simple_coroots,
     point_order,
-    simple_restricted_keys,
     twisted,
 )
 from parahoric.exactmath import cyclotomic_multiplicities, mat_vec, pair
@@ -292,7 +291,7 @@ def orbit_of(auto, root):
 
 def seeded_points(td, count, seed=0, max_den=4):
     rng = random.Random(seed)
-    n = len(simple_restricted_keys(td))
+    n = len(td.simple_keys)
     points = []
     for _ in range(count):
         den = rng.randint(1, max_den)

@@ -6,11 +6,11 @@ import pytest
 from parahoric.catalog import CATALOG, catalog_datum, catalog_ids
 from parahoric.echelonnage import (
     apartment_point,
+    depth_table,
     origin,
     point_from_simple_coroots,
     point_order,
     restrict,
-    simple_restricted_keys,
     twisted,
 )
 from parahoric.exactmath import (
@@ -32,7 +32,6 @@ from parahoric.vinberg import crosscheck
 from parahoric.weylmod import (
     Decomposition,
     WeylModuleError,
-    ambient_positive_keys,
     decompose,
     dominance_ge,
     is_dominant_integral,
@@ -419,6 +418,11 @@ def oracle_weyl_character(h, lam):
     return weights, dim
 
 
+def ambient_positive_keys(td):
+    """The positive restricted roots: the ambient reading of maximality."""
+    return tuple(rr.key for rr in restrict(td) if rr.positive)
+
+
 def oracle_maximal(td, x, r, positives):
     """Members a of phi_xr with a + b outside phi_xr for every b in
     ``positives``, by Fraction sums."""
@@ -498,7 +502,7 @@ ORACLE_EXTRA = {
 def test_integer_kernel_matches_fraction_oracle(name):
     td, m = oracle_datum(name)
     rng = random.Random(name)
-    count = len(simple_restricted_keys(td))
+    count = len(td.simple_keys)
     points = [origin(td), rho_point(td, m)] + [
         point_from_simple_coroots(
             td, [F(rng.randint(-12, 12), rng.randint(1, 6)) for _ in range(count)]
@@ -527,7 +531,10 @@ def test_integer_kernel_matches_fraction_oracle(name):
 def test_decompose_hashes_fractions_only_for_its_results(name, monkeypatch):
     # Inside decompose a weight is an integer key: once the quotient datum,
     # the depth table and the characters exist, the only Fraction hashes are
-    # those of the returned weights entering the maximal sets.
+    # those of the returned weights entering the maximal sets.  The results
+    # the table keeps are cleared first, so the decomposition is computed
+    # again; serving the kept one (at a depth on the grid of the jumps)
+    # hashes no Fraction at all.
     td, m = oracle_datum(name)
     rank = td.base.rank
     real = Fraction.__hash__
@@ -537,17 +544,27 @@ def test_decompose_hashes_fractions_only_for_its_results(name, monkeypatch):
         calls.append(self)
         return real(self)
 
-    seen = 0
+    seen = served = 0
     for x in (rho_point(td, m), origin(td)):
         for r in (first_jump(td, x), F(1, 2)):
             decompose(td, x, r)
+            depth_table(td, x).results.clear()
             calls.clear()
             monkeypatch.setattr(Fraction, "__hash__", counting)
             dec = decompose(td, x, r)
             monkeypatch.undo()
             assert len(calls) <= rank * (len(dec.maximal_set) + len(dec.items)), (x, r)
             seen += len(calls)
-    assert seen  # the wrapper was live
+            calls.clear()
+            monkeypatch.setattr(Fraction, "__hash__", counting)
+            kept = decompose(td, x, r)
+            monkeypatch.undo()
+            if ("decompose", r.numerator, r.denominator) in depth_table(td, x).results:
+                assert kept is dec and not calls, (x, r)
+                served += 1
+            else:
+                assert kept == dec, (x, r)
+    assert seen and served  # the wrapper was live, and kept results served
 
 
 def test_memoized_character_equals_a_fresh_one():
@@ -566,7 +583,13 @@ def test_memoized_character_equals_a_fresh_one():
 
 def test_sweep_builds_one_quotient_per_root_set(monkeypatch):
     # decompose, crosscheck and the verdict at 60 points share one datum per
-    # depth-0 root set instead of building one per call
+    # depth-0 root set instead of building one per call.  The sweep runs
+    # twice over the same points, forgetting the quotients before each; the
+    # depth tables are held across both, with the decompositions the first
+    # sweep kept on them, and must not serve a stale quotient: in each sweep
+    # decompose and quotient_datum, called first at every point, build the
+    # datum of each new root set and nothing else, and no datum of the first
+    # sweep comes back in the second.
     from parahoric import mpquotient
 
     original = mpquotient.ReductiveQuotientDatum
@@ -578,16 +601,34 @@ def test_sweep_builds_one_quotient_per_root_set(monkeypatch):
 
     monkeypatch.setattr(mpquotient, "ReductiveQuotientDatum", counting)
     td = twisted(build_datum("B3"))
-    td.quotients.clear()  # forget the quotients of earlier tests on the interned datum
     rng = random.Random("B3 sweep")
-    root_sets = set()
-    for _ in range(60):
-        x = point_from_simple_coroots(td, [F(rng.randint(-12, 12), 4) for _ in range(3)])
-        decompose(td, x, first_jump(td, x))
-        assert crosscheck(td, x, point_order(td, x))
-        stable_verdict(td, x)
-        root_sets.add(frozenset(quotient_datum(td, x).roots))
-    assert builds and len(builds) == len(root_sets) < 60
+    points = [
+        point_from_simple_coroots(td, [F(rng.randint(-12, 12), 4) for _ in range(3)])
+        for _ in range(60)
+    ]
+    tables = [depth_table(td, x) for x in points]  # kept past the clear below
+    sweeps = []
+    for _ in range(2):
+        td.quotients.clear()  # forget the quotients of earlier tests and sweeps
+        builds.clear()
+        root_sets = set()
+        decompositions, data = [], []
+        for x in points:
+            before = len(builds)
+            decompositions.append(decompose(td, x, first_jump(td, x)))
+            data.append(quotient_datum(td, x))
+            built = len(builds) - before
+            roots = frozenset(data[-1].roots)
+            assert built == (roots not in root_sets)
+            assert crosscheck(td, x, point_order(td, x))
+            stable_verdict(td, x)
+            root_sets.add(roots)
+        assert builds and len(builds) == len(root_sets) < 60
+        sweeps.append((decompositions, data))
+    (first, first_data), (second, second_data) = sweeps
+    assert second == first
+    assert all(a is not b for a, b in zip(first_data, second_data))
+    assert len({id(t) for t in tables}) < 60  # points shared tables
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -605,9 +646,11 @@ def test_warm_tables_decompose_like_a_fresh_quotient_datum(seed, monkeypatch):
             fresh = ReductiveQuotientDatum(**{f: getattr(h, f) for f in h._fields})
             with monkeypatch.context() as m:
                 m.setitem(td.quotients, next(k for k, v in td.quotients.items() if v is h), fresh)
+                depth_table(td, x).results.clear()  # so decompose reads fresh
                 cold = decompose(td, x, r)
                 assert quotient_datum(td, x) is fresh
             assert quotient_datum(td, x) is h
+            assert cold is not warm  # computed again, with fresh
             assert [getattr(cold, f) for f in fields] == [getattr(warm, f) for f in fields]
             assert cold == warm
             compared += 1
