@@ -1,8 +1,9 @@
 """Built-in catalog of data and named apartment points.
 
 Named points: ``origin`` (the base valuation point), ``barycenter`` (the
-average of the vertices of the closed base alcove, which
-``echelonnage.alcove_vertices`` solves from its facets), and ``rho_over_m``
+average of the vertices of the closed base alcove: the sum over its
+irreducible components of the average of each component's vertices,
+``TwistedDatum.alcove_parts``), and ``rho_over_m``
 (the displacement rho_check/m, with a per-entry default m equal to the
 relevant twisted Coxeter number)."""
 from __future__ import annotations
@@ -13,8 +14,9 @@ from .echelonnage import (
     ApartmentPoint,
     EchelonnageError,
     TwistedDatum,
-    alcove_vertices,
+    alcove_vertices,  # noqa: F401  (perfbench/tracing.py spans catalog.alcove_vertices)
     apartment_point,
+    point_from_simple_coroots,
     twisted,
 )
 from .rootdata import build_automorphism, build_datum
@@ -83,6 +85,6 @@ def named_point(td: TwistedDatum, name: str, m: int | None = None) -> ApartmentP
             raise EchelonnageError("rho_over_m needs a positive integer m")
         return apartment_point(td, [Fraction(c, m) for c in td.base.rho_check])
     if name == "barycenter":
-        vertices = [v.coords for v in alcove_vertices(td)]
-        return apartment_point(td, [sum(c) / len(vertices) for c in zip(*vertices)])
+        means = [[Fraction(sum(c), len(part)) for c in zip(*part)] for part in td.alcove_parts]
+        return point_from_simple_coroots(td, list(map(sum, zip(*means))))
     raise EchelonnageError(f"unknown named point {name!r}")

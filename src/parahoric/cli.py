@@ -29,7 +29,7 @@ from .echelonnage import (
     point_order,
     twisted,
 )
-from .exactmath import InputError, PropertyViolation, closure
+from .exactmath import InputError, PropertyViolation
 from .mpquotient import (
     ReductiveQuotientDatum,
     algebra_dimension,
@@ -42,7 +42,6 @@ from .rootdata import (
     build_automorphism,
     build_datum,
     cartan_matrix,
-    cartan_matrix_component,
 )
 
 # The grading, Weyl-module and stability layers are imported by the section
@@ -237,63 +236,10 @@ def default_modulus(td: TwistedDatum, x: ApartmentPoint, spec: dict) -> int:
 # quotient type identification
 
 
-def _component_blocks(cartan) -> list[list[int]]:
-    n = len(cartan)
-    blocks = []
-    for i in range(n):
-        if not any(i in block for block in blocks):
-            blocks.append(sorted(closure([i], lambda a: (b for b in range(n) if cartan[a][b]))))
-    return blocks
-
-
-def _shape(block):
-    """The bonds (C[i][j], C[j][i]) on the walk in from each end node of the
-    diagram to a branch node or the other end, sorted; None unless the
-    diagonal is 2.  Blocks whose diagram is a path or has one branch node
-    have equal shapes iff they agree up to a relabelling of the nodes; any
-    other block has more end nodes or shorter walks than a Dynkin template
-    of its rank."""
-    n = len(block)
-    if any(block[i][i] != 2 for i in range(n)):
-        return None
-    nbrs = [[j for j in range(n) if j != i and (block[i][j] or block[j][i])] for i in range(n)]
-    walks = []
-    for prev in (i for i in range(n) if len(nbrs[i]) == 1):
-        cur = nbrs[prev][0]
-        walk = [(block[prev][cur], block[cur][prev])]
-        while len(nbrs[cur]) == 2:
-            prev, cur = cur, next(j for j in nbrs[cur] if j != prev)
-            walk.append((block[prev][cur], block[cur][prev]))
-        walks.append(tuple(walk))
-    return tuple(sorted(walks))
-
-
-def _match_component(block_cartan) -> str:
-    """The first type, from A to G, whose Cartan matrix is the block up to a
-    relabelling of the nodes (so B2, never C2, and A3, never D3): the first
-    whose shape is the block's."""
-    n = len(block_cartan)
-    shape = _shape(block_cartan)
-    ranks_ok = {
-        "A": n >= 1, "B": n >= 2, "C": n >= 2, "D": n >= 3,
-        "E": n in (6, 7, 8), "F": n == 4, "G": n == 2,
-    }
-    if shape is not None:
-        for letter in "ABCDEFG":
-            if ranks_ok[letter] and _shape(cartan_matrix_component(letter, n)) == shape:
-                return f"{letter}{n}"
-    return f"unknown{n}"
-
-
 def identify_quotient(h: ReductiveQuotientDatum) -> dict:
-    cartan = h.cartan
-    n = len(cartan)
-    components = []
-    for block in _component_blocks(cartan):
-        sub = [[cartan[i][j] for j in block] for i in block]
-        components.append(_match_component(sub))
+    n = len(h.cartan)
     return {
-        "components": sorted(components),
+        "components": sorted(name for name, _ in h.components),
         "semisimple_rank": n,
         "torus_rank": h.rank - n,
     }

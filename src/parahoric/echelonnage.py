@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import combinations
+from itertools import product
 from math import gcd, lcm
 from operator import attrgetter, mul
 from weakref import WeakValueDictionary
@@ -353,22 +353,33 @@ class TwistedDatum:
         return _IntegerAlcove(q, tuple(facets), tuple(translations))
 
     @cached_property
-    def alcove_vertices(self) -> tuple[ApartmentPoint, ...]:
-        """Vertices of the closed base alcove, in sorted order.
-
-        In the coordinates of the restricted simple coroots, which span the
-        twist-fixed subspace, each vertex solves rank of the facet equations
-        key(x) = level, read over q off ``integer_alcove``.  A set of rank
-        facets is independent iff it leaves out exactly one facet of each
-        irreducible component, and then its solution is a vertex.
-        """
+    def alcove_parts(self) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
+        """The vertices of the base alcove of each irreducible component, in
+        restricted-simple-coroot coordinates and zero off the component: each
+        vertex of the closed base alcove is a sum of one part per component.
+        A facet's key pairs only with its own component's simple coroots; a
+        component of rank n has n + 1 facets, and the n other than each one
+        meet in a vertex, solved from key(x) = level (``integer_alcove``)."""
         basis = self.simple_coroots
-        vertices = set()
-        for subset in combinations(self.integer_alcove.facets, len(basis)):
-            red, pivots = rref([[pair(key, b) for b in basis] + [level] for key, level, _ in subset])
-            if pivots == list(range(len(basis))):
-                vertices.add(point_from_simple_coroots(self, [row[-1] for row in red]))
-        return tuple(sorted(vertices, key=attrgetter("coords")))
+        groups: list[tuple[set[int], list]] = []
+        for key, level, _ in self.integer_alcove.facets:
+            row = [pair(key, b) for b in basis]
+            nodes, facets = {j for j, c in enumerate(row) if c}, [row + [level]]
+            for group in [g for g in groups if not g[0].isdisjoint(nodes)]:
+                groups.remove(group)
+                nodes, facets = nodes | group[0], group[1] + facets
+            groups.append((nodes, facets))
+        parts = []
+        for _, facets in groups:
+            part = []
+            for k in range(len(facets)):
+                red, pivots = rref(facets[:k] + facets[k + 1:])
+                coefficients = [0] * len(basis)
+                for j, solved in zip(pivots, red):
+                    coefficients[j] = solved[-1]
+                part.append(tuple(coefficients))
+            parts.append(tuple(part))
+        return tuple(parts)
 
 
 def twisted(
@@ -652,7 +663,10 @@ def in_base_alcove(td: TwistedDatum, x: ApartmentPoint) -> bool:
 
 
 def alcove_vertices(td: TwistedDatum) -> tuple[ApartmentPoint, ...]:
-    return td.alcove_vertices
+    """Vertices of the closed base alcove, sorted: the sums over the product
+    of the component parts (``TwistedDatum.alcove_parts``)."""
+    sums = (list(map(sum, zip(*choice))) for choice in product(*td.alcove_parts))
+    return tuple(sorted((point_from_simple_coroots(td, c) for c in sums), key=attrgetter("coords")))
 
 
 @frozen_record

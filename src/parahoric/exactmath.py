@@ -132,8 +132,8 @@ def closure(starts, step):
     """The breadth-first closure of the starts under ``step``, which maps x to
     an iterable of its images, yielded lazily and once each: the starts, then
     each new image, one layer of the walk after another.  Every orbit the
-    package walks is one: Weyl orbits, conjugacy classes, root-step spans and
-    the connected components of a diagram."""
+    package walks is one: Weyl orbits, conjugacy classes and root-step
+    spans."""
     found = set()
     fresh = starts
     while True:

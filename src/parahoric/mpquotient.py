@@ -13,8 +13,8 @@ The reductive quotient depends on the point only through its depth-0 root
 set, so ``quotient_datum`` returns one shared datum per (datum, root set),
 kept on the twisted datum (``TwistedDatum.quotients``): its checks, its
 integer coordinate data (C^-1 over one denominator, from the fraction-free
-``exactmath.integer_inverse``) and the characters ``weylmod`` memoizes on it
-are computed once for every point with that root set.  That map is the
+``exactmath.integer_inverse``), its typed components and the characters
+``weylmod`` memoizes on it are computed once per root set.  That map is the
 one owner of the quotient data: a depth table keeps none of its own.
 """
 from __future__ import annotations
@@ -38,6 +38,7 @@ from .exactmath import (
     vec_scale,
     vec_sub,
 )
+from .rootdata import component_type
 
 
 class QuotientError(PropertyViolation):
@@ -161,6 +162,24 @@ class ReductiveQuotientDatum:
                 raise QuotientError("simple root pairs non-integrally with a coroot")
             out.append(d)
         return tuple(out)
+
+    @cached_property
+    def components(self) -> tuple[tuple[str, tuple[int, ...]], ...]:
+        """Each irreducible component as (its type, its simple-root indices),
+        by least index.  A positive root's support lies in one component, and
+        the largest is that of its highest root, the whole component; the type
+        is ``rootdata.component_type`` of its rank, positive and short roots."""
+        supports = [frozenset(i for i, c in enumerate(v) if c) for v in self.positive_coordinates]
+        supports.sort(key=len)
+        out, covered = [], set()
+        for nodes in reversed(supports):
+            if nodes.isdisjoint(covered):
+                covered |= nodes
+                norms = [self.half_norms[i] for i in nodes]
+                short = sum(d < max(norms) for d in norms)
+                count = sum(s <= nodes for s in supports)
+                out.append((component_type(len(nodes), count, short), tuple(sorted(nodes))))
+        return tuple(sorted(out, key=lambda c: c[1]))
 
     @cached_property
     def characters(self) -> dict:

@@ -1,4 +1,5 @@
-"""Root data for the classical and exceptional Dynkin types, Weyl group
+"""Root data for the classical and exceptional Dynkin types, the type of an
+irreducible root system read off its counts (``component_type``), Weyl group
 enumeration, diagram automorphisms, ``cycles`` (the one cycle decomposition
 of a permutation in the package) and the elliptic regular orders of a twisted
 Weyl coset by Springer's criterion.  |W| is the product of the degrees.
@@ -138,6 +139,22 @@ ROOT_COUNTS = {
 
 def classical_root_count(descriptor: str) -> int:
     return sum(ROOT_COUNTS[l](r) for l, r in parse_descriptor(descriptor))
+
+
+def component_type(rank: int, positive_count: int, short_simple_count: int) -> str:
+    """The type of an irreducible root system from its rank, its number of
+    positive roots and its number of simple roots shorter than the longest
+    (Bourbaki, Lie Groups and Lie Algebras VI, Plates I-IX): the first letter,
+    A to G, that admits all three, so B2, never C2, and A3, never D3."""
+    for letter, (lo, hi) in _RANK_RANGE.items():
+        short = {"B": 1, "C": rank - 1, "F": 2, "G": 1}.get(letter, 0)
+        if lo <= rank <= hi and ROOT_COUNTS[letter](rank) == 2 * positive_count:
+            if short == short_simple_count:
+                return f"{letter}{rank}"
+    raise RootDatumError(
+        f"no root system of rank {rank} has {positive_count} positive roots and "
+        f"{short_simple_count} short simple roots"
+    )
 
 
 @frozen_record

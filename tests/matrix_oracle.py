@@ -1,8 +1,9 @@
 """Rational linear algebra in ``Fraction`` arithmetic and the
 characteristic-polynomial spectra: the reduced row echelon form by
 Gauss-Jordan elimination, the inverse, one solution and a kernel basis read
-off it; the characteristic polynomial by interpolation and its factorisation
-into cyclotomic polynomials.
+off it; the characteristic polynomial by the Faddeev-LeVerrier recursion on
+integers (checked against interpolation) and its factorisation into
+cyclotomic polynomials.
 
 Kept as oracles for the fraction-free forms in ``exactmath``: ``rref`` and
 ``matrix_rank`` must give the same form and rank, ``integer_inverse`` the
@@ -107,11 +108,32 @@ def kernel_basis(rows) -> list[Vec]:
 # the characteristic polynomial and its cyclotomic factors
 
 
+def integer_charpoly(a: IntMatrix) -> tuple[int, ...]:
+    """Monic characteristic polynomial det(t*I - a), coefficients low to high,
+    by the Faddeev-LeVerrier recursion: M_1 = I, c_(n-k) = -tr(a M_k) / k and
+    M_(k+1) = a M_k + c_(n-k) I.  Every c is an integer, so the division by k
+    is exact."""
+    n = len(a)
+    coeffs = [0] * n + [1]
+    m = identity_matrix(n)
+    for k in range(1, n + 1):
+        am = mat_mul(a, m)
+        c, rem = divmod(-sum(am[i][i] for i in range(n)), k)
+        if rem:
+            raise ExactMathError("Faddeev-LeVerrier division is not exact")
+        coeffs[n - k] = c
+        m = [list(row) for row in am]
+        for i in range(n):
+            m[i][i] += c
+    return tuple(coeffs)
+
+
 def charpoly(a: IntMatrix) -> tuple[int, ...]:
     """Monic characteristic polynomial det(t*I - a), coefficients low to high.
 
     Evaluates the determinant at n+1 integer points with Bareiss elimination
-    and interpolates; all arithmetic is exact.
+    and interpolates; all arithmetic is exact.  The oracle of
+    ``integer_charpoly``.
     """
     n = len(a)
     points = list(range(n + 1))
@@ -227,7 +249,7 @@ def _cyclotomic_factorization(p: tuple[int, ...]) -> dict[int, int] | None:
 def charpoly_multiplicities(a: IntMatrix) -> dict[int, int]:
     """Multiplicities m_k with charpoly(a) = prod_k Phi_k^{m_k}, for a of
     finite order."""
-    mult = _cyclotomic_factorization(charpoly(a))
+    mult = _cyclotomic_factorization(integer_charpoly(a))
     if mult is None or mat_pow(a, lcm(*mult)) != identity_matrix(len(a)):
         raise ExactMathError("matrix has infinite order")
     return mult

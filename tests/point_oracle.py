@@ -5,6 +5,10 @@ restricted root, the base-alcove facets by a rational search, alcove
 reduction by rational reflections, and points built from rational coroot
 multiples.
 
+It also holds the search for the alcove vertices that the component parts
+of ``TwistedDatum.alcove_parts`` replace: every rank-element set of facets,
+solved, kept when independent.
+
 It also holds the rational affine reflection that the reduction tests use
 to walk a point through its affine-Weyl orbit; the package itself never
 reflects a point.
@@ -14,7 +18,9 @@ the same scaffold, the same point order, the same bins (root order
 included), the same facets and the same reduced points.
 """
 from fractions import Fraction
+from itertools import combinations
 from math import floor, lcm
+from operator import attrgetter
 
 from parahoric.echelonnage import (
     ALCOVE_ITERATION_CAP,
@@ -22,12 +28,14 @@ from parahoric.echelonnage import (
     EchelonnageError,
     _Scaffold,
     evaluate,
+    point_from_simple_coroots,
     restrict,
 )
 from parahoric.exactmath import (
     mat_vec,
     pair,
     reflection_orbit,
+    rref,
     vec_add,
     vec_scale,
     vec_sub,
@@ -179,6 +187,20 @@ def rational_alcove(td):
         for w, p, t in table.translations
     )
     return facets, translations
+
+
+def alcove_vertices_by_subsets(td):
+    """The vertices of the closed base alcove, sorted: each rank-element set
+    of the facet equations key(x) = level, in the coordinates of the
+    restricted simple coroots, that has one solution gives a vertex.  That
+    is C(rank + c, rank) solves for c irreducible components."""
+    basis = td.simple_coroots
+    vertices = set()
+    for subset in combinations(td.integer_alcove.facets, len(basis)):
+        red, pivots = rref([[pair(key, b) for b in basis] + [level] for key, level, _ in subset])
+        if pivots == list(range(len(basis))):
+            vertices.add(point_from_simple_coroots(td, [row[-1] for row in red]))
+    return tuple(sorted(vertices, key=attrgetter("coords")))
 
 
 def alcove_reduce_oracle(td, x):

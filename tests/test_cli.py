@@ -335,6 +335,23 @@ def test_stability_at_f4_barycenter(tmp_path, capsys):
     assert json.loads(out)["stability"]["verdict"] in (True, False)
 
 
+def test_scan_at_the_barycenter_of_a_product_of_sixteen_factors(tmp_path):
+    # the barycenter is the sum of the component means: the 2^16 vertices
+    # of the alcove of A1^16 (and its C(32, 16) facet subsets) are never
+    # formed, so the run is short
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"dynkin": "+".join(["A1"] * 16), "point": {"name": "barycenter"}}))
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parent.parent)}
+    done = subprocess.run(
+        [sys.executable, "-m", "parahoric.cli", "scan", "--spec", str(spec)],
+        env=env, capture_output=True, text=True, timeout=10,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    report = json.loads(done.stdout)
+    assert report["derived"]["point_coords"] == ["1/2"] * 16
+    assert report["scan"]["sum_rule_holds"]
+
+
 FUZZ_BASES = (
     {"dynkin": "A1", "point": {"name": "rho_over_m", "m": 2}},
     {"dynkin": "A2", "point": {"coords": ["1/3", "1/3"]}, "r": "1/3"},

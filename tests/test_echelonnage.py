@@ -35,7 +35,13 @@ from parahoric.exactmath import (
 from parahoric.rootdata import build_automorphism, build_datum
 
 from matrix_oracle import invert_matrix, kernel_basis
-from point_oracle import affine_reflect, rational_alcove, scaffold_oracle, walls_oracle
+from point_oracle import (
+    affine_reflect,
+    alcove_vertices_by_subsets,
+    rational_alcove,
+    scaffold_oracle,
+    walls_oracle,
+)
 
 F = Fraction
 
@@ -427,6 +433,7 @@ def test_base_alcove_matches_all_walls_oracle(name):
     assert len(td.integer_alcove.facets) == rank + components
     assert {(key, level) for key, level, _ in rational_alcove(td)[0]} == walls_oracle(td)
     assert tuple(v.coords for v in alcove_vertices(td)) == alcove_vertices_oracle(td)
+    assert_vertices_and_barycenter_match_the_subset_search(td)
     rng = random.Random(name)
     for _ in range(40):
         x = point_from_simple_coroots(td, [F(rng.randint(-40, 40), rng.randint(1, 6)) for _ in range(rank)])
@@ -445,6 +452,25 @@ def test_base_alcove_matches_all_walls_oracle(name):
     assert alcove_reduce(td, far) == alcove_reduce_oracle(td, far) == reduced
 
 
+def assert_vertices_and_barycenter_match_the_subset_search(td):
+    vertices = alcove_vertices_by_subsets(td)
+    assert alcove_vertices(td) == vertices
+    mean = [sum(c) / len(vertices) for c in zip(*(v.coords for v in vertices))]
+    assert named_point(td, "barycenter") == apartment_point(td, mean)
+
+
+@pytest.mark.parametrize("dynkin,auto,components", [
+    ("A1+A1+A1", None, 3), ("A1+A1+A1+A1+A1+A1", None, 6), ("A2+B2+G2", None, 3),
+    ("G2+A1+C3", None, 3), ("B3+B3", (3, 4, 5, 0, 1, 2), 1), ("A2+A3", (1, 0, 4, 3, 2), 2),
+])
+def test_product_vertices_and_barycenter_match_the_subset_search(dynkin, auto, components):
+    # a vertex is one part per component: 2^6 of them on A1^6
+    datum = build_datum(dynkin)
+    td = twisted(datum, None if auto is None else build_automorphism(datum, auto))
+    assert len(td.alcove_parts) == components
+    assert_vertices_and_barycenter_match_the_subset_search(td)
+
+
 @pytest.mark.parametrize("dynkin,auto", [
     ("F4", None), ("B6", None), ("E6", None), ("E7", None), ("E8", None),
     ("E6", (5, 1, 4, 3, 2, 0)),
@@ -454,6 +480,7 @@ def test_barycenter_reach(dynkin, auto):
     td = twisted(datum, None if auto is None else build_automorphism(datum, auto))
     assert {(key, level) for key, level, _ in rational_alcove(td)[0]} == walls_oracle(td)
     assert len(alcove_vertices(td)) == len(td.simple_keys) + 1
+    assert_vertices_and_barycenter_match_the_subset_search(td)
     x = named_point(td, "barycenter")
     assert in_base_alcove(td, x)
     assert alcove_reduce(td, x) == x

@@ -252,6 +252,24 @@ def test_no_module_imports_a_private_name_from_another():
     assert private == []
 
 
+DYNKIN_TABLES = {"cartan_matrix_component", "ROOT_COUNTS", "_RANK_RANGE"}
+
+
+def test_dynkin_type_knowledge_stays_in_rootdata():
+    # the type templates, the root counts and the rank ranges are read only
+    # by rootdata; any other module names a type through component_type
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "rootdata.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Name) and node.id in DYNKIN_TABLES
+        or isinstance(node, ast.Attribute) and node.attr in DYNKIN_TABLES
+        or isinstance(node, ast.ImportFrom) and DYNKIN_TABLES & {a.name for a in node.names}
+    ]
+    assert found == []
+
+
 def _unused_imports(path):
     """Names that a module imports and never reads.  ``__future__`` imports
     and a name whose own line carries ``# noqa: F401`` are exempt."""

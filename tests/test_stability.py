@@ -6,9 +6,9 @@ from math import lcm
 import pytest
 
 from coset_oracle import scan_zregular_orders
-from matrix_oracle import charpoly_multiplicities, kernel_regular
+from matrix_oracle import charpoly, charpoly_multiplicities, integer_charpoly, kernel_regular
 from parahoric import rootdata, stability
-from parahoric.catalog import CATALOG
+from parahoric.catalog import CATALOG, catalog_datum, catalog_ids
 from parahoric.echelonnage import apartment_point, twisted
 from parahoric.exactmath import cyclotomic_multiplicities, identity_matrix, mat_mul, matrix_order
 from parahoric.rootdata import (
@@ -225,6 +225,27 @@ def reference_zregular_orders(desc, perm):
         if order not in witnesses or a < witnesses[order]:
             witnesses[order] = a
     return witnesses
+
+
+@pytest.mark.parametrize("cid", catalog_ids())
+def test_catalog_rho_m_is_the_twisted_coxeter_number(cid):
+    # the hand-entered default m of rho_over_m is the largest elliptic
+    # regular order of the coset by Springer's criterion, the (twisted)
+    # Coxeter number
+    assert CATALOG[cid]["rho_m"] == max(catalog_datum(cid).regular_orders)
+
+
+@pytest.mark.parametrize("desc,perm", [("A2", None), ("B2", None), ("G2", None), ("A2", (1, 0))])
+def test_integer_charpoly_matches_interpolation(desc, perm):
+    # the oracle of the oracle: the Faddeev-LeVerrier recursion that
+    # charpoly_multiplicities reads against the interpolated determinant, on
+    # every element of the coset
+    d, auto = coset(desc, perm)
+    elements = reference_weyl_elements(d)
+    assert len(elements) == d.weyl_order
+    for w in elements:
+        a = mat_mul(w, auto.matrix)
+        assert integer_charpoly(a) == charpoly(a), a
 
 
 ORACLE_COSETS = [
