@@ -56,12 +56,11 @@ def catalog_datum(entry_id: str) -> TwistedDatum:
 
 def catalog_spec(entry_id: str, point: str = "origin", r: str = "0") -> dict:
     info = CATALOG[entry_id]
-    if point == "rho_over_m":
-        point_obj = {"name": "rho_over_m", "m": info["rho_m"]}
-    elif point in ("origin", "barycenter"):
-        point_obj = {"name": point}
-    else:
+    if point not in NAMED_POINTS:
         raise KeyError(f"unknown named point {point!r}")
+    point_obj = {"name": point}
+    if point == "rho_over_m":
+        point_obj["m"] = info["rho_m"]
     return {
         "dynkin": info["dynkin"],
         "isogeny": "adjoint",

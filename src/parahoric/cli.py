@@ -9,6 +9,7 @@ error included), 2 property violation.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import re
@@ -18,7 +19,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from .catalog import CATALOG, catalog_ids, catalog_spec, named_point
+from .catalog import CATALOG, NAMED_POINTS, catalog_ids, catalog_spec, named_point
 from .echelonnage import (
     ApartmentPoint,
     EchelonnageError,
@@ -168,7 +169,7 @@ def normalize_spec(raw: dict) -> dict:
         spec["point"] = {"coords": [frac_str(parse_frac(c, "point")) for c in point["coords"]]}
     else:
         name = point.get("name")
-        if name not in ("origin", "barycenter", "rho_over_m"):
+        if name not in NAMED_POINTS:
             raise InputError(f"field 'point': unknown named point {name!r}")
         norm = {"name": name}
         if name == "rho_over_m":
@@ -388,10 +389,26 @@ def check_out(out: str | None) -> None:
         raise InputError(f"field 'out': cannot write {out!r} (permission denied)")
 
 
+def write_stdout(text: str) -> None:
+    """Write and flush ``text`` on stdout.  A failed write, a closed pipe
+    included, is an input error on 'out'; stdout is then pointed at the null
+    device, so that the flush at exit does not fail on the unwritten text."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        with contextlib.suppress(OSError, ValueError):  # stdout may have no file descriptor
+            fd = sys.stdout.fileno()
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)
+            os.close(devnull)
+        raise InputError(f"field 'out': cannot write to stdout ({exc})") from exc
+
+
 def emit(report: dict, out: str | None) -> None:
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if not out:
-        sys.stdout.write(text)
+        write_stdout(text)
         return
     try:
         Path(out).write_text(text)
@@ -467,13 +484,12 @@ def run_report(args) -> int:
 def run_selftest(args) -> int:
     from . import selftest
 
-    return 0 if selftest.run(seed=args.seed) else 2
+    return 0 if selftest.run(seed=args.seed, write=write_stdout) else 2
 
 
 def run_catalog(args) -> int:
     if args.id is None:
-        for cid in catalog_ids():
-            sys.stdout.write(cid + "\n")
+        write_stdout("".join(cid + "\n" for cid in catalog_ids()))
         return 0
     check_out(args.out)
     parse_frac(args.r, "r")  # validated here, exported as written

@@ -73,6 +73,7 @@ class RestrictedRoot:
     that it pairs to 2 with the key)."""
 
     key: Vec
+    integer_key: tuple[int, ...]  # the key times the twist order e
     coroot: tuple[int, ...]
     fiber: tuple
     orbit_size: int
@@ -84,16 +85,13 @@ class RestrictedRoot:
 
 @frozen_record
 class _Scaffold:
-    keys: tuple[Vec, ...]
-    # the keys times the twist order e: each orbit sum times e / orbit size
-    integer_keys: tuple[tuple[int, ...], ...]
-    coroots: tuple[tuple[int, ...], ...]
-    fibers: tuple[tuple, ...]
-    orbit_sizes: tuple[int, ...]
-    classes: tuple[str, ...]
-    positives: tuple[bool, ...]
-    positive_mult_keys: tuple[Vec, ...]
-    # indices into positive_mult_keys, one tuple per restricted Weyl orbit
+    # (key, integer key, coroot, fiber, class, positive) per twist orbit of
+    # roots, in key order: a restricted root without its valuation set
+    roots: tuple[tuple, ...]
+    # the positions in ``roots`` of the positive multipliable roots, in the
+    # order of the lambda-valuations
+    lambda_roots: tuple[int, ...]
+    # indices into lambda_roots, one tuple per restricted Weyl orbit
     lambda_orbits: tuple[tuple[int, ...], ...]
 
 
@@ -120,44 +118,35 @@ def _scaffold(base: RootDatum, twist: DiagramAutomorphism) -> _Scaffold:
             )
         keyed[key] = orbit
 
-    integer_keys = sorted(keyed)
-    classes = []
-    coroots = []
-    for key in integer_keys:
+    roots = []
+    for key in sorted(keyed):
         if tuple(2 * c for c in key) in keyed:
             cls = "multipliable"
         elif not any(c % 2 for c in key) and tuple(c // 2 for c in key) in keyed:
             cls = "divisible"
         else:
             cls = "plain"
+        fiber = keyed[key]
         coroot = (0,) * base.rank
-        for alpha in keyed[key]:
+        for alpha in fiber:
             coroot = vec_add(coroot, base.coroot_of(alpha))
         if cls == "multipliable":
             coroot = vec_scale(2, coroot)
         if pair(key, coroot) != 2 * e:
             raise EchelonnageError("restricted coroot does not pair to 2")
-        classes.append(cls)
-        coroots.append(coroot)
-    fibers = tuple(keyed[k] for k in integer_keys)
-    positives = tuple(base.is_positive(fiber[0]) for fiber in fibers)
-    pos_mult = [i for i, (c, p) in enumerate(zip(classes, positives)) if c == "multipliable" and p]
-    reflections = [(k, c) for k, c, p in zip(integer_keys, coroots, positives) if p]
+        roots.append((key, coroot, fiber, cls, base.is_positive(fiber[0])))
+    lambda_roots = tuple(
+        i for i, (*_, cls, positive) in enumerate(roots) if cls == "multipliable" and positive
+    )
+    reflections = [(key, coroot) for key, coroot, *_, positive in roots if positive]
     lambda_orbits = set()
-    for i in pos_mult:
-        orbit = reflection_orbit(integer_keys[i], reflections, e)
-        lambda_orbits.add(tuple(j for j, b in enumerate(pos_mult) if integer_keys[b] in orbit))
-    fraction = {c: Fraction(c, e) for c in {c for k in integer_keys for c in k}}
-    keys = tuple(tuple(fraction[c] for c in k) for k in integer_keys)
+    for i in lambda_roots:
+        orbit = reflection_orbit(roots[i][0], reflections, e)
+        lambda_orbits.add(tuple(j for j, b in enumerate(lambda_roots) if roots[b][0] in orbit))
+    fraction = {c: Fraction(c, e) for c in {c for k in keyed for c in k}}
     return _Scaffold(
-        keys=keys,
-        integer_keys=tuple(integer_keys),
-        coroots=tuple(coroots),
-        fibers=fibers,
-        orbit_sizes=tuple(map(len, fibers)),
-        classes=tuple(classes),
-        positives=positives,
-        positive_mult_keys=tuple(keys[i] for i in pos_mult),
+        roots=tuple((tuple(fraction[c] for c in key), key, *rest) for key, *rest in roots),
+        lambda_roots=lambda_roots,
         lambda_orbits=tuple(sorted(lambda_orbits)),
     )
 
@@ -190,22 +179,23 @@ class TwistedDatum:
         from those of a: no hyperplane of 2a is one of a.
         """
         scaff = _scaffold(self.base, self.twist)
+        # the lambda-valuation and the orbit size of each multipliable root,
+        # by integer key, of either sign
+        mult = {}
+        for lam, i in zip(self.lambda_valuations, scaff.lambda_roots):
+            _, key, _, fiber, *_ = scaff.roots[i]
+            mult[key] = mult[tuple(-c for c in key)] = lam, len(fiber)
         out = []
-        for index, (key, coroot, fiber, e, cls, positive) in enumerate(zip(
-            scaff.keys, scaff.coroots, scaff.fibers,
-            scaff.orbit_sizes, scaff.classes, scaff.positives,
-        )):
+        for index, (key, integer_key, coroot, fiber, cls, positive) in enumerate(scaff.roots):
+            e = len(fiber)
             if cls == "plain":
                 jumps = ValuationSet.lattice(Fraction(1, e))
             elif cls == "multipliable":
-                jumps = ValuationSet.lattice(Fraction(1, e), _lambda_for_key(self, key) / 2)
+                jumps = ValuationSet.lattice(Fraction(1, e), mult[integer_key][0] / 2)
             else:
-                half = tuple(x / 2 for x in key)
-                e_mult = scaff.orbit_sizes[scaff.keys.index(half)]
-                jumps = ValuationSet.lattice(
-                    Fraction(2, e_mult), _lambda_for_key(self, half) + Fraction(1, e_mult)
-                )
-            out.append(RestrictedRoot(key, coroot, fiber, e, cls, jumps, positive, index))
+                lam, e_mult = mult[tuple(c // 2 for c in integer_key)]
+                jumps = ValuationSet.lattice(Fraction(2, e_mult), lam + Fraction(1, e_mult))
+            out.append(RestrictedRoot(key, integer_key, coroot, fiber, e, cls, jumps, positive, index))
         return tuple(out)
 
     @cached_property
@@ -223,14 +213,8 @@ class TwistedDatum:
         return tuple(self.by_key[key].coroot for key in self.simple_keys)
 
     @cached_property
-    def integer_keys(self) -> tuple[tuple[int, ...], ...]:
-        """Every restricted key times the twist order e, in the order of
-        ``restricted``: its orbit sum times e / orbit size."""
-        return _scaffold(self.base, self.twist).integer_keys
-
-    @cached_property
     def restricted_rank(self) -> int:
-        return matrix_rank(self.integer_keys)
+        return matrix_rank([rr.integer_key for rr in self.restricted])
 
     @cached_property
     def depth_tables(self) -> WeakValueDictionary:
@@ -261,30 +245,30 @@ class TwistedDatum:
     @cached_property
     def affine_rows(self):
         """The affine-root data of ``depth_table`` and the base alcove over
-        one denominator q, the lcm of the orbit sizes and of every valuation
-        offset and step denominator: (q, q / lcm of the periods, rows).  A
-        row is (restricted root, integer orbit sum = key * e, q / e,
-        offset * q, period = 1 / step)."""
+        one denominator q, the lcm of the twist order e (the lcm of the
+        orbit sizes) and of every valuation offset and step denominator:
+        (q, q / lcm of the periods, rows).  A row is (restricted root,
+        key * q = integer key * (q / e), offset * q, period = 1 / step)."""
         roots = self.restricted
         for rr in roots:
             if rr.jump_set.step.numerator != 1:
                 raise EchelonnageError("valuation step does not divide 1")
+        e = self.twist.order
         q = lcm(
-            *(rr.orbit_size for rr in roots),
+            e,
             *(rr.jump_set.offset.denominator for rr in roots),
             *(rr.jump_set.step.denominator for rr in roots),
         )
         rows = tuple(
             (
                 rr,
-                tuple(map(sum, zip(*rr.fiber))),
-                q // rr.orbit_size,
+                vec_scale(q // e, rr.integer_key),
                 (rr.jump_set.offset * q).numerator,
                 rr.jump_set.step.denominator,
             )
             for rr in roots
         )
-        return q, q // lcm(*(row[4] for row in rows)), rows
+        return q, q // lcm(*(row[3] for row in rows)), rows
 
     @cached_property
     def integer_alcove(self) -> _IntegerAlcove:
@@ -313,9 +297,8 @@ class TwistedDatum:
         # (root, key * q, H_a, step * q, l_a * q); the offset lies in
         # [0, step), so l_a is the offset unless that is 0
         table = [
-            (rr, vec_scale(weight, orbit_sum), weight * pair(orbit_sum, direction),
-             q // period, offset or q // period)
-            for rr, orbit_sum, weight, offset, period in positives
+            (rr, key, pair(key, direction), q // period, offset or q // period)
+            for rr, key, offset, period in positives
         ]
         if min(row[2] for row in table) <= 0:
             raise EchelonnageError("reference direction is not regular")
@@ -342,7 +325,7 @@ class TwistedDatum:
             [[pair(a.fiber[0], b.coroot) for b, *_ in simples] for a, *_ in simples]
         )
         den *= self.twist.order
-        columns = list(zip(*(self.integer_keys[b.index] for b, *_ in simples)))
+        columns = list(zip(*(b.integer_key for b, *_ in simples)))
         translations = []
         for (rr, *_, period), coefficients in zip(simples, inverse):
             w = [period * pair(coefficients, column) for column in columns]
@@ -399,7 +382,7 @@ def twisted(
     if twist is None:
         twist = identity_automorphism(base)
     scaff = _scaffold(base, twist)
-    count = len(scaff.positive_mult_keys)
+    count = len(scaff.lambda_roots)
     values = [Fraction(0)] * count
     if lambda_valuations:
         items = (
@@ -415,9 +398,8 @@ def twisted(
                     "positive multipliable restricted roots)"
                 )
             values[idx] = Fraction(val)
-    for idx, val in enumerate(values):
-        key = scaff.positive_mult_keys[idx]
-        e = scaff.orbit_sizes[scaff.keys.index(key)]
+    for val, i in zip(values, scaff.lambda_roots):
+        e = len(scaff.roots[i][3])  # the orbit size, that of the fiber
         if val > 0:
             raise EchelonnageError("lambda valuation must be nonpositive")
         if (val * e).denominator != 1:
@@ -432,16 +414,6 @@ def twisted(
             )
     key = (base, twist, tuple(values))
     return _TWISTED.setdefault(key, TwistedDatum(*key))
-
-
-def _lambda_for_key(td: TwistedDatum, key: Vec) -> Fraction:
-    scaff = _scaffold(td.base, td.twist)
-    if key in scaff.positive_mult_keys:
-        return td.lambda_valuations[scaff.positive_mult_keys.index(key)]
-    neg = tuple(-x for x in key)
-    if neg in scaff.positive_mult_keys:
-        return td.lambda_valuations[scaff.positive_mult_keys.index(neg)]
-    raise EchelonnageError("key is not a multipliable restricted root")
 
 
 def restrict(td: TwistedDatum) -> tuple[RestrictedRoot, ...]:
@@ -624,7 +596,7 @@ def depth_table(td: TwistedDatum, x: ApartmentPoint) -> DepthTable:
     (1/N)Z.  A root lands in 1/step residues, whatever N is.
 
     With x = nums / D, every value and step times T = q D is an integer u
-    (a(x - x0) = <orbit sum, nums> / (e D)), so N = T / gcd(T, the u) and the
+    (q a(x - x0) = <key * q, nums> / D), so N = T / gcd(T, the u) and the
     residue of a progression is u / gcd mod N*step.  N and the first residue
     of each root fix the bins: they are the key of the table.
     """
@@ -632,12 +604,12 @@ def depth_table(td: TwistedDatum, x: ApartmentPoint) -> DepthTable:
     den, nums = x.scaled
     values = []
     g = den * unit  # gcd(T, every step times T)
-    for _, orbit_sum, weight, offset, _ in rows:
-        u = weight * sum(map(mul, orbit_sum, nums)) + offset * den
+    for _, key_q, offset, _ in rows:
+        u = sum(map(mul, key_q, nums)) + offset * den
         g = gcd(g, u)
         values.append(u)
     n = q * den // g
-    key = (n, *(u // g % (n // row[4]) for row, u in zip(rows, values)))
+    key = (n, *(u // g % (n // row[3]) for row, u in zip(rows, values)))
     table = td.depth_tables.get(key)
     if table is None:
         bins: dict[int, list[RestrictedRoot]] = {}
@@ -739,9 +711,9 @@ def companion_shift(td: TwistedDatum, x: ApartmentPoint):
     of a is preserved for every restricted root a and rational r.
     """
     den, v = x.scaled
-    for lam, key in zip(td.lambda_valuations, _scaffold(td.base, td.twist).positive_mult_keys):
+    for lam, i in zip(td.lambda_valuations, _scaffold(td.base, td.twist).lambda_roots):
         if lam:  # v / den - c bcheck for c = lam / 4, over den times c.denominator
-            c, coroot = lam / 4, td.by_key[key].coroot
+            c, coroot = lam / 4, td.restricted[i].coroot
             v = vec_sub(vec_scale(c.denominator, v), vec_scale(c.numerator * den, coroot))
             den *= c.denominator
     return twisted(td.base, td.twist), ApartmentPoint(den, v)

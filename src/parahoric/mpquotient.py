@@ -49,7 +49,7 @@ class QuotientError(PropertyViolation):
 class ReductiveQuotientDatum:
     """Root datum of the reductive quotient at a point: the restricted roots
     whose value at the point is an actual jump level.  ``integer_roots``
-    holds the roots times the twist order e (``TwistedDatum.integer_keys``),
+    holds the roots times the twist order e (``RestrictedRoot.integer_key``),
     and the simple roots, the Cartan matrix, the coordinate map and the half
     norms are integer arithmetic on them."""
 
@@ -207,21 +207,20 @@ def quotient_datum(td: TwistedDatum, x: ApartmentPoint) -> ReductiveQuotientDatu
         return td.quotients[indices]
     # the checks run on the integer keys, the keys times the twist order e
     e = td.twist.order
-    scaled = [(td.integer_keys[rr.index], rr.coroot) for rr in picked]
-    keys = {k for k, _ in scaled}
-    for k, _ in scaled:
+    keys = {rr.integer_key for rr in picked}
+    for k in keys:
         if vec_scale(2, k) in keys:
             raise QuotientError("quotient root system is not reduced")
-    for k, coroot in scaled:
+    for rr in picked:
         for other in keys:
-            if vec_sub(other, vec_scale(pair(other, coroot) // e, k)) not in keys:
+            if vec_sub(other, vec_scale(pair(other, rr.coroot) // e, rr.integer_key)) not in keys:
                 raise QuotientError("quotient root system is not reflection closed")
     h = td.quotients[indices] = ReductiveQuotientDatum(
         rank=rank,
         roots=tuple(rr.key for rr in picked),
         coroots=tuple(rr.coroot for rr in picked),
         positives=tuple(rr.positive for rr in picked),
-        integer_roots=tuple(k for k, _ in scaled),
+        integer_roots=tuple(rr.integer_key for rr in picked),
     )
     return h
 

@@ -4,8 +4,8 @@ takes the seed and, where the acceptance criteria use a larger scope, its
 data, number of random points and ``max_den`` as keyword arguments whose
 defaults are the selftest's scope.  A check raises ``AssertionError`` on a violation
 and returns the number of instances it checked (``check_decomposition`` also the
-number of split random ones).  ``run`` prints a line per check and returns whether
-all passed (the CLI's exit code)."""
+number of split random ones).  ``run`` writes a line per check (to stdout,
+or through ``write``) and returns whether all passed (the CLI's exit code)."""
 from __future__ import annotations
 
 import itertools
@@ -249,15 +249,16 @@ CHECKS = (
 )
 
 
-def run(seed: int = 0, stream=None) -> bool:
-    stream = stream or sys.stdout
+def run(seed: int = 0, write=None) -> bool:
+    write = write or sys.stdout.write
     ok = True
     for name, fn in CHECKS:
         try:
             fn(seed=seed)
-            stream.write(f"PASS {name}\n")
+            line = f"PASS {name}\n"
         except Exception:
             ok = False
-            stream.write(f"FAIL {name}\n{traceback.format_exc(limit=3)}\n")
-    stream.write(("selftest: all checks passed\n") if ok else ("selftest: FAILURES\n"))
+            line = f"FAIL {name}\n{traceback.format_exc(limit=3)}\n"
+        write(line)
+    write(("selftest: all checks passed\n") if ok else ("selftest: FAILURES\n"))
     return ok

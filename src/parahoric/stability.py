@@ -3,7 +3,7 @@ verdict: a point passes when it reduces to the distinguished barycenter
 x0 + rho_check/m, its first jump is 1/m, and the twisted Weyl coset contains
 an elliptic Z-regular element of order m.
 
-No verdict walks the coset.  The orders come from the degrees of W and the
+No verdict enumerates the coset.  The orders come from the degrees of W and the
 twist's eigenvalues on the basic invariants by Springer's criterion
 (``rootdata.regular_orders``).  The regular elements of one order form one
 W-conjugacy class (Springer, Regular elements of finite reflection groups,
@@ -235,7 +235,7 @@ def stable_verdict(
         part, torus = depth_table(td, x).at(jump)
         if len(part) + torus <= 0:
             raise StabilityError("verdict true but the first quotient is zero")
-        if matrix_rank([td.integer_keys[rr.index] for rr in part]) != td.restricted_rank:
+        if matrix_rank([rr.integer_key for rr in part]) != td.restricted_rank:
             raise StabilityError(
                 "verdict true but the first quotient weights do not span"
             )

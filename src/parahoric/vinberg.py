@@ -96,7 +96,7 @@ def _graded(td: TwistedDatum, den: int, lam_num, m: int):
     the orbits with sign -1.  Integrality is checked on the simple roots,
     which span the roots over Z, and an orbit O's weight is one pairing of
     its integer key: its orbit sum is key * |O| / e
-    (``TwistedDatum.integer_keys``)."""
+    (``RestrictedRoot.integer_key``)."""
     datum, twist = td.base, td.twist
     if m <= 0:
         raise GradingError("modulus must be positive")
@@ -107,9 +107,9 @@ def _graded(td: TwistedDatum, den: int, lam_num, m: int):
     dims = [0] * m
     zero = []
     negative_orbits = []
-    for index, (key, rr) in enumerate(zip(td.integer_keys, td.restricted)):
+    for rr in td.restricted:
         k = rr.orbit_size
-        c = pair(key, lam_num) * k // scale
+        c = pair(rr.integer_key, lam_num) * k // scale
         if rr.cls == "divisible":
             if m % 2 != 0:
                 raise GradingError("orbit with sign -1 requires an even modulus")
@@ -124,7 +124,7 @@ def _graded(td: TwistedDatum, den: int, lam_num, m: int):
         for d in hits:
             dims[d] += 1
         if 0 in hits:
-            zero.append(index)
+            zero.append(rr.index)
     eigen = twist.spectrum
     for d in range(m):
         dims[d] += eigen.get(m // gcd(d, m), 0)
@@ -177,7 +177,7 @@ def crosscheck(td: TwistedDatum, x: ApartmentPoint, modulus: int) -> CrosscheckR
     quotient = depth_table(td, x).column(m)
     first_mismatch = next((d for d in range(m) if dims[-d % m] != quotient[d]), None)
     h = quotient_datum(td, x)
-    roots_match = frozenset(h.integer_roots) == {td.integer_keys[i] for i in zero}
+    roots_match = frozenset(h.integer_roots) == {td.restricted[i].integer_key for i in zero}
     ok = first_mismatch is None and roots_match
     return CrosscheckResult(
         ok=ok,

@@ -9,9 +9,10 @@ space of the restricted roots.  Inside, a character is an integer map from
 n to the multiplicity of lam - sum n_i alpha_i, memoized on the shared
 quotient datum by the Dynkin labels of lam.  ``decompose`` and the span
 check hold weights on one integer scale, the integer keys (key times the
-twist order) of the depth table, from maximality through ordering and
-character subtraction; ``Fraction`` weights appear only in what they
-return.  Multiplicities are exact integers throughout.
+twist order, ``RestrictedRoot.integer_key``) of the depth table, from
+maximality through ordering and character subtraction; ``Fraction``
+weights appear only in what they return.  Multiplicities are exact
+integers throughout.
 """
 from __future__ import annotations
 
@@ -47,15 +48,14 @@ def phi_xr(td: TwistedDatum, x: ApartmentPoint, r) -> frozenset:
 
 
 # The maximality tests run on the integer keys, the keys times the twist
-# order e (``TwistedDatum.integer_keys``; the quotient datum holds its roots
+# order e (``RestrictedRoot.integer_key``; the quotient datum holds its roots
 # the same way, ``integer_roots``): a key is the average of a twist orbit
 # whose size divides e, so key * e is an integer vector.
 
 
 def _support(td: TwistedDatum, x: ApartmentPoint, r) -> dict:
     """phi_xr as integer keys -> keys."""
-    keys = td.integer_keys
-    return {keys[rr.index]: rr.key for rr in depth_table(td, x).at(r)[0]}
+    return {rr.integer_key: rr.key for rr in depth_table(td, x).at(r)[0]}
 
 
 def _positive_steps(h: ReductiveQuotientDatum) -> list:
@@ -85,7 +85,7 @@ def phi_xr_max(
     if positives is None:
         shifts = _positive_steps(h)
     else:
-        shifts = [td.integer_keys[td.by_key[b].index] for b in positives]
+        shifts = [td.by_key[b].integer_key for b in positives]
     support = _support(td, x, r)
     return frozenset(support[s] for s in _maximal(support, shifts))
 
@@ -324,7 +324,7 @@ def _decompose(td: TwistedDatum, x: ApartmentPoint, r: Fraction) -> Decompositio
         return tuple(top)
 
     maximal = _maximal(support, _positive_steps(h))
-    ambient = _maximal(support, [k for k, rr in zip(td.integer_keys, td.restricted) if rr.positive])
+    ambient = _maximal(support, [rr.integer_key for rr in td.restricted if rr.positive])
     nondominant = [s for s in maximal if dominant_labels(key_of[s][1]) is None]
 
     items = []

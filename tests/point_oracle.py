@@ -84,23 +84,20 @@ def scaffold_oracle(base, twist):
         coroots.append(coroot)
     positives = [base.is_positive(keyed[key][0]) for key in keys]
     pos_mult = tuple(
-        k for k, c, p in zip(keys, classes, positives) if c == "multipliable" and p
+        i for i, (c, p) in enumerate(zip(classes, positives)) if c == "multipliable" and p
     )
     reflections = tuple(zip(keys, coroots))
     lambda_orbits = set()
-    for key in pos_mult:
-        orbit = reflection_orbit(key, reflections)
-        lambda_orbits.add(tuple(i for i, b in enumerate(pos_mult) if b in orbit))
+    for i in pos_mult:
+        orbit = reflection_orbit(keys[i], reflections)
+        lambda_orbits.add(tuple(j for j, b in enumerate(pos_mult) if keys[b] in orbit))
     e = twist.order
     return _Scaffold(
-        keys=tuple(keys),
-        integer_keys=tuple(tuple(int(c * e) for c in key) for key in keys),
-        coroots=tuple(coroots),
-        fibers=tuple(keyed[k] for k in keys),
-        orbit_sizes=tuple(len(keyed[k]) for k in keys),
-        classes=tuple(classes),
-        positives=tuple(positives),
-        positive_mult_keys=pos_mult,
+        roots=tuple(
+            (key, tuple(int(c * e) for c in key), coroot, keyed[key], cls, positive)
+            for key, coroot, cls, positive in zip(keys, coroots, classes, positives)
+        ),
+        lambda_roots=pos_mult,
         lambda_orbits=tuple(sorted(lambda_orbits)),
     )
 

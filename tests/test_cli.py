@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import random
@@ -508,6 +509,44 @@ def test_a_write_that_fails_after_the_check_names_out(tmp_path, capsys, monkeypa
         assert (code, out) == (1, "")
         assert err.startswith("input error: field 'out': "), err
         assert "disk full" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["quotient", "--spec", "catalog:A1"], ["scan", "--spec", "catalog:D4"], ["catalog"], ["selftest"]],
+    ids=["quotient", "scan", "catalog", "selftest"],
+)
+def test_a_closed_stdout_is_an_input_error_on_out(argv):
+    # the read end of stdout is closed before the run starts, as in
+    # `parahoric catalog | true`: the first write fails with a broken pipe
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parent.parent)}
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "parahoric.cli", *argv],
+            env=env, stdout=write, stderr=subprocess.PIPE, text=True, timeout=60,
+        )
+    finally:
+        os.close(write)
+    assert done.returncode == 1, done.stderr
+    assert done.stderr.startswith("input error: field 'out': cannot write to stdout "), done.stderr
+    assert "Traceback" not in done.stderr and "Exception ignored" not in done.stderr
+    assert done.stderr.count("\n") == 1
+
+
+def test_a_failed_stdout_write_in_process_names_out(capsys, monkeypatch):
+    # a stdout with no file descriptor: the failed write is still an input
+    # error on 'out'
+    class Closed(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", Closed())
+    for argv in (["catalog"], ["quotient", "--spec", "catalog:A1"]):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == "input error: field 'out': cannot write to stdout ([Errno 32] Broken pipe)\n"
 
 
 def test_catalog_lists_the_ten_ids_sorted(capsys):

@@ -103,11 +103,14 @@ def test_restrict_2a3_is_c2():
 
 
 def test_lambda_validation():
-    with pytest.raises(EchelonnageError):
+    with pytest.raises(EchelonnageError, match="^lambda valuation must be nonpositive$"):
         td_2a2({0: F(1, 2)})
-    with pytest.raises(EchelonnageError):
+    with pytest.raises(EchelonnageError, match=r"^lambda valuation -1/3 is not in \(1/2\)Z$"):
         td_2a2({0: F(-1, 3)})
-    with pytest.raises(EchelonnageError):
+    with pytest.raises(
+        EchelonnageError,
+        match=r"^lambda valuation index 5 out of range \(have 1 positive multipliable",
+    ):
         td_2a2({5: F(-1, 2)})
     td = td_2a2({0: F(-1, 2)})
     assert not td.is_tame
@@ -121,6 +124,11 @@ def test_lambda_constant_on_weyl_orbits():
     assert not twisted(d, auto, {0: F(-1, 2), 1: F(-1, 2)}).is_tame
 
 
+def td_2a4(lam=None):
+    d = build_datum("A4")
+    return twisted(d, build_automorphism(d, (3, 2, 1, 0)), lam)
+
+
 def test_wild_jump_sets():
     td = td_2a2({0: F(-1, 2)})
     for rr in restrict(td):
@@ -128,6 +136,33 @@ def test_wild_jump_sets():
             assert rr.jump_set == ValuationSet.lattice(F(1, 2), F(-1, 4))
         else:
             assert rr.jump_set == ValuationSet.lattice(1)
+    # 2A4 (BC2) with lambda = -1/2 on both positive multipliable roots: each
+    # class against the formulas of ``TwistedDatum.restricted``, the orbit
+    # size of a divisible root's valuation set being that of its half
+    lam = F(-1, 2)
+    td = td_2a4({0: lam, 1: lam})
+    expected = {
+        "plain": ValuationSet.lattice(F(1, 2)),
+        "multipliable": ValuationSet.lattice(F(1, 2), F(-1, 4)),
+        "divisible": ValuationSet.lattice(1),
+    }
+    seen = []
+    for rr in restrict(td):
+        e = rr.orbit_size
+        if rr.cls == "plain":
+            formula = ValuationSet.lattice(F(1, e))
+        elif rr.cls == "multipliable":
+            formula = ValuationSet.lattice(F(1, e), lam / 2)
+        else:
+            half = td.by_key[tuple(c / 2 for c in rr.key)]
+            assert half.cls == "multipliable"
+            e = half.orbit_size
+            formula = ValuationSet.lattice(F(2, e), lam + F(1, e))
+        assert rr.jump_set == formula == expected[rr.cls], rr.key
+        seen.append((rr.cls, rr.orbit_size))
+    assert sorted(seen) == sorted(
+        [("divisible", 1)] * 4 + [("multipliable", 2)] * 4 + [("plain", 2)] * 4
+    )
 
 
 def test_doubling_disjointness():
@@ -512,11 +547,40 @@ def _scaffold_cosets():
         yield pytest.param(base, twist, id=f"{isogeny} {d} {perm}")
 
 
+def assert_integer_keys_scale_the_keys(td):
+    """Each integer key is e times its key, and each ``affine_rows`` key is
+    q times it."""
+    e = td.twist.order
+    for rr in td.restricted:
+        assert rr.integer_key == tuple(e * c for c in rr.key), rr.key
+    q, _, rows = td.affine_rows
+    assert q % e == 0
+    assert [row[0] for row in rows] == list(td.restricted)
+    for rr, key_q, *_ in rows:
+        assert key_q == tuple(q * c for c in rr.key), rr.key
+
+
 @pytest.mark.parametrize("base,twist", _scaffold_cosets())
 def test_integer_scaffold_matches_the_fraction_oracle(base, twist):
     scaffold, oracle = _scaffold(base, twist), scaffold_oracle(base, twist)
     for field in scaffold._fields:
         assert getattr(scaffold, field) == getattr(oracle, field), field
     td = twisted(base, twist)
-    assert td.integer_keys == scaffold.integer_keys
-    assert [rr.key for rr in td.restricted] == list(oracle.keys)
+    assert [rr.key for rr in td.restricted] == [key for key, *_ in oracle.roots]
+    assert [
+        (rr.integer_key, rr.coroot, rr.fiber, rr.orbit_size, rr.cls, rr.positive, rr.index)
+        for rr in td.restricted
+    ] == [
+        (integer_key, coroot, fiber, len(fiber), cls, positive, index)
+        for index, (_, integer_key, coroot, fiber, cls, positive) in enumerate(oracle.roots)
+    ]
+    multipliable = [rr for rr in td.restricted if rr.cls == "multipliable" and rr.positive]
+    assert [td.restricted[i] for i in scaffold.lambda_roots] == multipliable
+    assert_integer_keys_scale_the_keys(td)
+
+
+@pytest.mark.parametrize("lam", [F(-1, 2), F(-3, 2)])
+def test_integer_keys_scale_the_keys_on_wild_data(lam):
+    for td in (td_2a2({0: lam}), td_2a4({0: lam, 1: lam})):
+        assert not td.is_tame
+        assert_integer_keys_scale_the_keys(td)

@@ -10,7 +10,6 @@ from parahoric.catalog import CATALOG, NAMED_POINTS, catalog_datum, catalog_ids,
 from parahoric.chevalley import orbit_sign, pinned_automorphism, structure_constants
 from parahoric.cli import main
 from parahoric.echelonnage import (
-    _scaffold,
     apartment_point,
     depth_table,
     origin,
@@ -239,7 +238,7 @@ def test_orbit_degrees_closed_form_small():
 @pytest.mark.parametrize("cid", catalog_ids())
 def test_orbit_degrees_match_scan(cid):
     td = catalog_datum(cid)
-    orbits = _scaffold(td.base, td.twist).fibers
+    orbits = [rr.fiber for rr in td.restricted]
     for name in NAMED_POINTS:
         x = named_point(td, name, CATALOG[cid]["rho_m"])
         base = lcm(point_order(td, x), td.twist.order)
@@ -413,8 +412,8 @@ def graded_per_root(datum, twist, den, lam_num, m):
     dims = [0] * m
     zero = []
     negative_orbits = []
-    scaff = _scaffold(datum, twist)
-    for index, (orbit, cls) in enumerate(zip(scaff.fibers, scaff.classes)):
+    for index, rr in enumerate(twisted(datum, twist).restricted):
+        orbit, cls = rr.fiber, rr.cls
         k = len(orbit)
         c = sum(weight[root] for root in orbit)
         if cls == "divisible":
