@@ -231,6 +231,12 @@ class TwistedDatum:
         return {}
 
     @cached_property
+    def quotient_types(self) -> dict:
+        """The types of those data by Cartan matrix (``mpquotient.QuotientType``:
+        the inverse and the characters), filled by ``mpquotient``."""
+        return {}
+
+    @cached_property
     def regular_orders(self) -> dict[int, int]:
         """Orders of the elliptic Z-regular elements of the twisted Weyl coset,
         each with the centralizer order of one (``rootdata.regular_orders``)."""

@@ -11,16 +11,18 @@ on the table (``DepthTable.kept``) and builds it once per table.
 
 The reductive quotient depends on the point only through its depth-0 root
 set, so ``quotient_datum`` returns one shared datum per (datum, root set),
-kept on the twisted datum (``TwistedDatum.quotients``): its checks, its
-integer coordinate data (C^-1 over one denominator, from the fraction-free
-``exactmath.integer_inverse``), its typed components and the characters
-``weylmod`` memoizes on it are computed once per root set.  That map is the
-one owner of the quotient data: a depth table keeps none of its own.
+kept on the twisted datum (``TwistedDatum.quotients``) and checked once; a
+depth table keeps none of its own.  What a character reads depends only on
+the Cartan matrix, which many root sets share, so each datum joins the
+``QuotientType`` of its Cartan matrix (``TwistedDatum.quotient_types``):
+the integer C^-1 (from the fraction-free ``exactmath.integer_inverse``) and
+the characters ``weylmod`` memoizes are computed once per (datum, matrix).
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 
 from .echelonnage import (
     ApartmentPoint,
@@ -43,6 +45,22 @@ from .rootdata import component_type
 
 class QuotientError(PropertyViolation):
     pass
+
+
+@frozen_record
+class QuotientType:
+    """What the quotient data with one Cartan matrix share, made from the
+    first of them: C^-1 over one denominator, the half norms, the sorted
+    positive coordinates, and the characters by top labels (``weylmod``)."""
+
+    cartan: IntMatrix
+    inverse: tuple[int, IntMatrix]
+    half_norms: tuple[int, ...]
+    positive_coordinates: tuple[tuple[int, ...], ...]
+
+    @cached_property
+    def characters(self) -> dict:
+        return {}
 
 
 @frozen_record
@@ -107,7 +125,8 @@ class ReductiveQuotientDatum:
     @cached_property
     def _coordinate_data(self):
         """C^-1 as integers over one denominator: the coordinate map is
-        integer arithmetic on the integer roots."""
+        integer arithmetic on the integer roots.  A datum that joins a type
+        already made takes the type's (``join``)."""
         return integer_inverse(self.cartan)
 
     @property
@@ -182,10 +201,28 @@ class ReductiveQuotientDatum:
         return tuple(sorted(out, key=lambda c: c[1]))
 
     @cached_property
-    def characters(self) -> dict:
-        """Characters of this quotient by top Dynkin labels, filled by
-        ``weylmod``; every point sharing the datum shares them."""
-        return {}
+    def quotient_type(self) -> QuotientType:
+        """Set by ``quotient_datum``; a datum built on its own gets its own."""
+        return self.join({})
+
+    def join(self, types: dict) -> QuotientType:
+        """Take the type of this datum's Cartan matrix from ``types``, or add
+        one made from this datum.  A joining datum takes the type's inverse,
+        and its own half norms and positive coordinates must be the type's."""
+        kind = types.get(self.cartan)
+        if kind is not None:
+            self.__dict__["_coordinate_data"] = kind.inverse
+        positive = tuple(sorted(self.positive_coordinates))
+        own = QuotientType(self.cartan, self._coordinate_data, self.half_norms, positive)
+        if kind is None:
+            kind = types[self.cartan] = own
+        elif own != kind:
+            raise QuotientError(
+                "quotient half norms or positive coordinates differ from those "
+                "of the type of its Cartan matrix"
+            )
+        self.__dict__["quotient_type"] = kind
+        return kind
 
 
 @frozen_record
@@ -200,7 +237,8 @@ def quotient_datum(td: TwistedDatum, x: ApartmentPoint) -> ReductiveQuotientDatu
     """Roots of the reductive quotient: the depth-0 roots, those a with
     a(x - x0) in the jump set.  Its rank is the depth-0 torus dimension.
     Points with the same depth-0 roots get the same datum object, built and
-    checked once per root set (a failed check is raised, not kept)."""
+    checked once per root set (a failed check is raised, not kept), and
+    joined to the type of its Cartan matrix (``TwistedDatum.quotient_types``)."""
     picked, rank = depth_table(td, x).at(0)
     indices = tuple(rr.index for rr in picked)
     if indices in td.quotients:
@@ -212,16 +250,21 @@ def quotient_datum(td: TwistedDatum, x: ApartmentPoint) -> ReductiveQuotientDatu
         if vec_scale(2, k) in keys:
             raise QuotientError("quotient root system is not reduced")
     for rr in picked:
+        a, ac = rr.integer_key, rr.coroot
         for other in keys:
-            if vec_sub(other, vec_scale(pair(other, rr.coroot) // e, rr.integer_key)) not in keys:
+            # the reflection moves other by t a, and fixes it when t = 0
+            t = sum(map(mul, other, ac)) // e
+            if t and tuple(o - t * x for o, x in zip(other, a)) not in keys:
                 raise QuotientError("quotient root system is not reflection closed")
-    h = td.quotients[indices] = ReductiveQuotientDatum(
+    h = ReductiveQuotientDatum(
         rank=rank,
         roots=tuple(rr.key for rr in picked),
         coroots=tuple(rr.coroot for rr in picked),
         positives=tuple(rr.positive for rr in picked),
         integer_roots=tuple(rr.integer_key for rr in picked),
     )
+    h.join(td.quotient_types)
+    td.quotients[indices] = h
     return h
 
 

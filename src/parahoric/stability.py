@@ -232,10 +232,13 @@ def stable_verdict(
         check_weyl_cap(td.base, cap)
     verdict = conjugacy_ok and depth_ok and regular_ok
     if verdict:
-        part, torus = depth_table(td, x).at(jump)
+        table = depth_table(td, x)
+        part, torus = table.at(jump)
         if len(part) + torus <= 0:
             raise StabilityError("verdict true but the first quotient is zero")
-        if matrix_rank([rr.integer_key for rr in part]) != td.restricted_rank:
+        # the span rank is a function of the table and the jump: kept on it
+        span = table.kept("span_rank", jump, lambda: matrix_rank([rr.integer_key for rr in part]))
+        if span != td.restricted_rank:
             raise StabilityError(
                 "verdict true but the first quotient weights do not span"
             )

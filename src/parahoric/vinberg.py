@@ -115,7 +115,7 @@ def _graded(td: TwistedDatum, den: int, lam_num, m: int):
                 raise GradingError("orbit with sign -1 requires an even modulus")
             c += m // 2
             negative_orbits.append(rr.fiber[0])
-        hits = _degrees(k, c, m)
+        hits = [c % m] if k == 1 else _degrees(k, c, m)
         if len(hits) != k:
             raise GradingError(
                 "orbit does not distribute over the expected degrees; "

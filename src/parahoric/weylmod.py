@@ -6,8 +6,10 @@ orbits of weights and the span are walked by ``exactmath.closure``.
 
 The public functions take and return weights in the rational coordinate
 space of the restricted roots.  Inside, a character is an integer map from
-n to the multiplicity of lam - sum n_i alpha_i, memoized on the shared
-quotient datum by the Dynkin labels of lam.  ``decompose`` and the span
+n to the multiplicity of lam - sum n_i alpha_i.  It reads only the Cartan
+matrix, so it is memoized by the Dynkin labels of lam on the quotient type
+(``mpquotient.QuotientType``), which every quotient datum of the twisted
+datum with that Cartan matrix shares.  ``decompose`` and the span
 check hold weights on one integer scale, the integer keys (key times the
 twist order, ``RestrictedRoot.integer_key``) of the depth table, from
 maximality through ordering and character subtraction; ``Fraction``
@@ -28,6 +30,7 @@ from .echelonnage import (
 from .exactmath import PropertyViolation, Vec, clear_denominators, closure, frozen_record, pair
 from .mpquotient import (
     MPQuotientReport,
+    QuotientType,
     ReductiveQuotientDatum,
     mp_quotient,
     quotient_datum,
@@ -124,7 +127,7 @@ def dominance_ge(h: ReductiveQuotientDatum, nu: Vec, mu: Vec) -> bool:
 # <mu, acheck_j> = <lam, acheck_j> - (C n)_j.  The invariant form is
 # (chi, psi) = sum over the roots a of <chi, acheck><psi, acheck>; against a
 # simple root it is (chi, alpha_j) = d_j <chi, acheck_j> with the integer
-# d_j = (alpha_j, alpha_j)/2 (``ReductiveQuotientDatum.half_norms``).  So
+# d_j = (alpha_j, alpha_j)/2 (``QuotientType.half_norms``).  So
 # every quantity of Freudenthal's recursion is an integer:
 #   (mu, a) = sum_j k_j d_j <mu, acheck_j>   for a = sum k_j alpha_j,
 #   |lam + rho|^2 - |mu + rho|^2
@@ -152,14 +155,14 @@ def _orbit(n: tuple, labels: tuple, drops) -> dict:
     return dict(closure([(n, labels)], lower))
 
 
-def _dimension(h: ReductiveQuotientDatum, labels) -> int:
+def _dimension(kind: QuotientType, labels) -> int:
     """prod over positive a of <lam + rho, acheck> / <rho, acheck>, which is
     (lam + rho, a) / (rho, a) with <rho, acheck_j> = 1, from the Dynkin
     labels of lam."""
     shifted = [t + 1 for t in labels]
     num = den = 1
-    for k in h.positive_coordinates:
-        dk = tuple(map(mul, k, h.half_norms))
+    for k in kind.positive_coordinates:
+        dk = tuple(map(mul, k, kind.half_norms))
         num *= sum(map(mul, dk, shifted))
         den *= sum(dk)
     dim, rem = divmod(num, den)
@@ -169,21 +172,21 @@ def _dimension(h: ReductiveQuotientDatum, labels) -> int:
 
 
 def weyl_dimension(h: ReductiveQuotientDatum, lam: Vec) -> int:
-    return _dimension(h, [pair(lam, ac) for ac in h.simple_coroots])
+    return _dimension(h.quotient_type, [pair(lam, ac) for ac in h.simple_coroots])
 
 
-def _freudenthal(h: ReductiveQuotientDatum, top: tuple[int, ...]) -> dict:
+def _freudenthal(kind: QuotientType, top: tuple[int, ...]) -> dict:
     """n -> multiplicity of lam - sum n_i alpha_i in the module of highest
     weight lam with Dynkin labels ``top``, by Freudenthal's recursion on
     dominant weights level by level (level = sum n) and Weyl-orbit
     expansion."""
     rank = len(top)
-    drops = tuple(zip(*h.cartan))  # drops[i]: the Dynkin labels of alpha_i
-    d = h.half_norms
+    drops = tuple(zip(*kind.cartan))  # drops[i]: the Dynkin labels of alpha_i
+    d = kind.half_norms
     positives = []  # (k, (k_j d_j)_j, (a, a)) per positive root a
-    for k in h.positive_coordinates:
+    for k in kind.positive_coordinates:
         dk = tuple(map(mul, k, d))
-        norm = sum(map(mul, dk, (pair(row, k) for row in h.cartan)))
+        norm = sum(map(mul, dk, (pair(row, k) for row in kind.cartan)))
         positives.append((k, dk, norm))
 
     mult: dict[tuple, int] = {}  # every weight found so far
@@ -229,18 +232,19 @@ def _freudenthal(h: ReductiveQuotientDatum, top: tuple[int, ...]) -> dict:
 
 def _character(h: ReductiveQuotientDatum, top: tuple[int, ...]) -> tuple[dict, int]:
     """The integer character (n -> multiplicity) and the dimension of the
-    module with dominant Dynkin labels ``top``, memoized on h and checked
-    against the Weyl dimension formula when first computed."""
-    hit = h.characters.get(top)
+    module with dominant Dynkin labels ``top``, memoized on the type of h and
+    checked against the Weyl dimension formula when first computed."""
+    kind = h.quotient_type
+    hit = kind.characters.get(top)
     if hit is None:
-        mult = _freudenthal(h, top)
+        mult = _freudenthal(kind, top)
         dim = sum(mult.values())
-        expected = _dimension(h, top)
+        expected = _dimension(kind, top)
         if dim != expected:
             raise WeylModuleError(
                 f"character dimension {dim} disagrees with the Weyl formula {expected}"
             )
-        hit = h.characters[top] = mult, dim
+        hit = kind.characters[top] = mult, dim
     return hit
 
 

@@ -235,6 +235,14 @@ def test_orbit_degrees_closed_form_small():
                 assert _degrees(k, target, m) == scan_degrees(k, target, m)
 
 
+def test_an_orbit_of_size_one_has_the_one_degree_of_its_weight():
+    # the case ``_graded`` reads without ``_degrees``: every orbit of a split datum
+    rng = random.Random("orbit of size one")
+    for m in range(1, 200):
+        for target in [*range(-2 * m, 2 * m), *(rng.randint(-10**9, 10**9) for _ in range(20))]:
+            assert _degrees(1, target, m) == [target % m]
+
+
 @pytest.mark.parametrize("cid", catalog_ids())
 def test_orbit_degrees_match_scan(cid):
     td = catalog_datum(cid)
@@ -478,3 +486,16 @@ def test_per_orbit_grading_matches_per_root_loop(name):
         _graded(td, 4, datum.simple_coroots[0], 2 * twist.order)
     with pytest.raises(GradingError, match="does not pair integrally"):
         graded_per_root(datum, twist, 4, datum.simple_coroots[0], 2 * twist.order)
+
+
+@pytest.mark.parametrize("name", SPLIT_TYPES)
+def test_split_grading_matches_per_root_loop_at_every_modulus(name):
+    # every orbit of a split datum has size one: integral cocharacters at
+    # every modulus up to 60, against the per-root loop through ``_degrees``
+    td = twisted(build_datum(name))
+    datum = td.base
+    rng = random.Random(name)
+    cocharacters = [datum.rho_check, [rng.randint(-9, 9) for _ in range(datum.rank)]]
+    for lam in cocharacters:
+        for m in range(1, 61):
+            assert _graded(td, 1, lam, m) == graded_per_root(datum, td.twist, 1, lam, m)

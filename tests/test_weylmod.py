@@ -21,6 +21,8 @@ from parahoric.exactmath import (
     vec_sub,
 )
 from parahoric.mpquotient import (
+    QuotientError,
+    QuotientType,
     ReductiveQuotientDatum,
     first_jump,
     mp_quotient,
@@ -43,7 +45,7 @@ from parahoric.weylmod import (
 )
 
 from matrix_oracle import solve_linear
-from warm_points import warm_sweep
+from warm_points import perfbench_module, warm_sweep
 
 F = Fraction
 
@@ -567,18 +569,25 @@ def test_decompose_hashes_fractions_only_for_its_results(name, monkeypatch):
     assert seen and served  # the wrapper was live, and kept results served
 
 
-def test_memoized_character_equals_a_fresh_one():
+def test_memoized_character_equals_a_fresh_one(monkeypatch):
     td = twisted(build_datum("B3"))
     for x in (origin(td), point_from_simple_coroots(td, (0, 0, F(1, 3)))):
         h = quotient_datum(td, x)
         dec = decompose(td, x, first_jump(td, x))
-        assert h.characters  # decompose filled the memo of the shared datum
-        fresh = ReductiveQuotientDatum(h.rank, h.roots, h.coroots, h.positives, h.integer_roots)
+        memo = h.quotient_type.characters
+        assert memo  # decompose filled the memo of the shared type
+        assert td.quotient_types[h.cartan] is h.quotient_type
+        with monkeypatch.context() as m:  # built again, on empty memos
+            m.setitem(vars(td), "quotients", {})
+            m.setitem(vars(td), "quotient_types", {})
+            fresh = quotient_datum(td, x)
+        assert fresh == h and fresh is not h and fresh.quotient_type is not h.quotient_type
+        assert fresh.quotient_type == h.quotient_type and not fresh.quotient_type.characters
         for mu, _ in dec.items:
-            cached = len(h.characters)
+            cached = len(memo)
             assert weyl_character(h, mu) == weyl_character(fresh, mu)
-            assert len(h.characters) == cached  # served from the memo
-        assert fresh.characters.keys() <= h.characters.keys()
+            assert len(memo) == cached  # served from the memo
+        assert fresh.quotient_type.characters.keys() <= memo.keys()
 
 
 def test_sweep_builds_one_quotient_per_root_set(monkeypatch):
@@ -633,9 +642,9 @@ def test_sweep_builds_one_quotient_per_root_set(monkeypatch):
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_warm_tables_decompose_like_a_fresh_quotient_datum(seed, monkeypatch):
-    # the shared quotient datum's tables (its characters, its coordinate
-    # data) are filled by earlier points; a fresh quotient datum must give
-    # the same answer
+    # the shared quotient datum and its type (its characters, its coordinate
+    # data) are filled by earlier points; a quotient datum built again with
+    # empty quotient and type memos must give the same answer
     fields = ("items", "maximal_set", "nondominant_maximal", "ambient_reading_differs")
     compared = 0
     for td, x in warm_sweep(seed, 20):
@@ -643,15 +652,185 @@ def test_warm_tables_decompose_like_a_fresh_quotient_datum(seed, monkeypatch):
             decompose(td, x, r)
             warm = decompose(td, x, r)
             h = quotient_datum(td, x)
-            fresh = ReductiveQuotientDatum(**{f: getattr(h, f) for f in h._fields})
             with monkeypatch.context() as m:
-                m.setitem(td.quotients, next(k for k, v in td.quotients.items() if v is h), fresh)
+                m.setitem(vars(td), "quotients", {})
+                m.setitem(vars(td), "quotient_types", {})
                 depth_table(td, x).results.clear()  # so decompose reads fresh
                 cold = decompose(td, x, r)
-                assert quotient_datum(td, x) is fresh
+                fresh = quotient_datum(td, x)
+                assert fresh == h and fresh is not h
+                assert fresh.quotient_type is not h.quotient_type
             assert quotient_datum(td, x) is h
             assert cold is not warm  # computed again, with fresh
             assert [getattr(cold, f) for f in fields] == [getattr(warm, f) for f in fields]
             assert cold == warm
             compared += 1
     assert compared >= 16 * 20 * 2
+
+
+# ---------------------------------------------------------------------------
+# Quotient types: the data of a twisted datum with one Cartan matrix share one
+# QuotientType, its inverse and its characters.  Every shared value must equal
+# one computed from scratch for each datum of the type: a standalone datum of
+# the same roots, whose type, inverse and characters are its own.
+
+# name -> (Dynkin type, node permutation), checked at the origin and at rho_check/h
+TYPE_EXTRA = {
+    "F4": ("F4", None),
+    "B6": ("B6", None),
+    "E6": ("E6", None),
+    "E7": ("E7", None),
+    "E8": ("E8", None),
+    "2E6": ("E6", (5, 1, 4, 3, 2, 0)),
+    "3D4": ("D4", (2, 1, 3, 0)),
+}
+
+
+def weight_of_labels(h, top, dim):
+    """The weight in the root span of h, of ambient dimension ``dim``, with
+    Dynkin labels ``top``: sum c_i alpha_i with C c = top, by a rational
+    solve."""
+    c = solve_linear([[F(x) for x in row] for row in h.cartan], [F(t) for t in top]) if top else ()
+    return tuple(sum((ci * a[i] for ci, a in zip(c, h.simple_roots)), F(0)) for i in range(dim))
+
+
+def assert_types_match_scratch(td):
+    """Every type of td against each of its data computed from scratch."""
+    checked = 0
+    for h in td.quotients.values():
+        kind = h.quotient_type
+        assert td.quotient_types[h.cartan] is kind
+        scratch = ReductiveQuotientDatum(**{f: getattr(h, f) for f in h._fields})
+        own = scratch.quotient_type
+        assert own is not kind and not own.characters
+        den, inverse = kind.inverse
+        assert kind.inverse == own.inverse
+        assert [[pair(row, col) for col in zip(*inverse)] for row in h.cartan] == [
+            [den * (i == j) for j in range(len(h.cartan))] for i in range(len(h.cartan))
+        ]
+        assert (kind.cartan, kind.half_norms) == (h.cartan, h.half_norms)
+        assert kind.positive_coordinates == tuple(sorted(h.positive_coordinates))
+        for top, (mult, dim) in list(kind.characters.items()):
+            lam = weight_of_labels(h, top, td.base.rank)
+            assert tuple(pair(lam, ac) for ac in h.simple_coroots) == top
+            assert weyl_character(scratch, lam) == weyl_character(h, lam)
+            assert own.characters[top] == (mult, dim)
+            assert weyl_dimension(h, lam) == oracle_weyl_dimension(h, lam) == dim
+            checked += 1
+    return checked
+
+
+def test_warm_quotient_types_match_scratch():
+    # every type the seed 0-2 warm sweeps meet
+    child = perfbench_module("child")
+    import parahoric
+
+    tds, checked = set(), 0
+    for seed in (0, 1, 2):
+        for td, x in warm_sweep(seed):
+            child.sweep_point(parahoric, td, x, len(td.base.roots) + td.base.rank)
+            tds |= {td, twisted(td.base, td.twist)}
+    for td in tds:
+        assert len(td.quotient_types) <= len(td.quotients)
+        checked += assert_types_match_scratch(td)
+    assert sum(map(len, (td.quotients for td in tds))) > sum(
+        map(len, (td.quotient_types for td in tds))
+    )  # data shared types
+    assert checked >= 94
+
+
+@pytest.mark.parametrize("name", tuple(TYPE_EXTRA))
+def test_large_quotient_types_match_scratch(name):
+    desc, perm = TYPE_EXTRA[name]
+    d = build_datum(desc)
+    td = twisted(d, perm and build_automorphism(d, perm))
+    for x in (origin(td), rho_point(td, len(d.roots) // d.rank)):
+        for r in (first_jump(td, x), F(1, 2)):
+            decompose(td, x, r)
+    assert assert_types_match_scratch(td) >= 2
+
+
+def test_a_datum_that_differs_from_its_type_is_refused(monkeypatch):
+    td = twisted(build_datum("B3"))
+    x = origin(td)
+    h = quotient_datum(td, x)
+    kind = h.quotient_type
+    forged = {
+        "half norms": QuotientType(
+            kind.cartan, kind.inverse, tuple(2 * d for d in kind.half_norms), kind.positive_coordinates
+        ),
+        "positive coordinates": QuotientType(
+            kind.cartan, kind.inverse, kind.half_norms, kind.positive_coordinates[1:]
+        ),
+    }
+    for what, bad in forged.items():
+        scratch = ReductiveQuotientDatum(**{f: getattr(h, f) for f in h._fields})
+        with pytest.raises(QuotientError, match="differ"):
+            scratch.join({h.cartan: bad})
+        with monkeypatch.context() as m:
+            m.setitem(vars(td), "quotients", {})
+            m.setitem(vars(td), "quotient_types", {h.cartan: bad})
+            with pytest.raises(QuotientError, match="differ"):
+                quotient_datum(td, x)
+            assert not td.quotients, what  # a failed check is not kept
+    assert quotient_datum(td, x) is h and h.quotient_type is kind
+
+
+def test_a_warm_pass_computes_each_shared_result_once(monkeypatch):
+    # The seed-0 warm pass, the benchmark's own per-point work, on empty
+    # quotient, type and depth-table memos: Freudenthal runs once per
+    # (twisted datum, type, top labels), the integer inverse once per
+    # (twisted datum, Cartan matrix) and the verdict's span rank once per
+    # (depth table, jump).  Every datum still runs its own checks, and every
+    # character computed is checked against the Weyl dimension formula.
+    import parahoric
+    from parahoric import exactmath, mpquotient, stability, weylmod
+
+    child = perfbench_module("child")
+    points = list(warm_sweep(0))
+    tds = {t for td, _ in points for t in (td, twisted(td.base, td.twist))}
+    calls = {"freudenthal": 0, "dimension": 0, "inverse": 0, "rank": 0}
+
+    def counting(name, real):
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return wrapper
+
+    asked, held = set(), []
+
+    def character(h, top):
+        held.append(h)
+        asked.add((id(h.quotient_type), top))
+        return real_character(h, top)
+
+    real_character = weylmod._character
+    depth_table.cache_clear()
+    with monkeypatch.context() as m:
+        for td in tds:
+            m.setitem(vars(td), "quotients", {})
+            m.setitem(vars(td), "quotient_types", {})
+            m.setitem(vars(td), "depth_tables", type(td.depth_tables)())
+        m.setattr(weylmod, "_freudenthal", counting("freudenthal", weylmod._freudenthal))
+        m.setattr(weylmod, "_dimension", counting("dimension", weylmod._dimension))
+        m.setattr(weylmod, "_character", character)
+        m.setattr(mpquotient, "integer_inverse", counting("inverse", exactmath.integer_inverse))
+        m.setattr(stability, "matrix_rank", counting("rank", exactmath.matrix_rank))
+        spans = set()
+        for td, x in points:
+            result = child.sweep_point(parahoric, td, x, len(td.base.roots) + td.base.rank)
+            if result["verdict"]:
+                table = depth_table(td, x)
+                held.append(table)
+                spans.add((id(table), first_jump(td, x)))
+        data = [h for td in tds for h in td.quotients.values()]
+        types = sum(len(td.quotient_types) for td in tds)
+    depth_table.cache_clear()  # its tables are not in the restored intern maps
+    assert 0 < calls["freudenthal"] == len(asked) <= 94
+    assert calls["dimension"] == calls["freudenthal"]
+    assert calls["inverse"] == types == len({(id(h.quotient_type), h.cartan) for h in data}) <= 69
+    assert 0 < calls["rank"] == len(spans) <= 51
+    assert len(data) == 204 > types
+    checks = ("cartan", "half_norms", "positive_coordinates", "quotient_type")
+    assert all(name in vars(h) for h in data for name in checks)
