@@ -127,12 +127,13 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _node_key(k) -> str:
+def _lambda_key(k) -> str:
     try:
         return str(int(k))
     except (TypeError, ValueError) as exc:
         raise InputError(
-            f"field 'lambda_valuations': key {k!r} is not a node index"
+            f"field 'lambda_valuations': key {k!r} is not the index of a "
+            "positive multipliable restricted root"
         ) from exc
 
 
@@ -158,7 +159,7 @@ def normalize_spec(raw: dict) -> dict:
     if not isinstance(lam, dict):
         raise InputError("field 'lambda_valuations': must be an object")
     spec["lambda_valuations"] = {
-        _node_key(k): frac_str(parse_frac(v, "lambda_valuations")) for k, v in lam.items()
+        _lambda_key(k): frac_str(parse_frac(v, "lambda_valuations")) for k, v in lam.items()
     }
     point = spec["point"]
     if not isinstance(point, dict) or not ({"name", "coords"} & set(point)):
@@ -240,7 +241,7 @@ def default_modulus(td: TwistedDatum, x: ApartmentPoint, spec: dict) -> int:
 def identify_quotient(h: ReductiveQuotientDatum) -> dict:
     n = len(h.cartan)
     return {
-        "components": sorted(name for name, _ in h.components),
+        "components": sorted(name for name, _ in h.quotient_type.components),
         "semisimple_rank": n,
         "torus_rank": h.rank - n,
     }

@@ -38,7 +38,6 @@ from .exactmath import (
     frozen_record,
     integer_inverse,
     mat_vec,
-    matrix_rank,
     pair,
     reflection_orbit,
     rref,
@@ -55,9 +54,9 @@ from .rootdata import (
 )
 
 ALCOVE_ITERATION_CAP = 100_000
-# Per-point results kept for reuse (``depth_table`` and the stability
-# reference point): the calls about one point come together, so a few recent
-# points suffice.  Per-datum tables live on the interned datum instead.
+# Depth tables kept per point for reuse (``depth_table``): the calls about
+# one point come together, so a few recent points suffice.  Per-datum tables
+# live on the interned datum instead.
 DEPTH_TABLE_CACHE = 32
 _TWISTED: dict[tuple, TwistedDatum] = {}  # ``twisted`` interns its results
 
@@ -154,7 +153,9 @@ def _scaffold(base: RootDatum, twist: DiagramAutomorphism) -> _Scaffold:
 @frozen_record
 class TwistedDatum:
     """A root datum with a diagram automorphism and lambda-valuations, interned
-    by ``twisted``: the per-datum tables below are computed once per datum."""
+    by ``twisted``: the per-datum tables below are computed once per datum.
+    The quotient types are not among them: a type is a function of its
+    Cartan matrix alone, so ``mpquotient`` interns one per matrix."""
 
     base: RootDatum
     twist: DiagramAutomorphism
@@ -214,7 +215,9 @@ class TwistedDatum:
 
     @cached_property
     def restricted_rank(self) -> int:
-        return matrix_rank([rr.integer_key for rr in self.restricted])
+        """The rank of the span of the restricted roots, which the simple
+        restricted roots are a basis of."""
+        return len(self.simple_keys)
 
     @cached_property
     def depth_tables(self) -> WeakValueDictionary:
@@ -231,12 +234,6 @@ class TwistedDatum:
         return {}
 
     @cached_property
-    def quotient_types(self) -> dict:
-        """The types of those data by Cartan matrix (``mpquotient.QuotientType``:
-        the inverse and the characters), filled by ``mpquotient``."""
-        return {}
-
-    @cached_property
     def regular_orders(self) -> dict[int, int]:
         """Orders of the elliptic Z-regular elements of the twisted Weyl coset,
         each with the centralizer order of one (``rootdata.regular_orders``)."""
@@ -246,6 +243,12 @@ class TwistedDatum:
     def regular_witnesses(self) -> dict:
         """The least elliptic Z-regular element of each order asked for,
         filled by ``stability``."""
+        return {}
+
+    @cached_property
+    def reduced_references(self) -> dict:
+        """The distinguished barycenter x0 + rho_check/m reduced into the base
+        alcove, by each point order m asked for, filled by ``stability``."""
         return {}
 
     @cached_property

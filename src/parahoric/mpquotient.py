@@ -13,10 +13,12 @@ The reductive quotient depends on the point only through its depth-0 root
 set, so ``quotient_datum`` returns one shared datum per (datum, root set),
 kept on the twisted datum (``TwistedDatum.quotients``) and checked once; a
 depth table keeps none of its own.  What a character reads depends only on
-the Cartan matrix, which many root sets share, so each datum joins the
-``QuotientType`` of its Cartan matrix (``TwistedDatum.quotient_types``):
-the integer C^-1 (from the fraction-free ``exactmath.integer_inverse``) and
-the characters ``weylmod`` memoizes are computed once per (datum, matrix).
+the Cartan matrix, which many root sets of many data share, so the
+``QuotientType`` of a Cartan matrix is interned for the process
+(``ReductiveQuotientDatum.quotient_type``, as ``rootdata.build_datum``
+interns root data): the integer C^-1 (from the fraction-free
+``exactmath.integer_inverse``), the component types and the characters
+``weylmod`` memoizes are computed once per matrix.
 """
 from __future__ import annotations
 
@@ -51,7 +53,8 @@ class QuotientError(PropertyViolation):
 class QuotientType:
     """What the quotient data with one Cartan matrix share, made from the
     first of them: C^-1 over one denominator, the half norms, the sorted
-    positive coordinates, and the characters by top labels (``weylmod``)."""
+    positive coordinates, the component types and the characters by top
+    labels (``weylmod``)."""
 
     cartan: IntMatrix
     inverse: tuple[int, IntMatrix]
@@ -61,6 +64,27 @@ class QuotientType:
     @cached_property
     def characters(self) -> dict:
         return {}
+
+    @cached_property
+    def components(self) -> tuple[tuple[str, tuple[int, ...]], ...]:
+        """Each irreducible component as (its type, its simple-root indices),
+        by least index.  A positive root's support lies in one component, and
+        the largest is that of its highest root, the whole component; the type
+        is ``rootdata.component_type`` of its rank, positive and short roots."""
+        supports = [frozenset(i for i, c in enumerate(v) if c) for v in self.positive_coordinates]
+        supports.sort(key=len)
+        out, covered = [], set()
+        for nodes in reversed(supports):
+            if nodes.isdisjoint(covered):
+                covered |= nodes
+                norms = [self.half_norms[i] for i in nodes]
+                short = sum(d < max(norms) for d in norms)
+                count = sum(s <= nodes for s in supports)
+                out.append((component_type(len(nodes), count, short), tuple(sorted(nodes))))
+        return tuple(sorted(out, key=lambda c: c[1]))
+
+
+_TYPES: dict[IntMatrix, QuotientType] = {}  # ``quotient_type`` interns its results
 
 
 @frozen_record
@@ -125,9 +149,10 @@ class ReductiveQuotientDatum:
     @cached_property
     def _coordinate_data(self):
         """C^-1 as integers over one denominator: the coordinate map is
-        integer arithmetic on the integer roots.  A datum that joins a type
-        already made takes the type's (``join``)."""
-        return integer_inverse(self.cartan)
+        integer arithmetic on the integer roots.  The type of C has it once
+        a datum with C has made the type."""
+        kind = _TYPES.get(self.cartan)
+        return integer_inverse(self.cartan) if kind is None else kind.inverse
 
     @property
     def coordinate_denominator(self) -> int:
@@ -183,45 +208,19 @@ class ReductiveQuotientDatum:
         return tuple(out)
 
     @cached_property
-    def components(self) -> tuple[tuple[str, tuple[int, ...]], ...]:
-        """Each irreducible component as (its type, its simple-root indices),
-        by least index.  A positive root's support lies in one component, and
-        the largest is that of its highest root, the whole component; the type
-        is ``rootdata.component_type`` of its rank, positive and short roots."""
-        supports = [frozenset(i for i, c in enumerate(v) if c) for v in self.positive_coordinates]
-        supports.sort(key=len)
-        out, covered = [], set()
-        for nodes in reversed(supports):
-            if nodes.isdisjoint(covered):
-                covered |= nodes
-                norms = [self.half_norms[i] for i in nodes]
-                short = sum(d < max(norms) for d in norms)
-                count = sum(s <= nodes for s in supports)
-                out.append((component_type(len(nodes), count, short), tuple(sorted(nodes))))
-        return tuple(sorted(out, key=lambda c: c[1]))
-
-    @cached_property
     def quotient_type(self) -> QuotientType:
-        """Set by ``quotient_datum``; a datum built on its own gets its own."""
-        return self.join({})
-
-    def join(self, types: dict) -> QuotientType:
-        """Take the type of this datum's Cartan matrix from ``types``, or add
-        one made from this datum.  A joining datum takes the type's inverse,
-        and its own half norms and positive coordinates must be the type's."""
-        kind = types.get(self.cartan)
-        if kind is not None:
-            self.__dict__["_coordinate_data"] = kind.inverse
+        """The type of this datum's Cartan matrix, one per matrix for the
+        process, made from the first datum with it: a later datum takes the
+        type's inverse, and its own half norms and positive coordinates must
+        be the type's."""
         positive = tuple(sorted(self.positive_coordinates))
         own = QuotientType(self.cartan, self._coordinate_data, self.half_norms, positive)
-        if kind is None:
-            kind = types[self.cartan] = own
-        elif own != kind:
+        kind = _TYPES.setdefault(self.cartan, own)
+        if kind != own:
             raise QuotientError(
                 "quotient half norms or positive coordinates differ from those "
                 "of the type of its Cartan matrix"
             )
-        self.__dict__["quotient_type"] = kind
         return kind
 
 
@@ -237,8 +236,8 @@ def quotient_datum(td: TwistedDatum, x: ApartmentPoint) -> ReductiveQuotientDatu
     """Roots of the reductive quotient: the depth-0 roots, those a with
     a(x - x0) in the jump set.  Its rank is the depth-0 torus dimension.
     Points with the same depth-0 roots get the same datum object, built and
-    checked once per root set (a failed check is raised, not kept), and
-    joined to the type of its Cartan matrix (``TwistedDatum.quotient_types``)."""
+    checked once per root set (a failed check is raised, not kept), also
+    against the type of its Cartan matrix (``quotient_type``)."""
     picked, rank = depth_table(td, x).at(0)
     indices = tuple(rr.index for rr in picked)
     if indices in td.quotients:
@@ -263,7 +262,7 @@ def quotient_datum(td: TwistedDatum, x: ApartmentPoint) -> ReductiveQuotientDatu
         positives=tuple(rr.positive for rr in picked),
         integer_roots=tuple(rr.integer_key for rr in picked),
     )
-    h.join(td.quotient_types)
+    h.quotient_type  # runs the datum's own checks and those against its type
     td.quotients[indices] = h
     return h
 

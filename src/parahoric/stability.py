@@ -21,12 +21,10 @@ hyperplanes.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd, lcm
 
 from .catalog import named_point
 from .echelonnage import (
-    DEPTH_TABLE_CACHE,
     ApartmentPoint,
     TwistedDatum,
     alcove_reduce,
@@ -205,13 +203,6 @@ class StabilityVerdict:
     first_jump: Fraction
 
 
-@lru_cache(maxsize=DEPTH_TABLE_CACHE)
-def _reduced_reference(td: TwistedDatum, m: int) -> ApartmentPoint:
-    """The distinguished barycenter x0 + rho_check/m, reduced into the base
-    alcove."""
-    return alcove_reduce(td, named_point(td, "rho_over_m", m))
-
-
 def stable_verdict(
     td: TwistedDatum, x: ApartmentPoint, cap: int = WEYL_CAP_DEFAULT
 ) -> StabilityVerdict:
@@ -223,7 +214,9 @@ def stable_verdict(
         )
     m = point_order(td, x)
     reduced_x = alcove_reduce(td, x)
-    reduced_ref = _reduced_reference(td, m)
+    reduced_ref = td.reduced_references.get(m)
+    if reduced_ref is None:  # the distinguished barycenter, kept on the datum
+        reduced_ref = td.reduced_references[m] = alcove_reduce(td, named_point(td, "rho_over_m", m))
     conjugacy_ok = reduced_x == reduced_ref
     jump = first_jump(td, x)
     depth_ok = jump.numerator == 1 and jump.denominator == m

@@ -8,8 +8,8 @@ The public functions take and return weights in the rational coordinate
 space of the restricted roots.  Inside, a character is an integer map from
 n to the multiplicity of lam - sum n_i alpha_i.  It reads only the Cartan
 matrix, so it is memoized by the Dynkin labels of lam on the quotient type
-(``mpquotient.QuotientType``), which every quotient datum of the twisted
-datum with that Cartan matrix shares.  ``decompose`` and the span
+(``mpquotient.QuotientType``), which every quotient datum with that Cartan
+matrix shares, whatever its twisted datum.  ``decompose`` and the span
 check hold weights on one integer scale, the integer keys (key times the
 twist order, ``RestrictedRoot.integer_key``) of the depth table, from
 maximality through ordering and character subtraction; ``Fraction``

@@ -232,6 +232,17 @@ def test_spec_validation_names_field(tmp_path, capsys, fields, field):
     assert "Traceback" not in err
 
 
+def test_a_lambda_key_that_is_no_root_index_is_named(tmp_path, capsys):
+    # the keys index the positive multipliable restricted roots, not nodes
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"dynkin": "A2", "lambda_valuations": {"x": "-1/2"}}))
+    code, out, err = run_cli(["scan", "--spec", str(spec)], capsys)
+    assert (code, out) == (1, "")
+    assert "input error: field 'lambda_valuations'" in err
+    assert "key 'x' is not the index of a positive multipliable restricted root" in err
+    assert "node" not in err and "Traceback" not in err
+
+
 def test_lambda_off_weyl_orbit_is_an_input_error(tmp_path, capsys):
     spec = tmp_path / "spec.json"
     base = {"dynkin": "A4", "automorphism": [3, 2, 1, 0]}

@@ -1,4 +1,4 @@
-"""The quotient's component types (``ReductiveQuotientDatum.components``,
+"""The quotient's component types (``QuotientType.components``,
 named by ``rootdata.component_type`` from root counts) against the
 permutation search they replace: the first template, from A to G, that some
 relabelling of the nodes turns into the Cartan block of the component."""
@@ -86,7 +86,7 @@ def test_closed_form_agrees_with_the_permutation_search(letter, n):
     td = twisted(build_datum(name))
     h = quotient_datum(td, origin(td))
     expected = FIRST_MATCH.get(name, name)
-    assert h.components == components_oracle(h) == ((expected, tuple(range(n))),)
+    assert h.quotient_type.components == components_oracle(h) == ((expected, tuple(range(n))),)
     rng = random.Random(f"relabel {name}")
     for _ in range(2):
         perm = list(range(n))
@@ -129,8 +129,8 @@ def test_components_agree_with_the_oracle_on_a_seeded_sweep():
     for name, td, points in _sweep():
         for x in points:
             h = quotient_datum(td, x)
-            assert h.components == components_oracle(h), (name, x.coords)
-            types.add(tuple(sorted(c for c, _ in h.components)))
+            assert h.quotient_type.components == components_oracle(h), (name, x.coords)
+            types.add(tuple(sorted(c for c, _ in h.quotient_type.components)))
     # the sweep meets more than 80 quotient types, G2, F4 and E7 among them
     assert len(types) > 80 and {("G2",), ("F4",), ("E7",), ("A1", "C3", "G2")} <= types
 

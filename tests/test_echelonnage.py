@@ -27,6 +27,7 @@ from parahoric.exactmath import (
     ExactMathError,
     ValuationSet,
     mat_vec,
+    matrix_rank,
     pair,
     vec_add,
     vec_scale,
@@ -560,6 +561,13 @@ def assert_integer_keys_scale_the_keys(td):
         assert key_q == tuple(q * c for c in rr.key), rr.key
 
 
+def assert_restricted_rank_is_the_simple_count(td):
+    """The simple restricted roots are a basis of the span of the restricted
+    roots: the rank of that span, by elimination, is their count."""
+    rank = matrix_rank([rr.integer_key for rr in td.restricted])
+    assert td.restricted_rank == len(td.simple_keys) == rank
+
+
 @pytest.mark.parametrize("base,twist", _scaffold_cosets())
 def test_integer_scaffold_matches_the_fraction_oracle(base, twist):
     scaffold, oracle = _scaffold(base, twist), scaffold_oracle(base, twist)
@@ -577,6 +585,7 @@ def test_integer_scaffold_matches_the_fraction_oracle(base, twist):
     multipliable = [rr for rr in td.restricted if rr.cls == "multipliable" and rr.positive]
     assert [td.restricted[i] for i in scaffold.lambda_roots] == multipliable
     assert_integer_keys_scale_the_keys(td)
+    assert_restricted_rank_is_the_simple_count(td)
 
 
 @pytest.mark.parametrize("lam", [F(-1, 2), F(-3, 2)])
@@ -584,3 +593,4 @@ def test_integer_keys_scale_the_keys_on_wild_data(lam):
     for td in (td_2a2({0: lam}), td_2a4({0: lam, 1: lam})):
         assert not td.is_tame
         assert_integer_keys_scale_the_keys(td)
+        assert_restricted_rank_is_the_simple_count(td)

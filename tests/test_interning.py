@@ -28,17 +28,16 @@ from warm_points import warm_sweep
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "parahoric"
 
-# Per-point results (bounded by DEPTH_TABLE_CACHE), the scaffold of a
-# (datum, twist) pair, the Weyl group and the Chevalley-basis oracle.
+# The depth table per point (bounded by DEPTH_TABLE_CACHE), the scaffold of
+# a (datum, twist) pair, the Weyl group and the Chevalley-basis oracle.
 CACHED = {
     "echelonnage.depth_table",
-    "stability._reduced_reference",
     "echelonnage._scaffold",
     "rootdata.weyl_elements",
     "chevalley.structure_constants",
     "chevalley.pinned_automorphism",
 }
-BOUNDED = {"echelonnage.depth_table", "stability._reduced_reference"}
+BOUNDED = {"echelonnage.depth_table"}
 
 
 def test_the_builders_return_one_object_per_datum():
@@ -250,6 +249,47 @@ def test_no_module_imports_a_private_name_from_another():
         if alias.name.startswith("_") and not alias.name.startswith("__")
     ]
     assert private == []
+
+
+# dict methods that change the dict
+MUTATORS = {"update", "setdefault", "pop", "popitem", "clear", "__setitem__", "__delitem__"}
+
+
+def _dict_writes(tree, allowed):
+    """Lines that write some object's ``__dict__`` (an item store or delete,
+    or a mutating method) outside the functions named in ``allowed``."""
+    inside = {
+        id(n)
+        for fn in _functions(tree)
+        if fn.name in allowed
+        for n in ast.walk(fn)
+    }
+    for node in ast.walk(tree):
+        if id(node) in inside:
+            continue
+        if isinstance(node, ast.Subscript) and not isinstance(node.ctx, ast.Load):
+            target = node.value
+        elif isinstance(node, ast.Attribute) and node.attr in MUTATORS:
+            target = node.value
+        else:
+            continue
+        if isinstance(target, ast.Attribute) and target.attr == "__dict__":
+            yield node.lineno
+
+
+def test_no_record_dict_is_written_outside_its_constructor():
+    # a record's attributes are its fields, set by ``frozen_record``, and the
+    # ``cached_property`` values it computes itself; only ``frozen_record``
+    # and a ``__post_init__`` may write ``__dict__``
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted(SRC.glob("*.py"))
+        for line in _dict_writes(
+            ast.parse(path.read_text()),
+            {"__post_init__"} | ({"frozen_record"} if path.name == "exactmath.py" else set()),
+        )
+    ]
+    assert found == []
 
 
 DYNKIN_TABLES = {"cartan_matrix_component", "ROOT_COUNTS", "_RANK_RANGE"}

@@ -1,9 +1,11 @@
 """`exactmath.frozen_record` against `dataclasses`: every record class of the
 package behaves as its `@dataclass(frozen=True)` twin would.  The hash must
 agree exactly: set and dict orders feed the reports and the digests."""
+import ast
 import dataclasses
 import itertools
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -41,6 +43,7 @@ SAMPLES = {
     echelonnage.DepthTable: lambda d, s, td, x: echelonnage.depth_table(td, x),
     echelonnage._IntegerAlcove: lambda d, s, td, x: td.integer_alcove,
     ValuationSet: lambda d, s, td, x: echelonnage.restrict(td)[-1].jump_set,
+    mpquotient.QuotientType: lambda d, s, td, x: mpquotient.quotient_datum(td, x).quotient_type,
     mpquotient.ReductiveQuotientDatum: lambda d, s, td, x: mpquotient.quotient_datum(td, x),
     mpquotient.MPQuotientReport: lambda d, s, td, x: mpquotient.mp_quotient(
         td, x, mpquotient.first_jump(td, x)
@@ -73,8 +76,20 @@ def pool():
     return out
 
 
-def test_there_are_sixteen_records_with_their_annotated_fields():
-    assert len(SAMPLES) == 16
+def _record_classes():
+    """module.class for every ``@frozen_record`` class of the package."""
+    src = Path(__file__).resolve().parent.parent / "src" / "parahoric"
+    return {
+        f"{path.stem}.{node.name}"
+        for path in src.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ClassDef)
+        and any(isinstance(d, ast.Name) and d.id == "frozen_record" for d in node.decorator_list)
+    }
+
+
+def test_every_record_class_is_sampled_with_its_annotated_fields():
+    assert {f"{cls.__module__.rsplit('.', 1)[1]}.{cls.__name__}" for cls in SAMPLES} == _record_classes()
     for cls in SAMPLES:
         assert cls._fields == tuple(cls.__annotations__)
 

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from parahoric import mpquotient
 from parahoric.catalog import CATALOG, catalog_datum, catalog_ids
 from parahoric.echelonnage import (
     apartment_point,
@@ -576,10 +577,10 @@ def test_memoized_character_equals_a_fresh_one(monkeypatch):
         dec = decompose(td, x, first_jump(td, x))
         memo = h.quotient_type.characters
         assert memo  # decompose filled the memo of the shared type
-        assert td.quotient_types[h.cartan] is h.quotient_type
+        assert mpquotient._TYPES[h.cartan] is h.quotient_type
         with monkeypatch.context() as m:  # built again, on empty memos
             m.setitem(vars(td), "quotients", {})
-            m.setitem(vars(td), "quotient_types", {})
+            m.setattr(mpquotient, "_TYPES", {})
             fresh = quotient_datum(td, x)
         assert fresh == h and fresh is not h and fresh.quotient_type is not h.quotient_type
         assert fresh.quotient_type == h.quotient_type and not fresh.quotient_type.characters
@@ -644,7 +645,7 @@ def test_sweep_builds_one_quotient_per_root_set(monkeypatch):
 def test_warm_tables_decompose_like_a_fresh_quotient_datum(seed, monkeypatch):
     # the shared quotient datum and its type (its characters, its coordinate
     # data) are filled by earlier points; a quotient datum built again with
-    # empty quotient and type memos must give the same answer
+    # an empty quotient memo and an empty type map must give the same answer
     fields = ("items", "maximal_set", "nondominant_maximal", "ambient_reading_differs")
     compared = 0
     for td, x in warm_sweep(seed, 20):
@@ -654,7 +655,7 @@ def test_warm_tables_decompose_like_a_fresh_quotient_datum(seed, monkeypatch):
             h = quotient_datum(td, x)
             with monkeypatch.context() as m:
                 m.setitem(vars(td), "quotients", {})
-                m.setitem(vars(td), "quotient_types", {})
+                m.setattr(mpquotient, "_TYPES", {})
                 depth_table(td, x).results.clear()  # so decompose reads fresh
                 cold = decompose(td, x, r)
                 fresh = quotient_datum(td, x)
@@ -669,10 +670,11 @@ def test_warm_tables_decompose_like_a_fresh_quotient_datum(seed, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Quotient types: the data of a twisted datum with one Cartan matrix share one
-# QuotientType, its inverse and its characters.  Every shared value must equal
-# one computed from scratch for each datum of the type: a standalone datum of
-# the same roots, whose type, inverse and characters are its own.
+# Quotient types: the quotient data with one Cartan matrix share one
+# QuotientType for the process, its inverse and its characters.  Every shared
+# value must equal one computed from scratch for each datum of the type: a
+# standalone datum of the same roots, which makes its own type, inverse and
+# characters under an empty type map.
 
 # name -> (Dynkin type, node permutation), checked at the origin and at rho_check/h
 TYPE_EXTRA = {
@@ -695,13 +697,16 @@ def weight_of_labels(h, top, dim):
 
 
 def assert_types_match_scratch(td):
-    """Every type of td against each of its data computed from scratch."""
+    """The type of each quotient datum of td against the datum computed
+    from scratch."""
     checked = 0
     for h in td.quotients.values():
         kind = h.quotient_type
-        assert td.quotient_types[h.cartan] is kind
+        assert mpquotient._TYPES[h.cartan] is kind
         scratch = ReductiveQuotientDatum(**{f: getattr(h, f) for f in h._fields})
-        own = scratch.quotient_type
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(mpquotient, "_TYPES", {})
+            own = scratch.quotient_type
         assert own is not kind and not own.characters
         den, inverse = kind.inverse
         assert kind.inverse == own.inverse
@@ -731,11 +736,10 @@ def test_warm_quotient_types_match_scratch():
             child.sweep_point(parahoric, td, x, len(td.base.roots) + td.base.rank)
             tds |= {td, twisted(td.base, td.twist)}
     for td in tds:
-        assert len(td.quotient_types) <= len(td.quotients)
         checked += assert_types_match_scratch(td)
-    assert sum(map(len, (td.quotients for td in tds))) > sum(
-        map(len, (td.quotient_types for td in tds))
-    )  # data shared types
+    data = [h for td in tds for h in td.quotients.values()]
+    types = {id(h.quotient_type) for h in data}
+    assert len(data) > len(types) == len({h.cartan for h in data})  # one type per matrix
     assert checked >= 94
 
 
@@ -764,27 +768,27 @@ def test_a_datum_that_differs_from_its_type_is_refused(monkeypatch):
         ),
     }
     for what, bad in forged.items():
-        scratch = ReductiveQuotientDatum(**{f: getattr(h, f) for f in h._fields})
-        with pytest.raises(QuotientError, match="differ"):
-            scratch.join({h.cartan: bad})
         with monkeypatch.context() as m:
+            m.setitem(mpquotient._TYPES, h.cartan, bad)
+            scratch = ReductiveQuotientDatum(**{f: getattr(h, f) for f in h._fields})
+            with pytest.raises(QuotientError, match="differ"):
+                scratch.quotient_type
             m.setitem(vars(td), "quotients", {})
-            m.setitem(vars(td), "quotient_types", {h.cartan: bad})
             with pytest.raises(QuotientError, match="differ"):
                 quotient_datum(td, x)
             assert not td.quotients, what  # a failed check is not kept
-    assert quotient_datum(td, x) is h and h.quotient_type is kind
+    assert quotient_datum(td, x) is h and h.quotient_type is kind is mpquotient._TYPES[h.cartan]
 
 
 def test_a_warm_pass_computes_each_shared_result_once(monkeypatch):
     # The seed-0 warm pass, the benchmark's own per-point work, on empty
     # quotient, type and depth-table memos: Freudenthal runs once per
-    # (twisted datum, type, top labels), the integer inverse once per
-    # (twisted datum, Cartan matrix) and the verdict's span rank once per
-    # (depth table, jump).  Every datum still runs its own checks, and every
-    # character computed is checked against the Weyl dimension formula.
+    # (type, top labels), the integer inverse once per Cartan matrix and the
+    # verdict's span rank once per (depth table, jump).  Every datum still
+    # runs its own checks, and every character computed is checked against
+    # the Weyl dimension formula.
     import parahoric
-    from parahoric import exactmath, mpquotient, stability, weylmod
+    from parahoric import exactmath, stability, weylmod
 
     child = perfbench_module("child")
     points = list(warm_sweep(0))
@@ -808,9 +812,9 @@ def test_a_warm_pass_computes_each_shared_result_once(monkeypatch):
     real_character = weylmod._character
     depth_table.cache_clear()
     with monkeypatch.context() as m:
+        m.setattr(mpquotient, "_TYPES", {})
         for td in tds:
             m.setitem(vars(td), "quotients", {})
-            m.setitem(vars(td), "quotient_types", {})
             m.setitem(vars(td), "depth_tables", type(td.depth_tables)())
         m.setattr(weylmod, "_freudenthal", counting("freudenthal", weylmod._freudenthal))
         m.setattr(weylmod, "_dimension", counting("dimension", weylmod._dimension))
@@ -825,11 +829,12 @@ def test_a_warm_pass_computes_each_shared_result_once(monkeypatch):
                 held.append(table)
                 spans.add((id(table), first_jump(td, x)))
         data = [h for td in tds for h in td.quotients.values()]
-        types = sum(len(td.quotient_types) for td in tds)
+        types = len(mpquotient._TYPES)
     depth_table.cache_clear()  # its tables are not in the restored intern maps
-    assert 0 < calls["freudenthal"] == len(asked) <= 94
+    assert 0 < calls["freudenthal"] == len(asked) <= 63
     assert calls["dimension"] == calls["freudenthal"]
-    assert calls["inverse"] == types == len({(id(h.quotient_type), h.cartan) for h in data}) <= 69
+    assert calls["inverse"] == types == len({id(h.quotient_type) for h in data}) <= 30
+    assert types == len({h.cartan for h in data})  # one type per Cartan matrix
     assert 0 < calls["rank"] == len(spans) <= 51
     assert len(data) == 204 > types
     checks = ("cartan", "half_norms", "positive_coordinates", "quotient_type")
