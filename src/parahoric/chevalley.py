@@ -221,9 +221,6 @@ class ChevalleyAlgebra:
     def x(self, root) -> dict:
         return {("x", root): Fraction(1)}
 
-    def to_vector(self, elt: dict) -> tuple:
-        return tuple(Fraction(elt.get(l, 0)) for l in self.labels)
-
 
 @lru_cache(maxsize=None)
 def structure_constants(

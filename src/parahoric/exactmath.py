@@ -376,11 +376,3 @@ class ValuationSet:
 
     def member(self, q) -> bool:
         return (q - self.offset) % self.step == 0
-
-    def min_above(self, t) -> Fraction:
-        """The least element above t."""
-        return t + self.step - (t - self.offset) % self.step
-
-    def max_below(self, t) -> Fraction:
-        """The greatest element below t."""
-        return t - self.step + (self.offset - t) % self.step

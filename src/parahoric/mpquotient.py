@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from operator import mul
 
 from .echelonnage import (
     ApartmentPoint,
@@ -36,6 +35,7 @@ from .exactmath import (
     IntMatrix,
     PropertyViolation,
     Vec,
+    closure,
     frozen_record,
     integer_inverse,
     pair,
@@ -178,20 +178,35 @@ class ReductiveQuotientDatum:
 
     @cached_property
     def positive_coordinates(self) -> tuple[tuple[int, ...], ...]:
-        """The positive roots, in order, as integer simple-root coordinates."""
-        scale = self.coordinate_denominator
-        out = []
-        for a, k, p in zip(self.roots, self.integer_roots, self.positives):
-            if not p:
-                continue
-            residual, c = self.scaled_coordinates(k)
-            if any(residual) or any(x % scale or x < 0 for x in c):
+        """The positive roots, in order, as integer simple-root coordinates,
+        by one walk (``exactmath.closure``) from the simple roots with unit
+        coordinates: the reflection in a simple root a moves a key by t a and
+        its coordinates by t times those of a, t the key's pairing with the
+        coroot of a over e.  The roots are reflection closed exactly when the
+        walk stays in them, reaches them all and gives each one coordinate
+        vector."""
+        simple = tuple(zip(self.simple_integer_roots, self.simple_coroots))
+        coords = {a: tuple(int(a == b) for b, _ in simple) for a, _ in simple}
+        keys = set(self.integer_roots)
+
+        def step(k):
+            for a, ac in simple:
+                t = pair(k, ac) // self._scale
+                image, c = vec_sub(k, vec_scale(t, a)), vec_sub(coords[k], vec_scale(t, coords[a]))
+                if image not in keys or coords.setdefault(image, c) != c:
+                    raise QuotientError("quotient root system is not reflection closed")
+                yield image
+
+        if set(closure(list(coords), step)) != keys:
+            raise QuotientError("quotient root system is not reflection closed")
+        out = tuple(coords[k] for k, p in zip(self.integer_roots, self.positives) if p)
+        for a, c in zip(self.positive_roots, out):
+            if min(c) < 0:
                 raise QuotientError(
                     f"positive root {a} is not a nonnegative integer "
                     "combination of the simple roots"
                 )
-            out.append(tuple(x // scale for x in c))
-        return tuple(out)
+        return out
 
     @cached_property
     def half_norms(self) -> tuple[int, ...]:
@@ -242,19 +257,11 @@ def quotient_datum(td: TwistedDatum, x: ApartmentPoint) -> ReductiveQuotientDatu
     indices = tuple(rr.index for rr in picked)
     if indices in td.quotients:
         return td.quotients[indices]
-    # the checks run on the integer keys, the keys times the twist order e
-    e = td.twist.order
+    # reducedness on the integer keys (the keys times e); the other checks
+    # are the datum's own, run by quotient_type
     keys = {rr.integer_key for rr in picked}
-    for k in keys:
-        if vec_scale(2, k) in keys:
-            raise QuotientError("quotient root system is not reduced")
-    for rr in picked:
-        a, ac = rr.integer_key, rr.coroot
-        for other in keys:
-            # the reflection moves other by t a, and fixes it when t = 0
-            t = sum(map(mul, other, ac)) // e
-            if t and tuple(o - t * x for o, x in zip(other, a)) not in keys:
-                raise QuotientError("quotient root system is not reflection closed")
+    if any(vec_scale(2, k) in keys for k in keys):
+        raise QuotientError("quotient root system is not reduced")
     h = ReductiveQuotientDatum(
         rank=rank,
         roots=tuple(rr.key for rr in picked),

@@ -171,10 +171,6 @@ def _dimension(kind: QuotientType, labels) -> int:
     return dim
 
 
-def weyl_dimension(h: ReductiveQuotientDatum, lam: Vec) -> int:
-    return _dimension(h.quotient_type, [pair(lam, ac) for ac in h.simple_coroots])
-
-
 def _freudenthal(kind: QuotientType, top: tuple[int, ...]) -> dict:
     """n -> multiplicity of lam - sum n_i alpha_i in the module of highest
     weight lam with Dynkin labels ``top``, by Freudenthal's recursion on

@@ -9,6 +9,9 @@ It also holds the search for the alcove vertices that the component parts
 of ``TwistedDatum.alcove_parts`` replace: every rank-element set of facets,
 solved, kept when independent.
 
+It also holds the nearest elements of a valuation set above and below a
+value, which only these searches and the tests ask for.
+
 It also holds the rational affine reflection that the reduction tests use
 to walk a point through its affine-Weyl orbit; the package itself never
 reflects a point.
@@ -41,6 +44,16 @@ from parahoric.exactmath import (
     vec_sub,
 )
 
+
+
+def min_above(vset, t) -> Fraction:
+    """The least element of the valuation set above t."""
+    return t + vset.step - (t - vset.offset) % vset.step
+
+
+def max_below(vset, t) -> Fraction:
+    """The greatest element of the valuation set below t."""
+    return t - vset.step + (vset.offset - t) % vset.step
 
 def scaffold_oracle(base, twist):
     """``echelonnage._scaffold`` on ``Fraction`` keys: each key is the orbit
@@ -138,11 +151,11 @@ def walls_oracle(td):
         direction = vec_add(direction, rr.coroot)
     heights = [pair(rr.key, direction) for rr in positives]
     assert min(heights) > 0
-    scale = min(rr.jump_set.min_above(0) / h for rr, h in zip(positives, heights)) / 2
+    scale = min(min_above(rr.jump_set, 0) / h for rr, h in zip(positives, heights)) / 2
     values = [scale * h for h in heights]
     facets = set()
     for rr, value in zip(positives, values):
-        below, above = rr.jump_set.max_below(value), rr.jump_set.min_above(value)
+        below, above = max_below(rr.jump_set, value), min_above(rr.jump_set, value)
         for sign, level in ((1, below), (-1, above)):
             t = value - level
             image = [v - t * pair(b.fiber[0], rr.coroot) for b, v in zip(positives, values)]
@@ -159,13 +172,13 @@ def _one_hyperplane_between(positives, here, there):
     seen = set()
     for rr, u, v in zip(positives, here, there):
         lo, hi = sorted((u, v))
-        level = rr.jump_set.min_above(lo)
+        level = min_above(rr.jump_set, lo)
         while level < hi:
             scale = 2 if rr.cls == "divisible" else 1
             seen.add((tuple(c / scale for c in rr.key), level / scale))
             if len(seen) > 1:
                 return False
-            level = rr.jump_set.min_above(level)
+            level = min_above(rr.jump_set, level)
     return len(seen) == 1
 
 

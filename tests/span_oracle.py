@@ -16,6 +16,11 @@ from parahoric.mpquotient import quotient_datum
 from parahoric.weylmod import WeylModuleError, phi_xr, phi_xr_max
 
 
+def to_vector(alg, elt: dict) -> tuple:
+    """The coordinates of an algebra element on the basis labels."""
+    return tuple(Fraction(elt.get(l, 0)) for l in alg.labels)
+
+
 class RowEchelon:
     """Incremental echelon basis for exact rank computations."""
 
@@ -77,7 +82,7 @@ def sampled_span_check(datum, x: ApartmentPoint, r, samples: int = 80, seed: int
 
     echelon = RowEchelon()
     for elt in starters:
-        echelon.add(alg.to_vector(elt))
+        echelon.add(to_vector(alg, elt))
         if echelon.rank == target:
             return True
     if not h_roots:
@@ -92,7 +97,7 @@ def sampled_span_check(datum, x: ApartmentPoint, r, samples: int = 80, seed: int
             moved = elt
             for op in ops:
                 moved = op.apply(moved)
-            echelon.add(alg.to_vector(moved))
+            echelon.add(to_vector(alg, moved))
             if echelon.rank == target:
                 return True
     return echelon.rank == target

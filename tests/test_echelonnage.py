@@ -39,6 +39,8 @@ from matrix_oracle import invert_matrix, kernel_basis
 from point_oracle import (
     affine_reflect,
     alcove_vertices_by_subsets,
+    max_below,
+    min_above,
     rational_alcove,
     scaffold_oracle,
     walls_oracle,
@@ -311,7 +313,7 @@ def _walls(td):
         h = pair(rr.key, direction)
         assert h > 0
         heights[rr.key] = h
-        bound = rr.jump_set.min_above(0) / h
+        bound = min_above(rr.jump_set, 0) / h
         if delta is None or bound < delta:
             delta = bound
     ref_scale = delta / 2
@@ -319,8 +321,8 @@ def _walls(td):
         _Wall(
             key=rr.key,
             coroot=rr.coroot,
-            lo=rr.jump_set.max_below(ref_scale * heights[rr.key]),
-            hi=rr.jump_set.min_above(ref_scale * heights[rr.key]),
+            lo=max_below(rr.jump_set, ref_scale * heights[rr.key]),
+            hi=min_above(rr.jump_set, ref_scale * heights[rr.key]),
         )
         for rr in positives
     )

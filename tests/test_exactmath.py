@@ -41,6 +41,7 @@ from matrix_oracle import (
     solve_linear,
 )
 from matrix_oracle import rref as rref_oracle
+from point_oracle import max_below, min_above
 from span_oracle import RowEchelon
 from warm_points import warm_sweep
 
@@ -210,9 +211,9 @@ def test_vset_examples():
     assert not half_shift.member(1)
     half = ValuationSet.lattice(F(1, 2))
     assert half.member(F(-5, 2))
-    assert z.min_above(0) == 1
-    assert half_shift.min_above(0) == F(1, 2)
-    assert half_shift.min_above(F(3, 2)) == F(5, 2)
+    assert min_above(z, 0) == 1
+    assert min_above(half_shift, 0) == F(1, 2)
+    assert min_above(half_shift, F(3, 2)) == F(5, 2)
 
 
 def test_vset_canonical_form():
@@ -233,7 +234,7 @@ def test_vset_min_above_is_tight():
         s = ValuationSet.lattice(step, offset)
         for _ in range(200):
             t = F(rng.randint(-40, 40), rng.randint(1, 9))
-            nxt, prev = s.min_above(t), s.max_below(t)
+            nxt, prev = min_above(s, t), max_below(s, t)
             assert nxt > t and s.member(nxt)
             assert prev < t and s.member(prev)
             probe_step = s.step / 24
@@ -245,8 +246,8 @@ def test_vset_min_above_is_tight():
 
 def test_vset_max_below_symmetry():
     s = ValuationSet.lattice(F(1, 2), F(1, 4))
-    assert s.max_below(F(1, 4)) == F(-1, 4)
-    assert s.min_above(F(-1, 4)) == F(1, 4)
+    assert max_below(s, F(1, 4)) == F(-1, 4)
+    assert min_above(s, F(-1, 4)) == F(1, 4)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,9 @@ tables live on the interned objects, and only the listed functions keep a
 module-level cache."""
 import ast
 import gc
+import importlib
 import random
+from collections import Counter
 from fractions import Fraction as F
 from pathlib import Path
 from weakref import WeakValueDictionary
@@ -249,6 +251,76 @@ def test_no_module_imports_a_private_name_from_another():
         if alias.name.startswith("_") and not alias.name.startswith("__")
     ]
     assert private == []
+
+
+# A public method that no package code calls and no subcommand runs: the
+# README documents it as the way to build a point from raw coordinates.
+UNCALLED_EXEMPT = {"ApartmentPoint.from_coords"}
+
+
+def _named(node):
+    """The names and attribute names used in the node's subtree."""
+    return Counter(
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    )
+
+
+def _definitions(trees):
+    """(module, qualified name, node) of every top-level function and class
+    and of every method of a top-level class."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, kinds):
+                yield module, node.name, node
+            if isinstance(node, ast.ClassDef):
+                for sub in node.body:
+                    if isinstance(sub, kinds[:2]):
+                        yield module, f"{node.name}.{sub.name}", sub
+
+
+def _overrides(module, qualified):
+    """Whether a method overrides one its class inherits: whoever calls the
+    inherited one calls it (``argparse`` calls ``_Parser.error``)."""
+    if "." not in qualified:
+        return False
+    cls, name = qualified.split(".")
+    found = getattr(importlib.import_module(f"parahoric.{module}"), cls)
+    return any(hasattr(base, name) for base in found.__mro__[1:])
+
+
+def test_every_definition_in_src_is_used_by_the_package(monkeypatch):
+    # code that only the tests call belongs in their oracle modules: a
+    # definition stays when package code outside it names it, the package
+    # exports it, it is a dunder or an override, or the benchmark's tracer
+    # wraps it by name (read here, so the exemption ends with the pin)
+    import parahoric
+
+    monkeypatch.syspath_prepend(str(SRC.parent.parent / "perfbench"))
+    tracing = importlib.import_module("tracing")
+    wrapped = (
+        getattr(importlib.import_module(f"parahoric.{m}"), f)
+        for table in (tracing.SPANNED, tracing.COUNTED)
+        for m, fs in table.items()
+        for f in fs
+    )
+    traced = {f"{fn.__module__.rsplit('.', 1)[-1]}.{fn.__qualname__}" for fn in wrapped}
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    everywhere = sum(map(_named, trees.values()), Counter())
+    uncalled = [
+        f"{module}.{qualified}"
+        for module, qualified, node in _definitions(trees)
+        for name in [qualified.rsplit(".", 1)[-1]]
+        if everywhere[name] == _named(node)[name]
+        and name not in parahoric.__all__
+        and not (name.startswith("__") and name.endswith("__"))
+        and f"{module}.{qualified}" not in traced
+        and qualified not in UNCALLED_EXEMPT
+        and not _overrides(module, qualified)
+    ]
+    assert uncalled == []
 
 
 # dict methods that change the dict

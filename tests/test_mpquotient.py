@@ -4,7 +4,8 @@ from math import lcm
 
 import pytest
 
-from parahoric.catalog import CATALOG, catalog_datum, catalog_ids
+from parahoric import mpquotient
+from parahoric.catalog import CATALOG, catalog_datum, catalog_ids, named_point
 from parahoric.echelonnage import (
     TwistedDatum,
     apartment_point,
@@ -17,9 +18,10 @@ from parahoric.echelonnage import (
     restrict,
     twisted,
 )
-from parahoric.exactmath import cyclotomic_multiplicities
+from parahoric.exactmath import ExactMathError, cyclotomic_multiplicities
 from parahoric.mpquotient import (
     QuotientError,
+    ReductiveQuotientDatum,
     algebra_dimension,
     dimension_sum_over_period,
     first_jump,
@@ -30,6 +32,9 @@ from parahoric.mpquotient import (
 )
 from parahoric.rootdata import build_automorphism, build_datum
 from parahoric.weylmod import phi_xr
+
+import quotient_oracle
+from point_oracle import min_above
 
 F = Fraction
 
@@ -201,7 +206,7 @@ def oracle_first_jump(td, x):
     candidates = []
     for rr in restrict(td):
         val = evaluate(rr.key, x)
-        candidates.append(val + rr.jump_set.min_above(-val))
+        candidates.append(val + min_above(rr.jump_set, -val))
     for k in cyclotomic_multiplicities(td.twist.matrix):
         candidates.append(F(1, k))
     return min(candidates)
@@ -288,6 +293,147 @@ def test_quotient_closure_check_fires():
     for _ in range(2):  # a failed check is not cached
         with pytest.raises(QuotientError, match="reflection closed"):
             quotient_datum(td, origin(td))
+
+
+# ---------------------------------------------------------------------------
+# The simple-reflection walk of ``positive_coordinates`` against the
+# all-pairs closure check and the C^-1 solve it replaced
+# (``tests/quotient_oracle.py``).
+
+# name -> (Dynkin type, node permutation, isogeny), besides the catalog
+# (whose ids include 3D4)
+WALK_DATA = {
+    "F4": ("F4", None, "adjoint"),
+    "B6": ("B6", None, "adjoint"),
+    "E6": ("E6", None, "adjoint"),
+    "E7": ("E7", None, "adjoint"),
+    "E8": ("E8", None, "adjoint"),
+    "2E6": ("E6", (5, 1, 4, 3, 2, 0), "adjoint"),
+    "A2+A2 swap": ("A2+A2", (2, 3, 0, 1), "adjoint"),
+    "scD4": ("D4", None, "simply_connected"),
+}
+
+
+def _walk_case(name):
+    """The twisted datum and its points: the origin, the barycenter,
+    rho_check/h (h = |roots| / rank of the base, or the catalog's m) and
+    five seeded points."""
+    if name in CATALOG:
+        td, m = catalog_datum(name), CATALOG[name]["rho_m"]
+    else:
+        desc, perm, isogeny = WALK_DATA[name]
+        d = build_datum(desc, isogeny)
+        td, m = twisted(d, perm and build_automorphism(d, perm)), len(d.roots) // d.rank
+    points = [origin(td), named_point(td, "barycenter"), rho_point(td, m)]
+    rng = random.Random(f"walk {name}")
+    for _ in range(5):
+        coeffs = [F(rng.randint(-12, 12), rng.randint(1, 6)) for _ in td.simple_keys]
+        points.append(point_from_simple_coroots(td, coeffs))
+    return td, points
+
+
+def _unchecked_datum(td, x):
+    """The quotient datum of x as ``quotient_datum`` builds it, before any
+    check has run."""
+    picked, rank = depth_table(td, x).at(0)
+    return ReductiveQuotientDatum(
+        rank=rank,
+        roots=tuple(rr.key for rr in picked),
+        coroots=tuple(rr.coroot for rr in picked),
+        positives=tuple(rr.positive for rr in picked),
+        integer_roots=tuple(rr.integer_key for rr in picked),
+    )
+
+
+NOT_CLOSED = "quotient root system is not reflection closed"
+
+
+def _walk_passes(h):
+    try:
+        h.positive_coordinates
+    except QuotientError as err:
+        assert str(err) == NOT_CLOSED
+        return False
+    return True
+
+
+@pytest.mark.parametrize("name", catalog_ids() + tuple(WALK_DATA))
+def test_walk_matches_the_closure_and_inverse_oracles(name):
+    td, points = _walk_case(name)
+    for x in points:
+        h = _unchecked_datum(td, x)
+        assert _walk_passes(h) is quotient_oracle.reflection_closed(h) is True
+        assert h.positive_coordinates == quotient_oracle.positive_coordinates(h)
+        assert h.simple_roots == quotient_oracle.simple_roots(h)
+        assert h.cartan == quotient_oracle.cartan(h)
+        assert quotient_datum(td, x) == h
+
+
+def test_walk_and_oracle_refuse_a_root_set_with_unequal_valuations():
+    # the root set of test_quotient_closure_check_fires
+    tame = td_2a4(None)
+    td = TwistedDatum(tame.base, tame.twist, (F(-1, 2), F(-1)))
+    h = _unchecked_datum(td, origin(td))
+    assert _walk_passes(h) is quotient_oracle.reflection_closed(h) is False
+
+
+def _hand_built(*rows):
+    """A rank-2 quotient datum on integer keys (e = 1) from (root, coroot,
+    positive) rows, each with its negative."""
+    rows = [*rows, *(((-a, -b), (-c, -d), not p) for (a, b), (c, d), p in rows)]
+    roots, coroots, positives = zip(*rows)
+    return ReductiveQuotientDatum(
+        rank=2, roots=roots, coroots=coroots, positives=positives, integer_roots=roots
+    )
+
+
+# the simple roots of A2 in simple-root coordinates: the coroots are the rows of C
+ALPHA1, ALPHA2 = ((1, 0), (2, -1), True), ((0, 1), (-1, 2), True)
+
+
+def test_a_step_out_of_the_roots_is_refused():
+    # +-alpha_1, +-alpha_2 of A2 without +-(alpha_1 + alpha_2)
+    h = _hand_built(ALPHA1, ALPHA2)
+    assert not quotient_oracle.reflection_closed(h)
+    with pytest.raises(QuotientError, match=f"^{NOT_CLOSED}$"):
+        h.positive_coordinates
+
+
+def test_a_root_the_walk_never_reaches_is_refused():
+    # orthogonal alpha, beta and alpha + beta: the reflections in alpha and
+    # beta keep +-alpha, +-beta among themselves, so the walk from alpha and
+    # beta never reaches +-(alpha + beta)
+    h = _hand_built(((1, 0), (2, 0), True), ((0, 1), (0, 2), True), ((1, 1), (1, 1), True))
+    assert h.simple_roots == ((0, 1), (1, 0))
+    assert not quotient_oracle.reflection_closed(h)
+    with pytest.raises(QuotientError, match=f"^{NOT_CLOSED}$"):
+        h.positive_coordinates
+
+
+def test_a_root_reached_with_two_coordinate_vectors_is_refused():
+    # the roots of A2 with alpha_1, alpha_2 and -(alpha_1 + alpha_2) marked
+    # positive: all three are simple, so the roots have no coordinates in
+    # them; the all-pairs check passes and the C^-1 solve finds C singular
+    minus_theta = ((-1, -1), (-1, -1), True)
+    h = _hand_built(ALPHA1, ALPHA2, minus_theta)
+    assert len(h.simple_roots) == 3
+    assert quotient_oracle.reflection_closed(h)
+    with pytest.raises(ExactMathError, match="singular"):
+        quotient_oracle.positive_coordinates(h)
+    with pytest.raises(QuotientError, match=f"^{NOT_CLOSED}$"):
+        h.positive_coordinates
+
+
+def test_the_walk_makes_one_reflection_per_root_and_simple_root(monkeypatch):
+    # a new root set costs |S| x rank pairings, not |S|^2
+    td = twisted(build_datum("E8"))
+    h = _unchecked_datum(td, origin(td))
+    h._scale
+    calls = []
+    real = mpquotient.pair
+    monkeypatch.setattr(mpquotient, "pair", lambda *args: calls.append(1) or real(*args))
+    assert len(h.positive_coordinates) == 120
+    assert len(calls) == 240 * 8
 
 
 def test_points_with_equal_depth0_roots_share_the_quotient():

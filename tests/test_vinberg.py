@@ -162,7 +162,7 @@ def test_degree_zero_is_subalgebra():
     # For M = 2 the degree-zero piece is the rational fixed space of the
     # order-2 operator theta; verify it is closed under the bracket.
     from matrix_oracle import kernel_basis
-    from span_oracle import RowEchelon
+    from span_oracle import RowEchelon, to_vector
     from parahoric.exactmath import pair
 
     cases = [
@@ -194,7 +194,7 @@ def test_degree_zero_is_subalgebra():
                 assert theta(alg.bracket(ea, eb)) == alg.bracket(theta(ea), theta(eb))
 
         n = alg.dimension
-        cols = [alg.to_vector(theta(alg.basis_element(l))) for l in alg.labels]
+        cols = [to_vector(alg, theta(alg.basis_element(l))) for l in alg.labels]
         rows = [
             [cols[j][i] - (1 if i == j else 0) for j in range(n)] for i in range(n)
         ]
@@ -208,7 +208,7 @@ def test_degree_zero_is_subalgebra():
             for v in fixed:
                 eu = {l: c for l, c in zip(alg.labels, u) if c}
                 ev = {l: c for l, c in zip(alg.labels, v) if c}
-                w = alg.to_vector(alg.bracket(eu, ev))
+                w = to_vector(alg, alg.bracket(eu, ev))
                 assert not span.add(w)
 
 
@@ -406,17 +406,23 @@ def test_grade_builds_no_lie_algebra(spec, negative, tmp_path, monkeypatch, caps
 # the per-orbit grading against the per-root loop it replaced
 
 
-def graded_per_root(datum, twist, den, lam_num, m):
-    """``vinberg._graded`` as one pairing and one weight per root: the orbit
-    weight is the sum of the weights of its roots."""
-    if m <= 0:
-        raise GradingError("modulus must be positive")
+def root_weights(datum, den, lam_num) -> dict:
+    """root -> <root, lam_num> / den, one pairing per root, checked integral.
+    It depends on the cocharacter alone, so one serves every modulus."""
     weight = {}
     for root in datum.roots:
         w, rem = divmod(pair(root, lam_num), den)
         if rem:
             raise GradingError("cocharacter does not pair integrally with the roots")
         weight[root] = w
+    return weight
+
+
+def graded_per_root(datum, twist, weight, m):
+    """``vinberg._graded`` as one weight per root (``root_weights``): the
+    orbit weight is the sum of the weights of its roots."""
+    if m <= 0:
+        raise GradingError("modulus must be positive")
     dims = [0] * m
     zero = []
     negative_orbits = []
@@ -480,12 +486,12 @@ def test_per_orbit_grading_matches_per_root_loop(name):
         for m in (base, 2 * base):
             lam_num = [m * c for c in nums]
             dims, zero, negative = _graded(td, den, lam_num, m)
-            assert (dims, zero, negative) == graded_per_root(datum, twist, den, lam_num, m)
+            assert (dims, zero, negative) == graded_per_root(datum, twist, root_weights(datum, den, lam_num), m)
     # 2 / 4 on the first simple root: both readings refuse the cocharacter
     with pytest.raises(GradingError, match="does not pair integrally"):
         _graded(td, 4, datum.simple_coroots[0], 2 * twist.order)
     with pytest.raises(GradingError, match="does not pair integrally"):
-        graded_per_root(datum, twist, 4, datum.simple_coroots[0], 2 * twist.order)
+        graded_per_root(datum, twist, root_weights(datum, 4, datum.simple_coroots[0]), 2 * twist.order)
 
 
 @pytest.mark.parametrize("name", SPLIT_TYPES)
@@ -497,5 +503,6 @@ def test_split_grading_matches_per_root_loop_at_every_modulus(name):
     rng = random.Random(name)
     cocharacters = [datum.rho_check, [rng.randint(-9, 9) for _ in range(datum.rank)]]
     for lam in cocharacters:
+        weight = root_weights(datum, 1, lam)
         for m in range(1, 61):
-            assert _graded(td, 1, lam, m) == graded_per_root(datum, td.twist, 1, lam, m)
+            assert _graded(td, 1, lam, m) == graded_per_root(datum, td.twist, weight, m)

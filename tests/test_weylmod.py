@@ -42,10 +42,10 @@ from parahoric.weylmod import (
     phi_xr_max,
     split_span_check,
     weyl_character,
-    weyl_dimension,
 )
 
 from matrix_oracle import solve_linear
+from quotient_oracle import weyl_dimension
 from warm_points import perfbench_module, warm_sweep
 
 F = Fraction
