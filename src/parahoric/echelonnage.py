@@ -54,10 +54,13 @@ from .rootdata import (
 )
 
 ALCOVE_ITERATION_CAP = 100_000
-# Depth tables kept per point for reuse (``depth_table``): the calls about
-# one point come together, so a few recent points suffice.  Per-datum tables
-# live on the interned datum instead.
-DEPTH_TABLE_CACHE = 32
+# Translation classes kept per point for reuse (``translation_class``),
+# each with its depth table.  The calls about one point come together, but a
+# sweep over one datum comes back to its classes: 96 points hold each class
+# of the benchmark's warm sweep (60 points a datum, and a wild datum's tame
+# shifts beside them) until its last point at seeds 0 to 6, where 32 lose
+# some.  Per-datum tables live on the interned datum instead.
+DEPTH_TABLE_CACHE = 96
 _TWISTED: dict[tuple, TwistedDatum] = {}  # ``twisted`` interns its results
 
 
@@ -150,6 +153,29 @@ def _scaffold(base: RootDatum, twist: DiagramAutomorphism) -> _Scaffold:
     )
 
 
+class _RaiseLists(dict):
+    """Integer key s -> the pairs (t, s + t) with t a positive restricted root
+    and s + t a restricted root, as integer keys, each list made when first
+    asked for (``TwistedDatum.raises``).  The sums are tested as integers:
+    the pairing with the powers of a base above four times the largest
+    coordinate is additive, and one-to-one on the keys and their sums."""
+
+    def __init__(self, roots, rank: int):
+        super().__init__()
+        base = 4 * max((abs(c) for rr in roots for c in rr.integer_key), default=0) + 1
+        self.powers = tuple(base**i for i in range(rank))
+        codes = [(pair(rr.integer_key, self.powers), rr) for rr in roots]
+        self.codes = {code: rr.integer_key for code, rr in codes}
+        self.positives = {code: rr.integer_key for code, rr in codes if rr.positive}
+
+    def __missing__(self, s):
+        code, codes, positives = pair(s, self.powers), self.codes, self.positives
+        found = self[s] = tuple(
+            [(t, codes[code + c]) for c, t in positives.items() if code + c in codes]
+        )
+        return found
+
+
 @frozen_record
 class TwistedDatum:
     """A root datum with a diagram automorphism and lambda-valuations, interned
@@ -204,14 +230,23 @@ class TwistedDatum:
         return {rr.key: rr for rr in self.restricted}
 
     @cached_property
-    def simple_keys(self) -> tuple[Vec, ...]:
+    def simple_restricted(self) -> tuple[RestrictedRoot, ...]:
         """Restrictions of the simple roots, one per twist orbit of nodes."""
         simple = set(self.base.simple_roots)
-        return tuple(rr.key for rr in self.restricted if not simple.isdisjoint(rr.fiber))
+        return tuple(rr for rr in self.restricted if not simple.isdisjoint(rr.fiber))
+
+    @cached_property
+    def simple_keys(self) -> tuple[Vec, ...]:
+        return tuple(rr.key for rr in self.simple_restricted)
 
     @cached_property
     def simple_coroots(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(self.by_key[key].coroot for key in self.simple_keys)
+        return tuple(rr.coroot for rr in self.simple_restricted)
+
+    @cached_property
+    def coroot_columns(self) -> tuple[tuple[int, ...], ...]:
+        """The matrix with the simple coroots as its columns."""
+        return tuple(zip(*self.simple_coroots))
 
     @cached_property
     def restricted_rank(self) -> int:
@@ -222,10 +257,23 @@ class TwistedDatum:
     @cached_property
     def depth_tables(self) -> WeakValueDictionary:
         """The depth tables of this datum by binning key, filled by
-        ``depth_table``: points with the same binning share one table.  The
-        map is weak, so a table lives only while a point's cache entry or a
+        ``translation_class``: points with the same binning share one table.
+        The map is weak, so a table lives only while a translation class or a
         caller holds it."""
         return WeakValueDictionary()
+
+    @cached_property
+    def translation_classes(self) -> WeakValueDictionary:
+        """The translation classes of this datum by representative point,
+        filled by ``translation_class``; weak, as ``depth_tables`` is."""
+        return WeakValueDictionary()
+
+    @cached_property
+    def raises(self) -> _RaiseLists:
+        """The raise list of each restricted root s, by integer key, filled
+        on first use: the pairs (t, s + t) of integer keys with t a positive
+        restricted root and s + t a restricted root."""
+        return _RaiseLists(self.restricted, self.base.rank)
 
     @cached_property
     def quotients(self) -> dict:
@@ -327,8 +375,19 @@ class TwistedDatum:
                         break
                 else:  # the wall itself is the only hyperplane crossed
                     facets.append((vec_scale(sign, key), sign * level, vec_scale(sign, rr.coroot)))
-        simple = set(self.simple_keys)
-        simples = [row for row in rows if row[0].key in simple]
+        return _IntegerAlcove(q, tuple(facets))
+
+    @cached_property
+    def translations(self) -> tuple[tuple[tuple[int, ...], int, tuple[int, ...]], ...]:
+        """(w * p, p, t * q) per simple restricted root a, q that of
+        ``affine_rows``: t = step(a) * acheck, a translation in the affine
+        Weyl group (the product of the reflections in the parallel walls
+        a = l and a = l + step), and w the dual functional, so that a fixed
+        point v equals the sum of pair(w, v) * t; p is the least common
+        denominator of w.  Every restricted root b pairs with t into its own
+        step lattice, so t fixes the level set of every affine root."""
+        q, _, rows = self.affine_rows
+        simples = [rows[rr.index] for rr in self.simple_restricted]
         # w = period * (row of C^-1) . keys = w_num / (den e) on the integer keys
         den, inverse = integer_inverse(
             [[pair(a.fiber[0], b.coroot) for b, *_ in simples] for a, *_ in simples]
@@ -342,7 +401,7 @@ class TwistedDatum:
             translations.append(
                 (tuple(c // g for c in w), den // g, vec_scale(q // period, rr.coroot))
             )
-        return _IntegerAlcove(q, tuple(facets), tuple(translations))
+        return tuple(translations)
 
     @cached_property
     def alcove_parts(self) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
@@ -480,18 +539,16 @@ def origin(td: TwistedDatum) -> ApartmentPoint:
 
 
 def point_from_simple_coroots(td: TwistedDatum, coefficients) -> ApartmentPoint:
-    """The sum of the coefficients times the restricted simple coroots, added
-    as integer coroot multiples over the coefficients' common denominator."""
-    coroots = td.simple_coroots
+    """The sum of the coefficients times the restricted simple coroots: one
+    integer mat-vec of the coroot columns (``TwistedDatum.coroot_columns``)
+    with the coefficients over their common denominator."""
+    count = len(td.simple_restricted)
     den, (coeffs,) = clear_denominators(coefficients)
-    if len(coeffs) != len(coroots):
+    if len(coeffs) != count:
         raise EchelonnageError(
-            f"expected {len(coroots)} coordinates (one per restricted simple coroot)"
+            f"expected {count} coordinates (one per restricted simple coroot)"
         )
-    acc = (0,) * td.base.rank
-    for c, coroot in zip(coeffs, coroots):
-        acc = vec_add(acc, vec_scale(c, coroot))
-    return _fixed_point(td, den, acc)
+    return _fixed_point(td, den, mat_vec(td.coroot_columns, coeffs))
 
 
 def evaluate(key: Vec, point: ApartmentPoint) -> Fraction:
@@ -519,7 +576,7 @@ class DepthTable:
     part of dimension ``torus_jump_dim``.  Every valuation step divides 1, so
     the root part repeats mod 1, and a depth off the (1/N)Z grid has none.
 
-    The table is interned per binning (``depth_table``), so what is read
+    The table is interned per binning (``translation_class``), so what is read
     off it alone is computed once for all the points that share it: its
     jumps, and the results its readers keep with ``kept``.
     """
@@ -594,10 +651,56 @@ class DepthTable:
         return tuple(Fraction(u, unit) for u in sorted(depths))
 
 
+@frozen_record
+class TranslationClass:
+    """The points x + t, t in the lattice of ``TwistedDatum.translations``,
+    held by the one point of them that ``_translated`` gives.  A translation
+    fixes the level set of every affine root, so the points of a class share
+    their depth table (binned at ``point``, and shared by every class with
+    its binning), their alcove reduction and what their readers keep."""
+
+    point: ApartmentPoint
+    table: DepthTable
+
+    @cached_property
+    def results(self) -> dict:
+        """The readings kept by ``kept``, by key."""
+        return {}
+
+    def kept(self, key, build):
+        """``build()``, a reading of ``point`` that every point of the class
+        gives alike, computed once per class and key."""
+        result = self.results.get(key)
+        if result is None:
+            result = self.results[key] = build()
+        return result
+
+    @cached_property
+    def reduced(self) -> ApartmentPoint:
+        """The point of the class in the closed base alcove."""
+        return alcove_reduce(self.table.td, self.point)
+
+
 @lru_cache(maxsize=DEPTH_TABLE_CACHE)
+def translation_class(td: TwistedDatum, x: ApartmentPoint) -> TranslationClass:
+    """The translation class of x, once per (datum, point), and interned in
+    ``td.translation_classes`` by its point."""
+    point = ApartmentPoint(*_translated(td, x))
+    found = td.translation_classes.get(point)
+    if found is None:
+        found = td.translation_classes[point] = TranslationClass(point, _binned(td, point))
+    return found
+
+
 def depth_table(td: TwistedDatum, x: ApartmentPoint) -> DepthTable:
-    """Bin every affine root at x by its depth, once per (datum, point), and
-    once per binning: the table is interned in ``td.depth_tables``.
+    """The depth table of x: that of its translation class, which x's own
+    values would bin alike."""
+    return translation_class(td, x).table
+
+
+def _binned(td: TwistedDatum, x: ApartmentPoint) -> DepthTable:
+    """Bin every affine root at x by its depth, once per binning: the table
+    is interned in ``td.depth_tables``.
 
     N is the lcm of the denominators of every affine-root value a(x - x0) + o
     (o the offset of the valuation set of a) and of every valuation step, so
@@ -655,16 +758,10 @@ class _IntegerAlcove:
     """The base alcove over the q of ``TwistedDatum.affine_rows``, one
     facet per simple affine root.  ``facets`` holds (key * q, level * q,
     coroot) per facet, held one-sided: key(x) >= level inside, the key a
-    restricted root, negated for an upper wall, with its coroot.
-    ``translations`` holds (w * p, p, t * q) per simple restricted root a:
-    t = step(a) * acheck, a translation in the affine Weyl group (the product
-    of the reflections in the parallel walls a = l and a = l + step), and w
-    the dual functional, so that a fixed point v equals the sum of
-    pair(w, v) * t; p is the least common denominator of w."""
+    restricted root, negated for an upper wall, with its coroot."""
 
     q: int
     facets: tuple[tuple[tuple[int, ...], int, tuple[int, ...]], ...]
-    translations: tuple[tuple[tuple[int, ...], int, tuple[int, ...]], ...]
 
 
 def _excess(facet, nums, den: int) -> int:
@@ -674,21 +771,33 @@ def _excess(facet, nums, den: int) -> int:
     return pair(key, nums) - level * den
 
 
-def alcove_reduce(td: TwistedDatum, x: ApartmentPoint) -> ApartmentPoint:
-    """The unique representative of the affine-Weyl orbit of x in the closed
-    base alcove: translate by the lattice part with an exact floor, then
-    reflect across violated facets.  The point is held as integers over a
-    multiple of q, which every translation and fold keeps on the twist-fixed
-    subspace (there key(x) is the value of a root of its fiber)."""
-    table = td.integer_alcove
-    q = table.q
+def _translated(td: TwistedDatum, x: ApartmentPoint) -> tuple[int, tuple[int, ...]]:
+    """x less the integer part of pair(w, x) times t for each translation
+    (w, t) (``TwistedDatum.translations``), by an exact floor, as integers
+    over a multiple of the q of ``affine_rows``.  The w are dual to the t,
+    so each floor is read off x itself and the result is the same for every
+    point of x's translation class."""
+    q = td.affine_rows[0]
     d, nums = x.scaled
     den = lcm(d, q)
     v = vec_scale(den // d, nums)
-    for w, p, t in table.translations:
+    for w, p, t in td.translations:
         k = pair(w, v) // (p * den)
         if k:
             v = vec_sub(v, vec_scale(k * (den // q), t))
+    return den, v
+
+
+def alcove_reduce(td: TwistedDatum, x: ApartmentPoint) -> ApartmentPoint:
+    """The unique representative of the affine-Weyl orbit of x in the closed
+    base alcove: translate by the lattice part with an exact floor
+    (``_translated``), then reflect across violated facets.  The point is
+    held as integers over a multiple of q, which every translation and fold
+    keeps on the twist-fixed subspace (there key(x) is the value of a root
+    of its fiber)."""
+    table = td.integer_alcove
+    q = table.q
+    den, v = _translated(td, x)
     for _ in range(ALCOVE_ITERATION_CAP):
         moved = False
         for facet in table.facets:

@@ -4,10 +4,13 @@ filtration quotients attached to an apartment point.
 The quotient at depth r is modeled by its torus dimension (an eigenvalue
 multiplicity of the twist on the cocharacter lattice) plus one line for each
 restricted root a with r - a(x - x0) in the valuation set of a.  Every query
-here reads the depth table of the point (``echelonnage.depth_table``).  The
-quotients depend on the point only through that table, which points with
-the same binning share, so ``mp_quotient`` keeps its report for each depth
-on the table (``DepthTable.kept``) and builds it once per table.
+here reads the depth table of the point (``echelonnage.depth_table``), that
+of its translation class: the points that differ by a translation of the
+affine Weyl group, which fixes every affine root's level set, share one
+table, and so do all the points with the same binning.  The quotients
+depend on the point only through that table, so ``mp_quotient`` keeps its
+report for each depth on the table (``DepthTable.kept``) and builds it once
+per table.
 
 The reductive quotient depends on the point only through its depth-0 root
 set, so ``quotient_datum`` returns one shared datum per (datum, root set),

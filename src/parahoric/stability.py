@@ -27,9 +27,9 @@ from .catalog import named_point
 from .echelonnage import (
     ApartmentPoint,
     TwistedDatum,
-    alcove_reduce,
     depth_table,
     point_order,
+    translation_class,
     twisted,
 )
 from .exactmath import (
@@ -206,23 +206,31 @@ class StabilityVerdict:
 def stable_verdict(
     td: TwistedDatum, x: ApartmentPoint, cap: int = WEYL_CAP_DEFAULT
 ) -> StabilityVerdict:
-    """Stable-vector criterion at the first jump of x."""
+    """Stable-vector criterion at the first jump of x.  Every point of a
+    translation class (``echelonnage.TranslationClass``) reduces to the same
+    alcove point and has the same depth table, so the verdict is computed
+    once per class and kept on it; the cap is checked on every call."""
     if not td.base.is_semisimple:
         raise StabilityError(
             "stability verdicts need a semisimple datum; central directions "
             "make ellipticity vacuous"
         )
     m = point_order(td, x)
-    reduced_x = alcove_reduce(td, x)
+    if m in td.regular_orders:  # only a regular order builds a witness
+        check_weyl_cap(td.base, cap)
+    return translation_class(td, x).kept("stable_verdict", lambda: _verdict(td, x, m))
+
+
+def _verdict(td: TwistedDatum, x: ApartmentPoint, m: int) -> StabilityVerdict:
+    reduced_x = translation_class(td, x).reduced
     reduced_ref = td.reduced_references.get(m)
     if reduced_ref is None:  # the distinguished barycenter, kept on the datum
-        reduced_ref = td.reduced_references[m] = alcove_reduce(td, named_point(td, "rho_over_m", m))
+        reference = named_point(td, "rho_over_m", m)
+        reduced_ref = td.reduced_references[m] = translation_class(td, reference).reduced
     conjugacy_ok = reduced_x == reduced_ref
     jump = first_jump(td, x)
     depth_ok = jump.numerator == 1 and jump.denominator == m
     regular_ok = m in td.regular_orders
-    if regular_ok:  # only a regular order builds a witness
-        check_weyl_cap(td.base, cap)
     verdict = conjugacy_ok and depth_ok and regular_ok
     if verdict:
         table = depth_table(td, x)

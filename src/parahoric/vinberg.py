@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from math import gcd, lcm
 
-from .echelonnage import ApartmentPoint, TwistedDatum, depth_table, point_order, twisted
+from .echelonnage import ApartmentPoint, TwistedDatum, point_order, translation_class, twisted
 from .exactmath import InputError, PropertyViolation, clear_denominators, frozen_record, pair
 from .mpquotient import quotient_datum
 from .rootdata import DiagramAutomorphism, RootDatum
@@ -152,7 +152,9 @@ def crosscheck(td: TwistedDatum, x: ApartmentPoint, modulus: int) -> CrosscheckR
     """Compare the graded dimensions at x with the filtration quotients:
     degree (M - d) mod M against depth d/M, and the degree-zero root set
     against the reductive-quotient roots.  Requires a tame datum and a
-    modulus divisible by both the twist order and the point order."""
+    modulus divisible by both the twist order and the point order.  Every
+    point of a translation class (``echelonnage.TranslationClass``) gives
+    the same grading, so it is computed once per class and modulus."""
     if not td.is_tame:
         raise GradingError(
             "crosscheck requires a tame datum (all lambda valuations zero); "
@@ -172,9 +174,15 @@ def crosscheck(td: TwistedDatum, x: ApartmentPoint, modulus: int) -> CrosscheckR
         f"; M is {'the lcm' if m == base else f'a multiple of the lcm {base}'} "
         f"of the point order {order} and the twist order {e}",
     )
-    den, nums = x.scaled
-    dims, zero, negative_orbits = _graded(td, den, [m * c for c in nums], m)
-    quotient = depth_table(td, x).column(m)
+    # the grading at the point of x's translation class, kept on the class:
+    # a translation moves every degree by a multiple of M, so it is the
+    # grading at x.  It reads the point, never the table it checks.
+    cls = translation_class(td, x)
+    den, nums = cls.point.scaled
+    dims, zero, negative_orbits = cls.kept(
+        ("graded", m), lambda: _graded(td, den, [m * c for c in nums], m)
+    )
+    quotient = cls.table.column(m)
     first_mismatch = next((d for d in range(m) if dims[-d % m] != quotient[d]), None)
     h = quotient_datum(td, x)
     roots_match = frozenset(h.integer_roots) == {td.restricted[i].integer_key for i in zero}

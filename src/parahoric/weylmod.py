@@ -61,16 +61,25 @@ def _support(td: TwistedDatum, x: ApartmentPoint, r) -> dict:
     return {rr.integer_key: rr.key for rr in depth_table(td, x).at(r)[0]}
 
 
-def _positive_steps(h: ReductiveQuotientDatum) -> list:
+def _positive_steps(h: ReductiveQuotientDatum) -> frozenset:
     """The positive roots of h as integer keys."""
-    return [k for k, p in zip(h.integer_roots, h.positives) if p]
+    return frozenset(k for k, p in zip(h.integer_roots, h.positives) if p)
 
 
-def _maximal(support, shifts) -> frozenset:
-    """The integer keys s of the support with s + t outside it for every shift t."""
-    return frozenset(
-        s for s in support if not any(tuple(map(add, s, t)) in support for t in shifts)
-    )
+def _maximal_sets(td: TwistedDatum, support, steps) -> tuple[frozenset, frozenset]:
+    """The integer keys s of the support with s + t outside it for every t in
+    ``steps``, a set of positive restricted roots as integer keys, and those
+    with s + t outside it for every positive restricted root t: one pass over
+    the raise list of each s (``TwistedDatum.raises``), since s + t in the
+    support is a restricted root."""
+    maximal, ambient = [], []
+    for s in support:
+        raised = [t for t, up in td.raises[s] if up in support]
+        if steps.isdisjoint(raised):
+            maximal.append(s)
+            if not raised:
+                ambient.append(s)
+    return frozenset(maximal), frozenset(ambient)
 
 
 def phi_xr_max(
@@ -83,14 +92,14 @@ def phi_xr_max(
     """Members a of phi_xr with a + b outside phi_xr for every positive b.
 
     ``positives`` defaults to the positive roots of the quotient datum h; pass
-    the ambient positive restricted roots to test the other reading.
+    positive restricted roots, such as all of them for the other reading.
     """
     if positives is None:
-        shifts = _positive_steps(h)
+        steps = _positive_steps(h)
     else:
-        shifts = [td.by_key[b].integer_key for b in positives]
+        steps = frozenset(td.by_key[b].integer_key for b in positives)
     support = _support(td, x, r)
-    return frozenset(support[s] for s in _maximal(support, shifts))
+    return frozenset(support[s] for s in _maximal_sets(td, support, steps)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -323,8 +332,7 @@ def _decompose(td: TwistedDatum, x: ApartmentPoint, r: Fraction) -> Decompositio
             top.append(t)
         return tuple(top)
 
-    maximal = _maximal(support, _positive_steps(h))
-    ambient = _maximal(support, [rr.integer_key for rr in td.restricted if rr.positive])
+    maximal, ambient = _maximal_sets(td, support, _positive_steps(h))
     nondominant = [s for s in maximal if dominant_labels(key_of[s][1]) is None]
 
     items = []
@@ -396,4 +404,5 @@ def split_span_check(datum, x: ApartmentPoint, r) -> bool:
     def step(s):
         return (nxt for t in h.integer_roots if (nxt := tuple(map(add, s, t))) in support)
 
-    return len(set(closure(_maximal(support, _positive_steps(h)), step))) == len(support)
+    maximal, _ = _maximal_sets(td, support, _positive_steps(h))
+    return len(set(closure(maximal, step))) == len(support)

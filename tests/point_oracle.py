@@ -183,9 +183,9 @@ def _one_hyperplane_between(positives, here, there):
 
 
 def rational_alcove(td):
-    """``td.integer_alcove`` in Fractions: (facets, translations), a facet
-    (key, level, coroot) with key(x) >= level inside and a translation the
-    pair (w, t) of ``alcove_reduce``."""
+    """``td.integer_alcove`` and ``td.translations`` in Fractions: (facets,
+    translations), a facet (key, level, coroot) with key(x) >= level inside
+    and a translation the pair (w, t) of ``alcove_reduce``."""
     table = td.integer_alcove
     q = table.q
     facets = tuple(
@@ -194,7 +194,7 @@ def rational_alcove(td):
     )
     translations = tuple(
         (tuple(Fraction(c, p) for c in w), tuple(Fraction(c, q) for c in t))
-        for w, p, t in table.translations
+        for w, p, t in td.translations
     )
     return facets, translations
 
@@ -213,13 +213,20 @@ def alcove_vertices_by_subsets(td):
     return tuple(sorted(vertices, key=attrgetter("coords")))
 
 
+def translation_representative(td, x):
+    """x less the floor of pair(w, x) times t for each translation (w, t),
+    in Fraction vectors: one point per class of x modulo the translations."""
+    v = x.coords
+    for w, t in rational_alcove(td)[1]:
+        v = vec_sub(v, vec_scale(floor(pair(w, v)), t))
+    return v
+
+
 def alcove_reduce_oracle(td, x):
     """Translate by the exact lattice floor, then reflect across violated
     facets, in Fraction vectors."""
-    facets, translations = rational_alcove(td)
-    v = x.coords
-    for w, t in translations:
-        v = vec_sub(v, vec_scale(floor(pair(w, v)), t))
+    facets, _ = rational_alcove(td)
+    v = translation_representative(td, x)
     for _ in range(ALCOVE_ITERATION_CAP):
         moved = False
         for key, level, coroot in facets:

@@ -7,8 +7,11 @@ coordinates by C^-1, one solve per root (``scaled_coordinates``).
 It also holds the Weyl dimension of a weight, which only the tests ask of a
 quotient datum: the package reads dimensions off the quotient type by top
 labels.
+
+It also holds the maximality scan that the raise lists of
+``TwistedDatum.raises`` replaced: every shift added to every support weight.
 """
-from operator import mul
+from operator import add, mul
 
 from parahoric.exactmath import pair
 from parahoric.mpquotient import QuotientError
@@ -67,3 +70,11 @@ def weyl_dimension(h, lam) -> int:
     """The dimension of the module of highest weight lam, from its Dynkin
     labels on the quotient type of h."""
     return _dimension(h.quotient_type, [pair(lam, ac) for ac in h.simple_coroots])
+
+
+def maximal(support, shifts) -> frozenset:
+    """The integer keys s of the support with s + t outside it for every
+    shift t: the all-shifts scan ``weylmod`` ran, once per reading."""
+    return frozenset(
+        s for s in support if not any(tuple(map(add, s, t)) in support for t in shifts)
+    )

@@ -19,6 +19,7 @@ from parahoric.echelonnage import (
     origin,
     point_from_simple_coroots,
     point_order,
+    translation_class,
     twisted,
 )
 from parahoric.exactmath import vec_add
@@ -30,16 +31,17 @@ from warm_points import warm_sweep
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "parahoric"
 
-# The depth table per point (bounded by DEPTH_TABLE_CACHE), the scaffold of
-# a (datum, twist) pair, the Weyl group and the Chevalley-basis oracle.
+# The translation class per point (bounded by DEPTH_TABLE_CACHE), the
+# scaffold of a (datum, twist) pair, the Weyl group and the Chevalley-basis
+# oracle.
 CACHED = {
-    "echelonnage.depth_table",
+    "echelonnage.translation_class",
     "echelonnage._scaffold",
     "rootdata.weyl_elements",
     "chevalley.structure_constants",
     "chevalley.pinned_automorphism",
 }
-BOUNDED = {"echelonnage.depth_table"}
+BOUNDED = {"echelonnage.translation_class"}
 
 
 def test_the_builders_return_one_object_per_datum():
@@ -125,7 +127,8 @@ def test_interned_bins_equal_a_fresh_binning(monkeypatch):
         for point, served in ((x, table), (_translate(td, x, shift), moved)):
             with monkeypatch.context() as m:
                 m.setitem(vars(td), "depth_tables", WeakValueDictionary())
-                fresh = depth_table.__wrapped__(td, point)
+                m.setitem(vars(td), "translation_classes", WeakValueDictionary())
+                fresh = translation_class.__wrapped__(td, point).table
             assert fresh is not served
             assert (fresh.order, fresh.roots) == (served.order, served.roots)
             compared += 1
@@ -174,19 +177,29 @@ def test_a_table_keeps_a_bounded_number_of_results():
     assert reports == [mp_quotient(td, x, r) for r in depths]
 
 
-def test_crosscheck_grades_every_point_of_a_shared_table(monkeypatch):
-    # the grading is the independent check against the table: it is never
-    # kept, so each point is graded even where its table is shared
+def test_crosscheck_grades_every_translation_class_of_a_shared_table(monkeypatch):
+    # the grading is the independent check against the table: it is kept on
+    # the translation class of a point, never on the table, so each class
+    # of the points that share a table is graded, and graded once
     graded = []
     real = vinberg._graded
     monkeypatch.setattr(vinberg, "_graded", lambda *args: graded.append(args) or real(*args))
     td = twisted(build_datum("B3"))
+    monkeypatch.setitem(vars(td), "translation_classes", WeakValueDictionary())
+    translation_class.cache_clear()  # forget the classes of earlier tests
     x = point_from_simple_coroots(td, (F(1, 4), F(1, 3), F(1, 6)))
-    points = [x] + [_translate(td, x, shift) for shift in ((1, 0, 0), (0, -2, 1), (3, 1, -1))]
-    assert len({id(depth_table(td, y)) for y in points}) == 1
-    for y in points:
-        assert crosscheck(td, y, point_order(td, y))
-    assert len(graded) == len(points)
+    # half the first simple coroot moves every root value by an integer, so
+    # it keeps the binning, but it is no translation of the affine Weyl group
+    y = _translate(td, x, (F(1, 2), 0, 0))
+    shifts = ((0, 0, 0), (1, 0, 0), (0, -2, 1), (3, 1, -1))
+    points = [_translate(td, p, shift) for p in (x, y) for shift in shifts]
+    assert len(set(points)) == 8
+    assert len({id(depth_table(td, p)) for p in points}) == 1
+    assert len({translation_class(td, p).point for p in points}) == 2
+    for p in points:
+        assert crosscheck(td, p, point_order(td, p))
+    assert len(graded) == 2
+    translation_class.cache_clear()  # its classes are not in the restored map
 
 
 def test_the_intern_map_holds_no_more_tables_than_the_point_cache():

@@ -3,15 +3,17 @@ from fractions import Fraction
 
 import pytest
 
-from parahoric import mpquotient
-from parahoric.catalog import CATALOG, catalog_datum, catalog_ids
+from parahoric import mpquotient, weylmod
+from parahoric.catalog import CATALOG, catalog_datum, catalog_ids, named_point
 from parahoric.echelonnage import (
     apartment_point,
+    companion_shift,
     depth_table,
     origin,
     point_from_simple_coroots,
     point_order,
     restrict,
+    translation_class,
     twisted,
 )
 from parahoric.exactmath import (
@@ -26,6 +28,7 @@ from parahoric.mpquotient import (
     QuotientType,
     ReductiveQuotientDatum,
     first_jump,
+    jump_values,
     mp_quotient,
     quotient_datum,
 )
@@ -45,7 +48,8 @@ from parahoric.weylmod import (
 )
 
 from matrix_oracle import solve_linear
-from quotient_oracle import weyl_dimension
+from point_oracle import translation_representative
+from quotient_oracle import maximal, weyl_dimension
 from warm_points import perfbench_module, warm_sweep
 
 F = Fraction
@@ -530,6 +534,40 @@ def test_integer_kernel_matches_fraction_oracle(name):
     assert subtracted
 
 
+def assert_raise_lists_match_the_scan(td, x, r):
+    """Both maximal readings by the raise lists against the all-shifts scan
+    of ``quotient_oracle.maximal``; returns the size of the support."""
+    h = quotient_datum(td, x)
+    support = {rr.integer_key for rr in depth_table(td, x).at(r)[0]}
+    steps = frozenset(k for k, p in zip(h.integer_roots, h.positives) if p)
+    ambient = [rr.integer_key for rr in restrict(td) if rr.positive]
+    assert weylmod._maximal_sets(td, support, steps) == (
+        maximal(support, steps),
+        maximal(support, ambient),
+    ), (td, x, r)
+    return len(support)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_raise_lists_read_both_maximal_sets_like_the_scan(seed):
+    # every table of the warm sweep, at each of its jumps
+    tables, compared = {}, 0  # the tables, held so that no id is reused
+    for td, x in warm_sweep(seed):
+        table = depth_table(td, x)
+        if id(table) not in tables:
+            tables[id(table)] = table
+            compared += sum(assert_raise_lists_match_the_scan(td, x, r) for r in table.jumps())
+    assert compared and len(tables) > 200
+
+
+@pytest.mark.parametrize("dynkin, m", [("E8", None), ("E8", 30), ("B6", 12)])
+def test_raise_lists_match_the_scan_on_large_types(dynkin, m):
+    td = twisted(build_datum(dynkin))
+    x = origin(td) if m is None else named_point(td, "rho_over_m", m)
+    depths = {first_jump(td, x), F(1, 2), *jump_values(td, x)[:4]}
+    assert sum(assert_raise_lists_match_the_scan(td, x, r) for r in depths)
+
+
 @pytest.mark.parametrize("name", ["B4", "2A4"])
 def test_decompose_hashes_fractions_only_for_its_results(name, monkeypatch):
     # Inside decompose a weight is an integer key: once the quotient datum,
@@ -782,18 +820,24 @@ def test_a_datum_that_differs_from_its_type_is_refused(monkeypatch):
 
 def test_a_warm_pass_computes_each_shared_result_once(monkeypatch):
     # The seed-0 warm pass, the benchmark's own per-point work, on empty
-    # quotient, type and depth-table memos: Freudenthal runs once per
-    # (type, top labels), the integer inverse once per Cartan matrix and the
-    # verdict's span rank once per (depth table, jump).  Every datum still
-    # runs its own checks, and every character computed is checked against
-    # the Weyl dimension formula.
+    # quotient, type, depth-table, translation-class and reference memos:
+    # Freudenthal runs once per (type, top labels), the integer inverse once
+    # per Cartan matrix, the verdict's span rank once per (depth table,
+    # jump), the decomposition once per (depth table, first jump), and the
+    # crosscheck's grading and the alcove reduction at most once per
+    # translation class, counted here by the Fraction oracle.  Every datum
+    # still runs its own checks, and every character computed is checked
+    # against the Weyl dimension formula.
     import parahoric
-    from parahoric import exactmath, stability, weylmod
+    from parahoric import echelonnage, exactmath, stability, vinberg
 
     child = perfbench_module("child")
     points = list(warm_sweep(0))
     tds = {t for td, _ in points for t in (td, twisted(td.base, td.twist))}
-    calls = {"freudenthal": 0, "dimension": 0, "inverse": 0, "rank": 0}
+    calls = {
+        "freudenthal": 0, "dimension": 0, "inverse": 0, "rank": 0,
+        "graded": 0, "reduce": 0, "decompose": 0,
+    }
 
     def counting(name, real):
         def wrapper(*args):
@@ -810,32 +854,50 @@ def test_a_warm_pass_computes_each_shared_result_once(monkeypatch):
         return real_character(h, top)
 
     real_character = weylmod._character
-    depth_table.cache_clear()
+    translation_class.cache_clear()
     with monkeypatch.context() as m:
         m.setattr(mpquotient, "_TYPES", {})
         for td in tds:
             m.setitem(vars(td), "quotients", {})
             m.setitem(vars(td), "depth_tables", type(td.depth_tables)())
+            m.setitem(vars(td), "translation_classes", type(td.translation_classes)())
+            m.setitem(vars(td), "reduced_references", {})
         m.setattr(weylmod, "_freudenthal", counting("freudenthal", weylmod._freudenthal))
         m.setattr(weylmod, "_dimension", counting("dimension", weylmod._dimension))
         m.setattr(weylmod, "_character", character)
+        m.setattr(weylmod, "_decompose", counting("decompose", weylmod._decompose))
         m.setattr(mpquotient, "integer_inverse", counting("inverse", exactmath.integer_inverse))
         m.setattr(stability, "matrix_rank", counting("rank", exactmath.matrix_rank))
-        spans = set()
+        m.setattr(vinberg, "_graded", counting("graded", vinberg._graded))
+        m.setattr(echelonnage, "alcove_reduce", counting("reduce", echelonnage.alcove_reduce))
+        spans, jumps = set(), set()
         for td, x in points:
             result = child.sweep_point(parahoric, td, x, len(td.base.roots) + td.base.rank)
+            # a (table, jump) pair by the table's binning: no table is held
+            # here, so a table dropped and binned again would count twice
+            table = depth_table(td, x)
+            binned = (td, table.order, tuple(sorted(table.roots.items())), first_jump(td, x))
+            jumps.add(binned)
             if result["verdict"]:
-                table = depth_table(td, x)
-                held.append(table)
-                spans.add((id(table), first_jump(td, x)))
+                spans.add(binned)
         data = [h for td in tds for h in td.quotients.values()]
         types = len(mpquotient._TYPES)
-    depth_table.cache_clear()  # its tables are not in the restored intern maps
+    translation_class.cache_clear()  # its classes are not in the restored intern maps
     assert 0 < calls["freudenthal"] == len(asked) <= 63
     assert calls["dimension"] == calls["freudenthal"]
     assert calls["inverse"] == types == len({id(h.quotient_type) for h in data}) <= 30
     assert types == len({h.cartan for h in data})  # one type per Cartan matrix
     assert 0 < calls["rank"] == len(spans) <= 51
+    assert 0 < calls["decompose"] == len(jumps)
     assert len(data) == 204 > types
     checks = ("cartan", "half_norms", "positive_coordinates", "quotient_type")
     assert all(name in vars(h) for h in data for name in checks)
+    # the classes of the points graded (the tame shifts) and of the points
+    # reduced (the sweep's points and the barycenter of each point order)
+    tame = [(td, x) if td.is_tame else companion_shift(td, x) for td, x in points]
+    references = {(td, named_point(td, "rho_over_m", point_order(td, x))) for td, x in points}
+    graded = {(td, translation_representative(td, x)) for td, x in tame}
+    reduced = {(td, translation_representative(td, x)) for td, x in {*points, *references}}
+    assert len(points) == 960 and len(set(points)) == 826 and len(graded) == 351
+    assert 0 < calls["graded"] <= len(graded)
+    assert 0 < calls["reduce"] <= len(reduced) < len(set(points))
