@@ -16,7 +16,9 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import lcm, prod
 
-from .exactmath import PropertyViolation, frozen_record, mat_vec, pair, vec_add, vec_scale, vec_sub
+from .exactmath import (
+    PropertyViolation, frozen_record, kept, mat_vec, pair, vec_add, vec_scale, vec_sub,
+)
 from .rootdata import DiagramAutomorphism, RootDatum, cycles
 
 MAX_NILPOTENCY = 10
@@ -59,13 +61,8 @@ class ChevalleyAlgebra:
         self._norm_cache: dict = {}
 
     def _norm(self, chi) -> Fraction:
-        got = self._norm_cache.get(chi)
-        if got is None:
-            got = Fraction(
-                sum(pair(chi, cr) ** 2 for cr in self.datum.coroots)
-            )
-            self._norm_cache[chi] = got
-        return got
+        coroots = self.datum.coroots
+        return kept(self._norm_cache, chi, lambda: Fraction(sum(pair(chi, c) ** 2 for c in coroots)))
 
     def _string_length(self, alpha, beta) -> int:
         """max i with beta - i*alpha a root."""
@@ -77,35 +74,28 @@ class ChevalleyAlgebra:
         return p
 
     def _nval(self, u, v) -> int:
-        memo = self._nval_memo
-        got = memo.get((u, v))
-        if got is not None:
-            return got
+        return kept(self._nval_memo, (u, v), lambda: self._structure_constant(u, v))
+
+    def _structure_constant(self, u, v) -> int:
         c = vec_add(u, v)
         if c not in self.rootset:
-            val = 0
+            return 0
+        datum = self.datum
+        upos = datum.is_positive(u)
+        vpos = datum.is_positive(v)
+        if upos and vpos:
+            return self._npos[(u, v)]
+        if not upos and not vpos:
+            return -self._nval(vec_scale(-1, u), vec_scale(-1, v))
+        if not upos:
+            return -self._nval(v, u)
+        if datum.is_positive(c):
+            val = -self._norm(c) / self._norm(u) * self._nval(vec_scale(-1, v), c)
         else:
-            datum = self.datum
-            upos = datum.is_positive(u)
-            vpos = datum.is_positive(v)
-            if upos and vpos:
-                val = self._npos[(u, v)]
-            elif not upos and not vpos:
-                val = -self._nval(vec_scale(-1, u), vec_scale(-1, v))
-            elif not upos:
-                val = -self._nval(v, u)
-            else:
-                if datum.is_positive(c):
-                    ratio = self._norm(c) / self._norm(u)
-                    val = -ratio * self._nval(vec_scale(-1, v), c)
-                else:
-                    ratio = self._norm(c) / self._norm(v)
-                    val = ratio * self._nval(vec_scale(-1, c), u)
-                if Fraction(val).denominator != 1:
-                    raise ChevalleyError("non-integral structure constant")
-                val = int(val)
-        memo[(u, v)] = val
-        return val
+            val = self._norm(c) / self._norm(v) * self._nval(vec_scale(-1, c), u)
+        if Fraction(val).denominator != 1:
+            raise ChevalleyError("non-integral structure constant")
+        return int(val)
 
     def _build_constants(self) -> None:
         datum = self.datum

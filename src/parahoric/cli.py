@@ -442,14 +442,14 @@ def make_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", default=None, help="write the report here instead of stdout")
     common.add_argument("--m", type=int, default=None, help="override m for rho_over_m points")
     common.add_argument("--M", type=int, default=None, help="override the grading modulus")
-    common.add_argument(
-        "--cap", type=int, default=WEYL_CAP_DEFAULT,
-        help="bound on |W|, the order of the Weyl group (default %(default)s)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text, key, section in REPORTS:
         p = sub.add_parser(name, help=help_text, parents=[common])
         p.set_defaults(run=run_report, key=key, section=section)
+    sub.choices["stability"].add_argument(
+        "--cap", type=_positive, default=WEYL_CAP_DEFAULT,
+        help="bound on |W|, the order of the Weyl group (default %(default)s)",
+    )
     p = sub.add_parser("selftest", help="run the built-in property suite")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(run=run_selftest)
@@ -462,10 +462,16 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _positive(text: str) -> int:
+    """A positive integer option value; anything else is a usage error."""
+    with contextlib.suppress(ValueError):
+        if int(text) > 0:
+            return int(text)
+    raise argparse.ArgumentTypeError(f"must be a positive integer, not {text!r}")
+
+
 def run_report(args) -> int:
     started = time.time()
-    if args.cap <= 0:
-        raise InputError("field 'cap': must be a positive integer")
     check_out(args.out)
     raw = load_spec(args.spec)
     if args.M is not None:

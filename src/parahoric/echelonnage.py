@@ -37,6 +37,7 @@ from .exactmath import (
     clear_denominators,
     frozen_record,
     integer_inverse,
+    kept,
     mat_vec,
     pair,
     reflection_orbit,
@@ -153,29 +154,6 @@ def _scaffold(base: RootDatum, twist: DiagramAutomorphism) -> _Scaffold:
     )
 
 
-class _RaiseLists(dict):
-    """Integer key s -> the pairs (t, s + t) with t a positive restricted root
-    and s + t a restricted root, as integer keys, each list made when first
-    asked for (``TwistedDatum.raises``).  The sums are tested as integers:
-    the pairing with the powers of a base above four times the largest
-    coordinate is additive, and one-to-one on the keys and their sums."""
-
-    def __init__(self, roots, rank: int):
-        super().__init__()
-        base = 4 * max((abs(c) for rr in roots for c in rr.integer_key), default=0) + 1
-        self.powers = tuple(base**i for i in range(rank))
-        codes = [(pair(rr.integer_key, self.powers), rr) for rr in roots]
-        self.codes = {code: rr.integer_key for code, rr in codes}
-        self.positives = {code: rr.integer_key for code, rr in codes if rr.positive}
-
-    def __missing__(self, s):
-        code, codes, positives = pair(s, self.powers), self.codes, self.positives
-        found = self[s] = tuple(
-            [(t, codes[code + c]) for c, t in positives.items() if code + c in codes]
-        )
-        return found
-
-
 @frozen_record
 class TwistedDatum:
     """A root datum with a diagram automorphism and lambda-valuations, interned
@@ -269,11 +247,22 @@ class TwistedDatum:
         return WeakValueDictionary()
 
     @cached_property
-    def raises(self) -> _RaiseLists:
-        """The raise list of each restricted root s, by integer key, filled
-        on first use: the pairs (t, s + t) of integer keys with t a positive
-        restricted root and s + t a restricted root."""
-        return _RaiseLists(self.restricted, self.base.rank)
+    def raises(self) -> dict:
+        """The raise list (``raise_list``) of each restricted root asked
+        for, by integer key, filled by ``weylmod``."""
+        return {}
+
+    @cached_property
+    def _raise_codes(self) -> tuple[tuple[int, ...], dict, dict]:
+        """The powers of a base above four times the largest key coordinate,
+        and the code (the pairing with them, additive and one-to-one on the
+        keys and their sums) of every restricted root and of the positive
+        ones, to its integer key: ``raise_list`` adds codes."""
+        base = 4 * max((abs(c) for rr in self.restricted for c in rr.integer_key), default=0) + 1
+        powers = tuple(base**i for i in range(self.base.rank))
+        codes = {pair(rr.integer_key, powers): rr for rr in self.restricted}
+        positives = {code: rr.integer_key for code, rr in codes.items() if rr.positive}
+        return powers, {code: rr.integer_key for code, rr in codes.items()}, positives
 
     @cached_property
     def quotients(self) -> dict:
@@ -481,11 +470,20 @@ def twisted(
                 "roots lie in one restricted Weyl orbit"
             )
     key = (base, twist, tuple(values))
-    return _TWISTED.setdefault(key, TwistedDatum(*key))
+    return kept(_TWISTED, key, lambda: TwistedDatum(*key))
 
 
 def restrict(td: TwistedDatum) -> tuple[RestrictedRoot, ...]:
     return td.restricted
+
+
+def raise_list(td: TwistedDatum, s) -> tuple:
+    """The pairs (t, s + t) of integer keys with t a positive restricted root
+    and s + t a restricted root, for the integer key s of a restricted root:
+    the sums are tested as integer codes (``TwistedDatum._raise_codes``)."""
+    powers, codes, positives = td._raise_codes
+    code = pair(s, powers)
+    return tuple([(t, codes[code + c]) for c, t in positives.items() if code + c in codes])
 
 
 @frozen_record
@@ -598,19 +596,16 @@ class DepthTable:
 
     def kept(self, name: str, r: Fraction, build):
         """``build()``, the result of reader ``name`` at depth r, which must
-        be a function of this table and r alone.  It is kept for a depth in
-        [0, 1] over ``unit`` (every jump, and 1, the first jump of a point
-        with none in (0, 1)), so a table keeps at most unit + 1 results per
-        reader however many depths its points are asked about; any other
-        depth is built afresh.  The key holds integers, not a Fraction."""
+        be a function of this table and r alone.  Only a depth in [0, 1] over
+        ``unit`` (every jump, and 1, the first jump of a point with none in
+        (0, 1)) goes to ``exactmath.kept``, keyed by (name, numerator,
+        denominator), so a table keeps at most unit + 1 results per reader
+        however many depths its points are asked about; any other depth is
+        built afresh."""
         num, den = r.numerator, r.denominator
         if not (0 <= num <= den and self.unit % den == 0):
             return build()
-        key = name, num, den
-        result = self.results.get(key)
-        if result is None:
-            result = self.results[key] = build()
-        return result
+        return kept(self.results, (name, num, den), build)
 
     def at(self, r) -> tuple[tuple[RestrictedRoot, ...], int]:
         """The roots and the torus dimension of the quotient at depth r."""
@@ -641,6 +636,13 @@ class DepthTable:
         the angles j/d, gcd(j, d) = 1, of the twist eigenvalues of order d."""
         return self._jumps
 
+    @property
+    def first_jump(self) -> Fraction:
+        """Least positive depth with a nonzero quotient.  Depth 0 always
+        carries the fixed torus and the quotients repeat mod 1, so the answer
+        is at most 1."""
+        return next((r for r in self._jumps if r), None) or Fraction(1)
+
     @cached_property
     def _jumps(self) -> tuple[Fraction, ...]:
         spectrum = self.td.twist.spectrum
@@ -657,23 +659,18 @@ class TranslationClass:
     held by the one point of them that ``_translated`` gives.  A translation
     fixes the level set of every affine root, so the points of a class share
     their depth table (binned at ``point``, and shared by every class with
-    its binning), their alcove reduction and what their readers keep."""
+    its binning), their alcove reduction and every reading that is a
+    function of ``point``, its table and the reader's key."""
 
     point: ApartmentPoint
     table: DepthTable
 
     @cached_property
     def results(self) -> dict:
-        """The readings kept by ``kept``, by key."""
+        """The readings of the class by key, kept by ``exactmath.kept``: the
+        crosscheck per modulus (``vinberg``) and the verdict
+        (``stability``)."""
         return {}
-
-    def kept(self, key, build):
-        """``build()``, a reading of ``point`` that every point of the class
-        gives alike, computed once per class and key."""
-        result = self.results.get(key)
-        if result is None:
-            result = self.results[key] = build()
-        return result
 
     @cached_property
     def reduced(self) -> ApartmentPoint:
@@ -686,10 +683,7 @@ def translation_class(td: TwistedDatum, x: ApartmentPoint) -> TranslationClass:
     """The translation class of x, once per (datum, point), and interned in
     ``td.translation_classes`` by its point."""
     point = ApartmentPoint(*_translated(td, x))
-    found = td.translation_classes.get(point)
-    if found is None:
-        found = td.translation_classes[point] = TranslationClass(point, _binned(td, point))
-    return found
+    return kept(td.translation_classes, point, lambda: TranslationClass(point, _binned(td, point)))
 
 
 def depth_table(td: TwistedDatum, x: ApartmentPoint) -> DepthTable:
@@ -722,14 +716,15 @@ def _binned(td: TwistedDatum, x: ApartmentPoint) -> DepthTable:
         values.append(u)
     n = q * den // g
     key = (n, *(u // g % (n // row[3]) for row, u in zip(rows, values)))
-    table = td.depth_tables.get(key)
-    if table is None:
+
+    def build():
         bins: dict[int, list[RestrictedRoot]] = {}
         for (rr, *_, period), first in zip(rows, key[1:]):
             for k in range(first, n, n // period):
                 bins.setdefault(k, []).append(rr)
-        table = td.depth_tables[key] = DepthTable(td, n, {k: tuple(v) for k, v in bins.items()})
-    return table
+        return DepthTable(td, n, {k: tuple(v) for k, v in bins.items()})
+
+    return kept(td.depth_tables, key, build)
 
 
 def point_order(td: TwistedDatum, x: ApartmentPoint) -> int:

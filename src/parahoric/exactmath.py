@@ -1,8 +1,9 @@
 """Exact rational linear algebra (fraction-free Bareiss elimination for the
 rank, the inverse and the echelon form), the order and cyclotomic
 multiplicities of a finite-order integer matrix (read off its powers and
-their ranks), valuation sets (arithmetic progressions of rationals), and
-``closure``, the one breadth-first orbit walk of the package.
+their ranks), valuation sets (arithmetic progressions of rationals),
+``closure``, the one breadth-first orbit walk of the package, and ``kept``,
+its one memo rule.
 
 Everything here is exact: integers and ``fractions.Fraction`` only, no floats.
 """
@@ -85,6 +86,18 @@ def frozen_record(cls):
     cls.__init__, cls.__eq__, cls.__hash__, cls.__repr__ = __init__, __eq__, __hash__, __repr__
     cls.__setattr__ = cls.__delattr__ = _frozen
     return cls
+
+
+def kept(memo: dict, key, build):
+    """``memo[key]``, made by ``build()`` and stored there on first use: the
+    one memo rule of the package.  A build that raises stores nothing, so a
+    failed check raises again on the next call."""
+    try:
+        return memo[key]
+    except KeyError:
+        pass
+    result = memo[key] = build()
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -219,29 +232,6 @@ def _bareiss(m: list[list[int]], jordan: bool = False):
         if rank == len(m):
             break
     return rank, prev
-
-
-def det_bareiss(a: IntMatrix) -> int:
-    """Fraction-free determinant of a square integer matrix."""
-    n = len(a)
-    m = [list(row) for row in a]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
 
 
 def sub_identity(a: IntMatrix) -> IntMatrix:

@@ -41,6 +41,7 @@ from .exactmath import (
     closure,
     frozen_record,
     integer_inverse,
+    kept,
     pair,
     vec_scale,
     vec_sub,
@@ -257,11 +258,13 @@ def quotient_datum(td: TwistedDatum, x: ApartmentPoint) -> ReductiveQuotientDatu
     checked once per root set (a failed check is raised, not kept), also
     against the type of its Cartan matrix (``quotient_type``)."""
     picked, rank = depth_table(td, x).at(0)
-    indices = tuple(rr.index for rr in picked)
-    if indices in td.quotients:
-        return td.quotients[indices]
-    # reducedness on the integer keys (the keys times e); the other checks
-    # are the datum's own, run by quotient_type
+    return kept(td.quotients, tuple(rr.index for rr in picked), lambda: _checked(picked, rank))
+
+
+def _checked(picked, rank: int) -> ReductiveQuotientDatum:
+    """The quotient datum of the depth-0 roots ``picked``, checked: reduced
+    on the integer keys (the keys times e), then the datum's own checks and
+    those against its type, run by ``quotient_type``."""
     keys = {rr.integer_key for rr in picked}
     if any(vec_scale(2, k) in keys for k in keys):
         raise QuotientError("quotient root system is not reduced")
@@ -272,8 +275,7 @@ def quotient_datum(td: TwistedDatum, x: ApartmentPoint) -> ReductiveQuotientDatu
         positives=tuple(rr.positive for rr in picked),
         integer_roots=tuple(rr.integer_key for rr in picked),
     )
-    h.quotient_type  # runs the datum's own checks and those against its type
-    td.quotients[indices] = h
+    h.quotient_type
     return h
 
 
@@ -295,9 +297,8 @@ def mp_quotient(td: TwistedDatum, x: ApartmentPoint, r) -> MPQuotientReport:
 
 
 def first_jump(td: TwistedDatum, x: ApartmentPoint) -> Fraction:
-    """Least positive depth with a nonzero quotient.  Depth 0 always carries
-    the fixed torus and the quotients repeat mod 1, so the answer is at most 1."""
-    return next((r for r in depth_table(td, x).jumps() if r), None) or Fraction(1)
+    """Least positive depth with a nonzero quotient (``DepthTable.first_jump``)."""
+    return depth_table(td, x).first_jump
 
 
 def jump_values(td: TwistedDatum, x: ApartmentPoint) -> tuple[Fraction, ...]:

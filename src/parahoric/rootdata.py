@@ -29,6 +29,7 @@ from .exactmath import (
     closure,
     frozen_record,
     identity_matrix,
+    kept,
     mat_vec,
     matrix_rank,
     pair,
@@ -263,8 +264,10 @@ _AUTOMORPHISMS: dict[tuple[RootDatum, tuple[int, ...]], DiagramAutomorphism] = {
 def build_datum(descriptor: str, isogeny: str = "adjoint") -> RootDatum:
     """The root datum of the given type with the chosen isogeny, built once
     per (descriptor, isogeny)."""
-    if (descriptor, isogeny) in _DATA:
-        return _DATA[descriptor, isogeny]
+    return kept(_DATA, (descriptor, isogeny), lambda: _root_datum(descriptor, isogeny))
+
+
+def _root_datum(descriptor: str, isogeny: str) -> RootDatum:
     if isogeny not in ISOGENIES:
         raise RootDatumError(f"unsupported isogeny {isogeny!r}")
     cartan = cartan_matrix(descriptor)
@@ -316,7 +319,7 @@ def build_datum(descriptor: str, isogeny: str = "adjoint") -> RootDatum:
     for r, cr in zip(datum.roots, datum.coroots):
         if pair(r, cr) != 2:
             raise RootDatumError("root/coroot pairing is not 2")
-    return _DATA.setdefault((descriptor, isogeny), datum)
+    return datum
 
 
 def check_weyl_cap(datum: RootDatum, cap: int) -> int:
@@ -426,8 +429,10 @@ def build_automorphism(datum: RootDatum, node_permutation) -> DiagramAutomorphis
     """Validate a node permutation as a diagram symmetry and build its matrix,
     once per (datum, permutation)."""
     perm = tuple(int(p) for p in node_permutation)
-    if (datum, perm) in _AUTOMORPHISMS:
-        return _AUTOMORPHISMS[datum, perm]
+    return kept(_AUTOMORPHISMS, (datum, perm), lambda: _automorphism(datum, perm))
+
+
+def _automorphism(datum: RootDatum, perm: tuple[int, ...]) -> DiagramAutomorphism:
     n = datum.rank
     if sorted(perm) != list(range(n)):
         raise RootDatumError("node permutation is not a permutation of the nodes")
@@ -443,8 +448,7 @@ def build_automorphism(datum: RootDatum, node_permutation) -> DiagramAutomorphis
     image = {mat_vec(matrix, r) for r in datum.roots}
     if image != set(datum.roots):
         raise RootDatumError("automorphism does not permute the roots")
-    twist = DiagramAutomorphism(perm, matrix, lcm(*map(len, cycles(perm))))
-    return _AUTOMORPHISMS.setdefault((datum, perm), twist)
+    return DiagramAutomorphism(perm, matrix, lcm(*map(len, cycles(perm))))
 
 
 def identity_automorphism(datum: RootDatum) -> DiagramAutomorphism:

@@ -26,9 +26,8 @@ from math import gcd, lcm
 from .catalog import named_point
 from .echelonnage import (
     ApartmentPoint,
+    TranslationClass,
     TwistedDatum,
-    depth_table,
-    point_order,
     translation_class,
     twisted,
 )
@@ -36,9 +35,9 @@ from .exactmath import (
     IntMatrix,
     PropertyViolation,
     closure,
-    det_bareiss,
     frozen_record,
     identity_matrix,
+    kept,
     mat_mul,
     mat_pow,
     mat_vec,
@@ -47,7 +46,6 @@ from .exactmath import (
     sub_identity,
     transpose,
 )
-from .mpquotient import first_jump
 from .rootdata import (
     WEYL_CAP_DEFAULT,
     DiagramAutomorphism,
@@ -102,8 +100,8 @@ def regular_by_eigenvector(a: IntMatrix, datum: RootDatum, order: int) -> bool:
 
 
 def _is_elliptic(a: IntMatrix) -> bool:
-    """No invariant vectors: det(a - I) != 0."""
-    return det_bareiss(sub_identity(a)) != 0
+    """No invariant vectors: a - I has full rank."""
+    return matrix_rank(sub_identity(a)) == len(a)
 
 
 def _regular_order(a: IntMatrix, datum: RootDatum) -> int:
@@ -141,9 +139,12 @@ def regular_witness(td: TwistedDatum, m: int) -> IntMatrix:
     """The lexicographically least elliptic Z-regular element of order m in
     the coset W*twist, for m in ``td.regular_orders``: the least element of
     the W-conjugacy class of a seed, closed under conjugation by the simple
-    reflections.  The class has |W| / (centralizer order) elements."""
-    if m in td.regular_witnesses:
-        return td.regular_witnesses[m]
+    reflections.  The class has |W| / (centralizer order) elements.  Kept
+    per datum and order (``TwistedDatum.regular_witnesses``)."""
+    return kept(td.regular_witnesses, m, lambda: _least_regular(td, m))
+
+
+def _least_regular(td: TwistedDatum, m: int) -> IntMatrix:
     datum = td.base
     seed = _seed(datum, td.twist, m)
     if not (_is_elliptic(seed) and acts_freely_on_roots(seed, datum, m)):
@@ -156,8 +157,7 @@ def regular_witness(td: TwistedDatum, m: int) -> IntMatrix:
             f"the regular class of order {m} has {len(found)} elements, not |W| / "
             f"{td.regular_orders[m]} = {size}"
         )
-    witness = td.regular_witnesses[m] = min(found)
-    return witness
+    return min(found)
 
 
 def elliptic_zregular_orders(
@@ -208,32 +208,34 @@ def stable_verdict(
 ) -> StabilityVerdict:
     """Stable-vector criterion at the first jump of x.  Every point of a
     translation class (``echelonnage.TranslationClass``) reduces to the same
-    alcove point and has the same depth table, so the verdict is computed
-    once per class and kept on it; the cap is checked on every call."""
+    alcove point and has the same depth table, so the verdict is a function
+    of the class: it is kept whole on it (``exactmath.kept``), and the cap is
+    checked on every call, before the lookup."""
     if not td.base.is_semisimple:
         raise StabilityError(
             "stability verdicts need a semisimple datum; central directions "
             "make ellipticity vacuous"
         )
-    m = point_order(td, x)
+    cls = translation_class(td, x)
+    m = cls.table.order
     if m in td.regular_orders:  # only a regular order builds a witness
         check_weyl_cap(td.base, cap)
-    return translation_class(td, x).kept("stable_verdict", lambda: _verdict(td, x, m))
+    return kept(cls.results, "stable_verdict", lambda: _verdict(td, cls, m))
 
 
-def _verdict(td: TwistedDatum, x: ApartmentPoint, m: int) -> StabilityVerdict:
-    reduced_x = translation_class(td, x).reduced
-    reduced_ref = td.reduced_references.get(m)
-    if reduced_ref is None:  # the distinguished barycenter, kept on the datum
-        reference = named_point(td, "rho_over_m", m)
-        reduced_ref = td.reduced_references[m] = translation_class(td, reference).reduced
-    conjugacy_ok = reduced_x == reduced_ref
-    jump = first_jump(td, x)
+def _verdict(td: TwistedDatum, cls: TranslationClass, m: int) -> StabilityVerdict:
+    table = cls.table
+    reduced_ref = kept(  # the distinguished barycenter, kept on the datum
+        td.reduced_references,
+        m,
+        lambda: translation_class(td, named_point(td, "rho_over_m", m)).reduced,
+    )
+    conjugacy_ok = cls.reduced == reduced_ref
+    jump = table.first_jump
     depth_ok = jump.numerator == 1 and jump.denominator == m
     regular_ok = m in td.regular_orders
     verdict = conjugacy_ok and depth_ok and regular_ok
     if verdict:
-        table = depth_table(td, x)
         part, torus = table.at(jump)
         if len(part) + torus <= 0:
             raise StabilityError("verdict true but the first quotient is zero")
@@ -250,7 +252,7 @@ def _verdict(td: TwistedDatum, x: ApartmentPoint, m: int) -> StabilityVerdict:
         regular_ok=regular_ok,
         verdict=verdict,
         witness=regular_witness(td, m) if regular_ok else None,
-        reduced_point=reduced_x.coords,
+        reduced_point=cls.reduced.coords,
         reduced_reference=reduced_ref.coords,
         first_jump=jump,
     )

@@ -19,8 +19,8 @@ from __future__ import annotations
 
 from math import gcd, lcm
 
-from .echelonnage import ApartmentPoint, TwistedDatum, point_order, translation_class, twisted
-from .exactmath import InputError, PropertyViolation, clear_denominators, frozen_record, pair
+from .echelonnage import ApartmentPoint, TranslationClass, TwistedDatum, translation_class, twisted
+from .exactmath import InputError, PropertyViolation, clear_denominators, frozen_record, kept, pair
 from .mpquotient import quotient_datum
 from .rootdata import DiagramAutomorphism, RootDatum
 
@@ -152,9 +152,11 @@ def crosscheck(td: TwistedDatum, x: ApartmentPoint, modulus: int) -> CrosscheckR
     """Compare the graded dimensions at x with the filtration quotients:
     degree (M - d) mod M against depth d/M, and the degree-zero root set
     against the reductive-quotient roots.  Requires a tame datum and a
-    modulus divisible by both the twist order and the point order.  Every
-    point of a translation class (``echelonnage.TranslationClass``) gives
-    the same grading, so it is computed once per class and modulus."""
+    modulus divisible by both the twist order and the point order, checked
+    on every call.  Every field of the result is a function of the point of
+    x's translation class (``echelonnage.TranslationClass``), its table and
+    M, so the result is kept whole on the class per modulus
+    (``exactmath.kept``)."""
     if not td.is_tame:
         raise GradingError(
             "crosscheck requires a tame datum (all lambda valuations zero); "
@@ -162,29 +164,32 @@ def crosscheck(td: TwistedDatum, x: ApartmentPoint, modulus: int) -> CrosscheckR
         )
     m = int(modulus)
     e = td.twist.order
-    order = point_order(td, x)
+    cls = translation_class(td, x)
+    order = cls.table.order
     if m % e != 0 or m % order != 0:
         raise GradingError(
             f"modulus {m} must be a common multiple of the twist order {e} "
             f"and the point order {order}"
         )
-    base = lcm(order, e)
-    _check_modulus(
-        m,
-        f"; M is {'the lcm' if m == base else f'a multiple of the lcm {base}'} "
-        f"of the point order {order} and the twist order {e}",
-    )
-    # the grading at the point of x's translation class, kept on the class:
-    # a translation moves every degree by a multiple of M, so it is the
-    # grading at x.  It reads the point, never the table it checks.
-    cls = translation_class(td, x)
+    if m > MODULUS_CAP:
+        base = lcm(order, e)
+        _check_modulus(
+            m,
+            f"; M is {'the lcm' if m == base else f'a multiple of the lcm {base}'} "
+            f"of the point order {order} and the twist order {e}",
+        )
+    return kept(cls.results, ("crosscheck", m), lambda: _crosscheck(td, x, cls, m))
+
+
+def _crosscheck(td: TwistedDatum, x: ApartmentPoint, cls: TranslationClass, m: int):
+    # the grading at the class point: a translation moves every degree by a
+    # multiple of M, so it is the grading at x.  It reads the point, never
+    # the table it checks.
     den, nums = cls.point.scaled
-    dims, zero, negative_orbits = cls.kept(
-        ("graded", m), lambda: _graded(td, den, [m * c for c in nums], m)
-    )
+    dims, zero, negative_orbits = _graded(td, den, [m * c for c in nums], m)
     quotient = cls.table.column(m)
     first_mismatch = next((d for d in range(m) if dims[-d % m] != quotient[d]), None)
-    h = quotient_datum(td, x)
+    h = quotient_datum(td, x)  # that of the class table, which x reads
     roots_match = frozenset(h.integer_roots) == {td.restricted[i].integer_key for i in zero}
     ok = first_mismatch is None and roots_match
     return CrosscheckResult(

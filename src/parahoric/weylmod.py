@@ -25,9 +25,12 @@ from .echelonnage import (
     ApartmentPoint,
     TwistedDatum,
     depth_table,
+    raise_list,
     twisted,
 )
-from .exactmath import PropertyViolation, Vec, clear_denominators, closure, frozen_record, pair
+from .exactmath import (
+    PropertyViolation, Vec, clear_denominators, closure, frozen_record, kept, pair,
+)
 from .mpquotient import (
     MPQuotientReport,
     QuotientType,
@@ -70,11 +73,12 @@ def _maximal_sets(td: TwistedDatum, support, steps) -> tuple[frozenset, frozense
     """The integer keys s of the support with s + t outside it for every t in
     ``steps``, a set of positive restricted roots as integer keys, and those
     with s + t outside it for every positive restricted root t: one pass over
-    the raise list of each s (``TwistedDatum.raises``), since s + t in the
-    support is a restricted root."""
+    the raise list of each s (``echelonnage.raise_list``), since s + t in the
+    support is a restricted root.  The lists are kept per datum and key
+    (``TwistedDatum.raises``)."""
     maximal, ambient = [], []
     for s in support:
-        raised = [t for t, up in td.raises[s] if up in support]
+        raised = [t for t, up in kept(td.raises, s, lambda: raise_list(td, s)) if up in support]
         if steps.isdisjoint(raised):
             maximal.append(s)
             if not raised:
@@ -180,11 +184,12 @@ def _dimension(kind: QuotientType, labels) -> int:
     return dim
 
 
-def _freudenthal(kind: QuotientType, top: tuple[int, ...]) -> dict:
-    """n -> multiplicity of lam - sum n_i alpha_i in the module of highest
-    weight lam with Dynkin labels ``top``, by Freudenthal's recursion on
-    dominant weights level by level (level = sum n) and Weyl-orbit
-    expansion."""
+def _freudenthal(kind: QuotientType, top: tuple[int, ...]) -> tuple[dict, int]:
+    """The character n -> multiplicity of lam - sum n_i alpha_i in the module
+    of highest weight lam with Dynkin labels ``top``, by Freudenthal's
+    recursion on dominant weights level by level (level = sum n) and
+    Weyl-orbit expansion, and its dimension, checked against the Weyl
+    dimension formula."""
     rank = len(top)
     drops = tuple(zip(*kind.cartan))  # drops[i]: the Dynkin labels of alpha_i
     d = kind.half_norms
@@ -232,25 +237,20 @@ def _freudenthal(kind: QuotientType, top: tuple[int, ...]) -> dict:
                 raise WeylModuleError("Freudenthal recursion gave a non-integer")
             if val:
                 record(n, labels, val)
-    return mult
+    dim, expected = sum(mult.values()), _dimension(kind, top)
+    if dim != expected:
+        raise WeylModuleError(
+            f"character dimension {dim} disagrees with the Weyl formula {expected}"
+        )
+    return mult, dim
 
 
 def _character(h: ReductiveQuotientDatum, top: tuple[int, ...]) -> tuple[dict, int]:
     """The integer character (n -> multiplicity) and the dimension of the
-    module with dominant Dynkin labels ``top``, memoized on the type of h and
-    checked against the Weyl dimension formula when first computed."""
+    module with dominant Dynkin labels ``top``, kept on the type of h
+    (``QuotientType.characters``)."""
     kind = h.quotient_type
-    hit = kind.characters.get(top)
-    if hit is None:
-        mult = _freudenthal(kind, top)
-        dim = sum(mult.values())
-        expected = _dimension(kind, top)
-        if dim != expected:
-            raise WeylModuleError(
-                f"character dimension {dim} disagrees with the Weyl formula {expected}"
-            )
-        hit = kind.characters[top] = mult, dim
-    return hit
+    return kept(kind.characters, top, lambda: _freudenthal(kind, top))
 
 
 def weyl_character(h: ReductiveQuotientDatum, lam) -> tuple[dict, int]:

@@ -11,8 +11,10 @@ closed-form orders and class-minimum witnesses, witnesses included.
 """
 from math import lcm
 
-from parahoric.exactmath import det_bareiss, identity_matrix, mat_mul, mat_vec
+from parahoric.exactmath import identity_matrix, mat_mul, mat_vec
 from parahoric.rootdata import cycles, weyl_elements
+
+from matrix_oracle import det_bareiss
 
 
 def scan_zregular_orders(datum, twist):

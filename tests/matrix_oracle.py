@@ -13,7 +13,8 @@ finite-order spectra read off matrix powers and ranks:
 factorised characteristic polynomial, ``stability.regular_by_eigenvector``
 with the kernel of the cyclotomic evaluation.  The contragredient action of
 a lattice automorphism (the transposed integer inverse) is kept here too:
-the package itself never needs it.
+the package itself never needs it.  So is the fraction-free determinant
+``det_bareiss``, the package's ellipticity test before it became a rank.
 """
 from fractions import Fraction
 from functools import lru_cache
@@ -23,7 +24,6 @@ from parahoric.exactmath import (
     ExactMathError,
     IntMatrix,
     Vec,
-    det_bareiss,
     identity_matrix,
     integer_inverse,
     mat_mul,
@@ -106,6 +106,29 @@ def kernel_basis(rows) -> list[Vec]:
 
 # ---------------------------------------------------------------------------
 # the characteristic polynomial and its cyclotomic factors
+
+
+def det_bareiss(a: IntMatrix) -> int:
+    """Fraction-free determinant of a square integer matrix."""
+    n = len(a)
+    m = [list(row) for row in a]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k] != 0:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
 
 
 def integer_charpoly(a: IntMatrix) -> tuple[int, ...]:

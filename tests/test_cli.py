@@ -307,10 +307,15 @@ def test_grade_modulus_cap_fails_before_allocating(tmp_path, capsys):
 )
 @pytest.mark.parametrize("command", ["grade", "stability"])
 def test_flag_overrides_name_their_field(capsys, command, flags, field):
+    # --cap is an option of stability alone: to grade it is an unrecognized
+    # argument, named by its token
+    if (command, field) == ("grade", "cap"):
+        field = "--cap"
     code, out, err = run_cli([command, "--spec", "catalog:A2"] + flags, capsys)
     assert code == 1
     assert out == ""
     assert f"input error: field {field!r}" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize(
@@ -318,7 +323,7 @@ def test_flag_overrides_name_their_field(capsys, command, flags, field):
     [
         (["decompose", "--spec", "catalog:A2", "--seed", "1"], "--seed"),
         (["scan", "--spec", "catalog:A2", "--m", "abc"], "m"),
-        (["scan", "--spec", "catalog:A2", "--cap"], "cap"),
+        (["scan", "--spec", "catalog:A2", "--cap"], "--cap"),
         (["scan"], "spec"),
         (["selftest", "--seed", "x"], "seed"),
         (["bogus"], "command"),

@@ -12,7 +12,6 @@ from parahoric.exactmath import (
     clear_denominators,
     closure,
     cyclotomic_multiplicities,
-    det_bareiss,
     identity_matrix,
     integer_inverse,
     mat_mul,
@@ -32,6 +31,7 @@ from matrix_oracle import (
     charpoly,
     charpoly_multiplicities,
     cyclotomic_polynomial,
+    det_bareiss,
     dual_action,
     euler_phi,
     integer_charpoly,
@@ -46,6 +46,23 @@ from span_oracle import RowEchelon
 from warm_points import warm_sweep
 
 F = Fraction
+
+
+def test_kept_builds_once_and_keeps_no_failure():
+    memo, built = {}, []
+
+    def build(value):
+        built.append(value)
+        if value is None:
+            raise ExactMathError("refused")
+        return value
+
+    assert exactmath.kept(memo, "a", lambda: build(0)) == 0
+    assert exactmath.kept(memo, "a", lambda: build(1)) == 0  # a falsy value is kept too
+    for _ in range(2):  # a failed build stores nothing and runs again
+        with pytest.raises(ExactMathError, match="refused"):
+            exactmath.kept(memo, "b", lambda: build(None))
+    assert memo == {"a": 0} and built == [0, None, None]
 
 
 def test_closure_yields_the_starts_first_and_each_element_once():

@@ -6,11 +6,23 @@ from math import lcm
 import pytest
 
 from coset_oracle import scan_zregular_orders
-from matrix_oracle import charpoly, charpoly_multiplicities, integer_charpoly, kernel_regular
+from matrix_oracle import (
+    charpoly,
+    charpoly_multiplicities,
+    det_bareiss,
+    integer_charpoly,
+    kernel_regular,
+)
 from parahoric import rootdata, stability
 from parahoric.catalog import CATALOG, catalog_datum, catalog_ids
 from parahoric.echelonnage import apartment_point, twisted
-from parahoric.exactmath import cyclotomic_multiplicities, identity_matrix, mat_mul, matrix_order
+from parahoric.exactmath import (
+    cyclotomic_multiplicities,
+    identity_matrix,
+    mat_mul,
+    matrix_order,
+    sub_identity,
+)
 from parahoric.rootdata import (
     build_automorphism,
     build_datum,
@@ -251,6 +263,19 @@ def test_integer_charpoly_matches_interpolation(desc, perm):
 ORACLE_COSETS = [
     (info["dynkin"], info["automorphism"]) for _, info in sorted(CATALOG.items())
 ] + [("A4", None), ("B4", None), ("C4", None), ("F4", None)]
+
+
+@pytest.mark.parametrize("desc,perm", [("A3", None), ("B3", None), ("G2", None), ("D4", (2, 1, 3, 0))])
+def test_ellipticity_by_rank_matches_the_determinant(desc, perm):
+    # I - a has full rank exactly when det(I - a) != 0, on every element of
+    # the coset: the rank test against the Bareiss determinant it replaced
+    d, auto = coset(desc, perm)
+    elliptic = 0
+    for w in weyl_elements(d):
+        a = mat_mul(w, auto.matrix)
+        assert stability._is_elliptic(a) == (det_bareiss(sub_identity(a)) != 0), a
+        elliptic += stability._is_elliptic(a)
+    assert 0 < elliptic < d.weyl_order
 
 
 @pytest.mark.parametrize("desc,perm", ORACLE_COSETS)

@@ -33,7 +33,7 @@ from parahoric.mpquotient import (
     quotient_datum,
 )
 from parahoric.rootdata import build_automorphism, build_datum
-from parahoric.stability import stable_verdict
+from parahoric.stability import regular_witness, stable_verdict
 from parahoric.vinberg import crosscheck
 from parahoric.weylmod import (
     Decomposition,
@@ -820,11 +820,12 @@ def test_a_datum_that_differs_from_its_type_is_refused(monkeypatch):
 
 def test_a_warm_pass_computes_each_shared_result_once(monkeypatch):
     # The seed-0 warm pass, the benchmark's own per-point work, on empty
-    # quotient, type, depth-table, translation-class and reference memos:
-    # Freudenthal runs once per (type, top labels), the integer inverse once
-    # per Cartan matrix, the verdict's span rank once per (depth table,
-    # jump), the decomposition once per (depth table, first jump), and the
-    # crosscheck's grading and the alcove reduction at most once per
+    # quotient, type, raise-list, depth-table, translation-class and
+    # reference memos: Freudenthal runs once per (type, top labels), the
+    # integer inverse once per Cartan matrix, a raise list once per (datum,
+    # key), the verdict's span rank once per (depth table, jump), the
+    # decomposition once per (depth table, first jump), the whole crosscheck
+    # (its grading and its column) and the alcove reduction at most once per
     # translation class, counted here by the Fraction oracle.  Every datum
     # still runs its own checks, and every character computed is checked
     # against the Weyl dimension formula.
@@ -836,7 +837,7 @@ def test_a_warm_pass_computes_each_shared_result_once(monkeypatch):
     tds = {t for td, _ in points for t in (td, twisted(td.base, td.twist))}
     calls = {
         "freudenthal": 0, "dimension": 0, "inverse": 0, "rank": 0,
-        "graded": 0, "reduce": 0, "decompose": 0,
+        "graded": 0, "column": 0, "reduce": 0, "decompose": 0,
     }
 
     def counting(name, real):
@@ -853,12 +854,24 @@ def test_a_warm_pass_computes_each_shared_result_once(monkeypatch):
         asked.add((id(h.quotient_type), top))
         return real_character(h, top)
 
+    raised = []
+
+    def raise_list(td, s):
+        raised.append((td, s))
+        return echelonnage.raise_list(td, s)
+
     real_character = weylmod._character
+    # the witnesses are per-datum tables outside this count, and the walk
+    # that seeds one tests ellipticity by a rank: they are made first
+    for td, x in points:
+        if point_order(td, x) in td.regular_orders:
+            regular_witness(td, point_order(td, x))
     translation_class.cache_clear()
     with monkeypatch.context() as m:
         m.setattr(mpquotient, "_TYPES", {})
         for td in tds:
             m.setitem(vars(td), "quotients", {})
+            m.setitem(vars(td), "raises", {})
             m.setitem(vars(td), "depth_tables", type(td.depth_tables)())
             m.setitem(vars(td), "translation_classes", type(td.translation_classes)())
             m.setitem(vars(td), "reduced_references", {})
@@ -869,6 +882,8 @@ def test_a_warm_pass_computes_each_shared_result_once(monkeypatch):
         m.setattr(mpquotient, "integer_inverse", counting("inverse", exactmath.integer_inverse))
         m.setattr(stability, "matrix_rank", counting("rank", exactmath.matrix_rank))
         m.setattr(vinberg, "_graded", counting("graded", vinberg._graded))
+        m.setattr(echelonnage.DepthTable, "column", counting("column", echelonnage.DepthTable.column))
+        m.setattr(weylmod, "raise_list", raise_list)
         m.setattr(echelonnage, "alcove_reduce", counting("reduce", echelonnage.alcove_reduce))
         spans, jumps = set(), set()
         for td, x in points:
@@ -899,5 +914,8 @@ def test_a_warm_pass_computes_each_shared_result_once(monkeypatch):
     graded = {(td, translation_representative(td, x)) for td, x in tame}
     reduced = {(td, translation_representative(td, x)) for td, x in {*points, *references}}
     assert len(points) == 960 and len(set(points)) == 826 and len(graded) == 351
+    assert 0 < calls["column"] <= len(graded)  # the crosscheck is kept whole per class
     assert 0 < calls["graded"] <= len(graded)
+    assert calls["graded"] == calls["column"]
+    assert 0 < len(raised) == len(set(raised))
     assert 0 < calls["reduce"] <= len(reduced) < len(set(points))
