@@ -247,27 +247,9 @@ class TwistedDatum:
         return WeakValueDictionary()
 
     @cached_property
-    def raises(self) -> dict:
-        """The raise list (``raise_list``) of each restricted root asked
-        for, by integer key, filled by ``weylmod``."""
-        return {}
-
-    @cached_property
-    def _raise_codes(self) -> tuple[tuple[int, ...], dict, dict]:
-        """The powers of a base above four times the largest key coordinate,
-        and the code (the pairing with them, additive and one-to-one on the
-        keys and their sums) of every restricted root and of the positive
-        ones, to its integer key: ``raise_list`` adds codes."""
-        base = 4 * max((abs(c) for rr in self.restricted for c in rr.integer_key), default=0) + 1
-        powers = tuple(base**i for i in range(self.base.rank))
-        codes = {pair(rr.integer_key, powers): rr for rr in self.restricted}
-        positives = {code: rr.integer_key for code, rr in codes.items() if rr.positive}
-        return powers, {code: rr.integer_key for code, rr in codes.items()}, positives
-
-    @cached_property
-    def quotients(self) -> dict:
-        """Reductive quotient data by depth-0 root set (the indices of its
-        roots in ``restricted``), filled by ``mpquotient``."""
+    def results(self) -> dict:
+        """The readings of this datum kept by ``exactmath.kept``, keyed by
+        (reader, key)."""
         return {}
 
     @cached_property
@@ -275,18 +257,6 @@ class TwistedDatum:
         """Orders of the elliptic Z-regular elements of the twisted Weyl coset,
         each with the centralizer order of one (``rootdata.regular_orders``)."""
         return regular_orders(self.base, self.twist)
-
-    @cached_property
-    def regular_witnesses(self) -> dict:
-        """The least elliptic Z-regular element of each order asked for,
-        filled by ``stability``."""
-        return {}
-
-    @cached_property
-    def reduced_references(self) -> dict:
-        """The distinguished barycenter x0 + rho_check/m reduced into the base
-        alcove, by each point order m asked for, filled by ``stability``."""
-        return {}
 
     @cached_property
     def affine_rows(self):
@@ -475,15 +445,6 @@ def twisted(
 
 def restrict(td: TwistedDatum) -> tuple[RestrictedRoot, ...]:
     return td.restricted
-
-
-def raise_list(td: TwistedDatum, s) -> tuple:
-    """The pairs (t, s + t) of integer keys with t a positive restricted root
-    and s + t a restricted root, for the integer key s of a restricted root:
-    the sums are tested as integer codes (``TwistedDatum._raise_codes``)."""
-    powers, codes, positives = td._raise_codes
-    code = pair(s, powers)
-    return tuple([(t, codes[code + c]) for c, t in positives.items() if code + c in codes])
 
 
 @frozen_record

@@ -14,7 +14,7 @@ per table.
 
 The reductive quotient depends on the point only through its depth-0 root
 set, so ``quotient_datum`` returns one shared datum per (datum, root set),
-kept on the twisted datum (``TwistedDatum.quotients``) and checked once; a
+kept on the twisted datum (``TwistedDatum.results``) and checked once; a
 depth table keeps none of its own.  What a character reads depends only on
 the Cartan matrix, which many root sets of many data share, so the
 ``QuotientType`` of a Cartan matrix is interned for the process
@@ -56,14 +56,18 @@ class QuotientError(PropertyViolation):
 @frozen_record
 class QuotientType:
     """What the quotient data with one Cartan matrix share, made from the
-    first of them: C^-1 over one denominator, the half norms, the sorted
-    positive coordinates, the component types and the characters by top
-    labels (``weylmod``)."""
+    first of them: the half norms, the sorted positive coordinates, and,
+    computed once per type, C^-1 over one denominator, the component types
+    and the characters by top labels (``weylmod``)."""
 
     cartan: IntMatrix
-    inverse: tuple[int, IntMatrix]
     half_norms: tuple[int, ...]
     positive_coordinates: tuple[tuple[int, ...], ...]
+
+    @cached_property
+    def inverse(self) -> tuple[int, IntMatrix]:
+        """C^-1 over one denominator (``exactmath.integer_inverse``)."""
+        return integer_inverse(self.cartan)
 
     @cached_property
     def characters(self) -> dict:
@@ -150,20 +154,12 @@ class ReductiveQuotientDatum:
             rows.append(tuple(c for c, _ in row))
         return tuple(rows)
 
-    @cached_property
-    def _coordinate_data(self):
-        """C^-1 as integers over one denominator: the coordinate map is
-        integer arithmetic on the integer roots.  The type of C has it once
-        a datum with C has made the type."""
-        kind = _TYPES.get(self.cartan)
-        return integer_inverse(self.cartan) if kind is None else kind.inverse
-
     @property
     def coordinate_denominator(self) -> int:
         """The denominator of C^-1 times e: ``scaled_coordinates`` of an
         integer root-scale vector num gives c times this for the weight
         num / e."""
-        return self._coordinate_data[0] * self._scale
+        return self.quotient_type.inverse[0] * self._scale
 
     def scaled_coordinates(self, num) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """The simple-root coordinates (residual, c) of the weight v = num / q,
@@ -171,7 +167,7 @@ class ReductiveQuotientDatum:
         with the residual pairing to zero with every simple coroot, so
         c = C^-1 (<v, acheck_j>)_j.  Returned in integers: the residual times
         den_inv e q and c times den_inv q, den_inv the denominator of C^-1."""
-        den_inv, inverse = self._coordinate_data
+        den_inv, inverse = self.quotient_type.inverse
         p = [pair(num, ac) for ac in self.simple_coroots]
         c = tuple(pair(row, p) for row in inverse)
         residual = [x * den_inv * self._scale for x in num]
@@ -229,11 +225,10 @@ class ReductiveQuotientDatum:
     @cached_property
     def quotient_type(self) -> QuotientType:
         """The type of this datum's Cartan matrix, one per matrix for the
-        process, made from the first datum with it: a later datum takes the
-        type's inverse, and its own half norms and positive coordinates must
-        be the type's."""
+        process, made from the first datum with it: a later datum's own half
+        norms and positive coordinates must be the type's."""
         positive = tuple(sorted(self.positive_coordinates))
-        own = QuotientType(self.cartan, self._coordinate_data, self.half_norms, positive)
+        own = QuotientType(self.cartan, self.half_norms, positive)
         kind = _TYPES.setdefault(self.cartan, own)
         if kind != own:
             raise QuotientError(
@@ -258,7 +253,8 @@ def quotient_datum(td: TwistedDatum, x: ApartmentPoint) -> ReductiveQuotientDatu
     checked once per root set (a failed check is raised, not kept), also
     against the type of its Cartan matrix (``quotient_type``)."""
     picked, rank = depth_table(td, x).at(0)
-    return kept(td.quotients, tuple(rr.index for rr in picked), lambda: _checked(picked, rank))
+    key = ("quotient", tuple(rr.index for rr in picked))
+    return kept(td.results, key, lambda: _checked(picked, rank))
 
 
 def _checked(picked, rank: int) -> ReductiveQuotientDatum:

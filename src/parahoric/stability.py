@@ -140,8 +140,8 @@ def regular_witness(td: TwistedDatum, m: int) -> IntMatrix:
     the coset W*twist, for m in ``td.regular_orders``: the least element of
     the W-conjugacy class of a seed, closed under conjugation by the simple
     reflections.  The class has |W| / (centralizer order) elements.  Kept
-    per datum and order (``TwistedDatum.regular_witnesses``)."""
-    return kept(td.regular_witnesses, m, lambda: _least_regular(td, m))
+    per datum and order (``TwistedDatum.results``)."""
+    return kept(td.results, ("witness", m), lambda: _least_regular(td, m))
 
 
 def _least_regular(td: TwistedDatum, m: int) -> IntMatrix:
@@ -165,8 +165,8 @@ def elliptic_zregular_orders(
 ) -> dict:
     """Map from each attained order m to its witness, the lexicographically
     least element w*twist of order m that is elliptic (no invariant vectors)
-    and Z-regular (free on the roots).  The witnesses are kept on the twisted
-    datum (``TwistedDatum.regular_witnesses``)."""
+    and Z-regular (free on the roots): ``regular_witness``, kept on the
+    twisted datum."""
     check_weyl_cap(datum, cap)
     td = twisted(datum, twist)
     return {m: regular_witness(td, m) for m in sorted(td.regular_orders)}
@@ -226,8 +226,8 @@ def stable_verdict(
 def _verdict(td: TwistedDatum, cls: TranslationClass, m: int) -> StabilityVerdict:
     table = cls.table
     reduced_ref = kept(  # the distinguished barycenter, kept on the datum
-        td.reduced_references,
-        m,
+        td.results,
+        ("reference", m),
         lambda: translation_class(td, named_point(td, "rho_over_m", m)).reduced,
     )
     conjugacy_ok = cls.reduced == reduced_ref

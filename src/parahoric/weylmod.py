@@ -25,7 +25,6 @@ from .echelonnage import (
     ApartmentPoint,
     TwistedDatum,
     depth_table,
-    raise_list,
     twisted,
 )
 from .exactmath import (
@@ -64,26 +63,16 @@ def _support(td: TwistedDatum, x: ApartmentPoint, r) -> dict:
     return {rr.integer_key: rr.key for rr in depth_table(td, x).at(r)[0]}
 
 
-def _positive_steps(h: ReductiveQuotientDatum) -> frozenset:
+def _positive_steps(h: ReductiveQuotientDatum) -> list:
     """The positive roots of h as integer keys."""
-    return frozenset(k for k, p in zip(h.integer_roots, h.positives) if p)
+    return [k for k, p in zip(h.integer_roots, h.positives) if p]
 
 
-def _maximal_sets(td: TwistedDatum, support, steps) -> tuple[frozenset, frozenset]:
-    """The integer keys s of the support with s + t outside it for every t in
-    ``steps``, a set of positive restricted roots as integer keys, and those
-    with s + t outside it for every positive restricted root t: one pass over
-    the raise list of each s (``echelonnage.raise_list``), since s + t in the
-    support is a restricted root.  The lists are kept per datum and key
-    (``TwistedDatum.raises``)."""
-    maximal, ambient = [], []
-    for s in support:
-        raised = [t for t, up in kept(td.raises, s, lambda: raise_list(td, s)) if up in support]
-        if steps.isdisjoint(raised):
-            maximal.append(s)
-            if not raised:
-                ambient.append(s)
-    return frozenset(maximal), frozenset(ambient)
+def _maximal(support, shifts) -> frozenset:
+    """The integer keys s of the support with s + t outside it for every shift t."""
+    return frozenset(
+        s for s in support if not any(tuple(map(add, s, t)) in support for t in shifts)
+    )
 
 
 def phi_xr_max(
@@ -101,9 +90,9 @@ def phi_xr_max(
     if positives is None:
         steps = _positive_steps(h)
     else:
-        steps = frozenset(td.by_key[b].integer_key for b in positives)
+        steps = [td.by_key[b].integer_key for b in positives]
     support = _support(td, x, r)
-    return frozenset(support[s] for s in _maximal_sets(td, support, steps)[0])
+    return frozenset(support[s] for s in _maximal(support, steps))
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +321,8 @@ def _decompose(td: TwistedDatum, x: ApartmentPoint, r: Fraction) -> Decompositio
             top.append(t)
         return tuple(top)
 
-    maximal, ambient = _maximal_sets(td, support, _positive_steps(h))
+    maximal = _maximal(support, _positive_steps(h))
+    ambient = _maximal(support, [rr.integer_key for rr in td.restricted if rr.positive])
     nondominant = [s for s in maximal if dominant_labels(key_of[s][1]) is None]
 
     items = []
@@ -404,5 +394,4 @@ def split_span_check(datum, x: ApartmentPoint, r) -> bool:
     def step(s):
         return (nxt for t in h.integer_roots if (nxt := tuple(map(add, s, t))) in support)
 
-    maximal, _ = _maximal_sets(td, support, _positive_steps(h))
-    return len(set(closure(maximal, step))) == len(support)
+    return len(set(closure(_maximal(support, _positive_steps(h)), step))) == len(support)

@@ -2,18 +2,16 @@
 ``ReductiveQuotientDatum.positive_coordinates`` replaced, kept as oracles:
 reflection closure by the reflection of every root applied to every root
 (|S|^2 pairings on the integer keys), and the positive roots' simple-root
-coordinates by C^-1, one solve per root (``scaled_coordinates``).
+coordinates by C^-1, one rational solve per root.
 
 It also holds the Weyl dimension of a weight, which only the tests ask of a
 quotient datum: the package reads dimensions off the quotient type by top
 labels.
-
-It also holds the maximality scan that the raise lists of
-``TwistedDatum.raises`` replaced: every shift added to every support weight.
 """
-from operator import add, mul
+from fractions import Fraction
+from operator import mul
 
-from parahoric.exactmath import pair
+from parahoric.exactmath import integer_inverse, pair
 from parahoric.mpquotient import QuotientError
 from parahoric.weylmod import _dimension
 
@@ -36,18 +34,20 @@ def positive_coordinates(h) -> tuple[tuple[int, ...], ...]:
     """The positive roots, in order, as integer simple-root coordinates,
     each solved by C^-1 and checked to be a nonnegative integer combination
     of the simple roots with no residual."""
-    scale = h.coordinate_denominator
+    den, inverse = integer_inverse(h.cartan)
     out = []
-    for a, k, p in zip(h.roots, h.integer_roots, h.positives):
+    for a, p in zip(h.roots, h.positives):
         if not p:
             continue
-        residual, c = h.scaled_coordinates(k)
-        if any(residual) or any(x % scale or x < 0 for x in c):
+        pairings = [pair(a, ac) for ac in h.simple_coroots]
+        c = [Fraction(pair(row, pairings), den) for row in inverse]
+        residual = [x - sum(ci * b[i] for ci, b in zip(c, h.simple_roots)) for i, x in enumerate(a)]
+        if any(residual) or any(x.denominator != 1 or x < 0 for x in c):
             raise QuotientError(
                 f"positive root {a} is not a nonnegative integer "
                 "combination of the simple roots"
             )
-        out.append(tuple(x // scale for x in c))
+        out.append(tuple(map(int, c)))
     return tuple(out)
 
 
@@ -70,11 +70,3 @@ def weyl_dimension(h, lam) -> int:
     """The dimension of the module of highest weight lam, from its Dynkin
     labels on the quotient type of h."""
     return _dimension(h.quotient_type, [pair(lam, ac) for ac in h.simple_coroots])
-
-
-def maximal(support, shifts) -> frozenset:
-    """The integer keys s of the support with s + t outside it for every
-    shift t: the all-shifts scan ``weylmod`` ran, once per reading."""
-    return frozenset(
-        s for s in support if not any(tuple(map(add, s, t)) in support for t in shifts)
-    )

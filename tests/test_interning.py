@@ -79,7 +79,7 @@ def test_a_sweep_over_many_root_sets_builds_each_quotient_once(monkeypatch):
     points = []
     for desc in ("B3", "C3"):
         td = twisted(build_datum(desc))
-        td.quotients.clear()  # forget the quotients of earlier tests
+        td.results.clear()  # forget the quotients of earlier tests
         rng = random.Random(f"{desc} root sets")
         for _ in range(120):
             coords = [F(rng.randint(-12, 12), rng.choice((2, 3, 4, 6))) for _ in range(3)]
@@ -251,6 +251,46 @@ def test_only_the_listed_functions_keep_a_module_level_cache():
         ), f"{path.name}: DEPTH_TABLE_CACHE read outside a cache bound"
     assert decorated == CACHED, sorted(decorated ^ CACHED)
     assert bounded == BOUNDED
+
+
+# Each owner record keeps the readings others fill on it in one memo,
+# ``results``; the datum also interns its depth tables and translation
+# classes in two weak maps, so that they live only while held.
+MEMO_OWNERS = ("TwistedDatum", "DepthTable", "TranslationClass")
+INTERN_MAPS = {"depth_tables", "translation_classes"}
+
+
+def _starts_empty(fn) -> bool:
+    """Whether the function ends by returning an empty display or a call
+    with no arguments (``{}``, ``[]``, ``set()``, ``WeakValueDictionary()``)."""
+    value = fn.body[-1].value if isinstance(fn.body[-1], ast.Return) else None
+    if isinstance(value, ast.Dict):
+        return not value.keys
+    if isinstance(value, (ast.List, ast.Set)):
+        return not value.elts
+    return isinstance(value, ast.Call) and not value.args and not value.keywords
+
+
+def test_each_owner_keeps_one_memo_named_results():
+    tree = ast.parse((SRC / "echelonnage.py").read_text())
+    memos = {
+        cls.name: {
+            fn.name
+            for fn in cls.body
+            if isinstance(fn, ast.FunctionDef)
+            and _names(fn.decorator_list, {"cached_property"})
+            and _starts_empty(fn)
+        }
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef) and cls.name in MEMO_OWNERS
+    }
+    assert memos == {
+        "TwistedDatum": {"results", *INTERN_MAPS},
+        "DepthTable": {"results"},
+        "TranslationClass": {"results"},
+    }
+    td = twisted(build_datum("A2"))
+    assert all(isinstance(getattr(td, name), WeakValueDictionary) for name in INTERN_MAPS)
 
 
 def test_no_module_imports_a_private_name_from_another():

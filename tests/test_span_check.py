@@ -57,13 +57,10 @@ def test_exact_check_holds_wherever_the_sampled_oracle_does(desc, count):
 
 
 def test_a_missing_maximal_root_is_reported(monkeypatch):
-    real = weylmod._maximal_sets
-
-    def dropping(td, support, steps):
-        maximal, ambient = real(td, support, steps)
-        return frozenset(sorted(maximal)[1:]), ambient
-
-    monkeypatch.setattr(weylmod, "_maximal_sets", dropping)
+    real = weylmod._maximal
+    monkeypatch.setattr(
+        weylmod, "_maximal", lambda support, shifts: frozenset(sorted(real(support, shifts))[1:])
+    )
     for desc, m, r in (("A2", 3, F(1, 3)), ("B2", 2, HALF), ("G2", 2, HALF)):
         datum = build_datum(desc)
         x = apartment_point(twisted(datum), tuple(c / m for c in datum.rho_check))

@@ -366,7 +366,7 @@ def test_order_sets(desc, perm, orders):
 
 def test_a_seed_that_is_not_regular_is_refused(monkeypatch):
     td = twisted(*coset("B3"))
-    monkeypatch.delitem(vars(td), "regular_witnesses", raising=False)
+    monkeypatch.setitem(vars(td), "results", {})
     monkeypatch.setattr(stability, "_seed", lambda datum, twist, m: identity_matrix(3))
     with pytest.raises(StabilityError, match="seed of order 6 is not elliptic Z-regular"):
         regular_witness(td, 6)
@@ -376,7 +376,7 @@ def test_a_class_of_the_wrong_size_is_refused(monkeypatch):
     # the regular class of order 8 in D5 has |W| / 8 = 1920 / 8 = 240 elements
     td = twisted(*coset("D5"))
     assert td.regular_orders == {8: 8}
-    monkeypatch.delitem(vars(td), "regular_witnesses", raising=False)
+    monkeypatch.setitem(vars(td), "results", {})
     monkeypatch.setitem(vars(td), "regular_orders", {8: 4})
     with pytest.raises(StabilityError, match=re.escape("240 elements, not |W| / 4 = 480")):
         regular_witness(td, 8)
@@ -390,7 +390,7 @@ def test_stable_verdict_never_enumerates_w(desc, perm, m, monkeypatch):
     d, auto = coset(desc, perm)
     expected = scan_zregular_orders(d, auto)[m]
     td = twisted(d, auto)
-    monkeypatch.delitem(vars(td), "regular_witnesses", raising=False)
+    monkeypatch.setitem(vars(td), "results", {})
 
     def refuse(*args, **kwargs):
         raise AssertionError("weyl_elements called")

@@ -49,7 +49,7 @@ from parahoric.weylmod import (
 
 from matrix_oracle import solve_linear
 from point_oracle import translation_representative
-from quotient_oracle import maximal, weyl_dimension
+from quotient_oracle import weyl_dimension
 from warm_points import perfbench_module, warm_sweep
 
 F = Fraction
@@ -534,18 +534,19 @@ def test_integer_kernel_matches_fraction_oracle(name):
     assert subtracted
 
 
-def assert_raise_lists_match_the_scan(td, x, r):
-    """Both maximal readings by the raise lists against the all-shifts scan
-    of ``quotient_oracle.maximal``; returns the size of the support."""
+def assert_both_maximal_readings_match_the_oracle(td, x, r):
+    """Both maximal readings of the all-shifts scan, by the positive roots of
+    the quotient and by every positive restricted root, against
+    ``oracle_maximal``'s Fraction sums; returns the size of the support."""
     h = quotient_datum(td, x)
-    support = {rr.integer_key for rr in depth_table(td, x).at(r)[0]}
-    steps = frozenset(k for k, p in zip(h.integer_roots, h.positives) if p)
-    ambient = [rr.integer_key for rr in restrict(td) if rr.positive]
-    assert weylmod._maximal_sets(td, support, steps) == (
-        maximal(support, steps),
-        maximal(support, ambient),
-    ), (td, x, r)
-    return len(support)
+    ambient = ambient_positive_keys(td)
+    assert phi_xr_max(td, x, r, h) == oracle_maximal(td, x, r, h.positive_roots), (td, x, r)
+    assert phi_xr_max(td, x, r, h, ambient) == oracle_maximal(td, x, r, ambient), (td, x, r)
+    return len(phi_xr(td, x, r))
+
+
+# These two keep the names they had when they checked the per-key raise
+# lists that the all-shifts scan replaced.
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -556,7 +557,9 @@ def test_raise_lists_read_both_maximal_sets_like_the_scan(seed):
         table = depth_table(td, x)
         if id(table) not in tables:
             tables[id(table)] = table
-            compared += sum(assert_raise_lists_match_the_scan(td, x, r) for r in table.jumps())
+            compared += sum(
+                assert_both_maximal_readings_match_the_oracle(td, x, r) for r in table.jumps()
+            )
     assert compared and len(tables) > 200
 
 
@@ -565,7 +568,7 @@ def test_raise_lists_match_the_scan_on_large_types(dynkin, m):
     td = twisted(build_datum(dynkin))
     x = origin(td) if m is None else named_point(td, "rho_over_m", m)
     depths = {first_jump(td, x), F(1, 2), *jump_values(td, x)[:4]}
-    assert sum(assert_raise_lists_match_the_scan(td, x, r) for r in depths)
+    assert sum(assert_both_maximal_readings_match_the_oracle(td, x, r) for r in depths)
 
 
 @pytest.mark.parametrize("name", ["B4", "2A4"])
@@ -617,7 +620,7 @@ def test_memoized_character_equals_a_fresh_one(monkeypatch):
         assert memo  # decompose filled the memo of the shared type
         assert mpquotient._TYPES[h.cartan] is h.quotient_type
         with monkeypatch.context() as m:  # built again, on empty memos
-            m.setitem(vars(td), "quotients", {})
+            m.setitem(vars(td), "results", {})
             m.setattr(mpquotient, "_TYPES", {})
             fresh = quotient_datum(td, x)
         assert fresh == h and fresh is not h and fresh.quotient_type is not h.quotient_type
@@ -657,7 +660,7 @@ def test_sweep_builds_one_quotient_per_root_set(monkeypatch):
     tables = [depth_table(td, x) for x in points]  # kept past the clear below
     sweeps = []
     for _ in range(2):
-        td.quotients.clear()  # forget the quotients of earlier tests and sweeps
+        td.results.clear()  # forget the quotients of earlier tests and sweeps
         builds.clear()
         root_sets = set()
         decompositions, data = [], []
@@ -692,7 +695,7 @@ def test_warm_tables_decompose_like_a_fresh_quotient_datum(seed, monkeypatch):
             warm = decompose(td, x, r)
             h = quotient_datum(td, x)
             with monkeypatch.context() as m:
-                m.setitem(vars(td), "quotients", {})
+                m.setitem(vars(td), "results", {})
                 m.setattr(mpquotient, "_TYPES", {})
                 depth_table(td, x).results.clear()  # so decompose reads fresh
                 cold = decompose(td, x, r)
@@ -734,11 +737,16 @@ def weight_of_labels(h, top, dim):
     return tuple(sum((ci * a[i] for ci, a in zip(c, h.simple_roots)), F(0)) for i in range(dim))
 
 
+def quotients(td):
+    """The quotient data kept on td, one per depth-0 root set."""
+    return [h for (reader, _), h in td.results.items() if reader == "quotient"]
+
+
 def assert_types_match_scratch(td):
     """The type of each quotient datum of td against the datum computed
     from scratch."""
     checked = 0
-    for h in td.quotients.values():
+    for h in quotients(td):
         kind = h.quotient_type
         assert mpquotient._TYPES[h.cartan] is kind
         scratch = ReductiveQuotientDatum(**{f: getattr(h, f) for f in h._fields})
@@ -775,7 +783,7 @@ def test_warm_quotient_types_match_scratch():
             tds |= {td, twisted(td.base, td.twist)}
     for td in tds:
         checked += assert_types_match_scratch(td)
-    data = [h for td in tds for h in td.quotients.values()]
+    data = [h for td in tds for h in quotients(td)]
     types = {id(h.quotient_type) for h in data}
     assert len(data) > len(types) == len({h.cartan for h in data})  # one type per matrix
     assert checked >= 94
@@ -799,10 +807,10 @@ def test_a_datum_that_differs_from_its_type_is_refused(monkeypatch):
     kind = h.quotient_type
     forged = {
         "half norms": QuotientType(
-            kind.cartan, kind.inverse, tuple(2 * d for d in kind.half_norms), kind.positive_coordinates
+            kind.cartan, tuple(2 * d for d in kind.half_norms), kind.positive_coordinates
         ),
         "positive coordinates": QuotientType(
-            kind.cartan, kind.inverse, kind.half_norms, kind.positive_coordinates[1:]
+            kind.cartan, kind.half_norms, kind.positive_coordinates[1:]
         ),
     }
     for what, bad in forged.items():
@@ -811,22 +819,23 @@ def test_a_datum_that_differs_from_its_type_is_refused(monkeypatch):
             scratch = ReductiveQuotientDatum(**{f: getattr(h, f) for f in h._fields})
             with pytest.raises(QuotientError, match="differ"):
                 scratch.quotient_type
-            m.setitem(vars(td), "quotients", {})
+            m.setitem(vars(td), "results", {})
             with pytest.raises(QuotientError, match="differ"):
                 quotient_datum(td, x)
-            assert not td.quotients, what  # a failed check is not kept
+            assert not td.results, what  # a failed check is not kept
     assert quotient_datum(td, x) is h and h.quotient_type is kind is mpquotient._TYPES[h.cartan]
 
 
 def test_a_warm_pass_computes_each_shared_result_once(monkeypatch):
     # The seed-0 warm pass, the benchmark's own per-point work, on empty
-    # quotient, type, raise-list, depth-table, translation-class and
-    # reference memos: Freudenthal runs once per (type, top labels), the
-    # integer inverse once per Cartan matrix, a raise list once per (datum,
-    # key), the verdict's span rank once per (depth table, jump), the
-    # decomposition once per (depth table, first jump), the whole crosscheck
-    # (its grading and its column) and the alcove reduction at most once per
-    # translation class, counted here by the Fraction oracle.  Every datum
+    # type, depth-table and translation-class memos and with only the
+    # witnesses left in each datum's results: Freudenthal runs once per
+    # (type, top labels), the integer inverse once per Cartan matrix, the
+    # quotient datum once per (datum, depth-0 root set), the verdict's span
+    # rank once per (depth table, jump), the decomposition once per (depth
+    # table, first jump), the whole crosscheck (its grading and its column)
+    # and the alcove reduction at most once per translation class, counted
+    # here by the Fraction oracle.  Every datum
     # still runs its own checks, and every character computed is checked
     # against the Weyl dimension formula.
     import parahoric
@@ -837,7 +846,7 @@ def test_a_warm_pass_computes_each_shared_result_once(monkeypatch):
     tds = {t for td, _ in points for t in (td, twisted(td.base, td.twist))}
     calls = {
         "freudenthal": 0, "dimension": 0, "inverse": 0, "rank": 0,
-        "graded": 0, "column": 0, "reduce": 0, "decompose": 0,
+        "graded": 0, "column": 0, "reduce": 0, "decompose": 0, "quotient": 0,
     }
 
     def counting(name, real):
@@ -854,15 +863,9 @@ def test_a_warm_pass_computes_each_shared_result_once(monkeypatch):
         asked.add((id(h.quotient_type), top))
         return real_character(h, top)
 
-    raised = []
-
-    def raise_list(td, s):
-        raised.append((td, s))
-        return echelonnage.raise_list(td, s)
-
     real_character = weylmod._character
-    # the witnesses are per-datum tables outside this count, and the walk
-    # that seeds one tests ellipticity by a rank: they are made first
+    # the witnesses are per-datum results outside this count, and the walk
+    # that seeds one tests ellipticity by a rank: they are made first and kept
     for td, x in points:
         if point_order(td, x) in td.regular_orders:
             regular_witness(td, point_order(td, x))
@@ -870,20 +873,19 @@ def test_a_warm_pass_computes_each_shared_result_once(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(mpquotient, "_TYPES", {})
         for td in tds:
-            m.setitem(vars(td), "quotients", {})
-            m.setitem(vars(td), "raises", {})
+            witnesses = {k: v for k, v in td.results.items() if k[0] == "witness"}
+            m.setitem(vars(td), "results", witnesses)
             m.setitem(vars(td), "depth_tables", type(td.depth_tables)())
             m.setitem(vars(td), "translation_classes", type(td.translation_classes)())
-            m.setitem(vars(td), "reduced_references", {})
         m.setattr(weylmod, "_freudenthal", counting("freudenthal", weylmod._freudenthal))
         m.setattr(weylmod, "_dimension", counting("dimension", weylmod._dimension))
         m.setattr(weylmod, "_character", character)
         m.setattr(weylmod, "_decompose", counting("decompose", weylmod._decompose))
         m.setattr(mpquotient, "integer_inverse", counting("inverse", exactmath.integer_inverse))
+        m.setattr(mpquotient, "_checked", counting("quotient", mpquotient._checked))
         m.setattr(stability, "matrix_rank", counting("rank", exactmath.matrix_rank))
         m.setattr(vinberg, "_graded", counting("graded", vinberg._graded))
         m.setattr(echelonnage.DepthTable, "column", counting("column", echelonnage.DepthTable.column))
-        m.setattr(weylmod, "raise_list", raise_list)
         m.setattr(echelonnage, "alcove_reduce", counting("reduce", echelonnage.alcove_reduce))
         spans, jumps = set(), set()
         for td, x in points:
@@ -895,7 +897,7 @@ def test_a_warm_pass_computes_each_shared_result_once(monkeypatch):
             jumps.add(binned)
             if result["verdict"]:
                 spans.add(binned)
-        data = [h for td in tds for h in td.quotients.values()]
+        data = [h for td in tds for h in quotients(td)]
         types = len(mpquotient._TYPES)
     translation_class.cache_clear()  # its classes are not in the restored intern maps
     assert 0 < calls["freudenthal"] == len(asked) <= 63
@@ -904,7 +906,7 @@ def test_a_warm_pass_computes_each_shared_result_once(monkeypatch):
     assert types == len({h.cartan for h in data})  # one type per Cartan matrix
     assert 0 < calls["rank"] == len(spans) <= 51
     assert 0 < calls["decompose"] == len(jumps)
-    assert len(data) == 204 > types
+    assert calls["quotient"] == len(data) == 204 > types
     checks = ("cartan", "half_norms", "positive_coordinates", "quotient_type")
     assert all(name in vars(h) for h in data for name in checks)
     # the classes of the points graded (the tame shifts) and of the points
@@ -917,5 +919,4 @@ def test_a_warm_pass_computes_each_shared_result_once(monkeypatch):
     assert 0 < calls["column"] <= len(graded)  # the crosscheck is kept whole per class
     assert 0 < calls["graded"] <= len(graded)
     assert calls["graded"] == calls["column"]
-    assert 0 < len(raised) == len(set(raised))
     assert 0 < calls["reduce"] <= len(reduced) < len(set(points))
