@@ -138,6 +138,26 @@ ROOT_COUNTS = {
 }
 
 
+# Reduced words w, as node indices, of length 2N / M with w * twist elliptic
+# Z-regular of an order M (the comment) that does not divide the twisted
+# Coxeter number, keyed by (type, twist order): with the powers of the twisted
+# Coxeter element they give every regular order of every irreducible coset.
+REGULAR_WORDS = {
+    ("A5", 2): ("12010",),  # 6
+    ("A6", 2): ("2312010",),  # 6
+    ("D4", 1): ("312010",),  # 4
+    ("D5", 2): ("3242312010",),  # 4
+    ("D6", 1): ("5342312010",),  # 6
+    ("D7", 2): ("54645342312010",),  # 6
+    ("D8", 1): ("75645342312010",),  # 8
+    ("E6", 1): ("53413210",),  # 9
+    ("E6", 2): ("230210",),  # 12
+    ("E7", 1): ("653413210",),  # 14
+    ("E8", 1): ("7653413210", "763453413210"),  # 24, 20
+    ("F4", 1): ("321210",),  # 8
+}
+
+
 def classical_root_count(descriptor: str) -> int:
     return sum(ROOT_COUNTS[l](r) for l, r in parse_descriptor(descriptor))
 

@@ -8,9 +8,11 @@ twist's eigenvalues on the basic invariants by Springer's criterion
 (``rootdata.regular_orders``).  The regular elements of one order form one
 W-conjugacy class (Springer, Regular elements of finite reflection groups,
 1974), so the witness of an order, its lexicographically least element, is
-the least element of the class of any one of them: a seed found early in a
-walk through the coset by length, closed under conjugation by the simple
-reflections.  The seed and the size of its class are checked.
+the least element of the class of any one of them, a seed, closed under
+conjugation by the simple reflections.  The seed is a power of the twisted
+Coxeter element or of a word of ``rootdata.REGULAR_WORDS`` on every
+irreducible coset; only a sum can need a walk through the coset by length.
+The seed and the size of its class are checked.
 
 Z-regularity is implemented as free action of the cyclic group on the roots,
 with an independent eigenvector criterion used as a cross-check: the
@@ -21,6 +23,7 @@ hyperplanes.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from math import gcd, lcm
 
 from .catalog import named_point
@@ -47,6 +50,7 @@ from .exactmath import (
     transpose,
 )
 from .rootdata import (
+    REGULAR_WORDS,
     WEYL_CAP_DEFAULT,
     DiagramAutomorphism,
     RootDatum,
@@ -119,13 +123,27 @@ def _regular_order(a: IntMatrix, datum: RootDatum) -> int:
     return order if all(length == order for length in lengths) else 0
 
 
+def _candidates(datum: RootDatum, twist: DiagramAutomorphism):
+    """The w of the candidate seeds w*twist: the twisted Coxeter element (one
+    simple reflection per twist orbit of nodes, by least node), the coset's
+    ``REGULAR_WORDS``, and last the walk of W by length, started lazily."""
+    words = [[c[0] for c in cycles(twist.permutation)]]
+    words += REGULAR_WORDS.get((datum.descriptor.strip(), twist.order), ())
+    simple = datum.simple_reflections
+    for word in words:
+        yield reduce(reflect_right, (simple[int(i)] for i in word), identity_matrix(datum.rank))
+    yield from weyl_walk(datum)
+
+
 def _seed(datum: RootDatum, twist: DiagramAutomorphism, m: int) -> IntMatrix:
     """An elliptic Z-regular element of order m in the coset W*twist: the
-    power a^k of the first element a of the walk by length whose order M is a
+    power a^k of the first candidate a (``_candidates``) whose order M is a
     multiple of m, with gcd(M, k) = M/m, and k = 1 modulo the twist order so
-    that a^k stays in the coset."""
+    that a^k stays in the coset.  Only a sum reaches the walk: when its
+    factors' Coxeter numbers differ (its Coxeter element is then not regular)
+    or m needs a table word on each factor, as on D4+D4 at m = 4."""
     t = twist.order
-    for w in weyl_walk(datum):
+    for w in _candidates(datum, twist):
         a = mat_mul(w, twist.matrix)
         order = _regular_order(a, datum)
         if order and order % m == 0:

@@ -68,11 +68,11 @@ def _positive_steps(h: ReductiveQuotientDatum) -> list:
     return [k for k, p in zip(h.integer_roots, h.positives) if p]
 
 
-def _maximal(support, shifts) -> frozenset:
-    """The integer keys s of the support with s + t outside it for every shift t."""
-    return frozenset(
-        s for s in support if not any(tuple(map(add, s, t)) in support for t in shifts)
-    )
+def _maximal(support, shifts, keys=None) -> frozenset:
+    """The keys s of ``keys`` (the whole support by default) with s + t
+    outside the support for every shift t."""
+    keys = support if keys is None else keys
+    return frozenset(s for s in keys if not any(tuple(map(add, s, t)) in support for t in shifts))
 
 
 def phi_xr_max(
@@ -322,7 +322,8 @@ def _decompose(td: TwistedDatum, x: ApartmentPoint, r: Fraction) -> Decompositio
         return tuple(top)
 
     maximal = _maximal(support, _positive_steps(h))
-    ambient = _maximal(support, [rr.integer_key for rr in td.restricted if rr.positive])
+    # the quotient's positive roots are among these: only its maximal keys can be
+    ambient = _maximal(support, [rr.integer_key for rr in td.restricted if rr.positive], maximal)
     nondominant = [s for s in maximal if dominant_labels(key_of[s][1]) is None]
 
     items = []

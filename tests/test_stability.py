@@ -20,6 +20,7 @@ from parahoric.exactmath import (
     cyclotomic_multiplicities,
     identity_matrix,
     mat_mul,
+    mat_vec,
     matrix_order,
     sub_identity,
 )
@@ -382,21 +383,113 @@ def test_a_class_of_the_wrong_size_is_refused(monkeypatch):
         regular_witness(td, 8)
 
 
+def refuse_the_walks(monkeypatch):
+    """Make every enumeration of W, whole or lazy, fail the test."""
+    for name in ("weyl_elements", "weyl_walk"):
+
+        def refuse(*args, name=name, **kwargs):
+            raise AssertionError(f"{name} called")
+
+        for module in (rootdata, stability):
+            monkeypatch.setattr(module, name, refuse, raising=False)
+
+
 @pytest.mark.parametrize(
     "desc,perm,m",
-    [("F4", None, 12), ("D5", (0, 1, 2, 4, 3), 10), ("D4", (2, 1, 3, 0), 3)],
+    [
+        ("F4", None, 12),
+        ("D5", (0, 1, 2, 4, 3), 10),
+        ("D4", (2, 1, 3, 0), 3),
+        ("F4", None, 8),  # a table word: 8 does not divide h = 12
+        ("D4", None, 4),  # a table word: 4 does not divide h = 6
+    ],
 )
 def test_stable_verdict_never_enumerates_w(desc, perm, m, monkeypatch):
     d, auto = coset(desc, perm)
     expected = scan_zregular_orders(d, auto)[m]
     td = twisted(d, auto)
     monkeypatch.setitem(vars(td), "results", {})
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("weyl_elements called")
-
-    for module in (rootdata, stability):
-        monkeypatch.setattr(module, "weyl_elements", refuse, raising=False)
+    refuse_the_walks(monkeypatch)
     verdict = stable_verdict(td, rho_point(td, m))
     assert verdict.verdict and verdict.m == m
     assert verdict.witness == expected
+
+
+# ---------------------------------------------------------------------------
+# the closed-form seeds: the twisted Coxeter element and the table words
+
+
+def _diagram_twists(letter, rank):
+    """Every nontrivial diagram symmetry of a connected Dynkin diagram."""
+    if letter == "A" and rank > 1:
+        return [tuple(reversed(range(rank)))]
+    if letter == "D" and rank == 4:
+        return [(0, 1, 3, 2), (2, 1, 0, 3), (3, 1, 2, 0), (2, 1, 3, 0), (3, 1, 0, 2)]
+    if letter == "D":
+        return [(*range(rank - 2), rank - 1, rank - 2)]
+    if letter == "E" and rank == 6:
+        return [(5, 1, 4, 3, 2, 0)]
+    return []
+
+
+IRREDUCIBLE_COSETS = [
+    (f"{letter}{rank}", perm)
+    for letter, (lo, hi) in rootdata._RANK_RANGE.items()
+    for rank in range(lo, hi + 1)
+    for perm in [None, *_diagram_twists(letter, rank)]
+]
+
+
+@pytest.mark.parametrize("desc,perm", IRREDUCIBLE_COSETS)
+def test_every_irreducible_seed_is_closed_form(desc, perm, monkeypatch):
+    d, auto = coset(desc, perm)
+    orders = regular_orders(d, auto)
+    refuse_the_walks(monkeypatch)
+    for m in orders:
+        a = stability._seed(d, auto, m)
+        assert stability._is_elliptic(a) and acts_freely_on_roots(a, d, m), (desc, perm, m)
+
+
+@pytest.mark.parametrize("desc,m", [("A1+B2", 2), ("D4+A3", 4)])
+def test_a_sum_whose_coxeter_element_is_not_regular_walks(desc, m, monkeypatch):
+    # the factors' Coxeter numbers differ, so neither closed form is a seed
+    d, auto = coset(desc)
+    walks = []
+    real = stability.weyl_walk
+    monkeypatch.setattr(stability, "weyl_walk", lambda datum: walks.append(datum) or real(datum))
+    a = stability._seed(d, auto, m)
+    assert walks == [d]
+    assert stability._is_elliptic(a) and acts_freely_on_roots(a, d, m)
+
+
+@pytest.mark.parametrize("desc,t", sorted(rootdata.REGULAR_WORDS))
+def test_table_words_are_reduced_of_length_2n_over_m(desc, t):
+    d, auto = coset(desc, None if t == 1 else _diagram_twists(desc[0], int(desc[1:]))[0])
+    assert auto.order == t
+    h = max(regular_orders(d, auto))
+    for word in rootdata.REGULAR_WORDS[desc, t]:
+        w = identity_matrix(d.rank)
+        for i in word:
+            w = rootdata.reflect_right(w, d.simple_reflections[int(i)])
+        order = stability._regular_order(mat_mul(w, auto.matrix), d)
+        assert order in regular_orders(d, auto) and h % order, (desc, word)
+        inversions = sum(not d.is_positive(mat_vec(w, r)) for r in d.positive_roots)
+        assert inversions == len(word) == 2 * len(d.positive_roots) // order, (desc, word)
+
+
+@pytest.mark.parametrize(
+    "desc,perm",
+    IRREDUCIBLE_COSETS
+    + [
+        ("D4+D4", None),
+        ("A2+A2", (2, 3, 0, 1)),
+        ("A2+A2", (2, 3, 1, 0)),
+        ("B3+B3", (3, 4, 5, 0, 1, 2)),
+        ("E6+E6", (*range(6, 12), *range(6))),
+    ],
+)
+def test_twisted_coxeter_element_is_regular_of_the_largest_order(desc, perm):
+    d, auto = coset(desc, perm)
+    a = mat_mul(next(stability._candidates(d, auto)), auto.matrix)
+    assert stability._is_elliptic(a)
+    assert stability._regular_order(a, d) == max(regular_orders(d, auto))

@@ -545,12 +545,8 @@ def assert_both_maximal_readings_match_the_oracle(td, x, r):
     return len(phi_xr(td, x, r))
 
 
-# These two keep the names they had when they checked the per-key raise
-# lists that the all-shifts scan replaced.
-
-
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_raise_lists_read_both_maximal_sets_like_the_scan(seed):
+def test_both_maximal_sets_match_the_oracle_on_the_warm_sweep(seed):
     # every table of the warm sweep, at each of its jumps
     tables, compared = {}, 0  # the tables, held so that no id is reused
     for td, x in warm_sweep(seed):
@@ -564,7 +560,7 @@ def test_raise_lists_read_both_maximal_sets_like_the_scan(seed):
 
 
 @pytest.mark.parametrize("dynkin, m", [("E8", None), ("E8", 30), ("B6", 12)])
-def test_raise_lists_match_the_scan_on_large_types(dynkin, m):
+def test_both_maximal_sets_match_the_oracle_on_large_types(dynkin, m):
     td = twisted(build_datum(dynkin))
     x = origin(td) if m is None else named_point(td, "rho_over_m", m)
     depths = {first_jump(td, x), F(1, 2), *jump_values(td, x)[:4]}
@@ -864,8 +860,9 @@ def test_a_warm_pass_computes_each_shared_result_once(monkeypatch):
         return real_character(h, top)
 
     real_character = weylmod._character
-    # the witnesses are per-datum results outside this count, and the walk
-    # that seeds one tests ellipticity by a rank: they are made first and kept
+    # the witnesses are per-datum results outside this count, and their seeds
+    # (a power of the twisted Coxeter element or of a table word; the walk of
+    # W only on some sums) test ellipticity by a rank: made first and kept
     for td, x in points:
         if point_order(td, x) in td.regular_orders:
             regular_witness(td, point_order(td, x))
