@@ -14,11 +14,12 @@ and ``.nums``); its ``Fraction`` coordinates are a view for the reports.  A
 restricted root is the orbit average of its fiber, so its value at x is the
 integer orbit sum paired with the numerators, over e D; the depth table
 puts every value and valuation offset over one denominator and reads the
-point order and the residues off integer ``gcd`` and ``//``.  Every
-valuation set is one arithmetic progression, so the base alcove is found on
-those same integer rows: its facets and translations are held over their
-denominator q, and alcove reduction is an integer floor division and
-integer folds.
+point order and the residues off integer ``gcd`` and ``//``.  The base
+alcove is read off those same integer rows in closed form, one irreducible
+component at a time: its facets are the simple affine roots and its vertices
+the scaled fundamental coweights (Kac coordinates).  Its facets and
+translations are held over their denominator q, and alcove reduction is an
+integer floor division and integer folds.
 """
 from __future__ import annotations
 
@@ -35,13 +36,13 @@ from .exactmath import (
     Vec,
     as_ratio,
     clear_denominators,
+    closure,
     frozen_record,
     integer_inverse,
     kept,
     mat_vec,
     pair,
     reflection_orbit,
-    rref,
     vec_add,
     vec_scale,
     vec_sub,
@@ -287,53 +288,62 @@ class TwistedDatum:
         return q, q // lcm(*(row[3] for row in rows)), rows
 
     @cached_property
+    def components(self) -> tuple[tuple[int, ...], ...]:
+        """The positions in ``simple_restricted`` of the simple roots of each
+        irreducible component, linked by nonzero Cartan entries <a, bcheck>.
+        An entry sums the base entries between the node orbits of a and b,
+        never positive off the diagonal, so the base diagram has the links."""
+        simple = self.simple_restricted
+        position = {self.base.simple_roots.index(alpha): j for j, rr in enumerate(simple) for alpha in rr.fiber}
+        linked = [set() for _ in simple]
+        for i, row in enumerate(self.base.cartan):
+            linked[position[i]].update(position[k] for k, c in enumerate(row) if c)
+        return tuple(sorted({tuple(sorted(closure([j], linked.__getitem__))) for j in range(len(simple))}))
+
+    @cached_property
+    def cartan_inverses(self) -> tuple[tuple[int, tuple[tuple[int, ...], ...]], ...]:
+        """(D, D C^-1) per component, C its Cartan block, C[a][b] = <a, bcheck>."""
+        s = self.simple_restricted
+        blocks = ([[pair(s[a].fiber[0], s[b].coroot) for b in js] for a in js] for js in self.components)
+        return tuple(map(integer_inverse, blocks))
+
+    @cached_property
     def integer_alcove(self) -> _IntegerAlcove:
         """The base alcove on the rows of ``affine_rows``, over their q.
 
-        Its facets are its simple affine roots: rank + c of them for a
-        restricted root system with c irreducible components.  The alcove
-        holds p = (the sum of the positive coroots) / T.  With H_a = q a(T p)
-        and l_a the least positive level of a in units of 1/q, T exceeds
-        every H_a / l_a, so every positive root lies strictly between its
-        levels l_a - step and l_a at p, and in units of 1/(q T) every value
-        and level is an integer.  Each of those two levels is a facet iff its
-        hyperplane is the only one strictly between p and the reflection of
-        p across it: the reflection in any other wall has length above one
-        in the affine Weyl group.  The levels of a and of 2a are disjoint
-        (``restricted``), so the hyperplanes between two points are counted
-        root by root, each by floor division.
+        Its facets are its simple affine roots, in closed form: first a lower
+        wall a = 0 per simple restricted root a, on the row of a or of 2a
+        whose valuation set holds 0 (their levels are disjoint), then an
+        upper wall per component, in the order of ``components``: the first
+        hyperplane a = l_a (l_a the least positive level of a) that the ray
+        from x0 along the sum of the positive coroots meets, that of the
+        positive root of the component with the largest H_a / l_a, where
+        H_a = q a(the sum).  A root lies in the component of its support.
         """
         q, _, rows = self.affine_rows
         positives = [row for row in rows if row[0].positive]
         if not positives:
             raise EchelonnageError("restricted root system is empty")
-        direction = (0,) * self.base.rank
-        for row in positives:
-            direction = vec_add(direction, row[0].coroot)
-        # (root, key * q, H_a, step * q, l_a * q); the offset lies in
-        # [0, step), so l_a is the offset unless that is 0
-        table = [
-            (rr, key, pair(key, direction), q // period, offset or q // period)
-            for rr, key, offset, period in positives
-        ]
-        if min(row[2] for row in table) <= 0:
-            raise EchelonnageError("reference direction is not regular")
-        big_t = 1 + max(h // least for _, _, h, _, least in table)
+        direction = tuple(map(sum, zip(*(row[0].coroot for row in positives))))
+        base, simple = self.base, self.simple_restricted
+        component = {}  # by node of the base
+        for c, js in enumerate(self.components):
+            component.update((base.simple_roots.index(alpha), c) for j in js for alpha in simple[j].fiber)
+        top = [(0, 1, None, None)] * len(self.components)  # best (H_a, l_a * q, a, key * q)
+        for rr, key, offset, period in positives:
+            # the offset lies in [0, step), so l_a is the offset unless that is 0
+            h, least = pair(key, direction), offset or q // period
+            if h <= 0:
+                raise EchelonnageError("reference direction is not regular")
+            c = component[next(i for i, x in enumerate(base.coeffs[base.root_index[rr.fiber[0]]]) if x)]
+            if h * top[c][1] > top[c][0] * least:
+                top[c] = h, least, rr, key
         facets = []
-        for rr, key, h, step, least in table:
-            for sign, level in ((1, least - step), (-1, least)):
-                # b(image) = b(p) - (a(p) - level) <b, acheck>; the twist keeps
-                # the pairing and fixes acheck, so any root of b's fiber gives it
-                t = h - big_t * level
-                crossed = 0
-                for b, _, hb, step_b, least_b in table:
-                    lo, hi = sorted((hb, hb - t * pair(b.fiber[0], rr.coroot)))
-                    start, period_b = big_t * least_b, big_t * step_b
-                    crossed += (hi - start) // period_b - (lo - start) // period_b
-                    if crossed > 1:
-                        break
-                else:  # the wall itself is the only hyperplane crossed
-                    facets.append((vec_scale(sign, key), sign * level, vec_scale(sign, rr.coroot)))
+        for a in simple:  # 0 is a level of a, or of 2a if the offset of a is not 0
+            rr = self.by_key[vec_scale(2, a.key)] if rows[a.index][2] else a
+            facets.append((rows[rr.index][1], 0, rr.coroot))
+        for _, least, rr, key in top:
+            facets.append((vec_scale(-1, key), -least, vec_scale(-1, rr.coroot)))
         return _IntegerAlcove(q, tuple(facets))
 
     @cached_property
@@ -344,50 +354,39 @@ class TwistedDatum:
         a = l and a = l + step), and w the dual functional, so that a fixed
         point v equals the sum of pair(w, v) * t; p is the least common
         denominator of w.  Every restricted root b pairs with t into its own
-        step lattice, so t fixes the level set of every affine root."""
+        step lattice, so t fixes the level set of every affine root.  w is
+        read off a's Cartan block (``cartan_inverses``)."""
         q, _, rows = self.affine_rows
-        simples = [rows[rr.index] for rr in self.simple_restricted]
-        # w = period * (row of C^-1) . keys = w_num / (den e) on the integer keys
-        den, inverse = integer_inverse(
-            [[pair(a.fiber[0], b.coroot) for b, *_ in simples] for a, *_ in simples]
-        )
-        den *= self.twist.order
-        columns = list(zip(*(b.integer_key for b, *_ in simples)))
-        translations = []
-        for (rr, *_, period), coefficients in zip(simples, inverse):
-            w = [period * pair(coefficients, column) for column in columns]
-            g = gcd(den, *w)
-            translations.append(
-                (tuple(c // g for c in w), den // g, vec_scale(q // period, rr.coroot))
-            )
-        return tuple(translations)
+        simple = self.simple_restricted
+        translations = {}
+        for js, (den, inverse) in zip(self.components, self.cartan_inverses):
+            # w = period * (row of C^-1) . keys = w_num / (den e) on the integer keys
+            den *= self.twist.order
+            columns = list(zip(*(simple[b].integer_key for b in js)))
+            for a, coefficients in zip(js, inverse):
+                rr, *_, period = rows[simple[a].index]
+                w = [period * pair(coefficients, column) for column in columns]
+                g = gcd(den, *w)
+                translations[a] = (tuple(c // g for c in w), den // g, vec_scale(q // period, rr.coroot))
+        return tuple(translations[a] for a in range(len(simple)))
 
     @cached_property
     def alcove_parts(self) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
         """The vertices of the base alcove of each irreducible component, in
         restricted-simple-coroot coordinates and zero off the component: each
         vertex of the closed base alcove is a sum of one part per component.
-        A facet's key pairs only with its own component's simple coroots; a
-        component of rank n has n + 1 facets, and the n other than each one
-        meet in a vertex, solved from key(x) = level (``integer_alcove``)."""
-        basis = self.simple_coroots
-        groups: list[tuple[set[int], list]] = []
-        for key, level, _ in self.integer_alcove.facets:
-            row = [pair(key, b) for b in basis]
-            nodes, facets = {j for j, c in enumerate(row) if c}, [row + [level]]
-            for group in [g for g in groups if not g[0].isdisjoint(nodes)]:
-                groups.remove(group)
-                nodes, facets = nodes | group[0], group[1] + facets
-            groups.append((nodes, facets))
+        A component's vertices are x0 and, per simple root i, the point where
+        the other simple roots vanish and the upper wall's root reaches its
+        level (Kac coordinates): column i of the inverse Cartan block, scaled."""
+        n = len(self.simple_restricted)
         parts = []
-        for _, facets in groups:
-            part = []
-            for k in range(len(facets)):
-                red, pivots = rref(facets[:k] + facets[k + 1:])
-                coefficients = [0] * len(basis)
-                for j, solved in zip(pivots, red):
-                    coefficients[j] = solved[-1]
-                part.append(tuple(coefficients))
+        uppers = self.integer_alcove.facets[n:]
+        for js, (_, inverse), (key, level, _) in zip(self.components, self.cartan_inverses, uppers):
+            values = [pair(key, self.simple_coroots[j]) for j in js]  # at each bcheck
+            part = [(0,) * n]
+            for column in zip(*inverse):
+                at, h = dict(zip(js, column)), pair(column, values)
+                part.append(tuple(Fraction(level * at[j], h) if j in at else 0 for j in range(n)))
             parts.append(tuple(part))
         return tuple(parts)
 

@@ -5,9 +5,13 @@ restricted root, the base-alcove facets by a rational search, alcove
 reduction by rational reflections, and points built from rational coroot
 multiples.
 
-It also holds the search for the alcove vertices that the component parts
-of ``TwistedDatum.alcove_parts`` replace: every rank-element set of facets,
-solved, kept when independent.
+It also holds the searches that the closed forms of ``TwistedDatum``
+replace: the base-alcove facets by counting the root hyperplanes crossed
+between a reference point and each candidate reflection of it, on integers
+(``integer_alcove``); the translations by one inverse of the whole
+restricted Cartan matrix (``translations``); and the alcove vertices by
+solving every rank-element set of facets, kept when independent
+(``alcove_parts``).
 
 It also holds the nearest elements of a valuation set above and below a
 value, which only these searches and the tests ask for.
@@ -44,6 +48,7 @@ from parahoric.exactmath import (
     vec_sub,
 )
 
+from matrix_oracle import invert_matrix
 
 
 def min_above(vset, t) -> Fraction:
@@ -180,6 +185,70 @@ def _one_hyperplane_between(positives, here, there):
                 return False
             level = min_above(rr.jump_set, level)
     return len(seen) == 1
+
+
+def crossing_alcove_oracle(td):
+    """The facets of ``td.integer_alcove``, (key * q, level * q, coroot) each,
+    found by counting crossed hyperplanes on the rows of ``affine_rows``.
+
+    The alcove holds p = (the sum of the positive coroots) / T.  With
+    H_a = q a(T p) and l_a the least positive level of a in units of 1/q, T
+    exceeds every H_a / l_a, so every positive root lies strictly between
+    its levels l_a - step and l_a at p, and in units of 1/(q T) every value
+    and level is an integer.  Each of those two levels is a facet iff its
+    hyperplane is the only one strictly between p and the reflection of p
+    across it: the reflection in any other wall has length above one in the
+    affine Weyl group.  The levels of a and of 2a are disjoint
+    (``restricted``), so the hyperplanes between two points are counted root
+    by root, each by floor division.
+    """
+    q, _, rows = td.affine_rows
+    positives = [row for row in rows if row[0].positive]
+    if not positives:
+        raise EchelonnageError("restricted root system is empty")
+    direction = (0,) * td.base.rank
+    for row in positives:
+        direction = vec_add(direction, row[0].coroot)
+    # (root, key * q, H_a, step * q, l_a * q); the offset lies in
+    # [0, step), so l_a is the offset unless that is 0
+    table = [
+        (rr, key, pair(key, direction), q // period, offset or q // period)
+        for rr, key, offset, period in positives
+    ]
+    if min(row[2] for row in table) <= 0:
+        raise EchelonnageError("reference direction is not regular")
+    big_t = 1 + max(h // least for _, _, h, _, least in table)
+    facets = []
+    for rr, key, h, step, least in table:
+        for sign, level in ((1, least - step), (-1, least)):
+            # b(image) = b(p) - (a(p) - level) <b, acheck>; the twist keeps
+            # the pairing and fixes acheck, so any root of b's fiber gives it
+            t = h - big_t * level
+            crossed = 0
+            for b, _, hb, step_b, least_b in table:
+                lo, hi = sorted((hb, hb - t * pair(b.fiber[0], rr.coroot)))
+                start, period_b = big_t * least_b, big_t * step_b
+                crossed += (hi - start) // period_b - (lo - start) // period_b
+                if crossed > 1:
+                    break
+            else:  # the wall itself is the only hyperplane crossed
+                facets.append((vec_scale(sign, key), sign * level, vec_scale(sign, rr.coroot)))
+    return tuple(facets)
+
+
+def translations_oracle(td):
+    """``rational_alcove(td)[1]`` from one rational inverse of the whole
+    restricted Cartan matrix C[a][b] = <a, bcheck>: per simple restricted
+    root a, w = period(a) (row a of C^-1) . keys and t = step(a) acheck."""
+    simples = td.simple_restricted
+    inverse = invert_matrix([[pair(a.fiber[0], b.coroot) for b in simples] for a in simples])
+    out = []
+    for a, row in zip(simples, inverse):
+        w = (Fraction(0),) * td.base.rank
+        for c, b in zip(row, simples):
+            w = vec_add(w, vec_scale(c * a.jump_set.step.denominator, b.key))
+        out.append((w, vec_scale(a.jump_set.step, a.coroot)))
+    return tuple(out)
 
 
 def rational_alcove(td):

@@ -7,9 +7,11 @@ from math import floor, lcm
 
 import pytest
 
+from parahoric import echelonnage
 from parahoric.catalog import catalog_datum, catalog_ids, named_point
 from parahoric.echelonnage import (
     EchelonnageError,
+    TwistedDatum,
     _scaffold,
     alcove_reduce,
     alcove_vertices,
@@ -33,16 +35,18 @@ from parahoric.exactmath import (
     vec_scale,
     vec_sub,
 )
-from parahoric.rootdata import build_automorphism, build_datum
+from parahoric.rootdata import _RANK_RANGE, ISOGENIES, build_automorphism, build_datum
 
 from matrix_oracle import invert_matrix, kernel_basis
 from point_oracle import (
     affine_reflect,
     alcove_vertices_by_subsets,
+    crossing_alcove_oracle,
     max_below,
     min_above,
     rational_alcove,
     scaffold_oracle,
+    translations_oracle,
     walls_oracle,
 )
 
@@ -421,6 +425,13 @@ def _alcove_data():
     flip = build_automorphism(a4, (3, 2, 1, 0))
     yield "2A4", (twisted(a4, flip), 1)
     yield "2A4 lambda=-1/2", (twisted(a4, flip, {0: F(-1, 2), 1: F(-1, 2)}), 1)
+    for d, perm, lam, c in (
+        ("A2+A2", (2, 3, 0, 1), None, 1),
+        ("B3+B3", (3, 4, 5, 0, 1, 2), None, 1),
+        ("A2+A2", (1, 0, 2, 3), {0: F(-1, 2)}, 2),
+    ):
+        base = build_datum(d)
+        yield f"{d} {perm} lambda={lam}", (twisted(base, build_automorphism(base, perm), lam), c)
 
 
 ALCOVE_DATA = dict(_alcove_data())
@@ -468,6 +479,7 @@ def test_each_valuation_set_is_one_stated_progression(name):
 def test_base_alcove_matches_all_walls_oracle(name):
     td, components = ALCOVE_DATA[name]
     rank = len(td.simple_keys)
+    assert len(td.components) == components
     assert len(td.integer_alcove.facets) == rank + components
     assert {(key, level) for key, level, _ in rational_alcove(td)[0]} == walls_oracle(td)
     assert tuple(v.coords for v in alcove_vertices(td)) == alcove_vertices_oracle(td)
@@ -522,6 +534,81 @@ def test_barycenter_reach(dynkin, auto):
     x = named_point(td, "barycenter")
     assert in_base_alcove(td, x)
     assert alcove_reduce(td, x) == x
+
+
+def _closed_form_cosets():
+    """(isogeny, type, node permutation or None, lambda-valuation or None)
+    for the closed-form base alcove against its oracles: every supported
+    irreducible type in both isogenies, the twisted ones, sums that the
+    twist permutes or leaves alone, and the wild 2A2n at each lambda."""
+    for letter, (lo, hi) in _RANK_RANGE.items():
+        for n in range(lo, hi + 1):
+            for isogeny in ISOGENIES:
+                yield isogeny, f"{letter}{n}", None, None
+    for n in range(2, 9):
+        yield "adjoint", f"A{n}", tuple(range(n - 1, -1, -1)), None
+    for n in range(4, 9):
+        yield "adjoint", f"D{n}", (*range(n - 2), n - 1, n - 2), None
+    triality = ((2, 1, 3, 0), (3, 1, 0, 2))
+    e6 = (5, 1, 4, 3, 2, 0)
+    yield from (("adjoint", "D4", perm, None) for perm in triality)
+    yield "adjoint", "E6", e6, None
+    for d, perm in (("A3", (2, 1, 0)), ("D4", (0, 1, 3, 2)), ("D4", triality[0]), ("E6", e6)):
+        yield "simply_connected", d, perm, None
+    for d, perm in (
+        ("A2+A2", (2, 3, 0, 1)),
+        ("B3+B3", (3, 4, 5, 0, 1, 2)),
+        ("D4+D4", (*range(4, 8), *range(4))),
+        ("E6+E6", (*range(6, 12), *range(6))),
+        ("A2+A2+A2", (2, 3, 4, 5, 0, 1)),
+        *((d, None) for d in ("A1+B2+A1", "B2+G2", "E8+A1", "D4+D4")),
+    ):
+        yield "adjoint", d, perm, None
+    for n in (2, 4, 6, 8):
+        for lam in (F(-1, 2), F(-1), F(-3, 2), F(-2), F(-5, 2)):
+            yield "adjoint", f"A{n}", tuple(range(n - 1, -1, -1)), lam
+
+
+@pytest.mark.parametrize(
+    "isogeny,dynkin,perm,lam", [pytest.param(*c, id=" ".join(map(str, c))) for c in _closed_form_cosets()]
+)
+def test_closed_form_alcove_matches_the_oracles(isogeny, dynkin, perm, lam):
+    """The facets against the crossing count, the translations against the
+    whole-matrix inverse, and the vertices and the barycenter against the
+    search over facet subsets."""
+    base = build_datum(dynkin, isogeny)
+    td = twisted(base, None if perm is None else build_automorphism(base, perm))
+    if lam is not None:
+        td = twisted(base, td.twist, [lam] * len(td.lambda_valuations))
+    assert set(td.integer_alcove.facets) == set(crossing_alcove_oracle(td))
+    assert rational_alcove(td)[1] == translations_oracle(td)
+    assert_vertices_and_barycenter_match_the_subset_search(td)
+
+
+def _pairings_in_integer_alcove(monkeypatch, dynkin):
+    """The ``pair`` calls of one fresh ``integer_alcove`` of ``dynkin``,
+    once its rows and components are built."""
+    td = twisted(build_datum(dynkin))
+    td.affine_rows, td.components  # built before the count starts
+    calls = []
+
+    def counted(chi, mu):
+        calls.append(None)
+        return pair(chi, mu)
+
+    monkeypatch.setattr(echelonnage, "pair", counted)
+    TwistedDatum.integer_alcove.func(td)
+    monkeypatch.undo()
+    return len(calls)
+
+
+@pytest.mark.parametrize("factor,count", [("E8", 2), ("A1", 32)])
+def test_integer_alcove_work_at_most_doubles_with_the_factors(monkeypatch, factor, count):
+    # one pairing per positive root: the search never pairs a root with
+    # another root's coroot, nor with every simple coroot
+    small = _pairings_in_integer_alcove(monkeypatch, "+".join([factor] * count))
+    large = _pairings_in_integer_alcove(monkeypatch, "+".join([factor] * 2 * count))
+    assert large <= 2 * small, (small, large)
 
 
 def _scaffold_cosets():
