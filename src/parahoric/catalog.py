@@ -84,6 +84,7 @@ def named_point(td: TwistedDatum, name: str, m: int | None = None) -> ApartmentP
             raise EchelonnageError("rho_over_m needs a positive integer m")
         return apartment_point(td, [Fraction(c, m) for c in td.base.rho_check])
     if name == "barycenter":
-        means = [[Fraction(sum(c), len(part)) for c in zip(*part)] for part in td.alcove_parts]
-        return point_from_simple_coroots(td, list(map(sum, zip(*means))))
+        parts = zip(td.components, td.alcove_parts)  # a part is zero off its component
+        mean = {j: Fraction(sum(v[j] for v in part), len(part)) for js, part in parts for j in js}
+        return point_from_simple_coroots(td, [mean[j] for j in range(len(mean))])
     raise EchelonnageError(f"unknown named point {name!r}")

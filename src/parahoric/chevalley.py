@@ -17,7 +17,7 @@ from functools import cached_property, lru_cache
 from math import lcm, prod
 
 from .exactmath import (
-    PropertyViolation, frozen_record, kept, mat_vec, pair, vec_add, vec_scale, vec_sub,
+    PropertyViolation, frozen_record, kept, pair, vec_add, vec_scale, vec_sub,
 )
 from .rootdata import DiagramAutomorphism, RootDatum, cycles
 
@@ -273,9 +273,6 @@ class PinnedAutomorphism:
         self._verify()
         self._order = self._compute_order()
 
-    def _image_root(self, root):
-        return mat_vec(self.twist.matrix, root)
-
     def _build_signs(self) -> None:
         alg = self.algebra
         datum = alg.datum
@@ -291,14 +288,14 @@ class PinnedAutomorphism:
                 continue
             eps, eta = alg.extraspecial[gamma]
             n_here = alg.structure_constant(eps, eta)
-            img = alg.structure_constant(self._image_root(eps), self._image_root(eta))
+            img = alg.structure_constant(self.twist.apply(eps), self.twist.apply(eta))
             ratio = img // n_here
             if ratio * n_here != img or ratio not in (1, -1):
                 raise ChevalleyError("pinned automorphism does not close")
             signs[gamma] = signs[eps] * signs[eta] * ratio
             neps, neta = vec_scale(-1, eps), vec_scale(-1, eta)
             n_neg = alg.structure_constant(neps, neta)
-            img_neg = alg.structure_constant(self._image_root(neps), self._image_root(neta))
+            img_neg = alg.structure_constant(self.twist.apply(neps), self.twist.apply(neta))
             ratio_neg = img_neg // n_neg
             if ratio_neg * n_neg != img_neg or ratio_neg not in (1, -1):
                 raise ChevalleyError("pinned automorphism does not close")
@@ -310,7 +307,7 @@ class PinnedAutomorphism:
         for label, coeff in elt.items():
             if label[0] == "x":
                 root = label[1]
-                target = ("x", self._image_root(root))
+                target = ("x", self.twist.apply(root))
                 val = out.get(target, 0) + coeff * self.signs[root]
             else:
                 target = ("h", self.twist.permutation[label[1]])
@@ -341,7 +338,7 @@ class PinnedAutomorphism:
         datum = self.algebra.datum
         index = datum.root_index
         out = {}
-        for cycle in cycles([index[self._image_root(r)] for r in datum.roots]):
+        for cycle in cycles([index[self.twist.apply(r)] for r in datum.roots]):
             orbit = [datum.roots[i] for i in cycle]
             out.update(dict.fromkeys(orbit, (len(orbit), prod(self.signs[r] for r in orbit))))
         return out

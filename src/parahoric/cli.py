@@ -8,15 +8,13 @@ error included), 2 property violation.
 """
 from __future__ import annotations
 
-import argparse
 import contextlib
 import json
 import os
-import re
 import sys
 import time
 from fractions import Fraction
-from pathlib import Path
+from types import SimpleNamespace
 
 from . import __version__
 from .catalog import CATALOG, NAMED_POINTS, catalog_ids, catalog_spec, named_point
@@ -108,7 +106,8 @@ def load_spec(source: str) -> dict:
             raise InputError(f"field 'spec': {source!r} is not catalog:<id>[:<point>]")
         return catalog_entry(parts[1], parts[2] if len(parts) > 2 else "origin", "0", "spec")
     try:
-        data = json.loads(Path(source).read_text(encoding="utf-8"))
+        with open(source, encoding="utf-8") as handle:
+            data = json.load(handle)
     except FileNotFoundError:
         raise InputError(f"field 'spec': no such file {source!r}") from None
     except json.JSONDecodeError as exc:
@@ -380,13 +379,12 @@ def check_out(out: str | None) -> None:
     directory.  ``emit`` still maps a failed write to the same field."""
     if not out:
         return
-    path = Path(out)
-    exists = path.exists()
-    if path.is_dir():
+    exists, parent = os.path.exists(out), os.path.dirname(out) or "."
+    if os.path.isdir(out):
         raise InputError(f"field 'out': cannot write {out!r} (it is a directory)")
-    if not (exists or path.parent.is_dir()):
+    if not (exists or os.path.isdir(parent)):
         raise InputError(f"field 'out': cannot write {out!r} (no such directory)")
-    if not os.access(path if exists else path.parent, os.W_OK):
+    if not os.access(out if exists else parent, os.W_OK):
         raise InputError(f"field 'out': cannot write {out!r} (permission denied)")
 
 
@@ -412,62 +410,14 @@ def emit(report: dict, out: str | None) -> None:
         write_stdout(text)
         return
     try:
-        Path(out).write_text(text)
+        with open(out, "w") as handle:
+            handle.write(text)
     except OSError as exc:
         raise InputError(f"field 'out': cannot write {out!r} ({exc})") from exc
 
 
 # ---------------------------------------------------------------------------
 # entry point
-
-
-class _Parser(argparse.ArgumentParser):
-    """Usage errors are input errors: exit 1, naming the option's field (its
-    destination) or the unrecognized token.  Subparsers inherit the class."""
-
-    def error(self, message):
-        found = re.match(r"(?:argument |.*?: )([^\s:,/]+)", message)
-        name = found.group(1) if found else "command"
-        action = self._option_string_actions.get(name)
-        raise InputError(f"field {action.dest if action else name!r}: {message}")
-
-
-def make_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="parahoric",
-        description="exact filtration-quotient, grading, and stability reports",
-    )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--spec", required=True, help="spec file path or catalog:<id>[:<point>]")
-    common.add_argument("--out", default=None, help="write the report here instead of stdout")
-    common.add_argument("--m", type=int, default=None, help="override m for rho_over_m points")
-    common.add_argument("--M", type=int, default=None, help="override the grading modulus")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text, key, section in REPORTS:
-        p = sub.add_parser(name, help=help_text, parents=[common])
-        p.set_defaults(run=run_report, key=key, section=section)
-    sub.choices["stability"].add_argument(
-        "--cap", type=_positive, default=WEYL_CAP_DEFAULT,
-        help="bound on |W|, the order of the Weyl group (default %(default)s)",
-    )
-    p = sub.add_parser("selftest", help="run the built-in property suite")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(run=run_selftest)
-    p = sub.add_parser("catalog", help="list or export built-in specs")
-    p.add_argument("--id", default=None, help="catalog entry to export")
-    p.add_argument("--point", default="origin")
-    p.add_argument("--r", default="0")
-    p.add_argument("--out", default=None)
-    p.set_defaults(run=run_catalog)
-    return parser
-
-
-def _positive(text: str) -> int:
-    """A positive integer option value; anything else is a usage error."""
-    with contextlib.suppress(ValueError):
-        if int(text) > 0:
-            return int(text)
-    raise argparse.ArgumentTypeError(f"must be a positive integer, not {text!r}")
 
 
 def run_report(args) -> int:
@@ -504,9 +454,124 @@ def run_catalog(args) -> int:
     return 0
 
 
+def _positive(text: str) -> int:
+    if int(text) > 0:
+        return int(text)
+    raise ValueError("not a positive integer")
+
+
+# Each subcommand: its help text, the attributes its runner reads besides
+# its options, then its options as (name, converter, default, help).  The
+# flag is --name; a default of ... marks an option that must be given.
+REPORT_OPTIONS = (
+    ("spec", str, ..., "spec file path or catalog:<id>[:<point>] (required)"),
+    ("out", str, None, "write the report here instead of stdout"),
+    ("m", int, None, "override m for rho_over_m points"),
+    ("M", int, None, "override the grading modulus"),
+)
+COMMANDS = {
+    name: (help_text, {"run": run_report, "key": key, "section": section}, *REPORT_OPTIONS)
+    for name, help_text, key, section in REPORTS
+}
+COMMANDS["stability"] += (
+    ("cap", _positive, WEYL_CAP_DEFAULT, f"bound on |W|, the order of the Weyl group (default {WEYL_CAP_DEFAULT})"),
+)
+COMMANDS["selftest"] = ("run the built-in property suite", {"run": run_selftest}, ("seed", int, 0, "random seed"))
+COMMANDS["catalog"] = (
+    "list or export built-in specs", {"run": run_catalog},
+    ("id", str, None, "catalog entry to export"),
+    ("point", str, "origin", "named point of the exported spec (default origin)"),
+    ("r", str, "0", "depth r of the exported spec (default 0)"),
+    ("out", str, None, "write the spec here instead of stdout"),
+)
+HELP_FLAGS = {"-h": "help", "--help": "help"}
+
+
+def _flag(flags: dict, token: str):
+    """What a token is to a parser of these flags, as argparse reads it: None
+    for a value, else the name its flag gives (None for no flag) and the
+    value written after '=' (None for none).  A long flag may be cut to a
+    unique prefix, -h may repeat (-hh), and a negative number or a token
+    with a space in it is a value."""
+    if token[:1] != "-" or token == "-":
+        return None
+    flag, eq, value = token.partition("=")
+    if token in flags or eq and flag in flags:
+        return flags[flag], value if eq else None
+    if token[1] == "-":
+        found = [f for f in flags if f.startswith(flag)]
+        if len(found) > 1:
+            raise InputError(f"field {token!r}: ambiguous option, could be {', '.join(found)}")
+        if found:
+            return flags[found[0]], value if eq else None
+    elif token[1] == "h":
+        return "help", token[2:].strip("h") or None
+    number = token[1:].replace(".", "", 1).isdecimal() and token[-1] != "."
+    return None if number or " " in token else (None, None)
+
+
+def _help(value, command=None) -> None:
+    """-h/--help: write the usage the table gives and exit 0."""
+    if value is not None:
+        raise InputError(f"field 'help': --help takes no value, not {value!r}")
+    if command is None:
+        head = "<command> [options]\n\nexact filtration-quotient, grading, and stability reports\n\ncommands:"
+        rows = [(name, entry[0]) for name, entry in COMMANDS.items()]
+    else:
+        head = f"{command} [options]\n\n{COMMANDS[command][0]}\n\noptions:"
+        rows = [(f"--{name} {name.upper()}", about) for name, _, _, about in COMMANDS[command][2:]]
+        rows.append(("-h, --help", "show this help and exit"))
+    write_stdout(f"usage: parahoric {head}\n" + "".join(f"  {left:<13} {right}\n" for left, right in rows))
+    raise SystemExit(0)
+
+
+def parse_args(argv: list):
+    """The subcommand and its options, read left to right as argparse read
+    them (the last of a repeated option wins), with the attributes that
+    ``COMMANDS`` fixes for it.  A usage error is an input error on the field
+    it concerns: 'command', an option's name, or the first token no parser
+    takes.  The first '--' after the subcommand and every token after it are
+    values."""
+    at = 0  # only -h and unknown flags come before the subcommand
+    while at < len(argv) and argv[at] != "--" and (kind := _flag(HELP_FLAGS, argv[at])) is not None:
+        if kind[0]:
+            _help(kind[1])
+        at += 1
+    command, tokens, rest = (argv + [None])[at], argv[at + 1 :], argv[:at]
+    if command not in COMMANDS:
+        raise InputError(f"field 'command': need one of {', '.join(COMMANDS)}, not {command!r}")
+    _, fixed, *options = COMMANDS[command]
+    values = {name: default for name, _, default, _ in options}
+    convert = {name: converter for name, converter, _, _ in options}
+    flags = {**HELP_FLAGS, **{f"--{name}": name for name in values}}
+    head = tokens[: tokens.index("--")] if "--" in tokens else tokens
+    pending = zip(head, [_flag(flags, token) for token in head])
+    for token, kind in pending:
+        if kind is None or kind[0] is None:
+            rest.append(token)
+            continue
+        name, value = kind
+        if name == "help":
+            _help(value, command)
+        if value is None:
+            value, kind = next(pending, (None, ()))
+            if kind is not None:
+                raise InputError(f"field {name!r}: --{name} needs a value")
+        try:
+            values[name] = convert[name](value)
+        except ValueError as exc:
+            raise InputError(f"field {name!r}: --{name} {value!r}: {exc}") from None
+    for name, value in values.items():
+        if value is ...:
+            raise InputError(f"field {name!r}: --{name} is required")
+    if rest or head != tokens:
+        raise InputError(f"field {(rest + tokens[len(head):])[0]!r}: unrecognized argument")
+    return SimpleNamespace(command=command, **values, **fixed)
+
+
 def main(argv=None) -> int:
     try:
-        args = make_parser().parse_args(argv)
+        args = parse_args(sys.argv[1:] if argv is None else list(argv))
         return args.run(args)
     except InputError as exc:
         sys.stderr.write(f"input error: {exc}\n")

@@ -111,7 +111,7 @@ def _scaffold(base: RootDatum, twist: DiagramAutomorphism) -> _Scaffold:
     e = twist.order
     keyed: dict[tuple[int, ...], tuple] = {}
     index = base.root_index
-    for cycle in cycles([index[mat_vec(twist.matrix, r)] for r in base.roots]):
+    for cycle in cycles([index[twist.apply(r)] for r in base.roots]):
         orbit = tuple(base.roots[i] for i in cycle)
         weight = e // len(orbit)
         key = tuple(weight * sum(c) for c in zip(*orbit))
@@ -482,7 +482,7 @@ def _fixed_point(td: TwistedDatum, den: int, nums) -> ApartmentPoint:
     nums = tuple(nums)
     if len(nums) != td.base.rank:
         raise EchelonnageError("apartment point has the wrong dimension")
-    if mat_vec(td.twist.matrix, nums) != nums:
+    if td.twist.apply(nums) != nums:
         raise EchelonnageError("apartment point is not fixed by the twist")
     return ApartmentPoint(den, nums)
 

@@ -30,7 +30,6 @@ from .exactmath import (
     frozen_record,
     identity_matrix,
     kept,
-    mat_vec,
     matrix_rank,
     pair,
     transpose,
@@ -417,6 +416,19 @@ class DiagramAutomorphism:
         return all(p == i for i, p in enumerate(self.permutation))
 
     @cached_property
+    def sources(self) -> tuple[int, ...]:
+        """The inverse permutation: entry i of ``matrix`` times v is v[sources[i]]."""
+        return tuple(sorted(range(len(self.permutation)), key=self.permutation.__getitem__))
+
+    def apply(self, v) -> tuple:
+        """``matrix`` times v, as a reindexing of v."""
+        return tuple(v[j] for j in self.sources)
+
+    def follow(self, w) -> IntMatrix:
+        """w times ``matrix``: column j of the product is column perm[j] of w."""
+        return tuple(tuple(row[p] for p in self.permutation) for row in w)
+
+    @cached_property
     def spectrum(self) -> dict[int, int]:
         """Cyclotomic multiplicities {k: m_k} on the cocharacter lattice:
         every primitive k-th root of unity is an eigenvalue of multiplicity
@@ -465,10 +477,10 @@ def _automorphism(datum: RootDatum, perm: tuple[int, ...]) -> DiagramAutomorphis
     matrix = tuple(
         tuple(1 if i == perm[j] else 0 for j in range(n)) for i in range(n)
     )
-    image = {mat_vec(matrix, r) for r in datum.roots}
-    if image != set(datum.roots):
+    auto = DiagramAutomorphism(perm, matrix, lcm(*map(len, cycles(perm))))
+    if set(map(auto.apply, datum.roots)) != set(datum.roots):
         raise RootDatumError("automorphism does not permute the roots")
-    return DiagramAutomorphism(perm, matrix, lcm(*map(len, cycles(perm))))
+    return auto
 
 
 def identity_automorphism(datum: RootDatum) -> DiagramAutomorphism:

@@ -144,7 +144,7 @@ def _seed(datum: RootDatum, twist: DiagramAutomorphism, m: int) -> IntMatrix:
     or m needs a table word on each factor, as on D4+D4 at m = 4."""
     t = twist.order
     for w in _candidates(datum, twist):
-        a = mat_mul(w, twist.matrix)
+        a = twist.follow(w)
         order = _regular_order(a, datum)
         if order and order % m == 0:
             for k in range(1, order + 1):
@@ -196,7 +196,7 @@ def zregularity_criteria_agree(
     """Cross-validate the free-action and eigenvector readings of regularity
     on the whole coset; disagreement raises with a diagnostic."""
     for w in weyl_elements(datum, cap):
-        a = mat_mul(w, twist.matrix)
+        a = twist.follow(w)
         order = matrix_order(a)
         free = acts_freely_on_roots(a, datum, order)
         eigen = regular_by_eigenvector(a, datum, order)

@@ -42,7 +42,7 @@ def _check_modulus(m: int, why: str = "") -> None:
     if m > MODULUS_CAP:
         raise ModulusCapExceeded(
             f"grading modulus M = {m} is above the cap {MODULUS_CAP} "
-            f"(vinberg.MODULUS_CAP){why}"
+            f"(vinberg.MODULUS_CAP, fixed: the grading and its crosscheck are O(M)){why}"
         )
 
 

@@ -22,10 +22,10 @@ def lift_twist_orbits(alg: ChevalleyAlgebra, pinned: PinnedAutomorphism):
         if r in seen:
             continue
         orbit = [r]
-        cur = pinned._image_root(r)
+        cur = pinned.twist.apply(r)
         while cur != r:
             orbit.append(cur)
-            cur = pinned._image_root(cur)
+            cur = pinned.twist.apply(cur)
         seen |= set(orbit)
         orbits.append(tuple(orbit))
     return orbits

@@ -11,7 +11,8 @@ between a reference point and each candidate reflection of it, on integers
 (``integer_alcove``); the translations by one inverse of the whole
 restricted Cartan matrix (``translations``); and the alcove vertices by
 solving every rank-element set of facets, kept when independent
-(``alcove_parts``).
+(``alcove_parts``); and the barycenter as one dense mean per component
+(``catalog.named_point``).
 
 It also holds the nearest elements of a valuation set above and below a
 value, which only these searches and the tests ask for.
@@ -280,6 +281,13 @@ def alcove_vertices_by_subsets(td):
         if pivots == list(range(len(basis))):
             vertices.add(point_from_simple_coroots(td, [row[-1] for row in red]))
     return tuple(sorted(vertices, key=attrgetter("coords")))
+
+
+def barycenter_oracle(td):
+    """The barycenter as the sum of one mean per component over every
+    coordinate, the zeros off the component included."""
+    means = [[Fraction(sum(c), len(part)) for c in zip(*part)] for part in td.alcove_parts]
+    return point_from_simple_coroots(td, list(map(sum, zip(*means))))
 
 
 def translation_representative(td, x):

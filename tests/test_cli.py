@@ -1,3 +1,4 @@
+import collections
 import io
 import json
 import os
@@ -9,9 +10,10 @@ from pathlib import Path
 
 import pytest
 
+from cli_oracle import make_parser
 from parahoric import cli
 from parahoric.cli import main
-from parahoric.exactmath import PropertyViolation
+from parahoric.exactmath import InputError, PropertyViolation
 from parahoric.vinberg import MODULUS_CAP
 
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "goldens"
@@ -328,6 +330,8 @@ def test_flag_overrides_name_their_field(capsys, command, flags, field):
         (["selftest", "--seed", "x"], "seed"),
         (["bogus"], "command"),
         ([], "command"),
+        # an unknown token is named as written, a '/' in it included
+        (["scan", "--spec", "catalog:A2", "extra/1"], "extra/1"),
     ],
 )
 def test_usage_errors_are_input_errors(capsys, argv, field):
@@ -342,6 +346,80 @@ def test_help_exits_zero(capsys):
         main(["scan", "--help"])
     assert exc.value.code == 0
     assert "--spec" in capsys.readouterr().out
+
+
+def test_top_level_help_lists_every_subcommand(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["-h"])
+    assert exc.value.code == 0
+    listed = [line.split()[0] for line in capsys.readouterr().out.splitlines() if line.startswith("  ")]
+    assert listed == ["quotient", "scan", "grade", "decompose", "stability", "selftest", "catalog"]
+
+
+def _parsed(parse, argv, capsys):
+    """The parsed values of argv, the field of its usage error, or the exit
+    code of its help."""
+    try:
+        return "values", vars(parse(argv))
+    except InputError as exc:
+        # the reader names an unknown or ambiguous token as written, where
+        # argparse's message was read with a regex that cut it at its first
+        # ':' (or ',', '/', whitespace; no token of the corpus has those)
+        return "field", str(exc).split("'")[1].split(":")[0]
+    except SystemExit as exc:
+        return "exit", exc.code
+    finally:
+        capsys.readouterr()
+
+
+ARGV_VALUES = ("catalog:A2", "spec.json", "3", "12", "-3", "0", "-1", "1.5", "-2.5", "abc", "--out", "-x", "extra")
+
+
+def _argv_case(rng: random.Random) -> list[str]:
+    """A command (a known one, an unknown one or none), then its options and
+    others in any order: the --name value and --name=value forms, repeats,
+    unique prefixes, the ambiguous --=value, values that are negative, not
+    integers or look like options, extra words, a flag left without its
+    value at the end and now and then --help."""
+    command = rng.choice([*cli.COMMANDS, *cli.COMMANDS, "bogus", None])
+    names = [name for name, *_ in cli.COMMANDS.get(command, ())[2:]]
+    names += ["spec", "cap", "seed", "m"]  # some are another command's
+    argv = [] if command is None else [command]
+    for _ in range(rng.randint(0, 5)):
+        flag, value = "--" + rng.choice(names), rng.choice(ARGV_VALUES)
+        form = rng.randrange(12)
+        if form < 5:
+            argv += [flag, value]
+        elif form < 7:
+            argv.append(f"{flag}={value}")
+        elif form < 9:
+            argv += [flag[: rng.randint(3, len(flag))], value]  # a prefix
+        elif form == 9:
+            argv.append(value)
+        elif form == 10:
+            argv.append(f"--={value}")
+        else:
+            argv.append(rng.choice(["-h", "--help", "--he", "-hh"]))
+    if rng.random() < 0.2:
+        argv.append("--" + rng.choice(names))
+    return argv
+
+
+def test_argv_reader_matches_argparse(capsys):
+    # the argparse parser the reader replaced (tests/cli_oracle.py): equal
+    # values, or the same usage-error field, or the same help exit
+    rng = random.Random(35)
+    outcomes = collections.Counter()
+    fields = set()
+    for _ in range(1500):
+        argv = _argv_case(rng)
+        expected = _parsed(make_parser().parse_args, argv, capsys)
+        assert _parsed(cli.parse_args, argv, capsys) == expected, argv
+        outcomes[expected[0]] += 1
+        if expected[0] == "field":
+            fields.add(expected[1])
+    assert min(outcomes.values()) >= 50, outcomes
+    assert {"command", "spec", "m", "M", "cap", "seed", "help", "extra", "--=3", "-x"} <= fields, fields
 
 
 def test_stability_at_f4_barycenter(tmp_path, capsys):
@@ -516,10 +594,11 @@ def test_an_explicit_modulus_is_reported(capsys):
 
 
 def test_a_write_that_fails_after_the_check_names_out(tmp_path, capsys, monkeypatch):
-    def refuse(self, *args, **kwargs):
+    # the check passes; the file open that emit makes then fails
+    def refuse(*args, **kwargs):
         raise OSError("disk full")
 
-    monkeypatch.setattr(cli.Path, "write_text", refuse)
+    monkeypatch.setattr(cli, "open", refuse, raising=False)
     for argv in (["scan", "--spec", "catalog:A1"], ["catalog", "--id", "A1"]):
         code, out, err = run_cli(argv + ["--out", str(tmp_path / "r.json")], capsys)
         assert (code, out) == (1, "")

@@ -28,6 +28,7 @@ from parahoric.echelonnage import (
 from parahoric.exactmath import (
     ExactMathError,
     ValuationSet,
+    mat_mul,
     mat_vec,
     matrix_rank,
     pair,
@@ -41,6 +42,7 @@ from matrix_oracle import invert_matrix, kernel_basis
 from point_oracle import (
     affine_reflect,
     alcove_vertices_by_subsets,
+    barycenter_oracle,
     crossing_alcove_oracle,
     max_below,
     min_above,
@@ -574,8 +576,9 @@ def _closed_form_cosets():
 )
 def test_closed_form_alcove_matches_the_oracles(isogeny, dynkin, perm, lam):
     """The facets against the crossing count, the translations against the
-    whole-matrix inverse, and the vertices and the barycenter against the
-    search over facet subsets."""
+    whole-matrix inverse, the vertices and the barycenter against the search
+    over facet subsets and the barycenter against the dense mean; and the
+    twist, applied by reindexing, against its permutation matrix."""
     base = build_datum(dynkin, isogeny)
     td = twisted(base, None if perm is None else build_automorphism(base, perm))
     if lam is not None:
@@ -583,6 +586,12 @@ def test_closed_form_alcove_matches_the_oracles(isogeny, dynkin, perm, lam):
     assert set(td.integer_alcove.facets) == set(crossing_alcove_oracle(td))
     assert rational_alcove(td)[1] == translations_oracle(td)
     assert_vertices_and_barycenter_match_the_subset_search(td)
+    assert named_point(td, "barycenter") == barycenter_oracle(td)
+    twist = td.twist
+    assert all(twist.apply(r) == mat_vec(twist.matrix, r) for r in base.roots)
+    n = base.rank
+    w = tuple(tuple(range(i * n, i * n + n)) for i in range(n))  # all entries distinct
+    assert twist.follow(w) == mat_mul(w, twist.matrix)
 
 
 def _pairings_in_integer_alcove(monkeypatch, dynkin):

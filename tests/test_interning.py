@@ -334,20 +334,10 @@ def _definitions(trees):
                         yield module, f"{node.name}.{sub.name}", sub
 
 
-def _overrides(module, qualified):
-    """Whether a method overrides one its class inherits: whoever calls the
-    inherited one calls it (``argparse`` calls ``_Parser.error``)."""
-    if "." not in qualified:
-        return False
-    cls, name = qualified.split(".")
-    found = getattr(importlib.import_module(f"parahoric.{module}"), cls)
-    return any(hasattr(base, name) for base in found.__mro__[1:])
-
-
 def test_every_definition_in_src_is_used_by_the_package(monkeypatch):
     # code that only the tests call belongs in their oracle modules: a
     # definition stays when package code outside it names it, the package
-    # exports it, it is a dunder or an override, or the benchmark's tracer
+    # exports it, it is a dunder, or the benchmark's tracer
     # wraps it by name (read here, so the exemption ends with the pin)
     import parahoric
 
@@ -371,7 +361,6 @@ def test_every_definition_in_src_is_used_by_the_package(monkeypatch):
         and not (name.startswith("__") and name.endswith("__"))
         and f"{module}.{qualified}" not in traced
         and qualified not in UNCALLED_EXEMPT
-        and not _overrides(module, qualified)
     ]
     assert uncalled == []
 

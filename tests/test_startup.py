@@ -1,7 +1,9 @@
-"""What a fresh CLI process imports: no `dataclasses` (nor the `inspect`
-it pulls in), neither the Chevalley-basis oracle nor the self-test, which no
-report subcommand calls, and of the grading, Weyl-module and stability
-layers only the one its subcommand runs.  The lazily loaded layers' public
+"""What a fresh CLI process imports beyond a bare interpreter (one started
+without `site`, whose `.pth` files may preload modules): no `dataclasses`
+(nor the `inspect` it pulls in), no `argparse` (nor the `gettext`, `locale`
+and `shutil` it pulls in), no `pathlib`, neither the Chevalley-basis oracle
+nor the self-test, which no report subcommand calls, and of the grading,
+Weyl-module and stability layers only the one its subcommand runs.  The lazily loaded layers' public
 names still resolve on first access to the package attribute, and their
 errors keep their exit codes.  The whole-coset oracles are not package names:
 they are imported from their modules."""
@@ -25,25 +27,27 @@ import parahoric.cli
 print(json.dumps(sorted(set(sys.modules) - bare)))
 """
 LAYERS = ("parahoric.stability", "parahoric.vinberg", "parahoric.weylmod")
-RUN = f"""
+UNUSED_STDLIB = ("dataclasses", "inspect", "argparse", "gettext", "locale", "shutil", "pathlib")
+RUN = """
 import json, os, sys
+bare = set(sys.modules)
 from parahoric.cli import main
-code = main([sys.argv[1], "--spec", "catalog:2A3:barycenter", "--out", os.devnull])
-print(json.dumps([code, sorted(set(sys.modules) & set({LAYERS!r}))]))
+code = main([*sys.argv[1:], "--out", os.devnull])
+print(json.dumps([code, sorted(set(sys.modules) - bare)]))
 """
 
 
 def _fresh(*argv) -> str:
     env = {**os.environ, "PYTHONPATH": SRC}
     return subprocess.run(
-        [sys.executable, *argv], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-S", *argv], env=env, capture_output=True, text=True, check=True
     ).stdout
 
 
 def test_cli_import_loads_no_dataclasses_and_no_oracle():
     loaded = set(json.loads(_fresh("-c", PROBE)))
     assert "parahoric.cli" in loaded
-    for name in ("dataclasses", "inspect", "parahoric.chevalley", "parahoric.selftest", *LAYERS):
+    for name in (*UNUSED_STDLIB, "parahoric.chevalley", "parahoric.selftest", *LAYERS):
         assert name not in loaded, name
 
 
@@ -53,11 +57,14 @@ def test_cli_import_loads_no_dataclasses_and_no_oracle():
     ("grade", "parahoric.vinberg"),
     ("decompose", "parahoric.weylmod"),
     ("stability", "parahoric.stability"),
+    ("catalog", None),
 ])
 def test_each_subcommand_loads_only_its_own_layer(command, own):
-    code, loaded = json.loads(_fresh("-c", RUN, command))
+    given = ["--id", "2A3"] if command == "catalog" else ["--spec", "catalog:2A3:barycenter"]
+    code, loaded = json.loads(_fresh("-c", RUN, command, *given))
     assert code == 0
-    assert loaded == ([own] if own else [])
+    assert set(loaded) & set(LAYERS) == ({own} if own else set())
+    assert set(loaded) & set(UNUSED_STDLIB) == set()
 
 
 @pytest.mark.parametrize("command,module,function,error,code,prefix", [
