@@ -10,16 +10,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .echelonnage import (
-    ApartmentPoint,
-    EchelonnageError,
-    TwistedDatum,
-    alcove_vertices,  # noqa: F401  (perfbench/tracing.py spans catalog.alcove_vertices)
-    apartment_point,
-    point_from_simple_coroots,
-    twisted,
-)
-from .rootdata import build_automorphism, build_datum
+# The stage modules are imported by the functions that use them, so that
+# `parahoric catalog`, `--help` and a usage error load only this table.
 
 CATALOG = {
     "A1": {"dynkin": "A1", "automorphism": None, "rho_m": 2},
@@ -42,6 +34,9 @@ def catalog_ids() -> tuple[str, ...]:
 
 
 def catalog_datum(entry_id: str) -> TwistedDatum:
+    from .echelonnage import twisted
+    from .rootdata import build_automorphism, build_datum
+
     if entry_id not in CATALOG:
         raise KeyError(f"unknown catalog id {entry_id!r}")
     info = CATALOG[entry_id]
@@ -55,6 +50,8 @@ def catalog_datum(entry_id: str) -> TwistedDatum:
 
 
 def catalog_spec(entry_id: str, point: str = "origin", r: str = "0") -> dict:
+    from .rootdata import build_datum
+
     info = CATALOG[entry_id]
     if point not in NAMED_POINTS:
         raise KeyError(f"unknown named point {point!r}")
@@ -77,6 +74,8 @@ def catalog_spec(entry_id: str, point: str = "origin", r: str = "0") -> dict:
 
 
 def named_point(td: TwistedDatum, name: str, m: int | None = None) -> ApartmentPoint:
+    from .echelonnage import EchelonnageError, apartment_point, point_from_simple_coroots
+
     if name == "origin":
         return apartment_point(td, (0,) * td.base.rank)
     if name == "rho_over_m":
@@ -88,3 +87,12 @@ def named_point(td: TwistedDatum, name: str, m: int | None = None) -> ApartmentP
         mean = {j: Fraction(sum(v[j] for v in part), len(part)) for js, part in parts for j in js}
         return point_from_simple_coroots(td, [mean[j] for j in range(len(mean))])
     raise EchelonnageError(f"unknown named point {name!r}")
+
+
+def __getattr__(name):
+    # perfbench/tracing.py spans catalog.alcove_vertices
+    if name != "alcove_vertices":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .echelonnage import alcove_vertices
+
+    return alcove_vertices

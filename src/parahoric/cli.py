@@ -1,7 +1,8 @@
 """Batch interface: spec-file ingestion, subcommands, deterministic JSON
 reports, and the built-in catalog.
 
-Spec files are JSON with every rational written as a string "p/q".  Reports
+Spec files are JSON with every rational written as a string "p/q" (a JSON
+number is read from its literal text, exactly as that string).  Reports
 are JSON with sorted keys; two runs on the same spec are byte-identical
 except for the timing field.  Exit codes: 0 success, 1 input error (a usage
 error included), 2 property violation.
@@ -18,34 +19,12 @@ from types import SimpleNamespace
 
 from . import __version__
 from .catalog import CATALOG, NAMED_POINTS, catalog_ids, catalog_spec, named_point
-from .echelonnage import (
-    ApartmentPoint,
-    EchelonnageError,
-    TwistedDatum,
-    companion_shift,
-    depth_table,
-    point_from_simple_coroots,
-    point_order,
-    twisted,
-)
-from .exactmath import InputError, PropertyViolation
-from .mpquotient import (
-    ReductiveQuotientDatum,
-    algebra_dimension,
-    first_jump,
-    quotient_datum,
-)
-from .rootdata import (
-    WEYL_CAP_DEFAULT,
-    RootDatumError,
-    build_automorphism,
-    build_datum,
-    cartan_matrix,
-)
+from .exactmath import WEYL_CAP_DEFAULT, InputError, PropertyViolation
 
-# The grading, Weyl-module and stability layers are imported by the section
-# that uses each, so a subcommand loads only its own.  Every package error is
-# an ``InputError`` (exit 1) or a ``PropertyViolation`` (exit 2).
+# Each stage module is imported by the function that uses it, so a process
+# loads only what it runs: `catalog`, `--help` and a usage error load none,
+# and each report section loads its own layer.  Every package error is an
+# ``InputError`` (exit 1) or a ``PropertyViolation`` (exit 2).
 
 SCHEMA_VERSION = 1
 
@@ -60,9 +39,11 @@ def frac_str(x) -> str:
 
 def parse_frac(text, field: str) -> Fraction:
     try:
-        return Fraction(str(text))
+        value = Fraction(str(text))
+        str(value)  # refuses a value of too many digits to print back
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"field {field!r}: bad rational {text!r}") from exc
+    return value
 
 
 def vec_strs(coords) -> list[str]:
@@ -107,13 +88,13 @@ def load_spec(source: str) -> dict:
         return catalog_entry(parts[1], parts[2] if len(parts) > 2 else "origin", "0", "spec")
     try:
         with open(source, encoding="utf-8") as handle:
-            data = json.load(handle)
+            data = json.load(handle, parse_float=str)  # exactly as the literal written as a string
     except FileNotFoundError:
         raise InputError(f"field 'spec': no such file {source!r}") from None
-    except json.JSONDecodeError as exc:
-        raise InputError(f"field 'spec': not valid JSON ({exc})") from exc
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"field 'spec': cannot read {source!r} ({exc})") from exc
+    except ValueError as exc:  # a JSONDecodeError, or an integer of too many digits
+        raise InputError(f"field 'spec': not valid JSON ({exc})") from exc
     if isinstance(data, dict) and "spec" in data and "schema" in data:
         data = data["spec"]  # accept a previously emitted report
     if not isinstance(data, dict):
@@ -137,6 +118,8 @@ def _lambda_key(k) -> str:
 
 
 def normalize_spec(raw: dict) -> dict:
+    from .rootdata import RootDatumError, cartan_matrix
+
     spec = dict(DEFAULT_SPEC)
     unknown = set(raw) - set(DEFAULT_SPEC)
     if unknown:
@@ -161,8 +144,14 @@ def normalize_spec(raw: dict) -> dict:
         _lambda_key(k): frac_str(parse_frac(v, "lambda_valuations")) for k, v in lam.items()
     }
     point = spec["point"]
-    if not isinstance(point, dict) or not ({"name", "coords"} & set(point)):
-        raise InputError("field 'point': need a name or explicit coords")
+    if not isinstance(point, dict) or len({"name", "coords"} & set(point)) != 1:
+        raise InputError("field 'point': need a name or explicit coords, not both")
+    keys = {"name", "m"} if point.get("name") == "rho_over_m" else {"name", "coords"}
+    if set(point) - keys:
+        raise InputError(
+            f"field 'point': unexpected key {sorted(set(point) - keys)[0]!r} "
+            "(a point has a name, with m for rho_over_m, or coords)"
+        )
     if "coords" in point:
         if not isinstance(point["coords"], list):
             raise InputError("field 'point': coords must be a list of rationals")
@@ -191,6 +180,9 @@ def normalize_spec(raw: dict) -> dict:
 
 def realize(spec: dict):
     """Build the twisted datum and apartment point described by a spec."""
+    from .echelonnage import EchelonnageError, point_from_simple_coroots, twisted
+    from .rootdata import RootDatumError, build_automorphism, build_datum
+
     try:
         datum = build_datum(spec["dynkin"], spec["isogeny"])
     except RootDatumError as exc:
@@ -219,6 +211,8 @@ def realize(spec: dict):
 
 def default_modulus(td: TwistedDatum, x: ApartmentPoint, spec: dict) -> int:
     from math import lcm
+
+    from .echelonnage import point_order
 
     m = point_order(td, x)
     e = td.twist.order
@@ -251,6 +245,8 @@ def identify_quotient(h: ReductiveQuotientDatum) -> dict:
 
 
 def section_quotient(td: TwistedDatum, x: ApartmentPoint, spec: dict, args) -> tuple[dict, bool]:
+    from .mpquotient import quotient_datum
+
     h = quotient_datum(td, x)
     return {
         "roots": [vec_strs(a) for a in h.roots],
@@ -261,6 +257,9 @@ def section_quotient(td: TwistedDatum, x: ApartmentPoint, spec: dict, args) -> t
 
 
 def section_scan(td: TwistedDatum, x: ApartmentPoint, spec: dict, args) -> tuple[dict, bool]:
+    from .echelonnage import depth_table
+    from .mpquotient import algebra_dimension, first_jump
+
     table = depth_table(td, x)
     jumps = []
     for r in table.jumps():
@@ -353,6 +352,9 @@ REPORTS = (
 
 
 def build_report(command: str, spec: dict, td, x, sections: dict, started: float) -> dict:
+    from .echelonnage import companion_shift, point_order
+    from .mpquotient import algebra_dimension
+
     shifted = companion_shift(td, x)
     return {
         "schema": SCHEMA_VERSION,

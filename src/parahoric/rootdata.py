@@ -22,6 +22,7 @@ from functools import cached_property, lru_cache
 from math import gcd, lcm, prod
 
 from .exactmath import (
+    WEYL_CAP_DEFAULT,
     IntMatrix,
     IntVec,
     InputError,
@@ -34,8 +35,6 @@ from .exactmath import (
     pair,
     transpose,
 )
-
-WEYL_CAP_DEFAULT = 1_000_000
 
 _TYPE_RE = re.compile(r"^([A-G])([0-9]+)$")
 

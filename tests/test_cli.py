@@ -6,6 +6,7 @@ import random
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -223,6 +224,15 @@ def test_quotient_3d4_lists_g2(capsys):
         # normalize_spec reads the Cartan matrix only to build a default
         # automorphism, so realize names this dynkin
         ({"dynkin": "Q5", "automorphism": [0]}, "dynkin"),
+        # a point is a name (with m for rho_over_m only) or coords, nothing else
+        ({"point": {"name": "origin", "coords": ["1/3", "0"]}}, "point"),
+        ({"point": {"name": "barycenter", "m": 7}}, "point"),
+        ({"point": {"coords": ["1/3", "0"], "m": 3}}, "point"),
+        ({"point": {"name": "origin", "extra": 1}}, "point"),
+        # a JSON number that is no integer is no count either
+        ({"M": 6.0}, "M"),
+        ({"point": {"name": "rho_over_m", "m": 3.0}}, "point"),
+        ({"automorphism": [0, 1.0]}, "automorphism"),
     ],
 )
 def test_spec_validation_names_field(tmp_path, capsys, fields, field):
@@ -260,13 +270,13 @@ def test_lambda_off_weyl_orbit_is_an_input_error(tmp_path, capsys):
 
 
 def test_quotient_error_is_a_property_violation(monkeypatch, capsys):
-    import parahoric.cli as cli
+    from parahoric import mpquotient
     from parahoric.mpquotient import QuotientError
 
     def broken(td, x):
         raise QuotientError("quotient root system is not reflection closed")
 
-    monkeypatch.setattr(cli, "quotient_datum", broken)
+    monkeypatch.setattr(mpquotient, "quotient_datum", broken)
     code, _, err = run_cli(["quotient", "--spec", "catalog:A2"], capsys)
     assert code == 2
     assert "property violation: quotient root system" in err
@@ -278,6 +288,48 @@ def test_huge_point_coordinates(tmp_path, capsys):
     code, out, _ = run_cli(["stability", "--spec", str(spec)], capsys)
     assert code == 0
     assert json.loads(out)["stability"]["reduced_point"] == ["0", "0"]
+
+
+@pytest.mark.parametrize("literal", ["1e-400", "0.33333333333333333333", "-2.5E+3"])
+def test_a_json_number_reads_as_its_literal_written_as_a_string(tmp_path, capsys, literal):
+    # not through a float, which makes 1e-400 the origin and rounds 1/3
+    reports = []
+    for coord in (literal, json.dumps(literal)):
+        spec = tmp_path / "spec.json"
+        spec.write_text(f'{{"dynkin": "A1", "point": {{"coords": [{coord}]}}, "r": {coord}}}')
+        code, out, _ = run_cli(["scan", "--spec", str(spec)], capsys)
+        assert code == 0
+        reports.append(normalize(out))
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])["spec"]["point"]["coords"] == [str(Fraction(literal))]
+
+
+@pytest.mark.parametrize("text,field", [
+    ('{"dynkin": "A1", "M": 1%s}' % ("0" * 5000), "spec"),
+    ('{"dynkin": "A1", "point": {"coords": [1e-5000]}}', "point"),
+    ('{"dynkin": "A1", "point": {"coords": ["1e-5000"]}}', "point"),
+    ('{"dynkin": "A1", "r": "1e5000"}', "r"),
+])
+def test_a_number_of_too_many_digits_is_an_input_error(tmp_path, capsys, text, field):
+    # past sys.get_int_max_str_digits() an integer neither parses nor prints
+    spec = tmp_path / "spec.json"
+    spec.write_text(text)
+    code, out, err = run_cli(["scan", "--spec", str(spec)], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"input error: field {field!r}: "), err[:200]
+
+
+@pytest.mark.parametrize("source", ["catalog:2A2:rho_over_m", "coords"])
+def test_a_report_reads_back_as_its_spec(tmp_path, capsys, source):
+    # its point carries only the keys a spec allows (a named point is
+    # round-tripped in test_determinism_and_round_trip)
+    if source == "coords":
+        source = tmp_path / "coords.json"
+        source.write_text(json.dumps({"dynkin": "G2", "point": {"coords": ["1/5", "-2"]}}))
+    first, again = tmp_path / "first.json", tmp_path / "again.json"
+    assert main(["scan", "--spec", str(source), "--out", str(first)]) == 0
+    assert main(["scan", "--spec", str(first), "--out", str(again)]) == 0
+    assert normalize(first.read_text()) == normalize(again.read_text())
 
 
 @pytest.mark.parametrize("coords", [5, "1/2", {"0": "1"}, None])
@@ -662,7 +714,7 @@ def _failed_crosscheck(td, x, modulus):
 @pytest.mark.parametrize(
     "command,target,broken,key",
     [
-        ("scan", "cli.algebra_dimension", lambda td: 0, "scan"),
+        ("scan", "mpquotient.algebra_dimension", lambda td: 0, "scan"),
         ("grade", "vinberg.crosscheck", _failed_crosscheck, "grading"),
         ("decompose", "weylmod.Decomposition.dimensions_match", lambda _: False, "decomposition"),
         ("decompose", "weylmod.split_span_check", lambda *_: False, "decomposition"),

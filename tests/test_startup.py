@@ -3,10 +3,13 @@ without `site`, whose `.pth` files may preload modules): no `dataclasses`
 (nor the `inspect` it pulls in), no `argparse` (nor the `gettext`, `locale`
 and `shutil` it pulls in), no `pathlib`, neither the Chevalley-basis oracle
 nor the self-test, which no report subcommand calls, and of the grading,
-Weyl-module and stability layers only the one its subcommand runs.  The lazily loaded layers' public
-names still resolve on first access to the package attribute, and their
-errors keep their exit codes.  The whole-coset oracles are not package names:
-they are imported from their modules."""
+Weyl-module and stability layers only the one its subcommand runs.
+`import parahoric` loads no submodule, and `import parahoric.cli`,
+`catalog`, `--help` and a usage error load none of the stage modules
+`rootdata`, `echelonnage` and `mpquotient`.  Every public name resolves on
+first access to the package attribute, and the lazily loaded layers' errors
+keep their exit codes.  The whole-coset oracles are not package names: they
+are imported from their modules."""
 import importlib
 import json
 import os
@@ -27,6 +30,8 @@ import parahoric.cli
 print(json.dumps(sorted(set(sys.modules) - bare)))
 """
 LAYERS = ("parahoric.stability", "parahoric.vinberg", "parahoric.weylmod")
+STAGES = ("parahoric.rootdata", "parahoric.echelonnage", "parahoric.mpquotient")
+ENTRY = ("parahoric", "parahoric.cli", "parahoric.catalog", "parahoric.exactmath")
 UNUSED_STDLIB = ("dataclasses", "inspect", "argparse", "gettext", "locale", "shutil", "pathlib")
 RUN = """
 import json, os, sys
@@ -34,6 +39,18 @@ bare = set(sys.modules)
 from parahoric.cli import main
 code = main([*sys.argv[1:], "--out", os.devnull])
 print(json.dumps([code, sorted(set(sys.modules) - bare)]))
+"""
+# the package modules loaded by `import parahoric`, or by `import
+# parahoric.cli` and a run of the given argv, whose output is thrown away
+LOADS = """
+import contextlib, io, json, sys
+bare = set(sys.modules)
+import parahoric
+if sys.argv[1:]:
+    from parahoric.cli import main
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):
+        main(sys.argv[2:])
+print(json.dumps(sorted(m for m in set(sys.modules) - bare if m.startswith("parahoric"))))
 """
 
 
@@ -47,8 +64,18 @@ def _fresh(*argv) -> str:
 def test_cli_import_loads_no_dataclasses_and_no_oracle():
     loaded = set(json.loads(_fresh("-c", PROBE)))
     assert "parahoric.cli" in loaded
-    for name in (*UNUSED_STDLIB, "parahoric.chevalley", "parahoric.selftest", *LAYERS):
+    for name in (*UNUSED_STDLIB, "parahoric.chevalley", "parahoric.selftest", *LAYERS, *STAGES):
         assert name not in loaded, name
+
+
+def test_package_import_loads_no_submodule():
+    assert json.loads(_fresh("-c", LOADS)) == ["parahoric"]
+
+
+@pytest.mark.parametrize("argv", [[], ["catalog"], ["--help"], ["stability", "-h"], ["bogus"]])
+def test_catalog_help_and_usage_errors_load_no_stage_module(argv):
+    loaded = json.loads(_fresh("-c", LOADS, "cli", *argv))
+    assert set(loaded) == set(ENTRY)
 
 
 @pytest.mark.parametrize("command,own", [
@@ -65,6 +92,10 @@ def test_each_subcommand_loads_only_its_own_layer(command, own):
     assert code == 0
     assert set(loaded) & set(LAYERS) == ({own} if own else set())
     assert set(loaded) & set(UNUSED_STDLIB) == set()
+    # a report needs every stage; an exported catalog spec only the rank
+    stages = {"parahoric.rootdata"} if command == "catalog" else set(STAGES)
+    package = {m for m in loaded if m.startswith("parahoric")}
+    assert package == {*ENTRY, *stages, *([own] if own else [])}
 
 
 @pytest.mark.parametrize("command,module,function,error,code,prefix", [
@@ -90,7 +121,9 @@ def test_lazy_layer_errors_keep_their_exit_codes(
 
 def test_lazy_names_resolve():
     for name in parahoric.__all__:
-        assert getattr(parahoric, name) is not None, name
+        module = importlib.import_module(f"parahoric.{parahoric._LAZY[name]}")
+        value = getattr(parahoric, name)
+        assert value is getattr(module, name) and value.__module__ == module.__name__, name
     from parahoric import ChevalleyAlgebra, crosscheck, structure_constants
     from parahoric.chevalley import ChevalleyAlgebra as direct
     from parahoric.vinberg import crosscheck as direct_crosscheck
