@@ -50,8 +50,6 @@ def catalog_datum(entry_id: str) -> TwistedDatum:
 
 
 def catalog_spec(entry_id: str, point: str = "origin", r: str = "0") -> dict:
-    from .rootdata import build_datum
-
     info = CATALOG[entry_id]
     if point not in NAMED_POINTS:
         raise KeyError(f"unknown named point {point!r}")
@@ -64,7 +62,7 @@ def catalog_spec(entry_id: str, point: str = "origin", r: str = "0") -> dict:
         "automorphism": list(
             info["automorphism"]
             if info["automorphism"] is not None
-            else range(build_datum(info["dynkin"]).rank)
+            else range(int(info["dynkin"][1:]))  # every entry is irreducible: its rank
         ),
         "lambda_valuations": {},
         "point": point_obj,

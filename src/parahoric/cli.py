@@ -19,7 +19,7 @@ from types import SimpleNamespace
 
 from . import __version__
 from .catalog import CATALOG, NAMED_POINTS, catalog_ids, catalog_spec, named_point
-from .exactmath import WEYL_CAP_DEFAULT, InputError, PropertyViolation
+from .exactmath import InputError, PropertyViolation
 
 # Each stage module is imported by the function that uses it, so a process
 # loads only what it runs: `catalog`, `--help` and a usage error load none,
@@ -206,6 +206,11 @@ def realize(spec: dict):
             x = named_point(td, point["name"], point.get("m"))
     except EchelonnageError as exc:
         raise InputError(f"field 'point': {exc}") from exc
+    try:  # a report prints values over q*D (q of ``affine_rows``) and x's numerators
+        str(max(td.affine_rows[0] * x.den, *map(abs, x.nums)))
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise InputError(f"field 'point': its values have more than the {limit} digits str() converts") from None
     return td, x
 
 
@@ -325,8 +330,9 @@ def section_decompose(td: TwistedDatum, x: ApartmentPoint, spec: dict, args) -> 
 def section_stability(td: TwistedDatum, x: ApartmentPoint, spec: dict, args) -> tuple[dict, bool]:
     from .stability import stable_verdict
 
-    verdict = stable_verdict(td, x, args.cap)
+    verdict = stable_verdict(td, x)
     return {
+        **({"witness_is_least": False} if verdict.witness_is_least is False else {}),
         "m": verdict.m,
         "conjugacy_ok": verdict.conjugacy_ok,
         "depth_ok": verdict.depth_ok,
@@ -456,12 +462,6 @@ def run_catalog(args) -> int:
     return 0
 
 
-def _positive(text: str) -> int:
-    if int(text) > 0:
-        return int(text)
-    raise ValueError("not a positive integer")
-
-
 # Each subcommand: its help text, the attributes its runner reads besides
 # its options, then its options as (name, converter, default, help).  The
 # flag is --name; a default of ... marks an option that must be given.
@@ -475,9 +475,6 @@ COMMANDS = {
     name: (help_text, {"run": run_report, "key": key, "section": section}, *REPORT_OPTIONS)
     for name, help_text, key, section in REPORTS
 }
-COMMANDS["stability"] += (
-    ("cap", _positive, WEYL_CAP_DEFAULT, f"bound on |W|, the order of the Weyl group (default {WEYL_CAP_DEFAULT})"),
-)
 COMMANDS["selftest"] = ("run the built-in property suite", {"run": run_selftest}, ("seed", int, 0, "random seed"))
 COMMANDS["catalog"] = (
     "list or export built-in specs", {"run": run_catalog},

@@ -26,12 +26,6 @@ class PropertyViolation(RuntimeError):
     exits 2."""
 
 
-# The default bound on |W| for the walks that enumerate a Weyl group or
-# coset (``rootdata``, ``stability``); kept beside the error bases so that
-# the CLI's help can state it without loading those modules.
-WEYL_CAP_DEFAULT = 1_000_000
-
-
 class ExactMathError(InputError):
     """Bad input to an exact-arithmetic routine (e.g. infinite-order matrix)."""
 

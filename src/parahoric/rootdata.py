@@ -18,15 +18,13 @@ from __future__ import annotations
 import re
 from collections import Counter
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from math import gcd, lcm, prod
 
 from .exactmath import (
-    WEYL_CAP_DEFAULT,
     IntMatrix,
     IntVec,
     InputError,
-    PropertyViolation,
     closure,
     frozen_record,
     identity_matrix,
@@ -52,10 +50,6 @@ ISOGENIES = ("adjoint", "simply_connected")
 
 
 class RootDatumError(InputError):
-    pass
-
-
-class WeylCapExceeded(PropertyViolation):
     pass
 
 
@@ -340,18 +334,6 @@ def _root_datum(descriptor: str, isogeny: str) -> RootDatum:
     return datum
 
 
-def check_weyl_cap(datum: RootDatum, cap: int) -> int:
-    """The order of W, the product of the degrees, so that a group larger
-    than ``cap`` is refused before any element is built."""
-    order = datum.weyl_order
-    if order > cap:
-        raise WeylCapExceeded(
-            f"Weyl group of {datum.descriptor} has order {order}, above the cap "
-            f"{cap}; raise it with --cap"
-        )
-    return order
-
-
 def reflect_left(w: IntMatrix, reflection) -> IntMatrix:
     """s w = w - alpha (acheck^T w): a rank-one update of the rows of w."""
     alpha, acheck = reflection
@@ -390,10 +372,9 @@ def weyl_walk(datum: RootDatum):
 
 
 @lru_cache(maxsize=None)
-def weyl_elements(datum: RootDatum, cap: int = WEYL_CAP_DEFAULT) -> tuple[IntMatrix, ...]:
-    """All Weyl group elements, sorted; a group larger than ``cap`` is
-    refused before any element is built."""
-    check_weyl_cap(datum, cap)
+def weyl_elements(datum: RootDatum) -> tuple[IntMatrix, ...]:
+    """All Weyl group elements, sorted: the oracle of the closed forms, run
+    by ``selftest`` and the tests on small types only."""
     return tuple(sorted(weyl_walk(datum)))
 
 
@@ -518,22 +499,31 @@ def _factor_regular_orders(letter: str, degrees: tuple[int, ...], t: int) -> dic
     return out
 
 
+def factor_orbits(datum: RootDatum, twist: DiagramAutomorphism) -> list[tuple[int, int, tuple[int, ...]]]:
+    """Each twist orbit of simple factors as (its first factor F, the number k
+    of factors in it, the return permutation): the twist to the k-th power on
+    the nodes of F, numbered from F's first node."""
+    factor_of = {node: f for f, (_, nodes, _) in enumerate(datum.factors) for node in nodes}
+    perm = twist.permutation
+    out = []
+    for cycle in cycles([factor_of[perm[nodes.start]] for _, nodes, _ in datum.factors]):
+        nodes, k = datum.factors[cycle[0]][1], len(cycle)
+        back = tuple(reduce(lambda i, _: perm[i], range(k), i) - nodes.start for i in nodes)
+        out.append((cycle[0], k, back))
+    return out
+
+
 def regular_orders(datum: RootDatum, twist: DiagramAutomorphism) -> dict[int, int]:
     """The orders of the elliptic Z-regular elements of the coset W*twist,
     each mapped to the order of the centralizer in W of one of them (Springer,
-    Regular elements of finite reflection groups, 1974).  The twist permutes
-    the simple factors; a cycle of k factors whose return twist (the twist to
-    the k-th power on one factor F) has order t contributes k times the orders
-    of F with that twist, and the coset has the orders every cycle admits."""
-    factor_of = {node: f for f, (_, nodes, _) in enumerate(datum.factors) for node in nodes}
-    perm = twist.permutation
-    node_cycles = cycles(perm)
+    Regular elements of finite reflection groups, 1974).  A twist orbit of k
+    factors (``factor_orbits``) whose return twist has order t contributes k
+    times the orders of its first factor with that twist, and the coset has
+    the orders every orbit admits."""
     out = None
-    for cycle in cycles([factor_of[perm[nodes.start]] for _, nodes, _ in datum.factors]):
-        letter, _, degrees = datum.factors[cycle[0]]
-        # a node cycle through the k factors is k times its cycle under the return twist
-        k = len(cycle)
-        t = lcm(*(len(c) for c in node_cycles if factor_of[c[0]] in cycle)) // k
+    for f, k, back in factor_orbits(datum, twist):
+        letter, _, degrees = datum.factors[f]
+        t = lcm(*map(len, cycles(back)))
         orders = {k * m: c for m, c in _factor_regular_orders(letter, degrees, t).items()}
         out = orders if out is None else {m: out[m] * c for m, c in orders.items() if m in out}
     return out

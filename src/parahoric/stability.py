@@ -3,16 +3,15 @@ verdict: a point passes when it reduces to the distinguished barycenter
 x0 + rho_check/m, its first jump is 1/m, and the twisted Weyl coset contains
 an elliptic Z-regular element of order m.
 
-No verdict enumerates the coset.  The orders come from the degrees of W and the
+No verdict enumerates W.  The orders come from the degrees of W and the
 twist's eigenvalues on the basic invariants by Springer's criterion
 (``rootdata.regular_orders``).  The regular elements of one order form one
 W-conjugacy class (Springer, Regular elements of finite reflection groups,
-1974), so the witness of an order, its lexicographically least element, is
-the least element of the class of any one of them, a seed, closed under
-conjugation by the simple reflections.  The seed is a power of the twisted
-Coxeter element or of a word of ``rootdata.REGULAR_WORDS`` on every
-irreducible coset; only a sum can need a walk through the coset by length.
-The seed and the size of its class are checked.
+1974), of |W| / (centralizer order) elements.  Its seed is built per twist
+orbit of factors from the twisted Coxeter element and ``REGULAR_WORDS``; the
+witness is the least element of the class, closed under conjugation by the
+simple reflections, when that has at most ``CLASS_LIMIT`` elements, else the
+seed.  The seed is checked by the definition and a closed class by its size.
 
 Z-regularity is implemented as free action of the cyclic group on the roots,
 with an independent eigenvector criterion used as a cross-check: the
@@ -51,16 +50,20 @@ from .exactmath import (
 )
 from .rootdata import (
     REGULAR_WORDS,
-    WEYL_CAP_DEFAULT,
     DiagramAutomorphism,
     RootDatum,
-    check_weyl_cap,
+    build_automorphism,
+    build_datum,
     cycles,
+    factor_orbits,
     reflect_left,
     reflect_right,
     weyl_elements,
-    weyl_walk,
 )
+
+# The largest class closed for its least element; every witness a test or a
+# digest pins lies in a class of at most 384 (B5 and 2D5 at m = 10).
+CLASS_LIMIT = 1000
 
 
 class StabilityError(PropertyViolation):
@@ -124,24 +127,20 @@ def _regular_order(a: IntMatrix, datum: RootDatum) -> int:
 
 
 def _candidates(datum: RootDatum, twist: DiagramAutomorphism):
-    """The w of the candidate seeds w*twist: the twisted Coxeter element (one
-    simple reflection per twist orbit of nodes, by least node), the coset's
-    ``REGULAR_WORDS``, and last the walk of W by length, started lazily."""
+    """The w of the candidate seeds w*twist of an irreducible coset: the
+    twisted Coxeter element (one simple reflection per twist orbit of nodes,
+    by least node), then the coset's ``REGULAR_WORDS``."""
     words = [[c[0] for c in cycles(twist.permutation)]]
     words += REGULAR_WORDS.get((datum.descriptor.strip(), twist.order), ())
     simple = datum.simple_reflections
     for word in words:
         yield reduce(reflect_right, (simple[int(i)] for i in word), identity_matrix(datum.rank))
-    yield from weyl_walk(datum)
 
 
-def _seed(datum: RootDatum, twist: DiagramAutomorphism, m: int) -> IntMatrix:
-    """An elliptic Z-regular element of order m in the coset W*twist: the
-    power a^k of the first candidate a (``_candidates``) whose order M is a
-    multiple of m, with gcd(M, k) = M/m, and k = 1 modulo the twist order so
-    that a^k stays in the coset.  Only a sum reaches the walk: when its
-    factors' Coxeter numbers differ (its Coxeter element is then not regular)
-    or m needs a table word on each factor, as on D4+D4 at m = 4."""
+def _factor_seed(datum: RootDatum, twist: DiagramAutomorphism, m: int) -> IntMatrix:
+    """The w of an elliptic Z-regular w*twist of order m on an irreducible
+    coset: the power a^k = w*twist of the first candidate a whose order M is
+    a multiple of m, with gcd(M, k) = M/m and k = 1 modulo the twist order."""
     t = twist.order
     for w in _candidates(datum, twist):
         a = twist.follow(w)
@@ -149,16 +148,29 @@ def _seed(datum: RootDatum, twist: DiagramAutomorphism, m: int) -> IntMatrix:
         if order and order % m == 0:
             for k in range(1, order + 1):
                 if (k - 1) % t == 0 and gcd(order, k) == order // m:
-                    return mat_pow(a, k)
+                    return tuple(tuple(row[j] for j in twist.sources) for row in mat_pow(a, k))
     raise StabilityError(f"the coset has no elliptic Z-regular element of order {m}")
 
 
+def _seed(datum: RootDatum, twist: DiagramAutomorphism, m: int) -> IntMatrix:
+    """An elliptic Z-regular element of order m in W*twist, per twist orbit of
+    k factors (``factor_orbits``) with return twist tau on its first factor F:
+    (w, 1, ..., 1)*twist has order m when w*tau, F's ``_factor_seed``, has m/k."""
+    w = [list(row) for row in identity_matrix(datum.rank)]
+    for f, k, back in factor_orbits(datum, twist):
+        letter, nodes, _ = datum.factors[f]
+        factor = build_datum(f"{letter}{len(nodes)}", datum.isogeny)
+        block = _factor_seed(factor, build_automorphism(factor, back), m // k)
+        for row, values in zip(nodes, block):
+            w[row][nodes.start : nodes.stop] = values
+    return twist.follow(w)
+
+
 def regular_witness(td: TwistedDatum, m: int) -> IntMatrix:
-    """The lexicographically least elliptic Z-regular element of order m in
-    the coset W*twist, for m in ``td.regular_orders``: the least element of
-    the W-conjugacy class of a seed, closed under conjugation by the simple
-    reflections.  The class has |W| / (centralizer order) elements.  Kept
-    per datum and order (``TwistedDatum.results``)."""
+    """The witness of order m, for m in ``td.regular_orders``: the
+    lexicographically least elliptic Z-regular element of order m in the
+    coset W*twist when its class has at most ``CLASS_LIMIT`` elements, else
+    the seed.  Kept per datum and order (``TwistedDatum.results``)."""
     return kept(td.results, ("witness", m), lambda: _least_regular(td, m))
 
 
@@ -167,9 +179,11 @@ def _least_regular(td: TwistedDatum, m: int) -> IntMatrix:
     seed = _seed(datum, td.twist, m)
     if not (_is_elliptic(seed) and acts_freely_on_roots(seed, datum, m)):
         raise StabilityError(f"the seed of order {m} is not elliptic Z-regular")
+    size = datum.weyl_order // td.regular_orders[m]
+    if size > CLASS_LIMIT:
+        return seed
     simple = datum.simple_reflections
     found = set(closure([seed], lambda a: [reflect_right(reflect_left(a, s), s) for s in simple]))
-    size = datum.weyl_order // td.regular_orders[m]
     if len(found) != size:
         raise StabilityError(
             f"the regular class of order {m} has {len(found)} elements, not |W| / "
@@ -178,24 +192,18 @@ def _least_regular(td: TwistedDatum, m: int) -> IntMatrix:
     return min(found)
 
 
-def elliptic_zregular_orders(
-    datum: RootDatum, twist: DiagramAutomorphism, cap: int = WEYL_CAP_DEFAULT
-) -> dict:
-    """Map from each attained order m to its witness, the lexicographically
-    least element w*twist of order m that is elliptic (no invariant vectors)
-    and Z-regular (free on the roots): ``regular_witness``, kept on the
-    twisted datum."""
-    check_weyl_cap(datum, cap)
+def elliptic_zregular_orders(datum: RootDatum, twist: DiagramAutomorphism) -> dict:
+    """Map from each attained order m to its witness, an element w*twist of
+    order m that is elliptic (no invariant vectors) and Z-regular (free on
+    the roots): ``regular_witness``, kept on the twisted datum."""
     td = twisted(datum, twist)
     return {m: regular_witness(td, m) for m in sorted(td.regular_orders)}
 
 
-def zregularity_criteria_agree(
-    datum: RootDatum, twist: DiagramAutomorphism, cap: int = WEYL_CAP_DEFAULT
-) -> bool:
+def zregularity_criteria_agree(datum: RootDatum, twist: DiagramAutomorphism) -> bool:
     """Cross-validate the free-action and eigenvector readings of regularity
-    on the whole coset; disagreement raises with a diagnostic."""
-    for w in weyl_elements(datum, cap):
+    on the whole coset (``selftest``); disagreement raises with a diagnostic."""
+    for w in weyl_elements(datum):
         a = twist.follow(w)
         order = matrix_order(a)
         free = acts_freely_on_roots(a, datum, order)
@@ -216,19 +224,17 @@ class StabilityVerdict:
     regular_ok: bool
     verdict: bool
     witness: IntMatrix | None
+    witness_is_least: bool | None
     reduced_point: tuple
     reduced_reference: tuple
     first_jump: Fraction
 
 
-def stable_verdict(
-    td: TwistedDatum, x: ApartmentPoint, cap: int = WEYL_CAP_DEFAULT
-) -> StabilityVerdict:
+def stable_verdict(td: TwistedDatum, x: ApartmentPoint) -> StabilityVerdict:
     """Stable-vector criterion at the first jump of x.  Every point of a
     translation class (``echelonnage.TranslationClass``) reduces to the same
     alcove point and has the same depth table, so the verdict is a function
-    of the class: it is kept whole on it (``exactmath.kept``), and the cap is
-    checked on every call, before the lookup."""
+    of the class: it is kept whole on it (``exactmath.kept``)."""
     if not td.base.is_semisimple:
         raise StabilityError(
             "stability verdicts need a semisimple datum; central directions "
@@ -236,8 +242,6 @@ def stable_verdict(
         )
     cls = translation_class(td, x)
     m = cls.table.order
-    if m in td.regular_orders:  # only a regular order builds a witness
-        check_weyl_cap(td.base, cap)
     return kept(cls.results, "stable_verdict", lambda: _verdict(td, cls, m))
 
 
@@ -270,6 +274,7 @@ def _verdict(td: TwistedDatum, cls: TranslationClass, m: int) -> StabilityVerdic
         regular_ok=regular_ok,
         verdict=verdict,
         witness=regular_witness(td, m) if regular_ok else None,
+        witness_is_least=td.base.weyl_order // td.regular_orders[m] <= CLASS_LIMIT if regular_ok else None,
         reduced_point=cls.reduced.coords,
         reduced_reference=reduced_ref.coords,
         first_jump=jump,

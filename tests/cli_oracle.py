@@ -4,12 +4,10 @@ values, or both are usage errors naming the same field."""
 from __future__ import annotations
 
 import argparse
-import contextlib
 import re
 
 from parahoric.cli import REPORTS, run_catalog, run_report, run_selftest
 from parahoric.exactmath import InputError
-from parahoric.rootdata import WEYL_CAP_DEFAULT
 
 
 class _Parser(argparse.ArgumentParser):
@@ -37,10 +35,6 @@ def make_parser() -> argparse.ArgumentParser:
     for name, help_text, key, section in REPORTS:
         p = sub.add_parser(name, help=help_text, parents=[common])
         p.set_defaults(run=run_report, key=key, section=section)
-    sub.choices["stability"].add_argument(
-        "--cap", type=_positive, default=WEYL_CAP_DEFAULT,
-        help="bound on |W|, the order of the Weyl group (default %(default)s)",
-    )
     p = sub.add_parser("selftest", help="run the built-in property suite")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(run=run_selftest)
@@ -52,10 +46,3 @@ def make_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=run_catalog)
     return parser
 
-
-def _positive(text: str) -> int:
-    """A positive integer option value; anything else is a usage error."""
-    with contextlib.suppress(ValueError):
-        if int(text) > 0:
-            return int(text)
-    raise argparse.ArgumentTypeError(f"must be a positive integer, not {text!r}")

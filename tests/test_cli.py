@@ -185,20 +185,40 @@ def test_golden_reports(entry, capsys):
     assert normalize(out) == normalize(golden.read_text())
 
 
-def test_weyl_cap_fails_before_enumerating(tmp_path, capsys):
+@pytest.mark.parametrize("name", sorted(p.name for p in (GOLDEN_DIR / "reach").glob("*.json")))
+def test_reach_golden_reports(name, capsys):
+    # stability at every regular order m of the rank-8 types, 2E6 and sums,
+    # at rho_check/m; each golden is read back as its own spec
+    golden = GOLDEN_DIR / "reach" / name
+    code, out, _ = run_cli(["stability", "--spec", str(golden)], capsys)
+    assert code == 0
+    assert normalize(out) == golden.read_text()
+
+
+def test_stability_at_e7_is_a_verdict(tmp_path, capsys):
+    # |W(E7)| = 2903040, and no stability path enumerates W: the witness of
+    # m = 18 is its seed, since its class has 2903040 / 18 = 161280 elements
     spec = tmp_path / "spec.json"
     spec.write_text(
         json.dumps({"dynkin": "E7", "point": {"name": "rho_over_m", "m": 18}})
     )
-    code, _, err = run_cli(["stability", "--spec", str(spec)], capsys)
-    assert code == 2
-    assert "2903040" in err and "1000000" in err and "--cap" in err
+    code, out, _ = run_cli(["stability", "--spec", str(spec)], capsys)
+    assert code == 0
+    verdict = json.loads(out)["stability"]
+    assert verdict["verdict"] is True and verdict["witness_is_least"] is False
+
+
+def test_cap_is_an_unknown_option(capsys):
+    code, out, err = run_cli(["stability", "--spec", "catalog:A2", "--cap", "5"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("input error: field '--cap': ")
 
 
 @pytest.mark.parametrize("dynkin", ["E8", "D8"])
-def test_weyl_cap_is_checked_only_where_a_witness_is_built(dynkin, tmp_path, capsys):
+def test_no_witness_where_m_is_not_a_regular_order(dynkin, tmp_path, capsys):
     # the origin has point order 1, which is not a regular order: no witness
-    # is built, so a Weyl group above the cap does not stop the verdict
+    # is built, and the report has no witness_is_least key
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({"dynkin": dynkin, "point": {"name": "origin"}}))
     code, out, _ = run_cli(["stability", "--spec", str(spec)], capsys)
@@ -206,6 +226,7 @@ def test_weyl_cap_is_checked_only_where_a_witness_is_built(dynkin, tmp_path, cap
     verdict = json.loads(out)["stability"]
     assert verdict["m"] == 1 and verdict["regular_ok"] is False
     assert verdict["witness"] is None and verdict["verdict"] is False
+    assert "witness_is_least" not in verdict
 
 
 def test_quotient_3d4_lists_g2(capsys):
@@ -319,6 +340,22 @@ def test_a_number_of_too_many_digits_is_an_input_error(tmp_path, capsys, text, f
     assert err.startswith(f"input error: field {field!r}: "), err[:200]
 
 
+@pytest.mark.parametrize("coords", [
+    # each coordinate prints, but their common denominator has 6001 digits
+    [f"1/{10**3000 + 1}", f"1/{10**3000 + 3}"],
+    # and here the numerator of a coordinate in the lattice has 8001
+    [str(10**4000), f"1/{10**4000 + 1}"],
+])
+@pytest.mark.parametrize("command", [name for name, *_ in cli.REPORTS])
+def test_a_point_whose_values_do_not_print_is_an_input_error(tmp_path, capsys, command, coords):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"dynkin": "A2", "point": {"coords": coords}}))
+    code, out, err = run_cli([command, "--spec", str(spec)], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("input error: field 'point': ") and f"{sys.get_int_max_str_digits()} digits" in err, err[:200]
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("source", ["catalog:2A2:rho_over_m", "coords"])
 def test_a_report_reads_back_as_its_spec(tmp_path, capsys, source):
     # its point carries only the keys a spec allows (a named point is
@@ -361,9 +398,9 @@ def test_grade_modulus_cap_fails_before_allocating(tmp_path, capsys):
 )
 @pytest.mark.parametrize("command", ["grade", "stability"])
 def test_flag_overrides_name_their_field(capsys, command, flags, field):
-    # --cap is an option of stability alone: to grade it is an unrecognized
-    # argument, named by its token
-    if (command, field) == ("grade", "cap"):
+    # --cap is an option of no command: it is an unrecognized argument,
+    # named by its token
+    if field == "cap":
         field = "--cap"
     code, out, err = run_cli([command, "--spec", "catalog:A2"] + flags, capsys)
     assert code == 1
@@ -435,7 +472,7 @@ def _argv_case(rng: random.Random) -> list[str]:
     value at the end and now and then --help."""
     command = rng.choice([*cli.COMMANDS, *cli.COMMANDS, "bogus", None])
     names = [name for name, *_ in cli.COMMANDS.get(command, ())[2:]]
-    names += ["spec", "cap", "seed", "m"]  # some are another command's
+    names += ["spec", "cap", "seed", "m"]  # some are another command's, and --cap no command's
     argv = [] if command is None else [command]
     for _ in range(rng.randint(0, 5)):
         flag, value = "--" + rng.choice(names), rng.choice(ARGV_VALUES)
@@ -471,7 +508,7 @@ def test_argv_reader_matches_argparse(capsys):
         if expected[0] == "field":
             fields.add(expected[1])
     assert min(outcomes.values()) >= 50, outcomes
-    assert {"command", "spec", "m", "M", "cap", "seed", "help", "extra", "--=3", "-x"} <= fields, fields
+    assert {"command", "spec", "m", "M", "--cap", "seed", "help", "extra", "--=3", "-x"} <= fields, fields
 
 
 def test_stability_at_f4_barycenter(tmp_path, capsys):

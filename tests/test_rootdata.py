@@ -7,11 +7,11 @@ from matrix_oracle import dual_action
 from parahoric.exactmath import mat_vec, matrix_order, pair
 from parahoric.rootdata import (
     RootDatumError,
-    WeylCapExceeded,
     build_automorphism,
     build_datum,
     classical_root_count,
     cycles,
+    factor_orbits,
     identity_automorphism,
     parse_descriptor,
     weyl_elements,
@@ -140,13 +140,22 @@ def test_weyl_walk_is_by_length():
     assert lengths == sorted(lengths) and len(lengths) == classical_weyl_order("B3")
 
 
-def test_weyl_cap_checked_before_enumerating():
-    # |W(E7)| = 2903040 is known in closed form; enumerating it would take minutes
-    with pytest.raises(WeylCapExceeded, match="order 2903040, above the cap 1000000"):
-        weyl_elements(build_datum("E7"))
-    with pytest.raises(WeylCapExceeded, match="order 6, above the cap 5"):
-        weyl_elements(build_datum("A2"), cap=5)
-    assert len(weyl_elements(build_datum("A2"), cap=6)) == 6
+@pytest.mark.parametrize(
+    "descriptor,perm,orbits",
+    [
+        ("A2", (1, 0), [(0, 1, (1, 0))]),
+        ("D4+A3", None, [(0, 1, (0, 1, 2, 3)), (1, 1, (0, 1, 2))]),
+        # a swap of two factors: the return twist is the identity
+        ("A2+A2", (2, 3, 0, 1), [(0, 2, (0, 1))]),
+        # a swap that flips one factor on the way: the return twist flips it
+        ("A2+A2", (2, 3, 1, 0), [(0, 2, (1, 0))]),
+        ("A1+D4+D4+D4", (0, *range(5, 13), *range(1, 5)), [(0, 1, (0,)), (1, 3, (0, 1, 2, 3))]),
+    ],
+)
+def test_factor_orbits(descriptor, perm, orbits):
+    d = build_datum(descriptor)
+    auto = identity_automorphism(d) if perm is None else build_automorphism(d, perm)
+    assert factor_orbits(d, auto) == orbits
 
 
 def test_weyl_preserves_roots_and_pairing():

@@ -450,16 +450,67 @@ def test_every_irreducible_seed_is_closed_form(desc, perm, monkeypatch):
         assert stability._is_elliptic(a) and acts_freely_on_roots(a, d, m), (desc, perm, m)
 
 
-@pytest.mark.parametrize("desc,m", [("A1+B2", 2), ("D4+A3", 4)])
-def test_a_sum_whose_coxeter_element_is_not_regular_walks(desc, m, monkeypatch):
-    # the factors' Coxeter numbers differ, so neither closed form is a seed
-    d, auto = coset(desc)
-    walks = []
-    real = stability.weyl_walk
-    monkeypatch.setattr(stability, "weyl_walk", lambda datum: walks.append(datum) or real(datum))
-    a = stability._seed(d, auto, m)
-    assert walks == [d]
-    assert stability._is_elliptic(a) and acts_freely_on_roots(a, d, m)
+SUM_COSETS = [
+    ("A1+B2", None),  # the factors' Coxeter numbers differ
+    ("D4+A3", None),
+    ("D4+D4", None),  # m = 4 needs a table word on each factor
+    ("E8+A1", None),  # m = 2 is a power of E8's Coxeter element
+    ("A2+A2", (2, 3, 0, 1)),  # the twist swaps the factors
+    ("A2+A2", (2, 3, 1, 0)),  # and flips one on the way
+    ("B3+B3", (3, 4, 5, 0, 1, 2)),
+    ("E6+E6", (*range(6, 12), *range(6))),
+]
+
+
+@pytest.mark.parametrize("desc,perm", SUM_COSETS)
+def test_no_sum_walks(desc, perm, monkeypatch):
+    # one closed-form seed per twist orbit of factors: rho_check/m is stable
+    # at every regular order m, with a witness elliptic Z-regular of order m
+    d, auto = coset(desc, perm)
+    td = twisted(d, auto)
+    refuse_the_walks(monkeypatch)
+    for m in td.regular_orders:
+        a = stability._seed(d, auto, m)
+        assert stability._is_elliptic(a) and acts_freely_on_roots(a, d, m), (desc, perm, m)
+        verdict = stable_verdict(td, rho_point(td, m))
+        assert verdict.verdict and acts_freely_on_roots(verdict.witness, d, m), (desc, perm, m)
+
+
+@pytest.mark.parametrize(
+    "desc,perm",
+    [("A1+B2", None), ("D4+A3", None), ("A2+A2", (2, 3, 0, 1)), ("A2+A2", (2, 3, 1, 0)), ("B3+B3", (3, 4, 5, 0, 1, 2))],
+)
+def test_sum_witnesses_match_the_coset_scan(desc, perm):
+    # the seeds of the orbits, closed to the least element of the class
+    d, auto = coset(desc, perm)
+    assert elliptic_zregular_orders(d, auto) == scan_zregular_orders(d, auto)
+
+
+@pytest.mark.parametrize("desc,perm", IRREDUCIBLE_COSETS)
+def test_every_irreducible_regular_order_is_stable(desc, perm, monkeypatch):
+    # rho_check/m is stable at every regular order m, and the witness is
+    # elliptic Z-regular of order m, whatever the size of its class
+    d, auto = coset(desc, perm)
+    td = twisted(d, auto)
+    refuse_the_walks(monkeypatch)
+    for m in td.regular_orders:
+        verdict = stable_verdict(td, rho_point(td, m))
+        assert verdict.verdict and verdict.m == m, (desc, perm, m)
+        a = verdict.witness
+        assert stability._is_elliptic(a) and acts_freely_on_roots(a, d, m), (desc, perm, m)
+        assert verdict.witness_is_least == (d.weyl_order // td.regular_orders[m] <= stability.CLASS_LIMIT)
+
+
+def test_a_class_above_the_limit_is_witnessed_by_its_seed():
+    # A7 at m = 8: a class of 8! / 8 = 5040 elements, above CLASS_LIMIT
+    d, auto = coset("A7")
+    td = twisted(d, auto)
+    assert d.weyl_order // td.regular_orders[8] == 5040 > stability.CLASS_LIMIT
+    verdict = stable_verdict(td, rho_point(td, 8))
+    assert verdict.verdict and verdict.witness_is_least is False
+    assert verdict.witness == stability._seed(d, auto, 8)
+    # the Coxeter element itself: the regular order is the Coxeter number
+    assert verdict.witness == mat_mul(next(stability._candidates(d, auto)), auto.matrix)
 
 
 @pytest.mark.parametrize("desc,t", sorted(rootdata.REGULAR_WORDS))

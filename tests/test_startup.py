@@ -5,7 +5,7 @@ and `shutil` it pulls in), no `pathlib`, neither the Chevalley-basis oracle
 nor the self-test, which no report subcommand calls, and of the grading,
 Weyl-module and stability layers only the one its subcommand runs.
 `import parahoric` loads no submodule, and `import parahoric.cli`,
-`catalog`, `--help` and a usage error load none of the stage modules
+`catalog` (`--id` included), `--help` and a usage error load none of the stage modules
 `rootdata`, `echelonnage` and `mpquotient`.  Every public name resolves on
 first access to the package attribute, and the lazily loaded layers' errors
 keep their exit codes.  The whole-coset oracles are not package names: they
@@ -92,8 +92,8 @@ def test_each_subcommand_loads_only_its_own_layer(command, own):
     assert code == 0
     assert set(loaded) & set(LAYERS) == ({own} if own else set())
     assert set(loaded) & set(UNUSED_STDLIB) == set()
-    # a report needs every stage; an exported catalog spec only the rank
-    stages = {"parahoric.rootdata"} if command == "catalog" else set(STAGES)
+    # a report needs every stage; an exported catalog spec none
+    stages = set() if command == "catalog" else set(STAGES)
     package = {m for m in loaded if m.startswith("parahoric")}
     assert package == {*ENTRY, *stages, *([own] if own else [])}
 
