@@ -4,6 +4,7 @@ from math import factorial
 import pytest
 
 from matrix_oracle import dual_action
+from parahoric import rootdata
 from parahoric.exactmath import mat_vec, matrix_order, pair
 from parahoric.rootdata import (
     RootDatumError,
@@ -139,6 +140,20 @@ def test_weyl_walk_is_by_length():
     lengths = [sum(1 for r in d.positive_roots if not d.is_positive(mat_vec(w, r))) for w in weyl_walk(d)]
     assert lengths == sorted(lengths) and len(lengths) == classical_weyl_order("B3")
 
+
+
+def test_weyl_cap_checked_before_enumerating(monkeypatch):
+    # |W(E7)| = 2903040 is known in closed form, so the size of a regular class,
+    # |W| over its centralizer, is weighed against CLASS_LIMIT before any
+    # element is built; enumerating W(E7) would take minutes
+    def refuse(*args, **kwargs):
+        raise AssertionError("weyl_walk called")
+
+    monkeypatch.setattr(rootdata, "weyl_walk", refuse)
+    assert build_datum("E7").weyl_order == 2903040
+    assert build_datum("A2").weyl_order == 6
+    monkeypatch.undo()
+    assert len(weyl_elements(build_datum("A2"))) == 6
 
 @pytest.mark.parametrize(
     "descriptor,perm,orbits",
