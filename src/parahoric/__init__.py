@@ -14,13 +14,13 @@ from importlib import import_module as _import_module
 _LAZY = {
     name: module
     for module, names in (
+        ("alcove", ("alcove_reduce",)),
         ("catalog", ("catalog_datum", "catalog_ids", "catalog_spec", "named_point")),
         ("chevalley", ("ChevalleyAlgebra", "exp_ad", "orbit_sign", "pinned_automorphism",
                        "structure_constants")),
-        ("echelonnage", ("ApartmentPoint", "RestrictedRoot", "TwistedDatum", "alcove_reduce",
-                         "apartment_point", "companion_shift", "origin",
-                         "point_from_simple_coroots", "point_order", "restrict",
-                         "torus_jump_dim", "twisted")),
+        ("echelonnage", ("ApartmentPoint", "RestrictedRoot", "TwistedDatum", "apartment_point",
+                         "companion_shift", "origin", "point_from_simple_coroots",
+                         "point_order", "restrict", "torus_jump_dim", "twisted")),
         ("exactmath", ("ValuationSet",)),
         ("mpquotient", ("MPQuotientReport", "ReductiveQuotientDatum", "first_jump", "jump_values",
                         "mp_quotient", "quotient_datum")),

@@ -3,7 +3,7 @@
 Named points: ``origin`` (the base valuation point), ``barycenter`` (the
 average of the vertices of the closed base alcove: the sum over its
 irreducible components of the average of each component's vertices,
-``TwistedDatum.alcove_parts``), and ``rho_over_m``
+``alcove.alcove_parts``), and ``rho_over_m``
 (the displacement rho_check/m, with a per-entry default m equal to the
 relevant twisted Coxeter number)."""
 from __future__ import annotations
@@ -81,7 +81,9 @@ def named_point(td: TwistedDatum, name: str, m: int | None = None) -> ApartmentP
             raise EchelonnageError("rho_over_m needs a positive integer m")
         return apartment_point(td, [Fraction(c, m) for c in td.base.rho_check])
     if name == "barycenter":
-        parts = zip(td.components, td.alcove_parts)  # a part is zero off its component
+        from .alcove import alcove_parts
+
+        parts = zip(td.components, alcove_parts(td))  # a part is zero off its component
         mean = {j: Fraction(sum(v[j] for v in part), len(part)) for js, part in parts for j in js}
         return point_from_simple_coroots(td, [mean[j] for j in range(len(mean))])
     raise EchelonnageError(f"unknown named point {name!r}")
@@ -91,6 +93,6 @@ def __getattr__(name):
     # perfbench/tracing.py spans catalog.alcove_vertices
     if name != "alcove_vertices":
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from .echelonnage import alcove_vertices
+    from .alcove import alcove_vertices
 
     return alcove_vertices

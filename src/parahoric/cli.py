@@ -233,19 +233,6 @@ def default_modulus(td: TwistedDatum, x: ApartmentPoint, spec: dict) -> int:
 
 
 # ---------------------------------------------------------------------------
-# quotient type identification
-
-
-def identify_quotient(h: ReductiveQuotientDatum) -> dict:
-    n = len(h.cartan)
-    return {
-        "components": sorted(name for name, _ in h.quotient_type.components),
-        "semisimple_rank": n,
-        "torus_rank": h.rank - n,
-    }
-
-
-# ---------------------------------------------------------------------------
 # report sections
 
 
@@ -253,17 +240,21 @@ def section_quotient(td: TwistedDatum, x: ApartmentPoint, spec: dict, args) -> t
     from .mpquotient import quotient_datum
 
     h = quotient_datum(td, x)
+    n = len(h.cartan)
     return {
         "roots": [vec_strs(a) for a in h.roots],
-        "type": identify_quotient(h),
+        "type": {
+            "components": sorted(name for name, _ in h.quotient_type.components),
+            "semisimple_rank": n,
+            "torus_rank": h.rank - n,
+        },
         "root_count": len(h.roots),
         "rank": h.rank,
     }, False
 
 
 def section_scan(td: TwistedDatum, x: ApartmentPoint, spec: dict, args) -> tuple[dict, bool]:
-    from .echelonnage import depth_table
-    from .mpquotient import algebra_dimension, first_jump
+    from .echelonnage import algebra_dimension, depth_table
 
     table = depth_table(td, x)
     jumps = []
@@ -278,7 +269,7 @@ def section_scan(td: TwistedDatum, x: ApartmentPoint, spec: dict, args) -> tuple
         "sum": total,
         "expected": expected,
         "sum_rule_holds": total == expected,
-        "first_jump": frac_str(first_jump(td, x)),
+        "first_jump": frac_str(table.first_jump),
     }, total != expected
 
 
@@ -358,8 +349,7 @@ REPORTS = (
 
 
 def build_report(command: str, spec: dict, td, x, sections: dict, started: float) -> dict:
-    from .echelonnage import companion_shift, point_order
-    from .mpquotient import algebra_dimension
+    from .echelonnage import algebra_dimension, companion_shift, point_order
 
     shifted = companion_shift(td, x)
     return {

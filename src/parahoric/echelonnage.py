@@ -1,8 +1,9 @@
 """Restricted root systems of twisted root data, their valuation sets,
-apartment points, the depth table of a point, the base alcove (its facets,
-i.e. the simple affine roots, its vertices and the reduction of a point into
-it), and the companion shift that absorbs nonzero lambda-valuations into a
-point displacement.
+apartment points, the depth table of a point, its translation class (the
+exact floor by the lattice translations of the affine Weyl group), and the
+companion shift that absorbs nonzero lambda-valuations into a point
+displacement.  The base alcove, its vertices and the reduction of a point
+into it are in ``alcove``.
 
 A twisted datum is a root datum together with a diagram automorphism and a
 lambda-valuation (a nonpositive rational in (1/e)Z) for each positive
@@ -14,20 +15,16 @@ and ``.nums``); its ``Fraction`` coordinates are a view for the reports.  A
 restricted root is the orbit average of its fiber, so its value at x is the
 integer orbit sum paired with the numerators, over e D; the depth table
 puts every value and valuation offset over one denominator and reads the
-point order and the residues off integer ``gcd`` and ``//``.  The base
-alcove is read off those same integer rows in closed form, one irreducible
-component at a time: its facets are the simple affine roots and its vertices
-the scaled fundamental coweights (Kac coordinates).  Its facets and
-translations are held over their denominator q, and alcove reduction is an
-integer floor division and integer folds.
+point order and the residues off integer ``gcd`` and ``//``.  The
+translations are held over the same denominator q, one per simple
+restricted root, read off each component's inverse Cartan block.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import product
 from math import gcd, lcm
-from operator import attrgetter, mul
+from operator import mul
 from weakref import WeakValueDictionary
 
 from .exactmath import (
@@ -47,15 +44,8 @@ from .exactmath import (
     vec_scale,
     vec_sub,
 )
-from .rootdata import (
-    DiagramAutomorphism,
-    RootDatum,
-    cycles,
-    identity_automorphism,
-    regular_orders,
-)
+from .rootdata import DiagramAutomorphism, RootDatum, cycles, identity_automorphism
 
-ALCOVE_ITERATION_CAP = 100_000
 # Translation classes kept per point for reuse (``translation_class``),
 # each with its depth table.  The calls about one point come together, but a
 # sweep over one datum comes back to its classes: 96 points hold each class
@@ -254,14 +244,8 @@ class TwistedDatum:
         return {}
 
     @cached_property
-    def regular_orders(self) -> dict[int, int]:
-        """Orders of the elliptic Z-regular elements of the twisted Weyl coset,
-        each with the centralizer order of one (``rootdata.regular_orders``)."""
-        return regular_orders(self.base, self.twist)
-
-    @cached_property
     def affine_rows(self):
-        """The affine-root data of ``depth_table`` and the base alcove over
+        """The affine-root data of ``depth_table`` and ``alcove`` over
         one denominator q, the lcm of the twist order e (the lcm of the
         orbit sizes) and of every valuation offset and step denominator:
         (q, q / lcm of the periods, rows).  A row is (restricted root,
@@ -308,45 +292,6 @@ class TwistedDatum:
         return tuple(map(integer_inverse, blocks))
 
     @cached_property
-    def integer_alcove(self) -> _IntegerAlcove:
-        """The base alcove on the rows of ``affine_rows``, over their q.
-
-        Its facets are its simple affine roots, in closed form: first a lower
-        wall a = 0 per simple restricted root a, on the row of a or of 2a
-        whose valuation set holds 0 (their levels are disjoint), then an
-        upper wall per component, in the order of ``components``: the first
-        hyperplane a = l_a (l_a the least positive level of a) that the ray
-        from x0 along the sum of the positive coroots meets, that of the
-        positive root of the component with the largest H_a / l_a, where
-        H_a = q a(the sum).  A root lies in the component of its support.
-        """
-        q, _, rows = self.affine_rows
-        positives = [row for row in rows if row[0].positive]
-        if not positives:
-            raise EchelonnageError("restricted root system is empty")
-        direction = tuple(map(sum, zip(*(row[0].coroot for row in positives))))
-        base, simple = self.base, self.simple_restricted
-        component = {}  # by node of the base
-        for c, js in enumerate(self.components):
-            component.update((base.simple_roots.index(alpha), c) for j in js for alpha in simple[j].fiber)
-        top = [(0, 1, None, None)] * len(self.components)  # best (H_a, l_a * q, a, key * q)
-        for rr, key, offset, period in positives:
-            # the offset lies in [0, step), so l_a is the offset unless that is 0
-            h, least = pair(key, direction), offset or q // period
-            if h <= 0:
-                raise EchelonnageError("reference direction is not regular")
-            c = component[next(i for i, x in enumerate(base.coeffs[base.root_index[rr.fiber[0]]]) if x)]
-            if h * top[c][1] > top[c][0] * least:
-                top[c] = h, least, rr, key
-        facets = []
-        for a in simple:  # 0 is a level of a, or of 2a if the offset of a is not 0
-            rr = self.by_key[vec_scale(2, a.key)] if rows[a.index][2] else a
-            facets.append((rows[rr.index][1], 0, rr.coroot))
-        for _, least, rr, key in top:
-            facets.append((vec_scale(-1, key), -least, vec_scale(-1, rr.coroot)))
-        return _IntegerAlcove(q, tuple(facets))
-
-    @cached_property
     def translations(self) -> tuple[tuple[tuple[int, ...], int, tuple[int, ...]], ...]:
         """(w * p, p, t * q) per simple restricted root a, q that of
         ``affine_rows``: t = step(a) * acheck, a translation in the affine
@@ -369,26 +314,6 @@ class TwistedDatum:
                 g = gcd(den, *w)
                 translations[a] = (tuple(c // g for c in w), den // g, vec_scale(q // period, rr.coroot))
         return tuple(translations[a] for a in range(len(simple)))
-
-    @cached_property
-    def alcove_parts(self) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
-        """The vertices of the base alcove of each irreducible component, in
-        restricted-simple-coroot coordinates and zero off the component: each
-        vertex of the closed base alcove is a sum of one part per component.
-        A component's vertices are x0 and, per simple root i, the point where
-        the other simple roots vanish and the upper wall's root reaches its
-        level (Kac coordinates): column i of the inverse Cartan block, scaled."""
-        n = len(self.simple_restricted)
-        parts = []
-        uppers = self.integer_alcove.facets[n:]
-        for js, (_, inverse), (key, level, _) in zip(self.components, self.cartan_inverses, uppers):
-            values = [pair(key, self.simple_coroots[j]) for j in js]  # at each bcheck
-            part = [(0,) * n]
-            for column in zip(*inverse):
-                at, h = dict(zip(js, column)), pair(column, values)
-                part.append(tuple(Fraction(level * at[j], h) if j in at else 0 for j in range(n)))
-            parts.append(tuple(part))
-        return tuple(parts)
 
 
 def twisted(
@@ -513,6 +438,10 @@ def evaluate(key: Vec, point: ApartmentPoint) -> Fraction:
     return pair(key, point.coords)
 
 
+def algebra_dimension(td: TwistedDatum) -> int:
+    return len(td.base.roots) + td.base.rank
+
+
 def torus_jump_dim(td: TwistedDatum, r) -> int:
     """Dimension of the torus part at depth r: the multiplicity of the twist
     eigenvalue of angle -r, which depends only on the denominator of r mod 1,
@@ -616,7 +545,7 @@ class DepthTable:
 @frozen_record
 class TranslationClass:
     """The points x + t, t in the lattice of ``TwistedDatum.translations``,
-    held by the one point of them that ``_translated`` gives.  A translation
+    held by the one point of them that ``translated`` gives.  A translation
     fixes the level set of every affine root, so the points of a class share
     their depth table (binned at ``point``, and shared by every class with
     its binning), their alcove reduction and every reading that is a
@@ -628,21 +557,16 @@ class TranslationClass:
     @cached_property
     def results(self) -> dict:
         """The readings of the class by key, kept by ``exactmath.kept``: the
-        crosscheck per modulus (``vinberg``) and the verdict
-        (``stability``)."""
+        crosscheck per modulus (``vinberg``), the verdict (``stability``) and
+        the reduced point (``alcove.reduced``)."""
         return {}
-
-    @cached_property
-    def reduced(self) -> ApartmentPoint:
-        """The point of the class in the closed base alcove."""
-        return alcove_reduce(self.table.td, self.point)
 
 
 @lru_cache(maxsize=DEPTH_TABLE_CACHE)
 def translation_class(td: TwistedDatum, x: ApartmentPoint) -> TranslationClass:
     """The translation class of x, once per (datum, point), and interned in
     ``td.translation_classes`` by its point."""
-    point = ApartmentPoint(*_translated(td, x))
+    point = ApartmentPoint(*translated(td, x))
     return kept(td.translation_classes, point, lambda: TranslationClass(point, _binned(td, point)))
 
 
@@ -692,41 +616,7 @@ def point_order(td: TwistedDatum, x: ApartmentPoint) -> int:
     return depth_table(td, x).order
 
 
-# ---------------------------------------------------------------------------
-# the base alcove
-
-
-def in_base_alcove(td: TwistedDatum, x: ApartmentPoint) -> bool:
-    den, nums = x.scaled
-    return all(_excess(f, nums, den) >= 0 for f in td.integer_alcove.facets)
-
-
-def alcove_vertices(td: TwistedDatum) -> tuple[ApartmentPoint, ...]:
-    """Vertices of the closed base alcove, sorted: the sums over the product
-    of the component parts (``TwistedDatum.alcove_parts``)."""
-    sums = (list(map(sum, zip(*choice))) for choice in product(*td.alcove_parts))
-    return tuple(sorted((point_from_simple_coroots(td, c) for c in sums), key=attrgetter("coords")))
-
-
-@frozen_record
-class _IntegerAlcove:
-    """The base alcove over the q of ``TwistedDatum.affine_rows``, one
-    facet per simple affine root.  ``facets`` holds (key * q, level * q,
-    coroot) per facet, held one-sided: key(x) >= level inside, the key a
-    restricted root, negated for an upper wall, with its coroot."""
-
-    q: int
-    facets: tuple[tuple[tuple[int, ...], int, tuple[int, ...]], ...]
-
-
-def _excess(facet, nums, den: int) -> int:
-    """q den (key(x) - level) at x = nums / den: negative iff x is on the
-    wrong side of the facet."""
-    key, level, _ = facet
-    return pair(key, nums) - level * den
-
-
-def _translated(td: TwistedDatum, x: ApartmentPoint) -> tuple[int, tuple[int, ...]]:
+def translated(td: TwistedDatum, x: ApartmentPoint) -> tuple[int, tuple[int, ...]]:
     """x less the integer part of pair(w, x) times t for each translation
     (w, t) (``TwistedDatum.translations``), by an exact floor, as integers
     over a multiple of the q of ``affine_rows``.  The w are dual to the t,
@@ -741,34 +631,6 @@ def _translated(td: TwistedDatum, x: ApartmentPoint) -> tuple[int, tuple[int, ..
         if k:
             v = vec_sub(v, vec_scale(k * (den // q), t))
     return den, v
-
-
-def alcove_reduce(td: TwistedDatum, x: ApartmentPoint) -> ApartmentPoint:
-    """The unique representative of the affine-Weyl orbit of x in the closed
-    base alcove: translate by the lattice part with an exact floor
-    (``_translated``), then reflect across violated facets.  The point is
-    held as integers over a multiple of q, which every translation and fold
-    keeps on the twist-fixed subspace (there key(x) is the value of a root
-    of its fiber)."""
-    table = td.integer_alcove
-    q = table.q
-    den, v = _translated(td, x)
-    for _ in range(ALCOVE_ITERATION_CAP):
-        moved = False
-        for facet in table.facets:
-            t = _excess(facet, v, den)
-            if t < 0:
-                k, rem = divmod(t, q)
-                if rem:  # off the twist-fixed subspace: refine the denominator
-                    v, den, k = vec_scale(q, v), q * den, t
-                v = vec_sub(v, vec_scale(k, facet[2]))
-                moved = True
-        if not moved:
-            return ApartmentPoint(den, v)
-    raise EchelonnageError(
-        f"field 'point': alcove reduction did not terminate within "
-        f"{ALCOVE_ITERATION_CAP} passes"
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -790,3 +652,11 @@ def companion_shift(td: TwistedDatum, x: ApartmentPoint):
             v = vec_sub(vec_scale(c.denominator, v), vec_scale(c.numerator * den, coroot))
             den *= c.denominator
     return twisted(td.base, td.twist), ApartmentPoint(den, v)
+
+
+def __getattr__(name):  # perfbench/tracing.py spans echelonnage.alcove_reduce
+    if name != "alcove_reduce":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .alcove import alcove_reduce
+
+    return alcove_reduce

@@ -22,6 +22,10 @@ the Cartan matrix, which many root sets of many data share, so the
 interns root data): the integer C^-1 (from the fraction-free
 ``exactmath.integer_inverse``), the component types and the characters
 ``weylmod`` memoizes are computed once per matrix.
+
+``scan`` and ``stability`` do not load this module: the sum rule's dim G is
+``echelonnage.algebra_dimension``, and a first jump is read off the depth
+table (``DepthTable.first_jump``).
 """
 from __future__ import annotations
 
@@ -133,9 +137,6 @@ class ReductiveQuotientDatum:
     @cached_property
     def simple_integer_roots(self) -> tuple[tuple[int, ...], ...]:
         return tuple(self.integer_roots[i] for i in self._simple)
-
-    def coroot_of(self, key: Vec) -> Vec:
-        return self.coroots[self.roots.index(key)]
 
     @cached_property
     def _scale(self) -> int:
@@ -305,7 +306,3 @@ def jump_values(td: TwistedDatum, x: ApartmentPoint) -> tuple[Fraction, ...]:
 def dimension_sum_over_period(td: TwistedDatum, x: ApartmentPoint) -> int:
     table = depth_table(td, x)
     return sum(map(table.dim, table.jumps()))
-
-
-def algebra_dimension(td: TwistedDatum) -> int:
-    return len(td.base.roots) + td.base.rank

@@ -1,8 +1,9 @@
 """Root data for the classical and exceptional Dynkin types, the type of an
-irreducible root system read off its counts (``component_type``), Weyl group
-enumeration, diagram automorphisms, ``cycles`` (the one cycle decomposition
-of a permutation in the package) and the elliptic regular orders of a twisted
-Weyl coset by Springer's criterion.  |W| is the product of the degrees.
+irreducible root system read off its counts (``component_type``), the
+degrees of the basic invariants of each factor (|W| is their product),
+diagram automorphisms and ``cycles`` (the one cycle decomposition of a
+permutation in the package).  The Weyl group itself, its elements and its
+elliptic regular classes are read only by ``stability``, which holds them.
 
 Coordinate conventions, used throughout the package:
 
@@ -18,14 +19,13 @@ from __future__ import annotations
 import re
 from collections import Counter
 from fractions import Fraction
-from functools import cached_property, lru_cache, reduce
-from math import gcd, lcm, prod
+from functools import cached_property
+from math import lcm, prod
 
 from .exactmath import (
     IntMatrix,
     IntVec,
     InputError,
-    closure,
     frozen_record,
     identity_matrix,
     kept,
@@ -127,26 +127,6 @@ ROOT_COUNTS = {
     "E": lambda n: {6: 72, 7: 126, 8: 240}[n],
     "F": lambda n: 48,
     "G": lambda n: 12,
-}
-
-
-# Reduced words w, as node indices, of length 2N / M with w * twist elliptic
-# Z-regular of an order M (the comment) that does not divide the twisted
-# Coxeter number, keyed by (type, twist order): with the powers of the twisted
-# Coxeter element they give every regular order of every irreducible coset.
-REGULAR_WORDS = {
-    ("A5", 2): ("12010",),  # 6
-    ("A6", 2): ("2312010",),  # 6
-    ("D4", 1): ("312010",),  # 4
-    ("D5", 2): ("3242312010",),  # 4
-    ("D6", 1): ("5342312010",),  # 6
-    ("D7", 2): ("54645342312010",),  # 6
-    ("D8", 1): ("75645342312010",),  # 8
-    ("E6", 1): ("53413210",),  # 9
-    ("E6", 2): ("230210",),  # 12
-    ("E7", 1): ("653413210",),  # 14
-    ("E8", 1): ("7653413210", "763453413210"),  # 24, 20
-    ("F4", 1): ("321210",),  # 8
 }
 
 
@@ -334,50 +314,6 @@ def _root_datum(descriptor: str, isogeny: str) -> RootDatum:
     return datum
 
 
-def reflect_left(w: IntMatrix, reflection) -> IntMatrix:
-    """s w = w - alpha (acheck^T w): a rank-one update of the rows of w."""
-    alpha, acheck = reflection
-    (k, c), *rest = acheck
-    row = [c * y for y in w[k]]
-    for k, c in rest:
-        row = [x + c * y for x, y in zip(row, w[k])]
-    out = list(w)
-    for i, c in alpha:
-        out[i] = tuple(x - c * y for x, y in zip(w[i], row))
-    return tuple(out)
-
-
-def reflect_right(w: IntMatrix, reflection) -> IntMatrix:
-    """w s = w - (w alpha) acheck^T: a rank-one update of the columns of w."""
-    alpha, acheck = reflection
-    out = []
-    for row in w:
-        u = 0
-        for i, c in alpha:
-            u += row[i] * c
-        if u:
-            row = list(row)
-            for k, c in acheck:
-                row[k] -= u * c
-            row = tuple(row)
-        out.append(row)
-    return tuple(out)
-
-
-def weyl_walk(datum: RootDatum):
-    """The Weyl group elements as matrices on X by length, lazily: the
-    closure of the identity under the simple reflections acting on the left."""
-    simple = datum.simple_reflections
-    return closure([identity_matrix(datum.rank)], lambda w: [reflect_left(w, s) for s in simple])
-
-
-@lru_cache(maxsize=None)
-def weyl_elements(datum: RootDatum) -> tuple[IntMatrix, ...]:
-    """All Weyl group elements, sorted: the oracle of the closed forms, run
-    by ``selftest`` and the tests on small types only."""
-    return tuple(sorted(weyl_walk(datum)))
-
-
 @frozen_record
 class DiagramAutomorphism:
     """A Dynkin diagram symmetry as a lattice automorphism.
@@ -403,10 +339,6 @@ class DiagramAutomorphism:
     def apply(self, v) -> tuple:
         """``matrix`` times v, as a reindexing of v."""
         return tuple(v[j] for j in self.sources)
-
-    def follow(self, w) -> IntMatrix:
-        """w times ``matrix``: column j of the product is column perm[j] of w."""
-        return tuple(tuple(row[p] for p in self.permutation) for row in w)
 
     @cached_property
     def spectrum(self) -> dict[int, int]:
@@ -467,63 +399,9 @@ def identity_automorphism(datum: RootDatum) -> DiagramAutomorphism:
     return build_automorphism(datum, tuple(range(datum.rank)))
 
 
-def _factor_regular_orders(letter: str, degrees: tuple[int, ...], t: int) -> dict[int, int]:
-    """Springer's criterion on one simple factor with a diagram twist of
-    order t: m is an elliptic regular order iff t | m and, for some primitive
-    m-th root of unity z, the degrees d_i with eps_i z^d_i = 1 are as many as
-    those with eps_i z^(d_i - 2) = 1, at least one, and no eps_i z^(d_i - 1)
-    is 1.  The eps_i are the eigenvalues of the twist on the basic invariants
-    (Springer 1974, section 6), held as exponents k_i of exp(2 pi i k_i / t).
-    The map sends m to the product of the d_i with eps_i z^d_i = 1, the order
-    of the centralizer in W of a regular element of order m."""
-    ks = [0] * len(degrees)
-    if t == 3:  # triality of D4 (degrees 2, 4, 4, 6): both cube roots on degree 4
-        ks[1], ks[2] = 1, 2
-    elif t == 2 and letter == "D":  # -1 on one degree-n invariant of D_n
-        ks[degrees.index(len(degrees))] = 1
-    elif t == 2:  # the twist is -w0 on A_n and E6: (-1)^d
-        ks = [d % 2 for d in degrees]
-    out = {}
-    for m in range(t, t * degrees[-1] + 1, t):
-        for j in range(1, m + 1):
-            if gcd(j, m) > 1:
-                continue
+def __getattr__(name):  # perfbench/tracing.py spans rootdata.weyl_elements
+    if name != "weyl_elements":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .stability import weyl_elements
 
-            def hits(shift):
-                return [d for d, k in zip(degrees, ks) if (k * (m // t) + j * (d - shift)) % m == 0]
-
-            fixed = hits(0)
-            if fixed and len(fixed) == len(hits(2)) and not hits(1):
-                out[m] = prod(fixed)
-                break
-    return out
-
-
-def factor_orbits(datum: RootDatum, twist: DiagramAutomorphism) -> list[tuple[int, int, tuple[int, ...]]]:
-    """Each twist orbit of simple factors as (its first factor F, the number k
-    of factors in it, the return permutation): the twist to the k-th power on
-    the nodes of F, numbered from F's first node."""
-    factor_of = {node: f for f, (_, nodes, _) in enumerate(datum.factors) for node in nodes}
-    perm = twist.permutation
-    out = []
-    for cycle in cycles([factor_of[perm[nodes.start]] for _, nodes, _ in datum.factors]):
-        nodes, k = datum.factors[cycle[0]][1], len(cycle)
-        back = tuple(reduce(lambda i, _: perm[i], range(k), i) - nodes.start for i in nodes)
-        out.append((cycle[0], k, back))
-    return out
-
-
-def regular_orders(datum: RootDatum, twist: DiagramAutomorphism) -> dict[int, int]:
-    """The orders of the elliptic Z-regular elements of the coset W*twist,
-    each mapped to the order of the centralizer in W of one of them (Springer,
-    Regular elements of finite reflection groups, 1974).  A twist orbit of k
-    factors (``factor_orbits``) whose return twist has order t contributes k
-    times the orders of its first factor with that twist, and the coset has
-    the orders every orbit admits."""
-    out = None
-    for f, k, back in factor_orbits(datum, twist):
-        letter, _, degrees = datum.factors[f]
-        t = lcm(*map(len, cycles(back)))
-        orders = {k * m: c for m, c in _factor_regular_orders(letter, degrees, t).items()}
-        out = orders if out is None else {m: out[m] * c for m, c in orders.items() if m in out}
-    return out
+    return weyl_elements

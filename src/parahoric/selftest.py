@@ -15,28 +15,27 @@ import traceback
 from fractions import Fraction as F
 from math import lcm
 
+from .alcove import alcove_reduce, in_base_alcove
 from .catalog import CATALOG, NAMED_POINTS, catalog_datum, catalog_ids, named_point
 from .chevalley import pinned_automorphism, structure_constants
 from .echelonnage import (
-    alcove_reduce,
+    algebra_dimension,
     companion_shift,
     evaluate,
-    in_base_alcove,
     point_from_simple_coroots,
     point_order,
     restrict,
     twisted,
 )
 from .mpquotient import (
-    algebra_dimension,
     dimension_sum_over_period,
     first_jump,
     jump_values,
     mp_quotient,
     quotient_datum,
 )
-from .rootdata import build_automorphism, build_datum, identity_automorphism, weyl_elements
-from .stability import elliptic_zregular_orders, stable_verdict, zregularity_criteria_agree
+from .rootdata import build_automorphism, build_datum, identity_automorphism
+from .stability import elliptic_zregular_orders, stable_verdict, weyl_elements, zregularity_criteria_agree
 from .vinberg import crosscheck
 from .weylmod import decompose, split_span_check
 

@@ -1,17 +1,20 @@
 """Elliptic Z-regular elements in twisted Weyl cosets and the stable-vector
 verdict: a point passes when it reduces to the distinguished barycenter
 x0 + rho_check/m, its first jump is 1/m, and the twisted Weyl coset contains
-an elliptic Z-regular element of order m.
+an elliptic Z-regular element of order m.  The Weyl group code is here, next
+to its one reader: the simple reflections on matrices, the walk of W (the
+oracle of the closed forms), Springer's criterion and ``REGULAR_WORDS``.
 
 No verdict enumerates W.  The orders come from the degrees of W and the
 twist's eigenvalues on the basic invariants by Springer's criterion
-(``rootdata.regular_orders``).  The regular elements of one order form one
-W-conjugacy class (Springer, Regular elements of finite reflection groups,
-1974), of |W| / (centralizer order) elements.  Its seed is built per twist
-orbit of factors from the twisted Coxeter element and ``REGULAR_WORDS``; the
-witness is the least element of the class, closed under conjugation by the
-simple reflections, when that has at most ``CLASS_LIMIT`` elements, else the
-seed.  The seed is checked by the definition and a closed class by its size.
+(``regular_orders``, kept on the twisted datum by ``coset_orders``).  The
+regular elements of one order form one W-conjugacy class (Springer, Regular
+elements of finite reflection groups, 1974), of |W| / (centralizer order)
+elements.  Its seed is built per twist orbit of factors from the twisted
+Coxeter element and ``REGULAR_WORDS``; the witness is the least element of
+the class, closed under conjugation by the simple reflections, when that has
+at most ``CLASS_LIMIT`` elements, else the seed.  The seed is checked by the
+definition and a closed class by its size.
 
 Z-regularity is implemented as free action of the cyclic group on the roots,
 with an independent eigenvector criterion used as a cross-check: the
@@ -22,17 +25,12 @@ hyperplanes.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
-from math import gcd, lcm
+from functools import lru_cache, reduce
+from math import gcd, lcm, prod
 
+from .alcove import reduced
 from .catalog import named_point
-from .echelonnage import (
-    ApartmentPoint,
-    TranslationClass,
-    TwistedDatum,
-    translation_class,
-    twisted,
-)
+from .echelonnage import ApartmentPoint, TranslationClass, TwistedDatum, translation_class, twisted
 from .exactmath import (
     IntMatrix,
     PropertyViolation,
@@ -48,18 +46,26 @@ from .exactmath import (
     sub_identity,
     transpose,
 )
-from .rootdata import (
-    REGULAR_WORDS,
-    DiagramAutomorphism,
-    RootDatum,
-    build_automorphism,
-    build_datum,
-    cycles,
-    factor_orbits,
-    reflect_left,
-    reflect_right,
-    weyl_elements,
-)
+from .rootdata import DiagramAutomorphism, RootDatum, build_automorphism, build_datum, cycles
+
+# Reduced words w, as node indices, of length 2N / M with w * twist elliptic
+# Z-regular of an order M (the comment) that does not divide the twisted
+# Coxeter number, keyed by (type, twist order): with the powers of the twisted
+# Coxeter element they give every regular order of every irreducible coset.
+REGULAR_WORDS = {
+    ("A5", 2): ("12010",),  # 6
+    ("A6", 2): ("2312010",),  # 6
+    ("D4", 1): ("312010",),  # 4
+    ("D5", 2): ("3242312010",),  # 4
+    ("D6", 1): ("5342312010",),  # 6
+    ("D7", 2): ("54645342312010",),  # 6
+    ("D8", 1): ("75645342312010",),  # 8
+    ("E6", 1): ("53413210",),  # 9
+    ("E6", 2): ("230210",),  # 12
+    ("E7", 1): ("653413210",),  # 14
+    ("E8", 1): ("7653413210", "763453413210"),  # 24, 20
+    ("F4", 1): ("321210",),  # 8
+}
 
 # The largest class closed for its least element; every witness a test or a
 # digest pins lies in a class of at most 384 (B5 and 2D5 at m = 10).
@@ -68,6 +74,122 @@ CLASS_LIMIT = 1000
 
 class StabilityError(PropertyViolation):
     pass
+
+
+def reflect_left(w: IntMatrix, reflection) -> IntMatrix:
+    """s w = w - alpha (acheck^T w): a rank-one update of the rows of w."""
+    alpha, acheck = reflection
+    (k, c), *rest = acheck
+    row = [c * y for y in w[k]]
+    for k, c in rest:
+        row = [x + c * y for x, y in zip(row, w[k])]
+    out = list(w)
+    for i, c in alpha:
+        out[i] = tuple(x - c * y for x, y in zip(w[i], row))
+    return tuple(out)
+
+
+def reflect_right(w: IntMatrix, reflection) -> IntMatrix:
+    """w s = w - (w alpha) acheck^T: a rank-one update of the columns of w."""
+    alpha, acheck = reflection
+    out = []
+    for row in w:
+        u = 0
+        for i, c in alpha:
+            u += row[i] * c
+        if u:
+            row = list(row)
+            for k, c in acheck:
+                row[k] -= u * c
+            row = tuple(row)
+        out.append(row)
+    return tuple(out)
+
+
+def weyl_walk(datum: RootDatum):
+    """The Weyl group elements as matrices on X by length, lazily: the
+    closure of the identity under the simple reflections acting on the left."""
+    simple = datum.simple_reflections
+    return closure([identity_matrix(datum.rank)], lambda w: [reflect_left(w, s) for s in simple])
+
+
+@lru_cache(maxsize=None)
+def weyl_elements(datum: RootDatum) -> tuple[IntMatrix, ...]:
+    """All Weyl group elements, sorted: the oracle of the closed forms, run
+    by ``selftest`` and the tests on small types only."""
+    return tuple(sorted(weyl_walk(datum)))
+
+
+def follow(twist: DiagramAutomorphism, w) -> IntMatrix:
+    """w times the twist's matrix: column j of the product is column perm[j] of w."""
+    return tuple(tuple(row[p] for p in twist.permutation) for row in w)
+
+
+def _factor_regular_orders(letter: str, degrees: tuple[int, ...], t: int) -> dict[int, int]:
+    """Springer's criterion on one simple factor with a diagram twist of
+    order t: m is an elliptic regular order iff t | m and, for some primitive
+    m-th root of unity z, the degrees d_i with eps_i z^d_i = 1 are as many as
+    those with eps_i z^(d_i - 2) = 1, at least one, and no eps_i z^(d_i - 1)
+    is 1.  The eps_i are the eigenvalues of the twist on the basic invariants
+    (Springer 1974, section 6), held as exponents k_i of exp(2 pi i k_i / t).
+    The map sends m to the product of the d_i with eps_i z^d_i = 1, the order
+    of the centralizer in W of a regular element of order m."""
+    ks = [0] * len(degrees)
+    if t == 3:  # triality of D4 (degrees 2, 4, 4, 6): both cube roots on degree 4
+        ks[1], ks[2] = 1, 2
+    elif t == 2 and letter == "D":  # -1 on one degree-n invariant of D_n
+        ks[degrees.index(len(degrees))] = 1
+    elif t == 2:  # the twist is -w0 on A_n and E6: (-1)^d
+        ks = [d % 2 for d in degrees]
+    out = {}
+    for m in range(t, t * degrees[-1] + 1, t):
+        for j in range(1, m + 1):
+            if gcd(j, m) > 1:
+                continue
+
+            def hits(shift):
+                return [d for d, k in zip(degrees, ks) if (k * (m // t) + j * (d - shift)) % m == 0]
+
+            fixed = hits(0)
+            if fixed and len(fixed) == len(hits(2)) and not hits(1):
+                out[m] = prod(fixed)
+                break
+    return out
+
+
+def factor_orbits(datum: RootDatum, twist: DiagramAutomorphism) -> list[tuple[int, int, tuple[int, ...]]]:
+    """Each twist orbit of simple factors as (its first factor F, the number k
+    of factors in it, the return permutation): the twist to the k-th power on
+    the nodes of F, numbered from F's first node."""
+    factor_of = {node: f for f, (_, nodes, _) in enumerate(datum.factors) for node in nodes}
+    perm = twist.permutation
+    out = []
+    for cycle in cycles([factor_of[perm[nodes.start]] for _, nodes, _ in datum.factors]):
+        nodes, k = datum.factors[cycle[0]][1], len(cycle)
+        back = tuple(reduce(lambda i, _: perm[i], range(k), i) - nodes.start for i in nodes)
+        out.append((cycle[0], k, back))
+    return out
+
+
+def regular_orders(datum: RootDatum, twist: DiagramAutomorphism) -> dict[int, int]:
+    """The orders of the elliptic Z-regular elements of the coset W*twist,
+    each mapped to the order of the centralizer in W of one of them (Springer,
+    Regular elements of finite reflection groups, 1974).  A twist orbit of k
+    factors (``factor_orbits``) whose return twist has order t contributes k
+    times the orders of its first factor with that twist, and the coset has
+    the orders every orbit admits."""
+    out = None
+    for f, k, back in factor_orbits(datum, twist):
+        letter, _, degrees = datum.factors[f]
+        t = lcm(*map(len, cycles(back)))
+        orders = {k * m: c for m, c in _factor_regular_orders(letter, degrees, t).items()}
+        out = orders if out is None else {m: out[m] * c for m, c in orders.items() if m in out}
+    return out
+
+
+def coset_orders(td: TwistedDatum) -> dict[int, int]:
+    """``regular_orders`` of the coset of td, kept on it (``TwistedDatum.results``)."""
+    return kept(td.results, ("regular_orders", None), lambda: regular_orders(td.base, td.twist))
 
 
 def _root_cycles(a: IntMatrix, datum: RootDatum) -> list[int]:
@@ -143,7 +265,7 @@ def _factor_seed(datum: RootDatum, twist: DiagramAutomorphism, m: int) -> IntMat
     a multiple of m, with gcd(M, k) = M/m and k = 1 modulo the twist order."""
     t = twist.order
     for w in _candidates(datum, twist):
-        a = twist.follow(w)
+        a = follow(twist, w)
         order = _regular_order(a, datum)
         if order and order % m == 0:
             for k in range(1, order + 1):
@@ -163,11 +285,11 @@ def _seed(datum: RootDatum, twist: DiagramAutomorphism, m: int) -> IntMatrix:
         block = _factor_seed(factor, build_automorphism(factor, back), m // k)
         for row, values in zip(nodes, block):
             w[row][nodes.start : nodes.stop] = values
-    return twist.follow(w)
+    return follow(twist, w)
 
 
 def regular_witness(td: TwistedDatum, m: int) -> IntMatrix:
-    """The witness of order m, for m in ``td.regular_orders``: the
+    """The witness of order m, for m in ``coset_orders(td)``: the
     lexicographically least elliptic Z-regular element of order m in the
     coset W*twist when its class has at most ``CLASS_LIMIT`` elements, else
     the seed.  Kept per datum and order (``TwistedDatum.results``)."""
@@ -179,7 +301,8 @@ def _least_regular(td: TwistedDatum, m: int) -> IntMatrix:
     seed = _seed(datum, td.twist, m)
     if not (_is_elliptic(seed) and acts_freely_on_roots(seed, datum, m)):
         raise StabilityError(f"the seed of order {m} is not elliptic Z-regular")
-    size = datum.weyl_order // td.regular_orders[m]
+    centralizer = coset_orders(td)[m]
+    size = datum.weyl_order // centralizer
     if size > CLASS_LIMIT:
         return seed
     simple = datum.simple_reflections
@@ -187,7 +310,7 @@ def _least_regular(td: TwistedDatum, m: int) -> IntMatrix:
     if len(found) != size:
         raise StabilityError(
             f"the regular class of order {m} has {len(found)} elements, not |W| / "
-            f"{td.regular_orders[m]} = {size}"
+            f"{centralizer} = {size}"
         )
     return min(found)
 
@@ -197,14 +320,14 @@ def elliptic_zregular_orders(datum: RootDatum, twist: DiagramAutomorphism) -> di
     order m that is elliptic (no invariant vectors) and Z-regular (free on
     the roots): ``regular_witness``, kept on the twisted datum."""
     td = twisted(datum, twist)
-    return {m: regular_witness(td, m) for m in sorted(td.regular_orders)}
+    return {m: regular_witness(td, m) for m in sorted(coset_orders(td))}
 
 
 def zregularity_criteria_agree(datum: RootDatum, twist: DiagramAutomorphism) -> bool:
     """Cross-validate the free-action and eigenvector readings of regularity
     on the whole coset (``selftest``); disagreement raises with a diagnostic."""
     for w in weyl_elements(datum):
-        a = twist.follow(w)
+        a = follow(twist, w)
         order = matrix_order(a)
         free = acts_freely_on_roots(a, datum, order)
         eigen = regular_by_eigenvector(a, datum, order)
@@ -250,12 +373,14 @@ def _verdict(td: TwistedDatum, cls: TranslationClass, m: int) -> StabilityVerdic
     reduced_ref = kept(  # the distinguished barycenter, kept on the datum
         td.results,
         ("reference", m),
-        lambda: translation_class(td, named_point(td, "rho_over_m", m)).reduced,
+        lambda: reduced(translation_class(td, named_point(td, "rho_over_m", m))),
     )
-    conjugacy_ok = cls.reduced == reduced_ref
+    point = reduced(cls)
+    conjugacy_ok = point == reduced_ref
     jump = table.first_jump
     depth_ok = jump.numerator == 1 and jump.denominator == m
-    regular_ok = m in td.regular_orders
+    orders = coset_orders(td)
+    regular_ok = m in orders
     verdict = conjugacy_ok and depth_ok and regular_ok
     if verdict:
         part, torus = table.at(jump)
@@ -274,8 +399,8 @@ def _verdict(td: TwistedDatum, cls: TranslationClass, m: int) -> StabilityVerdic
         regular_ok=regular_ok,
         verdict=verdict,
         witness=regular_witness(td, m) if regular_ok else None,
-        witness_is_least=td.base.weyl_order // td.regular_orders[m] <= CLASS_LIMIT if regular_ok else None,
-        reduced_point=cls.reduced.coords,
+        witness_is_least=td.base.weyl_order // orders[m] <= CLASS_LIMIT if regular_ok else None,
+        reduced_point=point.coords,
         reduced_reference=reduced_ref.coords,
         first_jump=jump,
     )

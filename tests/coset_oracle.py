@@ -12,7 +12,8 @@ closed-form orders and class-minimum witnesses, witnesses included.
 from math import lcm
 
 from parahoric.exactmath import identity_matrix, mat_mul, mat_vec
-from parahoric.rootdata import cycles, weyl_elements
+from parahoric.rootdata import cycles
+from parahoric.stability import weyl_elements
 
 from matrix_oracle import det_bareiss
 

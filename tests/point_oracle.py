@@ -5,10 +5,10 @@ restricted root, the base-alcove facets by a rational search, alcove
 reduction by rational reflections, and points built from rational coroot
 multiples.
 
-It also holds the searches that the closed forms of ``TwistedDatum``
-replace: the base-alcove facets by counting the root hyperplanes crossed
+It also holds the searches that the closed forms of ``TwistedDatum`` and
+``alcove`` replace: the base-alcove facets by counting the root hyperplanes crossed
 between a reference point and each candidate reflection of it, on integers
-(``integer_alcove``); the translations by one inverse of the whole
+(``alcove_facets``); the translations by one inverse of the whole
 restricted Cartan matrix (``translations``); and the alcove vertices by
 solving every rank-element set of facets, kept when independent
 (``alcove_parts``); and the barycenter as one dense mean per component
@@ -30,8 +30,8 @@ from itertools import combinations
 from math import floor, lcm
 from operator import attrgetter
 
+from parahoric.alcove import ALCOVE_ITERATION_CAP, alcove_facets, alcove_parts
 from parahoric.echelonnage import (
-    ALCOVE_ITERATION_CAP,
     ApartmentPoint,
     EchelonnageError,
     _Scaffold,
@@ -189,7 +189,7 @@ def _one_hyperplane_between(positives, here, there):
 
 
 def crossing_alcove_oracle(td):
-    """The facets of ``td.integer_alcove``, (key * q, level * q, coroot) each,
+    """The facets of ``alcove_facets(td)``, (key * q, level * q, coroot) each,
     found by counting crossed hyperplanes on the rows of ``affine_rows``.
 
     The alcove holds p = (the sum of the positive coroots) / T.  With
@@ -253,14 +253,13 @@ def translations_oracle(td):
 
 
 def rational_alcove(td):
-    """``td.integer_alcove`` and ``td.translations`` in Fractions: (facets,
+    """``alcove_facets(td)`` and ``td.translations`` in Fractions: (facets,
     translations), a facet (key, level, coroot) with key(x) >= level inside
     and a translation the pair (w, t) of ``alcove_reduce``."""
-    table = td.integer_alcove
-    q = table.q
+    q = td.affine_rows[0]
     facets = tuple(
         (tuple(Fraction(c, q) for c in key), Fraction(level, q), coroot)
-        for key, level, coroot in table.facets
+        for key, level, coroot in alcove_facets(td)
     )
     translations = tuple(
         (tuple(Fraction(c, p) for c in w), tuple(Fraction(c, q) for c in t))
@@ -276,7 +275,7 @@ def alcove_vertices_by_subsets(td):
     is C(rank + c, rank) solves for c irreducible components."""
     basis = td.simple_coroots
     vertices = set()
-    for subset in combinations(td.integer_alcove.facets, len(basis)):
+    for subset in combinations(alcove_facets(td), len(basis)):
         red, pivots = rref([[pair(key, b) for b in basis] + [level] for key, level, _ in subset])
         if pivots == list(range(len(basis))):
             vertices.add(point_from_simple_coroots(td, [row[-1] for row in red]))
@@ -286,7 +285,7 @@ def alcove_vertices_by_subsets(td):
 def barycenter_oracle(td):
     """The barycenter as the sum of one mean per component over every
     coordinate, the zeros off the component included."""
-    means = [[Fraction(sum(c), len(part)) for c in zip(*part)] for part in td.alcove_parts]
+    means = [[Fraction(sum(c), len(part)) for c in zip(*part)] for part in alcove_parts(td)]
     return point_from_simple_coroots(td, list(map(sum, zip(*means))))
 
 

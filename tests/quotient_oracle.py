@@ -4,9 +4,9 @@ reflection closure by the reflection of every root applied to every root
 (|S|^2 pairings on the integer keys), and the positive roots' simple-root
 coordinates by C^-1, one rational solve per root.
 
-It also holds the Weyl dimension of a weight, which only the tests ask of a
-quotient datum: the package reads dimensions off the quotient type by top
-labels.
+It also holds the Weyl dimension of a weight and the coroot of a root,
+which only the tests ask of a quotient datum: the package reads dimensions
+off the quotient type by top labels.
 """
 from fractions import Fraction
 from operator import mul
@@ -51,6 +51,11 @@ def positive_coordinates(h) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
+def coroot_of(h, key):
+    """The coroot of the root ``key`` of the quotient datum h."""
+    return h.coroots[h.roots.index(key)]
+
+
 def simple_roots(h) -> tuple:
     """The positive roots whose coordinates are the unit vectors, in the
     order of the coordinates."""
@@ -63,7 +68,7 @@ def cartan(h) -> tuple[tuple, ...]:
     """C[i][j] = <alpha_j, acheck_i> on the rational simple roots of
     ``simple_roots`` and their coroots."""
     simple = simple_roots(h)
-    return tuple(tuple(pair(a, h.coroot_of(b)) for a in simple) for b in simple)
+    return tuple(tuple(pair(a, coroot_of(h, b)) for a in simple) for b in simple)
 
 
 def weyl_dimension(h, lam) -> int:

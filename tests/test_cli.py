@@ -188,9 +188,13 @@ def test_golden_reports(entry, capsys):
 @pytest.mark.parametrize("name", sorted(p.name for p in (GOLDEN_DIR / "reach").glob("*.json")))
 def test_reach_golden_reports(name, capsys):
     # stability at every regular order m of the rank-8 types, 2E6 and sums,
-    # at rho_check/m; each golden is read back as its own spec
+    # at rho_check/m, and scan, quotient, grade and decompose on E7, E8, D8,
+    # B8, C8 and 2E6 at the origin, the barycenter and rho_check/h; the
+    # subcommand ends the file name, and each golden is read back as its own
+    # spec
     golden = GOLDEN_DIR / "reach" / name
-    code, out, _ = run_cli(["stability", "--spec", str(golden)], capsys)
+    command = name.removesuffix(".json").rpartition("_")[2]
+    code, out, _ = run_cli([command, "--spec", str(golden)], capsys)
     assert code == 0
     assert normalize(out) == golden.read_text()
 
@@ -751,7 +755,7 @@ def _failed_crosscheck(td, x, modulus):
 @pytest.mark.parametrize(
     "command,target,broken,key",
     [
-        ("scan", "mpquotient.algebra_dimension", lambda td: 0, "scan"),
+        ("scan", "echelonnage.algebra_dimension", lambda td: 0, "scan"),
         ("grade", "vinberg.crosscheck", _failed_crosscheck, "grading"),
         ("decompose", "weylmod.Decomposition.dimensions_match", lambda _: False, "decomposition"),
         ("decompose", "weylmod.split_span_check", lambda *_: False, "decomposition"),

@@ -7,18 +7,15 @@ from math import floor, lcm
 
 import pytest
 
-from parahoric import echelonnage
+from parahoric import alcove
+from parahoric.alcove import alcove_facets, alcove_parts, alcove_reduce, alcove_vertices, in_base_alcove
 from parahoric.catalog import catalog_datum, catalog_ids, named_point
 from parahoric.echelonnage import (
     EchelonnageError,
-    TwistedDatum,
     _scaffold,
-    alcove_reduce,
-    alcove_vertices,
     apartment_point,
     companion_shift,
     evaluate,
-    in_base_alcove,
     origin,
     point_from_simple_coroots,
     point_order,
@@ -37,6 +34,7 @@ from parahoric.exactmath import (
     vec_sub,
 )
 from parahoric.rootdata import _RANK_RANGE, ISOGENIES, build_automorphism, build_datum
+from parahoric.stability import follow
 
 from matrix_oracle import invert_matrix, kernel_basis
 from point_oracle import (
@@ -482,7 +480,7 @@ def test_base_alcove_matches_all_walls_oracle(name):
     td, components = ALCOVE_DATA[name]
     rank = len(td.simple_keys)
     assert len(td.components) == components
-    assert len(td.integer_alcove.facets) == rank + components
+    assert len(alcove_facets(td)) == rank + components
     assert {(key, level) for key, level, _ in rational_alcove(td)[0]} == walls_oracle(td)
     assert tuple(v.coords for v in alcove_vertices(td)) == alcove_vertices_oracle(td)
     assert_vertices_and_barycenter_match_the_subset_search(td)
@@ -519,7 +517,7 @@ def test_product_vertices_and_barycenter_match_the_subset_search(dynkin, auto, c
     # a vertex is one part per component: 2^6 of them on A1^6
     datum = build_datum(dynkin)
     td = twisted(datum, None if auto is None else build_automorphism(datum, auto))
-    assert len(td.alcove_parts) == components
+    assert len(alcove_parts(td)) == components
     assert_vertices_and_barycenter_match_the_subset_search(td)
 
 
@@ -583,7 +581,7 @@ def test_closed_form_alcove_matches_the_oracles(isogeny, dynkin, perm, lam):
     td = twisted(base, None if perm is None else build_automorphism(base, perm))
     if lam is not None:
         td = twisted(base, td.twist, [lam] * len(td.lambda_valuations))
-    assert set(td.integer_alcove.facets) == set(crossing_alcove_oracle(td))
+    assert set(alcove_facets(td)) == set(crossing_alcove_oracle(td))
     assert rational_alcove(td)[1] == translations_oracle(td)
     assert_vertices_and_barycenter_match_the_subset_search(td)
     assert named_point(td, "barycenter") == barycenter_oracle(td)
@@ -591,11 +589,11 @@ def test_closed_form_alcove_matches_the_oracles(isogeny, dynkin, perm, lam):
     assert all(twist.apply(r) == mat_vec(twist.matrix, r) for r in base.roots)
     n = base.rank
     w = tuple(tuple(range(i * n, i * n + n)) for i in range(n))  # all entries distinct
-    assert twist.follow(w) == mat_mul(w, twist.matrix)
+    assert follow(twist, w) == mat_mul(w, twist.matrix)
 
 
-def _pairings_in_integer_alcove(monkeypatch, dynkin):
-    """The ``pair`` calls of one fresh ``integer_alcove`` of ``dynkin``,
+def _pairings_in_alcove_facets(monkeypatch, dynkin):
+    """The ``pair`` calls of one fresh ``alcove_facets`` of ``dynkin``,
     once its rows and components are built."""
     td = twisted(build_datum(dynkin))
     td.affine_rows, td.components  # built before the count starts
@@ -605,8 +603,9 @@ def _pairings_in_integer_alcove(monkeypatch, dynkin):
         calls.append(None)
         return pair(chi, mu)
 
-    monkeypatch.setattr(echelonnage, "pair", counted)
-    TwistedDatum.integer_alcove.func(td)
+    monkeypatch.setitem(vars(td), "results", {})  # a fresh alcove
+    monkeypatch.setattr(alcove, "pair", counted)
+    alcove_facets(td)
     monkeypatch.undo()
     return len(calls)
 
@@ -615,8 +614,8 @@ def _pairings_in_integer_alcove(monkeypatch, dynkin):
 def test_integer_alcove_work_at_most_doubles_with_the_factors(monkeypatch, factor, count):
     # one pairing per positive root: the search never pairs a root with
     # another root's coroot, nor with every simple coroot
-    small = _pairings_in_integer_alcove(monkeypatch, "+".join([factor] * count))
-    large = _pairings_in_integer_alcove(monkeypatch, "+".join([factor] * 2 * count))
+    small = _pairings_in_alcove_facets(monkeypatch, "+".join([factor] * count))
+    large = _pairings_in_alcove_facets(monkeypatch, "+".join([factor] * 2 * count))
     assert large <= 2 * small, (small, large)
 
 

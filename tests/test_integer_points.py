@@ -7,15 +7,14 @@ from fractions import Fraction
 
 import pytest
 
+from parahoric.alcove import alcove_reduce, in_base_alcove
 from parahoric.catalog import CATALOG, catalog_datum, catalog_ids, named_point
 from parahoric.echelonnage import (
     ApartmentPoint,
     EchelonnageError,
-    alcove_reduce,
     apartment_point,
     depth_table,
     evaluate,
-    in_base_alcove,
     origin,
     point_from_simple_coroots,
     restrict,

@@ -37,7 +37,7 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "parahoric"
 CACHED = {
     "echelonnage.translation_class",
     "echelonnage._scaffold",
-    "rootdata.weyl_elements",
+    "stability.weyl_elements",
     "chevalley.structure_constants",
     "chevalley.pinned_automorphism",
 }

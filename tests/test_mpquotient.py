@@ -8,6 +8,7 @@ from parahoric import mpquotient
 from parahoric.catalog import CATALOG, catalog_datum, catalog_ids, named_point
 from parahoric.echelonnage import (
     TwistedDatum,
+    algebra_dimension,
     apartment_point,
     companion_shift,
     depth_table,
@@ -22,7 +23,6 @@ from parahoric.exactmath import ExactMathError, cyclotomic_multiplicities
 from parahoric.mpquotient import (
     QuotientError,
     ReductiveQuotientDatum,
-    algebra_dimension,
     dimension_sum_over_period,
     first_jump,
     jump_values,

@@ -42,7 +42,6 @@ SAMPLES = {
     echelonnage._Scaffold: lambda d, s, td, x: echelonnage._scaffold(d, s),
     echelonnage.DepthTable: lambda d, s, td, x: echelonnage.depth_table(td, x),
     echelonnage.TranslationClass: lambda d, s, td, x: echelonnage.translation_class(td, x),
-    echelonnage._IntegerAlcove: lambda d, s, td, x: td.integer_alcove,
     ValuationSet: lambda d, s, td, x: echelonnage.restrict(td)[-1].jump_set,
     mpquotient.QuotientType: lambda d, s, td, x: mpquotient.quotient_datum(td, x).quotient_type,
     mpquotient.ReductiveQuotientDatum: lambda d, s, td, x: mpquotient.quotient_datum(td, x),

@@ -4,7 +4,7 @@ from math import factorial
 import pytest
 
 from matrix_oracle import dual_action
-from parahoric import rootdata
+from parahoric import stability
 from parahoric.exactmath import mat_vec, matrix_order, pair
 from parahoric.rootdata import (
     RootDatumError,
@@ -12,12 +12,10 @@ from parahoric.rootdata import (
     build_datum,
     classical_root_count,
     cycles,
-    factor_orbits,
     identity_automorphism,
     parse_descriptor,
-    weyl_elements,
-    weyl_walk,
 )
+from parahoric.stability import factor_orbits, weyl_elements, weyl_walk
 
 # |W| per simple type in closed form: the oracle for ``RootDatum.weyl_order``,
 # the product of the degrees
@@ -149,7 +147,7 @@ def test_weyl_cap_checked_before_enumerating(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("weyl_walk called")
 
-    monkeypatch.setattr(rootdata, "weyl_walk", refuse)
+    monkeypatch.setattr(stability, "weyl_walk", refuse)
     assert build_datum("E7").weyl_order == 2903040
     assert build_datum("A2").weyl_order == 6
     monkeypatch.undo()

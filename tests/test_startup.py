@@ -6,7 +6,11 @@ nor the self-test, which no report subcommand calls, and of the grading,
 Weyl-module and stability layers only the one its subcommand runs.
 `import parahoric` loads no submodule, and `import parahoric.cli`,
 `catalog` (`--id` included), `--help` and a usage error load none of the stage modules
-`rootdata`, `echelonnage` and `mpquotient`.  Every public name resolves on
+`rootdata`, `echelonnage`, `mpquotient` and `alcove`.  A report loads only
+the stage modules it can call: `scan` and `stability` no `mpquotient`, and
+only `stability` and a barycenter spec `alcove`; the source lines a report
+process loads, all of which it compiles when no bytecode is written, stay
+within a budget per subcommand.  Every public name resolves on
 first access to the package attribute, and the lazily loaded layers' errors
 keep their exit codes.  The whole-coset oracles are not package names: they
 are imported from their modules."""
@@ -30,7 +34,7 @@ import parahoric.cli
 print(json.dumps(sorted(set(sys.modules) - bare)))
 """
 LAYERS = ("parahoric.stability", "parahoric.vinberg", "parahoric.weylmod")
-STAGES = ("parahoric.rootdata", "parahoric.echelonnage", "parahoric.mpquotient")
+STAGES = ("parahoric.rootdata", "parahoric.echelonnage", "parahoric.mpquotient", "parahoric.alcove")
 ENTRY = ("parahoric", "parahoric.cli", "parahoric.catalog", "parahoric.exactmath")
 UNUSED_STDLIB = ("dataclasses", "inspect", "argparse", "gettext", "locale", "shutil", "pathlib")
 RUN = """
@@ -87,15 +91,37 @@ def test_catalog_help_and_usage_errors_load_no_stage_module(argv):
     ("catalog", None),
 ])
 def test_each_subcommand_loads_only_its_own_layer(command, own):
-    given = ["--id", "2A3"] if command == "catalog" else ["--spec", "catalog:2A3:barycenter"]
-    code, loaded = json.loads(_fresh("-c", RUN, command, *given))
+    # a report needs rootdata and echelonnage, and mpquotient only where it
+    # reads a quotient datum or a quotient report; alcove only where a point
+    # is reduced or a vertex is needed; an exported catalog spec needs none
+    for point in [None] if command == "catalog" else ["origin", "barycenter"]:
+        given = ["--id", "2A3"] if point is None else ["--spec", f"catalog:2A3:{point}"]
+        code, loaded = json.loads(_fresh("-c", RUN, command, *given))
+        assert code == 0
+        assert set(loaded) & set(LAYERS) == ({own} if own else set())
+        assert set(loaded) & set(UNUSED_STDLIB) == set()
+        stages = set() if point is None else {"parahoric.rootdata", "parahoric.echelonnage"}
+        if command in ("quotient", "grade", "decompose"):
+            stages.add("parahoric.mpquotient")
+        if command == "stability" or point == "barycenter":
+            stages.add("parahoric.alcove")
+        package = {m for m in loaded if m.startswith("parahoric")}
+        assert package == {*ENTRY, *stages, *([own] if own else [])}, point
+
+
+# The source lines of the package modules a fresh report process loads at
+# the origin, per subcommand: without bytecode the process compiles every
+# one of them before it computes anything (README, "Cold start").
+LINE_BUDGET = {"scan": 2154, "quotient": 2462, "grade": 2665, "decompose": 2860, "stability": 2697}
+
+
+@pytest.mark.parametrize("command", LINE_BUDGET)
+def test_each_subcommand_loads_at_most_its_line_budget(command):
+    code, loaded = json.loads(_fresh("-c", RUN, command, "--spec", "catalog:2A3:origin"))
     assert code == 0
-    assert set(loaded) & set(LAYERS) == ({own} if own else set())
-    assert set(loaded) & set(UNUSED_STDLIB) == set()
-    # a report needs every stage; an exported catalog spec none
-    stages = set() if command == "catalog" else set(STAGES)
-    package = {m for m in loaded if m.startswith("parahoric")}
-    assert package == {*ENTRY, *stages, *([own] if own else [])}
+    files = [importlib.import_module(m).__file__ for m in loaded if m.startswith("parahoric")]
+    lines = sum(len(Path(f).read_text().splitlines()) for f in files)
+    assert lines <= LINE_BUDGET[command], lines
 
 
 @pytest.mark.parametrize("command,module,function,error,code,prefix", [

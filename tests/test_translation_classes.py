@@ -12,10 +12,10 @@ from weakref import WeakValueDictionary
 import pytest
 
 from parahoric import echelonnage, vinberg
+from parahoric.alcove import alcove_reduce, reduced
 from parahoric.catalog import catalog_datum, catalog_ids
 from parahoric.echelonnage import (
     DepthTable,
-    alcove_reduce,
     apartment_point,
     companion_shift,
     depth_table,
@@ -90,7 +90,7 @@ def test_translates_share_their_class_and_read_alike(name, monkeypatch):
         cls, table = translation_class(td, x), depth_table(td, x)
         # the class's point is a point of the class, and its own
         assert translation_class.__wrapped__(td, cls.point).point == cls.point
-        assert alcove_reduce(td, cls.point) == cls.reduced == expected[2]
+        assert alcove_reduce(td, cls.point) == reduced(cls) == expected[2]
         for y in translates(td, x):
             assert y != x
             assert uncached(monkeypatch, td, y) == expected, (name, x, y)

@@ -33,7 +33,7 @@ from parahoric.mpquotient import (
     quotient_datum,
 )
 from parahoric.rootdata import build_automorphism, build_datum
-from parahoric.stability import regular_witness, stable_verdict
+from parahoric.stability import coset_orders, regular_witness, stable_verdict
 from parahoric.vinberg import crosscheck
 from parahoric.weylmod import (
     Decomposition,
@@ -49,7 +49,7 @@ from parahoric.weylmod import (
 
 from matrix_oracle import solve_linear
 from point_oracle import translation_representative
-from quotient_oracle import weyl_dimension
+from quotient_oracle import coroot_of, weyl_dimension
 from warm_points import perfbench_module, warm_sweep
 
 F = Fraction
@@ -361,7 +361,7 @@ def oracle_weyl_dimension(h, lam):
     )
     dim = F(1)
     for a in h.positive_roots:
-        ac = h.coroot_of(a)
+        ac = coroot_of(h, a)
         dim *= pair(vec_add(lam, rho), ac) / pair(rho, ac)
     assert dim.denominator == 1 and dim > 0
     return int(dim)
@@ -835,7 +835,7 @@ def test_a_warm_pass_computes_each_shared_result_once(monkeypatch):
     # still runs its own checks, and every character computed is checked
     # against the Weyl dimension formula.
     import parahoric
-    from parahoric import echelonnage, exactmath, stability, vinberg
+    from parahoric import alcove, echelonnage, exactmath, stability, vinberg
 
     child = perfbench_module("child")
     points = list(warm_sweep(0))
@@ -864,7 +864,7 @@ def test_a_warm_pass_computes_each_shared_result_once(monkeypatch):
     # (a power of the twisted Coxeter element or of a table word; the walk of
     # W only on some sums) test ellipticity by a rank: made first and kept
     for td, x in points:
-        if point_order(td, x) in td.regular_orders:
+        if point_order(td, x) in coset_orders(td):
             regular_witness(td, point_order(td, x))
     translation_class.cache_clear()
     with monkeypatch.context() as m:
@@ -883,7 +883,7 @@ def test_a_warm_pass_computes_each_shared_result_once(monkeypatch):
         m.setattr(stability, "matrix_rank", counting("rank", exactmath.matrix_rank))
         m.setattr(vinberg, "_graded", counting("graded", vinberg._graded))
         m.setattr(echelonnage.DepthTable, "column", counting("column", echelonnage.DepthTable.column))
-        m.setattr(echelonnage, "alcove_reduce", counting("reduce", echelonnage.alcove_reduce))
+        m.setattr(alcove, "alcove_reduce", counting("reduce", alcove.alcove_reduce))
         spans, jumps = set(), set()
         for td, x in points:
             result = child.sweep_point(parahoric, td, x, len(td.base.roots) + td.base.rank)
