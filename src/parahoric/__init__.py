@@ -5,6 +5,16 @@ stable-vector verdicts."""
 
 __version__ = "0.1.0"
 
+
+class InputError(ValueError):
+    """The base of every error that an input causes: the CLI exits 1."""
+
+
+class PropertyViolation(RuntimeError):
+    """The base of every error that a failed property check raises: the CLI
+    exits 2."""
+
+
 from importlib import import_module as _import_module
 
 # Every public name loads its module on first access (PEP 562), so importing

@@ -8,10 +8,8 @@ irreducible components of the average of each component's vertices,
 relevant twisted Coxeter number)."""
 from __future__ import annotations
 
-from fractions import Fraction
-
-# The stage modules are imported by the functions that use them, so that
-# `parahoric catalog`, `--help` and a usage error load only this table.
+# The stage modules and ``fractions`` are imported by the functions that use
+# them, so that `parahoric catalog` loads only this table.
 
 CATALOG = {
     "A1": {"dynkin": "A1", "automorphism": None, "rho_m": 2},
@@ -72,6 +70,8 @@ def catalog_spec(entry_id: str, point: str = "origin", r: str = "0") -> dict:
 
 
 def named_point(td: TwistedDatum, name: str, m: int | None = None) -> ApartmentPoint:
+    from fractions import Fraction
+
     from .echelonnage import EchelonnageError, apartment_point, point_from_simple_coroots
 
     if name == "origin":

@@ -1,29 +1,23 @@
 """Exact rational linear algebra (fraction-free Bareiss elimination for the
-rank, the inverse and the echelon form), the order and cyclotomic
-multiplicities of a finite-order integer matrix (read off its powers and
-their ranks), valuation sets (arithmetic progressions of rationals),
-``closure``, the one breadth-first orbit walk of the package, and ``kept``,
-its one memo rule.
+rank, the inverse and the echelon form), valuation sets (arithmetic
+progressions of rationals), ``closure``, the one breadth-first orbit walk of
+the package, and ``kept``, its one memo rule.  The order and cyclotomic
+multiplicities of a finite-order integer matrix are in ``spectra``, which no
+report loads; this module still resolves their names.
 
 Everything here is exact: integers and ``fractions.Fraction`` only, no floats.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd, lcm
 from operator import add, attrgetter, mul, sub
+
+from . import InputError, PropertyViolation  # noqa: F401 (the exit-code bases, re-exported)
 
 Vec = tuple[Fraction, ...]
 IntVec = tuple[int, ...]
 IntMatrix = tuple[IntVec, ...]
-
-class InputError(ValueError):
-    """The base of every error that an input causes: the CLI exits 1."""
-
-
-class PropertyViolation(RuntimeError):
-    """The base of every error that a failed property check raises: the CLI
-    exits 2."""
 
 
 class ExactMathError(InputError):
@@ -240,74 +234,6 @@ def sub_identity(a: IntMatrix) -> IntMatrix:
 
 
 # ---------------------------------------------------------------------------
-# finite-order spectra
-#
-# An integer matrix of finite order is diagonalisable over C with roots of
-# unity as eigenvalues, and the primitive k-th roots come together, phi(k) of
-# them per Galois orbit.  So everything is read off powers of the matrix and
-# ranks: no characteristic polynomial is formed.
-
-
-def _phi(k: int) -> int:
-    return sum(gcd(j, k) == 1 for j in range(1, k + 1))
-
-
-def _exponent_factors(n: int) -> list[int]:
-    """The primes of L = lcm{k : phi(k) <= n} with multiplicity, L the
-    exponent of every finite-order n x n integer matrix: for each prime p,
-    the largest p^e with phi(p^e) = p^(e-1) (p - 1) <= n."""
-    factors = []
-    for p in range(2, n + 2):
-        if all(p % q for q in range(2, p)):
-            e = 1
-            while p**e * (p - 1) <= n:
-                e += 1
-            factors += [p] * e
-    return factors
-
-
-def matrix_order(a: IntMatrix) -> int:
-    """The multiplicative order of the square integer matrix a.  An
-    eigenvalue of order k has phi(k) <= n, so a has finite order exactly when
-    a^L = I; the order is L with each prime divided out while the power
-    stays I.  L is reached one prime at a time, and a power whose trace
-    exceeds n (no sum of n roots of unity does) stops the climb early."""
-    n = len(a)
-    one = identity_matrix(n)
-    factors = _exponent_factors(n)
-    power = a
-    for p in factors:
-        power = mat_pow(power, p)
-        if abs(sum(power[i][i] for i in range(n))) > n:
-            break
-    if power != one:
-        raise ExactMathError("matrix has infinite order")
-    order = prod(factors)
-    for p in set(factors):
-        while order % p == 0 and mat_pow(a, order // p) == one:
-            order //= p
-    return order
-
-
-def cyclotomic_multiplicities(a: IntMatrix) -> dict[int, int]:
-    """The multiplicity m_k of the primitive k-th roots of unity as
-    eigenvalues of the finite-order integer matrix a, for each k with
-    m_k > 0, ascending: its characteristic polynomial is prod_k Phi_k^{m_k}.
-    The fixed space of a^d has dimension sum_{k | d} m_k phi(k), so over the
-    divisors d of the order, ascending, m_d is what the smaller divisors
-    leave of it, divided by phi(d)."""
-    order = matrix_order(a)
-    mult: dict[int, int] = {}
-    for d in range(1, order + 1):
-        if order % d == 0:
-            fixed = len(a) - matrix_rank(sub_identity(mat_pow(a, d)))
-            fixed -= sum(m * _phi(k) for k, m in mult.items() if d % k == 0)
-            if fixed:
-                mult[d] = fixed // _phi(d)
-    return mult
-
-
-# ---------------------------------------------------------------------------
 # rational linear algebra
 
 
@@ -366,3 +292,11 @@ class ValuationSet:
 
     def member(self, q) -> bool:
         return (q - self.offset) % self.step == 0
+
+
+def __getattr__(name):  # tests and perfbench/tracing.py read these two here
+    if name not in ("matrix_order", "cyclotomic_multiplicities"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import spectra
+
+    return getattr(spectra, name)

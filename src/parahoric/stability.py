@@ -41,7 +41,6 @@ from .exactmath import (
     mat_mul,
     mat_pow,
     mat_vec,
-    matrix_order,
     matrix_rank,
     sub_identity,
     transpose,
@@ -326,6 +325,8 @@ def elliptic_zregular_orders(datum: RootDatum, twist: DiagramAutomorphism) -> di
 def zregularity_criteria_agree(datum: RootDatum, twist: DiagramAutomorphism) -> bool:
     """Cross-validate the free-action and eigenvector readings of regularity
     on the whole coset (``selftest``); disagreement raises with a diagnostic."""
+    from .spectra import matrix_order
+
     for w in weyl_elements(datum):
         a = follow(twist, w)
         order = matrix_order(a)

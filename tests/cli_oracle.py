@@ -6,8 +6,8 @@ from __future__ import annotations
 import argparse
 import re
 
+from parahoric import InputError
 from parahoric.cli import REPORTS, run_catalog, run_report, run_selftest
-from parahoric.exactmath import InputError
 
 
 class _Parser(argparse.ArgumentParser):
@@ -32,9 +32,9 @@ def make_parser() -> argparse.ArgumentParser:
     common.add_argument("--m", type=int, default=None, help="override m for rho_over_m points")
     common.add_argument("--M", type=int, default=None, help="override the grading modulus")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text, key, section in REPORTS:
+    for name, help_text, key in REPORTS:
         p = sub.add_parser(name, help=help_text, parents=[common])
-        p.set_defaults(run=run_report, key=key, section=section)
+        p.set_defaults(run=run_report, key=key)
     p = sub.add_parser("selftest", help="run the built-in property suite")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(run=run_selftest)

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from cli_oracle import make_parser
-from parahoric import cli
+from parahoric import catalog, cli, report
 from parahoric.cli import main
 from parahoric.exactmath import InputError, PropertyViolation
 from parahoric.vinberg import MODULUS_CAP
@@ -641,7 +641,7 @@ def test_unreadable_spec_and_unwritable_out_keep_the_exit_contract(
     def realize(spec):
         raise PropertyViolation("realize ran before the output was checked")
 
-    monkeypatch.setattr(cli, "realize", realize)
+    monkeypatch.setattr(report, "realize", realize)
     (tmp_path / "latin1.json").write_bytes('{"dynkin": "A\u00e9"}'.encode("latin-1"))
     (tmp_path / "spec.json").write_text("{}")
     (tmp_path / "invalid.json").write_text('{"dynkin": "A2",')
@@ -691,7 +691,7 @@ def test_a_write_that_fails_after_the_check_names_out(tmp_path, capsys, monkeypa
     def refuse(*args, **kwargs):
         raise OSError("disk full")
 
-    monkeypatch.setattr(cli, "open", refuse, raising=False)
+    monkeypatch.setattr(report, "open", refuse, raising=False)
     for argv in (["scan", "--spec", "catalog:A1"], ["catalog", "--id", "A1"]):
         code, out, err = run_cli(argv + ["--out", str(tmp_path / "r.json")], capsys)
         assert (code, out) == (1, "")
@@ -783,7 +783,34 @@ def test_the_module_runs_as_a_script():
         )
 
     done = run("catalog")
-    assert (done.returncode, done.stdout.split(), done.stderr) == (0, sorted(cli.CATALOG), "")
+    assert (done.returncode, done.stdout.split(), done.stderr) == (0, sorted(catalog.CATALOG), "")
     done = run("scan", "--spec", "catalog:Z9")
     assert (done.returncode, done.stdout) == (1, "")
     assert done.stderr.startswith("input error: field 'spec': ")
+
+
+def test_every_package_error_is_an_input_error_or_a_property_violation():
+    # main maps exactly these two bases to exits 1 and 2: an error class
+    # under neither (or under both) would escape the contract
+    import ast
+    import importlib
+
+    import parahoric
+    from parahoric import exactmath
+
+    assert exactmath.InputError is parahoric.InputError
+    assert exactmath.PropertyViolation is parahoric.PropertyViolation
+    bases = (parahoric.InputError, parahoric.PropertyViolation)
+    package = Path(parahoric.__file__).resolve().parent
+    errors = {}
+    for path in sorted(package.glob("*.py")):
+        name = "parahoric" if path.stem == "__init__" else f"parahoric.{path.stem}"
+        module = importlib.import_module(name)
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef):
+                cls = getattr(module, node.name, None)
+                if isinstance(cls, type) and issubclass(cls, BaseException):
+                    errors[f"{path.stem}.{node.name}"] = cls
+    assert len(errors) >= 11, sorted(errors)
+    wrong = [name for name, cls in errors.items() if sum(issubclass(cls, b) for b in bases) != 1]
+    assert wrong == []

@@ -5,7 +5,7 @@ from math import lcm
 
 import pytest
 
-from parahoric import exactmath
+from parahoric import exactmath, spectra
 from parahoric.exactmath import (
     ExactMathError,
     ValuationSet,
@@ -143,14 +143,14 @@ def test_cyclotomic_multiplicities_rejects_infinite_order(monkeypatch):
         for i in range(16)
     )
     powers = []
-    original = exactmath.mat_pow
+    original = spectra.mat_pow
 
     def counted(a, k):  # fails before the climb's entries grow large
         powers.append(k)
         assert len(powers) < 4, "the climb did not stop at a trace above the rank"
         return original(a, k)
 
-    monkeypatch.setattr(exactmath, "mat_pow", counted)
+    monkeypatch.setattr(spectra, "mat_pow", counted)
     with pytest.raises(ExactMathError, match="infinite order"):
         matrix_order(hyperbolic)
     assert powers == [2]

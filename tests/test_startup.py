@@ -4,9 +4,12 @@ without `site`, whose `.pth` files may preload modules): no `dataclasses`
 and `shutil` it pulls in), no `pathlib`, neither the Chevalley-basis oracle
 nor the self-test, which no report subcommand calls, and of the grading,
 Weyl-module and stability layers only the one its subcommand runs.
-`import parahoric` loads no submodule, and `import parahoric.cli`,
-`catalog` (`--id` included), `--help` and a usage error load none of the stage modules
-`rootdata`, `echelonnage`, `mpquotient` and `alcove`.  A report loads only
+`import parahoric` loads no submodule.  `import parahoric.cli`, `--help` and
+a usage error load no other package module, and the catalog listing only the
+catalog table; none of them loads `fractions`, `decimal` or `json`, and the
+listing stays within a line budget.  The spec-to-report pipeline
+(`report`) loads for a report and for `catalog --id`, which loads no stage
+module.  A report loads only
 the stage modules it can call: `scan` and `stability` no `mpquotient`, and
 only `stability` and a barycenter spec `alcove`; the source lines a report
 process loads, all of which it compiles when no bytecode is written, stay
@@ -35,8 +38,10 @@ print(json.dumps(sorted(set(sys.modules) - bare)))
 """
 LAYERS = ("parahoric.stability", "parahoric.vinberg", "parahoric.weylmod")
 STAGES = ("parahoric.rootdata", "parahoric.echelonnage", "parahoric.mpquotient", "parahoric.alcove")
-ENTRY = ("parahoric", "parahoric.cli", "parahoric.catalog", "parahoric.exactmath")
+ENTRY = ("parahoric", "parahoric.cli", "parahoric.catalog", "parahoric.report")
 UNUSED_STDLIB = ("dataclasses", "inspect", "argparse", "gettext", "locale", "shutil", "pathlib")
+# what only the report pipeline and the stage modules need
+REPORT_STDLIB = ("fractions", "decimal", "json")
 RUN = """
 import json, os, sys
 bare = set(sys.modules)
@@ -44,17 +49,24 @@ from parahoric.cli import main
 code = main([*sys.argv[1:], "--out", os.devnull])
 print(json.dumps([code, sorted(set(sys.modules) - bare)]))
 """
-# the package modules loaded by `import parahoric`, or by `import
-# parahoric.cli` and a run of the given argv, whose output is thrown away
+# the package modules loaded by `import parahoric`
 LOADS = """
-import contextlib, io, json, sys
+import json, sys
 bare = set(sys.modules)
 import parahoric
-if sys.argv[1:]:
-    from parahoric.cli import main
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):
-        main(sys.argv[2:])
 print(json.dumps(sorted(m for m in set(sys.modules) - bare if m.startswith("parahoric"))))
+"""
+# every module a run of the given argv loads, on the last line of stdout;
+# the probe itself imports nothing before it runs
+COLD = """
+import sys
+bare = set(sys.modules)
+from parahoric.cli import main
+try:
+    main(sys.argv[1:])
+except SystemExit:
+    pass
+print("\\n" + " ".join(sorted(set(sys.modules) - bare)))
 """
 
 
@@ -76,10 +88,20 @@ def test_package_import_loads_no_submodule():
     assert json.loads(_fresh("-c", LOADS)) == ["parahoric"]
 
 
+# The source lines of the package modules that the catalog listing, the
+# largest of these paths, loads (README, "Start-up").
+COLD_LINE_BUDGET = 367
+
+
 @pytest.mark.parametrize("argv", [[], ["catalog"], ["--help"], ["stability", "-h"], ["bogus"]])
 def test_catalog_help_and_usage_errors_load_no_stage_module(argv):
-    loaded = json.loads(_fresh("-c", LOADS, "cli", *argv))
-    assert set(loaded) == set(ENTRY)
+    loaded = _fresh("-c", COLD, *argv).splitlines()[-1].split()
+    package = {m for m in loaded if m.startswith("parahoric")}
+    assert package == {"parahoric", "parahoric.cli", *(["parahoric.catalog"] if argv == ["catalog"] else [])}
+    assert set(loaded) & {*REPORT_STDLIB, *UNUSED_STDLIB} == set()
+    files = [importlib.import_module(m).__file__ for m in package]
+    lines = sum(len(Path(f).read_text().splitlines()) for f in files)
+    assert lines <= COLD_LINE_BUDGET, lines
 
 
 @pytest.mark.parametrize("command,own", [
@@ -91,16 +113,17 @@ def test_catalog_help_and_usage_errors_load_no_stage_module(argv):
     ("catalog", None),
 ])
 def test_each_subcommand_loads_only_its_own_layer(command, own):
-    # a report needs rootdata and echelonnage, and mpquotient only where it
-    # reads a quotient datum or a quotient report; alcove only where a point
-    # is reduced or a vertex is needed; an exported catalog spec needs none
+    # a report needs exactmath, rootdata and echelonnage, and mpquotient only
+    # where it reads a quotient datum or a quotient report; alcove only where
+    # a point is reduced or a vertex is needed; an exported catalog spec
+    # needs the report pipeline but no stage module
     for point in [None] if command == "catalog" else ["origin", "barycenter"]:
         given = ["--id", "2A3"] if point is None else ["--spec", f"catalog:2A3:{point}"]
         code, loaded = json.loads(_fresh("-c", RUN, command, *given))
         assert code == 0
         assert set(loaded) & set(LAYERS) == ({own} if own else set())
         assert set(loaded) & set(UNUSED_STDLIB) == set()
-        stages = set() if point is None else {"parahoric.rootdata", "parahoric.echelonnage"}
+        stages = set() if point is None else {"parahoric.exactmath", "parahoric.rootdata", "parahoric.echelonnage"}
         if command in ("quotient", "grade", "decompose"):
             stages.add("parahoric.mpquotient")
         if command == "stability" or point == "barycenter":
@@ -112,7 +135,7 @@ def test_each_subcommand_loads_only_its_own_layer(command, own):
 # The source lines of the package modules a fresh report process loads at
 # the origin, per subcommand: without bytecode the process compiles every
 # one of them before it computes anything (README, "Cold start").
-LINE_BUDGET = {"scan": 2154, "quotient": 2462, "grade": 2665, "decompose": 2860, "stability": 2697}
+LINE_BUDGET = {"scan": 2148, "quotient": 2456, "grade": 2659, "decompose": 2854, "stability": 2692}
 
 
 @pytest.mark.parametrize("command", LINE_BUDGET)

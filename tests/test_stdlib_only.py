@@ -45,3 +45,14 @@ def test_the_package_is_stdlib_only_and_float_free():
     assert paths
     found = {p.name: v for p in paths if (v := _violations(p.read_text()))}
     assert found == {}
+
+
+def test_every_module_parses_at_the_declared_python_floor():
+    # pyproject.toml declares requires-python >= 3.10: no module may use
+    # syntax that a 3.10 parser refuses
+    pyproject = (SRC.parent.parent / "pyproject.toml").read_text()
+    assert 'requires-python = ">=3.10"' in pyproject
+    paths = sorted(SRC.glob("*.py"))
+    assert paths
+    for path in paths:
+        ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
