@@ -17,11 +17,14 @@ set, so ``quotient_datum`` returns one shared datum per (datum, root set),
 kept on the twisted datum (``TwistedDatum.results``) and checked once; a
 depth table keeps none of its own.  What a character reads depends only on
 the Cartan matrix, which many root sets of many data share, so the
-``QuotientType`` of a Cartan matrix is interned for the process
-(``ReductiveQuotientDatum.quotient_type``, as ``rootdata.build_datum``
-interns root data): the integer C^-1 (from the fraction-free
+``QuotientType`` of a Cartan matrix is walked from the matrix by
+``rootdata.root_walk``, the one walk of a root system in the package, and
+interned for the process (``ReductiveQuotientDatum.quotient_type``, as
+``rootdata.build_datum`` interns root data): its positive coordinates and
+half norms, the integer C^-1 (from the fraction-free
 ``exactmath.integer_inverse``), the component types and the characters
-``weylmod`` memoizes are computed once per matrix.
+``weylmod`` memoizes are computed once per matrix.  A datum is checked by
+mapping the type's roots onto its simple roots.
 
 ``scan`` and ``stability`` do not load this module: the sum rule's dim G is
 ``echelonnage.algebra_dimension``, and a first jump is read off the depth
@@ -30,7 +33,7 @@ table (``DepthTable.first_jump``).
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 
 from .echelonnage import (
     ApartmentPoint,
@@ -42,27 +45,34 @@ from .exactmath import (
     IntMatrix,
     PropertyViolation,
     Vec,
-    closure,
     frozen_record,
     integer_inverse,
     kept,
     pair,
+    vec_add,
     vec_scale,
     vec_sub,
 )
-from .rootdata import component_type
+from .rootdata import RootDatumError, component_type, root_walk, support
 
 
 class QuotientError(PropertyViolation):
     pass
 
 
+NOT_CLOSED = "quotient root system is not reflection closed"
+
+
 @frozen_record
 class QuotientType:
-    """What the quotient data with one Cartan matrix share, made from the
-    first of them: the half norms, the sorted positive coordinates, and,
-    computed once per type, C^-1 over one denominator, the component types
-    and the characters by top labels (``weylmod``)."""
+    """What the quotient data with one Cartan matrix share, read off the walk
+    of the matrix (``rootdata.root_walk``, adjoint): the sorted positive
+    coordinates, the half norms d_j = (alpha_j, alpha_j)/2 for the
+    Weyl-invariant form (chi, psi) = sum over the roots a of
+    <chi, acheck><psi, acheck>, that is the sum over the positive coroots of
+    <alpha_j, acheck>^2, and, computed once per type, C^-1 over one
+    denominator, the component types and the characters by top labels
+    (``weylmod``)."""
 
     cartan: IntMatrix
     half_norms: tuple[int, ...]
@@ -99,13 +109,26 @@ class QuotientType:
 _TYPES: dict[IntMatrix, QuotientType] = {}  # ``quotient_type`` interns its results
 
 
+def _walked_type(cartan: IntMatrix, count: int) -> QuotientType:
+    """The type of a Cartan matrix with ``count`` roots, from its walk: in
+    the adjoint walk a root's coefficients are the root itself, and entry j
+    of its coroot is <alpha_j, acheck>."""
+    try:
+        walk = root_walk(cartan, "adjoint", count)
+    except RootDatumError:
+        raise QuotientError(NOT_CLOSED) from None
+    positive = [(coeff, coroot) for _, coroot, coeff, _ in walk if min(coeff) >= 0]
+    norms = tuple(sum(c * c for c in column) for column in zip(*(ac for _, ac in positive)))
+    return QuotientType(cartan, norms, tuple(sorted(c for c, _ in positive)))
+
+
 @frozen_record
 class ReductiveQuotientDatum:
     """Root datum of the reductive quotient at a point: the restricted roots
     whose value at the point is an actual jump level.  ``integer_roots``
     holds the roots times the twist order e (``RestrictedRoot.integer_key``),
-    and the simple roots, the Cartan matrix, the coordinate map and the half
-    norms are integer arithmetic on them."""
+    and the simple roots, the Cartan matrix, the coordinate map and the check
+    against the type are integer arithmetic on them."""
 
     rank: int
     roots: tuple[Vec, ...]
@@ -178,64 +201,19 @@ class ReductiveQuotientDatum:
         return tuple(residual), c
 
     @cached_property
-    def positive_coordinates(self) -> tuple[tuple[int, ...], ...]:
-        """The positive roots, in order, as integer simple-root coordinates,
-        by one walk (``exactmath.closure``) from the simple roots with unit
-        coordinates: the reflection in a simple root a moves a key by t a and
-        its coordinates by t times those of a, t the key's pairing with the
-        coroot of a over e.  The roots are reflection closed exactly when the
-        walk stays in them, reaches them all and gives each one coordinate
-        vector."""
-        simple = tuple(zip(self.simple_integer_roots, self.simple_coroots))
-        coords = {a: tuple(int(a == b) for b, _ in simple) for a, _ in simple}
-        keys = set(self.integer_roots)
-
-        def step(k):
-            for a, ac in simple:
-                t = pair(k, ac) // self._scale
-                image, c = vec_sub(k, vec_scale(t, a)), vec_sub(coords[k], vec_scale(t, coords[a]))
-                if image not in keys or coords.setdefault(image, c) != c:
-                    raise QuotientError("quotient root system is not reflection closed")
-                yield image
-
-        if set(closure(list(coords), step)) != keys:
-            raise QuotientError("quotient root system is not reflection closed")
-        out = tuple(coords[k] for k, p in zip(self.integer_roots, self.positives) if p)
-        for a, c in zip(self.positive_roots, out):
-            if min(c) < 0:
-                raise QuotientError(
-                    f"positive root {a} is not a nonnegative integer "
-                    "combination of the simple roots"
-                )
-        return out
-
-    @cached_property
-    def half_norms(self) -> tuple[int, ...]:
-        """d_j = (alpha_j, alpha_j)/2 for the Weyl-invariant form
-        (chi, psi) = sum over the roots a of <chi, acheck><psi, acheck>: the
-        sum over the positive a of <alpha_j, acheck>^2, an integer."""
-        pos = [c for c, p in zip(self.coroots, self.positives) if p]
-        out = []
-        for a in self.simple_integer_roots:
-            d, rem = divmod(sum(pair(a, c) ** 2 for c in pos), self._scale**2)
-            if rem:
-                raise QuotientError("simple root pairs non-integrally with a coroot")
-            out.append(d)
-        return tuple(out)
-
-    @cached_property
     def quotient_type(self) -> QuotientType:
-        """The type of this datum's Cartan matrix, one per matrix for the
-        process, made from the first datum with it: a later datum's own half
-        norms and positive coordinates must be the type's."""
-        positive = tuple(sorted(self.positive_coordinates))
-        own = QuotientType(self.cartan, self.half_norms, positive)
-        kind = _TYPES.setdefault(self.cartan, own)
-        if kind != own:
-            raise QuotientError(
-                "quotient half norms or positive coordinates differ from those "
-                "of the type of its Cartan matrix"
-            )
+        """The type of this datum's Cartan matrix, walked once per matrix for
+        the process (``_walked_type``).  The datum is checked against it: its
+        roots must be exactly the type's roots on its simple integer roots,
+        each mapped over its nonzero coefficients, the positive ones to the
+        roots marked positive and the others to the rest."""
+        kind = kept(_TYPES, self.cartan, lambda: _walked_type(self.cartan, len(self.roots)))
+        simple, images = self.simple_integer_roots, {}
+        for c in kind.positive_coordinates:
+            k = reduce(vec_add, (vec_scale(t, simple[i]) for i, t in support(c)))
+            images[k], images[vec_scale(-1, k)] = True, False
+        if images != dict(zip(self.integer_roots, self.positives)):
+            raise QuotientError(NOT_CLOSED)
         return kind
 
 
@@ -251,8 +229,8 @@ def quotient_datum(td: TwistedDatum, x: ApartmentPoint) -> ReductiveQuotientDatu
     """Roots of the reductive quotient: the depth-0 roots, those a with
     a(x - x0) in the jump set.  Its rank is the depth-0 torus dimension.
     Points with the same depth-0 roots get the same datum object, built and
-    checked once per root set (a failed check is raised, not kept), also
-    against the type of its Cartan matrix (``quotient_type``)."""
+    checked once per root set (a failed check is raised, not kept) against
+    the type of its Cartan matrix (``quotient_type``)."""
     picked, rank = depth_table(td, x).at(0)
     key = ("quotient", tuple(rr.index for rr in picked))
     return kept(td.results, key, lambda: _checked(picked, rank))
@@ -260,8 +238,8 @@ def quotient_datum(td: TwistedDatum, x: ApartmentPoint) -> ReductiveQuotientDatu
 
 def _checked(picked, rank: int) -> ReductiveQuotientDatum:
     """The quotient datum of the depth-0 roots ``picked``, checked: reduced
-    on the integer keys (the keys times e), then the datum's own checks and
-    those against its type, run by ``quotient_type``."""
+    on the integer keys (the keys times e), then integral and reflection
+    closed, run by ``quotient_type``."""
     keys = {rr.integer_key for rr in picked}
     if any(vec_scale(2, k) in keys for k in keys):
         raise QuotientError("quotient root system is not reduced")

@@ -111,7 +111,7 @@ def _lambda_key(k) -> str:
 
 
 def normalize_spec(raw: dict) -> dict:
-    from .rootdata import RootDatumError, cartan_matrix
+    from .rootdata import RootDatumError, parse_descriptor
 
     spec = dict(DEFAULT_SPEC)
     unknown = set(raw) - set(DEFAULT_SPEC)
@@ -165,7 +165,7 @@ def normalize_spec(raw: dict) -> dict:
         raise InputError("field 'M': must be a positive integer")
     if spec["automorphism"] is None:
         try:
-            spec["automorphism"] = list(range(len(cartan_matrix(spec["dynkin"]))))
+            spec["automorphism"] = list(range(sum(r for _, r in parse_descriptor(spec["dynkin"]))))
         except RootDatumError as exc:
             raise InputError(f"field 'dynkin': {exc}") from exc
     return spec

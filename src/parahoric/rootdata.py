@@ -1,9 +1,11 @@
 """Root data for the classical and exceptional Dynkin types, the type of an
 irreducible root system read off its counts (``component_type``), the
-degrees of the basic invariants of each factor (|W| is their product),
-diagram automorphisms and ``cycles`` (the one cycle decomposition of a
-permutation in the package).  The Weyl group itself, its elements and its
-elliptic regular classes are read only by ``stability``, which holds them.
+degrees of the basic invariants of each factor in closed form (``DEGREES``;
+|W| is their product), diagram automorphisms and ``cycles`` (the one cycle
+decomposition of a permutation in the package).  ``root_walk`` is the one
+walk of a root system, from its Cartan matrix, for a base datum and for
+each ``mpquotient`` type.  The Weyl group, its elements and its elliptic
+regular classes are read only by ``stability``, which holds them.
 
 Coordinate conventions, used throughout the package:
 
@@ -17,7 +19,6 @@ Coordinate conventions, used throughout the package:
 from __future__ import annotations
 
 import re
-from collections import Counter
 from fractions import Fraction
 from functools import cached_property
 from math import lcm, prod
@@ -119,19 +120,22 @@ def cartan_matrix(descriptor: str) -> IntMatrix:
     return tuple(tuple(row) for row in c)
 
 
-ROOT_COUNTS = {
-    "A": lambda n: n * (n + 1),
-    "B": lambda n: 2 * n * n,
-    "C": lambda n: 2 * n * n,
-    "D": lambda n: 2 * n * (n - 1),
-    "E": lambda n: {6: 72, 7: 126, 8: 240}[n],
-    "F": lambda n: 48,
-    "G": lambda n: 12,
+# The degrees of the basic invariants of each simple type, ascending
+# (Bourbaki, Lie Groups and Lie Algebras VI, Plates I-IX); a type has
+# 2 sum (d - 1) roots.
+DEGREES = {
+    "A": lambda n: tuple(range(2, n + 2)),
+    "B": lambda n: tuple(range(2, 2 * n + 1, 2)),
+    "C": lambda n: tuple(range(2, 2 * n + 1, 2)),
+    "D": lambda n: tuple(sorted((*range(2, 2 * n - 1, 2), n))),
+    "E": lambda n: ((2, 5, 6, 8, 9, 12), (2, 6, 8, 10, 12, 14, 18), (2, 8, 12, 14, 18, 20, 24, 30))[n - 6],
+    "F": lambda n: (2, 6, 8, 12),
+    "G": lambda n: (2, 6),
 }
 
 
 def classical_root_count(descriptor: str) -> int:
-    return sum(ROOT_COUNTS[l](r) for l, r in parse_descriptor(descriptor))
+    return sum(2 * sum(d - 1 for d in DEGREES[l](r)) for l, r in parse_descriptor(descriptor))
 
 
 def component_type(rank: int, positive_count: int, short_simple_count: int) -> str:
@@ -141,7 +145,7 @@ def component_type(rank: int, positive_count: int, short_simple_count: int) -> s
     A to G, that admits all three, so B2, never C2, and A3, never D3."""
     for letter, (lo, hi) in _RANK_RANGE.items():
         short = {"B": 1, "C": rank - 1, "F": 2, "G": 1}.get(letter, 0)
-        if lo <= rank <= hi and ROOT_COUNTS[letter](rank) == 2 * positive_count:
+        if lo <= rank <= hi and classical_root_count(f"{letter}{rank}") == 2 * positive_count:
             if short == short_simple_count:
                 return f"{letter}{rank}"
     raise RootDatumError(
@@ -213,19 +217,11 @@ class RootDatum:
     @cached_property
     def factors(self) -> tuple[tuple[str, range, tuple[int, ...]], ...]:
         """Each simple factor as (type letter, its nodes, the degrees of its
-        basic invariants).  A degree is one more than an exponent, and the
-        exponents are the dual partition of the numbers of positive roots of
-        each height (Kostant)."""
+        basic invariants, ascending: ``DEGREES``)."""
         out, start = [], 0
         for letter, rank in parse_descriptor(self.descriptor):
-            nodes = range(start, start + rank)
+            out.append((letter, range(start, start + rank), DEGREES[letter](rank)))
             start += rank
-            heights = Counter(sum(c) for c in self.coeffs if any(c[i] > 0 for i in nodes))
-            counts = [heights[h] for h in range(1, max(heights) + 2)]
-            degrees = tuple(
-                h + 1 for h in range(1, len(counts)) for _ in range(counts[h - 1] - counts[h])
-            )
-            out.append((letter, nodes, degrees))
         return tuple(out)
 
     @property
@@ -236,15 +232,13 @@ class RootDatum:
     @cached_property
     def simple_reflections(self) -> tuple:
         """Each simple reflection s_i = 1 - alpha_i acheck_i^T on X as the
-        nonzero entries (index, value) of alpha_i and of acheck_i."""
+        nonzero entries (``support``) of alpha_i and of acheck_i."""
+        return tuple(zip(map(support, self.simple_roots), map(support, self.simple_coroots)))
 
-        def support(vec):
-            return tuple((i, c) for i, c in enumerate(vec) if c)
 
-        return tuple(
-            (support(alpha), support(acheck))
-            for alpha, acheck in zip(self.simple_roots, self.simple_coroots)
-        )
+def support(vec) -> tuple[tuple[int, int], ...]:
+    """The nonzero entries (index, value) of a vector."""
+    return tuple((i, c) for i, c in enumerate(vec) if c)
 
 
 # The builders intern their records: one object per datum, so the tables
@@ -263,55 +257,58 @@ def _root_datum(descriptor: str, isogeny: str) -> RootDatum:
     if isogeny not in ISOGENIES:
         raise RootDatumError(f"unsupported isogeny {isogeny!r}")
     cartan = cartan_matrix(descriptor)
-    units = identity_matrix(len(cartan))
-    # (alpha_i, acheck_i, and their coefficients in the simple (co)roots)
-    if isogeny == "adjoint":
-        simples = list(zip(units, cartan, units, units))
-    else:
-        simples = list(zip(transpose(cartan), units, units, units))
-
-    # Its own walk, not ``closure``: the coroot and the coefficients are built
-    # only for a root not seen yet, where ``closure`` would build them for
-    # every image; on E8 that makes the generic walk about 1.7 times slower.
-    seen = {entry[0]: entry for entry in simples}
-    frontier = list(simples)
-    while frontier:
-        root, coroot, coeff, cocoeff = frontier.pop()
-        for alpha, acheck, unit, counit in simples:
-            p = pair(root, acheck)
-            if not p:  # the reflection fixes the root (and then q = 0 too)
-                continue
-            new_root = tuple(a - p * b for a, b in zip(root, alpha))
-            if new_root in seen:
-                continue
-            q = pair(alpha, coroot)
-            entry = seen[new_root] = (
-                new_root,
-                tuple(a - q * b for a, b in zip(coroot, acheck)),
-                tuple(a - p * b for a, b in zip(coeff, unit)),
-                tuple(a - q * b for a, b in zip(cocoeff, counit)),
-            )
-            frontier.append(entry)
-
-    entries = sorted(seen.values(), key=lambda e: (sum(e[2]), e[2]))
-    datum = RootDatum(
-        descriptor=descriptor,
-        isogeny=isogeny,
-        cartan=cartan,
-        roots=tuple(e[0] for e in entries),
-        coroots=tuple(e[1] for e in entries),
-        coeffs=tuple(e[2] for e in entries),
-        cocoeffs=tuple(e[3] for e in entries),
-    )
-    expected = classical_root_count(descriptor)
-    if len(datum.roots) != expected:
-        raise RootDatumError(
-            f"generated {len(datum.roots)} roots for {descriptor}, expected {expected}"
-        )
+    walk = root_walk(cartan, isogeny, classical_root_count(descriptor))
+    datum = RootDatum(descriptor, isogeny, cartan, *map(tuple, zip(*walk)))
     for r, cr in zip(datum.roots, datum.coroots):
         if pair(r, cr) != 2:
             raise RootDatumError("root/coroot pairing is not 2")
     return datum
+
+
+def root_walk(cartan: IntMatrix, isogeny: str, count: int) -> list[tuple[IntVec, ...]]:
+    """The roots of a Cartan matrix as (root, coroot, coefficients,
+    cocoefficients) by height, walked from the simple roots.  The simple
+    (co)roots and units are held by their nonzero entries (``support``), and
+    a root meets only the reflections whose coroot reads a nonzero entry of
+    it, so a sum costs about the sum of its factors.  The walk stops once it
+    passes ``count`` roots, as on an affine Cartan matrix it would never end,
+    and raises unless it found exactly ``count``."""
+    units = identity_matrix(len(cartan))
+    alphas, achecks = (units, cartan) if isogeny == "adjoint" else (transpose(cartan), units)
+    simples = [tuple(map(support, s)) for s in zip(alphas, achecks, units)]
+    reading = [[] for _ in units]  # reading[i]: the simple reflections whose coroot reads entry i
+    for j, (_, acheck, _) in enumerate(simples):
+        for i, _ in acheck:
+            reading[i].append(j)
+    seen = {a: (a, ac, u, u) for a, ac, u in zip(alphas, achecks, units)}
+    frontier = list(seen.values())
+    while frontier and len(seen) <= count:
+        root, coroot, coeff, cocoeff = frontier.pop()
+        for j in {j for i, x in enumerate(root) if x for j in reading[i]}:
+            alpha, acheck, unit = simples[j]
+            p = sum(root[i] * c for i, c in acheck)
+            if not p:  # the reflection fixes the root (and then q = 0 too)
+                continue
+            new_root = _moved(root, p, alpha)
+            if new_root in seen:
+                continue
+            # the coroot and the coefficients are built only for a new root
+            q = sum(coroot[i] * c for i, c in alpha)
+            entry = seen[new_root] = (
+                new_root, _moved(coroot, q, acheck), _moved(coeff, p, unit), _moved(cocoeff, q, unit)
+            )
+            frontier.append(entry)
+    if len(seen) != count:
+        raise RootDatumError(f"generated {len(seen)} roots, expected {count}")
+    return sorted(seen.values(), key=lambda e: (sum(e[2]), e[2]))
+
+
+def _moved(vec, t: int, entries) -> tuple:
+    """vec - t v, for the vector v with the nonzero entries ``entries``."""
+    out = list(vec)
+    for i, c in entries:
+        out[i] -= t * c
+    return tuple(out)
 
 
 @frozen_record

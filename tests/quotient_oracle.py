@@ -1,8 +1,9 @@
-"""The reductive-quotient checks that the simple-reflection walk of
-``ReductiveQuotientDatum.positive_coordinates`` replaced, kept as oracles:
-reflection closure by the reflection of every root applied to every root
-(|S|^2 pairings on the integer keys), and the positive roots' simple-root
-coordinates by C^-1, one rational solve per root.
+"""The reductive-quotient checks that the walk of the quotient type
+(``rootdata.root_walk`` on the Cartan matrix) replaced, kept as oracles on
+the datum itself: reflection closure by the reflection of every root
+applied to every root (|S|^2 pairings on the integer keys), the positive
+roots' simple-root coordinates by C^-1, one rational solve per root, and
+the half norms from the datum's own coroots.
 
 It also holds the Weyl dimension of a weight and the coroot of a root,
 which only the tests ask of a quotient datum: the package reads dimensions
@@ -48,6 +49,21 @@ def positive_coordinates(h) -> tuple[tuple[int, ...], ...]:
                 "combination of the simple roots"
             )
         out.append(tuple(map(int, c)))
+    return tuple(out)
+
+
+def half_norms(h) -> tuple[int, ...]:
+    """d_j = (alpha_j, alpha_j)/2 for the Weyl-invariant form
+    (chi, psi) = sum over the roots a of <chi, acheck><psi, acheck>: the sum
+    over the positive a of <alpha_j, acheck>^2, an integer, on the integer
+    simple roots (times e) and the datum's coroots."""
+    pos = [c for c, p in zip(h.coroots, h.positives) if p]
+    out = []
+    for a in h.simple_integer_roots:
+        d, rem = divmod(sum(pair(a, c) ** 2 for c in pos), h._scale**2)
+        if rem:
+            raise QuotientError("simple root pairs non-integrally with a coroot")
+        out.append(d)
     return tuple(out)
 
 

@@ -188,10 +188,12 @@ def test_golden_reports(entry, capsys):
 @pytest.mark.parametrize("name", sorted(p.name for p in (GOLDEN_DIR / "reach").glob("*.json")))
 def test_reach_golden_reports(name, capsys):
     # stability at every regular order m of the rank-8 types, 2E6 and sums,
-    # at rho_check/m, and scan, quotient, grade and decompose on E7, E8, D8,
-    # B8, C8 and 2E6 at the origin, the barycenter and rho_check/h; the
-    # subcommand ends the file name, and each golden is read back as its own
-    # spec
+    # at rho_check/m; scan, quotient, grade and decompose on E7, E8, D8,
+    # B8, C8 and 2E6 at the origin, the barycenter and rho_check/h; scan,
+    # quotient and decompose on the sums A1x64, A8x4 and E8x4, quotient and
+    # decompose on the E6+E6 and B3+B3 swaps and D4+D4, and simply connected
+    # E7, C3 and A1x8 (the "sc" files); the subcommand ends the file name,
+    # and each golden is read back as its own spec
     golden = GOLDEN_DIR / "reach" / name
     command = name.removesuffix(".json").rpartition("_")[2]
     code, out, _ = run_cli([command, "--spec", str(golden)], capsys)

@@ -406,11 +406,11 @@ def test_no_record_dict_is_written_outside_its_constructor():
     assert found == []
 
 
-DYNKIN_TABLES = {"cartan_matrix_component", "ROOT_COUNTS", "_RANK_RANGE"}
+DYNKIN_TABLES = {"cartan_matrix_component", "DEGREES", "_RANK_RANGE"}
 
 
 def test_dynkin_type_knowledge_stays_in_rootdata():
-    # the type templates, the root counts and the rank ranges are read only
+    # the type templates, the degrees and the rank ranges are read only
     # by rootdata; any other module names a type through component_type
     found = [
         f"{path.name}:{node.lineno}"

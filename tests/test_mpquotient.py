@@ -1,10 +1,11 @@
 import random
+import time
 from fractions import Fraction
 from math import lcm
 
 import pytest
 
-from parahoric import mpquotient
+from parahoric import mpquotient, rootdata
 from parahoric.catalog import CATALOG, catalog_datum, catalog_ids, named_point
 from parahoric.echelonnage import (
     TwistedDatum,
@@ -30,7 +31,7 @@ from parahoric.mpquotient import (
     quotient_datum,
     torus_jump_dim,
 )
-from parahoric.rootdata import build_automorphism, build_datum
+from parahoric.rootdata import RootDatumError, build_automorphism, build_datum, root_walk
 from parahoric.weylmod import phi_xr
 
 import quotient_oracle
@@ -296,8 +297,9 @@ def test_quotient_closure_check_fires():
 
 
 # ---------------------------------------------------------------------------
-# The simple-reflection walk of ``positive_coordinates`` against the
-# all-pairs closure check and the C^-1 solve it replaced
+# The quotient type walked from the Cartan matrix (``rootdata.root_walk``)
+# and the datum's check against it, against the all-pairs closure check,
+# the C^-1 solve and the per-datum half norms they replaced
 # (``tests/quotient_oracle.py``).
 
 # name -> (Dynkin type, node permutation, isogeny), besides the catalog
@@ -348,9 +350,9 @@ def _unchecked_datum(td, x):
 NOT_CLOSED = "quotient root system is not reflection closed"
 
 
-def _walk_passes(h):
+def _type_passes(h):
     try:
-        h.positive_coordinates
+        h.quotient_type
     except QuotientError as err:
         assert str(err) == NOT_CLOSED
         return False
@@ -362,8 +364,10 @@ def test_walk_matches_the_closure_and_inverse_oracles(name):
     td, points = _walk_case(name)
     for x in points:
         h = _unchecked_datum(td, x)
-        assert _walk_passes(h) is quotient_oracle.reflection_closed(h) is True
-        assert h.positive_coordinates == quotient_oracle.positive_coordinates(h)
+        assert _type_passes(h) is quotient_oracle.reflection_closed(h) is True
+        kind = h.quotient_type
+        assert kind.positive_coordinates == tuple(sorted(quotient_oracle.positive_coordinates(h)))
+        assert kind.half_norms == quotient_oracle.half_norms(h)
         assert h.simple_roots == quotient_oracle.simple_roots(h)
         assert h.cartan == quotient_oracle.cartan(h)
         assert quotient_datum(td, x) == h
@@ -374,7 +378,7 @@ def test_walk_and_oracle_refuse_a_root_set_with_unequal_valuations():
     tame = td_2a4(None)
     td = TwistedDatum(tame.base, tame.twist, (F(-1, 2), F(-1)))
     h = _unchecked_datum(td, origin(td))
-    assert _walk_passes(h) is quotient_oracle.reflection_closed(h) is False
+    assert _type_passes(h) is quotient_oracle.reflection_closed(h) is False
 
 
 def _hand_built(*rows):
@@ -389,51 +393,71 @@ def _hand_built(*rows):
 
 # the simple roots of A2 in simple-root coordinates: the coroots are the rows of C
 ALPHA1, ALPHA2 = ((1, 0), (2, -1), True), ((0, 1), (-1, 2), True)
+AFFINE_A2 = ((2, -1, -1), (-1, 2, -1), (-1, -1, 2))
 
 
 def test_a_step_out_of_the_roots_is_refused():
-    # +-alpha_1, +-alpha_2 of A2 without +-(alpha_1 + alpha_2)
+    # +-alpha_1, +-alpha_2 of A2 without +-(alpha_1 + alpha_2): the walk of
+    # the Cartan matrix of A2 passes the four roots
     h = _hand_built(ALPHA1, ALPHA2)
     assert not quotient_oracle.reflection_closed(h)
     with pytest.raises(QuotientError, match=f"^{NOT_CLOSED}$"):
-        h.positive_coordinates
+        h.quotient_type
 
 
 def test_a_root_the_walk_never_reaches_is_refused():
     # orthogonal alpha, beta and alpha + beta: the reflections in alpha and
-    # beta keep +-alpha, +-beta among themselves, so the walk from alpha and
-    # beta never reaches +-(alpha + beta)
+    # beta keep +-alpha, +-beta among themselves, so the walk of the Cartan
+    # matrix of A1 x A1 finds four roots and never +-(alpha + beta)
     h = _hand_built(((1, 0), (2, 0), True), ((0, 1), (0, 2), True), ((1, 1), (1, 1), True))
     assert h.simple_roots == ((0, 1), (1, 0))
     assert not quotient_oracle.reflection_closed(h)
     with pytest.raises(QuotientError, match=f"^{NOT_CLOSED}$"):
-        h.positive_coordinates
+        h.quotient_type
 
 
 def test_a_root_reached_with_two_coordinate_vectors_is_refused():
     # the roots of A2 with alpha_1, alpha_2 and -(alpha_1 + alpha_2) marked
     # positive: all three are simple, so the roots have no coordinates in
-    # them; the all-pairs check passes and the C^-1 solve finds C singular
+    # them; the all-pairs check passes and the C^-1 solve finds C singular.
+    # C is the affine A2 matrix, with infinitely many roots: the walk stops
+    # once it passes the six roots of the datum
     minus_theta = ((-1, -1), (-1, -1), True)
     h = _hand_built(ALPHA1, ALPHA2, minus_theta)
     assert len(h.simple_roots) == 3
+    assert h.cartan == AFFINE_A2
     assert quotient_oracle.reflection_closed(h)
     with pytest.raises(ExactMathError, match="singular"):
         quotient_oracle.positive_coordinates(h)
     with pytest.raises(QuotientError, match=f"^{NOT_CLOSED}$"):
-        h.positive_coordinates
+        h.quotient_type
+    assert AFFINE_A2 not in mpquotient._TYPES  # a failed walk is not kept
+
+
+def test_the_walk_of_an_affine_matrix_stops_at_its_count():
+    for count in (6, 1000):
+        start = time.perf_counter()
+        with pytest.raises(RootDatumError, match=f"expected {count}$"):
+            root_walk(AFFINE_A2, "adjoint", count)
+        assert time.perf_counter() - start < 1
 
 
 def test_the_walk_makes_one_reflection_per_root_and_simple_root(monkeypatch):
-    # a new root set costs |S| x rank pairings, not |S|^2
+    # a new Cartan matrix costs at most one reflection per root and simple
+    # root, and a new root set only the rank^2 pairings of its Cartan matrix
+    # and one map per root, not |S|^2 pairings
     td = twisted(build_datum("E8"))
     h = _unchecked_datum(td, origin(td))
     h._scale
-    calls = []
-    real = mpquotient.pair
+    calls, moves = [], []
+    real, moved = mpquotient.pair, rootdata._moved
+    monkeypatch.setattr(mpquotient, "_TYPES", {})
     monkeypatch.setattr(mpquotient, "pair", lambda *args: calls.append(1) or real(*args))
-    assert len(h.positive_coordinates) == 120
-    assert len(calls) == 240 * 8
+    monkeypatch.setattr(rootdata, "_moved", lambda *args: moves.append(1) or moved(*args))
+    assert len(h.quotient_type.positive_coordinates) == 120
+    assert len(calls) == 8 * 8
+    # each root found moves its coroot and its two coefficient vectors too
+    assert len(moves) - 3 * (240 - 8) <= 240 * 8
 
 
 def test_points_with_equal_depth0_roots_share_the_quotient():

@@ -1,19 +1,25 @@
 import random
+from collections import Counter
 from math import factorial
 
 import pytest
 
 from matrix_oracle import dual_action
 from parahoric import stability
-from parahoric.exactmath import mat_vec, matrix_order, pair
+from parahoric.exactmath import identity_matrix, mat_vec, matrix_order, pair, transpose
 from parahoric.rootdata import (
+    _RANK_RANGE,
+    DEGREES,
+    ISOGENIES,
     RootDatumError,
     build_automorphism,
     build_datum,
+    cartan_matrix,
     classical_root_count,
     cycles,
     identity_automorphism,
     parse_descriptor,
+    root_walk,
 )
 from parahoric.stability import factor_orbits, weyl_elements, weyl_walk
 
@@ -116,6 +122,70 @@ def test_degrees_from_root_heights(descriptor, degrees):
     for isogeny in ("adjoint", "simply_connected"):
         ((letter, nodes, found),) = build_datum(descriptor, isogeny).factors
         assert found == degrees and letter == descriptor[0] and len(nodes) == len(degrees)
+
+
+def kostant_degrees(datum, nodes) -> tuple[int, ...]:
+    """The degrees of the factor on ``nodes`` from its root heights: a degree
+    is one more than an exponent, and the exponents are the dual partition of
+    the numbers of positive roots of each height (Kostant)."""
+    heights = Counter(sum(c) for c in datum.coeffs if any(c[i] > 0 for i in nodes))
+    counts = [heights[h] for h in range(1, max(heights) + 2)]
+    return tuple(h + 1 for h in range(1, len(counts)) for _ in range(counts[h - 1] - counts[h]))
+
+
+@pytest.mark.parametrize("isogeny", ISOGENIES)
+def test_degree_table_is_kostants_height_count(isogeny):
+    for letter, (lo, hi) in _RANK_RANGE.items():
+        for rank in range(lo, hi + 1):
+            d = build_datum(f"{letter}{rank}", isogeny)
+            ((_, nodes, degrees),) = d.factors
+            assert degrees == DEGREES[letter](rank) == kostant_degrees(d, nodes), (letter, rank)
+            assert len(d.roots) == 2 * sum(k - 1 for k in degrees)
+    d = build_datum("A2+B3", isogeny)
+    assert [kostant_degrees(d, nodes) for _, nodes, _ in d.factors] == [(2, 3), (2, 4, 6)]
+
+
+def dense_walk(cartan, isogeny):
+    """The walk of the roots of a Cartan matrix on dense vectors, every
+    pairing over every coordinate, with the sort of ``root_walk``."""
+    units = identity_matrix(len(cartan))
+    if isogeny == "adjoint":
+        simples = list(zip(units, cartan, units, units))
+    else:
+        simples = list(zip(transpose(cartan), units, units, units))
+    seen = {entry[0]: entry for entry in simples}
+    frontier = list(simples)
+    while frontier:
+        root, coroot, coeff, cocoeff = frontier.pop()
+        for alpha, acheck, unit, counit in simples:
+            p = pair(root, acheck)
+            if not p:
+                continue
+            new_root = tuple(a - p * b for a, b in zip(root, alpha))
+            if new_root in seen:
+                continue
+            q = pair(alpha, coroot)
+            entry = seen[new_root] = (
+                new_root,
+                tuple(a - q * b for a, b in zip(coroot, acheck)),
+                tuple(a - p * b for a, b in zip(coeff, unit)),
+                tuple(a - q * b for a, b in zip(cocoeff, counit)),
+            )
+            frontier.append(entry)
+    return sorted(seen.values(), key=lambda e: (sum(e[2]), e[2]))
+
+
+WALK_TYPES = [f"{l}{r}" for l, (lo, hi) in _RANK_RANGE.items() for r in range(lo, hi + 1)]
+
+
+@pytest.mark.parametrize("isogeny", ISOGENIES)
+@pytest.mark.parametrize("descriptor", WALK_TYPES + ["+".join(["A1"] * 64), "E8+E8"])
+def test_sparse_walk_matches_the_dense_walk(descriptor, isogeny):
+    cartan = cartan_matrix(descriptor)
+    walk = root_walk(cartan, isogeny, classical_root_count(descriptor))
+    assert walk == dense_walk(cartan, isogeny)
+    d = build_datum(descriptor, isogeny)
+    assert list(zip(d.roots, d.coroots, d.coeffs, d.cocoeffs)) == walk
 
 
 def test_degree_products_are_the_weyl_orders():

@@ -135,7 +135,7 @@ def test_each_subcommand_loads_only_its_own_layer(command, own):
 # The source lines of the package modules a fresh report process loads at
 # the origin, per subcommand: without bytecode the process compiles every
 # one of them before it computes anything (README, "Cold start").
-LINE_BUDGET = {"scan": 2148, "quotient": 2456, "grade": 2659, "decompose": 2854, "stability": 2692}
+LINE_BUDGET = {"scan": 2145, "quotient": 2431, "grade": 2634, "decompose": 2829, "stability": 2689}
 
 
 @pytest.mark.parametrize("command", LINE_BUDGET)

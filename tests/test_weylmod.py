@@ -49,6 +49,7 @@ from parahoric.weylmod import (
 
 from matrix_oracle import solve_linear
 from point_oracle import translation_representative
+import quotient_oracle
 from quotient_oracle import coroot_of, weyl_dimension
 from warm_points import perfbench_module, warm_sweep
 
@@ -749,14 +750,14 @@ def assert_types_match_scratch(td):
         with pytest.MonkeyPatch.context() as m:
             m.setattr(mpquotient, "_TYPES", {})
             own = scratch.quotient_type
-        assert own is not kind and not own.characters
+        assert own is not kind and own == kind and not own.characters
         den, inverse = kind.inverse
         assert kind.inverse == own.inverse
         assert [[pair(row, col) for col in zip(*inverse)] for row in h.cartan] == [
             [den * (i == j) for j in range(len(h.cartan))] for i in range(len(h.cartan))
         ]
-        assert (kind.cartan, kind.half_norms) == (h.cartan, h.half_norms)
-        assert kind.positive_coordinates == tuple(sorted(h.positive_coordinates))
+        assert (kind.cartan, kind.half_norms) == (h.cartan, quotient_oracle.half_norms(h))
+        assert kind.positive_coordinates == tuple(sorted(quotient_oracle.positive_coordinates(h)))
         for top, (mult, dim) in list(kind.characters.items()):
             lam = weight_of_labels(h, top, td.base.rank)
             assert tuple(pair(lam, ac) for ac in h.simple_coroots) == top
@@ -797,26 +798,29 @@ def test_large_quotient_types_match_scratch(name):
 
 
 def test_a_datum_that_differs_from_its_type_is_refused(monkeypatch):
+    # the type's half norms are those of the datum's own coroots, and a
+    # datum whose roots are not the type's roots on its simple roots, with
+    # the same signs, is refused
     td = twisted(build_datum("B3"))
     x = origin(td)
     h = quotient_datum(td, x)
     kind = h.quotient_type
+    assert kind.half_norms == quotient_oracle.half_norms(h) == (8, 16, 16)
+    first, *rest = kind.positive_coordinates
     forged = {
-        "half norms": QuotientType(
-            kind.cartan, tuple(2 * d for d in kind.half_norms), kind.positive_coordinates
-        ),
-        "positive coordinates": QuotientType(
-            kind.cartan, kind.half_norms, kind.positive_coordinates[1:]
-        ),
+        "a root missing": rest,
+        "a root negated": [tuple(-c for c in first), *rest],
+        "long and short swapped": [k[::-1] for k in kind.positive_coordinates],
     }
-    for what, bad in forged.items():
+    for what, coordinates in forged.items():
+        bad = QuotientType(kind.cartan, kind.half_norms, tuple(sorted(coordinates)))
         with monkeypatch.context() as m:
             m.setitem(mpquotient._TYPES, h.cartan, bad)
             scratch = ReductiveQuotientDatum(**{f: getattr(h, f) for f in h._fields})
-            with pytest.raises(QuotientError, match="differ"):
+            with pytest.raises(QuotientError, match="^quotient root system is not reflection closed$"):
                 scratch.quotient_type
             m.setitem(vars(td), "results", {})
-            with pytest.raises(QuotientError, match="differ"):
+            with pytest.raises(QuotientError, match="^quotient root system is not reflection closed$"):
                 quotient_datum(td, x)
             assert not td.results, what  # a failed check is not kept
     assert quotient_datum(td, x) is h and h.quotient_type is kind is mpquotient._TYPES[h.cartan]
@@ -835,14 +839,14 @@ def test_a_warm_pass_computes_each_shared_result_once(monkeypatch):
     # still runs its own checks, and every character computed is checked
     # against the Weyl dimension formula.
     import parahoric
-    from parahoric import alcove, echelonnage, exactmath, stability, vinberg
+    from parahoric import alcove, echelonnage, exactmath, rootdata, stability, vinberg
 
     child = perfbench_module("child")
     points = list(warm_sweep(0))
     tds = {t for td, _ in points for t in (td, twisted(td.base, td.twist))}
     calls = {
         "freudenthal": 0, "dimension": 0, "inverse": 0, "rank": 0,
-        "graded": 0, "column": 0, "reduce": 0, "decompose": 0, "quotient": 0,
+        "graded": 0, "column": 0, "reduce": 0, "decompose": 0, "quotient": 0, "walk": 0,
     }
 
     def counting(name, real):
@@ -879,6 +883,7 @@ def test_a_warm_pass_computes_each_shared_result_once(monkeypatch):
         m.setattr(weylmod, "_character", character)
         m.setattr(weylmod, "_decompose", counting("decompose", weylmod._decompose))
         m.setattr(mpquotient, "integer_inverse", counting("inverse", exactmath.integer_inverse))
+        m.setattr(mpquotient, "root_walk", counting("walk", rootdata.root_walk))
         m.setattr(mpquotient, "_checked", counting("quotient", mpquotient._checked))
         m.setattr(stability, "matrix_rank", counting("rank", exactmath.matrix_rank))
         m.setattr(vinberg, "_graded", counting("graded", vinberg._graded))
@@ -899,12 +904,12 @@ def test_a_warm_pass_computes_each_shared_result_once(monkeypatch):
     translation_class.cache_clear()  # its classes are not in the restored intern maps
     assert 0 < calls["freudenthal"] == len(asked) <= 63
     assert calls["dimension"] == calls["freudenthal"]
-    assert calls["inverse"] == types == len({id(h.quotient_type) for h in data}) <= 30
+    assert calls["inverse"] == calls["walk"] == types == len({id(h.quotient_type) for h in data}) <= 30
     assert types == len({h.cartan for h in data})  # one type per Cartan matrix
     assert 0 < calls["rank"] == len(spans) <= 51
     assert 0 < calls["decompose"] == len(jumps)
     assert calls["quotient"] == len(data) == 204 > types
-    checks = ("cartan", "half_norms", "positive_coordinates", "quotient_type")
+    checks = ("cartan", "simple_integer_roots", "quotient_type")
     assert all(name in vars(h) for h in data for name in checks)
     # the classes of the points graded (the tame shifts) and of the points
     # reduced (the sweep's points and the barycenter of each point order)
